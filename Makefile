@@ -1,51 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos fuzz check bench benchfig clean
+.PHONY: all build test check benchfig clean
 
 all: check
 
 build:
 	$(GO) build ./...
 
-vet:
-	$(GO) vet ./...
-
 test:
 	$(GO) test ./...
 
-# The concurrency-sensitive packages under the race detector: the query
-# service, the caches/singleflight groups, the transport, the cluster and
-# both engines in shared mode.
-race:
-	$(GO) test -race -count=1 ./internal/service ./internal/cache ./internal/transport ./internal/cluster ./internal/metrics
-	$(GO) test -race -short -count=1 -run TestServiceBenchShort .
-	$(GO) test -race -count=1 -run TestMetricsScrapeDuringServiceBench .
+# The one gate: build, vet, the suite under -race, fuzz and bench smokes.
+check:
+	sh scripts/check.sh
 
-# The fault-injection matrix (drop/delay/crash × IJ/GH) plus the recovery
-# building blocks, all under the race detector: chaos recovery paths are
-# where concurrent state transitions hide.
-chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/fault ./internal/retry ./internal/breaker
-	$(GO) test -race -count=1 ./internal/repair
-	$(GO) test -race -count=1 -run TestCrashRestartConverge ./internal/chaos
-
-# Parser fuzz smoke: the grammar must reject, never panic. Seeds come
-# from the golden-test SQL corpus; 10s is the CI budget, run longer when
-# touching the parser.
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query
-
-check: build vet test race chaos fuzz
-
-# Kernel/codec/IJ-workload microbenchmarks with -benchmem, parsed into
-# BENCH_pr3.json (map-vs-flat and prefetch-off-vs-on ratios included),
-# the streaming LIMIT early-exit leg (BENCH_pr4.json), and the metrics
-# overhead guard (BENCH_pr5.json: instrumented vs no-op registry on the
-# IJ workload; the overhead fraction must stay ≤ 0.03).
-bench:
-	sh scripts/bench.sh
-
-# The paper-figure reproduction benches (the old `make bench`).
+# The paper-figure reproduction benches.
 benchfig:
 	$(GO) test -bench=Fig -benchtime=1x ./...
 

@@ -16,59 +16,25 @@ package sciview
 // Full-scale sweeps: cmd/sciview-bench (no -quick).
 
 import (
+	"os/exec"
 	"testing"
-	"time"
 )
 
-// TestServiceBenchShort drives the concurrent query service closed-loop
-// for a moment — small enough for `go test -short`, and the hook that
-// puts the service under the race detector when the root suite runs with
-// -race. Every completed query must have run; the dedup counters must be
-// consistent (shared fetches require at least one leader).
-func TestServiceBenchShort(t *testing.T) {
-	res, err := RunServiceBench(ServiceBenchSpec{
-		Concurrency:  4,
-		Duration:     500 * time.Millisecond,
-		StorageNodes: 2,
-		ComputeNodes: 2,
-		Engine:       "ij",
-	}, nil)
+// TestBenchQuick puts the benchmark harness (bench/, its own module)
+// under the root module's `go test ./...`: it runs the harness's quick
+// end-to-end test, which builds all four workloads against this tree and
+// checks every response, so a change here that breaks a function bench/
+// calls fails tier-1 rather than the next benchmark run.
+func TestBenchQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the bench module's quick pass (~15s)")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	out, err := exec.Command("go", "test", "-C", "bench", "-short", "-count=1", "-run", "TestQuick", "./...").CombinedOutput()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("no queries completed in the window")
-	}
-	if res.Stats.Completed < res.Queries {
-		t.Errorf("stats completed %d < measured %d", res.Stats.Completed, res.Queries)
-	}
-	if res.Stats.Dedup.Shared > 0 && res.Stats.Dedup.Leads == 0 {
-		t.Errorf("dedup counters inconsistent: %+v", res.Stats.Dedup)
-	}
-}
-
-// TestServiceBenchShortSQL drives the same closed loop through the
-// streaming plan layer (-sql mode): every client lowers, gets admitted on
-// the plan's memory estimate and executes the operator DAG concurrently,
-// which puts the shared executor and reorder sinks under the race
-// detector.
-func TestServiceBenchShortSQL(t *testing.T) {
-	res, err := RunServiceBench(ServiceBenchSpec{
-		Concurrency:  4,
-		Duration:     500 * time.Millisecond,
-		StorageNodes: 2,
-		ComputeNodes: 2,
-		Engine:       "ij",
-		SQL:          "SELECT * FROM V1 WHERE x < 8 LIMIT 64",
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("no SQL queries completed in the window")
-	}
-	if res.Stats.Completed < res.Queries {
-		t.Errorf("stats completed %d < measured %d", res.Stats.Completed, res.Queries)
+		t.Fatalf("go test -C bench: %v\n%s", err, out)
 	}
 }
 

@@ -7,38 +7,17 @@
 //	sciview-bench               # all figures, standard configuration
 //	sciview-bench -fig fig4     # one figure
 //	sciview-bench -quick        # trimmed sweeps (seconds, for smoke tests)
+//	sciview-bench -fig fig6scale  # Figure 6 at the paper's full scale, cost model only
+//	sciview-bench -ablations    # the design-choice ablations instead of the figures
 //
-// With -concurrency N it instead drives the concurrent query service
-// closed-loop: N clients submit the same join back-to-back, reporting
-// throughput, latency percentiles, queue waits and the fetch-dedup rate.
-// Adding -sql routes every submission through the streaming plan layer
-// (lower, admit on the plan's memory estimate, execute the operator DAG),
-// so LIMIT early exit and pushdown show up in the latency numbers.
-//
-//	sciview-bench -concurrency 8 -duration 10s -max-inflight 4
-//	sciview-bench -concurrency 8 -sql 'SELECT * FROM V1 WHERE x < 8 LIMIT 64'
-//
-// Adding -ingest-steps N turns a -concurrency run into the
-// ingest-while-querying scenario: N time-step append batches commit
-// spread across the window while the clients query, and a reader pinned
-// to the pre-ingest dataset version audits snapshot isolation after every
-// commit.
-//
-//	sciview-bench -concurrency 8 -ingest-steps 4
-//
-// With -regret it instead replays the golden SQL corpus under several
-// cluster regimes, timing every query under both forced engines and
-// scoring the planner's static and online-calibrated decisions against
-// the measured winner (decision accuracy and wall-clock regret).
-//
-//	sciview-bench -regret -regret-out BENCH_pr9.json
+// Service load, latency and per-layer cost are measured by the benchmark
+// in bench/ (see bench/README.md), not here.
 package main
 
 import (
 	"flag"
 	"log"
 	"os"
-	"time"
 
 	"sciview"
 )
@@ -54,63 +33,8 @@ func main() {
 		seed      = flag.Int64("seed", 0, "dataset seed (default 2006)")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablations instead of the figures")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned text (single -fig only)")
-
-		concurrency = flag.Int("concurrency", 0, "closed-loop clients driving the query service (0 = run the figures instead)")
-		duration    = flag.Duration("duration", 5*time.Second, "measurement window of the -concurrency driver")
-		maxInFlight = flag.Int("max-inflight", 0, "service execution slots (default = -concurrency)")
-		memBudget   = flag.Int64("mem-budget", 0, "service working-set budget in bytes (0 = unlimited)")
-		forceEngine = flag.String("engine", "", "force engine for -concurrency: ij or gh")
-		wire        = flag.String("wire", "", "fetch codec for -concurrency: rowmajor (default) or colenc (compressed columnar frames)")
-		replicas    = flag.Int("replicas", 1, "chunk copies across storage nodes for -concurrency (enables failover)")
-		faults      = flag.String("faults", "", "chaos schedule for -concurrency, e.g. crash:storage-1:fetch:20 (see internal/fault)")
-		prefetch    = flag.Int("prefetch", sciview.DefaultPrefetch, "IJ joiner lookahead depth for -concurrency (0 = disabled)")
-		parallelism = flag.Int("parallelism", 0, "hash-join kernel workers for -concurrency (0 = all CPUs, 1 = serial)")
-		sqlQuery    = flag.String("sql", "", "SQL SELECT each -concurrency client submits via the streaming plan layer (may use T1, T2 and view V1; empty = raw join request)")
-		ingestSteps = flag.Int("ingest-steps", 0, "commit this many time-step append batches spread across the -concurrency window, auditing snapshot isolation with a version-pinned reader")
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics (/metrics, /debug/pprof/) at this address during -concurrency runs and dump a snapshot in the report; empty disables instrumentation")
-
-		repairInterval = flag.Duration("repair-interval", 0, "run the self-healing repair tier during -concurrency runs, sweeping for under-replicated chunks and catching up restarted nodes at this period (0 disables)")
-		repairBw       = flag.Float64("repair-bw", 0, "repair copy-traffic bandwidth cap in bytes/s (0 = uncapped)")
-
-		regret    = flag.Bool("regret", false, "replay the golden SQL corpus under several cluster regimes, scoring the static and online-calibrated planner layers against the measured-faster engine")
-		regretOut = flag.String("regret-out", "", "write the -regret report as JSON to this path")
 	)
 	flag.Parse()
-	if *regret {
-		if _, err := sciview.RunRegret(sciview.RegretSpec{
-			Quick: *quick,
-			Seed:  *seed,
-			Out:   *regretOut,
-		}, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *concurrency > 0 {
-		if _, err := sciview.RunServiceBench(sciview.ServiceBenchSpec{
-			Concurrency:    *concurrency,
-			Duration:       *duration,
-			MaxInFlight:    *maxInFlight,
-			MemoryBudget:   *memBudget,
-			StorageNodes:   *storage,
-			ComputeNodes:   *compute,
-			Engine:         *forceEngine,
-			Wire:           *wire,
-			Seed:           *seed,
-			Replicas:       *replicas,
-			Faults:         *faults,
-			Prefetch:       *prefetch,
-			Parallelism:    *parallelism,
-			SQL:            *sqlQuery,
-			IngestSteps:    *ingestSteps,
-			MetricsAddr:    *metricsAddr,
-			RepairInterval: *repairInterval,
-			RepairBw:       *repairBw,
-		}, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	spec := sciview.ExperimentSpec{
 		Quick:        *quick,
 		StorageNodes: *storage,

@@ -26,8 +26,9 @@
 // The package runs against an emulated cluster — storage and compute nodes
 // as goroutines with modeled disk, network and CPU resources — so the
 // performance trade-offs of the paper (Figures 4–9) are reproducible on a
-// single machine. See the examples directory for end-to-end usage and
-// cmd/sciview-bench for the experiment harness.
+// single machine. See the examples directory for end-to-end usage,
+// cmd/sciview-bench for the paper-figure sweeps and bench/ for the
+// benchmark of the query service.
 //
 // Quick start:
 //

@@ -54,8 +54,7 @@ func BenchmarkIJWorkload(b *testing.B) {
 // absent (nil registry: every instrument call is a nil-receiver no-op) and
 // present (live registry: cache hit/miss, fetch, singleflight and breaker
 // counters all firing on the hot path). The delta between the two legs is
-// the full observability tax; the differential harness' companion check in
-// scripts/bench.sh asserts it stays within a few percent of wall clock.
+// the full observability tax.
 func BenchmarkIJMetricsOverhead(b *testing.B) {
 	grid := partition.D(32, 32, 32)
 	pq := partition.D(8, 8, 8)

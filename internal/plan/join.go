@@ -27,6 +27,7 @@ type joinOp struct {
 	node     *JoinNode
 	sink     *reorder
 	cancel   context.CancelFunc
+	unwatch  func() bool
 	resCh    chan engineOutcome
 	progress *engine.Progress
 	opened   time.Time
@@ -56,6 +57,11 @@ func (o *joinOp) Open(ctx context.Context) error {
 	req.Progress = o.progress
 	o.resCh = make(chan engineOutcome, 1)
 	o.opened = time.Now()
+	// A cancel from above must reach the sink itself, not only the engine:
+	// a joiner that sees ctx.Err() returns without Done, so the consumer
+	// and any producer parked behind the buffer bound would otherwise wait
+	// on each other while the engine waits on that producer.
+	o.unwatch = context.AfterFunc(jctx, func() { o.sink.close(jctx.Err()) })
 	go func() {
 		res, err := o.node.Eng.RunContext(jctx, o.node.Cluster, req)
 		o.sink.finish(err)
@@ -80,8 +86,9 @@ func (o *joinOp) Close() error {
 		return nil
 	}
 	earlyExit := !o.sink.isFinished()
+	o.unwatch()
 	o.cancel()
-	o.sink.close()
+	o.sink.close(nil)
 	oc := <-o.resCh
 	o.cancel = nil
 	o.s.PeakBytes = o.sink.peak()
@@ -209,14 +216,22 @@ func (r *reorder) Discard(part int) {
 func (r *reorder) finish(err error) {
 	r.mu.Lock()
 	r.finished = true
-	r.runErr = err
+	if r.runErr == nil {
+		r.runErr = err
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
-// close detaches the consumer: parked producers abort with errSinkClosed.
-func (r *reorder) close() {
+// close detaches the consumer: producers parked in, or arriving at, Emit
+// abort with errSinkClosed, so the engine run unwinds. A non-nil err (the
+// join context was cancelled from outside) also ends the stream for a
+// consumer still waiting in next.
+func (r *reorder) close(err error) {
 	r.mu.Lock()
+	if r.runErr == nil {
+		r.runErr = err
+	}
 	r.closed = true
 	r.cond.Broadcast()
 	r.mu.Unlock()

@@ -103,7 +103,7 @@ func TestReorderBoundedBuffer(t *testing.T) {
 		t.Fatalf("overfull Emit returned early (%v), want blocked", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.close()
+	r.close(nil)
 	if err := <-emitted; !errors.Is(err, errSinkClosed) {
 		t.Fatalf("Emit after close = %v, want errSinkClosed", err)
 	}

@@ -368,7 +368,13 @@ func (c *tcpConn) CallContext(ctx context.Context, method string, payload []byte
 	finish := func(err error) error {
 		close(watchStop)
 		<-watchDone
-		if cerr := ctx.Err(); cerr != nil {
+		cerr := ctx.Err()
+		if d, ok := ctx.Deadline(); err != nil && cerr == nil && ok && !time.Now().Before(d) {
+			// The socket deadline is the context's, and its timer can fail
+			// the exchange a moment before the context's own fires.
+			cerr = context.DeadlineExceeded
+		}
+		if cerr != nil {
 			// The stream may be mid-frame: poison this socket and let the
 			// next call redial.
 			c.conn.Close()

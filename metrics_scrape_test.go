@@ -1,81 +1,107 @@
 package sciview
 
 import (
-	"bufio"
+	"context"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sciview/internal/metrics"
+	"sciview/internal/service"
+	"sciview/internal/transport"
 )
 
 // TestMetricsScrapeDuringServiceBench is the system-level observability
-// stress test: a sciview-bench-style closed loop (concurrent SQL clients
-// through admission + streaming plans) runs with MetricsAddr set, while
-// scrapers hammer /metrics mid-run. It proves the acceptance criterion
-// directly — the endpoint serves live cache, breaker, admission,
+// stress test: four closed-loop SQL clients run through admission and
+// streaming plans on a fully instrumented stack while scrapers hammer
+// /metrics. It proves the endpoint serves live cache, breaker, admission,
 // per-operator, fetch and transport counters while queries are in flight
-// — and, under check.sh's -race leg, that scrape-time reads (GaugeFunc
+// and, under the race detector, that scrape-time reads (GaugeFunc
 // callbacks taking the service/cache locks, histogram bucket loads) are
-// race-free against the instrumented hot paths.
+// race-free against the instrumented hot paths. The clients drain — no
+// statement is ever cancelled — so the service's own accounting must
+// cover every response they saw.
 func TestMetricsScrapeDuringServiceBench(t *testing.T) {
-	// RunServiceBench announces the bound metrics address on its writer
-	// before starting the closed loop; read it through a pipe.
-	pr, pw := io.Pipe()
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(pr)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "metrics: http://"); ok {
-				addrCh <- strings.TrimSuffix(strings.Fields(rest)[0], "/metrics")
-			}
-		}
-	}()
-	type outcome struct {
-		res *ServiceBenchResult
-		err error
+	ds, err := GenerateOilReservoir(OilReservoirSpec{
+		Grid:         Dims{X: 32, Y: 32, Z: 16},
+		LeftPart:     Dims{X: 8, Y: 8, Z: 8},
+		RightPart:    Dims{X: 8, Y: 8, Z: 8},
+		StorageNodes: 2,
+		Seed:         2006,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := RunServiceBench(ServiceBenchSpec{
-			Concurrency:  4,
-			Duration:     1500 * time.Millisecond,
-			StorageNodes: 2,
-			ComputeNodes: 2,
-			Engine:       "ij",
-			SQL:          "SELECT * FROM V1 WHERE x < 8 LIMIT 64",
-			MetricsAddr:  "127.0.0.1:0",
-		}, pw)
-		pw.Close()
-		done <- outcome{res, err}
-	}()
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case o := <-done:
-		t.Fatalf("bench finished before announcing a metrics address (err: %v)", o.err)
+	reg := metrics.NewRegistry()
+	transport.WireMetrics(reg)
+	sys, err := NewSystem(ds, ClusterSpec{ComputeNodes: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sys.Close()
+	svc := service.New(sys.Cluster(), service.Config{MaxInFlight: 4, Force: "ij", Metrics: reg})
+	defer svc.Close()
+	ex := svc.Executor()
+	if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
+		t.Fatal(err)
+	}
+	closer, addr, err := metrics.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
 
-	// Background scrapers add scrape-vs-update contention beyond the
-	// asserting loop below; they stop at the first post-shutdown error.
-	var scrapers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		scrapers.Add(1)
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	var measured atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
 		go func() {
-			defer scrapers.Done()
-			for {
-				resp, err := http.Get("http://" + addr + "/metrics")
-				if err != nil {
+			defer wg.Done()
+			for !stopped() {
+				if _, err := svc.SubmitSQL(context.Background(), ex, service.SQL{Query: "SELECT * FROM V1 WHERE x < 8 LIMIT 64"}); err != nil {
+					t.Error(err)
 					return
 				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+				measured.Add(1)
 			}
 		}()
 	}
-	defer scrapers.Wait()
+	scrape := func() (string, error) {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return string(b), err
+	}
+	// Background scrapers add scrape-vs-update contention beyond the
+	// asserting loop below.
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stopped() {
+				if _, err := scrape(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
 
 	// The families every layer must surface mid-run. Operator counters
 	// appear once the first streaming plan completes; everything else
@@ -96,46 +122,39 @@ func TestMetricsScrapeDuringServiceBench(t *testing.T) {
 		"sciview_fetch_total",
 		"sciview_transport_frames_total",
 	}
-	missing := func(body string) []string {
-		var m []string
+	// Keep scraping until every family has shown up and the clients have
+	// pushed enough statements through for the scrapers to have overlapped
+	// every instrumented path many times.
+	const minStatements = 100
+	var missing []string
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		body, err := scrape()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		missing = missing[:0]
 		for _, w := range want {
 			if !strings.Contains(body, w) {
-				m = append(m, w)
+				missing = append(missing, w)
 			}
 		}
-		return m
+		if len(missing) == 0 && measured.Load() >= minStatements {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("after %d statements, families never scraped mid-run: %v\nlast scrape:\n%s", measured.Load(), missing, body)
+			break
+		}
 	}
-	var lastBody string
-	for {
-		select {
-		case o := <-done:
-			// The run ended (and closed the listener) before a scrape saw
-			// every family — judge the last successful scrape.
-			if o.err != nil {
-				t.Fatal(o.err)
-			}
-			if m := missing(lastBody); len(m) > 0 {
-				t.Fatalf("families never scraped mid-run: %v\nlast scrape:\n%s", m, lastBody)
-			}
-			return
-		default:
-		}
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err == nil {
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			lastBody = string(b)
-			if len(missing(lastBody)) == 0 {
-				o := <-done
-				if o.err != nil {
-					t.Fatal(o.err)
-				}
-				if o.res.Queries == 0 {
-					t.Fatal("no queries completed in the window")
-				}
-				return
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	st := svc.Stats()
+	if st.Completed < measured.Load() {
+		t.Errorf("stats completed %d < measured %d", st.Completed, measured.Load())
+	}
+	if st.Dedup.Shared > 0 && st.Dedup.Leads == 0 {
+		t.Errorf("dedup counters inconsistent: %+v", st.Dedup)
 	}
 }
