@@ -454,38 +454,26 @@ func (cl *Cluster) Close() error {
 
 // Fetch retrieves sub-table id for compute node computeID: the owning
 // storage node's BDS extracts it (paying disk read bandwidth) and the
-// result is shipped over both NICs (paying network bandwidth). Fetch does
-// not consult the compute node's cache — cache policy belongs to the QES.
-func (cl *Cluster) Fetch(computeID int, id tuple.ID, filter *metadata.Range) (*tuple.SubTable, error) {
-	return cl.FetchProjected(context.Background(), computeID, id, filter, nil)
-}
-
-// FetchProjected is Fetch with projection pushdown: only the named
-// attributes travel from the BDS (non-nil project), shrinking the modeled
-// transfer. The fetch observes ctx: a cancelled or expired context aborts
-// the TCP exchange (when the cluster is wired over sockets) and returns
-// ctx.Err() rather than completing the transfer.
+// result is shipped over both NICs (paying network bandwidth). A non-nil
+// project pushes the projection down, so only the named attributes travel.
+// Fetch does not consult the compute node's cache — cache policy belongs
+// to the QES.
 //
-// Transient faults are retried with exponential backoff; when a replica
-// node's attempts are exhausted (or its breaker is open) the fetch fails
-// over to the chunk's next replica. Terminal errors — a *RemoteError, a
-// cancelled context — abort immediately.
-func (cl *Cluster) FetchProjected(ctx context.Context, computeID int, id tuple.ID, filter *metadata.Range, project []string) (*tuple.SubTable, error) {
-	f, err := cl.FetchEncoded(ctx, computeID, id, filter, project)
-	if err != nil {
-		return nil, err
-	}
-	return f.SubTable()
-}
-
-// FetchEncoded is FetchProjected returning the wire-form carrier: with
-// Config.Wire = "colenc" the sub-table arrives (and is handed to the
-// caller's cache) in its compressed columnar representation, and the
-// modeled NIC transfer is charged the compressed frame size — the whole
-// point of the codec in the paper's network-bound regimes. With the
-// row-major codec the carrier wraps the decoded sub-table and every byte
-// count matches the historical path exactly.
-func (cl *Cluster) FetchEncoded(ctx context.Context, computeID int, id tuple.ID, filter *metadata.Range, project []string) (*Fetched, error) {
+// The result is the wire-form carrier: with Config.Wire = "colenc" the
+// sub-table arrives (and is handed to the caller's cache) in its
+// compressed columnar representation, and the modeled NIC transfer is
+// charged the compressed frame size — the whole point of the codec in the
+// paper's network-bound regimes. With the row-major codec the carrier
+// wraps the decoded sub-table. Callers that want rows call SubTable on it.
+//
+// The fetch observes ctx: a cancelled or expired context aborts the TCP
+// exchange (when the cluster is wired over sockets) and returns ctx.Err()
+// rather than completing the transfer. Transient faults are retried with
+// exponential backoff; when a replica node's attempts are exhausted (or
+// its breaker is open) the fetch fails over to the chunk's next replica.
+// Terminal errors — a *RemoteError, a cancelled context — abort
+// immediately.
+func (cl *Cluster) Fetch(ctx context.Context, computeID int, id tuple.ID, filter *metadata.Range, project []string) (*Fetched, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

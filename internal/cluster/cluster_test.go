@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,6 +35,20 @@ func build(t *testing.T, cfg Config, ds *oilres.Dataset) *Cluster {
 	return cl
 }
 
+// fetchRows is Fetch(...).SubTable(): the decoded rows of one fetch, with
+// an optional pushed-down projection.
+func fetchRows(cl *Cluster, computeID int, id tuple.ID, filter *metadata.Range, project ...[]string) (*tuple.SubTable, error) {
+	var proj []string
+	if len(project) > 0 {
+		proj = project[0]
+	}
+	f, err := cl.Fetch(context.Background(), computeID, id, filter, proj)
+	if err != nil {
+		return nil, err
+	}
+	return f.SubTable()
+}
+
 func TestNewValidation(t *testing.T) {
 	ds := testDataset(t, 2)
 	if _, err := New(Config{StorageNodes: 0, ComputeNodes: 1}, ds.Catalog, nil); err == nil {
@@ -47,7 +62,7 @@ func TestNewValidation(t *testing.T) {
 func TestFetch(t *testing.T) {
 	ds := testDataset(t, 2)
 	cl := build(t, Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 1 << 20}, ds)
-	st, err := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
+	st, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +82,7 @@ func TestFetch(t *testing.T) {
 func TestFetchWithFilter(t *testing.T) {
 	ds := testDataset(t, 2)
 	cl := build(t, Config{StorageNodes: 2, ComputeNodes: 1}, ds)
-	st, err := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, &metadata.Range{
+	st, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, &metadata.Range{
 		Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{0},
 	})
 	if err != nil {
@@ -81,10 +96,10 @@ func TestFetchWithFilter(t *testing.T) {
 func TestFetchErrors(t *testing.T) {
 	ds := testDataset(t, 2)
 	cl := build(t, Config{StorageNodes: 2, ComputeNodes: 1}, ds)
-	if _, err := cl.Fetch(0, tuple.ID{Table: 9, Chunk: 0}, nil); err == nil {
+	if _, err := fetchRows(cl, 0, tuple.ID{Table: 9, Chunk: 0}, nil); err == nil {
 		t.Error("unknown table should fail")
 	}
-	if _, err := cl.Fetch(5, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil); err == nil {
+	if _, err := fetchRows(cl, 5, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil); err == nil {
 		t.Error("unknown compute node should fail")
 	}
 }
@@ -114,11 +129,11 @@ func TestSharedFSContention(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 2)
 	go func() {
-		_, err := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
+		_, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 		done <- err
 	}()
 	go func() {
-		_, err := cl.Fetch(1, tuple.ID{Table: ds.Left.ID, Chunk: 1}, nil)
+		_, err := fetchRows(cl, 1, tuple.ID{Table: ds.Left.ID, Chunk: 1}, nil)
 		done <- err
 	}()
 	for i := 0; i < 2; i++ {
@@ -158,7 +173,7 @@ func TestShipAndReset(t *testing.T) {
 	if got := cl.Compute[1].NIC.Counters.BytesRecv.Load(); got != 4096 {
 		t.Errorf("ship recv = %d", got)
 	}
-	st, _ := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
+	st, _ := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	f := FetchedSubTable(st)
 	cl.Compute[0].Cache.Put(FetchKey{ID: st.ID}, f, int64(f.StoredBytes()))
 	cl.Reset()

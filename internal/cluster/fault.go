@@ -246,7 +246,7 @@ func (cl *Cluster) replicaFailover(ctx context.Context, desc *chunk.Desc, try fu
 
 // ScanChunk reads, extracts, filters and projects one chunk storage-side
 // for the Grace Hash partitioning scan, failing over to replica-holding
-// nodes when the preferred one is unreachable. Unlike FetchProjected it
+// nodes when the preferred one is unreachable. Unlike Fetch it
 // pays no compute-NIC transfer — the partitioner ships its routed batches
 // separately — and it returns the node that actually served the chunk so
 // shipping is attributed to the right NIC.

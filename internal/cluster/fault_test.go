@@ -33,7 +33,7 @@ func TestFetchFailsOverToReplica(t *testing.T) {
 	}
 	inj.Kill(fault.StorageNode(desc.Node))
 
-	st, err := cl.Fetch(0, id, nil)
+	st, err := fetchRows(cl, 0, id, nil)
 	if err != nil {
 		t.Fatalf("fetch with primary down: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestFetchFailsWithoutReplicas(t *testing.T) {
 	}
 	inj.Kill(fault.StorageNode(desc.Node))
 
-	if _, err := cl.Fetch(0, id, nil); err == nil {
+	if _, err := fetchRows(cl, 0, id, nil); err == nil {
 		t.Fatal("unreplicated chunk on a dead node should not be fetchable")
 	} else if !errors.Is(err, transport.ErrUnavailable) {
 		t.Errorf("error should classify as unavailable, got %v", err)
@@ -82,7 +82,7 @@ func TestFetchRetriesTransientDrops(t *testing.T) {
 		Retry: retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}, ds)
 	for _, d := range cl.Catalog.Chunks(ds.Left.ID) {
-		if _, err := cl.Fetch(0, d.ID(), nil); err != nil {
+		if _, err := fetchRows(cl, 0, d.ID(), nil); err != nil {
 			t.Fatalf("chunk %v: %v", d.ID(), err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestBreakerGatesDialsUntilProbe(t *testing.T) {
 	// Two consecutive failures trip the breaker.
 	inj.Kill(fault.StorageNode(0))
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Fetch(0, id, nil); err == nil {
+		if _, err := fetchRows(cl, 0, id, nil); err == nil {
 			t.Fatal("fetch from a dead node succeeded")
 		}
 	}
@@ -131,7 +131,7 @@ func TestBreakerGatesDialsUntilProbe(t *testing.T) {
 	// The node comes back — but until the cooldown elapses the breaker
 	// must short-circuit fetches without dialing it at all.
 	inj.Revive(fault.StorageNode(0))
-	if _, err := cl.Fetch(0, id, nil); err == nil {
+	if _, err := fetchRows(cl, 0, id, nil); err == nil {
 		t.Fatal("open breaker should refuse the fetch")
 	} else if !errors.Is(err, transport.ErrUnavailable) {
 		t.Errorf("breaker-open error should classify as unavailable, got %v", err)
@@ -143,7 +143,7 @@ func TestBreakerGatesDialsUntilProbe(t *testing.T) {
 	// After the cooldown one half-open probe goes through, succeeds, and
 	// closes the breaker.
 	time.Sleep(70 * time.Millisecond)
-	st, err := cl.Fetch(0, id, nil)
+	st, err := fetchRows(cl, 0, id, nil)
 	if err != nil {
 		t.Fatalf("probe fetch: %v", err)
 	}

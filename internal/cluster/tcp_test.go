@@ -17,7 +17,7 @@ func TestTCPFetch(t *testing.T) {
 	}
 	defer cl.Close()
 
-	st, err := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
+	st, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestTCPFetch(t *testing.T) {
 		t.Errorf("rows = %d", st.NumRows())
 	}
 	// Filter pushdown crosses the wire too.
-	st, err = cl.Fetch(1, tuple.ID{Table: ds.Left.ID, Chunk: 1}, &metadata.Range{
+	st, err = fetchRows(cl, 1, tuple.ID{Table: ds.Left.ID, Chunk: 1}, &metadata.Range{
 		Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{0},
 	})
 	if err != nil || st.NumRows() != 16 {
 		t.Fatalf("filtered fetch: rows=%d err=%v", st.NumRows(), err)
 	}
 	// Remote error propagation: unknown chunk.
-	if _, err := cl.Fetch(0, tuple.ID{Table: ds.Left.ID, Chunk: 99}, nil); err == nil {
+	if _, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 99}, nil); err == nil {
 		t.Error("unknown chunk over TCP accepted")
 	}
 	// Accounting still applies (disk read happened inside the server).
@@ -54,11 +54,11 @@ func TestTCPFetchMatchesInProc(t *testing.T) {
 	defer viaTCP.Close()
 	for chunkID := int32(0); chunkID < 4; chunkID++ {
 		id := tuple.ID{Table: ds.Left.ID, Chunk: chunkID}
-		a, err := direct.Fetch(0, id, nil)
+		a, err := fetchRows(direct, 0, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := viaTCP.Fetch(0, id, nil)
+		b, err := fetchRows(viaTCP, 0, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

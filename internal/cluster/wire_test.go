@@ -81,21 +81,21 @@ func TestWireEncodedByteIdentical(t *testing.T) {
 			filter := &metadata.Range{Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{2}}
 			for chunkID := int32(0); chunkID < 8; chunkID++ {
 				id := tuple.ID{Table: dsA.Left.ID, Chunk: chunkID}
-				a, err := plain.Fetch(0, id, nil)
+				a, err := fetchRows(plain, 0, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := enc.Fetch(0, id, nil)
+				b, err := fetchRows(enc, 0, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				mustSame(t, a, b)
 
-				ap, err := plain.FetchProjected(context.Background(), 0, id, filter, []string{"x", "oilp"})
+				ap, err := fetchRows(plain, 0, id, filter, []string{"x", "oilp"})
 				if err != nil {
 					t.Fatal(err)
 				}
-				bp, err := enc.FetchProjected(context.Background(), 0, tuple.ID{Table: dsB.Left.ID, Chunk: chunkID}, filter, []string{"x", "oilp"})
+				bp, err := fetchRows(enc, 0, tuple.ID{Table: dsB.Left.ID, Chunk: chunkID}, filter, []string{"x", "oilp"})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestWireEncodedCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cl := build(t, Config{StorageNodes: 2, ComputeNodes: 1, CacheBytes: 1 << 20, Wire: "colenc", Metrics: reg}, ds)
 	id := tuple.ID{Table: ds.Left.ID, Chunk: 0}
-	f, err := cl.FetchEncoded(context.Background(), 0, id, nil, nil)
+	f, err := cl.Fetch(context.Background(), 0, id, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestWireEncodedTCP(t *testing.T) {
 	filter := &metadata.Range{Attrs: []string{"y"}, Lo: []float64{0}, Hi: []float64{1}}
 	for chunkID := int32(0); chunkID < 8; chunkID++ {
 		id := tuple.ID{Table: ds.Right.ID, Chunk: chunkID}
-		a, err := plain.FetchProjected(context.Background(), 0, id, filter, []string{"x", "y", "wp"})
+		a, err := fetchRows(plain, 0, id, filter, []string{"x", "y", "wp"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := enc.FetchProjected(context.Background(), 0, id, filter, []string{"x", "y", "wp"})
+		b, err := fetchRows(enc, 0, id, filter, []string{"x", "y", "wp"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,11 +182,11 @@ func TestWireEncodedFailover(t *testing.T) {
 	inj.Kill(fault.StorageNode(0))
 	for chunkID := int32(0); chunkID < 8; chunkID++ {
 		id := tuple.ID{Table: ds.Left.ID, Chunk: chunkID}
-		a, err := plain.Fetch(0, id, nil)
+		a, err := fetchRows(plain, 0, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := enc.Fetch(0, id, nil)
+		b, err := fetchRows(enc, 0, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,14 +37,14 @@ func Calibrate(n int) (alphaBuild, alphaLookup float64) {
 	const rounds = 3
 	for round := 0; round < rounds; round++ {
 		start := time.Now()
-		ht, err := hashjoin.Build(left, keys, 1, nil)
+		ht, err := hashjoin.BuildParallel(left, keys, 1, 1, nil)
 		if err != nil {
 			return 0, 0
 		}
 		build := time.Since(start)
 		out := tuple.NewSubTable(tuple.ID{}, outSchema, n)
 		start = time.Now()
-		if _, err := ht.Probe(right, keys, 1, out, nil); err != nil {
+		if _, err := ht.ProbeParallel(right, keys, 1, 1, out, nil); err != nil {
 			return 0, 0
 		}
 		probe := time.Since(start)

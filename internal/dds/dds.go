@@ -153,7 +153,11 @@ func ScanTable(cl *cluster.Cluster, table string, preds []query.Pred, proj []str
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			parts[i], errs[i] = cl.FetchProjected(context.Background(), i%nj, id, &filter, proj)
+			f, err := cl.Fetch(context.Background(), i%nj, id, &filter, proj)
+			if err == nil {
+				parts[i], err = f.SubTable()
+			}
+			errs[i] = err
 		}(i, d.ID())
 	}
 	wg.Wait()

@@ -1,0 +1,336 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"sciview/internal/cluster"
+	"sciview/internal/fault"
+	"sciview/internal/hashjoin"
+	"sciview/internal/metadata"
+	"sciview/internal/trace"
+	"sciview/internal/tuple"
+)
+
+// The QES runtime. The two Query Execution Systems differ in exactly one
+// thing — how a (left, right) pair of sub-tables reaches a joiner: IJ
+// walks a connectivity-graph schedule through the cache, GH routes records
+// by h1/h2 into scratch buckets. Everything after that is the same job on
+// the same nodes under the same cost terms, and it is written here once:
+// the run prologue (Begin), the executor-death retry loop (JoinParts), the
+// in-memory or spilled pair join with its CPU charge, calibration feed and
+// trace spans (Joiner), the output hand-off (Emit) and the result (Finish).
+
+// Run is the state of one execution that the engines share. Begin fills
+// it; engines read the exported fields and never set them.
+type Run struct {
+	// Req is the validated request; its Progress is never nil.
+	Req     Request
+	Cluster *cluster.Cluster
+	// WorkFactor is Req.WorkFactor clamped to >= 1.
+	WorkFactor        int
+	LeftDef, RightDef *metadata.TableDef
+	// LeftFilter and RightFilter are the request's constraints restricted
+	// to each side's attributes, over that side's version window.
+	LeftFilter, RightFilter metadata.Range
+	// Project is the pushdown list (Request.EffectiveProject); the schemas
+	// below are the projected ones.
+	Project                            []string
+	LeftSchema, RightSchema, OutSchema tuple.Schema
+	// Obs collects the run's measured costs for Result.Observed.
+	Obs *ObsCollector
+
+	// memCap is one pair's build-side share of Req.MemoryBudget: each
+	// joiner may hold a build and a probe sub-table at once, hence the
+	// 2·nj divisor. 0 = unbounded.
+	memCap  int64
+	stats   hashjoin.Stats
+	outs    []*tuple.SubTable
+	start   time.Time
+	release func()
+}
+
+// Begin validates the request, resolves both tables, takes the cluster
+// (shared, or exclusively with a state reset) and starts the run's clock.
+// The caller must Close the returned run.
+func Begin(ctx context.Context, cl *cluster.Cluster, req Request) (*Run, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	leftDef, err := cl.Catalog.Table(req.LeftTable)
+	if err != nil {
+		return nil, err
+	}
+	rightDef, err := cl.Catalog.Table(req.RightTable)
+	if err != nil {
+		return nil, err
+	}
+	if req.Progress == nil {
+		req.Progress = &Progress{}
+	}
+	project := req.EffectiveProject()
+	r := &Run{
+		Req: req, Cluster: cl,
+		WorkFactor: max(req.WorkFactor, 1),
+		LeftDef:    leftDef, RightDef: rightDef,
+		LeftFilter:  req.Filter.Restrict(leftDef.Schema, req.LeftWindow()),
+		RightFilter: req.Filter.Restrict(rightDef.Schema, req.RightWindow()),
+		Project:     project,
+		LeftSchema:  ProjectedSchema(leftDef.Schema, project),
+		RightSchema: ProjectedSchema(rightDef.Schema, project),
+		Obs:         &ObsCollector{},
+	}
+	r.OutSchema = r.LeftSchema.JoinResult(r.RightSchema, req.JoinAttrs, "r_")
+	if req.MemoryBudget > 0 {
+		r.memCap = max(req.MemoryBudget/int64(2*len(cl.Compute)), 1)
+	}
+	if req.Shared {
+		cl.AcquireShared()
+		r.release = cl.ReleaseShared
+	} else {
+		cl.AcquireRun()
+		r.release = cl.ReleaseRun
+		cl.Reset()
+	}
+	if err := ctx.Err(); err != nil {
+		r.release()
+		return nil, err
+	}
+	r.start = time.Now()
+	return r, nil
+}
+
+// Close releases the run's hold on the cluster.
+func (r *Run) Close() { r.release() }
+
+// NextAlive returns the first surviving compute node after from in ring
+// order.
+func (r *Run) NextAlive(from int) (int, bool) {
+	n := len(r.Cluster.Compute)
+	for d := 1; d <= n; d++ {
+		if j := (from + d) % n; !r.Cluster.ComputeDown(j) {
+			return j, true
+		}
+	}
+	return 0, false
+}
+
+// JoinParts joins the run's parts — one per compute node: an IJ schedule
+// slot, a GH partition group — concurrently, driving each to completion
+// through executor deaths. place returns the live compute node a part runs
+// on next; died tells it that the part's previous attempt lost its
+// executor mid-join. attempt joins the whole part on j. An attempt that
+// fails because its own executor died (a NodeDownError naming it) is
+// thrown away whole — output, join counts, streamed batches — and the part
+// replays from the top wherever place puts it, so a recovered run
+// double-counts nothing and a part's output never depends on which node
+// ran it. Any other error fails the run.
+func (r *Run) JoinParts(ctx context.Context, place func(part int, died bool) (int, error), attempt func(j *Joiner) error) error {
+	n := len(r.Cluster.Compute)
+	r.outs = make([]*tuple.SubTable, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for part := 0; part < n; part++ {
+		wg.Add(1)
+		go func(part int) {
+			defer wg.Done()
+			r.outs[part], errs[part] = r.joinPart(ctx, part, place, attempt)
+		}(part)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int, error), attempt func(*Joiner) error) (*tuple.SubTable, error) {
+	for died := false; ; died = true {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		exec, err := place(part, died)
+		if err != nil {
+			return nil, err
+		}
+		j := &Joiner{
+			Run: r, Part: part, Exec: exec,
+			Node: fmt.Sprintf("joiner-%d", exec),
+			cn:   r.Cluster.Compute[exec],
+		}
+		j.out = j.newOut()
+		err = attempt(j)
+		if err == nil {
+			r.stats.Add(&j.local)
+			if r.Req.Sink != nil {
+				r.Req.Sink.Done(part)
+			}
+			return j.out, nil
+		}
+		if node, down := fault.IsNodeDown(err); !down || node != fault.ComputeNode(exec) {
+			return nil, err
+		}
+		if r.Req.Sink != nil {
+			r.Req.Sink.Discard(part)
+		}
+		r.Cluster.Health.Recoveries.Add(1)
+	}
+}
+
+// Finish assembles the run's result. Engines add what only they know
+// (IJ's cache statistics, GH's phase durations).
+func (r *Run) Finish(name string) *Result {
+	res := &Result{
+		Engine:  name,
+		Elapsed: time.Since(r.start),
+		Join: JoinCounts{
+			TuplesBuilt:  r.stats.TuplesBuilt.Load(),
+			TuplesProbed: r.stats.TuplesProbed.Load(),
+			Matches:      r.stats.Matches.Load(),
+		},
+		Traffic:     r.Cluster.Traffic(),
+		Health:      r.Cluster.HealthStats(),
+		Phases:      map[string]time.Duration{},
+		UnitsJoined: r.Req.Progress.Joined.Load(),
+		UnitsTotal:  r.Req.Progress.Total.Load(),
+		Observed:    r.Obs.Snapshot(),
+	}
+	res.Tuples = res.Join.Matches
+	if r.Req.Collect && r.Req.Sink == nil {
+		res.Collected = r.outs
+	}
+	return res
+}
+
+// Joiner is one attempt at one part on one compute node: the part's
+// output table and the attempt's join counts, kept apart from the run's
+// until the attempt succeeds.
+type Joiner struct {
+	*Run
+	// Part is the IJ slot or GH group index; Exec the compute node running
+	// this attempt; Node its trace label.
+	Part, Exec int
+	Node       string
+
+	cn    *cluster.ComputeNode
+	out   *tuple.SubTable
+	local hashjoin.Stats
+}
+
+// Spiller round-trips one build partition of an over-budget pair through
+// the joiner's scratch disk. *scratch.Manager implements it (scratch
+// imports this package, so the dependency points this way).
+type Spiller interface {
+	RoundTrip(label string, st *tuple.SubTable) (*tuple.SubTable, error)
+}
+
+// Overflow recursion bounds for over-budget pairs.
+const (
+	spillFanout   = 8
+	spillMaxDepth = 3
+)
+
+// spillHash is the salted partition hash for recursive build-side splits:
+// the splitmix64 finalizer over the key xor a per-depth salt, so every
+// depth is decorrelated from the one above it and from GH's bucket hash.
+func spillHash(key, salt uint64) uint64 {
+	key ^= (salt + 1) * 0x9E3779B97F4A7C15
+	key ^= key >> 30
+	key *= 0xBF58476D1CE4E5B9
+	key ^= key >> 27
+	key *= 0x94D049BB133111EB
+	key ^= key >> 31
+	return key
+}
+
+func (j *Joiner) newOut() *tuple.SubTable {
+	return tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(j.Part)}, j.OutSchema, 0)
+}
+
+// built and probed are the only places that charge a hash build or probe
+// pass over st: the modeled CPU, the calibration feed and the trace span.
+func (j *Joiner) built(label string, st *tuple.SubTable, start time.Time) {
+	ops := int64(st.NumRows()) * int64(j.WorkFactor)
+	j.cn.SpendCPU(ops)
+	j.Obs.Build(ops, time.Since(start))
+	j.Req.Trace.Span(j.Node, trace.KindBuild, label, start, int64(st.Bytes()), int64(st.NumRows()))
+}
+
+func (j *Joiner) probed(label string, st *tuple.SubTable, start time.Time) {
+	ops := int64(st.NumRows()) * int64(j.WorkFactor)
+	j.cn.SpendCPU(ops)
+	j.Obs.Probe(ops, time.Since(start))
+	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(st.Bytes()), int64(st.NumRows()))
+}
+
+// Fits reports whether left may be built whole under the run's per-pair
+// memory cap.
+func (j *Joiner) Fits(left *tuple.SubTable) bool {
+	return j.memCap == 0 || int64(left.Bytes()) <= j.memCap
+}
+
+// Build builds the hash table over left.
+func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
+	start := time.Now()
+	ht, err := hashjoin.BuildParallel(left, j.Req.JoinAttrs, j.WorkFactor, j.Req.Parallelism, &j.local)
+	if err != nil {
+		return nil, err
+	}
+	j.built(label, left, start)
+	return ht, nil
+}
+
+// Probe probes ht with right into the part's output.
+func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTable) error {
+	start := time.Now()
+	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, j.WorkFactor, j.Req.Parallelism, j.out, &j.local); err != nil {
+		return err
+	}
+	j.probed(label, right, start)
+	return nil
+}
+
+// JoinPair joins one (left, right) pair into the part's output. A build
+// side that fits the cap joins in memory. One that does not goes through
+// hashjoin.JoinPairSpill: the build side is recursively repartitioned
+// with spillHash, each partition round-tripped through sp exactly as a
+// memory-constrained node would, so the modeled I/O is paid; past
+// spillMaxDepth (duplicate keys no hash can split) the residue builds
+// oversized. Output is byte-identical to the in-memory join at any cap.
+func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable) error {
+	if j.Fits(left) {
+		ht, err := j.Build(label, left)
+		if err != nil {
+			return err
+		}
+		return j.Probe(ht, label, right)
+	}
+	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
+	_, _, err := hashjoin.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
+		j.WorkFactor, j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
+		spillHash, hooks, j.out, &j.local)
+	return err
+}
+
+// Emit closes one schedule unit (IJ edge, GH bucket pair): it counts the
+// unit and hands the output on. A sink takes ownership of a non-empty
+// batch, so the next unit starts a fresh table; a count-only run resets
+// the table; a collecting run keeps appending.
+func (j *Joiner) Emit() error {
+	j.Req.Progress.Joined.Add(1)
+	if j.Req.Sink != nil {
+		if j.out.NumRows() > 0 {
+			if err := j.Req.Sink.Emit(j.Part, j.out); err != nil {
+				return err
+			}
+			j.out = j.newOut()
+		}
+	} else if !j.Req.Collect {
+		j.out.Reset()
+	}
+	return nil
+}

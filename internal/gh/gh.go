@@ -27,7 +27,6 @@ import (
 	"sciview/internal/colenc"
 	"sciview/internal/engine"
 	"sciview/internal/fault"
-	"sciview/internal/hashjoin"
 	"sciview/internal/metadata"
 	"sciview/internal/scratch"
 	"sciview/internal/trace"
@@ -46,13 +45,6 @@ type Engine struct {
 	// FlushRows is the bucket buffer size before spilling to scratch disk
 	// (0 = default).
 	FlushRows int
-	// MemoryBytes caps the in-memory size of one bucket side during the
-	// join phase ("the number of buckets is chosen so that each bucket
-	// fits in memory"). When key skew overflows a bucket past the cap, it
-	// is recursively repartitioned with a salted hash — spilled and
-	// re-read through the scratch disk — before joining. 0 disables the
-	// check (buckets assumed to fit).
-	MemoryBytes int64
 }
 
 // Defaults for the tunables.
@@ -89,12 +81,6 @@ func h2(key uint64) uint64 {
 	return key
 }
 
-// h3 is the salted hash for recursive repartitioning of overflowing
-// buckets; the salt decorrelates it from h2 at every recursion depth.
-func h3(key, salt uint64) uint64 {
-	return h2(key ^ (salt+1)*0x9E3779B97F4A7C15)
-}
-
 // runSeq distinguishes the scratch-disk namespaces of concurrent shared
 // runs: two queries spilling on the same joiner must not append to the
 // same bucket objects.
@@ -105,113 +91,66 @@ func (e *Engine) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, e
 	return e.RunContext(context.Background(), cl, req)
 }
 
-// RunContext implements engine.Engine.
-func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	wf := req.WorkFactor
-	if wf < 1 {
-		wf = 1
-	}
-	batchRows := e.BatchRows
-	if batchRows <= 0 {
-		batchRows = defaultBatchRows
-	}
-	flushRows := e.FlushRows
-	if flushRows <= 0 {
-		flushRows = defaultFlushRows
-	}
-	leftDef, err := cl.Catalog.Table(req.LeftTable)
-	if err != nil {
-		return nil, err
-	}
-	rightDef, err := cl.Catalog.Table(req.RightTable)
-	if err != nil {
-		return nil, err
-	}
-	leftFilter := filterFor(leftDef, req.Filter)
-	leftFilter.Versions = req.LeftWindow()
-	rightFilter := filterFor(rightDef, req.Filter)
-	rightFilter.Versions = req.RightWindow()
-	project := req.EffectiveProject()
-	leftSchema := engine.ProjectedSchema(leftDef.Schema, project)
-	rightSchema := engine.ProjectedSchema(rightDef.Schema, project)
+// ghRun is one execution: the shared runtime state plus what only Grace
+// Hash needs — its tunables, its scratch namespace and the scratch
+// managers to reap.
+type ghRun struct {
+	*engine.Run
+	seq                           int64
+	buckets, batchRows, flushRows int
 
-	if req.Shared {
-		cl.AcquireShared()
-		defer cl.ReleaseShared()
-	} else {
-		cl.AcquireRun()
-		defer cl.ReleaseRun()
-		cl.Reset()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-
-	buckets := e.Buckets
-	if buckets <= 0 {
-		buckets = e.defaultBuckets(cl, leftDef, rightDef, req)
-	}
-
-	run := runSeq.Add(1)
-	obs := &engine.ObsCollector{}
-	nj := len(cl.Compute)
-	// The effective per-pair memory cap: the engine tunable, tightened by
-	// the request's admission budget when one is set (two bucket sides per
-	// joiner may be resident at once, hence the 2·nj divisor).
-	memCap := e.MemoryBytes
-	if req.MemoryBudget > 0 {
-		share := req.MemoryBudget / int64(2*nj)
-		if share < 1 {
-			share = 1
-		}
-		if memCap == 0 || share < memCap {
-			memCap = share
-		}
-	}
 	// Every scratch manager the run mounts (including rebuild remounts) is
 	// reaped on exit, so a cancelled or failed run leaves no orphans.
-	var mgrMu sync.Mutex
-	var mgrs []*scratch.Manager
-	track := func(m *scratch.Manager) {
-		mgrMu.Lock()
-		mgrs = append(mgrs, m)
-		mgrMu.Unlock()
+	mgrMu sync.Mutex
+	mgrs  []*scratch.Manager
+}
+
+func (gr *ghRun) reap() {
+	gr.mgrMu.Lock()
+	defer gr.mgrMu.Unlock()
+	for _, m := range gr.mgrs {
+		m.ReleaseAll()
 	}
-	defer func() {
-		mgrMu.Lock()
-		defer mgrMu.Unlock()
-		for _, m := range mgrs {
-			m.ReleaseAll()
-		}
-	}()
+}
+
+// RunContext implements engine.Engine.
+func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
+	run, err := engine.Begin(ctx, cl, req)
+	if err != nil {
+		return nil, err
+	}
+	defer run.Close()
+	gr := &ghRun{Run: run, seq: runSeq.Add(1), buckets: e.Buckets, batchRows: e.BatchRows, flushRows: e.FlushRows}
+	if gr.buckets <= 0 {
+		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef, req)
+	}
+	if gr.batchRows <= 0 {
+		gr.batchRows = defaultBatchRows
+	}
+	if gr.flushRows <= 0 {
+		gr.flushRows = defaultFlushRows
+	}
+	defer gr.reap()
+
 	// One partition group per h1 class: all records with h1(key)%nj == g
 	// belong to group g, held by one (reassignable) executor node. The
 	// group — not the node — is the recovery unit: losing a node loses
 	// exactly its groups' partitions, which are rebuilt from replicas.
+	nj := len(cl.Compute)
 	groups := make([]*group, nj)
-	for g := 0; g < nj; g++ {
+	for g := range groups {
 		groups[g] = &group{g: g, exec: g}
-		groups[g].mount(cl, run, leftSchema, rightSchema, buckets, flushRows, req.Trace, obs, track)
-	}
-	sp := &scanParams{
-		leftTable: req.LeftTable, rightTable: req.RightTable,
-		leftFilter: leftFilter, rightFilter: rightFilter,
-		project: project, joinAttrs: req.JoinAttrs,
-		batchRows: batchRows, nj: nj, rec: req.Trace, obs: obs, track: track,
+		groups[g].mount(gr)
 	}
 
 	// Phase 1: partition the left table, then the right table. A compute
 	// node dying here only marks its groups lost (their records stop
 	// shipping); phase 2 rebuilds them wholesale on survivors.
 	partStart := time.Now()
-	if err := e.scanTable(ctx, cl, sideLeft, groups, -1, sp); err != nil {
+	if err := gr.scanTable(ctx, sideLeft, groups, -1); err != nil {
 		return nil, err
 	}
-	if err := e.scanTable(ctx, cl, sideRight, groups, -1, sp); err != nil {
+	if err := gr.scanTable(ctx, sideRight, groups, -1); err != nil {
 		return nil, err
 	}
 	// Flush residual bucket buffers — on every executor's scratch disk in
@@ -237,68 +176,42 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	// pair. flushWG.Wait() ordered the partition writes before this read.
 	// Joined counts executed pairs, so fault-driven group rebuilds can push
 	// it past Total; an undisturbed full run ends with Joined == Total.
-	prog := req.Progress
-	if prog == nil {
-		prog = &engine.Progress{}
-		req.Progress = prog
-	}
 	for _, grp := range groups {
-		for k := 0; k < buckets; k++ {
+		for k := 0; k < gr.buckets; k++ {
 			if grp.lp.rows[k] > 0 && grp.rp.rows[k] > 0 {
-				prog.Total.Add(1)
+				run.Req.Progress.Total.Add(1)
 			}
 		}
 	}
 
 	// Phase 2: every group's bucket pairs join independently on its
-	// executor. A group lost in phase 1 — or whose executor dies mid-join —
-	// is rebuilt from replicas on a survivor and re-joined from scratch;
-	// per-attempt output and stats are discarded on failure, so recovered
-	// runs double-count nothing.
+	// executor. joinBuckets only ever runs against a group whose partitions
+	// are complete on a live executor: a group lost in phase 1 — or whose
+	// executor dies mid-join, taking its partitions with it — is first
+	// rebuilt from replicas on a survivor.
 	joinStart := time.Now()
-	outSchema := leftSchema.JoinResult(rightSchema, req.JoinAttrs, "r_")
-	var stats hashjoin.Stats
-	results := make([]*tuple.SubTable, nj)
-	errs := make([]error, nj)
-	var wg sync.WaitGroup
-	for g := 0; g < nj; g++ {
-		wg.Add(1)
-		go func(grp *group) {
-			defer wg.Done()
-			results[grp.g], errs[grp.g] = e.runGroup(ctx, cl, grp, run,
-				leftSchema, rightSchema, buckets, flushRows, req, wf, memCap, outSchema, sp, &stats)
-		}(groups[g])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	place := func(g int, died bool) (int, error) {
+		grp := groups[g]
+		if died {
+			grp.lost.Store(true)
 		}
+		if grp.lost.Load() || cl.ComputeDown(grp.exec) {
+			if err := gr.rebuildGroup(ctx, grp); err != nil {
+				return 0, err
+			}
+		}
+		return grp.exec, nil
 	}
-	joinElapsed := time.Since(joinStart)
+	err = run.JoinParts(ctx, place, func(j *engine.Joiner) error {
+		return joinBuckets(ctx, j, groups[j.Part])
+	})
+	if err != nil {
+		return nil, err
+	}
 
-	res := &engine.Result{
-		Engine:  e.Name(),
-		Elapsed: time.Since(start),
-		Join: engine.JoinCounts{
-			TuplesBuilt:  stats.TuplesBuilt.Load(),
-			TuplesProbed: stats.TuplesProbed.Load(),
-			Matches:      stats.Matches.Load(),
-		},
-		Traffic: cl.Traffic(),
-		Health:  cl.HealthStats(),
-		Phases: map[string]time.Duration{
-			"partition":  partElapsed,
-			"bucketjoin": joinElapsed,
-		},
-	}
-	res.Tuples = res.Join.Matches
-	res.UnitsJoined = prog.Joined.Load()
-	res.UnitsTotal = prog.Total.Load()
-	res.Observed = obs.Snapshot()
-	if req.Collect && req.Sink == nil {
-		res.Collected = results
-	}
+	res := run.Finish(e.Name())
+	res.Phases["partition"] = partElapsed
+	res.Phases["bucketjoin"] = time.Since(joinStart)
 	return res, nil
 }
 
@@ -331,8 +244,9 @@ func (e *Engine) defaultBuckets(cl *cluster.Cluster, leftDef, rightDef *metadata
 // replicas under a fresh attempt-numbered scratch prefix.
 type group struct {
 	g       int
-	exec    int // current executor compute node
-	attempt int // increments per rebuild; namespaces scratch objects
+	exec    int    // current executor compute node
+	attempt int    // increments per rebuild; namespaces scratch objects
+	node    string // the executor's trace label
 	mgr     *scratch.Manager
 	lp, rp  *partitioner
 	// lost marks the group's partitions as gone (executor died while they
@@ -343,18 +257,15 @@ type group struct {
 
 // mount installs a fresh scratch manager and partitioner pair for the
 // group's current (exec, attempt) on the executor's scratch disk.
-func (grp *group) mount(cl *cluster.Cluster, run int64, leftSchema, rightSchema tuple.Schema,
-	buckets, flushRows int, rec *trace.Recorder, obs *engine.ObsCollector, track func(*scratch.Manager)) {
-	node := fmt.Sprintf("joiner-%d", grp.exec)
-	grp.mgr = scratch.NewManager(cl.Compute[grp.exec].Scratch,
-		fmt.Sprintf("gh/r%d/g%da%d", run, grp.g, grp.attempt), node, rec, obs)
-	if track != nil {
-		track(grp.mgr)
-	}
-	grp.lp = newPartitioner(grp.mgr, "L", leftSchema, buckets, flushRows)
-	grp.rp = newPartitioner(grp.mgr, "R", rightSchema, buckets, flushRows)
-	grp.lp.node, grp.rp.node = node, node
-	grp.lp.obs, grp.rp.obs = obs, obs
+func (grp *group) mount(gr *ghRun) {
+	grp.node = fmt.Sprintf("joiner-%d", grp.exec)
+	grp.mgr = scratch.NewManager(gr.Cluster.Compute[grp.exec].Scratch,
+		fmt.Sprintf("gh/r%d/g%da%d", gr.seq, grp.g, grp.attempt), grp.node, gr.Req.Trace, gr.Obs)
+	gr.mgrMu.Lock()
+	gr.mgrs = append(gr.mgrs, grp.mgr)
+	gr.mgrMu.Unlock()
+	grp.lp = newPartitioner(grp.mgr, "L", gr.LeftSchema, gr.buckets, gr.flushRows)
+	grp.rp = newPartitioner(grp.mgr, "R", gr.RightSchema, gr.buckets, gr.flushRows)
 }
 
 // flush spills the group's residual buffers, downgrading an executor
@@ -392,39 +303,23 @@ func (grp *group) part(sd side) *partitioner {
 	return grp.rp
 }
 
-// scanParams bundles the table-scan inputs shared by the initial
-// partitioning pass and per-group rebuilds.
-type scanParams struct {
-	leftTable, rightTable   string
-	leftFilter, rightFilter metadata.Range
-	project, joinAttrs      []string
-	batchRows               int
-	nj                      int // h1's range — fixed for the run, even when rebuilding one group
-	rec                     *trace.Recorder
-	obs                     *engine.ObsCollector
-	track                   func(*scratch.Manager) // registers remounted managers for end-of-run cleanup
-}
-
-func (sp *scanParams) table(sd side) (string, metadata.Range) {
-	if sd == sideLeft {
-		return sp.leftTable, sp.leftFilter
-	}
-	return sp.rightTable, sp.rightFilter
-}
-
 // scanTable runs the storage-side QES instances for one table in parallel:
 // scan the matching sub-tables (each chunk served by its primary node or,
 // when that node is unreachable, a replica), split records by h1 into
 // per-group batches, ship each batch and hand it to the group's
 // partitioner. With only >= 0, records of every other group are skipped —
 // the rebuild path re-materializing one lost group.
-func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, groups []*group, only int, sp *scanParams) error {
-	table, filter := sp.table(sd)
+func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only int) error {
+	cl := gr.Cluster
+	table, filter := gr.Req.LeftTable, gr.LeftFilter
+	if sd == sideRight {
+		table, filter = gr.Req.RightTable, gr.RightFilter
+	}
 	all, err := cl.Catalog.ChunksInRange(table, filter)
 	if err != nil {
 		return err
 	}
-	nj := sp.nj
+	nj := len(groups) // h1's range — fixed for the run, even when rebuilding one group
 	errs := make([]error, len(cl.Storage))
 	var wg sync.WaitGroup
 	for s := range cl.Storage {
@@ -454,7 +349,7 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 					return
 				}
 				fetchStart := time.Now()
-				st, served, err := cl.ScanChunk(ctx, d, &filter, sp.project)
+				st, served, err := cl.ScanChunk(ctx, d, &filter, gr.Project)
 				if err != nil {
 					errs[s] = err
 					return
@@ -464,12 +359,12 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 				// transfer; shipBatch adds the network leg's seconds (with
 				// no extra bytes), so the calibrated per-stream rate prices
 				// the full scan→ship pipeline.
-				sp.obs.Fetch(int64(st.Bytes()), time.Since(fetchStart))
-				sp.rec.Span(fmt.Sprintf("storage-%d", served), trace.KindFetch, d.ID().String(), fetchStart,
+				gr.Obs.Fetch(int64(st.Bytes()), time.Since(fetchStart))
+				gr.Req.Trace.Span(fmt.Sprintf("storage-%d", served), trace.KindFetch, d.ID().String(), fetchStart,
 					int64(st.Bytes()), int64(st.NumRows()))
 				if keyIdxs == nil {
 					schema = st.Schema
-					keyIdxs, err = schema.Indexes(sp.joinAttrs)
+					keyIdxs, err = schema.Indexes(gr.Req.JoinAttrs)
 					if err != nil {
 						errs[s] = err
 						return
@@ -483,11 +378,11 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 						continue
 					}
 					if batches[g] == nil {
-						batches[g] = tuple.NewSubTable(tuple.ID{Table: st.ID.Table, Chunk: -1}, schema, sp.batchRows)
+						batches[g] = tuple.NewSubTable(tuple.ID{Table: st.ID.Table, Chunk: -1}, schema, gr.batchRows)
 					}
 					batches[g].AppendRow(st.Row(r, row)...)
-					if batches[g].NumRows() >= sp.batchRows {
-						if err := e.shipBatch(cl, src, groups[g], sd, batches[g], keyIdxs, sp.rec); err != nil {
+					if batches[g].NumRows() >= gr.batchRows {
+						if err := gr.shipBatch(src, groups[g], sd, batches[g], keyIdxs); err != nil {
 							errs[s] = err
 							return
 						}
@@ -497,7 +392,7 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 			}
 			for g, b := range batches {
 				if b != nil && b.NumRows() > 0 {
-					if err := e.shipBatch(cl, src, groups[g], sd, b, keyIdxs, sp.rec); err != nil {
+					if err := gr.shipBatch(src, groups[g], sd, b, keyIdxs); err != nil {
 						errs[s] = err
 						return
 					}
@@ -520,12 +415,11 @@ func (e *Engine) scanTable(ctx context.Context, cl *cluster.Cluster, sd side, gr
 // re-materialized wholesale when the group rebuilds, so partial delivery
 // now would double-count. An executor death during delivery marks the
 // group lost instead of failing the scan.
-func (e *Engine) shipBatch(cl *cluster.Cluster, src int, grp *group, sd side,
-	batch *tuple.SubTable, keyIdxs []int, rec *trace.Recorder) error {
+func (gr *ghRun) shipBatch(src int, grp *group, sd side, batch *tuple.SubTable, keyIdxs []int) error {
 	if grp.lost.Load() {
 		return nil
 	}
-	part := grp.part(sd)
+	cl := gr.Cluster
 	start := time.Now()
 	// Under the colenc wire codec the batch travels in compressed columnar
 	// form; the modeled NIC is charged the frame size the sizing pass
@@ -536,10 +430,10 @@ func (e *Engine) shipBatch(cl *cluster.Cluster, src int, grp *group, sd side,
 		size = int64(colenc.WireSize(batch))
 	}
 	cl.Ship(src, grp.exec, size)
-	part.obs.Fetch(0, time.Since(start))
-	rec.Span(fmt.Sprintf("storage-%d", src), trace.KindShip, part.node, start,
+	gr.Obs.Fetch(0, time.Since(start))
+	gr.Req.Trace.Span(fmt.Sprintf("storage-%d", src), trace.KindShip, grp.node, start,
 		size, int64(batch.NumRows()))
-	if err := part.add(batch, keyIdxs); err != nil {
+	if err := grp.part(sd).add(batch, keyIdxs); err != nil {
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
 			grp.lost.Store(true)
 			return nil
@@ -549,54 +443,12 @@ func (e *Engine) shipBatch(cl *cluster.Cluster, src int, grp *group, sd side,
 	return nil
 }
 
-// runGroup drives one group through phase 2, rebuilding it as needed. The
-// loop invariant: joinBuckets only runs against a group whose partitions
-// are complete on a live executor; every attempt starts with fresh output
-// and stats, merged into the run totals only on success.
-func (e *Engine) runGroup(ctx context.Context, cl *cluster.Cluster, grp *group, run int64,
-	leftSchema, rightSchema tuple.Schema, buckets, flushRows int, req engine.Request, wf int,
-	memCap int64, outSchema tuple.Schema, sp *scanParams, stats *hashjoin.Stats) (*tuple.SubTable, error) {
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if grp.lost.Load() || cl.ComputeDown(grp.exec) {
-			if err := e.rebuildGroup(ctx, cl, grp, run, leftSchema, rightSchema, buckets, flushRows, req, sp); err != nil {
-				return nil, err
-			}
-		}
-		var local hashjoin.Stats
-		out, err := e.joinBuckets(ctx, cl.Compute[grp.exec], grp, req, wf, memCap, buckets, outSchema, &local)
-		if err == nil {
-			mergeStats(stats, &local)
-			if req.Sink != nil {
-				req.Sink.Done(grp.g)
-			}
-			return out, nil
-		}
-		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
-			// The executor died mid-join: its partitions and partial output
-			// are gone. Rebuild on a survivor and join from scratch.
-			if req.Sink != nil {
-				req.Sink.Discard(grp.g)
-			}
-			grp.lost.Store(true)
-			cl.Health.Recoveries.Add(1)
-			continue
-		}
-		return nil, err
-	}
-}
-
 // rebuildGroup re-homes a lost group on the next surviving compute node
 // and re-materializes exactly its partitions by re-scanning both tables
 // from replicas, under a fresh attempt-numbered scratch namespace (stale
 // partial objects from the dead attempt are never read).
-func (e *Engine) rebuildGroup(ctx context.Context, cl *cluster.Cluster, grp *group, run int64,
-	leftSchema, rightSchema tuple.Schema, buckets, flushRows int, req engine.Request, sp *scanParams) error {
-
-	next, ok := nextAlive(cl, grp.exec)
+func (gr *ghRun) rebuildGroup(ctx context.Context, grp *group) error {
+	next, ok := gr.NextAlive(grp.exec)
 	if !ok {
 		return fmt.Errorf("gh: group %d: no compute nodes left", grp.g)
 	}
@@ -605,44 +457,24 @@ func (e *Engine) rebuildGroup(ctx context.Context, cl *cluster.Cluster, grp *gro
 	grp.exec = next
 	grp.attempt++
 	grp.lost.Store(false)
-	grp.mount(cl, run, leftSchema, rightSchema, buckets, flushRows, sp.rec, sp.obs, sp.track)
-	cl.Health.Rebuilds.Add(1)
+	grp.mount(gr)
+	gr.Cluster.Health.Rebuilds.Add(1)
 	// h1 classes are positional: scanTable indexes groups[g], so the slice
 	// spans all nj classes even though only grp.g receives rows.
-	groups := make([]*group, sp.nj)
+	groups := make([]*group, len(gr.Cluster.Compute))
 	groups[grp.g] = grp
-	if err := e.scanTable(ctx, cl, sideLeft, groups, grp.g, sp); err != nil {
+	if err := gr.scanTable(ctx, sideLeft, groups, grp.g); err != nil {
 		return err
 	}
-	if err := e.scanTable(ctx, cl, sideRight, groups, grp.g, sp); err != nil {
+	if err := gr.scanTable(ctx, sideRight, groups, grp.g); err != nil {
 		return err
 	}
 	if err := grp.flush(); err != nil {
 		return err
 	}
-	sp.rec.Span(fmt.Sprintf("joiner-%d", grp.exec), trace.KindRecover,
+	gr.Req.Trace.Span(grp.node, trace.KindRecover,
 		fmt.Sprintf("group %d rebuilt after compute-%d died", grp.g, prev), start, 0, 0)
 	return nil
-}
-
-// nextAlive returns the first surviving compute node after `from` in ring
-// order.
-func nextAlive(cl *cluster.Cluster, from int) (int, bool) {
-	n := len(cl.Compute)
-	for d := 1; d <= n; d++ {
-		j := (from + d) % n
-		if !cl.ComputeDown(j) {
-			return j, true
-		}
-	}
-	return 0, false
-}
-
-// mergeStats folds one group attempt's counters into the run totals.
-func mergeStats(dst, src *hashjoin.Stats) {
-	dst.TuplesBuilt.Add(src.TuplesBuilt.Load())
-	dst.TuplesProbed.Add(src.TuplesProbed.Load())
-	dst.Matches.Add(src.Matches.Load())
 }
 
 // partitioner is the compute-node side of phase 1 for one table: it
@@ -652,8 +484,6 @@ type partitioner struct {
 	mu        sync.Mutex
 	mgr       *scratch.Manager
 	side      string // "L" or "R" — the bucket-name namespace
-	node      string
-	obs       *engine.ObsCollector
 	schema    tuple.Schema
 	buckets   []*tuple.SubTable
 	rows      []int64 // total rows spilled per bucket (for sizing checks)
@@ -703,7 +533,7 @@ func (p *partitioner) spill(k int) error {
 	if b.NumRows() == 0 {
 		return nil
 	}
-	data := encodeRows(b)
+	data := scratch.EncodeRows(b)
 	err := p.mgr.File(p.object(k)).AppendRows(data, int64(b.NumRows()))
 	tuple.PutBuf(data) // the store copied; recycle the encode buffer
 	if err != nil {
@@ -737,7 +567,7 @@ func (p *partitioner) readBucket(k int) (*tuple.SubTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeRows(p.schema, data, int32(k))
+	return scratch.DecodeRows(p.schema, data, tuple.ID{Table: -1, Chunk: int32(k)})
 }
 
 // deleteBucket removes bucket k's object (post-join cleanup).
@@ -747,15 +577,15 @@ func (p *partitioner) deleteBucket(k int) error {
 }
 
 // joinBuckets is phase 2 for one group: join its bucket pairs
-// independently on the group's current executor.
-func (e *Engine) joinBuckets(ctx context.Context, cn *cluster.ComputeNode, grp *group, req engine.Request,
-	wf int, memCap int64, buckets int, outSchema tuple.Schema, stats *hashjoin.Stats) (*tuple.SubTable, error) {
-
+// independently on the group's current executor. A pair whose build side
+// overflows the run's memory cap (key skew past what the bucket count
+// absorbs) is repartitioned through the group's scratch disk by the
+// shared runtime.
+func joinBuckets(ctx context.Context, j *engine.Joiner, grp *group) error {
 	lp, rp := grp.lp, grp.rp
-	out := tuple.NewSubTable(tuple.ID{Table: -2, Chunk: int32(grp.g)}, outSchema, 0)
-	for k := 0; k < buckets; k++ {
+	for k := range lp.rows {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if lp.rows[k] == 0 || rp.rows[k] == 0 {
 			// An empty side produces nothing; skip reading the other.
@@ -763,135 +593,24 @@ func (e *Engine) joinBuckets(ctx context.Context, cn *cluster.ComputeNode, grp *
 		}
 		left, err := lp.readBucket(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		right, err := rp.readBucket(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := e.joinPair(cn, grp, fmt.Sprintf("b%d", k), left, right, req, wf, memCap, out, stats); err != nil {
-			return nil, err
+		if err := j.JoinPair(grp.mgr, fmt.Sprintf("b%d", k), left, right); err != nil {
+			return err
 		}
-		if req.Progress != nil {
-			req.Progress.Joined.Add(1)
-		}
-		if req.Sink != nil {
-			// Stream this bucket pair's output. Emit hands ownership of the
-			// batch to the sink, so start a fresh table for the next pair.
-			if out.NumRows() > 0 {
-				if err := req.Sink.Emit(grp.g, out); err != nil {
-					return nil, err
-				}
-				out = tuple.NewSubTable(tuple.ID{Table: -2, Chunk: int32(grp.g)}, outSchema, 0)
-			}
-		} else if !req.Collect {
-			out.Reset()
+		if err := j.Emit(); err != nil {
+			return err
 		}
 		if err := lp.deleteBucket(k); err != nil {
-			return nil, err
+			return err
 		}
 		if err := rp.deleteBucket(k); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
-}
-
-// overflow recursion bounds.
-const (
-	overflowFanout   = 8
-	overflowMaxDepth = 3
-)
-
-// joinPair joins one bucket pair. A build side that fits the cap joins
-// in memory on the historical fast path; one that overflows goes
-// through the shared out-of-core join (hashjoin.JoinPairSpill), which
-// recursively repartitions the build side with the salted hash h3,
-// round-tripping each partition through the joiner's scratch disk
-// exactly as a memory-constrained node would, so the modeled I/O cost
-// of skew is paid. Past overflowMaxDepth (pathological duplicate keys
-// that no hash can split) the residual partition builds oversized as a
-// fallback. The spilled join's output is byte-identical to the
-// in-memory path at any cap.
-func (e *Engine) joinPair(cn *cluster.ComputeNode, grp *group, label string,
-	left, right *tuple.SubTable, req engine.Request, wf int, memCap int64,
-	out *tuple.SubTable, stats *hashjoin.Stats) error {
-
-	lp := grp.lp
-	if memCap > 0 && int64(left.Bytes()) > memCap {
-		hooks := hashjoin.SpillHooks{
-			RoundTrip: func(lbl string, st *tuple.SubTable) (*tuple.SubTable, error) {
-				return grp.roundTrip(lbl, st)
-			},
-			Built: func(lbl string, st *tuple.SubTable, start time.Time) {
-				cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-				lp.obs.Build(int64(st.NumRows())*int64(wf), time.Since(start))
-				req.Trace.Span(lp.node, trace.KindBuild, lbl, start,
-					int64(st.Bytes()), int64(st.NumRows()))
-			},
-			Probed: func(lbl string, st *tuple.SubTable, start time.Time) {
-				cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-				lp.obs.Probe(int64(st.NumRows())*int64(wf), time.Since(start))
-				req.Trace.Span(lp.node, trace.KindProbe, lbl, start,
-					int64(st.Bytes()), int64(st.NumRows()))
-			},
-		}
-		_, _, err := hashjoin.JoinPairSpill(left, right, req.JoinAttrs, label,
-			wf, req.Parallelism, memCap, overflowFanout, overflowMaxDepth,
-			h3, hooks, out, stats)
-		return err
-	}
-
-	buildStart := time.Now()
-	ht, err := hashjoin.BuildParallel(left, req.JoinAttrs, wf, req.Parallelism, stats)
-	if err != nil {
-		return err
-	}
-	cn.SpendCPU(int64(left.NumRows()) * int64(wf))
-	lp.obs.Build(int64(left.NumRows())*int64(wf), time.Since(buildStart))
-	req.Trace.Span(lp.node, trace.KindBuild, label, buildStart,
-		int64(left.Bytes()), int64(left.NumRows()))
-	probeStart := time.Now()
-	if _, err := ht.ProbeParallel(right, req.JoinAttrs, wf, req.Parallelism, out, stats); err != nil {
-		return err
-	}
-	cn.SpendCPU(int64(right.NumRows()) * int64(wf))
-	lp.obs.Probe(int64(right.NumRows())*int64(wf), time.Since(probeStart))
-	req.Trace.Span(lp.node, trace.KindProbe, label, probeStart,
-		int64(right.Bytes()), int64(right.NumRows()))
 	return nil
-}
-
-// roundTrip spills a repartitioned build partition to the group's
-// scratch disk and reads it back (size-verified), paying the modeled
-// I/O an out-of-core repartition costs.
-func (grp *group) roundTrip(label string, st *tuple.SubTable) (*tuple.SubTable, error) {
-	f := grp.mgr.Create("ov-" + label)
-	data := encodeRows(st)
-	err := f.AppendRows(data, int64(st.NumRows()))
-	tuple.PutBuf(data)
-	if err != nil {
-		return nil, err
-	}
-	back, err := f.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	out, err := decodeRows(st.Schema, back, st.ID.Chunk)
-	grp.mgr.Release(f)
-	return out, err
-}
-
-// filterFor keeps only constraints naming attributes of def's schema.
-func filterFor(def *metadata.TableDef, f metadata.Range) metadata.Range {
-	var out metadata.Range
-	for i, a := range f.Attrs {
-		if def.Schema.Index(a) < 0 {
-			continue
-		}
-		out.Attrs = append(out.Attrs, a)
-		out.Lo = append(out.Lo, f.Lo[i])
-		out.Hi = append(out.Hi, f.Hi[i])
-	}
-	return out
 }

@@ -137,10 +137,10 @@ func TestEmptyBucketRead(t *testing.T) {
 
 func TestDecodeRowsErrors(t *testing.T) {
 	schema := tuple.NewSchema(tuple.Attr{Name: "x", Kind: tuple.Coord}, tuple.Attr{Name: "y", Kind: tuple.Coord})
-	if _, err := decodeRows(schema, make([]byte, 7), 0); err == nil {
+	if _, err := scratch.DecodeRows(schema, make([]byte, 7), tuple.ID{Table: -1}); err == nil {
 		t.Error("misaligned bucket bytes accepted")
 	}
-	st, err := decodeRows(schema, make([]byte, 16), 3)
+	st, err := scratch.DecodeRows(schema, make([]byte, 16), tuple.ID{Table: -1, Chunk: 3})
 	if err != nil || st.NumRows() != 2 || st.ID.Chunk != 3 {
 		t.Errorf("decode: %v rows=%d id=%v", err, st.NumRows(), st.ID)
 	}
@@ -233,8 +233,9 @@ func TestOverflowRecursionCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{MemoryBytes: 512} // buckets are KBs: guaranteed overflow
-	res, err := e.Run(cl, req())
+	over := req()
+	over.MemoryBudget = 512 * 2 * 2 // 512 bytes per bucket side; buckets are KBs: guaranteed overflow
+	res, err := New().Run(cl, over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +253,9 @@ func TestOverflowDuplicateKeysFallback(t *testing.T) {
 	// All records share (x,y): no hash can split them, so recursion must
 	// hit the depth cap and fall back to an in-memory join (not loop).
 	cl := makeCluster(t, partition.D(1, 1, 8), partition.D(1, 1, 4), partition.D(1, 1, 4), 1, 1)
-	e := &Engine{MemoryBytes: 16} // smaller than one record batch
-	res, err := e.Run(cl, engine.Request{
+	res, err := New().Run(cl, engine.Request{
 		LeftTable: "T1", RightTable: "T2", JoinAttrs: []string{"x", "y"},
+		MemoryBudget: 16 * 2 * 1, // 16 bytes per bucket side: smaller than one record batch
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +268,7 @@ func TestOverflowDuplicateKeysFallback(t *testing.T) {
 
 func TestOverflowDisabledByDefault(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 1, 1)
-	res, err := New().Run(cl, req()) // MemoryBytes = 0
+	res, err := New().Run(cl, req()) // MemoryBudget = 0
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func BenchmarkProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ht, err := Build(left, benchKeys, 1, nil)
+		ht, err := BuildParallel(left, benchKeys, 1, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ import (
 	"sciview/internal/tuple"
 )
 
-// ParallelThreshold is the row count below which Build/Probe stay serial
+// ParallelThreshold is the row count below which build and probe stay serial
 // even when more workers are allowed: goroutine fan-out costs more than it
 // saves on small sub-tables.
 const ParallelThreshold = 8192
@@ -45,9 +45,6 @@ func Workers(rows, requested int) int {
 	if requested <= 0 || requested > max {
 		requested = max
 	}
-	if requested < 1 {
-		requested = 1
-	}
 	return requested
 }
 
@@ -60,6 +57,13 @@ type Stats struct {
 	TuplesProbed atomic.Int64
 	// Matches counts result tuples produced.
 	Matches atomic.Int64
+}
+
+// Add folds src into s (a joiner attempt's counters into its run's).
+func (s *Stats) Add(src *Stats) {
+	s.TuplesBuilt.Add(src.TuplesBuilt.Load())
+	s.TuplesProbed.Add(src.TuplesProbed.Load())
+	s.Matches.Add(src.Matches.Load())
 }
 
 // mix is the splitmix64 finalizer: it spreads the packed key bits so both
@@ -118,17 +122,14 @@ func nextPow2(x int) int {
 	return p
 }
 
-// Build constructs a hash table over left on the given key attributes,
-// repeating each insertion workFactor times (>= 1) and accounting into
-// stats (which may be nil). It is BuildParallel with one worker.
-func Build(left *tuple.SubTable, keys []string, workFactor int, stats *Stats) (*HashTable, error) {
-	return BuildParallel(left, keys, workFactor, 1, stats)
-}
-
-// BuildParallel constructs the hash table with up to `workers` goroutines
-// (<= 0 = all CPUs; small inputs stay serial regardless). The resulting
-// table is identical for every worker count: partitioning depends only on
-// the rows, and each partition's chains are linked in ascending row order.
+// BuildParallel constructs a hash table over left on the given key
+// attributes with up to `workers` goroutines (1 = serial, <= 0 = all CPUs;
+// small inputs stay serial regardless), repeating each insertion
+// workFactor times (>= 1) and accounting into stats (which may be nil).
+// The resulting table is identical for every worker count: partitioning
+// depends only on the rows, and each partition's chains are linked in
+// ascending row order. It is the only build; the *Parallel names stay
+// because bench/probes.go calls them (rename with a benchmark PR).
 func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
 	if workFactor < 1 {
 		workFactor = 1
@@ -283,18 +284,14 @@ func (ht *HashTable) lookup(k uint64) int32 {
 	}
 }
 
-// Probe scans right, looks each record up in the hash table (workFactor
-// times), and appends matching joined records to out, whose schema must be
-// left.Schema.JoinResult(right.Schema, keys, ...). It returns the number of
-// result tuples appended. It is ProbeParallel with one worker.
-func (ht *HashTable) Probe(right *tuple.SubTable, keys []string, workFactor int, out *tuple.SubTable, stats *Stats) (int, error) {
-	return ht.ProbeParallel(right, keys, workFactor, 1, out, stats)
-}
-
-// ProbeParallel probes with up to `workers` goroutines (<= 0 = all CPUs;
-// small inputs stay serial). Each worker scans a contiguous right-row range
-// into its own output sub-table; the pieces are concatenated in range
-// order, so the result is byte-identical to the serial probe.
+// ProbeParallel scans right, looks each record up in the hash table
+// (workFactor times), and appends matching joined records to out, whose
+// schema must be left.Schema.JoinResult(right.Schema, keys, ...). It
+// returns the number of result tuples appended. Up to `workers` goroutines
+// (1 = serial, <= 0 = all CPUs; small inputs stay serial) each scan a
+// contiguous right-row range into their own output sub-table; the pieces
+// are concatenated in range order, so the result is byte-identical at
+// every worker count.
 func (ht *HashTable) ProbeParallel(right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
 	if workFactor < 1 {
 		workFactor = 1
@@ -390,13 +387,13 @@ func (ht *HashTable) probeRange(right *tuple.SubTable, rKeyIdxs, rValIdxs []int,
 // joined sub-table. It is the per-edge operation of the IJ algorithm and
 // the per-bucket-pair operation of Grace Hash.
 func Join(left, right *tuple.SubTable, keys []string, workFactor int, stats *Stats) (*tuple.SubTable, error) {
-	ht, err := Build(left, keys, workFactor, stats)
+	ht, err := BuildParallel(left, keys, workFactor, 1, stats)
 	if err != nil {
 		return nil, err
 	}
 	outSchema := left.Schema.JoinResult(right.Schema, keys, "r_")
 	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, outSchema, 0)
-	if _, err := ht.Probe(right, keys, workFactor, out, stats); err != nil {
+	if _, err := ht.ProbeParallel(right, keys, workFactor, 1, out, stats); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -129,10 +129,10 @@ func TestWorkFactorCountsScale(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	left, right := makePair(10, 5)
-	if _, err := Build(left, []string{"nope"}, 1, nil); err == nil {
+	if _, err := BuildParallel(left, []string{"nope"}, 1, 1, nil); err == nil {
 		t.Error("unknown build key should fail")
 	}
-	ht, err := Build(left, []string{"x", "y"}, 0, nil) // workFactor 0 clamps to 1
+	ht, err := BuildParallel(left, []string{"x", "y"}, 0, 1, nil) // workFactor 0 clamps to 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestBuildErrors(t *testing.T) {
 		t.Error("Left() accessor wrong")
 	}
 	out := tuple.NewSubTable(tuple.ID{}, leftSchema(), 0) // wrong arity (3 vs 4)
-	if _, err := ht.Probe(right, []string{"x", "y"}, 1, out, nil); err == nil {
+	if _, err := ht.ProbeParallel(right, []string{"x", "y"}, 1, 1, out, nil); err == nil {
 		t.Error("wrong output schema should fail")
 	}
-	if _, err := ht.Probe(right, []string{"zz"}, 1, out, nil); err == nil {
+	if _, err := ht.ProbeParallel(right, []string{"zz"}, 1, 1, out, nil); err == nil {
 		t.Error("unknown probe key should fail")
 	}
 }

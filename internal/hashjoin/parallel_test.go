@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sciview/internal/tuple"
@@ -29,14 +30,28 @@ func makeSkewedPair(n, dup int, seed int64) (*tuple.SubTable, *tuple.SubTable) {
 
 // TestParallelByteIdentical pins the tentpole invariant: the parallel
 // kernels produce byte-for-byte the same output as the serial ones, for
-// every worker count, including with duplicate keys (chains).
+// every worker count, including with duplicate keys (chains). The procs=1
+// cases run on a one-CPU host: parallel requests must degrade to serial
+// and stay byte-identical.
 func TestParallelByteIdentical(t *testing.T) {
-	for _, tc := range []struct{ n, dup int }{
-		{ParallelThreshold, 1},      // unique keys, just above the threshold
-		{ParallelThreshold * 2, 4},  // chains of ~4
-		{ParallelThreshold * 2, 64}, // heavy skew
+	for _, tc := range []struct{ n, dup, procs int }{
+		{ParallelThreshold, 1, 0},      // unique keys, just above the threshold
+		{ParallelThreshold * 2, 4, 0},  // chains of ~4
+		{ParallelThreshold * 2, 64, 0}, // heavy skew
+		{ParallelThreshold * 2, 4, 1},
+		{ParallelThreshold * 2, 64, 1},
 	} {
-		t.Run(fmt.Sprintf("n=%d dup=%d", tc.n, tc.dup), func(t *testing.T) {
+		name := fmt.Sprintf("n=%d dup=%d", tc.n, tc.dup)
+		if tc.procs > 0 {
+			name += fmt.Sprintf(" procs=%d", tc.procs)
+		}
+		t.Run(name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+				if w := Workers(tc.n, 4); w != 1 {
+					t.Fatalf("Workers(%d, 4) = %d on a one-CPU host, want 1", tc.n, w)
+				}
+			}
 			left, right := makeSkewedPair(tc.n, tc.dup, int64(tc.n+tc.dup))
 			keys := []string{"x", "y"}
 			outSchema := left.Schema.JoinResult(right.Schema, keys, "r_")

@@ -97,46 +97,19 @@ func (e *Engine) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, e
 // RunContext implements engine.Engine. Cancellation is observed between
 // scheduled edges and inside sub-table fetches.
 func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	wf := req.WorkFactor
-	if wf < 1 {
-		wf = 1
-	}
-	leftDef, err := cl.Catalog.Table(req.LeftTable)
+	run, err := engine.Begin(ctx, cl, req)
 	if err != nil {
 		return nil, err
 	}
-	rightDef, err := cl.Catalog.Table(req.RightTable)
-	if err != nil {
-		return nil, err
-	}
-	leftFilter := engineFilterFor(leftDef, req.Filter)
-	leftFilter.Versions = req.LeftWindow()
-	rightFilter := engineFilterFor(rightDef, req.Filter)
-	rightFilter.Versions = req.RightWindow()
-
-	if req.Shared {
-		cl.AcquireShared()
-		defer cl.ReleaseShared()
-	} else {
-		cl.AcquireRun()
-		defer cl.ReleaseRun()
-		cl.Reset()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
+	defer run.Close()
 
 	// Consult the (pre-computable) page-level join index: resolve in-range
 	// chunks and their connectivity.
-	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, leftFilter)
+	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, run.LeftFilter)
 	if err != nil {
 		return nil, err
 	}
-	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, rightFilter)
+	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, run.RightFilter)
 	if err != nil {
 		return nil, err
 	}
@@ -144,82 +117,55 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	if err != nil {
 		return nil, err
 	}
-	comps := graph.Components()
-
 	nj := len(cl.Compute)
-	schedules := e.buildSchedules(comps, leftDescs, rightDescs, nj, cl.Config.CacheBytes)
-
-	// The per-edge build-side memory cap from the request's admission
-	// budget: each joiner may hold a build and a probe sub-table at once,
-	// hence the 2·nj divisor. 0 = unbounded (no admission budget set).
-	var memCap int64
-	if req.MemoryBudget > 0 {
-		memCap = req.MemoryBudget / int64(2*nj)
-		if memCap < 1 {
-			memCap = 1
-		}
-	}
+	schedules := e.buildSchedules(graph.Components(), leftDescs, rightDescs, nj, cl.Config.CacheBytes)
 
 	// Publish the schedule size so streaming consumers can report the
 	// fraction of edges an early-terminated query actually joined. Joined
 	// counts executed edges, so fault-driven replays can push it past
 	// Total; an undisturbed full run ends with Joined == Total.
-	prog := req.Progress
-	if prog == nil {
-		prog = &engine.Progress{}
-		req.Progress = prog
-	}
 	for _, sched := range schedules {
-		prog.Total.Add(int64(len(sched)))
+		run.Req.Progress.Total.Add(int64(len(sched)))
 	}
 
-	project := req.EffectiveProject()
-	outSchema := engine.ProjectedSchema(leftDef.Schema, project).
-		JoinResult(engine.ProjectedSchema(rightDef.Schema, project), req.JoinAttrs, "r_")
-	var stats hashjoin.Stats
-	obs := &engine.ObsCollector{}
-	results := make([]*tuple.SubTable, nj)
-	errs := make([]error, nj)
-	var wg sync.WaitGroup
-	for slot := 0; slot < nj; slot++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			results[slot], errs[slot] = e.runSlot(ctx, cl, slot, schedules[slot], req, wf, memCap,
-				leftFilter, rightFilter, project, outSchema, &stats, obs)
-		}(slot)
+	// A slot's executor is initially the compute node of the same index. If
+	// that node dies mid-run the stage-1 plan is revised in place: the
+	// slot's whole schedule re-runs on the next surviving node. Edges replay
+	// in the same order and survivors' caches stay valid (warm, even, for
+	// sub-tables the slot shares with their own schedules), so the recovered
+	// output is byte-identical to an undisturbed run.
+	execs := make([]int, nj)
+	for slot := range execs {
+		execs[slot] = slot
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	place := func(slot int, died bool) (int, error) {
+		if died {
+			req.Trace.Span(fmt.Sprintf("joiner-%d", execs[slot]), trace.KindRecover,
+				fmt.Sprintf("compute-%d died, slot %d re-assigned", execs[slot], slot),
+				time.Now(), 0, int64(len(schedules[slot])))
 		}
+		if cl.ComputeDown(execs[slot]) {
+			next, ok := run.NextAlive(execs[slot])
+			if !ok {
+				return 0, fmt.Errorf("ij: slot %d: no compute nodes left", slot)
+			}
+			execs[slot] = next
+		}
+		return execs[slot], nil
+	}
+	err = run.JoinParts(ctx, place, func(j *engine.Joiner) error {
+		return runJoiner(ctx, j, schedules[j.Part])
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &engine.Result{
-		Engine:  e.Name(),
-		Elapsed: time.Since(start),
-		Join: engine.JoinCounts{
-			TuplesBuilt:  stats.TuplesBuilt.Load(),
-			TuplesProbed: stats.TuplesProbed.Load(),
-			Matches:      stats.Matches.Load(),
-		},
-		Traffic: cl.Traffic(),
-		Health:  cl.HealthStats(),
-		Phases:  map[string]time.Duration{},
-	}
-	res.Tuples = res.Join.Matches
-	res.UnitsJoined = prog.Joined.Load()
-	res.UnitsTotal = prog.Total.Load()
-	res.Observed = obs.Snapshot()
+	res := run.Finish(e.Name())
 	for _, cn := range cl.Compute {
 		s := cn.Cache.Stats()
 		res.Cache.Hits += s.Hits
 		res.Cache.Misses += s.Misses
 		res.Cache.Evictions += s.Evictions
-	}
-	if req.Collect && req.Sink == nil {
-		res.Collected = results
 	}
 	return res, nil
 }
@@ -286,81 +232,18 @@ func (e *Engine) buildSchedules(comps []congraph.Component, leftDescs, rightDesc
 	return schedules
 }
 
-// runSlot drives one schedule slot to completion. The slot's executor is
-// initially the compute node of the same index; if that node dies mid-run
-// (detected by a NodeDownError naming it), the stage-1 plan is revised in
-// place — the slot's whole component schedule is re-run on the next
-// surviving node. Re-running from the top is safe: per-attempt output and
-// join stats are discarded on failure and merged only on success, edges
-// replay in the same order, and survivors' caches stay valid (warm, even,
-// for sub-tables the slot shares with their own schedules), so the
-// recovered output is byte-identical to an undisturbed run.
-func (e *Engine) runSlot(ctx context.Context, cl *cluster.Cluster, slot int, sched []edge, req engine.Request,
-	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) (*tuple.SubTable, error) {
-
-	exec := slot
-	for {
-		if cl.ComputeDown(exec) {
-			next, ok := nextAlive(cl, exec)
-			if !ok {
-				return nil, fmt.Errorf("ij: slot %d: no compute nodes left", slot)
-			}
-			exec = next
-		}
-		var local hashjoin.Stats
-		out, err := e.runJoiner(ctx, cl, slot, exec, sched, req, wf, memCap,
-			leftFilter, rightFilter, project, outSchema, &local, obs)
-		if err == nil {
-			mergeStats(stats, &local)
-			if req.Sink != nil {
-				req.Sink.Done(slot)
-			}
-			return out, nil
-		}
-		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(exec) {
-			// The executor itself died. Discard its partial work and hand
-			// the slot to a survivor.
-			if req.Sink != nil {
-				req.Sink.Discard(slot)
-			}
-			cl.Health.Recoveries.Add(1)
-			start := time.Now()
-			req.Trace.Span(fmt.Sprintf("joiner-%d", slot), trace.KindRecover,
-				fmt.Sprintf("compute-%d died, slot re-assigned", exec), start, 0, int64(len(sched)))
-			continue
-		}
-		return nil, err
-	}
+// side is one join side's fetch parameters: the pushed-down filter and the
+// cache signature it (with the projection) keys sub-tables under.
+type side struct {
+	filter *metadata.Range
+	sig    uint64
 }
 
-// nextAlive returns the first surviving compute node after `from` in ring
-// order.
-func nextAlive(cl *cluster.Cluster, from int) (int, bool) {
-	n := len(cl.Compute)
-	for d := 1; d <= n; d++ {
-		j := (from + d) % n
-		if !cl.ComputeDown(j) {
-			return j, true
-		}
-	}
-	return 0, false
-}
-
-// mergeStats folds a slot attempt's local counters into the run total.
-func mergeStats(dst, src *hashjoin.Stats) {
-	dst.TuplesBuilt.Add(src.TuplesBuilt.Load())
-	dst.TuplesProbed.Add(src.TuplesProbed.Load())
-	dst.Matches.Add(src.Matches.Load())
-}
-
-// runJoiner executes one slot's schedule on compute node exec. The output
-// sub-table keeps the slot's id, so results do not depend on which node
-// ran the work.
+// runJoiner executes one slot's schedule on the joiner's compute node.
 //
-// With req.Prefetch > 0 the joiner overlaps I/O with compute: before
-// working edge i it issues background cachedFetch calls for this edge's
-// right sub-table and both sub-tables of edges i+1..i+Prefetch. Stage-2's
+// With Request.Prefetch > 0 the joiner overlaps I/O with compute: before
+// working edge i it issues background fetches for this edge's right
+// sub-table and both sub-tables of edges i+1..i+Prefetch. Stage-2's
 // lexicographic edge order makes the lookahead exact — the fetches issued
 // are precisely the ones the strict loop would issue next — and the Flight
 // singleflight makes the foreground fetch join the in-flight prefetch
@@ -368,39 +251,24 @@ func mergeStats(dst, src *hashjoin.Stats) {
 // foreground fetch retries and surfaces any real error, and on early exit
 // (error, cancellation, injected crash) the deferred cancel-and-wait below
 // reaps every in-flight prefetch before the slot is re-assigned.
-func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec int, sched []edge, req engine.Request,
-	wf int, memCap int64, leftFilter, rightFilter metadata.Range, project []string, outSchema tuple.Schema,
-	stats *hashjoin.Stats, obs *engine.ObsCollector) (*tuple.SubTable, error) {
+func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
+	cn := j.Cluster.Compute[j.Exec]
+	// Scratch for build sides that overflow the memory cap; reaped when the
+	// attempt ends, however it ends.
+	mgr := scratch.NewManager(cn.Scratch,
+		fmt.Sprintf("ij/r%d/s%d", spillSeq.Add(1), j.Part), j.Node, j.Req.Trace, j.Obs)
+	defer mgr.ReleaseAll()
+	ls := side{&j.LeftFilter, cluster.Signature(&j.LeftFilter, j.Project)}
+	rs := side{&j.RightFilter, cluster.Signature(&j.RightFilter, j.Project)}
 
-	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(slot)}, outSchema, 0)
-	cn := cl.Compute[exec]
-	node := fmt.Sprintf("joiner-%d", slot)
-	// Lazily-mounted scratch manager for build sides that overflow the
-	// memory cap; reaped when the attempt ends, however it ends.
-	var mgr *scratch.Manager
-	spillMgr := func() *scratch.Manager {
-		if mgr == nil {
-			mgr = scratch.NewManager(cn.Scratch,
-				fmt.Sprintf("ij/r%d/s%d", spillSeq.Add(1), slot), node, req.Trace, obs)
-		}
-		return mgr
-	}
-	defer func() {
-		if mgr != nil {
-			mgr.ReleaseAll()
-		}
-	}()
-	leftSig := cluster.Signature(&leftFilter, project)
-	rightSig := cluster.Signature(&rightFilter, project)
-
-	depth := req.Prefetch
+	depth := j.Req.Prefetch
 	var (
-		pwg     sync.WaitGroup
-		pctx    context.Context
-		pcancel context.CancelFunc
-		issued  map[cluster.FetchKey]struct{}
+		pwg    sync.WaitGroup
+		pctx   context.Context
+		issued map[cluster.FetchKey]struct{}
 	)
 	if depth > 0 {
+		var pcancel context.CancelFunc
 		pctx, pcancel = context.WithCancel(ctx)
 		defer pwg.Wait() // runs after pcancel: cancel, then reap
 		defer pcancel()
@@ -412,8 +280,8 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 	// counters keep reflecting foreground demand only: a sub-table still
 	// in flight when the joiner needs it counts as the same single miss
 	// the strict loop would record.
-	prefetch := func(id tuple.ID, sig uint64, filter *metadata.Range) {
-		key := cluster.FetchKey{ID: id, Sig: sig}
+	prefetch := func(id tuple.ID, sd side) {
+		key := cluster.FetchKey{ID: id, Sig: sd.sig}
 		if _, done := issued[key]; done {
 			return
 		}
@@ -425,172 +293,74 @@ func (e *Engine) runJoiner(ctx context.Context, cl *cluster.Cluster, slot, exec 
 		go func() {
 			defer pwg.Done()
 			start := time.Now()
-			f, err := e.flightFetch(pctx, cl, exec, node, key, id, filter, project, req.Trace, obs)
+			f, err := flightFetch(pctx, j, key, sd.filter)
 			if err != nil {
 				return
 			}
-			req.Trace.Span(node, trace.KindPrefetch, id.String(), start,
+			j.Req.Trace.Span(j.Node, trace.KindPrefetch, id.String(), start,
 				int64(f.DecodedBytes()), int64(f.NumRows()))
 		}()
 	}
 
+	// The hash table of the latest left sub-table that fit the memory cap:
+	// stage 2's order makes all edges of one left sub-table consecutive, so
+	// it is built once per left sub-table.
 	var (
 		ht     *hashjoin.HashTable
 		htLeft tuple.ID
-		haveHT bool
 	)
 	for i, ed := range sched {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// One scheduled edge is one countable operation on the executor:
 		// the chaos schedule can crash the node here, mid-schedule.
-		if err := cl.Config.Faults.Op(fault.ComputeNode(exec), fault.OpEdge); err != nil {
-			return nil, err
+		if err := j.Cluster.Config.Faults.Op(fault.ComputeNode(j.Exec), fault.OpEdge); err != nil {
+			return err
 		}
 		if depth > 0 {
-			prefetch(ed.right, rightSig, &rightFilter) // overlaps this edge's build
+			prefetch(ed.right, rs) // overlaps this edge's build
 			for d := 1; d <= depth && i+d < len(sched); d++ {
-				prefetch(sched[i+d].left, leftSig, &leftFilter)
-				prefetch(sched[i+d].right, rightSig, &rightFilter)
+				prefetch(sched[i+d].left, ls)
+				prefetch(sched[i+d].right, rs)
 			}
 		}
-		left, err := e.cachedFetch(ctx, cl, exec, node, ed.left, leftSig, &leftFilter, project, req.Trace, obs)
+		left, err := cachedFetch(ctx, j, ed.left, ls)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if memCap > 0 && int64(left.Bytes()) > memCap {
-			// Out-of-core edge: the build side exceeds its admission share.
-			// The shared spilled join bounds the build, round-tripping
-			// partitions through this joiner's scratch disk; its output is
-			// byte-identical to the in-memory probe. The cached hash table
-			// is not built (or reused) for an oversized left sub-table.
-			haveHT = false
-			right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
-			if err != nil {
-				return nil, err
-			}
-			if err := spillEdge(cn, spillMgr(), node, ed, left, right, req, wf, memCap, out, stats, obs); err != nil {
-				return nil, err
-			}
-			if err := finishEdge(slot, req, &out, outSchema); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if !haveHT || htLeft != ed.left {
-			start := time.Now()
-			ht, err = hashjoin.BuildParallel(left, req.JoinAttrs, wf, req.Parallelism, stats)
-			if err != nil {
-				return nil, err
-			}
-			htLeft, haveHT = ed.left, true
-			cn.SpendCPU(int64(left.NumRows()) * int64(wf))
-			obs.Build(int64(left.NumRows())*int64(wf), time.Since(start))
-			req.Trace.Span(node, trace.KindBuild, ed.left.String(), start,
-				int64(left.Bytes()), int64(left.NumRows()))
-		}
-		right, err := e.cachedFetch(ctx, cl, exec, node, ed.right, rightSig, &rightFilter, project, req.Trace, obs)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := ht.ProbeParallel(right, req.JoinAttrs, wf, req.Parallelism, out, stats); err != nil {
-			return nil, err
-		}
-		cn.SpendCPU(int64(right.NumRows()) * int64(wf))
-		obs.Probe(int64(right.NumRows())*int64(wf), time.Since(start))
-		req.Trace.Span(node, trace.KindProbe, ed.right.String(), start,
-			int64(right.Bytes()), int64(right.NumRows()))
-		if err := finishEdge(slot, req, &out, outSchema); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// spillSeq namespaces the scratch files of concurrent spilling joiners.
-var spillSeq atomic.Int64
-
-// spillPart is the salted partition hash for recursive build-side
-// splits (splitmix-style avalanche; the salt decorrelates depths).
-func spillPart(key, salt uint64) uint64 {
-	key ^= (salt + 1) * 0x9E3779B97F4A7C15
-	key ^= key >> 33
-	key *= 0xFF51AFD7ED558CCD
-	key ^= key >> 33
-	key *= 0xC4CEB9FE1A85EC53
-	key ^= key >> 33
-	return key
-}
-
-// Overflow recursion bounds for spilled edges.
-const (
-	spillFanout   = 8
-	spillMaxDepth = 3
-)
-
-// spillEdge joins one oversized edge through hashjoin.JoinPairSpill,
-// billing CPU, observations, and trace spans exactly like the in-memory
-// path does per leaf.
-func spillEdge(cn *cluster.ComputeNode, mgr *scratch.Manager, node string, ed edge,
-	left, right *tuple.SubTable, req engine.Request, wf int, memCap int64,
-	out *tuple.SubTable, stats *hashjoin.Stats, obs *engine.ObsCollector) error {
-
-	hooks := hashjoin.SpillHooks{
-		RoundTrip: func(lbl string, st *tuple.SubTable) (*tuple.SubTable, error) {
-			f := mgr.Create("ov-" + lbl)
-			data := scratch.EncodeRows(st)
-			err := f.AppendRows(data, int64(st.NumRows()))
-			tuple.PutBuf(data)
-			if err != nil {
-				return nil, err
-			}
-			back, err := f.ReadAll()
-			if err != nil {
-				return nil, err
-			}
-			rt, err := scratch.DecodeRows(st.Schema, back, st.ID)
-			mgr.Release(f)
-			return rt, err
-		},
-		Built: func(lbl string, st *tuple.SubTable, start time.Time) {
-			cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-			obs.Build(int64(st.NumRows())*int64(wf), time.Since(start))
-			req.Trace.Span(node, trace.KindBuild, lbl, start,
-				int64(st.Bytes()), int64(st.NumRows()))
-		},
-		Probed: func(lbl string, st *tuple.SubTable, start time.Time) {
-			cn.SpendCPU(int64(st.NumRows()) * int64(wf))
-			obs.Probe(int64(st.NumRows())*int64(wf), time.Since(start))
-			req.Trace.Span(node, trace.KindProbe, lbl, start,
-				int64(st.Bytes()), int64(st.NumRows()))
-		},
-	}
-	_, _, err := hashjoin.JoinPairSpill(left, right, req.JoinAttrs,
-		ed.left.String()+"x"+ed.right.String(), wf, req.Parallelism,
-		memCap, spillFanout, spillMaxDepth, spillPart, hooks, out, stats)
-	return err
-}
-
-// finishEdge is the per-edge epilogue: progress accounting and output
-// hand-off (streaming sinks take ownership of non-empty batches).
-func finishEdge(slot int, req engine.Request, out **tuple.SubTable, outSchema tuple.Schema) error {
-	if req.Progress != nil {
-		req.Progress.Joined.Add(1)
-	}
-	if req.Sink != nil {
-		if (*out).NumRows() > 0 {
-			if err := req.Sink.Emit(slot, *out); err != nil {
+		// A build side over its admission share joins out-of-core; the
+		// cached hash table is neither built nor reused for it.
+		fits := j.Fits(left)
+		if !fits {
+			ht = nil
+		} else if ht == nil || htLeft != ed.left {
+			if ht, err = j.Build(ed.left.String(), left); err != nil {
 				return err
 			}
-			*out = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(slot)}, outSchema, 0)
+			htLeft = ed.left
 		}
-	} else if !req.Collect {
-		(*out).Reset()
+		right, err := cachedFetch(ctx, j, ed.right, rs)
+		if err != nil {
+			return err
+		}
+		if fits {
+			err = j.Probe(ht, ed.right.String(), right)
+		} else {
+			err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), left, right)
+		}
+		if err != nil {
+			return err
+		}
+		if err := j.Emit(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
+
+// spillSeq namespaces the scratch files of concurrent joiners.
+var spillSeq atomic.Int64
 
 // cachedFetch consults the joiner's Caching Service before asking the
 // owning BDS instance for the sub-table. Concurrent misses on one key —
@@ -599,13 +369,12 @@ func finishEdge(slot int, req engine.Request, out **tuple.SubTable, outSchema tu
 // cache holds wire-form carriers (compressed under the colenc codec);
 // the decode back to rows here is exact, so results never depend on the
 // negotiated format.
-func (e *Engine) cachedFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, id tuple.ID, sig uint64, filter *metadata.Range, project []string, rec *trace.Recorder, obs *engine.ObsCollector) (*tuple.SubTable, error) {
-	cn := cl.Compute[j]
-	key := cluster.FetchKey{ID: id, Sig: sig}
-	if f, ok := cn.Cache.Get(key); ok {
+func cachedFetch(ctx context.Context, j *engine.Joiner, id tuple.ID, sd side) (*tuple.SubTable, error) {
+	key := cluster.FetchKey{ID: id, Sig: sd.sig}
+	if f, ok := j.Cluster.Compute[j.Exec].Cache.Get(key); ok {
 		return f.SubTable()
 	}
-	f, err := e.flightFetch(ctx, cl, j, node, key, id, filter, project, rec, obs)
+	f, err := flightFetch(ctx, j, key, sd.filter)
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +385,8 @@ func (e *Engine) cachedFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 // the node's Flight group for key and, as leader, fetches from the owning
 // BDS and populates the cache. Prefetchers enter here directly so their
 // speculative lookups never touch the cache's hit/miss counters.
-func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, node string, key cluster.FetchKey, id tuple.ID, filter *metadata.Range, project []string, rec *trace.Recorder, obs *engine.ObsCollector) (*cluster.Fetched, error) {
-	cn := cl.Compute[j]
+func flightFetch(ctx context.Context, j *engine.Joiner, key cluster.FetchKey, filter *metadata.Range) (*cluster.Fetched, error) {
+	cn := j.Cluster.Compute[j.Exec]
 	f, _, err := cn.Flight.Do(ctx, key, func() (*cluster.Fetched, error) {
 		// Another query may have populated the cache while this caller
 		// was queued behind a leader that then failed or was cancelled.
@@ -630,7 +399,7 @@ func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 			return f, nil
 		}
 		start := time.Now()
-		f, err := cl.FetchEncoded(ctx, j, id, filter, project)
+		f, err := j.Cluster.Fetch(ctx, j.Exec, key.ID, filter, j.Project)
 		if err != nil {
 			return nil, err
 		}
@@ -639,8 +408,8 @@ func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 		// followers never dilute the calibrated bandwidth. Decoded bytes
 		// over wire-busy time makes compression show up as a faster
 		// effective link, which is exactly how the transfer term prices it.
-		obs.Fetch(int64(f.DecodedBytes()), time.Since(start))
-		rec.Span(node, trace.KindFetch, id.String(), start, int64(f.DecodedBytes()), int64(f.NumRows()))
+		j.Obs.Fetch(int64(f.DecodedBytes()), time.Since(start))
+		j.Req.Trace.Span(j.Node, trace.KindFetch, key.ID.String(), start, int64(f.DecodedBytes()), int64(f.NumRows()))
 		// Charge the stored (possibly compressed) size, not the decoded
 		// record size: admission and eviction track resident reality, and
 		// under the colenc codec more sub-tables fit per node.
@@ -648,21 +417,6 @@ func (e *Engine) flightFetch(ctx context.Context, cl *cluster.Cluster, j int, no
 		return f, nil
 	})
 	return f, err
-}
-
-// engineFilterFor keeps only the constraints naming attributes of def's
-// schema — constraints on the other table's attributes do not apply here.
-func engineFilterFor(def *metadata.TableDef, f metadata.Range) metadata.Range {
-	var out metadata.Range
-	for i, a := range f.Attrs {
-		if def.Schema.Index(a) < 0 {
-			continue
-		}
-		out.Attrs = append(out.Attrs, a)
-		out.Lo = append(out.Lo, f.Lo[i])
-		out.Hi = append(out.Hi, f.Hi[i])
-	}
-	return out
 }
 
 // verify interface compliance.

@@ -243,7 +243,7 @@ func (m *MaterializedView) joinTerm(lw, rw metadata.VersionWindow, target int64)
 		return nil, nil
 	}
 
-	eng, dec, err := m.cfg.Planner.Choose(m.cfg.Cluster, req)
+	eng, dec, err := m.cfg.Planner.Decide(m.cfg.Cluster, req)
 	if err != nil {
 		return nil, err
 	}
@@ -336,17 +336,7 @@ func (m *MaterializedView) sideChunks(table string, filter metadata.Range, w met
 	if err != nil {
 		return 0, err
 	}
-	var r metadata.Range
-	for i, a := range filter.Attrs {
-		if def.Schema.Index(a) < 0 {
-			continue
-		}
-		r.Attrs = append(r.Attrs, a)
-		r.Lo = append(r.Lo, filter.Lo[i])
-		r.Hi = append(r.Hi, filter.Hi[i])
-	}
-	r.Versions = w
-	descs, err := m.cfg.Cluster.Catalog.ChunksInRange(table, r)
+	descs, err := m.cfg.Cluster.Catalog.ChunksInRange(table, filter.Restrict(def.Schema, w))
 	if err != nil {
 		return 0, err
 	}

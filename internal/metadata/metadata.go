@@ -353,6 +353,22 @@ type Range struct {
 // never rows.
 func (r Range) Empty() bool { return len(r.Attrs) == 0 }
 
+// Restrict returns the per-side filter of a join: the constraints of r
+// that name attributes of schema (constraints on the other table's
+// attributes do not apply to this side), over version window w.
+func (r Range) Restrict(schema tuple.Schema, w VersionWindow) Range {
+	out := Range{Versions: w}
+	for i, a := range r.Attrs {
+		if schema.Index(a) < 0 {
+			continue
+		}
+		out.Attrs = append(out.Attrs, a)
+		out.Lo = append(out.Lo, r.Lo[i])
+		out.Hi = append(out.Hi, r.Hi[i])
+	}
+	return out
+}
+
 // Validate checks arity and interval ordering.
 func (r Range) Validate() error {
 	if len(r.Attrs) != len(r.Lo) || len(r.Lo) != len(r.Hi) {

@@ -310,33 +310,10 @@ func NewJoin(eng engine.Engine, cl *cluster.Cluster, view string, req engine.Req
 	return &JoinNode{
 		Eng: eng, Cluster: cl, View: view, Req: req, Cost: cost,
 		Parts:  len(cl.Compute),
-		left:   joinInputScan(cl, req.LeftTable, ls, windowed(sideFilter(leftDef.Schema, req.Filter), req.LeftWindow()), project),
-		right:  joinInputScan(cl, req.RightTable, rs, windowed(sideFilter(rightDef.Schema, req.Filter), req.RightWindow()), project),
+		left:   joinInputScan(cl, req.LeftTable, ls, req.Filter.Restrict(leftDef.Schema, req.LeftWindow()), project),
+		right:  joinInputScan(cl, req.RightTable, rs, req.Filter.Restrict(rightDef.Schema, req.RightWindow()), project),
 		schema: ls.JoinResult(rs, req.JoinAttrs, "r_"),
 	}, nil
-}
-
-// windowed attaches a version window to a per-side filter (the engines do
-// the same from the request; here it keeps EXPLAIN's descriptive scans in
-// sync with what the engine will actually resolve).
-func windowed(f metadata.Range, w metadata.VersionWindow) metadata.Range {
-	f.Versions = w
-	return f
-}
-
-// sideFilter keeps the constraints naming attributes of one side's schema
-// (mirrors the engines' per-side filter restriction).
-func sideFilter(schema tuple.Schema, f metadata.Range) metadata.Range {
-	var out metadata.Range
-	for i, a := range f.Attrs {
-		if schema.Index(a) < 0 {
-			continue
-		}
-		out.Attrs = append(out.Attrs, a)
-		out.Lo = append(out.Lo, f.Lo[i])
-		out.Hi = append(out.Hi, f.Hi[i])
-	}
-	return out
 }
 
 func (n *JoinNode) Schema() tuple.Schema { return n.schema }

@@ -50,7 +50,11 @@ func (o *scanOp) Next() (*tuple.SubTable, error) {
 			ch := make(chan fetchResult, 1)
 			o.pending[i] = ch
 			go func() {
-				st, err := o.node.Cluster.FetchProjected(o.ctx, i%nj, o.node.descs[i], &o.node.filter, o.node.Proj)
+				var st *tuple.SubTable
+				f, err := o.node.Cluster.Fetch(o.ctx, i%nj, o.node.descs[i], &o.node.filter, o.node.Proj)
+				if err == nil {
+					st, err = f.SubTable()
+				}
 				ch <- fetchResult{st, err}
 			}()
 			o.issued++

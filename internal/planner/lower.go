@@ -73,7 +73,7 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 		req.AsOf = asOf
 		req.Project = ex.pushdownFor(v, needed)
 		req.Trace = ex.Trace
-		eng, dec, err := ex.Planner.Choose(ex.Cluster, req)
+		eng, dec, err := ex.Planner.Decide(ex.Cluster, req)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,6 @@ import (
 	"sciview/internal/engine"
 	"sciview/internal/gh"
 	"sciview/internal/ij"
-	"sciview/internal/metadata"
-	"sciview/internal/tuple"
 )
 
 // Planner is the Query Planning Service.
@@ -85,15 +83,11 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, req engine.Request) (costmodel.
 	if err != nil {
 		return costmodel.Params{}, err
 	}
-	leftFilter := filterFor(leftDef.Schema, req.Filter)
-	leftFilter.Versions = req.LeftWindow()
-	rightFilter := filterFor(rightDef.Schema, req.Filter)
-	rightFilter.Versions = req.RightWindow()
-	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, leftFilter)
+	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, req.Filter.Restrict(leftDef.Schema, req.LeftWindow()))
 	if err != nil {
 		return costmodel.Params{}, err
 	}
-	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, rightFilter)
+	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, req.Filter.Restrict(rightDef.Schema, req.RightWindow()))
 	if err != nil {
 		return costmodel.Params{}, err
 	}
@@ -184,12 +178,6 @@ func (p *Planner) Decide(cl *cluster.Cluster, req engine.Request) (engine.Engine
 	return eng, d, nil
 }
 
-// Choose is Decide under its historical name, kept for the existing call
-// sites.
-func (p *Planner) Choose(cl *cluster.Cluster, req engine.Request) (engine.Engine, *Decision, error) {
-	return p.Decide(cl, req)
-}
-
 // Observe closes the loop: it feeds a finished run's measured costs into
 // the estimator's calibration layer. Safe on nil results, nil planners,
 // and planners without an estimator.
@@ -230,19 +218,4 @@ func (p *Planner) RunContext(ctx context.Context, cl *cluster.Cluster, req engin
 	}
 	p.Observe(res)
 	return res, d, nil
-}
-
-// filterFor keeps the constraints applicable to one schema (mirrors the
-// per-engine behaviour so predictions see the same chunk sets).
-func filterFor(schema tuple.Schema, f metadata.Range) metadata.Range {
-	var out metadata.Range
-	for i, a := range f.Attrs {
-		if schema.Index(a) < 0 {
-			continue
-		}
-		out.Attrs = append(out.Attrs, a)
-		out.Lo = append(out.Lo, f.Lo[i])
-		out.Hi = append(out.Hi, f.Hi[i])
-	}
-	return out
 }

@@ -100,7 +100,7 @@ func TestChooseMatchesModels(t *testing.T) {
 	// Degree-1 graph: IJ should win.
 	cl := makeCluster(t, partition.D(16, 16, 8), partition.D(4, 4, 8), partition.D(4, 4, 8), cfg)
 	p := fastPlanner()
-	eng, dec, err := p.Choose(cl, req())
+	eng, dec, err := p.Decide(cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestChooseMatchesModels(t *testing.T) {
 	// slabs => each right sub-table overlaps 256 lefts, so its records are
 	// probed 256 times. IJ's lookup term explodes => GH.
 	cl2 := makeCluster(t, partition.D(16, 16, 8), partition.D(1, 1, 8), partition.D(16, 16, 1), cfg)
-	eng2, dec2, err := p.Choose(cl2, req())
+	eng2, dec2, err := p.Decide(cl2, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestForce(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), cfg)
 	p := fastPlanner()
 	p.Force = "gh"
-	eng, dec, err := p.Choose(cl, req())
+	eng, dec, err := p.Decide(cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestForce(t *testing.T) {
 		t.Errorf("force failed: %s forced=%v", eng.Name(), dec.Forced)
 	}
 	p.Force = "zzz"
-	if _, _, err := p.Choose(cl, req()); err == nil {
+	if _, _, err := p.Decide(cl, req()); err == nil {
 		t.Error("unknown forced engine accepted")
 	}
 }

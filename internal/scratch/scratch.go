@@ -115,6 +115,25 @@ func (m *Manager) ReleaseAll() {
 	}
 }
 
+// RoundTrip spills st to a fresh scratch file and reads it back,
+// size-verified — the modeled I/O an out-of-core repartition pays
+// (engine.Spiller). The file is released whether or not the trip succeeds.
+func (m *Manager) RoundTrip(label string, st *tuple.SubTable) (*tuple.SubTable, error) {
+	f := m.Create("ov-" + label)
+	defer m.Release(f)
+	data := EncodeRows(st)
+	err := f.AppendRows(data, int64(st.NumRows()))
+	tuple.PutBuf(data)
+	if err != nil {
+		return nil, err
+	}
+	back, err := f.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRows(st.Schema, back, st.ID)
+}
+
 // Live returns the names of files not yet released (hygiene audits).
 func (m *Manager) Live() []string {
 	m.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sciview/internal/fault"
 	"sciview/internal/simio"
 	"sciview/internal/tuple"
 )
@@ -199,5 +200,44 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	// A non-integral record count is corruption, not a short batch.
 	if _, err := DecodeRows(schema, data[:len(data)-3], tuple.ID{}); err == nil {
 		t.Error("DecodeRows accepted a partial record")
+	}
+}
+
+// TestRoundTrip: the out-of-core join's spill hook returns the table
+// byte-identical, and leaves no file behind — not after a clean trip, and
+// not after a torn write or a failed read either.
+func TestRoundTrip(t *testing.T) {
+	schema := tuple.NewSchema(
+		tuple.Attr{Name: "x", Kind: tuple.Coord},
+		tuple.Attr{Name: "v", Kind: tuple.Measure},
+	)
+	st := tuple.NewSubTable(tuple.ID{Table: 3, Chunk: 7}, schema, 0)
+	for i := 0; i < 33; i++ {
+		st.AppendRow(float32(i), -float32(i)/3)
+	}
+	for _, spec := range []string{"", "shortwrite:compute-0:write:1", "drop:compute-0:read:1"} {
+		inj, err := fault.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := simio.NewMemStore()
+		disk := simio.NewDisk(store, 0, 0)
+		disk.Fault = func(op string) error { return inj.Op(fault.ComputeNode(0), op) }
+		m := NewManager(disk, "t", "test", nil, nil)
+		got, err := m.RoundTrip("p0", st)
+		switch {
+		case spec == "" && err != nil:
+			t.Fatal(err)
+		case spec == "" && !bytes.Equal(tuple.Encode(nil, got), tuple.Encode(nil, st)):
+			t.Error("round-tripped table differs from the original")
+		case spec != "" && err == nil:
+			t.Errorf("%s: round trip succeeded through the fault", spec)
+		}
+		if names, _ := store.List(); len(names) != 0 || len(m.Live()) != 0 {
+			t.Errorf("%q: scratch not released: store %v, live %v", spec, names, m.Live())
+		}
+		if m.Files() != 1 {
+			t.Errorf("%q: Files() = %d, want 1", spec, m.Files())
+		}
 	}
 }

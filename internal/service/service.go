@@ -246,73 +246,44 @@ func New(cl *cluster.Cluster, cfg Config) *Service {
 // callers. The request is always run in shared mode; Result.Traffic and
 // Result.Cache therefore report cumulative cluster counters.
 func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
+	req := q.Req
 	// Pin the query to the catalog version current at submission (unless
 	// the caller pinned one itself): planning and execution then resolve
 	// identical chunk sets even if an append batch commits in between, and
 	// the result reflects a consistent dataset snapshot.
-	if q.Req.AsOf == 0 {
-		q.Req.AsOf = s.cl.Catalog.Version()
+	if req.AsOf == 0 {
+		req.AsOf = s.cl.Catalog.Version()
 	}
-	eng, dec, err := s.pl.Decide(s.cl, q.Req)
+	eng, dec, err := s.pl.Decide(s.cl, req)
 	if err != nil {
 		return nil, err
 	}
-	weight := rawWeight(dec.Params)
-	degraded := s.cfg.MemoryBudget > 0 && weight > s.cfg.MemoryBudget
-	if degraded {
-		if s.cfg.Strict {
-			s.markRejected()
-			return nil, fmt.Errorf("service: estimate %d bytes over budget %d: %w",
-				weight, s.cfg.MemoryBudget, ErrOverBudget)
-		}
-		// Degraded admission: the engine bounds its build sides to the
-		// budget (spilling oversized partitions through scratch), so the
-		// charge is the budget itself, not the unbounded working set.
-		weight = s.cfg.MemoryBudget
-		s.markDegraded()
-	}
-	w, queueWait, err := s.admit(ctx, q.Priority, weight)
-	if err != nil {
-		return nil, err
-	}
-	req := q.Req
-	req.Shared = true
-	if degraded && (req.MemoryBudget == 0 || req.MemoryBudget > s.cfg.MemoryBudget) {
-		req.MemoryBudget = s.cfg.MemoryBudget
-	}
-	if req.Prefetch == 0 {
-		req.Prefetch = s.cfg.Prefetch
-	}
-	if req.Parallelism == 0 {
-		req.Parallelism = s.cfg.Parallelism
-	}
-	req.Trace.Span("service", trace.KindQueue, eng.Name(), time.Now().Add(-queueWait), w.weight, 0)
-	runStart := time.Now()
-	before := s.cl.HealthStats()
-	res, err := eng.RunContext(ctx, s.cl, req)
-	recovered := err == nil && healthActivity(s.cl.HealthStats())-healthActivity(before) > 0
-	s.met.runLatency.ObserveSince(runStart)
-	s.finish(w, queueWait, err)
-	if err != nil {
-		return nil, err
-	}
-	// Close the loop: fold the run's measured costs into the calibration
-	// layer so the next decision tracks the hardware, not the config.
-	// (SubmitSQL feeds the same estimator through ExecLowered.)
-	s.pl.Observe(res)
-	if recovered {
-		s.mu.Lock()
-		s.stats.Recovered++
-		s.mu.Unlock()
-	}
-	req.Trace.Span("service", trace.KindQuery, eng.Name(), runStart, 0, res.Tuples)
-	return &Response{
-		Result:    res,
-		Decision:  dec,
-		QueueWait: queueWait,
-		Weight:    w.weight,
-		Degraded:  degraded,
-	}, nil
+	s.stampDefaults(&req)
+	return s.execute(ctx, job{
+		pri: q.Priority, name: eng.Name(), rec: req.Trace,
+		weight: rawWeight(dec.Params),
+		// The engine bounds its build sides to the budget (spilling
+		// oversized partitions through scratch), so the charge is the
+		// budget itself, not the unbounded working set.
+		degrade: func(budget int64) int64 {
+			if req.MemoryBudget == 0 || req.MemoryBudget > budget {
+				req.MemoryBudget = budget
+			}
+			return budget
+		},
+		run: func(ctx context.Context) (*Response, int64, error) {
+			res, err := eng.RunContext(ctx, s.cl, req)
+			if err != nil {
+				return nil, 0, err
+			}
+			// Close the loop: fold the run's measured costs into the
+			// calibration layer so the next decision tracks the hardware,
+			// not the config. (SubmitSQL feeds the same estimator through
+			// ExecLowered.)
+			s.pl.Observe(res)
+			return &Response{Result: res, Decision: dec}, res.Tuples, nil
+		},
+	})
 }
 
 // Executor returns a SQL executor over the service's cluster that shares
@@ -341,96 +312,115 @@ func (s *Service) SubmitSQL(ctx context.Context, ex *planner.Executor, q SQL) (*
 	if err != nil {
 		return nil, err
 	}
-	weight := l.Plan.MemoryEstimate()
-	if weight < 1 {
-		weight = 1
+	name := "scan"
+	if l.Join != nil {
+		s.stampDefaults(&l.Join.Req)
+		name = l.Decision.Chosen
 	}
-	degraded := false
-	if s.cfg.MemoryBudget > 0 && weight > s.cfg.MemoryBudget {
+	return s.execute(ctx, job{
+		pri: q.Priority, name: name, rec: ex.Trace,
+		weight: l.Plan.MemoryEstimate(),
+		// Stamp the plan with the budget so its blocking operators run
+		// out-of-core, and charge the degraded (spilling) resident estimate
+		// instead of running the query alone at full width.
+		degrade: func(budget int64) int64 {
+			l.Plan.SetBudget(budget)
+			return l.Plan.DegradedEstimate()
+		},
+		run: func(ctx context.Context) (*Response, int64, error) {
+			out, err := ex.ExecLowered(ctx, l)
+			if err != nil {
+				return nil, 0, err
+			}
+			return &Response{Result: out.Result, Decision: out.Decision, Rows: out.Rows},
+				int64(out.Rows.NumRows()), nil
+		},
+	})
+}
+
+// stampDefaults puts a join request in shared mode and applies the
+// server-side prefetch/parallelism defaults where the query left them zero.
+func (s *Service) stampDefaults(req *engine.Request) {
+	req.Shared = true
+	if req.Prefetch == 0 {
+		req.Prefetch = s.cfg.Prefetch
+	}
+	if req.Parallelism == 0 {
+		req.Parallelism = s.cfg.Parallelism
+	}
+}
+
+// job is one submission reduced to what admission and accounting need;
+// Submit and SubmitSQL differ only in how they fill it.
+type job struct {
+	pri  int
+	name string          // engine name on the service's trace spans
+	rec  *trace.Recorder // may be nil
+	// weight is the working-set estimate at full (in-memory) width.
+	weight int64
+	// degrade switches the job to out-of-core execution under budget and
+	// returns the resident estimate to charge instead of weight.
+	degrade func(budget int64) int64
+	// run executes the admitted job, returning the response (Result,
+	// Decision, Rows) and the number of rows the statement produced.
+	run func(ctx context.Context) (*Response, int64, error)
+}
+
+// execute is the one path from a weighed job to its Response: degrade or
+// reject an over-budget estimate, wait for admission, run, and account
+// the outcome. Results of a degraded run are byte-identical to in-memory
+// execution.
+func (s *Service) execute(ctx context.Context, j job) (*Response, error) {
+	weight := max(j.weight, 1)
+	degraded := s.cfg.MemoryBudget > 0 && weight > s.cfg.MemoryBudget
+	if degraded {
 		if s.cfg.Strict {
-			s.markRejected()
+			s.mu.Lock()
+			s.rejectLocked()
+			s.mu.Unlock()
 			return nil, fmt.Errorf("service: estimate %d bytes over budget %d: %w",
 				weight, s.cfg.MemoryBudget, ErrOverBudget)
 		}
-		// Degraded admission: stamp the plan with the budget so its
-		// blocking operators run out-of-core, and charge the degraded
-		// (spilling) resident estimate instead of rejecting or running
-		// the query alone at full width. Results are byte-identical.
-		l.Plan.SetBudget(s.cfg.MemoryBudget)
-		weight = l.Plan.DegradedEstimate()
-		if weight < 1 {
-			weight = 1
-		}
-		if weight > s.cfg.MemoryBudget {
-			weight = s.cfg.MemoryBudget
-		}
-		degraded = true
-		s.markDegraded()
+		weight = min(max(j.degrade(s.cfg.MemoryBudget), 1), s.cfg.MemoryBudget)
 	}
-	w, queueWait, err := s.admit(ctx, q.Priority, weight)
+	w := &waiter{pri: j.pri, weight: weight, degraded: degraded, ready: make(chan struct{})}
+	queueWait, err := s.admit(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	name := "scan"
-	if l.Join != nil {
-		l.Join.Req.Shared = true
-		if l.Join.Req.Prefetch == 0 {
-			l.Join.Req.Prefetch = s.cfg.Prefetch
-		}
-		if l.Join.Req.Parallelism == 0 {
-			l.Join.Req.Parallelism = s.cfg.Parallelism
-		}
-		name = l.Decision.Chosen
-	}
-	ex.Trace.Span("service", trace.KindQueue, name, time.Now().Add(-queueWait), w.weight, 0)
+	j.rec.Span("service", trace.KindQueue, j.name, time.Now().Add(-queueWait), weight, 0)
 	runStart := time.Now()
-	before := s.cl.HealthStats()
-	out, err := ex.ExecLowered(ctx, l)
-	recovered := err == nil && healthActivity(s.cl.HealthStats())-healthActivity(before) > 0
+	before := healthActivity(s.cl.HealthStats())
+	resp, rows, err := j.run(ctx)
+	recovered := err == nil && healthActivity(s.cl.HealthStats()) > before
 	s.met.runLatency.ObserveSince(runStart)
-	s.finish(w, queueWait, err)
+	s.finish(w, queueWait, err, recovered)
 	if err != nil {
 		return nil, err
 	}
-	if recovered {
-		s.mu.Lock()
-		s.stats.Recovered++
-		s.mu.Unlock()
-	}
-	var tuples int64
-	if out.Rows != nil {
-		tuples = int64(out.Rows.NumRows())
-	}
-	ex.Trace.Span("service", trace.KindQuery, name, runStart, 0, tuples)
-	return &Response{
-		Result:    out.Result,
-		Decision:  out.Decision,
-		Rows:      out.Rows,
-		QueueWait: queueWait,
-		Weight:    w.weight,
-		Degraded:  degraded,
-	}, nil
+	j.rec.Span("service", trace.KindQuery, j.name, runStart, 0, rows)
+	resp.QueueWait, resp.Weight, resp.Degraded = queueWait, weight, degraded
+	return resp, nil
 }
 
-// admit enqueues a submission and blocks until it is admitted, rejected,
-// or ctx ends. On success the returned waiter holds an execution slot the
+// admit enqueues w and blocks until it is admitted, rejected, or ctx ends,
+// returning the time it waited. On success w holds an execution slot the
 // caller must release via finish.
-func (s *Service) admit(ctx context.Context, pri int, weight int64) (*waiter, time.Duration, error) {
-	w := &waiter{pri: pri, weight: weight, ready: make(chan struct{})}
+func (s *Service) admit(ctx context.Context, w *waiter) (time.Duration, error) {
 	enqueued := time.Now()
 
 	s.mu.Lock()
-	if s.closed {
-		s.stats.Rejected++
-		s.mu.Unlock()
-		s.met.rejected.Inc()
-		return nil, 0, ErrClosed
+	var refused error
+	switch {
+	case s.closed:
+		refused = ErrClosed
+	case s.cfg.MaxQueue > 0 && s.queue.Len() >= s.cfg.MaxQueue:
+		refused = ErrQueueFull
 	}
-	if s.cfg.MaxQueue > 0 && s.queue.Len() >= s.cfg.MaxQueue {
-		s.stats.Rejected++
+	if refused != nil {
+		s.rejectLocked()
 		s.mu.Unlock()
-		s.met.rejected.Inc()
-		return nil, 0, ErrQueueFull
+		return 0, refused
 	}
 	s.seq++
 	w.seq = s.seq
@@ -446,7 +436,7 @@ func (s *Service) admit(ctx context.Context, pri int, weight int64) (*waiter, ti
 	select {
 	case <-w.ready:
 		if w.err != nil { // drained out of the queue by Close
-			return nil, 0, w.err
+			return 0, w.err
 		}
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -455,19 +445,19 @@ func (s *Service) admit(ctx context.Context, pri int, weight int64) (*waiter, ti
 			s.stats.Cancelled++
 			s.mu.Unlock()
 			s.met.cancelled.Inc()
-			return nil, 0, ctx.Err()
+			return 0, ctx.Err()
 		}
 		s.mu.Unlock()
 		// Admission (or a Close rejection) raced the cancellation; the
 		// ready channel is closed (or about to be).
 		<-w.ready
 		if w.err != nil {
-			return nil, 0, w.err
+			return 0, w.err
 		}
-		s.finish(w, time.Since(enqueued), ctx.Err())
-		return nil, 0, ctx.Err()
+		s.finish(w, time.Since(enqueued), ctx.Err(), false)
+		return 0, ctx.Err()
 	}
-	return w, time.Since(enqueued), nil
+	return time.Since(enqueued), nil
 }
 
 // rawWeight estimates a query's resident working set from the cost-model
@@ -481,19 +471,11 @@ func rawWeight(p costmodel.Params) int64 {
 	return w
 }
 
-// markDegraded counts one degraded-mode admission.
-func (s *Service) markDegraded() {
-	s.mu.Lock()
-	s.stats.Degraded++
-	s.mu.Unlock()
-	s.met.degraded.Inc()
-}
-
-// markRejected counts one strict-mode over-budget refusal.
-func (s *Service) markRejected() {
-	s.mu.Lock()
+// rejectLocked counts one refused submission — queue full, service closed
+// (at submission or while queued), or over budget under Strict. Caller
+// holds s.mu.
+func (s *Service) rejectLocked() {
 	s.stats.Rejected++
-	s.mu.Unlock()
 	s.met.rejected.Inc()
 }
 
@@ -514,6 +496,10 @@ func (s *Service) dispatchLocked() {
 		s.memUsed += w.weight
 		s.stats.Admitted++
 		s.met.admitted.Inc()
+		if w.degraded {
+			s.stats.Degraded++
+			s.met.degraded.Inc()
+		}
 		if s.inflight > s.stats.InFlightPeak {
 			s.stats.InFlightPeak = s.inflight
 		}
@@ -521,12 +507,16 @@ func (s *Service) dispatchLocked() {
 	}
 }
 
-// finish releases an admitted query's slot and dispatches successors.
-func (s *Service) finish(w *waiter, queueWait time.Duration, err error) {
+// finish releases an admitted query's slot, accounts its outcome and
+// dispatches successors.
+func (s *Service) finish(w *waiter, queueWait time.Duration, err error, recovered bool) {
 	s.mu.Lock()
 	s.inflight--
 	s.memUsed -= w.weight
 	s.stats.QueueWait += queueWait
+	if recovered {
+		s.stats.Recovered++
+	}
 	var outcome *metrics.Counter
 	switch {
 	case err == nil:
@@ -603,7 +593,7 @@ func (s *Service) Close() error {
 		for s.queue.Len() > 0 {
 			w := heap.Pop(&s.queue).(*waiter)
 			w.err = ErrClosed
-			s.stats.Rejected++
+			s.rejectLocked()
 			close(w.ready)
 		}
 	}
@@ -647,6 +637,7 @@ type waiter struct {
 	pri      int
 	seq      int64
 	weight   int64
+	degraded bool // admitted (if at all) at the degraded, spilling weight
 	ready    chan struct{}
 	err      error // set before close(ready) when rejected by Close
 	admitted bool

@@ -284,7 +284,7 @@ func (s *System) Explain(view string) (*PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, dec, err := s.executor.Planner.Choose(s.cluster, req)
+	eng, dec, err := s.executor.Planner.Decide(s.cluster, req)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The repository's one gate; CI and `make check` both run exactly this.
 # Build and vet both modules, the whole suite once under the race
-# detector, the serial-kernel leg, the fuzz and microbenchmark smokes, and
-# the benchmark harness's own tests. Measuring is bench/'s job: see
+# detector, the fuzz and microbenchmark smokes, and the benchmark
+# harness's own tests. Measuring is bench/'s job: see
 # bench/README.md.
 set -eux
 cd "$(dirname "$0")/.."
@@ -11,9 +11,6 @@ go build ./...
 go vet ./...
 go vet -C bench ./...
 go test -race -count=1 ./...
-# The parallel kernels must degrade to serial cleanly. This leg stays until
-# Build/BuildParallel merge into one function with a workers argument.
-GOMAXPROCS=1 go test -count=1 ./internal/hashjoin ./internal/ij ./internal/gh
 # The parser, the chunk extractors and the wire codec must reject hostile
 # bytes, never panic.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/query
