@@ -11,6 +11,7 @@ import (
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/leakcheck"
+	"sciview/internal/query"
 	"sciview/internal/tuple"
 )
 
@@ -107,25 +108,31 @@ func TestCancelMidJoin(t *testing.T) {
 	cases := []struct {
 		name  string
 		parts []partFunc
+		// topK puts a bounded Sort (under its Limit) over the join: the
+		// consumer is then the Sort's absorb loop, which never stops early.
+		topK bool
 	}{
-		{"every part stalled before its first batch", []partFunc{stalled(0), stalled(0)}},
-		{"head stalled empty, tail parked in Emit", []partFunc{stalled(0), flooding(maxBufferedBatches)}},
-		{"head stalled mid-part, consumer back in next, tail parked", []partFunc{stalled(1), flooding(maxBufferedBatches)}},
-		{"head stalled, tail still below the buffer bound", []partFunc{stalled(0), flooding(1)}},
-		{"first part done, new head stalled, tail parked", []partFunc{completed(2), stalled(1), flooding(maxBufferedBatches)}},
-		{"two tails parked behind a stalled head", []partFunc{stalled(2), flooding(maxBufferedBatches), flooding(maxBufferedBatches)}},
+		{"every part stalled before its first batch", []partFunc{stalled(0), stalled(0)}, false},
+		{"head stalled empty, tail parked in Emit", []partFunc{stalled(0), flooding(maxBufferedBatches)}, false},
+		{"head stalled mid-part, consumer back in next, tail parked", []partFunc{stalled(1), flooding(maxBufferedBatches)}, false},
+		{"head stalled, tail still below the buffer bound", []partFunc{stalled(0), flooding(1)}, false},
+		{"first part done, new head stalled, tail parked", []partFunc{completed(2), stalled(1), flooding(maxBufferedBatches)}, false},
+		{"two tails parked behind a stalled head", []partFunc{stalled(2), flooding(maxBufferedBatches), flooding(maxBufferedBatches)}, false},
+		{"bounded Sort absorbing, heap full, head stalled, tail parked", []partFunc{stalled(4), flooding(maxBufferedBatches)}, true},
+		{"bounded Sort absorbing, heap still filling", []partFunc{stalled(1), stalled(0)}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer leakcheck.Check(t)()
 			ready = make(chan struct{}, len(tc.parts))
-			p := &Plan{
-				Root: &JoinNode{
-					Eng: &stubEngine{parts: tc.parts}, Cluster: &cluster.Cluster{},
-					Parts: len(tc.parts), schema: testSchema,
-				},
-				OutID: tuple.ID{Table: -1, Chunk: -1},
+			var root Node = &JoinNode{
+				Eng: &stubEngine{parts: tc.parts}, Cluster: &cluster.Cluster{},
+				Parts: len(tc.parts), schema: testSchema,
 			}
+			if tc.topK {
+				root = NewLimit(&SortNode{Child: root, Keys: []query.OrderKey{{Attr: "v"}}}, 2)
+			}
+			p := &Plan{Root: root, OutID: tuple.ID{Table: -1, Chunk: -1}}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			done := make(chan error, 1)

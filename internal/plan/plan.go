@@ -510,6 +510,11 @@ func spillLine(budget, est int64) string {
 type SortNode struct {
 	Child Node
 	Keys  []query.OrderKey
+	// Bound, when positive, says only the first Bound rows of the order
+	// are consumed: NewLimit stamps it on a Sort directly beneath it, and
+	// the operator then keeps a Bound-row heap instead of its whole input.
+	// The LimitNode above still does the truncating. 0 sorts everything.
+	Bound int
 	// SpillBudget/SpillDisk/SpillOwner/SpillTrace are stamped by
 	// Plan.SetBudget: when the accumulated input exceeds the budget, the
 	// operator generates sorted runs on the scratch disk and merges them
@@ -546,14 +551,19 @@ func (n *SortNode) describe() string {
 	return fmt.Sprintf("Sort(%s)", strings.Join(keys, ", "))
 }
 
-// annotations is the sort's EXPLAIN spill line (budget-stamped plans
-// only). Sort spills dynamically — the estimate decides the displayed
-// mode, the actual accumulated bytes decide at run time.
+// annotations are the sort's EXPLAIN lines: the top-k line of a bounded
+// sort and the spill line of a budget-stamped plan. Sort spills
+// dynamically — the estimate decides the displayed mode, the actual
+// accumulated bytes decide at run time.
 func (n *SortNode) annotations() []string {
-	if n.SpillBudget <= 0 {
-		return nil
+	var lines []string
+	if n.Bound > 0 {
+		lines = append(lines, fmt.Sprintf("top-k: %d rows, resident %s", n.Bound, fmtBytes(residentBytes(n))))
 	}
-	return []string{spillLine(n.SpillBudget, estRows(n.Child)*int64(n.Schema().RecordSize()))}
+	if n.SpillBudget > 0 {
+		lines = append(lines, spillLine(n.SpillBudget, residentBytes(n)))
+	}
+	return lines
 }
 
 // LimitNode truncates the stream after N rows. Reaching the limit stops
@@ -565,8 +575,15 @@ type LimitNode struct {
 	N     int
 }
 
-// NewLimit builds a limit node (n >= 0).
-func NewLimit(child Node, n int) *LimitNode { return &LimitNode{Child: child, N: n} }
+// NewLimit builds a limit node (n >= 0). A Sort directly beneath it
+// learns the limit as its row bound (LIMIT 0 never pulls from its child,
+// so there is nothing to bound).
+func NewLimit(child Node, n int) *LimitNode {
+	if s, ok := child.(*SortNode); ok {
+		s.Bound = n
+	}
+	return &LimitNode{Child: child, N: n}
+}
 
 func (n *LimitNode) Schema() tuple.Schema { return n.Child.Schema() }
 func (n *LimitNode) Children() []Node     { return []Node{n.Child} }
@@ -661,8 +678,8 @@ func residentBytes(n Node) int64 {
 		buffer := int64(t.Parts) * maxBufferedBatches * pm.CS * rec
 		return build + stream + buffer
 	case *SortNode:
-		// Absorbs its whole input.
-		return estRows(t.Child) * rec
+		// Absorbs its whole input, or the Bound rows its heap keeps.
+		return estRows(t) * rec
 	case *AggregateNode:
 		// Per-group accumulators; bounded by the (deduplicated) group
 		// count, estimated conservatively from the input. A global
@@ -819,12 +836,17 @@ func estRows(n Node) int64 {
 			return int64(t.N)
 		}
 		return rows
-	case *AggregateNode:
+	case *SortNode:
 		rows := estRows(t.Child)
-		if rows > 1<<16 {
-			return 1 << 16
+		if t.Bound > 0 {
+			rows = min(rows, int64(t.Bound))
 		}
 		return rows
+	case *AggregateNode:
+		if len(t.GroupBy) == 0 {
+			return 1
+		}
+		return min(estRows(t.Child), 1<<16)
 	default:
 		kids := n.Children()
 		if len(kids) == 1 {

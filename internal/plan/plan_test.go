@@ -147,7 +147,8 @@ func TestReorderRunError(t *testing.T) {
 	}
 }
 
-// stubOp feeds canned batches to an operator under test.
+// stubOp feeds canned batches (all of one schema) to an operator under
+// test.
 type stubOp struct {
 	opstat
 	batches []*tuple.SubTable
@@ -157,7 +158,12 @@ type stubOp struct {
 
 func (s *stubOp) Open(ctx context.Context) error { return nil }
 func (s *stubOp) Close() error                   { s.closed = true; return nil }
-func (s *stubOp) Schema() tuple.Schema           { return testSchema }
+func (s *stubOp) Schema() tuple.Schema {
+	if len(s.batches) > 0 {
+		return s.batches[0].Schema
+	}
+	return testSchema
+}
 func (s *stubOp) Next() (*tuple.SubTable, error) {
 	if s.i >= len(s.batches) {
 		return nil, io.EOF

@@ -1,12 +1,13 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -22,32 +23,265 @@ var spillSeq atomic.Int64
 // sortEmitRows is the external merge's output batch size.
 const sortEmitRows = 4096
 
-// sortOp is the blocking ORDER BY operator. In memory it absorbs the
-// child's batches in arrival order — which the sources keep identical
-// to the materialized path's row order — and emits one fully-ordered
-// batch via the same stable sort the materialized order-and-limit step
-// used.
+// ---------------------------------------------------------------------
+// Ordering kernel
+
+// sortInline is the number of key words a sortKey carries in place; the
+// words of any further keys live in the sortOrder's over arena.
+const sortInline = 4
+
+// sortKey is one row's position in ORDER BY's strict total order
+// (keys..., arrival index): one normalized word per sort key, then the
+// row's arrival index — the tiebreaker that makes any sort over sortKeys
+// reproduce a stable sort of the arrival-ordered input. slot says where
+// the row itself lives in its owner's storage (buffer row, merge cursor).
+type sortKey struct {
+	w    [sortInline]uint32
+	arr  int64
+	slot int32
+}
+
+// sortOrder is the ordering kernel: it encodes rows into sortKeys and is
+// the one place two rows are compared. The in-memory sort, sorted-run
+// generation, the top-k heap and the run merge all go through it, so
+// they cannot disagree on the order.
+type sortOrder struct {
+	idxs []int    // key columns, in ORDER BY order
+	flip []uint32 // per key: ^0 for DESC (inverts the word), 0 for ASC
+	// over holds the words of keys past the inline ones, len(idxs)-sortInline
+	// per slot; nil for the common case of at most sortInline keys.
+	over []uint32
+}
+
+func newSortOrder(schema tuple.Schema, keys []query.OrderKey) *sortOrder {
+	o := &sortOrder{idxs: make([]int, len(keys)), flip: make([]uint32, len(keys))}
+	for i, k := range keys {
+		o.idxs[i] = schema.Index(k.Attr) // validated at NewSort
+		if k.Desc {
+			o.flip[i] = ^uint32(0)
+		}
+	}
+	return o
+}
+
+// keyWord maps a float32 to a uint32 whose unsigned order is the value
+// order: sign-fixed IEEE bits, with -0 folded onto +0 and every NaN (any
+// payload, either sign) mapped to one word above +Inf. Without that rule
+// the float comparison is not a strict weak order once a key is NaN, and
+// the stable sort and the run merge may disagree.
+func keyWord(v float32) uint32 {
+	switch {
+	case v != v:
+		return ^uint32(0)
+	case v == 0:
+		return 1 << 31
+	}
+	b := math.Float32bits(v)
+	if b>>31 != 0 {
+		return ^b
+	}
+	return b | 1<<31
+}
+
+// extra is the number of over-arena words per slot.
+func (o *sortOrder) extra() int { return max(len(o.idxs)-sortInline, 0) }
+
+// reserve sizes the over arena for slots [0, n).
+func (o *sortOrder) reserve(n int) {
+	if need := n * o.extra(); need > len(o.over) {
+		o.over = append(o.over, make([]uint32, need-len(o.over))...)
+	}
+}
+
+// put stores key i's word for value v into k (or k's over-arena slot).
+func (o *sortOrder) put(k *sortKey, i int, v float32) {
+	w := keyWord(v) ^ o.flip[i]
+	if i < sortInline {
+		k.w[i] = w
+		return
+	}
+	o.over[int(k.slot)*o.extra()+i-sortInline] = w
+}
+
+// keysOf encodes every row of st: row r gets slot r and arrival base+r.
+// Encoding runs column by column over the key columns only.
+func (o *sortOrder) keysOf(st *tuple.SubTable, base int64) []sortKey {
+	keys := make([]sortKey, st.NumRows())
+	o.reserve(len(keys))
+	for r := range keys {
+		keys[r].arr, keys[r].slot = base+int64(r), int32(r)
+	}
+	for i, idx := range o.idxs {
+		for r, v := range st.Col(idx) {
+			o.put(&keys[r], i, v)
+		}
+	}
+	return keys
+}
+
+// keyOf encodes one row-major record into the given slot.
+func (o *sortOrder) keyOf(row []float32, slot int, arr int64) sortKey {
+	k := sortKey{arr: arr, slot: int32(slot)}
+	o.reserve(slot + 1)
+	for i, idx := range o.idxs {
+		o.put(&k, i, row[idx])
+	}
+	return k
+}
+
+// moveSlot copies the over-arena words of slot src to slot dst.
+func (o *sortOrder) moveSlot(dst, src int) {
+	if n := o.extra(); n > 0 {
+		copy(o.over[dst*n:][:n], o.over[src*n:][:n])
+	}
+}
+
+// compare orders two keys of the same slot space by (keys..., arrival).
+// Unused inline words are zero on both sides and fall through.
+func (o *sortOrder) compare(a, b *sortKey) int {
+	for i := range a.w {
+		if c := cmp.Compare(a.w[i], b.w[i]); c != 0 {
+			return c
+		}
+	}
+	if n := o.extra(); n > 0 {
+		wa, wb := o.over[int(a.slot)*n:][:n], o.over[int(b.slot)*n:][:n]
+		for i := range wa {
+			if c := cmp.Compare(wa[i], wb[i]); c != 0 {
+				return c
+			}
+		}
+	}
+	return cmp.Compare(a.arr, b.arr)
+}
+
+// sort orders keys in place. The order is total, so the unstable
+// pattern-defeating quicksort yields the stable sort's permutation.
+func (o *sortOrder) sort(keys []sortKey) {
+	slices.SortFunc(keys, func(a, b sortKey) int { return o.compare(&a, &b) })
+}
+
+// siftDown restores the max-heap property of h below position i.
+func (o *sortOrder) siftDown(h []sortKey, i int) {
+	for {
+		big := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if o.compare(&h[c], &h[big]) > 0 {
+				big = c
+			}
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// gather builds the sub-table holding acc's rows in keys order, one
+// column at a time.
+func gather(acc *tuple.SubTable, keys []sortKey) (*tuple.SubTable, error) {
+	cols := make([][]float32, acc.Schema.NumAttrs())
+	for c := range cols {
+		src, dst := acc.Col(c), make([]float32, len(keys))
+		for i := range keys {
+			dst[i] = src[keys[i].slot]
+		}
+		cols[c] = dst
+	}
+	return tuple.FromColumns(acc.ID, acc.Schema, cols)
+}
+
+// topK keeps the first bound rows, in the kernel's order, of the rows
+// absorbed so far: rows holds them (in no particular order) and, once it
+// is full, heap arranges their keys as a max-heap whose root is the
+// current bound-th row — the one a better row evicts.
+type topK struct {
+	ord   *sortOrder
+	bound int
+	rows  *tuple.SubTable
+	heap  []sortKey
+	seen  int64     // rows absorbed: the next row's arrival index
+	row   []float32 // staging for one candidate row
+}
+
+func (t *topK) absorb(st *tuple.SubTable) error {
+	fill := min(st.NumRows(), t.bound-t.rows.NumRows())
+	if fill > 0 {
+		if err := t.rows.AppendAll(st.Head(fill)); err != nil {
+			return err
+		}
+		if t.rows.NumRows() == t.bound {
+			t.heap = t.ord.keysOf(t.rows, 0)
+			for i := len(t.heap)/2 - 1; i >= 0; i-- {
+				t.ord.siftDown(t.heap, i)
+			}
+		}
+	}
+	var lead []float32 // the first key's column
+	var flip uint32
+	if len(t.ord.idxs) > 0 {
+		lead, flip = st.Col(t.ord.idxs[0]), t.ord.flip[0]
+	}
+	for r := fill; r < st.NumRows(); r++ {
+		root := &t.heap[0]
+		// Nearly every row loses on its first key alone; only the others
+		// are worth copying out and encoding in full.
+		if lead != nil && keyWord(lead[r])^flip > root.w[0] {
+			continue
+		}
+		// Slot bound, one past the kept rows', stages the candidate.
+		cand := t.ord.keyOf(st.Row(r, t.row), t.bound, t.seen+int64(r))
+		if t.ord.compare(&cand, root) >= 0 {
+			continue
+		}
+		cand.slot = root.slot
+		t.rows.SetRow(int(cand.slot), t.row)
+		t.ord.moveSlot(int(cand.slot), t.bound)
+		*root = cand
+		t.ord.siftDown(t.heap, 0)
+	}
+	t.seen += int64(st.NumRows())
+	return nil
+}
+
+// ---------------------------------------------------------------------
+// Operator
+
+// sortOp is the blocking ORDER BY operator. It absorbs the child's
+// batches in arrival order — which the sources keep identical to the
+// materialized path's row order — and emits them in (keys..., arrival)
+// order: exactly the stable sort the materialized order-and-limit step
+// applies, whichever of the paths below produced it.
+//
+// Unbounded and within budget, everything is buffered, sorted by the
+// kernel and emitted as one batch.
+//
+// Bounded (SortNode.Bound = k, a LIMIT directly above), only the first k
+// rows of the order are ever needed: the buffer stops growing at k rows
+// and becomes a max-heap whose root is the current k-th row; a later row
+// enters only by evicting the root. Resident memory is k rows, not the
+// input.
 //
 // With a spill budget stamped (SortNode.SpillBudget > 0), absorption is
-// bounded: whenever the buffer exceeds the budget it is stable-sorted
-// and written to the scratch disk as one sorted run, each record
-// carrying its global arrival index. The final merge compares
-// (keys..., arrival index) — a strict total order whose restriction to
-// the keys reproduces the stable sort exactly, regardless of where the
-// run boundaries fell. The output is therefore byte-identical to the
-// in-memory path at every budget; only the batch boundaries differ
-// (bounded emission instead of one monolithic batch).
+// bounded: whenever the buffer exceeds the budget it is sorted and
+// written to the scratch disk as one sorted run, each record carrying its
+// arrival index, and a loser tree merges the runs. The order is total, so
+// the output is byte-identical to the in-memory path wherever the run
+// boundaries fell; only the batch boundaries differ (bounded emission
+// instead of one monolithic batch). A bounded sort whose k rows fit the
+// budget share runs the heap and never touches scratch; one whose k rows
+// do not fit spills runs truncated to their first k rows and stops the
+// merge after k.
 type sortOp struct {
 	opstat
 	node    *SortNode
 	child   Operator
-	emitted bool
-
-	// External-mode state.
-	mgr     *scratch.Manager
-	merge   *runMerge
-	outID   tuple.ID
 	started bool
+
+	out     *tuple.SubTable // in-memory result, emitted as one batch
+	mgr     *scratch.Manager
+	merge   *runMerge // external result, emitted in sortEmitRows batches
 	peakAcc int64
 }
 
@@ -64,36 +298,45 @@ func (o *sortOp) Next() (*tuple.SubTable, error) {
 			return nil, err
 		}
 	}
+	st := o.out
+	o.out = nil
 	if o.merge != nil {
-		st, err := o.merge.nextBatch(sortEmitRows)
-		if err != nil || st == nil {
-			if err == nil {
-				err = io.EOF
-			}
+		var err error
+		if st, err = o.merge.nextBatch(sortEmitRows); err != nil {
 			return nil, err
 		}
-		if b := o.peakAcc + int64(st.Bytes()); b > o.s.PeakBytes {
-			o.s.PeakBytes = b
-		}
-		o.observe(st)
-		return st, nil
 	}
-	return nil, io.EOF
+	if st == nil {
+		return nil, io.EOF
+	}
+	if b := o.peakAcc + int64(st.Bytes()); b > o.s.PeakBytes {
+		o.s.PeakBytes = b
+	}
+	o.observe(st)
+	return st, nil
 }
 
-// absorb drains the child. Within budget everything stays in one
-// buffer, sorted and staged for single-batch emission; over budget the
-// buffer spills as sorted runs and a merge is prepared.
+// absorb drains the child and stages the result: o.out when nothing
+// spilled, o.merge over the spilled runs plus the in-memory tail
+// otherwise.
 func (o *sortOp) absorb() error {
 	node := o.node
 	schema := o.child.Schema()
-	idxs := make([]int, len(node.Keys))
-	for i, k := range node.Keys {
-		idxs[i] = schema.Index(k.Attr) // validated at NewSort
+	ord := newSortOrder(schema, node.Keys)
+	budgeted := node.SpillBudget > 0 && node.SpillDisk != nil
+	bound := math.MaxInt
+	if node.Bound > 0 {
+		bound = node.Bound
 	}
-	spilling := node.SpillBudget > 0 && node.SpillDisk != nil
+	// The heap holds at most bound rows, so it may run whenever that many
+	// fit the budget share (always, without a budget) — and then nothing
+	// can spill.
+	heapFits := node.Bound > 0 &&
+		(!budgeted || int64(bound) <= node.SpillBudget/int64(schema.RecordSize()))
+	spilling := budgeted && !heapFits
 
 	acc := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, schema, 0)
+	top := topK{ord: ord, bound: bound, rows: acc, row: make([]float32, schema.NumAttrs())}
 	var runs []sortRun
 	var arrivals int64 // global arrival index of acc's first row
 	first := true
@@ -106,11 +349,15 @@ func (o *sortOp) absorb() error {
 			return err
 		}
 		if first && st.NumRows() > 0 {
-			o.outID = st.ID
 			acc.ID = st.ID
 			first = false
 		}
-		if err := acc.AppendAll(st); err != nil {
+		if heapFits {
+			err = top.absorb(st)
+		} else {
+			err = acc.AppendAll(st)
+		}
+		if err != nil {
 			return err
 		}
 		if b := int64(acc.Bytes()); b > o.peakAcc {
@@ -122,31 +369,35 @@ func (o *sortOp) absorb() error {
 					fmt.Sprintf("plan/sort/r%d", spillSeq.Add(1)),
 					node.SpillOwner, node.SpillTrace, nil)
 			}
-			run, err := spillSortedRun(o.mgr, acc, node.Keys, idxs, arrivals, len(runs))
+			keys := ord.keysOf(acc, 0)
+			ord.sort(keys)
+			run, err := spillSortedRun(o.mgr, acc, keys[:min(len(keys), bound)], arrivals, len(runs))
 			if err != nil {
 				return err
 			}
 			runs = append(runs, run)
 			arrivals += int64(acc.NumRows())
-			acc = tuple.NewSubTable(o.outID, schema, 0)
+			acc = tuple.NewSubTable(acc.ID, schema, 0)
 		}
 	}
 
-	order := sortOrder(acc, node.Keys, idxs)
+	keys := top.heap
+	if keys == nil {
+		keys = ord.keysOf(acc, 0)
+	}
+	ord.sort(keys)
+	keys = keys[:min(len(keys), bound)]
 	if len(runs) == 0 {
-		// Everything fit: the historical single-batch path, byte for byte.
-		out := tuple.NewSubTable(acc.ID, acc.Schema, acc.NumRows())
-		row := tuple.GetRow(acc.Schema.NumAttrs())
-		defer tuple.PutRow(row)
-		for _, r := range order {
-			out.AppendRow(acc.Row(r, row)...)
+		out, err := gather(acc, keys)
+		if err != nil {
+			return err
 		}
+		o.out = out
 		o.s.PeakBytes = int64(acc.Bytes()) + int64(out.Bytes())
-		o.merge = &runMerge{single: out}
 		return nil
 	}
 	// External merge: the spilled runs plus the in-memory tail.
-	m := &runMerge{schema: schema, keys: node.Keys, idxs: idxs, id: o.outID}
+	m := &runMerge{schema: schema, id: acc.ID, ord: newSortOrder(schema, node.Keys), left: bound}
 	for _, run := range runs {
 		rd, err := run.f.Open()
 		if err != nil {
@@ -158,9 +409,9 @@ func (o *sortOp) absorb() error {
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
-	if acc.NumRows() > 0 {
+	if len(keys) > 0 {
 		m.curs = append(m.curs, &runCursor{
-			acc: acc, ord: order, base: arrivals,
+			acc: acc, keys: keys, base: arrivals,
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
@@ -178,56 +429,34 @@ func (o *sortOp) Close() error {
 	return o.child.Close()
 }
 
-// sortOrder returns the stable sort permutation of acc's rows by keys —
-// the exact comparator the materialized path used.
-func sortOrder(acc *tuple.SubTable, keys []query.OrderKey, idxs []int) []int {
-	order := make([]int, acc.NumRows())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := order[a], order[b]
-		for i, idx := range idxs {
-			va, vb := acc.Value(ra, idx), acc.Value(rb, idx)
-			if va == vb {
-				continue
-			}
-			if keys[i].Desc {
-				return va > vb
-			}
-			return va < vb
-		}
-		return false
-	})
-	return order
-}
+// ---------------------------------------------------------------------
+// External merge
 
 // sortRun is one spilled sorted run. Records are the row's float32
 // columns followed by a uint32 within-run arrival offset; base + offset
-// is the row's global arrival index, the stable sort's tiebreaker.
+// is the row's global arrival index.
 type sortRun struct {
 	f    *scratch.File
 	base int64
 }
 
-// spillSortedRun stable-sorts the buffer and writes it as one run.
-func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []query.OrderKey, idxs []int, base int64, n int) (sortRun, error) {
-	order := sortOrder(acc, keys, idxs)
+// spillSortedRun writes acc's rows in keys order as run n.
+func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []sortKey, base int64, n int) (sortRun, error) {
 	na := acc.Schema.NumAttrs()
 	recSize := na*4 + 4
-	size := acc.NumRows() * recSize
+	size := len(keys) * recSize
 	buf := tuple.GetBuf(size)[:size]
-	off := 0
-	for _, r := range order {
-		for c := 0; c < na; c++ {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(acc.Value(r, c)))
-			off += 4
+	for c := 0; c < na; c++ {
+		col := acc.Col(c)
+		for i := range keys {
+			binary.LittleEndian.PutUint32(buf[i*recSize+c*4:], math.Float32bits(col[keys[i].slot]))
 		}
-		binary.LittleEndian.PutUint32(buf[off:], uint32(r))
-		off += 4
+	}
+	for i := range keys {
+		binary.LittleEndian.PutUint32(buf[i*recSize+na*4:], uint32(keys[i].slot))
 	}
 	f := mgr.Create(fmt.Sprintf("run%d", n))
-	err := f.AppendRows(buf, int64(acc.NumRows()))
+	err := f.AppendRows(buf, int64(len(keys)))
 	tuple.PutBuf(buf)
 	if err != nil {
 		return sortRun{}, err
@@ -236,89 +465,69 @@ func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []query.Orde
 }
 
 // runCursor walks one sorted run: a scratch file (rd != nil) or the
-// in-memory tail buffer (acc != nil). row/arr hold the current record.
+// in-memory tail buffer (acc != nil). row/key hold the current record.
 type runCursor struct {
 	// Disk run.
 	rd  *scratch.Reader
 	buf []byte
 	// In-memory tail.
-	acc *tuple.SubTable
-	ord []int
-	pos int
+	acc  *tuple.SubTable
+	keys []sortKey
+	pos  int
 
 	base int64
 	row  []float32
-	arr  int64
+	key  sortKey
 	ok   bool
 }
 
-// advance loads the cursor's next record; ok=false at run end.
-func (c *runCursor) advance() error {
+// advance loads the cursor's next record and encodes its key into the
+// merge's slot space; ok=false at run end.
+func (c *runCursor) advance(ord *sortOrder, slot int) error {
+	var off int64
 	if c.acc != nil {
-		if c.pos >= len(c.ord) {
+		if c.pos >= len(c.keys) {
 			c.ok = false
 			return nil
 		}
-		r := c.ord[c.pos]
+		r := int(c.keys[c.pos].slot)
 		c.pos++
+		c.acc.Row(r, c.row)
+		off = int64(r)
+	} else {
+		if _, err := io.ReadFull(c.rd, c.buf); err != nil {
+			if err == io.EOF {
+				c.ok = false
+				return nil
+			}
+			return fmt.Errorf("plan: sort run read: %w", err)
+		}
 		for i := range c.row {
-			c.row[i] = c.acc.Value(r, i)
+			c.row[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.buf[i*4:]))
 		}
-		c.arr = c.base + int64(r)
-		c.ok = true
-		return nil
+		off = int64(binary.LittleEndian.Uint32(c.buf[len(c.row)*4:]))
 	}
-	if _, err := io.ReadFull(c.rd, c.buf); err != nil {
-		if err == io.EOF {
-			c.ok = false
-			return nil
-		}
-		return fmt.Errorf("plan: sort run read: %w", err)
-	}
-	off := 0
-	for i := range c.row {
-		c.row[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.buf[off:]))
-		off += 4
-	}
-	c.arr = c.base + int64(binary.LittleEndian.Uint32(c.buf[off:]))
+	c.key = ord.keyOf(c.row, slot, c.base+off)
 	c.ok = true
 	return nil
 }
 
-// runMerge merges sorted runs with a loser tree, comparing
-// (keys..., global arrival index) — a strict total order equal to the
-// stable sort's. single short-circuits the in-memory case.
+// runMerge merges sorted runs with a loser tree over the cursors'
+// current keys. ord is the merge's own kernel instance: its slots are
+// cursor indexes.
 type runMerge struct {
-	single *tuple.SubTable
-
 	schema tuple.Schema
-	keys   []query.OrderKey
-	idxs   []int
 	id     tuple.ID
+	ord    *sortOrder
 	curs   []*runCursor
 	lt     *loserTree
-	done   bool
-}
-
-// before is the merge comparator over two loaded cursors.
-func (m *runMerge) before(a, b *runCursor) bool {
-	for i, idx := range m.idxs {
-		va, vb := a.row[idx], b.row[idx]
-		if va == vb {
-			continue
-		}
-		if m.keys[i].Desc {
-			return va > vb
-		}
-		return va < vb
-	}
-	return a.arr < b.arr
+	left   int // rows still to emit (a bounded sort stops after Bound)
 }
 
 // start primes every cursor and builds the loser tree.
 func (m *runMerge) start() error {
-	for _, c := range m.curs {
-		if err := c.advance(); err != nil {
+	for i, c := range m.curs {
+		if err := c.advance(m.ord, i); err != nil {
 			return err
 		}
 	}
@@ -330,35 +539,31 @@ func (m *runMerge) start() error {
 		if !cb.ok {
 			return true
 		}
-		return m.before(ca, cb)
+		return m.ord.compare(&ca.key, &cb.key) < 0
 	})
 	return nil
 }
 
 // nextBatch emits up to n merged rows; nil at end of stream.
 func (m *runMerge) nextBatch(n int) (*tuple.SubTable, error) {
-	if m.single != nil {
-		st := m.single
-		m.single = nil
-		m.done = true
-		return st, nil
-	}
-	if m.done || m.lt == nil {
+	n = min(n, m.left)
+	if n == 0 {
 		return nil, nil
 	}
 	out := tuple.NewSubTable(m.id, m.schema, n)
 	for out.NumRows() < n {
 		w := m.lt.winner
 		if w < 0 || !m.curs[w].ok {
-			m.done = true
+			m.left = out.NumRows()
 			break
 		}
 		out.AppendRow(m.curs[w].row...)
-		if err := m.curs[w].advance(); err != nil {
+		if err := m.curs[w].advance(m.ord, w); err != nil {
 			return nil, err
 		}
 		m.lt.fix()
 	}
+	m.left -= out.NumRows()
 	if out.NumRows() == 0 {
 		return nil, nil
 	}

@@ -331,13 +331,12 @@ func orderAndLimit(st *tuple.SubTable, keys []query.OrderKey, limit int) (*tuple
 			ra, rb := order[a], order[b]
 			for i, idx := range idxs {
 				va, vb := st.Value(ra, idx), st.Value(rb, idx)
-				if va == vb {
+				// NaN sorts above every number and ties with every NaN:
+				// without this the comparator is not a strict weak order.
+				if va == vb || (va != va && vb != vb) {
 					continue
 				}
-				if keys[i].Desc {
-					return va > vb
-				}
-				return va < vb
+				return (va < vb || vb != vb) != keys[i].Desc
 			}
 			return false
 		})

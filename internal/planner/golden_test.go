@@ -353,7 +353,7 @@ func TestExplainStatement(t *testing.T) {
 		t.Error("EXPLAIN executed the query")
 	}
 	for _, wantSub := range []string{
-		"Limit(5)", "Sort(wp)", "Project(wp)", "Join[", "cost: ij=", "chose=", "calib=", "Scan(T1)", "Scan(T2)", "project[",
+		"Limit(5)", "Sort(wp)", "top-k: 5 rows, resident 20 B", "Project(wp)", "Join[", "cost: ij=", "chose=", "calib=", "Scan(T1)", "Scan(T2)", "project[",
 	} {
 		if !strings.Contains(out.Explain, wantSub) {
 			t.Errorf("explain output missing %q:\n%s", wantSub, out.Explain)
@@ -362,6 +362,22 @@ func TestExplainStatement(t *testing.T) {
 	if out.Decision == nil {
 		t.Error("EXPLAIN of a join query should carry the decision")
 	}
+
+	// A bound that fits the Sort's budget share reports in-mem whatever
+	// the input size; without the LIMIT the same sort goes external.
+	ex.MemBudget = 2 << 10
+	for sql, want := range map[string]string{
+		"EXPLAIN SELECT * FROM V1 ORDER BY wp LIMIT 5": "top-k: 5 rows, resident 100 B\n   │    spill: budget=1.0 KiB est=100 B mode=in-mem",
+		"EXPLAIN SELECT * FROM V1 ORDER BY wp":         "Sort(wp)\n│    spill: budget=1.0 KiB est=5.0 KiB mode=external",
+	} {
+		if out, err = ex.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.Explain, want) {
+			t.Errorf("%s: missing %q:\n%s", sql, want, out.Explain)
+		}
+	}
+	ex.MemBudget = 0
 
 	out, err = ex.Exec("EXPLAIN SELECT COUNT(*) FROM T1")
 	if err != nil {

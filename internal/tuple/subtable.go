@@ -92,6 +92,18 @@ func (st *SubTable) AppendRow(vals ...float32) {
 	st.rows++
 }
 
+// SetRow overwrites record `row` in place. The number of values must match
+// the schema. Only the table's owner may call it: Project and Head share
+// column storage.
+func (st *SubTable) SetRow(row int, vals []float32) {
+	if len(vals) != len(st.cols) {
+		panic(fmt.Sprintf("tuple: SetRow with %d values for %d attributes", len(vals), len(st.cols)))
+	}
+	for i, v := range vals {
+		st.cols[i][row] = v
+	}
+}
+
 // Value returns the value at (row, col).
 func (st *SubTable) Value(row, col int) float32 { return st.cols[col][row] }
 
