@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -121,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 	want := map[string][]string{}
 	for name, e := range engines() {
 		cl, _ := chaosCluster(t, ds, "")
-		res, err := e.Run(cl, chaosReq())
+		res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
@@ -172,7 +173,7 @@ func TestFaultMatrix(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(engName+"/"+tc.name, func(t *testing.T) {
 				cl, inj := chaosCluster(t, ds, tc.faults)
-				res, err := e.Run(cl, chaosReq())
+				res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 				if err != nil {
 					t.Fatalf("run under %q: %v", tc.faults, err)
 				}
@@ -196,7 +197,7 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 	t.Run("ij", func(t *testing.T) {
 		e := ij.New()
 		cl, _ := chaosCluster(t, ds, "")
-		base, err := e.Run(cl, chaosReq())
+		base, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 		var prev []string
 		for run := 0; run < 2; run++ { // twice: the schedule is deterministic
 			cl, inj := chaosCluster(t, ds, spec)
-			res, err := e.Run(cl, chaosReq())
+			res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 			if err != nil {
 				t.Fatalf("faulted run %d: %v", run, err)
 			}
@@ -239,14 +240,14 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 	t.Run("gh", func(t *testing.T) {
 		e := gh.New()
 		cl, _ := chaosCluster(t, ds, "")
-		base, err := e.Run(cl, chaosReq())
+		base, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := rowsSorted(base.Collected)
 
 		cl, inj := chaosCluster(t, ds, "crash:storage-1:fetch:5,crash:compute-0:write:3")
-		res, err := e.Run(cl, chaosReq())
+		res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("faulted run: %v", err)
 		}
@@ -282,7 +283,7 @@ func TestCrashWithoutReplicasFails(t *testing.T) {
 	}
 	for name, e := range engines() {
 		cl, _ := chaosCluster(t, ds, "crash:storage-1:fetch:5")
-		if _, err := e.Run(cl, chaosReq()); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, chaosReq()); err == nil {
 			t.Errorf("%s: storage crash without replicas should fail the query", name)
 		}
 	}

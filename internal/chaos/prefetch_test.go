@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 
+	"sciview/internal/engine"
 	"sciview/internal/ij"
 )
 
@@ -19,7 +21,7 @@ func TestPrefetchUnderCrashSchedule(t *testing.T) {
 	e := ij.New()
 
 	cl, _ := chaosCluster(t, ds, "")
-	base, err := e.Run(cl, chaosReq())
+	base, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestPrefetchUnderCrashSchedule(t *testing.T) {
 		r := chaosReq()
 		r.Prefetch = 2
 		r.Parallelism = 4
-		res, err := e.Run(cl, r)
+		res, err := engine.RunRequest(context.Background(), e, cl, r)
 		if err != nil {
 			t.Fatalf("faulted prefetch run %d: %v", run, err)
 		}

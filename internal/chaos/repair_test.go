@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/ij"
 	"sciview/internal/ingest"
 	"sciview/internal/oilres"
@@ -47,7 +49,7 @@ func TestCrashRestartConverge(t *testing.T) {
 	baseVersion := ds.Catalog.Version()
 	pinned := chaosReq()
 	pinned.AsOf = baseVersion
-	base, err := e.Run(clean, pinned)
+	base, err := engine.RunRequest(context.Background(), e, clean, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestCrashRestartConverge(t *testing.T) {
 
 	goldenQuery := func(label string) {
 		t.Helper()
-		res, err := e.Run(cl, pinned)
+		res, err := engine.RunRequest(context.Background(), e, cl, pinned)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -153,11 +155,11 @@ func TestCrashRestartConverge(t *testing.T) {
 	// healed cluster matches the fault-free cluster over the same catalog.
 	goldenQuery("pinned query after convergence")
 	head := chaosReq()
-	wantHead, err := e.Run(clean, head)
+	wantHead, err := engine.RunRequest(context.Background(), e, clean, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHead, err := e.Run(cl, head)
+	gotHead, err := engine.RunRequest(context.Background(), e, cl, head)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 
 	"sciview/internal/engine"
@@ -28,7 +29,7 @@ func TestSpillUnderChaos(t *testing.T) {
 	want := map[string][]string{}
 	for name, e := range engines() {
 		cl, _ := chaosCluster(t, ds, "")
-		res, err := e.Run(cl, chaosReq())
+		res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
@@ -51,7 +52,7 @@ func TestSpillUnderChaos(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(engName+"/"+tc.name, func(t *testing.T) {
 				cl, inj := chaosCluster(t, ds, tc.faults)
-				res, err := e.Run(cl, spillReq())
+				res, err := engine.RunRequest(context.Background(), e, cl, spillReq())
 				if tc.faults != "" {
 					st := inj.Stats()
 					if st.ShortWrites+st.Drops+st.Crashes == 0 {

@@ -76,17 +76,6 @@ func (cl *Cluster) ComputeDown(j int) bool {
 	return cl.Config.Faults.Down(fault.ComputeNode(j))
 }
 
-// AliveCompute returns the ids of compute nodes not crashed, in order.
-func (cl *Cluster) AliveCompute() []int {
-	var alive []int
-	for j := range cl.Compute {
-		if !cl.ComputeDown(j) {
-			alive = append(alive, j)
-		}
-	}
-	return alive
-}
-
 // NodeState is a storage node's lifecycle state as tracked by the repair
 // tier. A node is born NodeUp; the repair manager marks it NodeDown when
 // the chaos schedule (or a real crash) takes it out, NodeRejoining while

@@ -247,16 +247,6 @@ func (p Params) spillReadBw() float64 {
 	return p.ReadBw
 }
 
-// SpillCost prices one out-of-core round trip: writing bytes to a
-// joiner's scratch disk and reading them back, at the (calibrated when
-// available) spill rates. It is the seconds a budget-degraded operator
-// adds per spilled byte volume — the term admission and EXPLAIN use to
-// weigh degraded execution against queueing. Unlimited (zero) rates
-// price as zero, matching the rest of the model.
-func (p Params) SpillCost(bytes int64) float64 {
-	return div(float64(bytes), p.spillWriteBw()) + div(float64(bytes), p.spillReadBw())
-}
-
 func minPos(a, b float64) float64 {
 	switch {
 	case a <= 0 && b <= 0:
@@ -300,4 +290,22 @@ func (p Params) CrossoverRHS() float64 {
 // transfer terms cancel, i.e. identical for both algorithms).
 func (p Params) UseIJClosedForm() bool {
 	return p.CrossoverLHS() < p.CrossoverRHS()
+}
+
+// Decision records why an engine was chosen. Params holds the constants
+// the predictions actually used (post-calibration when the estimator has
+// graduated signals); Constants and Calibrated record the provenance. The
+// planner fills it, EXPLAIN renders it, the service reports it.
+type Decision struct {
+	Params    Params
+	PredictIJ Breakdown
+	PredictGH Breakdown
+	Chosen    string
+	Forced    bool
+	// Calibrated reports whether any live-calibrated constant displaced
+	// its static counterpart in Params.
+	Calibrated bool
+	// Constants is the estimator snapshot the decision consulted (zero
+	// when the planner has no estimator).
+	Constants Constants
 }

@@ -1,10 +1,12 @@
 package dds
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/gh"
 	"sciview/internal/ij"
 	"sciview/internal/oilres"
@@ -102,11 +104,11 @@ func TestViewExecutesOnBothEngines(t *testing.T) {
 	}{} {
 		_ = e // placeholder to keep imports honest
 	}
-	resIJ, err := ij.New().Run(cl, req)
+	resIJ, err := engine.RunRequest(context.Background(), ij.New(), cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resGH, err := gh.New().Run(cl, req)
+	resGH, err := engine.RunRequest(context.Background(), gh.New(), cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +264,7 @@ func TestAggregateOverViewOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ij.New().Run(cl, req)
+	res, err := engine.RunRequest(context.Background(), ij.New(), cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,16 +383,15 @@ func ProjectedSchema(schema tuple.Schema, project []string) tuple.Schema {
 	return tuple.Schema{Attrs: attrs}
 }
 
-// Engine executes join-view requests on a cluster.
+// Engine executes resolved join-view requests on a cluster.
 type Engine interface {
 	// Name returns the engine identifier ("ij" or "gh").
 	Name() string
-	// Run executes the request. Non-shared runs reset cluster accounting
-	// at start so Result.Traffic covers exactly this run.
-	Run(cl *cluster.Cluster, req Request) (*Result, error)
-	// RunContext is Run observing ctx: engines check it between work
-	// items (edges, chunks, buckets) and propagate it into sub-table
-	// fetches, so a cancelled or deadline-expired query returns ctx.Err()
-	// mid-join instead of running to completion.
-	RunContext(ctx context.Context, cl *cluster.Cluster, req Request) (*Result, error)
+	// Run joins exactly the chunk sets the inputs carry — an engine never
+	// goes back to the catalog. Non-shared runs reset cluster accounting at
+	// start so Result.Traffic covers exactly this run. Engines check ctx
+	// between work items (edges, chunks, buckets) and propagate it into
+	// sub-table fetches, so a cancelled or deadline-expired query returns
+	// ctx.Err() mid-join instead of running to completion.
+	Run(ctx context.Context, cl *cluster.Cluster, in *Inputs) (*Result, error)
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,7 +54,7 @@ func TestFullJoinTupleCount(t *testing.T) {
 	_, cl := genCluster(t, grid, partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
 	want := grid.Cells()
 	for _, e := range engines() {
-		res, err := e.Run(cl, fullJoinReq(false))
+		res, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -91,7 +92,7 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 	_, cl := genCluster(t, grid, partition.D(4, 4, 4), partition.D(2, 4, 4), 2, 3)
 	var all [][][]float32
 	for _, e := range engines() {
-		res, err := e.Run(cl, fullJoinReq(true))
+		res, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(true))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -125,7 +126,7 @@ func TestRangeFilteredJoin(t *testing.T) {
 	}
 	want := int64(8 * 4 * 4)
 	for _, e := range engines() {
-		res, err := e.Run(cl, req)
+		res, err := engine.RunRequest(context.Background(), e, cl, req)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -147,7 +148,7 @@ func TestMeasureFilteredJoin(t *testing.T) {
 	}
 	var counts []int64
 	for _, e := range engines() {
-		res, err := e.Run(cl, req)
+		res, err := engine.RunRequest(context.Background(), e, cl, req)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -164,7 +165,7 @@ func TestMeasureFilteredJoin(t *testing.T) {
 func TestIJTrafficAndCache(t *testing.T) {
 	grid := partition.D(16, 16, 8)
 	ds, cl := genCluster(t, grid, partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
-	res, err := ij.New().Run(cl, fullJoinReq(false))
+	res, err := engine.RunRequest(context.Background(), ij.New(), cl, fullJoinReq(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestIJTrafficAndCache(t *testing.T) {
 
 func TestGHTrafficSpillsBothTables(t *testing.T) {
 	ds, cl := genCluster(t, partition.D(16, 16, 8), partition.D(8, 8, 8), partition.D(4, 4, 8), 3, 2)
-	res, err := gh.New().Run(cl, fullJoinReq(false))
+	res, err := engine.RunRequest(context.Background(), gh.New(), cl, fullJoinReq(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestGHInsensitiveToPartitioning(t *testing.T) {
 		{partition.D(16, 2, 4), partition.D(2, 16, 4)},
 	} {
 		_, cl := genCluster(t, grid, parts[0], parts[1], 2, 2)
-		res, err := gh.New().Run(cl, fullJoinReq(false))
+		res, err := engine.RunRequest(context.Background(), gh.New(), cl, fullJoinReq(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +256,12 @@ func TestWorkFactorSlowsBothEngines(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, e := range engines() {
 		req := fullJoinReq(false)
-		res1, err := e.Run(cl, req)
+		res1, err := engine.RunRequest(context.Background(), e, cl, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.WorkFactor = 3
-		res3, err := e.Run(cl, req)
+		res3, err := engine.RunRequest(context.Background(), e, cl, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,18 +277,18 @@ func TestWorkFactorSlowsBothEngines(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	_, cl := genCluster(t, partition.D(4, 4, 2), partition.D(2, 2, 2), partition.D(2, 2, 2), 1, 1)
 	for _, e := range engines() {
-		if _, err := e.Run(cl, engine.Request{RightTable: "T2", JoinAttrs: []string{"x"}}); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, engine.Request{RightTable: "T2", JoinAttrs: []string{"x"}}); err == nil {
 			t.Errorf("%s: missing left table accepted", e.Name())
 		}
-		if _, err := e.Run(cl, engine.Request{LeftTable: "T1", RightTable: "T2"}); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, engine.Request{LeftTable: "T1", RightTable: "T2"}); err == nil {
 			t.Errorf("%s: missing join attrs accepted", e.Name())
 		}
-		if _, err := e.Run(cl, engine.Request{LeftTable: "nope", RightTable: "T2", JoinAttrs: []string{"x"}}); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, engine.Request{LeftTable: "nope", RightTable: "T2", JoinAttrs: []string{"x"}}); err == nil {
 			t.Errorf("%s: unknown table accepted", e.Name())
 		}
 		bad := fullJoinReq(false)
 		bad.Filter = metadata.Range{Attrs: []string{"x"}, Lo: []float64{5}, Hi: []float64{1}}
-		if _, err := e.Run(cl, bad); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, bad); err == nil {
 			t.Errorf("%s: inverted filter accepted", e.Name())
 		}
 	}
@@ -310,7 +311,7 @@ func TestSmallCacheStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ij.New().Run(cl, fullJoinReq(false))
+	res, err := engine.RunRequest(context.Background(), ij.New(), cl, fullJoinReq(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestGHBucketTuning(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, buckets := range []int{1, 2, 7, 32} {
 		e := &gh.Engine{Buckets: buckets, BatchRows: 100, FlushRows: 64}
-		res, err := e.Run(cl, fullJoinReq(false))
+		res, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false))
 		if err != nil {
 			t.Fatalf("buckets=%d: %v", buckets, err)
 		}
@@ -376,7 +377,7 @@ func TestPropEnginesAgreeOnRandomConfigs(t *testing.T) {
 		}
 		var counts []int64
 		for _, e := range engines() {
-			res, err := e.Run(cl, req)
+			res, err := engine.RunRequest(context.Background(), e, cl, req)
 			if err != nil {
 				t.Logf("%s: %v", e.Name(), err)
 				return false
@@ -419,13 +420,13 @@ func TestProjectionPushdownReducesTraffic(t *testing.T) {
 	}
 	for _, e := range engines() {
 		full := fullJoinReq(false)
-		resFull, err := e.Run(cl, full)
+		resFull, err := engine.RunRequest(context.Background(), e, cl, full)
 		if err != nil {
 			t.Fatal(err)
 		}
 		proj := fullJoinReq(false)
 		proj.Project = []string{"oilp", "wp"}
-		resProj, err := e.Run(cl, proj)
+		resProj, err := engine.RunRequest(context.Background(), e, cl, proj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,13 +451,13 @@ func TestProjectionPushdownPreservesValues(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(2, 4, 4), 2, 2)
 	for _, e := range engines() {
 		full := fullJoinReq(true)
-		resFull, err := e.Run(cl, full)
+		resFull, err := engine.RunRequest(context.Background(), e, cl, full)
 		if err != nil {
 			t.Fatal(err)
 		}
 		proj := fullJoinReq(true)
 		proj.Project = []string{"x", "y", "z", "wp"}
-		resProj, err := e.Run(cl, proj)
+		resProj, err := engine.RunRequest(context.Background(), e, cl, proj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +488,7 @@ func TestTraceRecordsEngineActivity(t *testing.T) {
 		rec := trace.New()
 		req := fullJoinReq(false)
 		req.Trace = rec
-		if _, err := e.Run(cl, req); err != nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, req); err != nil {
 			t.Fatal(err)
 		}
 		sum := trace.Summarize(rec.Events())
@@ -524,7 +525,7 @@ func TestTraceRecordsEngineActivity(t *testing.T) {
 		}
 		// Running without a recorder still works (nil-safety).
 		req.Trace = nil
-		if _, err := e.Run(cl, req); err != nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, req); err != nil {
 			t.Fatal(err)
 		}
 	}

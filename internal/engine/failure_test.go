@@ -1,10 +1,12 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/partition"
 )
 
@@ -22,7 +24,7 @@ func TestMissingObjectFailsBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range engines() {
-		_, err := e.Run(cl, fullJoinReq(false))
+		_, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false))
 		if err == nil {
 			t.Errorf("%s: missing object produced no error", e.Name())
 			continue
@@ -47,7 +49,7 @@ func TestTruncatedChunkFailsBothEngines(t *testing.T) {
 		}
 	}
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false)); err == nil {
 			t.Errorf("%s: truncated chunk produced no error", e.Name())
 		}
 	}
@@ -67,7 +69,7 @@ func TestCorruptedChunkBytesFailExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false)); err == nil {
 			t.Errorf("%s: corrupted chunk produced no error", e.Name())
 		}
 	}
@@ -88,7 +90,7 @@ func TestErrorsOverTCPCluster(t *testing.T) {
 	}
 	// IJ fetches over TCP; the remote BDS error must cross the wire.
 	for _, e := range engines() {
-		if _, err := e.Run(cl, fullJoinReq(false)); err == nil {
+		if _, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false)); err == nil {
 			t.Errorf("%s: remote failure produced no error", e.Name())
 		}
 	}

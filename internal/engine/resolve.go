@@ -1,0 +1,104 @@
+package engine
+
+import (
+	"context"
+	"sync"
+
+	"sciview/internal/chunk"
+	"sciview/internal/cluster"
+	"sciview/internal/congraph"
+	"sciview/internal/metadata"
+	"sciview/internal/tuple"
+)
+
+// Inputs is a join request resolved against the catalog: what the paper's
+// MetaData Service (range → sub-table ids) and page-level join index
+// (candidate pairs) answer, asked once. The cost model prices it, the plan
+// describes it and the chosen engine executes it; none of them goes back
+// to the catalog, so a decision and its run always see the same chunks.
+type Inputs struct {
+	// Req is the one copy of the request the statement carries. Callers may
+	// stamp its run-policy fields after Resolve (Shared, Prefetch,
+	// Parallelism, MemoryBudget, Sink, Progress, Collect); the fields
+	// resolution read (tables, JoinAttrs, Filter, Project, AsOf, *Versions)
+	// are fixed. AsOf is never 0 here: an unpinned request is pinned to the
+	// catalog version current at Resolve.
+	Req               Request
+	LeftDef, RightDef *metadata.TableDef
+	// LeftFilter and RightFilter are the request's constraints restricted
+	// to each side's attributes, over that side's version window.
+	LeftFilter, RightFilter metadata.Range
+	// Project is the pushdown list (Request.EffectiveProject); the schemas
+	// below are the projected ones.
+	Project                            []string
+	LeftSchema, RightSchema, OutSchema tuple.Schema
+	// LeftDescs and RightDescs are the chunks in range, in catalog order.
+	// Either may be empty: the join of nothing is nothing, not an error.
+	LeftDescs, RightDescs []*chunk.Desc
+
+	// graph is behind a pointer so copies of Inputs (a Run's, a plan
+	// operator's) share one build.
+	graph *graphMemo
+}
+
+type graphMemo struct {
+	once sync.Once
+	g    *congraph.Graph
+	err  error
+}
+
+// Resolve validates req and resolves it against the catalog.
+func Resolve(cat *metadata.Catalog, req Request) (*Inputs, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	leftDef, err := cat.Table(req.LeftTable)
+	if err != nil {
+		return nil, err
+	}
+	rightDef, err := cat.Table(req.RightTable)
+	if err != nil {
+		return nil, err
+	}
+	if req.AsOf == 0 {
+		req.AsOf = cat.Version()
+	}
+	project := req.EffectiveProject()
+	in := &Inputs{
+		Req:     req,
+		LeftDef: leftDef, RightDef: rightDef,
+		LeftFilter:  req.Filter.Restrict(leftDef.Schema, req.LeftWindow()),
+		RightFilter: req.Filter.Restrict(rightDef.Schema, req.RightWindow()),
+		Project:     project,
+		LeftSchema:  ProjectedSchema(leftDef.Schema, project),
+		RightSchema: ProjectedSchema(rightDef.Schema, project),
+		graph:       &graphMemo{},
+	}
+	in.OutSchema = in.LeftSchema.JoinResult(in.RightSchema, req.JoinAttrs, "r_")
+	if in.LeftDescs, err = cat.ChunksInRange(req.LeftTable, in.LeftFilter); err != nil {
+		return nil, err
+	}
+	if in.RightDescs, err = cat.ChunksInRange(req.RightTable, in.RightFilter); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Graph returns the connectivity graph of the resolved chunk sets, built
+// on first use: the cost model and IJ need it, a direct GH run never does.
+func (in *Inputs) Graph() (*congraph.Graph, error) {
+	m := in.graph
+	m.once.Do(func() { m.g, m.err = congraph.Build(in.LeftDescs, in.RightDescs, in.Req.JoinAttrs) })
+	return m.g, m.err
+}
+
+// RunRequest resolves req against the cluster's catalog and runs it on e —
+// the whole path for callers that picked the engine themselves (the
+// experiment harness, tests).
+func RunRequest(ctx context.Context, e Engine, cl *cluster.Cluster, req Request) (*Result, error) {
+	in, err := Resolve(cl.Catalog, req)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, cl, in)
+}

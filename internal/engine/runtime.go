@@ -9,7 +9,6 @@ import (
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
 	"sciview/internal/hashjoin"
-	"sciview/internal/metadata"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
 )
@@ -19,26 +18,21 @@ import (
 // walks a connectivity-graph schedule through the cache, GH routes records
 // by h1/h2 into scratch buckets. Everything after that is the same job on
 // the same nodes under the same cost terms, and it is written here once:
-// the run prologue (Begin), the executor-death retry loop (JoinParts), the
-// in-memory or spilled pair join with its CPU charge, calibration feed and
-// trace spans (Joiner), the output hand-off (Emit) and the result (Finish).
+// the cluster hold and clock (Begin; what to join was settled by Resolve),
+// the executor-death retry loop (JoinParts), the in-memory or spilled pair
+// join with its CPU charge, calibration feed and trace spans (Joiner), the
+// output hand-off (Emit) and the result (Finish).
 
-// Run is the state of one execution that the engines share. Begin fills
-// it; engines read the exported fields and never set them.
+// Run is the state of one execution that the engines share: the resolved
+// inputs it was handed plus what Begin adds. Engines read the exported
+// fields and never set them.
 type Run struct {
-	// Req is the validated request; its Progress is never nil.
-	Req     Request
+	// Inputs is the run's own copy of what it was given; its Req.Progress
+	// is never nil.
+	Inputs
 	Cluster *cluster.Cluster
 	// WorkFactor is Req.WorkFactor clamped to >= 1.
-	WorkFactor        int
-	LeftDef, RightDef *metadata.TableDef
-	// LeftFilter and RightFilter are the request's constraints restricted
-	// to each side's attributes, over that side's version window.
-	LeftFilter, RightFilter metadata.Range
-	// Project is the pushdown list (Request.EffectiveProject); the schemas
-	// below are the projected ones.
-	Project                            []string
-	LeftSchema, RightSchema, OutSchema tuple.Schema
+	WorkFactor int
 	// Obs collects the run's measured costs for Result.Observed.
 	Obs *ObsCollector
 
@@ -52,41 +46,22 @@ type Run struct {
 	release func()
 }
 
-// Begin validates the request, resolves both tables, takes the cluster
-// (shared, or exclusively with a state reset) and starts the run's clock.
+// Begin takes the cluster (shared, or exclusively with a state reset) and
+// starts the run's clock; everything the run joins was decided by Resolve.
 // The caller must Close the returned run.
-func Begin(ctx context.Context, cl *cluster.Cluster, req Request) (*Run, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	leftDef, err := cl.Catalog.Table(req.LeftTable)
-	if err != nil {
-		return nil, err
-	}
-	rightDef, err := cl.Catalog.Table(req.RightTable)
-	if err != nil {
-		return nil, err
-	}
-	if req.Progress == nil {
-		req.Progress = &Progress{}
-	}
-	project := req.EffectiveProject()
+func Begin(ctx context.Context, cl *cluster.Cluster, in *Inputs) (*Run, error) {
 	r := &Run{
-		Req: req, Cluster: cl,
-		WorkFactor: max(req.WorkFactor, 1),
-		LeftDef:    leftDef, RightDef: rightDef,
-		LeftFilter:  req.Filter.Restrict(leftDef.Schema, req.LeftWindow()),
-		RightFilter: req.Filter.Restrict(rightDef.Schema, req.RightWindow()),
-		Project:     project,
-		LeftSchema:  ProjectedSchema(leftDef.Schema, project),
-		RightSchema: ProjectedSchema(rightDef.Schema, project),
-		Obs:         &ObsCollector{},
+		Inputs: *in, Cluster: cl,
+		WorkFactor: max(in.Req.WorkFactor, 1),
+		Obs:        &ObsCollector{},
 	}
-	r.OutSchema = r.LeftSchema.JoinResult(r.RightSchema, req.JoinAttrs, "r_")
-	if req.MemoryBudget > 0 {
-		r.memCap = max(req.MemoryBudget/int64(2*len(cl.Compute)), 1)
+	if r.Req.Progress == nil {
+		r.Req.Progress = &Progress{}
 	}
-	if req.Shared {
+	if r.Req.MemoryBudget > 0 {
+		r.memCap = max(r.Req.MemoryBudget/int64(2*len(cl.Compute)), 1)
+	}
+	if r.Req.Shared {
 		cl.AcquireShared()
 		r.release = cl.ReleaseShared
 	} else {

@@ -2,11 +2,13 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
 
+	"sciview/internal/engine"
 	"sciview/internal/partition"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
@@ -51,7 +53,7 @@ func TestRuntimeParity(t *testing.T) {
 				if mode == "sink" {
 					req.Sink = sink
 				}
-				res, err := e.Run(cl, req)
+				res, err := engine.RunRequest(context.Background(), e, cl, req)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -2,8 +2,10 @@ package gh
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"sciview/internal/engine"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
 )
@@ -23,7 +25,7 @@ func TestParallelByteIdentical(t *testing.T) {
 		r := req()
 		r.Collect = true
 		r.Parallelism = parallelism
-		res, err := New().Run(cl, r)
+		res, err := engine.RunRequest(context.Background(), New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}

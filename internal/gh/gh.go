@@ -86,11 +86,6 @@ func h2(key uint64) uint64 {
 // same bucket objects.
 var runSeq atomic.Int64
 
-// Run implements engine.Engine.
-func (e *Engine) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	return e.RunContext(context.Background(), cl, req)
-}
-
 // ghRun is one execution: the shared runtime state plus what only Grace
 // Hash needs — its tunables, its scratch namespace and the scratch
 // managers to reap.
@@ -113,16 +108,16 @@ func (gr *ghRun) reap() {
 	}
 }
 
-// RunContext implements engine.Engine.
-func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	run, err := engine.Begin(ctx, cl, req)
+// Run implements engine.Engine.
+func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs) (*engine.Result, error) {
+	run, err := engine.Begin(ctx, cl, in)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
 	gr := &ghRun{Run: run, seq: runSeq.Add(1), buckets: e.Buckets, batchRows: e.BatchRows, flushRows: e.FlushRows}
 	if gr.buckets <= 0 {
-		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef, req)
+		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef, run.Req)
 	}
 	if gr.batchRows <= 0 {
 		gr.batchRows = defaultBatchRows
@@ -304,20 +299,16 @@ func (grp *group) part(sd side) *partitioner {
 }
 
 // scanTable runs the storage-side QES instances for one table in parallel:
-// scan the matching sub-tables (each chunk served by its primary node or,
-// when that node is unreachable, a replica), split records by h1 into
+// scan the side's resolved sub-tables (each chunk served by its primary node
+// or, when that node is unreachable, a replica), split records by h1 into
 // per-group batches, ship each batch and hand it to the group's
 // partitioner. With only >= 0, records of every other group are skipped —
 // the rebuild path re-materializing one lost group.
 func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only int) error {
 	cl := gr.Cluster
-	table, filter := gr.Req.LeftTable, gr.LeftFilter
+	all, filter := gr.LeftDescs, gr.LeftFilter
 	if sd == sideRight {
-		table, filter = gr.Req.RightTable, gr.RightFilter
-	}
-	all, err := cl.Catalog.ChunksInRange(table, filter)
-	if err != nil {
-		return err
+		all, filter = gr.RightDescs, gr.RightFilter
 	}
 	nj := len(groups) // h1's range — fixed for the run, even when rebuilding one group
 	errs := make([]error, len(cl.Storage))

@@ -1,6 +1,7 @@
 package gh
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestSkewedKeysSingleBucket(t *testing.T) {
 	_ = schemaL
 	_ = schemaR
 	cl := makeCluster(t, partition.D(1, 1, 4), partition.D(1, 1, 2), partition.D(1, 1, 4), 1, 2)
-	res, err := New().Run(cl, engine.Request{
+	res, err := engine.RunRequest(context.Background(), New(), cl, engine.Request{
 		LeftTable: "T1", RightTable: "T2", JoinAttrs: []string{"x", "y"}, // joins every z with every z: 16
 	})
 	if err != nil {
@@ -197,7 +198,7 @@ func TestDefaultBucketsScaleWithData(t *testing.T) {
 
 func TestScratchCleanedAfterRun(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
-	if _, err := New().Run(cl, req()); err != nil {
+	if _, err := engine.RunRequest(context.Background(), New(), cl, req()); err != nil {
 		t.Fatal(err)
 	}
 	for j, cn := range cl.Compute {
@@ -213,7 +214,7 @@ func TestScratchCleanedAfterRun(t *testing.T) {
 
 func TestPhasesReported(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 1, 1)
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +230,13 @@ func TestOverflowRecursionCorrectness(t *testing.T) {
 	// A tiny memory cap forces every bucket pair to repartition
 	// recursively; the join result must be unchanged.
 	cl := makeCluster(t, partition.D(16, 16, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
-	base, err := New().Run(cl, req())
+	base, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
 	over := req()
 	over.MemoryBudget = 512 * 2 * 2 // 512 bytes per bucket side; buckets are KBs: guaranteed overflow
-	res, err := New().Run(cl, over)
+	res, err := engine.RunRequest(context.Background(), New(), cl, over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestOverflowDuplicateKeysFallback(t *testing.T) {
 	// All records share (x,y): no hash can split them, so recursion must
 	// hit the depth cap and fall back to an in-memory join (not loop).
 	cl := makeCluster(t, partition.D(1, 1, 8), partition.D(1, 1, 4), partition.D(1, 1, 4), 1, 1)
-	res, err := New().Run(cl, engine.Request{
+	res, err := engine.RunRequest(context.Background(), New(), cl, engine.Request{
 		LeftTable: "T1", RightTable: "T2", JoinAttrs: []string{"x", "y"},
 		MemoryBudget: 16 * 2 * 1, // 16 bytes per bucket side: smaller than one record batch
 	})
@@ -268,7 +269,7 @@ func TestOverflowDuplicateKeysFallback(t *testing.T) {
 
 func TestOverflowDisabledByDefault(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 1, 1)
-	res, err := New().Run(cl, req()) // MemoryBudget = 0
+	res, err := engine.RunRequest(context.Background(), New(), cl, req()) // MemoryBudget = 0
 	if err != nil {
 		t.Fatal(err)
 	}

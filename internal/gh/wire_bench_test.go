@@ -1,9 +1,11 @@
 package gh
 
 import (
+	"context"
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 )
@@ -36,7 +38,7 @@ func BenchmarkGHWire(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := New().Run(cl, req())
+				res, err := engine.RunRequest(context.Background(), New(), cl, req())
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)

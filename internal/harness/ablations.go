@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/ij"
 	"sciview/internal/oilres"
 )
@@ -92,7 +94,7 @@ func (c *Config) runIJPolicy(e *ij.Engine, ds *oilres.Dataset, subTables, cacheB
 	if err != nil {
 		return AblationRow{}, err
 	}
-	res, err := e.Run(cl, c.request())
+	res, err := engine.RunRequest(context.Background(), e, cl, c.request())
 	if err != nil {
 		return AblationRow{}, err
 	}

@@ -287,20 +287,6 @@ func Fig9(cfg Config) (*Experiment, error) {
 	return exp, nil
 }
 
-// All runs every figure in order.
-func All(cfg Config) ([]*Experiment, error) {
-	type fig func(Config) (*Experiment, error)
-	var out []*Experiment
-	for _, f := range []fig{Fig4, Fig5, Fig6, Fig7, Fig8, Fig9} {
-		e, err := f(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // RunAndPrint runs every figure, printing each as it completes.
 func RunAndPrint(cfg Config, w io.Writer) error {
 	type fig func(Config) (*Experiment, error)

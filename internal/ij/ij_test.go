@@ -1,6 +1,7 @@
 package ij
 
 import (
+	"context"
 	"testing"
 
 	"sciview/internal/cluster"
@@ -48,7 +49,7 @@ func TestHashTableBuiltOncePerLeftSubTable(t *testing.T) {
 	p := partition.D(4, 8, 4)  // 8 left chunks... (4 per component over q)
 	q := partition.D(8, 16, 4) // 4 right chunks
 	cl := makeCluster(t, grid, p, q, 2, 2, 32<<20)
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestMemoryAssumptionNoEvictions(t *testing.T) {
 	b := partition.RightPerComponent(p, q)
 	cacheBytes := CacheBytesFor(cR, 16, b, cS, 16)
 	cl := makeCluster(t, grid, p, q, 2, 2, cacheBytes)
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestComponentsBalancedAcrossJoiners(t *testing.T) {
 	grid := partition.D(16, 16, 8)
 	q := partition.D(4, 4, 4)
 	cl := makeCluster(t, grid, q, q, 2, 4, 32<<20)
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestCollectProducesAllJoinerOutputs(t *testing.T) {
 	cl := makeCluster(t, grid, q, q, 2, 3, 32<<20)
 	r := req()
 	r.Collect = true
-	res, err := New().Run(cl, r)
+	res, err := engine.RunRequest(context.Background(), New(), cl, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestMoreJoinersThanComponents(t *testing.T) {
 	grid := partition.D(8, 8, 4)
 	q := partition.D(4, 4, 4)
 	cl := makeCluster(t, grid, q, q, 1, 8, 32<<20)
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestWorkFactorMultipliesCharges(t *testing.T) {
 	cl := makeCluster(t, grid, q, q, 1, 2, 32<<20)
 	r := req()
 	r.WorkFactor = 5
-	res, err := New().Run(cl, r)
+	res, err := engine.RunRequest(context.Background(), New(), cl, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestModeledCPUChargedPerJoiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New().Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), New(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestOPASMatchesComponentAtBound(t *testing.T) {
 	cacheBytes := CacheBytesFor(p.Cells(), 16, b, q.Cells(), 16)
 	cl := makeCluster(t, grid, p, q, 2, 2, cacheBytes)
 	e := &Engine{Schedule: ScheduleOPAS}
-	res, err := e.Run(cl, req())
+	res, err := engine.RunRequest(context.Background(), e, cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestOPASBeatsComponentBelowBound(t *testing.T) {
 	cl := makeCluster(t, grid, p, q, 2, 2, need/2)
 
 	runBytes := func(e *Engine) int64 {
-		res, err := e.Run(cl, req())
+		res, err := engine.RunRequest(context.Background(), e, cl, req())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package ij
 
 import (
+	"context"
 	"testing"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 )
@@ -39,7 +41,7 @@ func BenchmarkIJWire(b *testing.B) {
 				r := req()
 				r.Prefetch = 2
 				b.StartTimer()
-				res, err := New().Run(cl, r)
+				res, err := engine.RunRequest(context.Background(), New(), cl, r)
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)

@@ -10,8 +10,7 @@
 //
 // On top of the write path sit the freshness mechanisms: a Watcher that,
 // on each committed version, notifies only the dependents whose bounding
-// boxes intersect the new chunks (an R-tree query, not a full flush); a
-// ResultCache whose entries are invalidated by that intersection rule; and
+// boxes intersect the new chunks (an R-tree query, not a full flush); and
 // delta-join incremental maintenance for materialized equi-join views
 // (MaterializedView), which folds in new-left×old-right, old-left×new-right
 // and new-left×new-right instead of recomputing — byte-identical to a

@@ -297,44 +297,6 @@ func TestWatcherTargeting(t *testing.T) {
 	}
 }
 
-// TestResultCacheInvalidation: an append removes exactly the entries whose
-// regions intersect the new chunks; disjoint entries keep serving hits.
-func TestResultCacheInvalidation(t *testing.T) {
-	cl, in, batches, w, _ := liveCluster(t, 1)
-	rc, err := NewResultCache(w, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := cl.Catalog.Table("T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, def.Schema, 1)
-	rows.AppendRow(make([]float32, def.Schema.NumAttrs())...)
-	baseZ := float64(stepCfg().Grid.Z - 1*4)
-	rc.Put("cold", rows, map[string]bbox.Box{
-		"T1": RegionFor(def.Schema, metadata.Range{Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{baseZ - 1}}),
-	})
-	rc.Put("hot", rows, map[string]bbox.Box{
-		"T1": RegionFor(def.Schema, metadata.Range{Attrs: []string{"z"}, Lo: []float64{baseZ}, Hi: []float64{1e9}}),
-	})
-	if rc.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", rc.Len())
-	}
-	if _, err := in.Append(batches[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rc.Get("hot"); ok {
-		t.Fatal("entry intersecting the append survived the commit")
-	}
-	if _, ok := rc.Get("cold"); !ok {
-		t.Fatal("entry disjoint from the append was flushed")
-	}
-	if rc.Len() != 1 {
-		t.Fatalf("cache holds %d entries after commit, want 1", rc.Len())
-	}
-}
-
 // TestDeltaRefreshMatchesFull is the tentpole differential: across
 // randomized append sequences and several view shapes, delta-join
 // maintenance must stay byte-identical to recomputing the view from

@@ -10,6 +10,7 @@ import (
 	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/dds"
+	"sciview/internal/engine"
 	"sciview/internal/metadata"
 	"sciview/internal/metrics"
 	"sciview/internal/plan"
@@ -193,8 +194,7 @@ func (m *MaterializedView) RefreshFull() (int64, error) {
 // joinTerm runs one delta term through the streaming plan layer: the
 // view's join with per-side version windows, pinned at target. Returns nil
 // (no rows) when either side's window selects no chunks — the join of
-// anything with an empty chunk set is empty, and the planner treats an
-// empty side as an error.
+// anything with an empty chunk set is empty.
 func (m *MaterializedView) joinTerm(lw, rw metadata.VersionWindow, target int64) (*tuple.SubTable, error) {
 	v := m.cfg.View
 	req, err := v.Request(nil, false)
@@ -228,34 +228,24 @@ func (m *MaterializedView) joinTerm(lw, rw metadata.VersionWindow, target int64)
 		if !ok {
 			return nil, nil
 		}
-		req.Filter = intersectRanges(req.Filter, r)
+		// A delta wholly outside the view's own range joins to nothing.
+		if req.Filter, ok = intersectRanges(req.Filter, r); !ok {
+			return nil, nil
+		}
 	}
 
-	nl, err := m.sideChunks(req.LeftTable, req.Filter, req.LeftWindow())
+	in, err := engine.Resolve(m.cfg.Cluster.Catalog, req)
 	if err != nil {
 		return nil, err
 	}
-	nr, err := m.sideChunks(req.RightTable, req.Filter, req.RightWindow())
-	if err != nil {
-		return nil, err
-	}
-	if nl == 0 || nr == 0 {
+	if len(in.LeftDescs) == 0 || len(in.RightDescs) == 0 {
 		return nil, nil
 	}
-
-	eng, dec, err := m.cfg.Planner.Decide(m.cfg.Cluster, req)
+	eng, dec, err := m.cfg.Planner.Decide(m.cfg.Cluster, in)
 	if err != nil {
 		return nil, err
 	}
-	jn, err := plan.NewJoin(eng, m.cfg.Cluster, v.Name, req, &plan.JoinCost{
-		Chosen: dec.Chosen, Forced: dec.Forced, Params: dec.Params,
-		PredictIJ: dec.PredictIJ, PredictGH: dec.PredictGH,
-		Calibrated: dec.Calibrated, Constants: dec.Constants,
-	})
-	if err != nil {
-		return nil, err
-	}
-	p := &plan.Plan{Root: jn, OutID: tuple.ID{Table: -1, Chunk: -1}}
+	p := &plan.Plan{Root: plan.NewJoin(eng, m.cfg.Cluster, v.Name, in, dec), OutID: tuple.ID{Table: -1, Chunk: -1}}
 	rows, _, err := plan.Run(context.Background(), p)
 	return rows, err
 }
@@ -297,9 +287,9 @@ func (m *MaterializedView) deltaJoinBounds(table string, w metadata.VersionWindo
 }
 
 // intersectRanges conjoins two range filters, intersecting intervals on
-// shared attributes.
-func intersectRanges(a, b metadata.Range) metadata.Range {
-	out := metadata.Range{
+// shared attributes; ok is false when an intersection is empty.
+func intersectRanges(a, b metadata.Range) (out metadata.Range, ok bool) {
+	out = metadata.Range{
 		Attrs:    append([]string(nil), a.Attrs...),
 		Lo:       append([]float64(nil), a.Lo...),
 		Hi:       append([]float64(nil), a.Hi...),
@@ -317,6 +307,9 @@ func intersectRanges(a, b metadata.Range) metadata.Range {
 			if b.Hi[j] < out.Hi[i] {
 				out.Hi[i] = b.Hi[j]
 			}
+			if out.Lo[i] > out.Hi[i] {
+				return out, false
+			}
 			found = true
 			break
 		}
@@ -326,21 +319,7 @@ func intersectRanges(a, b metadata.Range) metadata.Range {
 			out.Hi = append(out.Hi, b.Hi[j])
 		}
 	}
-	return out
-}
-
-// sideChunks counts the chunks one side resolves to under a filter and
-// version window.
-func (m *MaterializedView) sideChunks(table string, filter metadata.Range, w metadata.VersionWindow) (int, error) {
-	def, err := m.cfg.Cluster.Catalog.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	descs, err := m.cfg.Cluster.Catalog.ChunksInRange(table, filter.Restrict(def.Schema, w))
-	if err != nil {
-		return 0, err
-	}
-	return len(descs), nil
+	return out, true
 }
 
 // markStale is the watcher callback target.

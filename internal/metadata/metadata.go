@@ -326,9 +326,6 @@ type VersionWindow struct {
 	Until int64
 }
 
-// Unconstrained reports whether the window admits every version.
-func (w VersionWindow) Unconstrained() bool { return w.Since == 0 && w.Until == 0 }
-
 // Admits reports whether a chunk at version v is visible in the window.
 func (w VersionWindow) Admits(v int64) bool {
 	return v > w.Since && (w.Until == 0 || v <= w.Until)

@@ -27,11 +27,8 @@ type stubEngine struct{ parts []partFunc }
 
 func (e *stubEngine) Name() string { return "stub" }
 
-func (e *stubEngine) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, error) {
-	return e.RunContext(context.Background(), cl, req)
-}
-
-func (e *stubEngine) RunContext(ctx context.Context, _ *cluster.Cluster, req engine.Request) (*engine.Result, error) {
+func (e *stubEngine) Run(ctx context.Context, _ *cluster.Cluster, in *engine.Inputs) (*engine.Result, error) {
+	req := in.Req
 	errs := make([]error, len(e.parts))
 	var wg sync.WaitGroup
 	for p, run := range e.parts {
@@ -127,7 +124,7 @@ func TestCancelMidJoin(t *testing.T) {
 			ready = make(chan struct{}, len(tc.parts))
 			var root Node = &JoinNode{
 				Eng: &stubEngine{parts: tc.parts}, Cluster: &cluster.Cluster{},
-				Parts: len(tc.parts), schema: testSchema,
+				Parts: len(tc.parts), In: &engine.Inputs{OutSchema: testSchema},
 			}
 			if tc.topK {
 				root = NewLimit(&SortNode{Child: root, Keys: []query.OrderKey{{Attr: "v"}}}, 2)

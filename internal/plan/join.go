@@ -39,7 +39,7 @@ type engineOutcome struct {
 	err error
 }
 
-func (o *joinOp) Schema() tuple.Schema { return o.node.schema }
+func (o *joinOp) Schema() tuple.Schema { return o.node.In.OutSchema }
 
 func (o *joinOp) Open(ctx context.Context) error {
 	jctx, cancel := context.WithCancel(ctx)
@@ -51,10 +51,12 @@ func (o *joinOp) Open(ctx context.Context) error {
 	// through and the others throttle on a bounded buffer.
 	o.sink = newReorder(o.node.Parts, o.node.Cluster.Config.Faults != nil)
 	o.progress = &engine.Progress{}
-	req := o.node.Req
-	req.Collect = false
-	req.Sink = o.sink
-	req.Progress = o.progress
+	// This execution's copy of the inputs: the sink and progress counters
+	// are per run, the resolution (and its graph) is the plan's.
+	in := *o.node.In
+	in.Req.Collect = false
+	in.Req.Sink = o.sink
+	in.Req.Progress = o.progress
 	o.resCh = make(chan engineOutcome, 1)
 	o.opened = time.Now()
 	// A cancel from above must reach the sink itself, not only the engine:
@@ -63,7 +65,7 @@ func (o *joinOp) Open(ctx context.Context) error {
 	// on each other while the engine waits on that producer.
 	o.unwatch = context.AfterFunc(jctx, func() { o.sink.close(jctx.Err()) })
 	go func() {
-		res, err := o.node.Eng.RunContext(jctx, o.node.Cluster, req)
+		res, err := o.node.Eng.Run(jctx, o.node.Cluster, &in)
 		o.sink.finish(err)
 		o.resCh <- engineOutcome{res, err}
 	}()

@@ -81,16 +81,6 @@ func buildNode(n Node, ops *[]Operator) (Operator, error) {
 		op.s.Op = t.describe()
 		*ops = append(*ops, op)
 		return op, nil
-	case *FilterNode:
-		op := &filterOp{node: t}
-		op.s.Op = t.describe()
-		*ops = append(*ops, op)
-		child, err := buildNode(t.Child, ops)
-		if err != nil {
-			return nil, err
-		}
-		op.child = child
-		return op, nil
 	case *ProjectNode:
 		op := &projectOp{node: t}
 		op.s.Op = t.describe()

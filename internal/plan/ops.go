@@ -8,49 +8,6 @@ import (
 	"sciview/internal/tuple"
 )
 
-// filterOp applies residual range predicates batch by batch.
-type filterOp struct {
-	opstat
-	node  *FilterNode
-	child Operator
-	names []string
-	lo    []float64
-	hi    []float64
-}
-
-func (o *filterOp) Schema() tuple.Schema { return o.node.Schema() }
-
-func (o *filterOp) Open(ctx context.Context) error {
-	for _, p := range o.node.Preds {
-		o.names = append(o.names, p.Attr)
-		o.lo = append(o.lo, p.Lo)
-		o.hi = append(o.hi, p.Hi)
-	}
-	return o.child.Open(ctx)
-}
-
-func (o *filterOp) Next() (*tuple.SubTable, error) {
-	start := time.Now()
-	defer o.timed(start)
-	for {
-		st, err := o.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		kept, err := st.FilterRange(o.names, o.lo, o.hi)
-		if err != nil {
-			return nil, err
-		}
-		if kept.NumRows() == 0 {
-			continue
-		}
-		o.observe(kept)
-		return kept, nil
-	}
-}
-
-func (o *filterOp) Close() error { return o.child.Close() }
-
 // projectOp narrows each batch to the named columns (shares the column
 // storage — no copy).
 type projectOp struct {

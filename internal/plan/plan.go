@@ -1,7 +1,7 @@
 // Package plan is the streaming execution layer between the SQL planner
-// and the join engines: a typed plan DAG (Scan, Filter, Project, Join,
-// Aggregate, Sort, Limit) plus a batch-iterator Operator interface that
-// evaluates it without materializing whole intermediate results.
+// and the join engines: a typed plan DAG (Scan, Project, Join, Aggregate,
+// Sort, Limit) plus a batch-iterator Operator interface that evaluates it
+// without materializing whole intermediate results.
 //
 // A plan is the recipe the planner lowers a SELECT into. Sources stream
 // batches — a table scan fetches chunks through a bounded lookahead
@@ -39,7 +39,7 @@ import (
 
 // Node is one vertex of the plan DAG. Nodes are typed data: they carry
 // the logical description (for EXPLAIN) and the physical recipe (cluster,
-// engine, request) their operator executes.
+// engine, resolved inputs) their operator executes.
 type Node interface {
 	// Schema is the node's statically-known output schema.
 	Schema() tuple.Schema
@@ -162,22 +162,14 @@ func NewScan(cl *cluster.Cluster, table string, preds []query.Pred, proj []strin
 }
 
 // joinInputScan describes one side of a join for EXPLAIN: the engine does
-// the actual fetching with this filter and projection pushed down. The
-// chunk set is resolved best-effort so the scan can annotate its estimated
-// fetch volume; a resolution failure leaves the estimates at zero without
-// failing the plan (the engine re-resolves at run time anyway).
-func joinInputScan(cl *cluster.Cluster, table string, schema tuple.Schema, filter metadata.Range, proj []string) *ScanNode {
+// the actual fetching of descs with this filter and projection pushed
+// down; the scan only annotates the estimated fetch volume.
+func joinInputScan(cl *cluster.Cluster, def *metadata.TableDef, schema tuple.Schema, filter metadata.Range, proj []string, descs []*chunk.Desc) *ScanNode {
 	n := &ScanNode{
-		Cluster: cl, Table: table, Proj: proj,
+		Cluster: cl, Table: def.Name, Proj: proj,
 		joinSide: true, filter: filter, schema: schema,
 	}
-	if descs, err := cl.Catalog.ChunksInRange(table, filter); err == nil {
-		fullAttrs := len(schema.Names())
-		if def, err := cl.Catalog.Table(table); err == nil {
-			fullAttrs = len(def.Schema.Names())
-		}
-		n.resolveEstimates(descs, fullAttrs)
-	}
+	n.resolveEstimates(descs, len(def.Schema.Names()))
 	return n
 }
 
@@ -258,65 +250,40 @@ func fmtBytes(n int64) string {
 // ---------------------------------------------------------------------
 // Join
 
-// JoinCost is the cost-model decision attached to a join node, rendered
-// by EXPLAIN.
-type JoinCost struct {
-	Chosen    string
-	Forced    bool
-	Params    costmodel.Params
-	PredictIJ costmodel.Breakdown
-	PredictGH costmodel.Breakdown
-	// Calibrated reports whether live-calibrated constants displaced the
-	// configured ones in Params; Constants is the estimator snapshot the
-	// decision consulted.
-	Calibrated bool
-	Constants  costmodel.Constants
-}
-
 // JoinNode runs the view's equi-join through the chosen engine, streaming
-// output batches in deterministic slot/group order. The request carries
-// the merged filter and the pushed-down projection; its children are the
-// descriptive per-side scans.
+// output batches in deterministic slot/group order. The resolved inputs
+// carry the merged filter, the pushed-down projection and both chunk
+// sets; the node's children are the descriptive per-side scans.
 type JoinNode struct {
 	Eng     engine.Engine
 	Cluster *cluster.Cluster
 	// View is the queried view's name (display).
 	View string
-	Req  engine.Request
+	// In is what the engine will join. Its Req's run-policy fields may be
+	// stamped until the plan runs (shared mode, prefetch, parallelism,
+	// memory budget).
+	In *engine.Inputs
 	// Cost is the planner's decision record (nil when unavailable).
-	Cost *JoinCost
+	Cost *costmodel.Decision
 	// Parts is the number of emission parts (IJ slots / GH groups): one
 	// per compute node.
 	Parts int
 
 	left, right *ScanNode
-	schema      tuple.Schema
 }
 
-// NewJoin builds a join node from an engine request the planner has
-// already chosen an engine for.
-func NewJoin(eng engine.Engine, cl *cluster.Cluster, view string, req engine.Request, cost *JoinCost) (*JoinNode, error) {
-	leftDef, err := cl.Catalog.Table(req.LeftTable)
-	if err != nil {
-		return nil, err
-	}
-	rightDef, err := cl.Catalog.Table(req.RightTable)
-	if err != nil {
-		return nil, err
-	}
-	project := req.EffectiveProject()
-	ls := engine.ProjectedSchema(leftDef.Schema, project)
-	rs := engine.ProjectedSchema(rightDef.Schema, project)
+// NewJoin builds a join node over resolved inputs the planner has already
+// chosen an engine for.
+func NewJoin(eng engine.Engine, cl *cluster.Cluster, view string, in *engine.Inputs, cost *costmodel.Decision) *JoinNode {
 	return &JoinNode{
-		Eng: eng, Cluster: cl, View: view, Req: req, Cost: cost,
-		Parts:  len(cl.Compute),
-		left:   joinInputScan(cl, req.LeftTable, ls, req.Filter.Restrict(leftDef.Schema, req.LeftWindow()), project),
-		right:  joinInputScan(cl, req.RightTable, rs, req.Filter.Restrict(rightDef.Schema, req.RightWindow()), project),
-		schema: ls.JoinResult(rs, req.JoinAttrs, "r_"),
-	}, nil
+		Eng: eng, Cluster: cl, View: view, In: in, Cost: cost,
+		Parts: len(cl.Compute),
+		left:  joinInputScan(cl, in.LeftDef, in.LeftSchema, in.LeftFilter, in.Project, in.LeftDescs),
+		right: joinInputScan(cl, in.RightDef, in.RightSchema, in.RightFilter, in.Project, in.RightDescs),
+	}
 }
 
-func (n *JoinNode) Schema() tuple.Schema { return n.schema }
+func (n *JoinNode) Schema() tuple.Schema { return n.In.OutSchema }
 func (n *JoinNode) Children() []Node     { return []Node{n.left, n.right} }
 
 func (n *JoinNode) describe() string {
@@ -325,7 +292,7 @@ func (n *JoinNode) describe() string {
 		name = n.Eng.Name()
 	}
 	s := fmt.Sprintf("Join[%s](%s ⋈ %s ON %s)", name,
-		n.Req.LeftTable, n.Req.RightTable, strings.Join(n.Req.JoinAttrs, ", "))
+		n.In.Req.LeftTable, n.In.Req.RightTable, strings.Join(n.In.Req.JoinAttrs, ", "))
 	if n.View != "" {
 		s += " view=" + n.View
 	}
@@ -340,8 +307,8 @@ func (n *JoinNode) describe() string {
 func (n *JoinNode) annotations() []string {
 	c := n.Cost
 	if c == nil {
-		if n.Req.MemoryBudget > 0 {
-			return []string{spillLine(n.Req.MemoryBudget, residentBytes(n))}
+		if n.In.Req.MemoryBudget > 0 {
+			return []string{spillLine(n.In.Req.MemoryBudget, residentBytes(n))}
 		}
 		return nil
 	}
@@ -368,43 +335,14 @@ func (n *JoinNode) annotations() []string {
 	if c.Calibrated {
 		lines = append(lines, "constants: "+c.Constants.String())
 	}
-	if n.Req.MemoryBudget > 0 {
-		lines = append(lines, spillLine(n.Req.MemoryBudget, residentBytes(n)))
+	if n.In.Req.MemoryBudget > 0 {
+		lines = append(lines, spillLine(n.In.Req.MemoryBudget, residentBytes(n)))
 	}
 	return lines
 }
 
 // ---------------------------------------------------------------------
 // Row operators
-
-// FilterNode applies residual range predicates batch-by-batch — the ones
-// that could not be pushed below a source.
-type FilterNode struct {
-	Child Node
-	Preds []query.Pred
-}
-
-// NewFilter validates the predicates against the child's schema.
-func NewFilter(child Node, preds []query.Pred) (*FilterNode, error) {
-	for _, p := range preds {
-		if child.Schema().Index(p.Attr) < 0 {
-			return nil, fmt.Errorf("plan: filter references %q, not an output column of %v",
-				p.Attr, child.Schema().Names())
-		}
-	}
-	return &FilterNode{Child: child, Preds: preds}, nil
-}
-
-func (n *FilterNode) Schema() tuple.Schema { return n.Child.Schema() }
-func (n *FilterNode) Children() []Node     { return []Node{n.Child} }
-
-func (n *FilterNode) describe() string {
-	var parts []string
-	for _, p := range n.Preds {
-		parts = append(parts, fmt.Sprintf("%s ∈ [%g, %g]", p.Attr, p.Lo, p.Hi))
-	}
-	return fmt.Sprintf("Filter(%s)", strings.Join(parts, ", "))
-}
 
 // ProjectNode narrows each batch to the named columns, in name order.
 type ProjectNode struct {
@@ -773,7 +711,7 @@ func (p *Plan) SetBudget(budget int64) {
 		case *AggregateNode:
 			t.SpillBudget, t.SpillDisk, t.SpillOwner, t.SpillTrace = share, disk, owner, p.Trace
 		case *JoinNode:
-			t.Req.MemoryBudget = share
+			t.In.Req.MemoryBudget = share
 		}
 	}
 }

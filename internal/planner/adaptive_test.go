@@ -49,7 +49,7 @@ func TestCalibrationMovesConstantsAndFlipsDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, before, err := ex.Planner.Decide(cl, req)
+	_, before, err := ex.Planner.Decide(cl, resolved(t, cl, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCalibrationMovesConstantsAndFlipsDecision(t *testing.T) {
 		}
 	}
 
-	_, after, err := ex.Planner.Decide(cl, req)
+	_, after, err := ex.Planner.Decide(cl, resolved(t, cl, req))
 	if err != nil {
 		t.Fatal(err)
 	}

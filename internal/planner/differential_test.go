@@ -163,8 +163,8 @@ func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefet
 		t.Fatalf("%s [lower]: %v", sql, err)
 	}
 	if l.Join != nil {
-		l.Join.Req.Prefetch = prefetch
-		l.Join.Req.Parallelism = parallelism
+		l.Join.In.Req.Prefetch = prefetch
+		l.Join.In.Req.Parallelism = parallelism
 	}
 	out, err := ex.ExecLowered(context.Background(), l)
 	if err != nil {

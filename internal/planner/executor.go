@@ -129,7 +129,7 @@ func (ex *Executor) ExecContext(ctx context.Context, sql string) (*Output, error
 		return &Output{ViewCreated: v.Name}, nil
 	case *query.Select:
 		if ex.Materialize {
-			return ex.execSelect(s)
+			return ex.execSelect(ctx, s)
 		}
 		l, err := ex.lowerSelect(s)
 		if err != nil {
@@ -187,7 +187,7 @@ func classifyItems(s *query.Select) (star bool, plain []string, aggs []query.Sel
 	return star, plain, aggs, nil
 }
 
-func (ex *Executor) execSelect(s *query.Select) (*Output, error) {
+func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, error) {
 	star, plain, aggs, err := classifyItems(s)
 	if err != nil {
 		return nil, err
@@ -204,7 +204,7 @@ func (ex *Executor) execSelect(s *query.Select) (*Output, error) {
 		}
 		req.Project = ex.pushdownFor(v, needed)
 		req.Trace = ex.Trace
-		res, dec, err := ex.Planner.Run(ex.Cluster, req)
+		res, dec, err := Run(ctx, ex.Planner, ex.Cluster, req)
 		if err != nil {
 			return nil, err
 		}

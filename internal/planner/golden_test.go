@@ -225,8 +225,8 @@ func TestGoldenPrefetchAndParallelism(t *testing.T) {
 			for _, q := range corpus {
 				runGoldenQuery(t, ex, q, func(l *Lowered) {
 					if l.Join != nil {
-						l.Join.Req.Prefetch = k.prefetch
-						l.Join.Req.Parallelism = k.parallelism
+						l.Join.In.Req.Prefetch = k.prefetch
+						l.Join.In.Req.Parallelism = k.parallelism
 					}
 				})
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"sciview/internal/engine"
 	"sciview/internal/plan"
 	"sciview/internal/query"
 	"sciview/internal/tuple"
@@ -24,14 +25,10 @@ type Lowered struct {
 	// Decision is the cost-model record for join-backed plans (nil for
 	// table scans).
 	Decision *Decision
-	// Join is the plan's join node, if any; its Req may be adjusted
-	// (shared mode, prefetch, parallelism) before Exec.
+	// Join is the plan's join node, if any; the run-policy fields of its
+	// In.Req may be adjusted (shared mode, prefetch, parallelism) before
+	// Exec.
 	Join *plan.JoinNode
-	// AsOf is the catalog version the statement was pinned to at lowering:
-	// chunk resolution everywhere in the plan sees exactly the dataset as
-	// of this version, so ingest committing between admission and execution
-	// never perturbs the result (snapshot isolation).
-	AsOf int64
 }
 
 // Lower parses one SELECT statement and lowers it to a plan.
@@ -56,14 +53,13 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 	}
 	needed := neededAttrs(star, plain, aggs, s)
 
-	// Pin the statement to the catalog version current at lowering. Every
-	// chunk resolution below — the join engines' side filters, the cost
-	// model's parameter derivation, the table scan's desc list — carries
-	// this pin, so a concurrent append batch is either entirely visible
-	// (committed before this line) or entirely invisible.
+	// Pin the statement to the catalog version current at lowering. Its
+	// one chunk resolution — engine.Resolve for a view, the table scan's
+	// desc list — carries this pin, so a concurrent append batch is either
+	// entirely visible (committed before this line) or entirely invisible.
 	asOf := ex.Cluster.Catalog.Version()
 
-	l := &Lowered{AsOf: asOf}
+	l := &Lowered{}
 	var node plan.Node
 	if v, ok := ex.View(s.From); ok {
 		req, err := v.Request(s.Where, false)
@@ -73,20 +69,16 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 		req.AsOf = asOf
 		req.Project = ex.pushdownFor(v, needed)
 		req.Trace = ex.Trace
-		eng, dec, err := ex.Planner.Decide(ex.Cluster, req)
+		in, err := engine.Resolve(ex.Cluster.Catalog, req)
 		if err != nil {
 			return nil, err
 		}
-		jn, err := plan.NewJoin(eng, ex.Cluster, v.Name, req, &plan.JoinCost{
-			Chosen: dec.Chosen, Forced: dec.Forced, Params: dec.Params,
-			PredictIJ: dec.PredictIJ, PredictGH: dec.PredictGH,
-			Calibrated: dec.Calibrated, Constants: dec.Constants,
-		})
+		eng, dec, err := ex.Planner.Decide(ex.Cluster, in)
 		if err != nil {
 			return nil, err
 		}
-		l.Decision, l.Join = dec, jn
-		node = jn
+		l.Decision, l.Join = dec, plan.NewJoin(eng, ex.Cluster, v.Name, in, dec)
+		node = l.Join
 	} else {
 		sn, err := plan.NewScan(ex.Cluster, s.From, s.Where, needed, asOf)
 		if err != nil {

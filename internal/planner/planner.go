@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"sciview/internal/cluster"
-	"sciview/internal/congraph"
 	"sciview/internal/costmodel"
 	"sciview/internal/engine"
 	"sciview/internal/gh"
@@ -42,22 +41,8 @@ func New() *Planner {
 	return &Planner{Est: costmodel.NewEstimator(), ijEngine: ij.New(), ghEngine: gh.New()}
 }
 
-// Decision records why an engine was chosen. Params holds the constants
-// the predictions actually used (post-calibration when the estimator has
-// graduated signals); Constants and Calibrated record the provenance.
-type Decision struct {
-	Params    costmodel.Params
-	PredictIJ costmodel.Breakdown
-	PredictGH costmodel.Breakdown
-	Chosen    string
-	Forced    bool
-	// Calibrated reports whether any live-calibrated constant displaced
-	// its static counterpart in Params.
-	Calibrated bool
-	// Constants is the estimator snapshot the decision consulted (zero
-	// when the planner has no estimator).
-	Constants costmodel.Constants
-}
+// Decision records why an engine was chosen (see costmodel.Decision).
+type Decision = costmodel.Decision
 
 // calibrate fills the CPU constants if unset.
 func (p *Planner) calibrate() {
@@ -66,44 +51,22 @@ func (p *Planner) calibrate() {
 	}
 }
 
-// ParamsFor derives the Table 1 parameters of a request against a cluster:
-// tuple counts and record sizes from the catalog, the connectivity edge
-// count from the page-level join index, node counts and bandwidths from the
-// cluster configuration.
-func (p *Planner) ParamsFor(cl *cluster.Cluster, req engine.Request) (costmodel.Params, error) {
-	if err := req.Validate(); err != nil {
-		return costmodel.Params{}, err
-	}
+// ParamsFor derives the Table 1 parameters of a resolved request against a
+// cluster: tuple counts and record sizes from the resolved chunk sets, the
+// connectivity edge count from the page-level join index, node counts and
+// bandwidths from the cluster configuration. A side that resolved to no
+// chunks has zero tuples per sub-table.
+func (p *Planner) ParamsFor(cl *cluster.Cluster, in *engine.Inputs) (costmodel.Params, error) {
 	p.calibrate()
-	leftDef, err := cl.Catalog.Table(req.LeftTable)
-	if err != nil {
-		return costmodel.Params{}, err
-	}
-	rightDef, err := cl.Catalog.Table(req.RightTable)
-	if err != nil {
-		return costmodel.Params{}, err
-	}
-	leftDescs, err := cl.Catalog.ChunksInRange(req.LeftTable, req.Filter.Restrict(leftDef.Schema, req.LeftWindow()))
-	if err != nil {
-		return costmodel.Params{}, err
-	}
-	rightDescs, err := cl.Catalog.ChunksInRange(req.RightTable, req.Filter.Restrict(rightDef.Schema, req.RightWindow()))
-	if err != nil {
-		return costmodel.Params{}, err
-	}
-	if len(leftDescs) == 0 || len(rightDescs) == 0 {
-		return costmodel.Params{}, fmt.Errorf("planner: no chunks in range (left %d, right %d)",
-			len(leftDescs), len(rightDescs))
-	}
-	graph, err := congraph.Build(leftDescs, rightDescs, req.JoinAttrs)
+	graph, err := in.Graph()
 	if err != nil {
 		return costmodel.Params{}, err
 	}
 	var leftRows, rightRows int64
-	for _, d := range leftDescs {
+	for _, d := range in.LeftDescs {
 		leftRows += int64(d.Rows)
 	}
-	for _, d := range rightDescs {
+	for _, d := range in.RightDescs {
 		rightRows += int64(d.Rows)
 	}
 	cfg := cl.Config
@@ -112,14 +75,13 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, req engine.Request) (costmodel.
 	// Projection pushdown shrinks the records that actually travel; the
 	// models must price the projected sizes or they would mis-rank the
 	// engines for narrow queries.
-	project := req.EffectiveProject()
 	return costmodel.Params{
 		T:           leftRows,
-		CR:          leftRows / int64(len(leftDescs)),
-		CS:          rightRows / int64(len(rightDescs)),
+		CR:          leftRows / int64(max(len(in.LeftDescs), 1)),
+		CS:          rightRows / int64(max(len(in.RightDescs), 1)),
 		Ne:          int64(graph.NumEdges()),
-		RSR:         engine.ProjectedSchema(leftDef.Schema, project).RecordSize(),
-		RSS:         engine.ProjectedSchema(rightDef.Schema, project).RecordSize(),
+		RSR:         in.LeftSchema.RecordSize(),
+		RSS:         in.RightSchema.RecordSize(),
 		Ns:          cfg.StorageNodes,
 		Nj:          cfg.ComputeNodes,
 		NetBw:       cfg.NetAggregateBw(),
@@ -127,7 +89,7 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, req engine.Request) (costmodel.
 		WriteBw:     cfg.DiskWriteBw,
 		AlphaBuild:  alphaBuild,
 		AlphaLookup: alphaLookup,
-		WorkFactor:  req.WorkFactor,
+		WorkFactor:  in.Req.WorkFactor,
 	}, nil
 }
 
@@ -136,9 +98,11 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, req engine.Request) (costmodel.
 // picks the faster one (honoring Force). The returned Decision carries
 // full provenance — the applied Params, both predictions, and whether
 // calibrated constants displaced configured ones — and every decision is
-// counted in the estimator's decision metric.
-func (p *Planner) Decide(cl *cluster.Cluster, req engine.Request) (engine.Engine, *Decision, error) {
-	params, err := p.ParamsFor(cl, req)
+// counted in the estimator's decision metric. When a side resolved to no
+// chunks there is nothing to price: the predictions stay zero and the tie
+// rule picks the engine that will run its zero units.
+func (p *Planner) Decide(cl *cluster.Cluster, in *engine.Inputs) (engine.Engine, *Decision, error) {
+	params, err := p.ParamsFor(cl, in)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,10 +112,13 @@ func (p *Planner) Decide(cl *cluster.Cluster, req engine.Request) (engine.Engine
 		d.Calibrated = d.Constants.AnyLive()
 	}
 	d.Params = params
-	if cl.Config.SharedFS {
+	switch {
+	case len(in.LeftDescs) == 0 || len(in.RightDescs) == 0:
+		// Zero units to run: both predictions stay zero.
+	case cl.Config.SharedFS:
 		d.PredictIJ = params.IJSharedFS()
 		d.PredictGH = params.GHSharedFS()
-	} else {
+	default:
 		d.PredictIJ = params.IJ()
 		d.PredictGH = params.GH()
 	}
@@ -201,18 +168,19 @@ func (p *Planner) Observe(res *engine.Result) {
 	})
 }
 
-// Run chooses an engine and executes the request.
-func (p *Planner) Run(cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
-	return p.RunContext(context.Background(), cl, req)
-}
-
-// RunContext is Run observing ctx through the chosen engine.
-func (p *Planner) RunContext(ctx context.Context, cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
-	eng, d, err := p.Decide(cl, req)
+// Run is the whole life of one join request outside the service and the
+// plan layer: resolve, decide, run on the chosen engine, observe. The
+// Materialize oracle executes its joins through it.
+func Run(ctx context.Context, p *Planner, cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
+	in, err := engine.Resolve(cl.Catalog, req)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := eng.RunContext(ctx, cl, req)
+	eng, d, err := p.Decide(cl, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := eng.Run(ctx, cl, in)
 	if err != nil {
 		return nil, nil, err
 	}

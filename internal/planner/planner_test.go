@@ -1,8 +1,10 @@
 package planner
 
 import (
+	"context"
 	"testing"
 
+	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/oilres"
@@ -40,6 +42,16 @@ func req() engine.Request {
 	}
 }
 
+// resolved is engine.Resolve against cl's catalog, failing the test on error.
+func resolved(t *testing.T, cl *cluster.Cluster, r engine.Request) *engine.Inputs {
+	t.Helper()
+	in, err := engine.Resolve(cl.Catalog, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestParamsFor(t *testing.T) {
 	cfg := cluster.Config{
 		StorageNodes: 2, ComputeNodes: 3,
@@ -48,7 +60,7 @@ func TestParamsFor(t *testing.T) {
 	}
 	cl := makeCluster(t, partition.D(16, 16, 8), partition.D(8, 8, 8), partition.D(4, 4, 8), cfg)
 	p := fastPlanner()
-	params, err := p.ParamsFor(cl, req())
+	params, err := p.ParamsFor(cl, resolved(t, cl, req()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,7 @@ func TestParamsRespectRange(t *testing.T) {
 	r.Filter.Attrs = []string{"x"}
 	r.Filter.Lo = []float64{0}
 	r.Filter.Hi = []float64{7}
-	params, err := p.ParamsFor(cl, r)
+	params, err := p.ParamsFor(cl, resolved(t, cl, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestChooseMatchesModels(t *testing.T) {
 	// Degree-1 graph: IJ should win.
 	cl := makeCluster(t, partition.D(16, 16, 8), partition.D(4, 4, 8), partition.D(4, 4, 8), cfg)
 	p := fastPlanner()
-	eng, dec, err := p.Decide(cl, req())
+	eng, dec, err := p.Decide(cl, resolved(t, cl, req()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestChooseMatchesModels(t *testing.T) {
 	// slabs => each right sub-table overlaps 256 lefts, so its records are
 	// probed 256 times. IJ's lookup term explodes => GH.
 	cl2 := makeCluster(t, partition.D(16, 16, 8), partition.D(1, 1, 8), partition.D(16, 16, 1), cfg)
-	eng2, dec2, err := p.Decide(cl2, req())
+	eng2, dec2, err := p.Decide(cl2, resolved(t, cl2, req()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +139,7 @@ func TestForce(t *testing.T) {
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), cfg)
 	p := fastPlanner()
 	p.Force = "gh"
-	eng, dec, err := p.Decide(cl, req())
+	eng, dec, err := p.Decide(cl, resolved(t, cl, req()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +147,7 @@ func TestForce(t *testing.T) {
 		t.Errorf("force failed: %s forced=%v", eng.Name(), dec.Forced)
 	}
 	p.Force = "zzz"
-	if _, _, err := p.Decide(cl, req()); err == nil {
+	if _, _, err := p.Decide(cl, resolved(t, cl, req())); err == nil {
 		t.Error("unknown forced engine accepted")
 	}
 }
@@ -143,7 +155,7 @@ func TestForce(t *testing.T) {
 func TestRunExecutes(t *testing.T) {
 	cfg := cluster.Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 16 << 20}
 	cl := makeCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), cfg)
-	res, dec, err := fastPlanner().Run(cl, req())
+	res, dec, err := Run(context.Background(), fastPlanner(), cl, req())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +173,28 @@ func TestParamsErrors(t *testing.T) {
 	p := fastPlanner()
 	bad := req()
 	bad.LeftTable = "nope"
-	if _, err := p.ParamsFor(cl, bad); err == nil {
+	if _, _, err := Run(context.Background(), p, cl, bad); err == nil {
 		t.Error("unknown table accepted")
 	}
+	// A range that selects no chunks is not an error: there is nothing to
+	// price, so the parameters are zero and the models are skipped.
 	empty := req()
 	empty.Filter.Attrs = []string{"x"}
 	empty.Filter.Lo = []float64{1000}
 	empty.Filter.Hi = []float64{2000}
-	if _, err := p.ParamsFor(cl, empty); err == nil {
-		t.Error("empty range accepted")
+	params, err := p.ParamsFor(cl, resolved(t, cl, empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if params.T != 0 || params.CR != 0 || params.CS != 0 || params.Ne != 0 {
+		t.Errorf("empty range params = %+v, want zero tuples and edges", params)
+	}
+	_, dec, err := p.Decide(cl, resolved(t, cl, empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.PredictIJ.Total != 0 || dec.PredictGH.Total != 0 {
+		t.Errorf("empty range was priced: ij %v gh %v", dec.PredictIJ.Total, dec.PredictGH.Total)
 	}
 }
 
@@ -177,14 +202,14 @@ func TestCalibrationRunsOnce(t *testing.T) {
 	cfg := cluster.Config{StorageNodes: 1, ComputeNodes: 1, CacheBytes: 8 << 20}
 	cl := makeCluster(t, partition.D(4, 4, 2), partition.D(2, 2, 2), partition.D(2, 2, 2), cfg)
 	p := New() // no alphas set: must self-calibrate
-	if _, err := p.ParamsFor(cl, req()); err != nil {
+	if _, err := p.ParamsFor(cl, resolved(t, cl, req())); err != nil {
 		t.Fatal(err)
 	}
 	if p.AlphaBuild <= 0 || p.AlphaLookup <= 0 {
 		t.Error("calibration did not run")
 	}
 	a, b := p.AlphaBuild, p.AlphaLookup
-	if _, err := p.ParamsFor(cl, req()); err != nil {
+	if _, err := p.ParamsFor(cl, resolved(t, cl, req())); err != nil {
 		t.Fatal(err)
 	}
 	if p.AlphaBuild != a || p.AlphaLookup != b {
@@ -208,7 +233,7 @@ func TestParamsUseProjectedRecordSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := fastPlanner()
-	full, err := p.ParamsFor(cl, req())
+	full, err := p.ParamsFor(cl, resolved(t, cl, req()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +242,37 @@ func TestParamsUseProjectedRecordSizes(t *testing.T) {
 	}
 	narrow := req()
 	narrow.Project = []string{"wp"}
-	proj, err := p.ParamsFor(cl, narrow)
+	proj, err := p.ParamsFor(cl, resolved(t, cl, narrow))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Left keeps only join keys (12 B); right keeps keys + wp (16 B).
 	if proj.RSR != 12 || proj.RSS != 16 {
 		t.Errorf("projected record sizes = %d, %d, want 12, 16", proj.RSR, proj.RSS)
+	}
+}
+
+// TestParamsPriceTheirInputs: the model parameters come from the chunk
+// sets the inputs carry, not from a second catalog lookup.
+func TestParamsPriceTheirInputs(t *testing.T) {
+	cfg := cluster.Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 8 << 20}
+	cl := makeCluster(t, partition.D(16, 16, 8), partition.D(8, 8, 8), partition.D(4, 4, 8), cfg)
+	p := fastPlanner()
+	whole, err := p.ParamsFor(cl, resolved(t, cl, req()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := resolved(t, cl, req())
+	// Keep one right sub-table, and halve the rows it claims.
+	kept := *in.RightDescs[0]
+	kept.Rows /= 2
+	in.RightDescs = []*chunk.Desc{&kept}
+	got, err := p.ParamsFor(cl, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CS != whole.CS/2 || got.Ne >= whole.Ne || got.T != whole.T {
+		t.Errorf("tampered inputs priced c_S=%d n_e=%d T=%d; untampered c_S=%d n_e=%d T=%d",
+			got.CS, got.Ne, got.T, whole.CS, whole.Ne, whole.T)
 	}
 }

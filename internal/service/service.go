@@ -246,19 +246,19 @@ func New(cl *cluster.Cluster, cfg Config) *Service {
 // callers. The request is always run in shared mode; Result.Traffic and
 // Result.Cache therefore report cumulative cluster counters.
 func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
-	req := q.Req
-	// Pin the query to the catalog version current at submission (unless
-	// the caller pinned one itself): planning and execution then resolve
-	// identical chunk sets even if an append batch commits in between, and
-	// the result reflects a consistent dataset snapshot.
-	if req.AsOf == 0 {
-		req.AsOf = s.cl.Catalog.Version()
-	}
-	eng, dec, err := s.pl.Decide(s.cl, req)
+	// Resolving pins the query to the catalog version current at submission
+	// (unless the caller pinned one itself) and fixes its chunk sets, so an
+	// append batch that commits while it queues never reaches the result.
+	in, err := engine.Resolve(s.cl.Catalog, q.Req)
 	if err != nil {
 		return nil, err
 	}
-	s.stampDefaults(&req)
+	eng, dec, err := s.pl.Decide(s.cl, in)
+	if err != nil {
+		return nil, err
+	}
+	req := &in.Req
+	s.stampDefaults(req)
 	return s.execute(ctx, job{
 		pri: q.Priority, name: eng.Name(), rec: req.Trace,
 		weight: rawWeight(dec.Params),
@@ -272,7 +272,7 @@ func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
 			return budget
 		},
 		run: func(ctx context.Context) (*Response, int64, error) {
-			res, err := eng.RunContext(ctx, s.cl, req)
+			res, err := eng.Run(ctx, s.cl, in)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -314,7 +314,7 @@ func (s *Service) SubmitSQL(ctx context.Context, ex *planner.Executor, q SQL) (*
 	}
 	name := "scan"
 	if l.Join != nil {
-		s.stampDefaults(&l.Join.Req)
+		s.stampDefaults(&l.Join.In.Req)
 		name = l.Decision.Chosen
 	}
 	return s.execute(ctx, job{

@@ -83,7 +83,7 @@ func waitInFlight(t *testing.T, s *Service, n int) {
 func TestConcurrentQueriesMatchSerialAndDedup(t *testing.T) {
 	cl := makeCluster(t, 2, 2, 32<<20, 0)
 
-	serial, err := ij.New().Run(cl, testReq())
+	serial, err := engine.RunRequest(context.Background(), ij.New(), cl, testReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestCloseDrains(t *testing.T) {
 // stats round-trips through a served service.
 func TestServeRPC(t *testing.T) {
 	cl := makeCluster(t, 2, 2, 32<<20, 0)
-	serial, err := ij.New().Run(cl, testReq())
+	serial, err := engine.RunRequest(context.Background(), ij.New(), cl, testReq())
 	if err != nil {
 		t.Fatal(err)
 	}

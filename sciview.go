@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/fault"
 	"sciview/internal/ingest"
 	"sciview/internal/metrics"
@@ -284,7 +285,11 @@ func (s *System) Explain(view string) (*PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, dec, err := s.executor.Planner.Decide(s.cluster, req)
+	in, err := engine.Resolve(s.cluster.Catalog, req)
+	if err != nil {
+		return nil, err
+	}
+	eng, dec, err := s.executor.Planner.Decide(s.cluster, in)
 	if err != nil {
 		return nil, err
 	}

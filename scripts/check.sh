@@ -16,6 +16,6 @@ go test -race -count=1 ./...
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/query
 go test -run '^$' -fuzz FuzzExtractors -fuzztime 10s ./internal/chunk
 go test -run '^$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/colenc
-go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan
+go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner
 go test -C bench -short ./...
 echo OK
