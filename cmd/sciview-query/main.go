@@ -16,45 +16,38 @@ import (
 	"os"
 
 	"sciview"
+	"sciview/cmd/internal/clusterflags"
+)
+
+var (
+	clusterSpec = clusterflags.Register(flag.CommandLine)
+	engine      = flag.String("engine", "", "force engine: ij or gh (default: cost-model choice)")
+	cpuPerOp    = flag.Float64("cpu-per-op", 0, "modeled seconds per hash operation (0 = native)")
+	memBudget   = flag.Int64("mem-budget", 0, "per-query memory budget in bytes; blocking operators spill to scratch when over (0 = unlimited)")
+	sharedFS    = flag.Bool("shared-fs", false, "route all I/O through a single shared server")
+	maxRows     = flag.Int("max-rows", 20, "rows to print per result (0 = all)")
+	explainAll  = flag.Bool("explain", false, "print cost-model predictions for join queries")
+	traceRuns   = flag.Bool("trace", false, "print a per-operation execution trace after each join")
+	csvOut      = flag.Bool("csv", false, "print results as CSV instead of aligned text")
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sciview-query: ")
-	var (
-		data       = flag.String("data", "", "dataset directory (required)")
-		compute    = flag.Int("compute", 4, "number of compute nodes")
-		engine     = flag.String("engine", "", "force engine: ij or gh (default: cost-model choice)")
-		diskBw     = flag.Float64("disk-bw", 0, "disk bandwidth in bytes/s (0 = unlimited)")
-		netBw      = flag.Float64("net-bw", 0, "per-NIC bandwidth in bytes/s (0 = unlimited)")
-		wire       = flag.String("wire", "", "fetch codec: rowmajor (default) or colenc (compressed columnar frames)")
-		cpuPerOp   = flag.Float64("cpu-per-op", 0, "modeled seconds per hash operation (0 = native)")
-		memBudget  = flag.Int64("mem-budget", 0, "per-query memory budget in bytes; blocking operators spill to scratch when over (0 = unlimited)")
-		sharedFS   = flag.Bool("shared-fs", false, "route all I/O through a single shared server")
-		maxRows    = flag.Int("max-rows", 20, "rows to print per result (0 = all)")
-		explainAll = flag.Bool("explain", false, "print cost-model predictions for join queries")
-		traceRuns  = flag.Bool("trace", false, "print a per-operation execution trace after each join")
-		csvOut     = flag.Bool("csv", false, "print results as CSV instead of aligned text")
-	)
 	flag.Parse()
-	if *data == "" || flag.NArg() == 0 {
+	data, spec := clusterSpec()
+	if data == "" || flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ds, err := sciview.OpenDataset(*data)
+	ds, err := sciview.OpenDataset(data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := sciview.NewSystem(ds, sciview.ClusterSpec{
-		ComputeNodes: *compute,
-		DiskReadBw:   *diskBw,
-		DiskWriteBw:  *diskBw,
-		NetBw:        *netBw,
-		Wire:         *wire,
-		CPUSecPerOp:  *cpuPerOp,
-		SharedFS:     *sharedFS,
-		MemBudget:    *memBudget,
-	})
+	spec.CPUSecPerOp = *cpuPerOp
+	spec.SharedFS = *sharedFS
+	spec.MemBudget = *memBudget
+	sys, err := sciview.NewSystem(ds, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,36 +20,30 @@ import (
 	"strings"
 
 	"sciview"
+	"sciview/cmd/internal/clusterflags"
+)
+
+var (
+	clusterSpec = clusterflags.Register(flag.CommandLine)
+	maxRows     = flag.Int("max-rows", 20, "rows to print per result (0 = all)")
+	memBudget   = flag.Int64("mem-budget", 0, "per-query memory budget in bytes; blocking operators spill to scratch when over (0 = unlimited)")
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sciview-repl: ")
-	var (
-		data      = flag.String("data", "", "dataset directory (required)")
-		compute   = flag.Int("compute", 4, "number of compute nodes")
-		diskBw    = flag.Float64("disk-bw", 0, "disk bandwidth in bytes/s (0 = unlimited)")
-		netBw     = flag.Float64("net-bw", 0, "per-NIC bandwidth in bytes/s (0 = unlimited)")
-		wire      = flag.String("wire", "", "fetch codec: rowmajor (default) or colenc (compressed columnar frames)")
-		maxRows   = flag.Int("max-rows", 20, "rows to print per result (0 = all)")
-		memBudget = flag.Int64("mem-budget", 0, "per-query memory budget in bytes; blocking operators spill to scratch when over (0 = unlimited)")
-	)
 	flag.Parse()
-	if *data == "" {
+	data, spec := clusterSpec()
+	if data == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ds, err := sciview.OpenDataset(*data)
+	ds, err := sciview.OpenDataset(data)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := sciview.NewSystem(ds, sciview.ClusterSpec{
-		ComputeNodes: *compute,
-		DiskReadBw:   *diskBw, DiskWriteBw: *diskBw,
-		NetBw:     *netBw,
-		Wire:      *wire,
-		MemBudget: *memBudget,
-	})
+	spec.MemBudget = *memBudget
+	sys, err := sciview.NewSystem(ds, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

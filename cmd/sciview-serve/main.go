@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"sciview"
+	"sciview/cmd/internal/clusterflags"
 	"sciview/internal/engine"
 	"sciview/internal/metadata"
 	"sciview/internal/metrics"
@@ -46,53 +47,51 @@ import (
 	"sciview/internal/transport"
 )
 
+var (
+	// Serve mode.
+	clusterSpec = clusterflags.Register(flag.CommandLine)
+	addr        = flag.String("addr", "127.0.0.1:0", "listen address (serve) or server address (client)")
+	cacheBytes  = flag.Int64("cache", 64<<20, "per-compute-node sub-table cache bytes")
+	maxInFlight = flag.Int("max-inflight", 4, "max concurrently executing queries")
+	memBudget   = flag.Int64("mem-budget", 0, "working-set budget across in-flight queries in bytes (0 = unlimited)")
+	strict      = flag.Bool("strict", false, "reject queries whose estimate exceeds -mem-budget instead of admitting them degraded (spilling to scratch)")
+	maxQueue    = flag.Int("max-queue", 0, "max queued queries; excess fail fast (0 = unlimited)")
+	force       = flag.String("engine", "", "force engine: ij or gh (default: cost-model choice per query)")
+	noCalibrate = flag.Bool("no-calibrate", false, "pin the planner to the static configuration layer instead of folding observed run costs into the cost-model constants")
+	faults      = flag.String("faults", "", "chaos schedule, e.g. crash:storage-1:fetch:20,delay:compute-0:write:2:5ms")
+	prefetch    = flag.Int("prefetch", engine.DefaultPrefetch, "default IJ joiner lookahead depth for queries that leave it unset (0 = disabled)")
+	parallelism = flag.Int("parallelism", 0, "default hash-join kernel workers for queries that leave it unset (0 = all CPUs, 1 = serial)")
+	metricsAddr = flag.String("metrics-addr", "", "serve live metrics (Prometheus text on /metrics, pprof on /debug/pprof/) at this address (serve mode; empty disables instrumentation)")
+	replaySteps = flag.Duration("replay-steps", 0, "replay the dataset's withheld time-step batches (<data>/steps/, from sciview-gen -timesteps) at this interval while serving; queries in flight stay pinned to their admission version (0 disables)")
+	repairEvery = flag.Duration("repair-interval", 0, "run the self-healing repair tier: catch up storage nodes revived by restart fault rules and re-replicate under-replicated chunks at this period (0 disables)")
+	repairBw    = flag.Float64("repair-bw", 0, "repair copy-traffic bandwidth cap in bytes/s (0 = uncapped)")
+	// Client mode.
+	query    = flag.Bool("query", false, "client mode: submit one query and print the outcome")
+	stats    = flag.Bool("stats", false, "client mode: print the server's service counters")
+	left     = flag.String("left", "T1", "left (build) table")
+	right    = flag.String("right", "T2", "right (probe) table")
+	on       = flag.String("on", "x,y,z", "comma-separated join attributes")
+	ranges   = flag.String("range", "", "filter, comma-separated attr:lo:hi triples (e.g. x:0:31,y:0:15)")
+	priority = flag.Int("priority", 0, "admission priority (higher runs sooner)")
+	timeout  = flag.Duration("timeout", 0, "query deadline; also enforced server-side (0 = none)")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sciview-serve: ")
-	var (
-		// Serve mode.
-		data        = flag.String("data", "", "dataset directory (serve mode)")
-		addr        = flag.String("addr", "127.0.0.1:0", "listen address (serve) or server address (client)")
-		compute     = flag.Int("compute", 4, "number of compute nodes")
-		cacheBytes  = flag.Int64("cache", 64<<20, "per-compute-node sub-table cache bytes")
-		diskBw      = flag.Float64("disk-bw", 0, "disk bandwidth in bytes/s (0 = unlimited)")
-		netBw       = flag.Float64("net-bw", 0, "per-NIC bandwidth in bytes/s (0 = unlimited)")
-		maxInFlight = flag.Int("max-inflight", 4, "max concurrently executing queries")
-		memBudget   = flag.Int64("mem-budget", 0, "working-set budget across in-flight queries in bytes (0 = unlimited)")
-		strict      = flag.Bool("strict", false, "reject queries whose estimate exceeds -mem-budget instead of admitting them degraded (spilling to scratch)")
-		maxQueue    = flag.Int("max-queue", 0, "max queued queries; excess fail fast (0 = unlimited)")
-		force       = flag.String("engine", "", "force engine: ij or gh (default: cost-model choice per query)")
-		noCalibrate = flag.Bool("no-calibrate", false, "pin the planner to the static configuration layer instead of folding observed run costs into the cost-model constants")
-		faults      = flag.String("faults", "", "chaos schedule, e.g. crash:storage-1:fetch:20,delay:compute-0:write:2:5ms")
-		wire        = flag.String("wire", "", "fetch codec: rowmajor (default) or colenc (compressed columnar frames)")
-		prefetch    = flag.Int("prefetch", engine.DefaultPrefetch, "default IJ joiner lookahead depth for queries that leave it unset (0 = disabled)")
-		parallelism = flag.Int("parallelism", 0, "default hash-join kernel workers for queries that leave it unset (0 = all CPUs, 1 = serial)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics (Prometheus text on /metrics, pprof on /debug/pprof/) at this address (serve mode; empty disables instrumentation)")
-		replaySteps = flag.Duration("replay-steps", 0, "replay the dataset's withheld time-step batches (<data>/steps/, from sciview-gen -timesteps) at this interval while serving; queries in flight stay pinned to their admission version (0 disables)")
-		repairEvery = flag.Duration("repair-interval", 0, "run the self-healing repair tier: catch up storage nodes revived by restart fault rules and re-replicate under-replicated chunks at this period (0 disables)")
-		repairBw    = flag.Float64("repair-bw", 0, "repair copy-traffic bandwidth cap in bytes/s (0 = uncapped)")
-		// Client mode.
-		query    = flag.Bool("query", false, "client mode: submit one query and print the outcome")
-		stats    = flag.Bool("stats", false, "client mode: print the server's service counters")
-		left     = flag.String("left", "T1", "left (build) table")
-		right    = flag.String("right", "T2", "right (probe) table")
-		on       = flag.String("on", "x,y,z", "comma-separated join attributes")
-		ranges   = flag.String("range", "", "filter, comma-separated attr:lo:hi triples (e.g. x:0:31,y:0:15)")
-		priority = flag.Int("priority", 0, "admission priority (higher runs sooner)")
-		timeout  = flag.Duration("timeout", 0, "query deadline; also enforced server-side (0 = none)")
-	)
 	flag.Parse()
 
 	if *query || *stats {
 		runClient(*addr, *query, *left, *right, *on, *ranges, *priority, *timeout)
 		return
 	}
-	if *data == "" {
+	data, spec := clusterSpec()
+	if data == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	ds, err := sciview.OpenDataset(*data)
+	ds, err := sciview.OpenDataset(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,16 +100,10 @@ func main() {
 		reg = metrics.NewRegistry()
 		transport.WireMetrics(reg)
 	}
-	sys, err := sciview.NewSystem(ds, sciview.ClusterSpec{
-		ComputeNodes: *compute,
-		CacheBytes:   *cacheBytes,
-		DiskReadBw:   *diskBw,
-		DiskWriteBw:  *diskBw,
-		NetBw:        *netBw,
-		Wire:         *wire,
-		Faults:       *faults,
-		Metrics:      reg,
-	})
+	spec.CacheBytes = *cacheBytes
+	spec.Faults = *faults
+	spec.Metrics = reg
+	sys, err := sciview.NewSystem(ds, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,12 +142,12 @@ func main() {
 	}
 
 	if *replaySteps > 0 {
-		batches, err := sciview.LoadBatches(*data)
+		batches, err := sciview.LoadBatches(data)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if len(batches) == 0 {
-			log.Fatalf("-replay-steps: no append batches under %s/steps/ (generate with sciview-gen -timesteps)", *data)
+			log.Fatalf("-replay-steps: no append batches under %s/steps/ (generate with sciview-gen -timesteps)", data)
 		}
 		ing, err := sys.Ingestor(1)
 		if err != nil {

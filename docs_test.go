@@ -1,0 +1,117 @@
+package sciview
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// pkgNames indexes one internal package's declarations: top holds package-
+// level funcs, types, vars and consts; member holds method, struct-field
+// and interface-method names (of any type in the package).
+type pkgNames struct{ top, member map[string]bool }
+
+func indexPackage(t *testing.T, dir string) *pkgNames {
+	t.Helper()
+	notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	parsed, err := parser.ParseDir(token.NewFileSet(), dir, notTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", dir, err)
+	}
+	idx := &pkgNames{top: map[string]bool{}, member: map[string]bool{}}
+	fields := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, f := range fl.List {
+			for _, n := range f.Names {
+				idx.member[n.Name] = true
+			}
+		}
+	}
+	for _, p := range parsed {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil {
+						idx.member[d.Name.Name] = true
+					} else {
+						idx.top[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								idx.top[n.Name] = true
+							}
+						case *ast.TypeSpec:
+							idx.top[s.Name.Name] = true
+							switch typ := s.Type.(type) {
+							case *ast.StructType:
+								fields(typ.Fields)
+							case *ast.InterfaceType:
+								fields(typ.Methods)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return idx
+}
+
+var (
+	docSpan   = regexp.MustCompile("`[^`\n]+`")
+	docSymbol = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z][A-Za-z0-9_]*)+)`)
+	docPath   = regexp.MustCompile(`\b(?:cmd/)?internal/[a-z0-9]+(?:/[A-Za-z0-9_]+\.go)?`)
+)
+
+// TestDocsNameLiveSymbols keeps the prose honest: every backticked
+// `pkg.Ident[.Member]` whose pkg is a directory under internal/, and every
+// backticked [cmd/]internal/<pkg>[/file.go] path, must still exist. Ident may be
+// a package-level name or a method (docs write `service.Submit`); members
+// may be methods or fields. A symbol named only to say it is gone belongs
+// in CHANGES.md, which is not scanned.
+func TestDocsNameLiveSymbols(t *testing.T) {
+	pkgs := map[string]*pkgNames{}
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "CONTRIBUTING.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ln, line := range strings.Split(string(text), "\n") {
+			for _, span := range docSpan.FindAllString(line, -1) {
+				for _, p := range docPath.FindAllString(span, -1) {
+					if _, err := os.Stat(p); err != nil {
+						t.Errorf("%s:%d: %s names a path that does not exist", doc, ln+1, p)
+					}
+				}
+				for _, m := range docSymbol.FindAllStringSubmatch(span, -1) {
+					dir := filepath.Join("internal", m[1])
+					if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+						continue // not one of ours: a stdlib package, a variable, a file name
+					}
+					if pkgs[m[1]] == nil {
+						pkgs[m[1]] = indexPackage(t, dir)
+					}
+					idx := pkgs[m[1]]
+					for i, id := range strings.Split(m[2][1:], ".") {
+						if idx.member[id] || (i == 0 && idx.top[id]) {
+							continue
+						}
+						t.Errorf("%s:%d: `%s%s`: internal/%s declares no %s", doc, ln+1, m[1], m[2], m[1], id)
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -55,8 +55,7 @@ func main() {
 	sys, err := sciview.NewSystem(ds, sciview.ClusterSpec{
 		ComputeNodes: 3,
 		DiskReadBw:   25e6, DiskWriteBw: 20e6, NetBw: 12e6,
-		CachePolicy: "clock", // second-chance caching instead of strict LRU
-		UseTCP:      true,
+		UseTCP: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -38,8 +38,6 @@ type LRU[K comparable, V any] struct {
 	misses    int64
 	evictions int64
 	met       Metrics
-
-	onEvict func(K, V)
 }
 
 type node[K comparable, V any] struct {
@@ -58,11 +56,6 @@ func NewLRU[K comparable, V any](capacity int64) *LRU[K, V] {
 		entries:  make(map[K]*node[K, V]),
 	}
 }
-
-// OnEvict registers fn to be called (outside critical operations but under
-// the cache lock) whenever an entry is evicted or displaced. Used by tests
-// and by spill-accounting.
-func (c *LRU[K, V]) OnEvict(fn func(K, V)) { c.onEvict = fn }
 
 // SetMetrics wires live observability counters alongside the Stats
 // snapshot. Call before the cache is in use.
@@ -86,8 +79,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 }
 
 // Peek returns the cached value for key without updating recency or the
-// hit/miss counters. It is the single-lookup replacement for the racy
-// Contains-then-Get pattern: one critical section, one answer.
+// hit/miss counters.
 func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,14 +89,6 @@ func (c *LRU[K, V]) Peek(key K) (V, bool) {
 		return zero, false
 	}
 	return n.val, true
-}
-
-// Contains reports whether key is cached without updating recency or stats.
-func (c *LRU[K, V]) Contains(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
 }
 
 // Put inserts or replaces the value for key, recording its size in bytes,
@@ -117,9 +101,6 @@ func (c *LRU[K, V]) Put(key K, val V, size int64) {
 		c.used -= old.size
 		c.unlink(old)
 		delete(c.entries, key)
-		if c.onEvict != nil {
-			c.onEvict(old.key, old.val)
-		}
 	}
 	if size > c.capacity {
 		return
@@ -133,22 +114,7 @@ func (c *LRU[K, V]) Put(key K, val V, size int64) {
 	c.pushFront(n)
 }
 
-// Remove deletes key from the cache, reporting whether it was present.
-// Removal does not count as an eviction.
-func (c *LRU[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.used -= n.size
-	c.unlink(n)
-	delete(c.entries, key)
-	return true
-}
-
-// Clear empties the cache without invoking eviction callbacks.
+// Clear empties the cache; the dropped entries do not count as evictions.
 func (c *LRU[K, V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,9 +136,6 @@ func (c *LRU[K, V]) Bytes() int64 {
 	defer c.mu.Unlock()
 	return c.used
 }
-
-// Capacity returns the configured byte capacity.
-func (c *LRU[K, V]) Capacity() int64 { return c.capacity }
 
 // Stats is a snapshot of cache effectiveness counters.
 type Stats struct {
@@ -201,9 +164,6 @@ func (c *LRU[K, V]) evictLocked(n *node[K, V]) {
 	delete(c.entries, n.key)
 	c.evictions++
 	c.met.Evictions.Inc()
-	if c.onEvict != nil {
-		c.onEvict(n.key, n.val)
-	}
 }
 
 func (c *LRU[K, V]) pushFront(n *node[K, V]) {

@@ -57,11 +57,8 @@ type Config struct {
 	// Only meaningful with SharedFS; 0 models an ideal work-conserving
 	// server.
 	NFSContention float64
-	// CacheBytes is each compute node's sub-table cache capacity.
+	// CacheBytes is the capacity of each compute node's LRU sub-table cache.
 	CacheBytes int64
-	// CachePolicy selects the Caching Service's replacement policy:
-	// "lru" (default), "fifo" or "clock".
-	CachePolicy string
 	// CPUSecPerOp models the compute nodes' hash-operation cost: every
 	// hash-table insertion or lookup a QES performs is charged this many
 	// seconds on the node's CPU device (0 = free, i.e. only the real host
@@ -108,7 +105,8 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration; it is the one place an unknown or
+// out-of-range config value is rejected.
 func (c Config) Validate() error {
 	if c.StorageNodes < 1 || c.ComputeNodes < 1 {
 		return fmt.Errorf("cluster: need at least 1 storage and 1 compute node (got %d, %d)",
@@ -203,7 +201,7 @@ type ComputeNode struct {
 	// are Fetched — compressed when the wire codec is "colenc" — and are
 	// charged at StoredBytes, so resident accounting reflects the bytes
 	// actually held rather than the decoded record size.
-	Cache cache.Cache[FetchKey, *Fetched]
+	Cache *cache.LRU[FetchKey, *Fetched]
 	// Flight deduplicates concurrent fetches of one sub-table across the
 	// queries sharing this node, so N simultaneous cache misses on a key
 	// cost one BDS fetch.
@@ -261,7 +259,6 @@ type Cluster struct {
 // clusterMetrics is the cluster's slice of the live registry.
 type clusterMetrics struct {
 	fetches       *metrics.Counter
-	fetchBytes    *metrics.Counter
 	fetchEncBytes *metrics.Counter
 	fetchDecBytes *metrics.Counter
 	fetchFailures *metrics.Counter
@@ -287,7 +284,6 @@ func New(cfg Config, catalog *metadata.Catalog, stores []simio.Store) (*Cluster,
 	reg := cfg.Metrics
 	cl.met = clusterMetrics{
 		fetches:       reg.Counter("sciview_fetch_total", "Sub-table fetches served to compute nodes."),
-		fetchBytes:    reg.Counter("sciview_fetch_bytes_total", "Payload bytes of sub-tables shipped storage to compute."),
 		fetchEncBytes: reg.Counter("sciview_fetch_encoded_bytes_total", "Bytes of sub-table fetches as they traveled the wire (compressed when the colenc codec is negotiated)."),
 		fetchDecBytes: reg.Counter("sciview_fetch_decoded_bytes_total", "Row-major payload bytes the same fetches decode to; the ratio to encoded bytes is the live wire compression factor."),
 		fetchFailures: reg.Counter("sciview_fetch_failures_total", "Fetches that failed after consulting every replica."),
@@ -371,10 +367,7 @@ func New(cfg Config, catalog *metadata.Catalog, stores []simio.Store) (*Cluster,
 		if cfg.CPUSecPerOp > 0 {
 			cpuRate = 1 / cfg.CPUSecPerOp // "ops per second"
 		}
-		nodeCache, err := cache.NewPolicy[FetchKey, *Fetched](cfg.CachePolicy, cfg.CacheBytes)
-		if err != nil {
-			return nil, err
-		}
+		nodeCache := cache.NewLRU[FetchKey, *Fetched](cfg.CacheBytes)
 		nodeCache.SetMetrics(cacheMet)
 		flight := cache.NewFlight[FetchKey, *Fetched]()
 		// A leader whose fetch hits a transient fault hands the key off:
@@ -521,7 +514,6 @@ func (cl *Cluster) Fetch(ctx context.Context, computeID int, id tuple.ID, filter
 	}
 	wire := int64(f.WireBytes())
 	cl.met.fetches.Inc()
-	cl.met.fetchBytes.Add(wire)
 	cl.met.fetchEncBytes.Add(wire)
 	cl.met.fetchDecBytes.Add(int64(f.DecodedBytes()))
 	simio.Transfer(cl.Storage[node].NIC, cl.Compute[computeID].NIC, wire)

@@ -36,13 +36,10 @@ type Params struct {
 	ReadBw  float64
 	WriteBw float64
 	// AlphaBuild and AlphaLookup are CPU seconds per tuple for hash-table
-	// insertion and lookup (α_build, α_lookup).
+	// insertion and lookup (α_build, α_lookup). A slower processor (the
+	// Figure 8 sweep; the paper's α = γ/F) is a larger α.
 	AlphaBuild  float64
 	AlphaLookup float64
-	// WorkFactor scales the CPU constants (the Figure 8 knob; the paper's
-	// F parameter satisfies α = γ/F, so WorkFactor = 1/F relative to the
-	// calibrated machine). 0 is treated as 1.
-	WorkFactor int
 
 	// The remaining fields are live-calibration overrides filled in by
 	// Estimator.Apply; zero means "use the configured rates above".
@@ -78,13 +75,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("costmodel: negative alphas")
 	}
 	return nil
-}
-
-func (p Params) wf() float64 {
-	if p.WorkFactor < 1 {
-		return 1
-	}
-	return float64(p.WorkFactor)
 }
 
 // totalBytes is T·(RS_R + RS_S), the volume both algorithms move.
@@ -149,8 +139,8 @@ func (p Params) Transfer() float64 {
 //	BuildHT_IJ  = α_build · T / n_j
 //	Lookup_IJ   = α_lookup · n_e · c_S / n_j
 func (p Params) IJ() Breakdown {
-	build := p.wf() * p.AlphaBuild * float64(p.T) / float64(p.Nj)
-	lookup := p.wf() * p.AlphaLookup * float64(p.Ne) * float64(p.CS) / float64(p.Nj)
+	build := p.AlphaBuild * float64(p.T) / float64(p.Nj)
+	lookup := p.AlphaLookup * float64(p.Ne) * float64(p.CS) / float64(p.Nj)
 	transfer := p.Transfer()
 	return Breakdown{
 		Transfer: transfer,
@@ -170,8 +160,8 @@ func (p Params) GH() Breakdown {
 	transfer := p.Transfer()
 	write := div(p.totalBytes(), p.spillWriteBw()*float64(p.Nj))
 	read := div(p.totalBytes(), p.spillReadBw()*float64(p.Nj))
-	build := p.wf() * p.AlphaBuild * float64(p.T) / float64(p.Nj)
-	lookup := p.wf() * p.AlphaLookup * float64(p.T) / float64(p.Nj)
+	build := p.AlphaBuild * float64(p.T) / float64(p.Nj)
+	lookup := p.AlphaLookup * float64(p.T) / float64(p.Nj)
 	return Breakdown{
 		Transfer: transfer,
 		Write:    write,
@@ -196,8 +186,8 @@ func (p Params) GHSharedFS() Breakdown {
 	if p.SpillReadBw <= 0 {
 		read = div(p.totalBytes(), p.ReadBw)
 	}
-	build := p.wf() * p.AlphaBuild * float64(p.T) / float64(p.Nj)
-	lookup := p.wf() * p.AlphaLookup * float64(p.T) / float64(p.Nj)
+	build := p.AlphaBuild * float64(p.T) / float64(p.Nj)
+	lookup := p.AlphaLookup * float64(p.T) / float64(p.Nj)
 	return Breakdown{
 		Transfer: transfer,
 		Write:    write,
@@ -212,8 +202,8 @@ func (p Params) GHSharedFS() Breakdown {
 // transfer term changes (one server disk).
 func (p Params) IJSharedFS() Breakdown {
 	transfer := p.sharedTransfer()
-	build := p.wf() * p.AlphaBuild * float64(p.T) / float64(p.Nj)
-	lookup := p.wf() * p.AlphaLookup * float64(p.Ne) * float64(p.CS) / float64(p.Nj)
+	build := p.AlphaBuild * float64(p.T) / float64(p.Nj)
+	lookup := p.AlphaLookup * float64(p.Ne) * float64(p.CS) / float64(p.Nj)
 	return Breakdown{
 		Transfer: transfer,
 		Build:    build,
@@ -273,7 +263,7 @@ func (p Params) UseIJ() bool {
 // i.e. when the extra lookups IJ performs cost less than the bucket
 // write+read GH performs. CrossoverLHS > CrossoverRHS ⇒ prefer GH.
 func (p Params) CrossoverLHS() float64 {
-	return p.wf() * p.AlphaLookup * (float64(p.Ne)/p.MS() - 1)
+	return p.AlphaLookup * (float64(p.Ne)/p.MS() - 1)
 }
 
 // CrossoverRHS returns the right-hand side of the crossover inequality.

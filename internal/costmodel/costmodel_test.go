@@ -133,33 +133,18 @@ func TestClosedFormMatchesFullModel(t *testing.T) {
 	}
 }
 
-func TestWorkFactorScalesCPUOnly(t *testing.T) {
-	p := base()
-	ij1, gh1 := p.IJ(), p.GH()
-	p.WorkFactor = 4
-	ij4, gh4 := p.IJ(), p.GH()
-	if ij4.Build != 4*ij1.Build || ij4.Lookup != 4*ij1.Lookup {
-		t.Error("IJ CPU terms not scaled")
-	}
-	if ij4.Transfer != ij1.Transfer || gh4.Transfer != gh1.Transfer {
-		t.Error("transfer must not scale with work factor")
-	}
-	if gh4.Write != gh1.Write || gh4.Read != gh1.Read {
-		t.Error("GH I/O must not scale with work factor")
-	}
-}
-
 func TestHigherComputePowerFavorsIJ(t *testing.T) {
-	// Figure 8's trend: as the CPU gets slower (work factor up), GH's
-	// advantage grows; as it gets faster, IJ wins.
+	// Figure 8's trend: as the CPU gets slower (α up), GH's advantage
+	// grows; as it gets faster, IJ wins.
 	p := base()
 	p.ReadBw, p.WriteBw = 10e6, 10e6
 	p.Ne = int64(p.MS()) * 20
-	gap := func(wf int) float64 {
-		p.WorkFactor = wf
+	alphaBuild, alphaLookup := p.AlphaBuild, p.AlphaLookup
+	gap := func(slowdown float64) float64 {
+		p.AlphaBuild, p.AlphaLookup = slowdown*alphaBuild, slowdown*alphaLookup
 		return p.GH().Total - p.IJ().Total
 	}
-	// gap decreasing in wf (IJ has more CPU work than GH here).
+	// gap decreasing in the slowdown (IJ has more CPU work than GH here).
 	if !(gap(1) > gap(2) && gap(2) > gap(8)) {
 		t.Errorf("gap not decreasing: %v %v %v", gap(1), gap(2), gap(8))
 	}

@@ -17,7 +17,7 @@ import (
 //     fetch bandwidth, per-operation CPU cost (α_build/α_lookup), and GH
 //     scratch spill throughput — into exponentially-decayed running
 //     estimates, and substitutes them into Params once a signal has
-//     accrued MinSamples observations.
+//     accrued minSamples observations.
 //
 // Until a signal graduates, decisions fall back to the static constants,
 // so a cold planner behaves exactly like the pre-calibration one. Every
@@ -26,14 +26,6 @@ import (
 // the current constants as gauges and every decision as a labeled
 // counter.
 type Estimator struct {
-	// Decay is the EWMA weight of each new observation in (0, 1];
-	// DefaultDecay when zero. Higher tracks rate changes faster at the
-	// cost of more jitter.
-	Decay float64
-	// MinSamples is how many observations a signal needs before it
-	// displaces its static counterpart; DefaultMinSamples when zero.
-	MinSamples int
-
 	mu         sync.Mutex
 	alphaBuild signal
 	alphaLook  signal
@@ -44,13 +36,13 @@ type Estimator struct {
 	reg *metrics.Registry
 }
 
-// Defaults for the calibration layer: an observation moves an estimate a
-// quarter of the way (a few queries converge, one outlier does not
+// The calibration layer's two constants: an observation moves an estimate
+// a quarter of the way (a few queries converge, one outlier does not
 // whipsaw the planner), and three samples are required before a live
 // constant displaces a configured one.
 const (
-	DefaultDecay      = 0.25
-	DefaultMinSamples = 3
+	decay      = 0.25
+	minSamples = 3
 )
 
 // signal is one exponentially-decayed running estimate.
@@ -59,7 +51,7 @@ type signal struct {
 	n     int64
 }
 
-func (s *signal) fold(obs, decay float64) {
+func (s *signal) fold(obs float64) {
 	if !(obs > 0) || math.IsInf(obs, 0) || math.IsNaN(obs) {
 		return
 	}
@@ -71,38 +63,32 @@ func (s *signal) fold(obs, decay float64) {
 	s.value = (1-decay)*s.value + decay*obs
 }
 
-// NewEstimator returns an estimator with the default decay and sample
-// threshold.
-func NewEstimator() *Estimator {
-	return &Estimator{Decay: DefaultDecay, MinSamples: DefaultMinSamples}
-}
+// NewEstimator returns an estimator with no samples yet.
+func NewEstimator() *Estimator { return &Estimator{} }
 
-func (e *Estimator) decay() float64 {
-	if e.Decay <= 0 || e.Decay > 1 {
-		return DefaultDecay
-	}
-	return e.Decay
-}
-
-func (e *Estimator) minSamples() int64 {
-	if e.MinSamples <= 0 {
-		return DefaultMinSamples
-	}
-	return int64(e.MinSamples)
-}
-
-// Observation is one run's measured resource costs (the plain mirror of
-// engine.Observed — the planner converts so costmodel stays free of
-// engine types). Seconds are summed per-stream busy time, so each
-// Bytes/Seconds ratio is a per-stream effective rate.
+// Observation is one run's measured resource costs (engine.Observed is
+// this type): how many bytes actually moved storage→compute and how long
+// the wire was busy, how many hash build/probe operations ran and their
+// wall-clock cost, and the scratch spill traffic. Seconds are summed
+// per-stream busy time: with n concurrent fetchers a run accumulates n×
+// wall time, so Bytes/Seconds is the *per-stream* effective rate, which
+// is what the models' aggregate terms scale up by node count. All fields
+// are zero for runs that skipped the stage.
 type Observation struct {
-	Engine            string
-	FetchBytes        int64
-	FetchSeconds      float64
-	BuildTuples       int64
-	BuildSeconds      float64
-	ProbeTuples       int64
-	ProbeSeconds      float64
+	// FetchBytes/FetchSeconds cover storage→compute transfers: decoded
+	// payload bytes against wire-busy seconds (disk read + transport), so
+	// compression shows up as higher effective bandwidth.
+	FetchBytes   int64
+	FetchSeconds float64
+	// BuildTuples/ProbeTuples count hash operations (one per row);
+	// Seconds span the kernel plus the modeled-CPU charge, so the derived
+	// α constants track the emulated processor, not just the host.
+	BuildTuples  int64
+	BuildSeconds float64
+	ProbeTuples  int64
+	ProbeSeconds float64
+	// Spill{Write,Read} cover scratch traffic per joiner: GH's buckets and
+	// any over-budget pair's build partitions.
 	SpillWriteBytes   int64
 	SpillWriteSeconds float64
 	SpillReadBytes    int64
@@ -118,28 +104,27 @@ func (e *Estimator) Observe(o Observation) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d := e.decay()
 	if o.BuildTuples > 0 && o.BuildSeconds > 0 {
-		e.alphaBuild.fold(o.BuildSeconds/float64(o.BuildTuples), d)
+		e.alphaBuild.fold(o.BuildSeconds / float64(o.BuildTuples))
 	}
 	if o.ProbeTuples > 0 && o.ProbeSeconds > 0 {
-		e.alphaLook.fold(o.ProbeSeconds/float64(o.ProbeTuples), d)
+		e.alphaLook.fold(o.ProbeSeconds / float64(o.ProbeTuples))
 	}
 	if o.FetchBytes > 0 && o.FetchSeconds > 0 {
-		e.fetchBw.fold(float64(o.FetchBytes)/o.FetchSeconds, d)
+		e.fetchBw.fold(float64(o.FetchBytes) / o.FetchSeconds)
 	}
 	if o.SpillWriteBytes > 0 && o.SpillWriteSeconds > 0 {
-		e.spillWrBw.fold(float64(o.SpillWriteBytes)/o.SpillWriteSeconds, d)
+		e.spillWrBw.fold(float64(o.SpillWriteBytes) / o.SpillWriteSeconds)
 	}
 	if o.SpillReadBytes > 0 && o.SpillReadSeconds > 0 {
-		e.spillRdBw.fold(float64(o.SpillReadBytes)/o.SpillReadSeconds, d)
+		e.spillRdBw.fold(float64(o.SpillReadBytes) / o.SpillReadSeconds)
 	}
 }
 
 // Constants is a snapshot of the calibration layer: the current running
 // estimates, their sample counts, and whether each signal has graduated
-// past MinSamples (Live) and therefore displaces its static counterpart
-// in Apply.
+// past minSamples (Live) and therefore displaces its static counterpart in
+// Apply.
 type Constants struct {
 	// AlphaBuild and AlphaLookup are seconds per hash operation.
 	AlphaBuild  float64
@@ -183,7 +168,6 @@ func (e *Estimator) Snapshot() Constants {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	min := e.minSamples()
 	c := Constants{
 		AlphaBuild:   e.alphaBuild.value,
 		AlphaLookup:  e.alphaLook.value,
@@ -194,9 +178,9 @@ func (e *Estimator) Snapshot() Constants {
 		FetchSamples: e.fetchBw.n,
 		SpillSamples: minI64(e.spillWrBw.n, e.spillRdBw.n),
 	}
-	c.AlphaLive = c.AlphaSamples >= min
-	c.FetchLive = c.FetchSamples >= min
-	c.SpillLive = c.SpillSamples >= min
+	c.AlphaLive = c.AlphaSamples >= minSamples
+	c.FetchLive = c.FetchSamples >= minSamples
+	c.SpillLive = c.SpillSamples >= minSamples
 	return c
 }
 

@@ -31,7 +31,6 @@ func TestCalibrateBounds(t *testing.T) {
 
 func alphaObs(build, lookup float64) Observation {
 	return Observation{
-		Engine:      "ij",
 		BuildTuples: 1000, BuildSeconds: build * 1000,
 		ProbeTuples: 1000, ProbeSeconds: lookup * 1000,
 	}
@@ -78,9 +77,8 @@ func TestEstimatorFallbackBelowMinSamples(t *testing.T) {
 // spill overrides.
 func TestEstimatorGraduation(t *testing.T) {
 	e := NewEstimator()
-	for i := 0; i < DefaultMinSamples; i++ {
+	for i := 0; i < minSamples; i++ {
 		e.Observe(Observation{
-			Engine:      "gh",
 			BuildTuples: 1000, BuildSeconds: 2e-6 * 1000,
 			ProbeTuples: 1000, ProbeSeconds: 1e-6 * 1000,
 			FetchBytes: 1 << 20, FetchSeconds: 0.5,
@@ -90,7 +88,7 @@ func TestEstimatorGraduation(t *testing.T) {
 	}
 	c := e.Snapshot()
 	if !c.AlphaLive || !c.FetchLive || !c.SpillLive {
-		t.Fatalf("all signals should be live at %d samples: %+v", DefaultMinSamples, c)
+		t.Fatalf("all signals should be live at %d samples: %+v", minSamples, c)
 	}
 	p := base() // Ns=5, Nj=5
 	got, _ := e.Apply(p)
@@ -113,7 +111,7 @@ func TestEstimatorDecay(t *testing.T) {
 	e.Observe(alphaObs(1e-6, 1e-6))
 	e.Observe(alphaObs(2e-6, 2e-6))
 	c := e.Snapshot()
-	want := (1-DefaultDecay)*1e-6 + DefaultDecay*2e-6
+	want := (1-decay)*1e-6 + decay*2e-6
 	if !close(c.AlphaBuild, want) {
 		t.Fatalf("second fold = %g, want EWMA %g", c.AlphaBuild, want)
 	}
@@ -132,9 +130,9 @@ func TestEstimatorDecay(t *testing.T) {
 // dilutes the spill estimates, and a zero-duration timer tick is dropped.
 func TestEstimatorRejectsDegenerateSamples(t *testing.T) {
 	e := NewEstimator()
-	e.Observe(Observation{Engine: "ij", FetchBytes: 100}) // zero seconds
-	e.Observe(Observation{Engine: "ij", FetchSeconds: 1}) // zero bytes
-	e.Observe(Observation{Engine: "ij", BuildTuples: 10, BuildSeconds: -1})
+	e.Observe(Observation{FetchBytes: 100}) // zero seconds
+	e.Observe(Observation{FetchSeconds: 1}) // zero bytes
+	e.Observe(Observation{BuildTuples: 10, BuildSeconds: -1})
 	c := e.Snapshot()
 	if c.FetchSamples != 0 || c.AlphaSamples != 0 || c.SpillSamples != 0 {
 		t.Fatalf("degenerate samples were counted: %+v", c)

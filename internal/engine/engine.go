@@ -17,6 +17,7 @@ import (
 
 	"sciview/internal/cache"
 	"sciview/internal/cluster"
+	"sciview/internal/costmodel"
 	"sciview/internal/metadata"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
@@ -36,9 +37,6 @@ type Request struct {
 	// all). Engines push the projection down to the BDS — join attributes
 	// are always retained — so unneeded columns never travel.
 	Project []string
-	// WorkFactor repeats hash build/probe operations to emulate a slower
-	// CPU (>=1; the paper's Figure 8 technique).
-	WorkFactor int
 	// Collect retains the produced result sub-tables (for correctness
 	// checks). Experiments leave it false and only count tuples, since the
 	// paper's queries enumerate the view without storing it.
@@ -139,49 +137,9 @@ type Progress struct {
 	Total  atomic.Int64
 }
 
-// Observed is the run's measured resource costs, the feedback the online
-// cost-model calibration layer consumes (costmodel.Estimator): how many
-// bytes actually moved storage→compute and how long the wire was busy,
-// how many hash build/probe operations ran and their wall-clock cost
-// (including the emulated CPU charge), and GH's scratch spill traffic.
-// Seconds are summed per-stream busy time: with n concurrent fetchers a
-// run accumulates n× wall time, so Bytes/Seconds is the *per-stream*
-// effective rate, which is what the models' aggregate terms scale up by
-// node count. All fields are zero for runs that skipped the stage.
-type Observed struct {
-	// FetchBytes/FetchSeconds cover storage→compute transfers: decoded
-	// payload bytes against wire-busy seconds (disk read + transport), so
-	// compression shows up as higher effective bandwidth.
-	FetchBytes   int64
-	FetchSeconds float64
-	// BuildTuples/ProbeTuples count hash operations (rows × WorkFactor);
-	// Seconds span the kernel plus the modeled-CPU charge, so the derived
-	// α constants track the emulated processor, not just the host.
-	BuildTuples  int64
-	BuildSeconds float64
-	ProbeTuples  int64
-	ProbeSeconds float64
-	// Spill{Write,Read} cover GH's scratch bucket traffic per joiner.
-	SpillWriteBytes   int64
-	SpillWriteSeconds float64
-	SpillReadBytes    int64
-	SpillReadSeconds  float64
-}
-
-// Merge accumulates another run's observations (regret replays fold the
-// forced runs' measurements into one feedback record).
-func (o *Observed) Merge(b Observed) {
-	o.FetchBytes += b.FetchBytes
-	o.FetchSeconds += b.FetchSeconds
-	o.BuildTuples += b.BuildTuples
-	o.BuildSeconds += b.BuildSeconds
-	o.ProbeTuples += b.ProbeTuples
-	o.ProbeSeconds += b.ProbeSeconds
-	o.SpillWriteBytes += b.SpillWriteBytes
-	o.SpillWriteSeconds += b.SpillWriteSeconds
-	o.SpillReadBytes += b.SpillReadBytes
-	o.SpillReadSeconds += b.SpillReadSeconds
-}
+// Observed is the run's measured resource costs: what Result reports and
+// what Run.Finish feeds the estimator that priced the run.
+type Observed = costmodel.Observation
 
 // ObsCollector accumulates Observed fields from the engines' concurrent
 // workers (atomically, nanosecond-granular). A nil collector is a valid
@@ -339,8 +297,7 @@ type Result struct {
 	// Operators holds per-operator statistics when the query ran through
 	// a streaming plan (internal/plan); nil for direct engine runs.
 	Operators []OpStat
-	// Observed is the run's measured resource costs — the feedback signal
-	// the planner's online calibration layer folds into its constants.
+	// Observed is the run's measured resource costs.
 	Observed Observed
 }
 

@@ -252,24 +252,33 @@ func TestGHInsensitiveToPartitioning(t *testing.T) {
 	}
 }
 
-func TestWorkFactorSlowsBothEngines(t *testing.T) {
-	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
+// TestCPUSecPerOpSlowsBothEngines pins the one CPU knob on both engines:
+// a per-operation charge changes no count and no result, and the run
+// takes at least the modeled time of one joiner's share of the operations.
+func TestCPUSecPerOpSlowsBothEngines(t *testing.T) {
+	ds, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
+	const perOp = 20e-6
+	slow, err := cluster.New(cluster.Config{
+		StorageNodes: 2, ComputeNodes: 2, CacheBytes: 64 << 20, CPUSecPerOp: perOp,
+	}, ds.Catalog, ds.Stores)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range engines() {
-		req := fullJoinReq(false)
-		res1, err := engine.RunRequest(context.Background(), e, cl, req)
+		res0, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.WorkFactor = 3
-		res3, err := engine.RunRequest(context.Background(), e, cl, req)
+		res, err := engine.RunRequest(context.Background(), e, slow, fullJoinReq(false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res3.Join.TuplesBuilt != 3*res1.Join.TuplesBuilt {
-			t.Errorf("%s: built %d vs %d", e.Name(), res3.Join.TuplesBuilt, res1.Join.TuplesBuilt)
+		if res.Join != res0.Join || res.Tuples != res0.Tuples {
+			t.Errorf("%s: counts changed under a CPU charge: %+v vs %+v", e.Name(), res.Join, res0.Join)
 		}
-		if res3.Tuples != res1.Tuples {
-			t.Errorf("%s: result changed under work factor", e.Name())
+		ops := res.Join.TuplesBuilt + res.Join.TuplesProbed
+		if want := float64(ops) / 2 * perOp; res.Elapsed.Seconds() < 0.9*want {
+			t.Errorf("%s: elapsed %v, want at least %.3fs of modeled CPU", e.Name(), res.Elapsed, want)
 		}
 	}
 }

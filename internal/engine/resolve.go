@@ -7,6 +7,7 @@ import (
 	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/congraph"
+	"sciview/internal/costmodel"
 	"sciview/internal/metadata"
 	"sciview/internal/tuple"
 )
@@ -35,6 +36,11 @@ type Inputs struct {
 	// LeftDescs and RightDescs are the chunks in range, in catalog order.
 	// Either may be empty: the join of nothing is nothing, not an error.
 	LeftDescs, RightDescs []*chunk.Desc
+	// PricedBy is the estimator whose constants priced this resolution:
+	// the planner's Decide records it, Run.Finish feeds it what the run
+	// measured. Nil — a run nobody priced, or a planner pinned to its
+	// static constants — feeds nothing.
+	PricedBy *costmodel.Estimator
 
 	// graph is behind a pointer so copies of Inputs (a Run's, a plan
 	// operator's) share one build.

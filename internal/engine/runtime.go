@@ -31,8 +31,6 @@ type Run struct {
 	// is never nil.
 	Inputs
 	Cluster *cluster.Cluster
-	// WorkFactor is Req.WorkFactor clamped to >= 1.
-	WorkFactor int
 	// Obs collects the run's measured costs for Result.Observed.
 	Obs *ObsCollector
 
@@ -50,11 +48,7 @@ type Run struct {
 // starts the run's clock; everything the run joins was decided by Resolve.
 // The caller must Close the returned run.
 func Begin(ctx context.Context, cl *cluster.Cluster, in *Inputs) (*Run, error) {
-	r := &Run{
-		Inputs: *in, Cluster: cl,
-		WorkFactor: max(in.Req.WorkFactor, 1),
-		Obs:        &ObsCollector{},
-	}
+	r := &Run{Inputs: *in, Cluster: cl, Obs: &ObsCollector{}}
 	if r.Req.Progress == nil {
 		r.Req.Progress = &Progress{}
 	}
@@ -156,8 +150,11 @@ func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int
 	}
 }
 
-// Finish assembles the run's result. Engines add what only they know
-// (IJ's cache statistics, GH's phase durations).
+// Finish assembles the run's result and closes the decide→run→observe
+// loop: every successful engine run passes through here, so this is the
+// one place an estimator is fed — the one that priced the run, if any.
+// Engines add what only they know (IJ's cache statistics, GH's phase
+// durations).
 func (r *Run) Finish(name string) *Result {
 	res := &Result{
 		Engine:  name,
@@ -175,6 +172,7 @@ func (r *Run) Finish(name string) *Result {
 		Observed:    r.Obs.Snapshot(),
 	}
 	res.Tuples = res.Join.Matches
+	r.PricedBy.Observe(res.Observed)
 	if r.Req.Collect && r.Req.Sink == nil {
 		res.Collected = r.outs
 	}
@@ -229,14 +227,14 @@ func (j *Joiner) newOut() *tuple.SubTable {
 // built and probed are the only places that charge a hash build or probe
 // pass over st: the modeled CPU, the calibration feed and the trace span.
 func (j *Joiner) built(label string, st *tuple.SubTable, start time.Time) {
-	ops := int64(st.NumRows()) * int64(j.WorkFactor)
+	ops := int64(st.NumRows())
 	j.cn.SpendCPU(ops)
 	j.Obs.Build(ops, time.Since(start))
 	j.Req.Trace.Span(j.Node, trace.KindBuild, label, start, int64(st.Bytes()), int64(st.NumRows()))
 }
 
 func (j *Joiner) probed(label string, st *tuple.SubTable, start time.Time) {
-	ops := int64(st.NumRows()) * int64(j.WorkFactor)
+	ops := int64(st.NumRows())
 	j.cn.SpendCPU(ops)
 	j.Obs.Probe(ops, time.Since(start))
 	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(st.Bytes()), int64(st.NumRows()))
@@ -251,7 +249,7 @@ func (j *Joiner) Fits(left *tuple.SubTable) bool {
 // Build builds the hash table over left.
 func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
 	start := time.Now()
-	ht, err := hashjoin.BuildParallel(left, j.Req.JoinAttrs, j.WorkFactor, j.Req.Parallelism, &j.local)
+	ht, err := hashjoin.BuildParallel(left, j.Req.JoinAttrs, 1, j.Req.Parallelism, &j.local)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +260,7 @@ func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable,
 // Probe probes ht with right into the part's output.
 func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTable) error {
 	start := time.Now()
-	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, j.WorkFactor, j.Req.Parallelism, j.out, &j.local); err != nil {
+	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, 1, j.Req.Parallelism, j.out, &j.local); err != nil {
 		return err
 	}
 	j.probed(label, right, start)
@@ -286,7 +284,7 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 	}
 	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
 	_, _, err := hashjoin.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
-		j.WorkFactor, j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
+		1, j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
 		spillHash, hooks, j.out, &j.local)
 	return err
 }

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"sciview/internal/costmodel"
 	"sciview/internal/engine"
+	"sciview/internal/gh"
+	"sciview/internal/ij"
 	"sciview/internal/partition"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
@@ -70,8 +73,8 @@ func TestRuntimeParity(t *testing.T) {
 						name, res.Observed.SpillWriteBytes, inMem[key])
 				}
 
-				// Every charge is observed and traced once (WorkFactor 1:
-				// a span's item count is the operations it charged).
+				// Every charge is observed and traced once (a span's item
+				// count is the operations it charged).
 				if res.Observed.BuildTuples != res.Join.TuplesBuilt || res.Observed.ProbeTuples != res.Join.TuplesProbed {
 					t.Errorf("%s: observed build/probe %d/%d, join counted %d/%d", name,
 						res.Observed.BuildTuples, res.Observed.ProbeTuples, res.Join.TuplesBuilt, res.Join.TuplesProbed)
@@ -145,5 +148,58 @@ func TestRuntimeParity(t *testing.T) {
 	}
 	if int64(len(wantRows)) != grid.Cells() {
 		t.Errorf("compared %d rows, want %d", len(wantRows), grid.Cells())
+	}
+}
+
+// TestFinishFeedsThePricingEstimator pins the runtime's half of the
+// decide→run→observe loop: a successful run feeds Inputs.PricedBy what it
+// measured, once — every signal the run exercised and no other — while a
+// failed run and a run with no estimator feed nothing.
+func TestFinishFeedsThePricingEstimator(t *testing.T) {
+	_, cl := genCluster(t, partition.D(16, 16, 4), partition.D(8, 8, 4), partition.D(4, 4, 4), 2, 2)
+	for _, tc := range []struct {
+		name   string
+		eng    engine.Engine
+		budget int64
+		spills bool
+	}{
+		{"ij", ij.New(), 0, false},
+		{"ij/budget=256", ij.New(), 256, true}, // every pair's build side round-trips through scratch
+		{"gh", gh.New(), 0, true},
+	} {
+		est := costmodel.NewEstimator()
+		req := fullJoinReq(false)
+		req.MemoryBudget = tc.budget
+		in, err := engine.Resolve(cl.Catalog, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.PricedBy = est
+
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := tc.eng.Run(cancelled, cl, in); err == nil {
+			t.Fatalf("%s: cancelled run succeeded", tc.name)
+		}
+		if c := est.Snapshot(); c.AlphaSamples+c.FetchSamples+c.SpillSamples != 0 {
+			t.Errorf("%s: a failed run fed the estimator: %s", tc.name, c)
+		}
+
+		res, err := tc.eng.Run(context.Background(), cl, in)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c := est.Snapshot()
+		wantSpill := int64(0)
+		if tc.spills {
+			wantSpill = 1
+		}
+		if c.AlphaSamples != 1 || c.FetchSamples != 1 || c.SpillSamples != wantSpill {
+			t.Errorf("%s: samples α=%d fetch=%d spill=%d, want 1 1 %d", tc.name, c.AlphaSamples, c.FetchSamples, c.SpillSamples, wantSpill)
+		}
+		// One sample means the estimate is the run's own ratio.
+		if want := res.Observed.BuildSeconds / float64(res.Observed.BuildTuples); c.AlphaBuild != want {
+			t.Errorf("%s: α_build = %g, the run measured %g", tc.name, c.AlphaBuild, want)
+		}
 	}
 }

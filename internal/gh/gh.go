@@ -117,7 +117,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	defer run.Close()
 	gr := &ghRun{Run: run, seq: runSeq.Add(1), buckets: e.Buckets, batchRows: e.BatchRows, flushRows: e.FlushRows}
 	if gr.buckets <= 0 {
-		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef, run.Req)
+		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef)
 	}
 	if gr.batchRows <= 0 {
 		gr.batchRows = defaultBatchRows
@@ -212,7 +212,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 
 // defaultBuckets sizes h2's range so one bucket of the larger side is
 // about DefaultBucketBytes.
-func (e *Engine) defaultBuckets(cl *cluster.Cluster, leftDef, rightDef *metadata.TableDef, req engine.Request) int {
+func (e *Engine) defaultBuckets(cl *cluster.Cluster, leftDef, rightDef *metadata.TableDef) int {
 	var maxBytes int64
 	for _, def := range []*metadata.TableDef{leftDef, rightDef} {
 		var rows int64

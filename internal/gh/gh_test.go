@@ -182,7 +182,7 @@ func TestDefaultBucketsScaleWithData(t *testing.T) {
 	e := New()
 	leftDef, _ := small.Catalog.Table("T1")
 	rightDef, _ := small.Catalog.Table("T2")
-	b := e.defaultBuckets(small, leftDef, rightDef, req())
+	b := e.defaultBuckets(small, leftDef, rightDef)
 	if b < 4 {
 		t.Errorf("buckets = %d, want >= 4", b)
 	}
@@ -190,7 +190,7 @@ func TestDefaultBucketsScaleWithData(t *testing.T) {
 	big := makeCluster(t, partition.D(128, 128, 32), partition.D(16, 16, 8), partition.D(16, 16, 8), 1, 1)
 	leftDef, _ = big.Catalog.Table("T1")
 	rightDef, _ = big.Catalog.Table("T2")
-	b2 := e.defaultBuckets(big, leftDef, rightDef, req())
+	b2 := e.defaultBuckets(big, leftDef, rightDef)
 	if b2 <= b {
 		t.Errorf("buckets did not grow with data: %d vs %d", b2, b)
 	}

@@ -76,11 +76,6 @@ func (c *Config) ablationDataset() (*oilres.Dataset, int64, int64, error) {
 // runIJ runs the IJ engine variant on a cluster with the given per-joiner
 // cache size and extracts the re-transfer counters.
 func (c *Config) runIJ(e *ij.Engine, ds *oilres.Dataset, subTables, cacheBytes int64) (AblationRow, error) {
-	return c.runIJPolicy(e, ds, subTables, cacheBytes, "")
-}
-
-// runIJPolicy is runIJ with an explicit cache replacement policy.
-func (c *Config) runIJPolicy(e *ij.Engine, ds *oilres.Dataset, subTables, cacheBytes int64, policy string) (AblationRow, error) {
 	cl, err := cluster.New(cluster.Config{
 		StorageNodes: c.StorageNodes,
 		ComputeNodes: c.ComputeNodes,
@@ -88,7 +83,6 @@ func (c *Config) runIJPolicy(e *ij.Engine, ds *oilres.Dataset, subTables, cacheB
 		DiskWriteBw:  c.DiskWriteBw,
 		NetBw:        c.NICBw,
 		CacheBytes:   cacheBytes,
-		CachePolicy:  policy,
 		CPUSecPerOp:  c.CPUSecPerOp,
 	}, ds.Catalog, ds.Stores)
 	if err != nil {
@@ -180,36 +174,6 @@ func AblationSchedule(cfg Config) (*Ablation, error) {
 	return a, nil
 }
 
-// AblationCachePolicy compares cache replacement policies at the exact
-// memory bound. The IJ access pattern re-touches a component's right
-// sub-tables while left sub-tables stream through once; LRU (the paper's
-// choice) keeps the reused rights, FIFO ages them out, and CLOCK sits in
-// between — the paper's future-work question about caching strategies,
-// answered for this workload.
-func AblationCachePolicy(cfg Config) (*Ablation, error) {
-	cfg.setDefaults()
-	ds, subTables, need, err := cfg.ablationDataset()
-	if err != nil {
-		return nil, err
-	}
-	a := &Ablation{
-		ID:    "ablation-cache-policy",
-		Title: "Caching Service replacement policies at the exact memory bound",
-		XName: "policy",
-	}
-	for _, policy := range []string{"lru", "clock", "fifo"} {
-		row, err := cfg.runIJPolicy(ij.New(), ds, subTables, need, policy)
-		if err != nil {
-			return nil, err
-		}
-		row.Label = policy
-		a.Rows = append(a.Rows, row)
-	}
-	a.Notes = append(a.Notes,
-		"expected shape: LRU fetches each sub-table once at the bound; FIFO re-fetches reused rights")
-	return a, nil
-}
-
 // AblationPlacement compares block-cyclic chunk placement (the paper's
 // setup) against contiguous placement: contiguous placement concentrates
 // each component's chunks on one storage node, serializing IJ's transfers
@@ -247,7 +211,7 @@ func AblationPlacement(cfg Config) (*Ablation, error) {
 
 // RunAblations runs every ablation, printing each as it completes.
 func RunAblations(cfg Config, w io.Writer) error {
-	for _, f := range []func(Config) (*Ablation, error){AblationCache, AblationSchedule, AblationCachePolicy, AblationPlacement} {
+	for _, f := range []func(Config) (*Ablation, error){AblationCache, AblationSchedule, AblationPlacement} {
 		a, err := f(cfg)
 		if err != nil {
 			return err

@@ -109,25 +109,3 @@ func approx(a, b float64) bool {
 	}
 	return d <= 1e-9*(1+b)
 }
-
-func TestAblationCachePolicyShape(t *testing.T) {
-	a, err := AblationCachePolicy(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]AblationRow{}
-	for _, r := range a.Rows {
-		byLabel[r.Label] = r
-	}
-	lru, ok := byLabel["lru"]
-	if !ok {
-		t.Fatalf("rows = %+v", a.Rows)
-	}
-	if lru.Refetches != 0 {
-		t.Errorf("LRU refetched %d times at the memory bound", lru.Refetches)
-	}
-	fifo := byLabel["fifo"]
-	if fifo.Refetches <= lru.Refetches {
-		t.Errorf("FIFO (%d refetches) should do worse than LRU (%d)", fifo.Refetches, lru.Refetches)
-	}
-}

@@ -68,8 +68,8 @@ func Defaults() Config {
 }
 
 // Quick returns a configuration small enough for unit tests: a tiny grid
-// with bandwidths and work factor scaled so modeled I/O and CPU costs stay
-// well above real scheduling noise (runs of a few hundred ms).
+// with bandwidths and the per-op CPU charge scaled so modeled I/O and CPU
+// costs stay well above real scheduling noise (runs of a few hundred ms).
 func Quick() Config {
 	c := Defaults()
 	c.Quick = true

@@ -14,10 +14,14 @@
 //
 // As in the paper's cost model, the build stores only row references (not
 // record copies), so build and probe cost per tuple is independent of
-// record size (α_build, α_lookup). The workFactor argument multiplies the
-// *charged* operation counts (Stats), the paper's technique of performing
-// each build/lookup k times to emulate a 1/k-speed CPU; the QES charges
-// those operations to its compute node's modeled CPU.
+// record size (α_build, α_lookup). The QES charges one operation per row
+// to its compute node's modeled CPU (cluster.Config.CPUSecPerOp, the one
+// knob that emulates a slower processor).
+//
+// BuildParallel, ProbeParallel and JoinPairSpill still take a workFactor
+// that multiplies the counted operations (Stats). Product code always
+// passes 1; the parameter stays only because bench/probes.go, which is
+// frozen, calls these signatures — it goes with ROADMAP item 1(e).
 package hashjoin
 
 import (
@@ -51,9 +55,9 @@ func Workers(rows, requested int) int {
 // Stats counts the CPU-cost drivers of the cost models. Counters are
 // atomic so concurrent QES instances can share one Stats.
 type Stats struct {
-	// TuplesBuilt counts hash-table insertions (×WorkFactor repeats).
+	// TuplesBuilt counts hash-table insertions.
 	TuplesBuilt atomic.Int64
-	// TuplesProbed counts lookup operations (×WorkFactor repeats).
+	// TuplesProbed counts lookup operations.
 	TuplesProbed atomic.Int64
 	// Matches counts result tuples produced.
 	Matches atomic.Int64
@@ -124,8 +128,9 @@ func nextPow2(x int) int {
 
 // BuildParallel constructs a hash table over left on the given key
 // attributes with up to `workers` goroutines (1 = serial, <= 0 = all CPUs;
-// small inputs stay serial regardless), repeating each insertion
-// workFactor times (>= 1) and accounting into stats (which may be nil).
+// small inputs stay serial regardless), accounting workFactor operations
+// per row (always 1 in product; see the package comment) into stats (which
+// may be nil).
 // The resulting table is identical for every worker count: partitioning
 // depends only on the rows, and each partition's chains are linked in
 // ascending row order. It is the only build; the *Parallel names stay
@@ -285,8 +290,9 @@ func (ht *HashTable) lookup(k uint64) int32 {
 }
 
 // ProbeParallel scans right, looks each record up in the hash table
-// (workFactor times), and appends matching joined records to out, whose
-// schema must be left.Schema.JoinResult(right.Schema, keys, ...). It
+// (counted workFactor times; always 1 in product), and appends matching
+// joined records to out, whose schema must be
+// left.Schema.JoinResult(right.Schema, keys, ...). It
 // returns the number of result tuples appended. Up to `workers` goroutines
 // (1 = serial, <= 0 = all CPUs; small inputs stay serial) each scan a
 // contiguous right-row range into their own output sub-table; the pieces
@@ -386,14 +392,14 @@ func (ht *HashTable) probeRange(right *tuple.SubTable, rKeyIdxs, rValIdxs []int,
 // Join builds over left and probes with right in one call, returning the
 // joined sub-table. It is the per-edge operation of the IJ algorithm and
 // the per-bucket-pair operation of Grace Hash.
-func Join(left, right *tuple.SubTable, keys []string, workFactor int, stats *Stats) (*tuple.SubTable, error) {
-	ht, err := BuildParallel(left, keys, workFactor, 1, stats)
+func Join(left, right *tuple.SubTable, keys []string, stats *Stats) (*tuple.SubTable, error) {
+	ht, err := BuildParallel(left, keys, 1, 1, stats)
 	if err != nil {
 		return nil, err
 	}
 	outSchema := left.Schema.JoinResult(right.Schema, keys, "r_")
 	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, outSchema, 0)
-	if _, err := ht.ProbeParallel(right, keys, workFactor, 1, out, stats); err != nil {
+	if _, err := ht.ProbeParallel(right, keys, 1, 1, out, stats); err != nil {
 		return nil, err
 	}
 	return out, nil

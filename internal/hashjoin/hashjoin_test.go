@@ -47,7 +47,7 @@ func makePair(n int, seed int64) (*tuple.SubTable, *tuple.SubTable) {
 func TestJoinSelectivityOne(t *testing.T) {
 	left, right := makePair(500, 1)
 	var stats Stats
-	out, err := Join(left, right, []string{"x", "y"}, 1, &stats)
+	out, err := Join(left, right, []string{"x", "y"}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestJoinNoMatches(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		right.AppendRow(float32(i+1000), 0, 1)
 	}
-	out, err := Join(left, right, []string{"x", "y"}, 1, nil)
+	out, err := Join(left, right, []string{"x", "y"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestJoinManyToMany(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		right.AppendRow(7, 7, float32(i))
 	}
-	out, err := Join(left, right, []string{"x", "y"}, 1, nil)
+	out, err := Join(left, right, []string{"x", "y"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,17 @@ func TestJoinManyToMany(t *testing.T) {
 func TestWorkFactorCountsScale(t *testing.T) {
 	left, right := makePair(200, 3)
 	var s1, s2 Stats
-	if _, err := Join(left, right, []string{"x", "y"}, 1, &s1); err != nil {
+	keys := []string{"x", "y"}
+	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, left.Schema.JoinResult(right.Schema, keys, "r_"), 0)
+	if _, err := Join(left, right, keys, &s1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Join(left, right, []string{"x", "y"}, 4, &s2); err != nil {
+	// Product code always passes 1; the parameter is pinned by bench/.
+	ht, err := BuildParallel(left, keys, 4, 1, &s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ht.ProbeParallel(right, keys, 4, 1, out, &s2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.TuplesBuilt.Load() != 4*s1.TuplesBuilt.Load() {
@@ -178,7 +185,7 @@ func TestPropMatchesNestedLoop(t *testing.T) {
 			right.AppendRow(float32(r.Intn(8)), float32(r.Intn(8)), r.Float32())
 		}
 		keys := []string{"x", "y"}
-		got, err := Join(left, right, keys, 1, nil)
+		got, err := Join(left, right, keys, nil)
 		if err != nil {
 			return false
 		}
@@ -207,7 +214,7 @@ func TestPropMatchesNestedLoop(t *testing.T) {
 
 func TestSingleKeyJoin(t *testing.T) {
 	left, right := makePair(64, 7) // all y values distinct for i<64
-	out, err := Join(left, right, []string{"x"}, 1, nil)
+	out, err := Join(left, right, []string{"x"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

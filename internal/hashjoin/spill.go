@@ -51,8 +51,9 @@ type taggedMatches struct {
 // bounded by memBytes: left partitions larger than memBytes are split
 // (fanout ways, salted by depth) and round-tripped through scratch
 // until they fit or maxDepth is reached (a partition of duplicate keys
-// cannot shrink — it falls back to an oversized build). Returns the
-// number of leaf partitions built and the match count.
+// cannot shrink — it falls back to an oversized build). workFactor is
+// always 1 in product (see the package comment). Returns the number of
+// leaf partitions built and the match count.
 func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 	workFactor, workers int, memBytes int64, fanout, maxDepth int,
 	part PartFunc, hooks SpillHooks, out *tuple.SubTable, stats *Stats) (leaves, matches int, err error) {

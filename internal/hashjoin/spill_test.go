@@ -62,7 +62,7 @@ func TestJoinPairSpillByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			left, right := makeDupPair(tc.n, tc.dup, 7)
-			base, err := Join(left, right, keys, 1, nil)
+			base, err := Join(left, right, keys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestJoinPairSpillDuplicateKeyFloor(t *testing.T) {
 	}
 	right.AppendRow(1, 2, 0.5)
 	right.AppendRow(9, 9, 1.5)
-	base, err := Join(left, right, []string{"x", "y"}, 1, nil)
+	base, err := Join(left, right, []string{"x", "y"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,24 +155,6 @@ func TestCacheBytesFor(t *testing.T) {
 	}
 }
 
-func TestWorkFactorMultipliesCharges(t *testing.T) {
-	grid := partition.D(8, 8, 4)
-	q := partition.D(4, 4, 4)
-	cl := makeCluster(t, grid, q, q, 1, 2, 32<<20)
-	r := req()
-	r.WorkFactor = 5
-	res, err := engine.RunRequest(context.Background(), New(), cl, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Join.TuplesBuilt != 5*grid.Cells() {
-		t.Errorf("builds = %d, want %d", res.Join.TuplesBuilt, 5*grid.Cells())
-	}
-	if res.Tuples != grid.Cells() {
-		t.Errorf("result changed under work factor: %d", res.Tuples)
-	}
-}
-
 func TestModeledCPUChargedPerJoiner(t *testing.T) {
 	// With a per-op CPU cost and 2 joiners, wall time must reflect the
 	// per-joiner division, not the total: ops/joiner × cost.

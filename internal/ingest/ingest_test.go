@@ -428,3 +428,30 @@ func BenchmarkViewMaintenance(b *testing.B) {
 		})
 	}
 }
+
+// TestRefreshFeedsThePlanner: view maintenance decides each term through
+// the planner, so its runs must score those decisions like any other
+// statement's — the initial materialization and a delta refresh both move
+// the estimator's sample counts.
+func TestRefreshFeedsThePlanner(t *testing.T) {
+	cl, in, batches, w, _ := liveCluster(t, 1)
+	pl := planner.New()
+	m, err := NewMaterializedView(ViewConfig{Cluster: cl, Planner: pl, View: testView(), Watcher: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	full := pl.Est.Snapshot().AlphaSamples
+	if full == 0 {
+		t.Fatal("the initial full materialization fed the estimator nothing")
+	}
+	if _, err := in.Append(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Est.Snapshot().AlphaSamples; got <= full {
+		t.Errorf("delta refresh left the alpha samples at %d", got)
+	}
+}

@@ -62,7 +62,7 @@ func TestCalibrationMovesConstantsAndFlipsDecision(t *testing.T) {
 	}
 
 	// Each observed run folds alpha, fetch and (while GH keeps winning)
-	// spill measurements; DefaultMinSamples runs graduate every signal.
+	// spill measurements; three runs graduate every signal.
 	for i := 0; i < 4; i++ {
 		if _, err := ex.Exec("SELECT COUNT(*) FROM V1"); err != nil {
 			t.Fatal(err)

@@ -130,8 +130,5 @@ func (ex *Executor) ExecLowered(ctx context.Context, l *Lowered) (*Output, error
 	if err != nil {
 		return nil, err
 	}
-	// Feed the run's measured costs back into the planner's calibration
-	// layer, closing the decide→run→observe loop for the SQL path.
-	ex.Planner.Observe(res)
 	return &Output{Rows: rows, Result: res, Decision: l.Decision}, nil
 }

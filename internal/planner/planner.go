@@ -27,8 +27,9 @@ type Planner struct {
 	Force string
 	// Est is the layered cost estimator: Decide derives static Params as
 	// always, then lets Est substitute live-calibrated constants once
-	// enough runs have been observed (Observe feeds it). New installs
-	// one; set nil to pin decisions to the static configuration layer.
+	// enough decided runs have finished (engine.Run.Finish feeds it). New
+	// installs one; set nil to pin decisions to the static configuration
+	// layer.
 	Est *costmodel.Estimator
 
 	ijEngine engine.Engine
@@ -89,7 +90,6 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, in *engine.Inputs) (costmodel.P
 		WriteBw:     cfg.DiskWriteBw,
 		AlphaBuild:  alphaBuild,
 		AlphaLookup: alphaLookup,
-		WorkFactor:  in.Req.WorkFactor,
 	}, nil
 }
 
@@ -98,9 +98,11 @@ func (p *Planner) ParamsFor(cl *cluster.Cluster, in *engine.Inputs) (costmodel.P
 // picks the faster one (honoring Force). The returned Decision carries
 // full provenance — the applied Params, both predictions, and whether
 // calibrated constants displaced configured ones — and every decision is
-// counted in the estimator's decision metric. When a side resolved to no
-// chunks there is nothing to price: the predictions stay zero and the tie
-// rule picks the engine that will run its zero units.
+// counted in the estimator's decision metric. The estimator that priced
+// the inputs is recorded on them, so whichever engine run they reach
+// scores this decision. When a side resolved to no chunks there is
+// nothing to price: the predictions stay zero and the tie rule picks the
+// engine that will run its zero units.
 func (p *Planner) Decide(cl *cluster.Cluster, in *engine.Inputs) (engine.Engine, *Decision, error) {
 	params, err := p.ParamsFor(cl, in)
 	if err != nil {
@@ -142,35 +144,13 @@ func (p *Planner) Decide(cl *cluster.Cluster, in *engine.Inputs) (engine.Engine,
 		return nil, nil, fmt.Errorf("planner: unknown forced engine %q", p.Force)
 	}
 	p.Est.RecordDecision(d.Chosen, d.Forced, d.Calibrated)
+	in.PricedBy = p.Est
 	return eng, d, nil
 }
 
-// Observe closes the loop: it feeds a finished run's measured costs into
-// the estimator's calibration layer. Safe on nil results, nil planners,
-// and planners without an estimator.
-func (p *Planner) Observe(res *engine.Result) {
-	if p == nil || p.Est == nil || res == nil {
-		return
-	}
-	o := res.Observed
-	p.Est.Observe(costmodel.Observation{
-		Engine:            res.Engine,
-		FetchBytes:        o.FetchBytes,
-		FetchSeconds:      o.FetchSeconds,
-		BuildTuples:       o.BuildTuples,
-		BuildSeconds:      o.BuildSeconds,
-		ProbeTuples:       o.ProbeTuples,
-		ProbeSeconds:      o.ProbeSeconds,
-		SpillWriteBytes:   o.SpillWriteBytes,
-		SpillWriteSeconds: o.SpillWriteSeconds,
-		SpillReadBytes:    o.SpillReadBytes,
-		SpillReadSeconds:  o.SpillReadSeconds,
-	})
-}
-
 // Run is the whole life of one join request outside the service and the
-// plan layer: resolve, decide, run on the chosen engine, observe. The
-// Materialize oracle executes its joins through it.
+// plan layer: resolve, decide, run on the chosen engine (which observes on
+// finishing). The Materialize oracle executes its joins through it.
 func Run(ctx context.Context, p *Planner, cl *cluster.Cluster, req engine.Request) (*engine.Result, *Decision, error) {
 	in, err := engine.Resolve(cl.Catalog, req)
 	if err != nil {
@@ -184,6 +164,5 @@ func Run(ctx context.Context, p *Planner, cl *cluster.Cluster, req engine.Reques
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Observe(res)
 	return res, d, nil
 }

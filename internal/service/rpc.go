@@ -32,7 +32,6 @@ type wireQuery struct {
 	JoinAttrs   []string
 	Filter      metadata.Range
 	Project     []string
-	WorkFactor  int
 	Priority    int
 	TimeoutMs   int64
 }
@@ -90,7 +89,6 @@ func (s *Service) handle(method string, payload []byte) ([]byte, error) {
 				JoinAttrs:  wq.JoinAttrs,
 				Filter:     wq.Filter,
 				Project:    wq.Project,
-				WorkFactor: wq.WorkFactor,
 			},
 			Priority: wq.Priority,
 		})
@@ -136,13 +134,12 @@ func NewClient(conn transport.Conn) *Client { return &Client{conn: conn} }
 // server, which cancels the query's execution when it expires.
 func (c *Client) Query(ctx context.Context, q Query) (*Response, error) {
 	wq := wireQuery{
-		Left:       q.Req.LeftTable,
-		Right:      q.Req.RightTable,
-		JoinAttrs:  q.Req.JoinAttrs,
-		Filter:     q.Req.Filter,
-		Project:    q.Req.Project,
-		WorkFactor: q.Req.WorkFactor,
-		Priority:   q.Priority,
+		Left:      q.Req.LeftTable,
+		Right:     q.Req.RightTable,
+		JoinAttrs: q.Req.JoinAttrs,
+		Filter:    q.Req.Filter,
+		Project:   q.Req.Project,
+		Priority:  q.Priority,
 	}
 	if d, ok := ctx.Deadline(); ok {
 		ms := time.Until(d).Milliseconds()

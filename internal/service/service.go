@@ -276,11 +276,6 @@ func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			// Close the loop: fold the run's measured costs into the
-			// calibration layer so the next decision tracks the hardware,
-			// not the config. (SubmitSQL feeds the same estimator through
-			// ExecLowered.)
-			s.pl.Observe(res)
 			return &Response{Result: res, Decision: dec}, res.Tuples, nil
 		},
 	})

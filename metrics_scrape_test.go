@@ -24,7 +24,8 @@ import (
 // callbacks taking the service/cache locks, histogram bucket loads) are
 // race-free against the instrumented hot paths. The clients drain — no
 // statement is ever cancelled — so the service's own accounting must
-// cover every response they saw.
+// cover every response they saw. The system fetches over the colenc wire,
+// so the encoded/decoded byte pair must show a live compression ratio.
 func TestMetricsScrapeDuringServiceBench(t *testing.T) {
 	ds, err := GenerateOilReservoir(OilReservoirSpec{
 		Grid:         Dims{X: 32, Y: 32, Z: 16},
@@ -38,7 +39,7 @@ func TestMetricsScrapeDuringServiceBench(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	transport.WireMetrics(reg)
-	sys, err := NewSystem(ds, ClusterSpec{ComputeNodes: 2, Metrics: reg})
+	sys, err := NewSystem(ds, ClusterSpec{ComputeNodes: 2, Wire: "colenc", Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +121,8 @@ func TestMetricsScrapeDuringServiceBench(t *testing.T) {
 		"sciview_query_seconds_count",
 		"sciview_operator_rows_total",
 		"sciview_fetch_total",
+		"sciview_fetch_encoded_bytes_total",
+		"sciview_fetch_decoded_bytes_total",
 		"sciview_transport_frames_total",
 	}
 	// Keep scraping until every family has shown up and the clients have
@@ -156,5 +159,10 @@ func TestMetricsScrapeDuringServiceBench(t *testing.T) {
 	}
 	if st.Dedup.Shared > 0 && st.Dedup.Leads == 0 {
 		t.Errorf("dedup counters inconsistent: %+v", st.Dedup)
+	}
+	enc := reg.Counter("sciview_fetch_encoded_bytes_total", "").Value()
+	dec := reg.Counter("sciview_fetch_decoded_bytes_total", "").Value()
+	if enc <= 0 || enc >= dec {
+		t.Errorf("colenc wire: encoded bytes %d, decoded %d; want 0 < encoded < decoded", enc, dec)
 	}
 }

@@ -35,11 +35,9 @@ type ClusterSpec struct {
 	// concurrent client.
 	SharedFS      bool
 	NFSContention float64
-	// CacheBytes is each compute node's sub-table cache capacity
-	// (default 64 MiB); CachePolicy selects the replacement policy
-	// ("lru" default, "fifo", "clock").
-	CacheBytes  int64
-	CachePolicy string
+	// CacheBytes is the capacity of each compute node's LRU sub-table
+	// cache (default 64 MiB).
+	CacheBytes int64
 	// CPUSecPerOp charges each hash operation this many seconds on the
 	// owning compute node's modeled CPU, emulating era-appropriate
 	// processors (0 = only real host cost).
@@ -117,7 +115,6 @@ func NewSystem(ds *Dataset, spec ClusterSpec) (*System, error) {
 		SharedFS:         spec.SharedFS,
 		NFSContention:    spec.NFSContention,
 		CacheBytes:       spec.CacheBytes,
-		CachePolicy:      spec.CachePolicy,
 		CPUSecPerOp:      spec.CPUSecPerOp,
 		UseTCP:           spec.UseTCP,
 		Wire:             spec.Wire,
