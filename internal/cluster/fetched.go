@@ -10,7 +10,10 @@ import (
 // columnar form (SVT2). Caches, the singleflight groups and replica
 // failover all move Fetched values, so the encoded representation travels
 // end to end — and a cached sub-table stays resident at its compressed
-// size, decoded only when a joiner actually consumes it.
+// size, decoded only when a joiner actually consumes its rows: IJ decodes a
+// left carrier once per hash table built from it (edges that reuse the
+// table take the carrier from the cache but never decode it) and a right
+// carrier once per probe.
 type Fetched struct {
 	st  *tuple.SubTable
 	enc *colenc.Table

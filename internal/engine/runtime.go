@@ -192,6 +192,10 @@ type Joiner struct {
 	cn    *cluster.ComputeNode
 	out   *tuple.SubTable
 	local hashjoin.Stats
+	// hj owns the arrays of the attempt's one live hash table — IJ's
+	// per-left table, GH's per-pair table, one spill leaf at a time — and
+	// reuses them from one build to the next.
+	hj hashjoin.Builder
 }
 
 // Spiller round-trips one build partition of an over-budget pair through
@@ -240,16 +244,18 @@ func (j *Joiner) probed(label string, st *tuple.SubTable, start time.Time) {
 	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(st.Bytes()), int64(st.NumRows()))
 }
 
-// Fits reports whether left may be built whole under the run's per-pair
-// memory cap.
-func (j *Joiner) Fits(left *tuple.SubTable) bool {
-	return j.memCap == 0 || int64(left.Bytes()) <= j.memCap
+// Fits reports whether a build side of leftBytes decoded bytes
+// (SubTable.Bytes, Fetched.DecodedBytes) may be built whole under the run's
+// per-pair memory cap.
+func (j *Joiner) Fits(leftBytes int) bool {
+	return j.memCap == 0 || int64(leftBytes) <= j.memCap
 }
 
-// Build builds the hash table over left.
+// Build builds the hash table over left. It replaces the joiner's previous
+// table, which must no longer be probed.
 func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
 	start := time.Now()
-	ht, err := hashjoin.BuildParallel(left, j.Req.JoinAttrs, 1, j.Req.Parallelism, &j.local)
+	ht, err := j.hj.Build(left, j.Req.JoinAttrs, j.Req.Parallelism, &j.local)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +281,7 @@ func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTab
 // spillMaxDepth (duplicate keys no hash can split) the residue builds
 // oversized. Output is byte-identical to the in-memory join at any cap.
 func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable) error {
-	if j.Fits(left) {
+	if j.Fits(left.Bytes()) {
 		ht, err := j.Build(label, left)
 		if err != nil {
 			return err
@@ -283,8 +289,8 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 		return j.Probe(ht, label, right)
 	}
 	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
-	_, _, err := hashjoin.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
-		1, j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
+	_, _, err := j.hj.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
+		j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
 		spillHash, hooks, j.out, &j.local)
 	return err
 }

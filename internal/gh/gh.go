@@ -332,8 +332,9 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 			var schema tuple.Schema
 			batches := make([]*tuple.SubTable, nj)
 			var keyIdxs []int
-			var row []float32
-			src := s // node that served the latest chunk (ship attribution)
+			var keys []uint64
+			rows := make([][]int32, nj) // the chunk's rows per group
+			src := s                    // node that served the latest chunk (ship attribution)
 			for _, d := range descs {
 				if err := ctx.Err(); err != nil {
 					errs[s] = err
@@ -351,8 +352,10 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 				// no extra bytes), so the calibrated per-stream rate prices
 				// the full scan→ship pipeline.
 				gr.Obs.Fetch(int64(st.Bytes()), time.Since(fetchStart))
-				gr.Req.Trace.Span(fmt.Sprintf("storage-%d", served), trace.KindFetch, d.ID().String(), fetchStart,
-					int64(st.Bytes()), int64(st.NumRows()))
+				if gr.Req.Trace.Enabled() {
+					gr.Req.Trace.Span(fault.StorageNode(served), trace.KindFetch, d.ID().String(), fetchStart,
+						int64(st.Bytes()), int64(st.NumRows()))
+				}
 				if keyIdxs == nil {
 					schema = st.Schema
 					keyIdxs, err = schema.Indexes(gr.Req.JoinAttrs)
@@ -360,24 +363,31 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 						errs[s] = err
 						return
 					}
-					row = tuple.GetRow(schema.NumAttrs())
-					defer tuple.PutRow(row)
 				}
-				for r := 0; r < st.NumRows(); r++ {
-					g := int(h1(st.Key(r, keyIdxs)) % uint64(nj))
-					if only >= 0 && g != only {
+				keys = st.Keys(keys, keyIdxs)
+				for g := range rows {
+					rows[g] = rows[g][:0]
+				}
+				for r, k := range keys {
+					if g := int(h1(k) % uint64(nj)); only < 0 || g == only {
+						rows[g] = append(rows[g], int32(r))
+					}
+				}
+				for g, idx := range rows {
+					if len(idx) == 0 {
 						continue
 					}
 					if batches[g] == nil {
 						batches[g] = tuple.NewSubTable(tuple.ID{Table: st.ID.Table, Chunk: -1}, schema, gr.batchRows)
 					}
-					batches[g].AppendRow(st.Row(r, row)...)
-					if batches[g].NumRows() >= gr.batchRows {
-						if err := gr.shipBatch(src, groups[g], sd, batches[g], keyIdxs); err != nil {
-							errs[s] = err
-							return
-						}
-						batches[g].Reset()
+					b := batches[g]
+					err := fill(b, st, idx, gr.batchRows, func() error {
+						defer b.Reset()
+						return gr.shipBatch(src, groups[g], sd, b, keyIdxs)
+					})
+					if err != nil {
+						errs[s] = err
+						return
 					}
 				}
 			}
@@ -422,8 +432,10 @@ func (gr *ghRun) shipBatch(src int, grp *group, sd side, batch *tuple.SubTable, 
 	}
 	cl.Ship(src, grp.exec, size)
 	gr.Obs.Fetch(0, time.Since(start))
-	gr.Req.Trace.Span(fmt.Sprintf("storage-%d", src), trace.KindShip, grp.node, start,
-		size, int64(batch.NumRows()))
+	if gr.Req.Trace.Enabled() {
+		gr.Req.Trace.Span(fault.StorageNode(src), trace.KindShip, grp.node, start,
+			size, int64(batch.NumRows()))
+	}
 	if err := grp.part(sd).add(batch, keyIdxs); err != nil {
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
 			grp.lost.Store(true)
@@ -479,6 +491,9 @@ type partitioner struct {
 	buckets   []*tuple.SubTable
 	rows      []int64 // total rows spilled per bucket (for sizing checks)
 	flushRows int
+	// add's scratch: the batch's packed keys and its rows per bucket.
+	keys     []uint64
+	byBucket [][]int32
 }
 
 func newPartitioner(mgr *scratch.Manager, side string, schema tuple.Schema, buckets, flushRows int) *partitioner {
@@ -489,6 +504,7 @@ func newPartitioner(mgr *scratch.Manager, side string, schema tuple.Schema, buck
 		buckets:   make([]*tuple.SubTable, buckets),
 		rows:      make([]int64, buckets),
 		flushRows: flushRows,
+		byBucket:  make([][]int32, buckets),
 	}
 	for k := range p.buckets {
 		p.buckets[k] = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(k)}, schema, flushRows)
@@ -498,20 +514,39 @@ func newPartitioner(mgr *scratch.Manager, side string, schema tuple.Schema, buck
 
 func (p *partitioner) object(k int) string { return fmt.Sprintf("%s/b%d", p.side, k) }
 
+// fill appends records idx of src to dst, calling full — which must empty
+// dst — each time dst reaches limit rows: the boundaries a row-at-a-time
+// append would hit, reached a column run at a time.
+func fill(dst, src *tuple.SubTable, idx []int32, limit int, full func() error) error {
+	for len(idx) > 0 {
+		n := min(len(idx), limit-dst.NumRows())
+		dst.AppendGather(src, idx[:n])
+		idx = idx[n:]
+		if dst.NumRows() >= limit {
+			if err := full(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // add partitions a batch into buckets, spilling full buffers.
 func (p *partitioner) add(batch *tuple.SubTable, keyIdxs []int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	nb := uint64(len(p.buckets))
-	row := tuple.GetRow(p.schema.NumAttrs())
-	defer tuple.PutRow(row)
-	for r := 0; r < batch.NumRows(); r++ {
-		k := int(h2(batch.Key(r, keyIdxs)) % nb)
-		p.buckets[k].AppendRow(batch.Row(r, row)...)
-		if p.buckets[k].NumRows() >= p.flushRows {
-			if err := p.spill(k); err != nil {
-				return err
-			}
+	p.keys = batch.Keys(p.keys, keyIdxs)
+	for k := range p.byBucket {
+		p.byBucket[k] = p.byBucket[k][:0]
+	}
+	for r, key := range p.keys {
+		k := h2(key) % nb
+		p.byBucket[k] = append(p.byBucket[k], int32(r))
+	}
+	for k, idx := range p.byBucket {
+		if err := fill(p.buckets[k], batch, idx, p.flushRows, func() error { return p.spill(k) }); err != nil {
+			return err
 		}
 	}
 	return nil

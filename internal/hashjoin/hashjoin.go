@@ -3,14 +3,29 @@
 // (inner) relation keyed on the join attributes, then probe it with each
 // record of the right (outer) relation.
 //
-// The table is a flat open-addressing structure — power-of-two capacity,
-// linear probing, packed uint64 keys with per-row chain links — rather than
-// a Go map, so build is a few array writes per row and probe a few array
-// reads, with no per-bucket slice headers or map overhead. The table is
-// split into hash partitions so Build can insert partitions concurrently
-// and Probe can scan disjoint right-row ranges concurrently; chains are
-// linked in ascending left-row order, which makes the output byte-identical
-// regardless of worker count.
+// The join runs on columns. Keys are packed a column at a time
+// (tuple.SubTable.Keys — the one key definition, under which -0 and +0 are
+// one key and NaN matches nothing). The table is a flat open-addressing
+// structure — power-of-two capacity, linear probing, packed uint64 keys with
+// per-row chain links — rather than a Go map. The probe is one loop: it
+// looks each right key up, verifies real equality, and records the match as
+// a (left row, right row) pair in two index vectors; the output is then
+// gathered once per column — left columns by the left vector, the right
+// side's non-key columns by the right vector. The out-of-core pair join
+// (JoinPairSpill) runs the same loop per leaf and keeps the right-row
+// vector as its merge tag.
+//
+// The table is split into hash partitions so Build can insert partitions
+// concurrently and Probe can scan disjoint right-row ranges concurrently;
+// chains are linked in ascending left-row order and range outputs land at
+// prefix-summed offsets, which makes the output byte-identical regardless
+// of worker count.
+//
+// A Builder owns the arrays all of this needs — the table's own and the
+// transient build and probe scratch — and reuses them for its next table,
+// so a joiner working through a schedule allocates per edge little more
+// than its output columns. A Builder has one live table at a time. The
+// package-level BuildParallel returns an independent table instead.
 //
 // As in the paper's cost model, the build stores only row references (not
 // record copies), so build and probe cost per tuple is independent of
@@ -27,6 +42,7 @@ package hashjoin
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -101,6 +117,32 @@ type HashTable struct {
 	keys   []uint64 // packed key per occupied slot
 	heads  []int32  // slot → first left row, -1 when empty
 	next   []int32  // left row → next left row with equal key, -1 at end
+
+	// scratch is the owning Builder's probe scratch; nil for an independent
+	// table, whose probes bring their own.
+	scratch *probeScratch
+}
+
+// Builder builds hash tables out of one arena: the table arrays and the
+// transient build and probe scratch are kept and reused by the next Build,
+// which therefore invalidates the previous table. The zero value is ready.
+// A Builder and its table belong to one goroutine at a time.
+type Builder struct {
+	ht      HashTable
+	rowKeys []uint64 // packed key per left row
+	pstart  []int32  // nparts+1 row-range boundaries in rorder
+	rorder  []int32  // rows counting-sorted by partition (nparts > 1 only)
+	tails   []int32  // slot → last row of its chain, while chains grow
+	probe   probeScratch
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // numParts picks the partition count for an n-row build: 1 below the
@@ -133,9 +175,27 @@ func nextPow2(x int) int {
 // may be nil).
 // The resulting table is identical for every worker count: partitioning
 // depends only on the rows, and each partition's chains are linked in
-// ascending row order. It is the only build; the *Parallel names stay
+// ascending row order. The table is independent — it shares no arena, so
+// any number may be alive and probed at once. The *Parallel names stay
 // because bench/probes.go calls them (rename with a benchmark PR).
 func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
+	var b Builder
+	ht, err := b.build(left, keys, workFactor, workers, stats)
+	if err != nil {
+		return nil, err
+	}
+	own := *ht // detached from the throwaway builder and its scratch
+	own.scratch = nil
+	return &own, nil
+}
+
+// Build constructs the builder's table over left, as BuildParallel does,
+// reusing the arena. The table it returned before is dead.
+func (b *Builder) Build(left *tuple.SubTable, keys []string, workers int, stats *Stats) (*HashTable, error) {
+	return b.build(left, keys, 1, workers, stats)
+}
+
+func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
 	if workFactor < 1 {
 		workFactor = 1
 	}
@@ -145,95 +205,89 @@ func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int,
 	}
 	n := left.NumRows()
 	nparts := numParts(n)
-	ht := &HashTable{
-		left:    left,
-		keyIdxs: keyIdxs,
-		nparts:  nparts,
-		next:    make([]int32, n),
-	}
+	ht := &b.ht
+	ht.left, ht.keyIdxs, ht.nparts, ht.scratch = left, keyIdxs, nparts, &b.probe
+	ht.next = resize(ht.next, n)
 	workers = Workers(n, workers)
 	if workers > nparts {
 		workers = nparts
 	}
 
-	// Pass 1: pack and mix every row key (embarrassingly parallel).
-	rowKeys := make([]uint64, n)
-	hashes := make([]uint64, n)
-	runRanges(n, workers, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			k := left.Key(r, keyIdxs)
-			rowKeys[r] = k
-			hashes[r] = mix(k)
-		}
-	})
+	b.rowKeys = left.Keys(b.rowKeys, keyIdxs)
+	rowKeys := b.rowKeys
 
-	// Count rows per partition and lay out the slot ranges: each partition
-	// gets a power-of-two region at most half full.
+	// Lay out the slot ranges: each partition gets a power-of-two region at
+	// most half full. pstart bounds each partition's rows in rorder; with a
+	// single partition rorder is the identity and is never materialised.
 	pmask := uint64(nparts - 1)
-	counts := make([]int32, nparts)
-	for r := 0; r < n; r++ {
-		counts[hashes[r]&pmask]++
+	b.pstart = resize(b.pstart, nparts+1)
+	pstart := b.pstart
+	clear(pstart)
+	if nparts == 1 {
+		pstart[1] = int32(n)
+	} else {
+		for _, k := range rowKeys {
+			pstart[(mix(k)&pmask)+1]++
+		}
+		for p := 0; p < nparts; p++ {
+			pstart[p+1] += pstart[p]
+		}
 	}
-	ht.offs = make([]int32, nparts+1)
-	ht.mask = make([]uint32, nparts)
+	ht.offs = resize(ht.offs, nparts+1)
+	ht.mask = resize(ht.mask, nparts)
 	total := int32(0)
 	for p := 0; p < nparts; p++ {
-		cap := nextPow2(2 * int(counts[p]))
-		if cap < 1 {
-			cap = 1
-		}
+		cap := nextPow2(2 * int(pstart[p+1]-pstart[p]))
 		ht.offs[p] = total
 		ht.mask[p] = uint32(cap - 1)
 		total += int32(cap)
 	}
 	ht.offs[nparts] = total
-	ht.keys = make([]uint64, total)
-	ht.heads = make([]int32, total)
+	ht.keys = resize(ht.keys, int(total))
+	ht.heads = resize(ht.heads, int(total))
+	b.tails = resize(b.tails, int(total)) // only needed while chains grow
 
 	// Counting-sort rows into per-partition lists, preserving ascending row
 	// order within each partition.
-	rorder := make([]int32, n)
-	pstart := make([]int32, nparts+1)
-	pos := make([]int32, nparts)
-	for p := 0; p < nparts; p++ {
-		pstart[p+1] = pstart[p] + counts[p]
-		pos[p] = pstart[p]
-	}
-	for r := 0; r < n; r++ {
-		p := hashes[r] & pmask
-		rorder[pos[p]] = int32(r)
-		pos[p]++
+	var rorder []int32
+	if nparts > 1 {
+		b.rorder = resize(b.rorder, n)
+		rorder = b.rorder
+		pos := slices.Clone(pstart[:nparts])
+		for r, k := range rowKeys {
+			p := mix(k) & pmask
+			rorder[pos[p]] = int32(r)
+			pos[p]++
+		}
 	}
 
-	// Pass 2: insert, one goroutine per partition block. tails[] is only
-	// needed while chains grow; it is transient build scratch.
-	tails := make([]int32, total)
-	runRanges(nparts, workers, func(plo, phi int) {
+	// Insert, one goroutine per partition block.
+	heads, slotKeys, tails, next := ht.heads, ht.keys, b.tails, ht.next
+	runRanges(nparts, workers, func(_, plo, phi int) {
 		for p := plo; p < phi; p++ {
 			base := ht.offs[p]
 			m := int32(ht.mask[p])
 			for s := base; s <= base+m; s++ {
-				ht.heads[s] = -1
+				heads[s] = -1
 			}
-			for _, r := range rorder[pstart[p]:pstart[p+1]] {
+			for i := pstart[p]; i < pstart[p+1]; i++ {
+				r := i
+				if rorder != nil {
+					r = rorder[i]
+				}
 				k := rowKeys[r]
-				slot := base + int32(uint32(hashes[r]>>32))&m
-				for {
-					if ht.heads[slot] < 0 {
-						ht.heads[slot] = r
-						ht.keys[slot] = k
-						tails[slot] = r
-						ht.next[r] = -1
-						break
-					}
-					if ht.keys[slot] == k {
-						ht.next[tails[slot]] = r
-						tails[slot] = r
-						ht.next[r] = -1
-						break
-					}
+				slot := base + int32(uint32(mix(k)>>32))&m
+				for heads[slot] >= 0 && slotKeys[slot] != k {
 					slot = base + (slot-base+1)&m
 				}
+				if heads[slot] < 0 {
+					heads[slot] = r
+					slotKeys[slot] = k
+				} else {
+					next[tails[slot]] = r
+				}
+				tails[slot] = r
+				next[r] = -1
 			}
 		}
 	})
@@ -244,11 +298,11 @@ func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int,
 	return ht, nil
 }
 
-// runRanges splits [0, n) into `workers` contiguous ranges and runs fn on
-// each; serial when workers <= 1.
-func runRanges(n, workers int, fn func(lo, hi int)) {
+// runRanges splits [0, n) into `workers` contiguous ranges and runs
+// fn(w, lo, hi) on the w-th; serial when workers <= 1.
+func runRanges(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 || n == 0 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	if workers > n {
@@ -259,10 +313,10 @@ func runRanges(n, workers int, fn func(lo, hi int)) {
 		lo := n * w / workers
 		hi := n * (w + 1) / workers
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}()
+			fn(w, lo, hi)
+		}(w)
 	}
 	wg.Wait()
 }
@@ -289,120 +343,134 @@ func (ht *HashTable) lookup(k uint64) int32 {
 	}
 }
 
+// probeScratch is what a probe needs besides the table: how the right
+// schema lines up against the join keys — resolved once and kept while the
+// same schema keeps arriving, which on a joiner's schedule is every edge —
+// and the packed right keys and match vectors.
+type probeScratch struct {
+	schema   tuple.Schema
+	keyNames []string
+	rKeyIdxs []int
+	// rValIdxs are the non-key right columns, in right schema order: they
+	// follow the left attributes in the result schema.
+	rValIdxs []int
+
+	keys []uint64
+	vecs []matchVec // one per probe worker
+}
+
+// matchVec is the matches of one contiguous right-row range: pairs
+// (left[i], right[i]), ascending in right row, each right row's chain in
+// ascending left row. at is the range's first row in the output.
+type matchVec struct {
+	left, right []int32
+	at          int
+}
+
+// resolve lines schema up against the key names.
+func (s *probeScratch) resolve(schema tuple.Schema, keys []string) error {
+	if s.rKeyIdxs != nil && slices.Equal(keys, s.keyNames) && schema.Equal(s.schema) {
+		return nil
+	}
+	rKeyIdxs, rValIdxs, err := rightLayout(schema, keys)
+	if err != nil {
+		return err
+	}
+	s.schema, s.keyNames, s.rKeyIdxs, s.rValIdxs = schema, slices.Clone(keys), rKeyIdxs, rValIdxs
+	return nil
+}
+
+// rightLayout splits the right schema's columns into the join keys, in key
+// order, and the rest, in schema order.
+func rightLayout(schema tuple.Schema, keys []string) (rKeyIdxs, rValIdxs []int, err error) {
+	rKeyIdxs, err = schema.Indexes(keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range schema.Attrs {
+		if !slices.Contains(rKeyIdxs, i) {
+			rValIdxs = append(rValIdxs, i)
+		}
+	}
+	return rKeyIdxs, rValIdxs, nil
+}
+
 // ProbeParallel scans right, looks each record up in the hash table
 // (counted workFactor times; always 1 in product), and appends matching
 // joined records to out, whose schema must be
 // left.Schema.JoinResult(right.Schema, keys, ...). It
 // returns the number of result tuples appended. Up to `workers` goroutines
 // (1 = serial, <= 0 = all CPUs; small inputs stay serial) each scan a
-// contiguous right-row range into their own output sub-table; the pieces
-// are concatenated in range order, so the result is byte-identical at
-// every worker count.
+// contiguous right-row range and gather their matches into out at the
+// range's offset, so the result is byte-identical at every worker count.
 func (ht *HashTable) ProbeParallel(right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
 	if workFactor < 1 {
 		workFactor = 1
 	}
-	rKeyIdxs, err := right.Schema.Indexes(keys)
+	s := ht.scratch
+	if s == nil {
+		s = new(probeScratch)
+	}
+	matches, err := ht.probe(s, right, keys, workers, out)
 	if err != nil {
-		return 0, fmt.Errorf("hashjoin: probe: %w", err)
-	}
-	// Non-key right columns, in right schema order: these follow the left
-	// attributes in the result schema.
-	isKey := make([]bool, right.Schema.NumAttrs())
-	for _, i := range rKeyIdxs {
-		isKey[i] = true
-	}
-	var rValIdxs []int
-	for i := range right.Schema.Attrs {
-		if !isKey[i] {
-			rValIdxs = append(rValIdxs, i)
-		}
-	}
-	wantAttrs := ht.left.Schema.NumAttrs() + len(rValIdxs)
-	if out.Schema.NumAttrs() != wantAttrs {
-		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), wantAttrs)
-	}
-
-	n := right.NumRows()
-	workers = Workers(n, workers)
-	if workers <= 1 {
-		matches := ht.probeRange(right, rKeyIdxs, rValIdxs, 0, n, out)
-		if stats != nil {
-			stats.TuplesProbed.Add(int64(n * workFactor))
-			stats.Matches.Add(int64(matches))
-		}
-		return matches, nil
-	}
-
-	parts := make([]*tuple.SubTable, workers)
-	partMatches := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		parts[w] = tuple.NewSubTable(out.ID, out.Schema, 0)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partMatches[w] = ht.probeRange(right, rKeyIdxs, rValIdxs, lo, hi, parts[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	matches := 0
-	for w := 0; w < workers; w++ {
-		matches += partMatches[w]
-		if err := out.AppendAll(parts[w]); err != nil {
-			return 0, fmt.Errorf("hashjoin: probe concat: %w", err)
-		}
+		return 0, err
 	}
 	if stats != nil {
-		stats.TuplesProbed.Add(int64(n * workFactor))
+		stats.TuplesProbed.Add(int64(right.NumRows() * workFactor))
 		stats.Matches.Add(int64(matches))
 	}
 	return matches, nil
 }
 
-// probeRange probes right rows [lo, hi) into out, returning the match
-// count. Chains are walked in ascending left-row order, so appends happen
-// in exactly the serial probe's order.
-func (ht *HashTable) probeRange(right *tuple.SubTable, rKeyIdxs, rValIdxs []int, lo, hi int, out *tuple.SubTable) int {
+// probe is the one probe. It leaves the match vectors in s.vecs (one per
+// worker used) for JoinPairSpill's leaves to tag their output with.
+func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string, workers int, out *tuple.SubTable) (int, error) {
+	if err := s.resolve(right.Schema, keys); err != nil {
+		return 0, fmt.Errorf("hashjoin: probe: %w", err)
+	}
 	lAttrs := ht.left.Schema.NumAttrs()
-	row := tuple.GetRow(lAttrs + len(rValIdxs))
-	defer tuple.PutRow(row)
-	matches := 0
-	for r := lo; r < hi; r++ {
-		k := right.Key(r, rKeyIdxs)
-		for lr := ht.lookup(k); lr >= 0; lr = ht.next[lr] {
-			if !ht.left.KeysEqual(int(lr), ht.keyIdxs, right, r, rKeyIdxs) {
-				continue
-			}
-			for c := 0; c < lAttrs; c++ {
-				row[c] = ht.left.Value(int(lr), c)
-			}
-			for i, rc := range rValIdxs {
-				row[lAttrs+i] = right.Value(r, rc)
-			}
-			out.AppendRow(row...)
-			matches++
-		}
+	if want := lAttrs + len(s.rValIdxs); out.Schema.NumAttrs() != want {
+		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
-	return matches
-}
+	n := right.NumRows()
+	workers = Workers(n, workers)
+	s.keys = right.Keys(s.keys, s.rKeyIdxs)
+	s.vecs = resize(s.vecs, workers)
 
-// Join builds over left and probes with right in one call, returning the
-// joined sub-table. It is the per-edge operation of the IJ algorithm and
-// the per-bucket-pair operation of Grace Hash.
-func Join(left, right *tuple.SubTable, keys []string, stats *Stats) (*tuple.SubTable, error) {
-	ht, err := BuildParallel(left, keys, 1, 1, stats)
-	if err != nil {
-		return nil, err
+	// Match: chains are walked in ascending left-row order, so every range's
+	// vectors are in exactly the serial probe's order.
+	runRanges(n, workers, func(w, lo, hi int) {
+		v := &s.vecs[w]
+		// Room for one match per right row: the usual case, so an
+		// independent table's fresh vectors are not grown by doubling.
+		l, r := slices.Grow(v.left[:0], hi-lo), slices.Grow(v.right[:0], hi-lo)
+		for row := lo; row < hi; row++ {
+			for lr := ht.lookup(s.keys[row]); lr >= 0; lr = ht.next[lr] {
+				if ht.left.KeysEqual(int(lr), ht.keyIdxs, right, row, s.rKeyIdxs) {
+					l, r = append(l, lr), append(r, int32(row))
+				}
+			}
+		}
+		v.left, v.right = l, r
+	})
+
+	// Gather: one pass per output column per range, at the range's offset.
+	matches := 0
+	for w := range s.vecs {
+		s.vecs[w].at = matches
+		matches += len(s.vecs[w].left)
 	}
-	outSchema := left.Schema.JoinResult(right.Schema, keys, "r_")
-	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, outSchema, 0)
-	if _, err := ht.ProbeParallel(right, keys, 1, 1, out, stats); err != nil {
-		return nil, err
-	}
-	return out, nil
+	base := out.Extend(matches)
+	runRanges(workers, workers, func(w, _, _ int) {
+		v := &s.vecs[w]
+		for c := 0; c < lAttrs; c++ {
+			out.GatherCol(c, base+v.at, ht.left.Col(c), v.left)
+		}
+		for i, rc := range s.rValIdxs {
+			out.GatherCol(lAttrs+i, base+v.at, right.Col(rc), v.right)
+		}
+	})
+	return matches, nil
 }
 
 // NestedLoop is the O(n·m) reference join used to validate the hash join
@@ -413,19 +481,9 @@ func NestedLoop(left, right *tuple.SubTable, keys []string) (*tuple.SubTable, er
 	if err != nil {
 		return nil, err
 	}
-	rIdx, err := right.Schema.Indexes(keys)
+	rIdx, rValIdxs, err := rightLayout(right.Schema, keys)
 	if err != nil {
 		return nil, err
-	}
-	isKey := make([]bool, right.Schema.NumAttrs())
-	for _, i := range rIdx {
-		isKey[i] = true
-	}
-	var rValIdxs []int
-	for i := range right.Schema.Attrs {
-		if !isKey[i] {
-			rValIdxs = append(rValIdxs, i)
-		}
 	}
 	outSchema := left.Schema.JoinResult(right.Schema, keys, "r_")
 	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, outSchema, 0)

@@ -13,13 +13,13 @@ import (
 // (paying the spill I/O degraded mode models), and each resulting leaf
 // builds a bounded hash table and probes the full streamed right side.
 //
-// The output is byte-identical to the in-memory join at any budget:
-// probing records each match's right-row index, and the per-leaf
-// outputs are merged by ascending right-row index. All left rows that
-// can match a given right row share its packed key, hence hash to the
-// same leaf at every salt — so the per-right-row match runs are whole
-// within one leaf and arrive in the same ascending left-row chain order
-// the in-memory probe emits.
+// The output is byte-identical to the in-memory join at any budget: a
+// leaf's probe is the in-memory probe, whose right-row match vector tags
+// its output, and the per-leaf outputs are merged by ascending right-row
+// index. All left rows that can match a given right row share its packed
+// key, hence hash to the same leaf at every salt — so the per-right-row
+// match runs are whole within one leaf and arrive in the same ascending
+// left-row chain order the in-memory probe emits.
 
 // PartFunc maps a packed join key and a recursion salt to a partition
 // hash. Callers supply their engine's salted hash so recursive splits
@@ -39,14 +39,6 @@ type SpillHooks struct {
 	Probed func(label string, st *tuple.SubTable, start time.Time)
 }
 
-// taggedMatches is one leaf's probe output: the joined rows plus each
-// row's originating right-row index (ascending; runs of equal indices
-// are the per-right-row chains, already in left-row order).
-type taggedMatches struct {
-	st   *tuple.SubTable
-	ridx []int32
-}
-
 // JoinPairSpill joins left and right into out with the build side
 // bounded by memBytes: left partitions larger than memBytes are split
 // (fanout ways, salted by depth) and round-tripped through scratch
@@ -55,6 +47,21 @@ type taggedMatches struct {
 // always 1 in product (see the package comment). Returns the number of
 // leaf partitions built and the match count.
 func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
+	workFactor, workers int, memBytes int64, fanout, maxDepth int,
+	part PartFunc, hooks SpillHooks, out *tuple.SubTable, stats *Stats) (leaves, matches int, err error) {
+	var b Builder
+	return b.joinPairSpill(left, right, keys, label, workFactor, workers, memBytes, fanout, maxDepth, part, hooks, out, stats)
+}
+
+// JoinPairSpill is the package-level JoinPairSpill building its leaves —
+// one live at a time — out of the builder's arena.
+func (b *Builder) JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
+	workers int, memBytes int64, fanout, maxDepth int,
+	part PartFunc, hooks SpillHooks, out *tuple.SubTable, stats *Stats) (leaves, matches int, err error) {
+	return b.joinPairSpill(left, right, keys, label, 1, workers, memBytes, fanout, maxDepth, part, hooks, out, stats)
+}
+
+func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 	workFactor, workers int, memBytes int64, fanout, maxDepth int,
 	part PartFunc, hooks SpillHooks, out *tuple.SubTable, stats *Stats) (leaves, matches int, err error) {
 	if workFactor < 1 {
@@ -67,46 +74,37 @@ func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 	if err != nil {
 		return 0, 0, fmt.Errorf("hashjoin: spill join: %w", err)
 	}
-	rKeyIdxs, err := right.Schema.Indexes(keys)
-	if err != nil {
+	if err := b.probe.resolve(right.Schema, keys); err != nil {
 		return 0, 0, fmt.Errorf("hashjoin: spill join: %w", err)
 	}
-	isKey := make([]bool, right.Schema.NumAttrs())
-	for _, i := range rKeyIdxs {
-		isKey[i] = true
-	}
-	var rValIdxs []int
-	for i := range right.Schema.Attrs {
-		if !isKey[i] {
-			rValIdxs = append(rValIdxs, i)
-		}
-	}
-	wantAttrs := left.Schema.NumAttrs() + len(rValIdxs)
-	if out.Schema.NumAttrs() != wantAttrs {
-		return 0, 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), wantAttrs)
+	if want := left.Schema.NumAttrs() + len(b.probe.rValIdxs); out.Schema.NumAttrs() != want {
+		return 0, 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 
-	var tagged []taggedMatches
+	// The leaves' outputs, concatenated in leaf order, and each row's
+	// originating right-row index: ascending within a leaf, runs of equal
+	// indices being the per-right-row chains, already in left-row order.
+	cat := tuple.NewSubTable(out.ID, out.Schema, 0)
+	var tags []int32
+	var splitKeys []uint64 // consumed into row lists before process recurses
 	var process func(pt *tuple.SubTable, salt uint64, depth int, plabel string) error
 	process = func(pt *tuple.SubTable, salt uint64, depth int, plabel string) error {
 		if pt.NumRows() == 0 {
 			return nil
 		}
 		if memBytes > 0 && int64(pt.Bytes()) > memBytes && depth < maxDepth {
-			subs := make([]*tuple.SubTable, fanout)
-			row := tuple.GetRow(pt.Schema.NumAttrs())
-			for r := 0; r < pt.NumRows(); r++ {
-				i := int(part(pt.Key(r, lKeyIdxs), salt) % uint64(fanout))
-				if subs[i] == nil {
-					subs[i] = tuple.NewSubTable(pt.ID, pt.Schema, 0)
-				}
-				subs[i].AppendRow(pt.Row(r, row)...)
+			splitKeys = pt.Keys(splitKeys, lKeyIdxs)
+			rows := make([][]int32, fanout)
+			for r, k := range splitKeys {
+				i := part(k, salt) % uint64(fanout)
+				rows[i] = append(rows[i], int32(r))
 			}
-			tuple.PutRow(row)
-			for i, sub := range subs {
-				if sub == nil {
+			for i, idx := range rows {
+				if len(idx) == 0 {
 					continue
 				}
+				sub := tuple.NewSubTable(pt.ID, pt.Schema, 0)
+				sub.AppendGather(pt, idx)
 				sl := fmt.Sprintf("%s.%d", plabel, i)
 				rt, err := hooks.RoundTrip(sl, sub)
 				if err != nil {
@@ -118,9 +116,9 @@ func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 			}
 			return nil
 		}
-		// Leaf: bounded build, tagged probe of the full right side.
+		// Leaf: bounded build, then the full right side probed into cat.
 		start := time.Now()
-		ht, err := BuildParallel(pt, keys, workFactor, workers, stats)
+		ht, err := b.build(pt, keys, workFactor, workers, stats)
 		if err != nil {
 			return err
 		}
@@ -128,8 +126,11 @@ func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 			hooks.Built(plabel, pt, start)
 		}
 		start = time.Now()
-		tm := taggedMatches{st: tuple.NewSubTable(out.ID, out.Schema, 0)}
-		m := ht.probeTagged(right, rKeyIdxs, rValIdxs, tm.st, &tm.ridx)
+		m, err := ht.probe(&b.probe, right, keys, 1, cat)
+		if err != nil {
+			return err
+		}
+		tags = append(tags, b.probe.vecs[0].right...)
 		if stats != nil {
 			stats.TuplesProbed.Add(int64(right.NumRows() * workFactor))
 			stats.Matches.Add(int64(m))
@@ -139,67 +140,28 @@ func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 		}
 		matches += m
 		leaves++
-		tagged = append(tagged, tm)
 		return nil
 	}
 	if err := process(left, 0, 0, label); err != nil {
 		return leaves, matches, err
 	}
 
-	// Merge leaf outputs by ascending right-row index. Index sets are
-	// disjoint across leaves (equal keys hash identically at every salt),
-	// so this interleaving reproduces the in-memory probe order exactly.
-	pos := make([]int, len(tagged))
-	row := tuple.GetRow(out.Schema.NumAttrs())
-	defer tuple.PutRow(row)
-	for {
-		best := -1
-		var bestR int32
-		for i := range tagged {
-			if pos[i] >= len(tagged[i].ridx) {
-				continue
-			}
-			if r := tagged[i].ridx[pos[i]]; best < 0 || r < bestR {
-				best, bestR = i, r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		// Copy this leaf's whole run of matches for right row bestR.
-		t := &tagged[best]
-		for pos[best] < len(t.ridx) && t.ridx[pos[best]] == bestR {
-			out.AppendRow(t.st.Row(pos[best], row)...)
-			pos[best]++
-		}
+	// Merge by ascending right-row index: a stable counting sort of cat's
+	// rows on their tag. A right row's matches all sit in one leaf (equal
+	// keys hash identically at every salt), so this reproduces the
+	// in-memory probe order exactly.
+	at := make([]int32, right.NumRows()+1)
+	for _, r := range tags {
+		at[r+1]++
 	}
+	for r := 1; r < len(at); r++ {
+		at[r] += at[r-1]
+	}
+	order := make([]int32, len(tags))
+	for row, r := range tags {
+		order[at[r]] = int32(row)
+		at[r]++
+	}
+	out.AppendGather(cat, order)
 	return leaves, matches, nil
-}
-
-// probeTagged is probeRange over the whole right side, additionally
-// recording each match's right-row index. Chains are walked in
-// ascending left-row order, exactly as probeRange does.
-func (ht *HashTable) probeTagged(right *tuple.SubTable, rKeyIdxs, rValIdxs []int, out *tuple.SubTable, ridx *[]int32) int {
-	lAttrs := ht.left.Schema.NumAttrs()
-	row := tuple.GetRow(lAttrs + len(rValIdxs))
-	defer tuple.PutRow(row)
-	matches := 0
-	for r := 0; r < right.NumRows(); r++ {
-		k := right.Key(r, rKeyIdxs)
-		for lr := ht.lookup(k); lr >= 0; lr = ht.next[lr] {
-			if !ht.left.KeysEqual(int(lr), ht.keyIdxs, right, r, rKeyIdxs) {
-				continue
-			}
-			for c := 0; c < lAttrs; c++ {
-				row[c] = ht.left.Value(int(lr), c)
-			}
-			for i, rc := range rValIdxs {
-				row[lAttrs+i] = right.Value(r, rc)
-			}
-			out.AppendRow(row...)
-			*ridx = append(*ridx, int32(r))
-			matches++
-		}
-	}
-	return matches
 }

@@ -296,13 +296,14 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		ht     *hashjoin.HashTable
 		htLeft tuple.ID
 	)
+	execNode := fault.ComputeNode(j.Exec)
 	for i, ed := range sched {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		// One scheduled edge is one countable operation on the executor:
 		// the chaos schedule can crash the node here, mid-schedule.
-		if err := j.Cluster.Config.Faults.Op(fault.ComputeNode(j.Exec), fault.OpEdge); err != nil {
+		if err := j.Cluster.Config.Faults.Op(execNode, fault.OpEdge); err != nil {
 			return err
 		}
 		if depth > 0 {
@@ -312,28 +313,48 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 				prefetch(sched[i+d].right, rs)
 			}
 		}
-		left, err := cachedFetch(ctx, j, ed.left, ls)
+		// The carrier is fetched on every edge — the cache sees exactly the
+		// strict loop's demand sequence — but decoded only where its rows
+		// are needed: when the hash table is built, not when it is reused.
+		lf, err := cachedFetch(ctx, j, ed.left, ls)
 		if err != nil {
 			return err
 		}
+		var leftLabel, rightLabel string
+		if j.Req.Trace.Enabled() {
+			leftLabel, rightLabel = ed.left.String(), ed.right.String()
+		}
 		// A build side over its admission share joins out-of-core; the
 		// cached hash table is neither built nor reused for it.
-		fits := j.Fits(left)
+		fits := j.Fits(lf.DecodedBytes())
 		if !fits {
 			ht = nil
 		} else if ht == nil || htLeft != ed.left {
-			if ht, err = j.Build(ed.left.String(), left); err != nil {
+			left, err := decode(ed.left, lf)
+			if err != nil {
+				return err
+			}
+			if ht, err = j.Build(leftLabel, left); err != nil {
 				return err
 			}
 			htLeft = ed.left
 		}
-		right, err := cachedFetch(ctx, j, ed.right, rs)
+		rf, err := cachedFetch(ctx, j, ed.right, rs)
+		if err != nil {
+			return err
+		}
+		right, err := decode(ed.right, rf)
 		if err != nil {
 			return err
 		}
 		if fits {
-			err = j.Probe(ht, ed.right.String(), right)
+			err = j.Probe(ht, rightLabel, right)
 		} else {
+			var left *tuple.SubTable
+			if left, err = decode(ed.left, lf); err != nil {
+				return err
+			}
+			// The pair's label also names its scratch files, traced or not.
 			err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), left, right)
 		}
 		if err != nil {
@@ -353,20 +374,29 @@ var spillSeq atomic.Int64
 // owning BDS instance for the sub-table. Concurrent misses on one key —
 // several shared queries needing the same sub-table at once — collapse
 // into a single BDS fetch through the node's Flight deduplicator. The
-// cache holds wire-form carriers (compressed under the colenc codec);
-// the decode back to rows here is exact, so results never depend on the
-// negotiated format.
-func cachedFetch(ctx context.Context, j *engine.Joiner, id tuple.ID, sd side) (*tuple.SubTable, error) {
+// cache holds wire-form carriers (compressed under the colenc codec), and a
+// carrier is what this returns: decoding it back to rows (Fetched.SubTable;
+// exact, so results never depend on the negotiated format) is the
+// caller's, once per use of the rows.
+func cachedFetch(ctx context.Context, j *engine.Joiner, id tuple.ID, sd side) (*cluster.Fetched, error) {
 	key := cluster.FetchKey{ID: id, Sig: sd.sig}
 	if f, ok := j.Cluster.Compute[j.Exec].Cache.Get(key); ok {
-		return f.SubTable()
+		return f, nil
 	}
-	f, err := flightFetch(ctx, j, key, sd.filter)
-	if err != nil {
-		return nil, err
+	return flightFetch(ctx, j, key, sd.filter)
+}
+
+// decode is the one place a joiner turns a carrier back into rows — under
+// the colenc codec, a full decode of the cached frame per call.
+func decode(id tuple.ID, f *cluster.Fetched) (*tuple.SubTable, error) {
+	if testDecoded != nil {
+		testDecoded(id)
 	}
 	return f.SubTable()
 }
+
+// testDecoded, set only by tests, sees every decode.
+var testDecoded func(id tuple.ID)
 
 // flightFetch is cachedFetch after the demand-path cache probe: it joins
 // the node's Flight group for key and, as leader, fetches from the owning

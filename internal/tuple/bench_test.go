@@ -81,3 +81,24 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKeys packs the (x, y, z) join key of a 2 048-row sub-table —
+// one IJ build side in the benchmark grid — a row at a time and a column
+// at a time.
+func BenchmarkKeys(b *testing.B) {
+	st := benchTable(2048)
+	keyIdxs := []int{0, 1, 2}
+	keys := make([]uint64, st.NumRows())
+	b.Run("row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := range keys {
+				keys[r] = st.Key(r, keyIdxs)
+			}
+		}
+	})
+	b.Run("bulk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			keys = st.Keys(keys, keyIdxs)
+		}
+	})
+}

@@ -2,10 +2,11 @@ package tuple
 
 import "sync"
 
-// Buffer pools for the join hot paths. Steady-state query traffic encodes
-// a sub-table per fetch and materializes a row scratch per probe; without
-// reuse that is one short-lived allocation per operation, all garbage by
-// the time the response is written. The pools here recycle those buffers.
+// Buffer pools for the hot paths. Steady-state query traffic encodes a
+// sub-table per fetch, and a spilling aggregate stages a row per routed
+// batch; without reuse that is one short-lived allocation per operation,
+// all garbage by the time the response is written. The pools here recycle
+// those buffers. (The join itself stages no rows: it gathers columns.)
 //
 // Ownership rule: a buffer passed to PutBuf/PutRow must not be referenced
 // anywhere afterwards. Callers therefore only release buffers whose

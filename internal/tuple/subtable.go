@@ -3,6 +3,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sciview/internal/bbox"
 )
@@ -90,6 +91,41 @@ func (st *SubTable) AppendRow(vals ...float32) {
 		st.cols[i] = append(st.cols[i], v)
 	}
 	st.rows++
+}
+
+// Extend appends n records of undefined content and returns the index of
+// the first: the caller fills them a column at a time with GatherCol.
+// Growth is amortised, as append's is — a collecting join extends one output
+// table once per edge, and an exact-fit reallocation there is quadratic.
+func (st *SubTable) Extend(n int) int {
+	base := st.rows
+	for i, c := range st.cols {
+		st.cols[i] = slices.Grow(c, n)[:base+n]
+	}
+	st.rows += n
+	return base
+}
+
+// GatherCol sets rows [at, at+len(idx)) of column col to src[idx[i]]: one
+// column of a batch of records picked out of another table by a row-index
+// vector. Disjoint row ranges may be filled concurrently.
+func (st *SubTable) GatherCol(col, at int, src []float32, idx []int32) {
+	dst := st.cols[col][at : at+len(idx)]
+	for i, r := range idx {
+		dst[i] = src[r]
+	}
+}
+
+// AppendGather appends records idx of src, which must have st's attribute
+// count, a column at a time.
+func (st *SubTable) AppendGather(src *SubTable, idx []int32) {
+	if len(src.cols) != len(st.cols) {
+		panic(fmt.Sprintf("tuple: AppendGather from %d attributes into %d", len(src.cols), len(st.cols)))
+	}
+	base := st.Extend(len(idx))
+	for c := range st.cols {
+		st.GatherCol(c, base, src.cols[c], idx)
+	}
 }
 
 // SetRow overwrites record `row` in place. The number of values must match
@@ -208,35 +244,78 @@ func (st *SubTable) AppendAll(o *SubTable) error {
 	return nil
 }
 
-// Key packs the values of the key attributes of record `row` into a uint64.
+// The join key. One definition — Key for a single row, Keys for a whole
+// sub-table a column at a time — serves every consumer: hash-join build and
+// probe, the out-of-core split, and Grace Hash's h1 routing and h2
+// bucketing.
 //
 // For one or two key attributes the packing is exact (the float32 bit
 // patterns occupy disjoint 32-bit halves), so distinct keys never collide —
 // matching the paper's joins on (x, y). For more attributes the values are
-// mixed with an FNV-1a-style fold; the hash-join verifies real attribute
-// equality on probe, so collisions cost time, never correctness.
+// folded a word at a time (FNV-1a over 32-bit words: one multiply per
+// attribute); the hash-join verifies real attribute equality on probe, so
+// collisions cost time, never correctness.
+//
+// Equality is float equality, as KeysEqual and ORDER BY define it: -0 packs
+// as +0 so the two are one key (values in the output keep their own bits),
+// and a NaN key packs to its bits but KeysEqual never matches it.
+
+const (
+	keyOffset64 = 14695981039346656037
+	keyPrime64  = 1099511628211
+)
+
+// keyBits is the bit pattern v contributes to a packed key: -0 folds onto +0.
+func keyBits(v float32) uint64 {
+	b := math.Float32bits(v)
+	if b == 1<<31 {
+		b = 0
+	}
+	return uint64(b)
+}
+
+// Key packs the values of the key attributes of record `row` into a uint64.
 func (st *SubTable) Key(row int, keyIdxs []int) uint64 {
 	switch len(keyIdxs) {
 	case 1:
-		return uint64(math.Float32bits(st.cols[keyIdxs[0]][row]))
+		return keyBits(st.cols[keyIdxs[0]][row])
 	case 2:
-		return uint64(math.Float32bits(st.cols[keyIdxs[0]][row]))<<32 |
-			uint64(math.Float32bits(st.cols[keyIdxs[1]][row]))
+		return keyBits(st.cols[keyIdxs[0]][row])<<32 | keyBits(st.cols[keyIdxs[1]][row])
 	default:
-		const (
-			offset64 = 14695981039346656037
-			prime64  = 1099511628211
-		)
-		h := uint64(offset64)
+		h := uint64(keyOffset64)
 		for _, idx := range keyIdxs {
-			bits := math.Float32bits(st.cols[idx][row])
-			for shift := 0; shift < 32; shift += 8 {
-				h ^= uint64(bits>>shift) & 0xff
-				h *= prime64
-			}
+			h = (h ^ keyBits(st.cols[idx][row])) * keyPrime64
 		}
 		return h
 	}
+}
+
+// Keys packs every record's key into dst (reused when large enough, its
+// contents overwritten) and returns it: Keys(dst, k)[r] == Key(r, k), one
+// pass per key column.
+func (st *SubTable) Keys(dst []uint64, keyIdxs []int) []uint64 {
+	dst = slices.Grow(dst[:0], st.rows)[:st.rows]
+	switch len(keyIdxs) {
+	case 1:
+		for r, v := range st.cols[keyIdxs[0]][:st.rows] {
+			dst[r] = keyBits(v)
+		}
+	case 2:
+		hi, lo := st.cols[keyIdxs[0]][:st.rows], st.cols[keyIdxs[1]][:st.rows]
+		for r := range dst {
+			dst[r] = keyBits(hi[r])<<32 | keyBits(lo[r])
+		}
+	default:
+		for r := range dst {
+			dst[r] = keyOffset64
+		}
+		for _, idx := range keyIdxs {
+			for r, v := range st.cols[idx][:st.rows] {
+				dst[r] = (dst[r] ^ keyBits(v)) * keyPrime64
+			}
+		}
+	}
+	return dst
 }
 
 // KeysEqual reports whether the key attributes of st[row] equal those of
