@@ -3,7 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,8 +72,9 @@ func chaosReq() engine.Request {
 }
 
 // rowsExact flattens collected sub-tables to printable rows preserving
-// order — the byte-identical comparison for IJ, whose per-slot outputs
-// replay deterministically.
+// order — the byte-identical comparison: both engines' outputs are a
+// function of their inputs (IJ's per-slot outputs replay in order, GH's
+// buckets read back in scanning-slot order), faults or not.
 func rowsExact(collected []*tuple.SubTable) []string {
 	var out []string
 	for _, st := range collected {
@@ -85,14 +86,6 @@ func rowsExact(collected []*tuple.SubTable) []string {
 			out = append(out, fmt.Sprint(st.Row(r, buf)))
 		}
 	}
-	return out
-}
-
-// rowsSorted is rowsExact canonically sorted — the comparison for GH,
-// whose row order depends on scanner interleaving even without faults.
-func rowsSorted(collected []*tuple.SubTable) []string {
-	out := rowsExact(collected)
-	sort.Strings(out)
 	return out
 }
 
@@ -129,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 		if !res.Health.Zero() {
 			t.Fatalf("%s baseline recorded health activity: %+v", name, res.Health)
 		}
-		want[name] = rowsSorted(res.Collected)
+		want[name] = rowsExact(res.Collected)
 	}
 
 	cases := []struct {
@@ -177,7 +170,7 @@ func TestFaultMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run under %q: %v", tc.faults, err)
 				}
-				sameRows(t, "result", rowsSorted(res.Collected), want[engName])
+				sameRows(t, "result", rowsExact(res.Collected), want[engName])
 				tc.check(t, res, inj)
 			})
 		}
@@ -187,8 +180,8 @@ func TestFaultMatrix(t *testing.T) {
 // TestCrashStorageAndComputeMidJoin is the headline chaos scenario: one
 // seeded schedule crashes a storage node mid-scan AND a compute node
 // mid-join. Both engines must complete with results identical to the
-// fault-free run — byte-identical for IJ (slot outputs replay in order),
-// canonically sorted for GH (row order is nondeterministic by design).
+// fault-free run, byte for byte: IJ's slot outputs replay in order, and a
+// rebuilt GH group re-scans the same slots in the same order.
 func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 	ds := replicatedDataset(t)
 
@@ -244,25 +237,27 @@ func TestCrashStorageAndComputeMidJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowsSorted(base.Collected)
+		want := rowsExact(base.Collected)
 
-		cl, inj := chaosCluster(t, ds, "crash:storage-1:fetch:5,crash:compute-0:write:3")
-		res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
-		if err != nil {
-			t.Fatalf("faulted run: %v", err)
-		}
-		sameRows(t, "faulted vs baseline", rowsSorted(res.Collected), want)
-		if c := inj.Stats().Crashes; c != 2 {
-			t.Errorf("crashes = %d, want 2 (one storage, one compute)", c)
-		}
-		if res.Health.Rebuilds == 0 {
-			t.Error("compute node died but no partition group was rebuilt")
-		}
-		if res.Health.Failovers == 0 {
-			t.Error("storage node died but no scan failed over")
-		}
-		if res.Tuples != base.Tuples {
-			t.Errorf("tuples = %d, want %d", res.Tuples, base.Tuples)
+		for _, spec := range []string{"crash:compute-0:write:3", "crash:storage-1:fetch:5,crash:compute-0:write:3"} {
+			cl, inj := chaosCluster(t, ds, spec)
+			res, err := engine.RunRequest(context.Background(), e, cl, chaosReq())
+			if err != nil {
+				t.Fatalf("%s: faulted run: %v", spec, err)
+			}
+			sameRows(t, spec+": faulted vs baseline", rowsExact(res.Collected), want)
+			if c, w := inj.Stats().Crashes, strings.Count(spec, "crash"); c != int64(w) {
+				t.Errorf("%s: crashes = %d, want %d", spec, c, w)
+			}
+			if res.Health.Rebuilds == 0 {
+				t.Errorf("%s: compute node died but no partition group was rebuilt", spec)
+			}
+			if strings.Contains(spec, "storage") && res.Health.Failovers == 0 {
+				t.Errorf("%s: storage node died but no scan failed over", spec)
+			}
+			if res.Tuples != base.Tuples {
+				t.Errorf("%s: tuples = %d, want %d", spec, res.Tuples, base.Tuples)
+			}
 		}
 	})
 }

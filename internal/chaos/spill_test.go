@@ -33,7 +33,7 @@ func TestSpillUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
-		want[name] = rowsSorted(res.Collected)
+		want[name] = rowsExact(res.Collected)
 	}
 
 	cases := []struct {
@@ -63,7 +63,7 @@ func TestSpillUnderChaos(t *testing.T) {
 				case err != nil && tc.mustSucceed:
 					t.Fatalf("run under %q: %v", tc.faults, err)
 				case err == nil:
-					sameRows(t, "result", rowsSorted(res.Collected), want[engName])
+					sameRows(t, "result", rowsExact(res.Collected), want[engName])
 					if res.Observed.SpillWriteBytes == 0 || res.Observed.SpillReadBytes == 0 {
 						t.Errorf("budgeted run recorded no spill traffic: %+v", res.Observed)
 					}

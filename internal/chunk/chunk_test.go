@@ -240,6 +240,13 @@ func TestRLEErrors(t *testing.T) {
 	if _, err := e.Extract(&Desc{Format: "rle"}, nil); err == nil {
 		t.Error("zero-attribute chunk accepted")
 	}
+	// A run longer than the catalog's row count is rejected before it is
+	// expanded (a 12-byte run may claim 4 294 967 295 rows).
+	long := []byte{1, 0, 0, 0, 65, 0, 0, 0, 0, 0, 0xC0, 0x44}
+	one.Rows = 64
+	if _, err := e.Extract(one, long); err == nil {
+		t.Error("run past the chunk's recorded row count accepted")
+	}
 }
 
 func TestRLEDatasetEndToEnd(t *testing.T) {

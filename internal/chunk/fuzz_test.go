@@ -37,7 +37,7 @@ func FuzzExtractors(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d := &Desc{Format: format, Attrs: testSchema().Attrs}
+		d := &Desc{Format: format, Attrs: testSchema().Attrs, Rows: 64}
 		got, err := e.Extract(d, data)
 		if err != nil {
 			return

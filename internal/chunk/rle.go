@@ -70,6 +70,13 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 	cols := make([][]float32, na)
 	off := 0
 	rows := -1
+	// A column holds at most the rows the catalog recorded for the chunk,
+	// and every column after the first exactly the first's: a hostile run
+	// length must not expand into gigabytes.
+	limit := math.MaxInt
+	if d.Rows > 0 {
+		limit = d.Rows
+	}
 	for c := 0; c < na; c++ {
 		if len(data) < off+4 {
 			return nil, fmt.Errorf("chunk: rle chunk %v: truncated at column %d header", d.ID(), c)
@@ -87,7 +94,7 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 			length := int(binary.LittleEndian.Uint32(data[off:]))
 			value := math.Float32frombits(binary.LittleEndian.Uint32(data[off+4:]))
 			off += 8
-			if length == 0 || (rows >= 0 && len(col)+length > rows) {
+			if length == 0 || len(col)+length > limit {
 				return nil, fmt.Errorf("chunk: rle chunk %v: invalid run length %d in column %d", d.ID(), length, c)
 			}
 			for k := 0; k < length; k++ {
@@ -95,7 +102,7 @@ func (RLE) Extract(d *Desc, data []byte) (*tuple.SubTable, error) {
 			}
 		}
 		if rows < 0 {
-			rows = len(col)
+			rows, limit = len(col), len(col)
 		} else if len(col) != rows {
 			return nil, fmt.Errorf("chunk: rle chunk %v: column %d has %d rows, column 0 has %d",
 				d.ID(), c, len(col), rows)

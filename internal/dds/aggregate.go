@@ -3,7 +3,6 @@ package dds
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sciview/internal/query"
 	"sciview/internal/tuple"
@@ -14,15 +13,13 @@ import (
 // an optional HAVING filter on the groups. The result is a sub-table whose
 // schema is the group-by attributes followed by one column per item, named
 // like "avg_wp" or "count". Groups are emitted in ascending group-key order
-// so results are deterministic.
+// so results are deterministic. It is one Partial folding every input in
+// order.
 //
 // This is the aggregation DDS the paper lists as future work ("we plan to
 // investigate other aspects of view creation, including aggregation
 // operations"), layered over the join DDS or a table scan.
 func Aggregate(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) (*tuple.SubTable, error) {
-	if len(items) == 0 {
-		return nil, fmt.Errorf("dds: no aggregation items")
-	}
 	var schema tuple.Schema
 	for _, in := range inputs {
 		if in != nil {
@@ -33,118 +30,16 @@ func Aggregate(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []str
 	if schema.NumAttrs() == 0 {
 		return nil, fmt.Errorf("dds: no input rows to aggregate")
 	}
-	for _, it := range items {
-		if it.Star || it.Agg == query.AggNone {
-			return nil, fmt.Errorf("dds: aggregation requires aggregate items, got %+v", it)
-		}
-		if it.Attr != "*" && schema.Index(it.Attr) < 0 {
-			return nil, fmt.Errorf("dds: no attribute %q to aggregate", it.Attr)
-		}
-	}
-	groupIdxs, err := schema.Indexes(groupBy)
+	p, err := NewPartial(schema, items, groupBy, having)
 	if err != nil {
 		return nil, err
 	}
-	if having != nil {
-		if having.Attr != "*" && schema.Index(having.Attr) < 0 {
-			return nil, fmt.Errorf("dds: HAVING references unknown attribute %q", having.Attr)
-		}
-	}
-
-	type group struct {
-		key  []float32
-		accs []accumulator
-		hav  accumulator
-	}
-	groups := make(map[string]*group)
-	var keyBuf []byte
 	for _, in := range inputs {
-		if in == nil {
-			continue
-		}
-		if !in.Schema.Equal(schema) {
-			return nil, fmt.Errorf("dds: mixed schemas in aggregation input")
-		}
-		itemIdx := make([]int, len(items))
-		for i, it := range items {
-			if it.Attr == "*" {
-				itemIdx[i] = -1
-			} else {
-				itemIdx[i] = schema.Index(it.Attr)
-			}
-		}
-		havIdx := -1
-		if having != nil && having.Attr != "*" {
-			havIdx = schema.Index(having.Attr)
-		}
-		for r := 0; r < in.NumRows(); r++ {
-			keyBuf = keyBuf[:0]
-			for _, gi := range groupIdxs {
-				bits := math.Float32bits(in.Value(r, gi))
-				keyBuf = append(keyBuf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-			}
-			g, ok := groups[string(keyBuf)]
-			if !ok {
-				g = &group{key: make([]float32, len(groupIdxs)), accs: make([]accumulator, len(items))}
-				for i, gi := range groupIdxs {
-					g.key[i] = in.Value(r, gi)
-				}
-				groups[string(keyBuf)] = g
-			}
-			for i := range items {
-				if itemIdx[i] < 0 {
-					g.accs[i].add(0) // COUNT(*): value irrelevant
-				} else {
-					g.accs[i].add(float64(in.Value(r, itemIdx[i])))
-				}
-			}
-			if having != nil {
-				if havIdx < 0 {
-					g.hav.add(0)
-				} else {
-					g.hav.add(float64(in.Value(r, havIdx)))
-				}
-			}
+		if err := p.Fold(in); err != nil {
+			return nil, err
 		}
 	}
-
-	// Output schema: group-by attrs (original kinds) then aggregate columns.
-	attrs := make([]tuple.Attr, 0, len(groupBy)+len(items))
-	for _, gi := range groupIdxs {
-		attrs = append(attrs, schema.Attrs[gi])
-	}
-	for _, it := range items {
-		attrs = append(attrs, tuple.Attr{Name: aggColName(it), Kind: tuple.Measure})
-	}
-	out := tuple.NewSubTable(tuple.ID{Table: -3, Chunk: -1}, tuple.Schema{Attrs: attrs}, len(groups))
-
-	// Deterministic group order.
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i].key, ordered[j].key
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-
-	row := make([]float32, len(attrs))
-	for _, g := range ordered {
-		if having != nil && !evalHaving(having, &g.hav) {
-			continue
-		}
-		copy(row, g.key)
-		for i, it := range items {
-			row[len(groupIdxs)+i] = float32(g.accs[i].result(it.Agg))
-		}
-		out.AppendRow(row...)
-	}
-	return out, nil
+	return p.Finalize(having)
 }
 
 // AggSchema returns the output schema Aggregate and Partial.Finalize

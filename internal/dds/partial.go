@@ -1,9 +1,9 @@
 package dds
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"sciview/internal/query"
@@ -96,16 +96,17 @@ func (p *Partial) Fold(st *tuple.SubTable) error {
 	}
 	var keyBuf []byte
 	for r := 0; r < st.NumRows(); r++ {
+		// The map key is the group's key words, big-endian: equal for one
+		// key class, and ordered as Finalize emits the groups.
 		keyBuf = keyBuf[:0]
 		for _, gi := range groupIdxs {
-			bits := math.Float32bits(st.Value(r, gi))
-			keyBuf = append(keyBuf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
+			keyBuf = binary.BigEndian.AppendUint32(keyBuf, tuple.KeyWord(st.Value(r, gi)))
 		}
 		g, ok := p.groups[string(keyBuf)]
 		if !ok {
 			g = &pgroup{key: make([]float32, len(groupIdxs)), accs: make([]accumulator, len(p.items))}
 			for i, gi := range groupIdxs {
-				g.key[i] = st.Value(r, gi)
+				g.key[i] = tuple.KeyValue(st.Value(r, gi))
 			}
 			p.groups[string(keyBuf)] = g
 		}
@@ -150,7 +151,9 @@ func (p *Partial) Merge(o *Partial) error {
 }
 
 // Finalize produces the output table (group-by attrs then one column per
-// item), filtered by having and ordered by ascending group key.
+// item), filtered by having and ordered by ascending group key under
+// ORDER BY's rule (tuple.KeyWord: -0 and +0 are one group, all NaNs are
+// one group, last). Each group's key is emitted as its tuple.KeyValue.
 func (p *Partial) Finalize(having *query.Having) (*tuple.SubTable, error) {
 	groupIdxs, _ := p.schema.Indexes(p.groupBy)
 	attrs := make([]tuple.Attr, 0, len(p.groupBy)+len(p.items))
@@ -162,21 +165,14 @@ func (p *Partial) Finalize(having *query.Having) (*tuple.SubTable, error) {
 	}
 	out := tuple.NewSubTable(tuple.ID{Table: -3, Chunk: -1}, tuple.Schema{Attrs: attrs}, len(p.groups))
 
-	ordered := make([]*pgroup, 0, len(p.groups))
-	for _, g := range p.groups {
-		ordered = append(ordered, g)
+	keys := make([]string, 0, len(p.groups))
+	for k := range p.groups {
+		keys = append(keys, k)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i].key, ordered[j].key
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.Sort(keys)
 	row := make([]float32, len(attrs))
-	for _, g := range ordered {
+	for _, k := range keys {
+		g := p.groups[k]
 		if having != nil && !evalHaving(having, &g.hav) {
 			continue
 		}

@@ -14,6 +14,7 @@ import (
 	"sciview/internal/metadata"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
+	"sciview/internal/scratch"
 	"sciview/internal/trace"
 	"sciview/internal/tuple"
 )
@@ -210,11 +211,14 @@ func TestGHTrafficSpillsBothTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := ds.Tuples() * int64(4*tuple.AttrSize+4*tuple.AttrSize)
-	if res.Traffic.ScratchBytesWritten != bytes {
-		t.Errorf("spill written = %d, want %d", res.Traffic.ScratchBytesWritten, bytes)
+	// Plus one block header per (storage slot, joiner, bucket, side): each
+	// of those 3·2·4·2 buffers holds less than one block at this size.
+	spill := bytes + 3*2*4*2*scratch.BlockHeader
+	if res.Traffic.ScratchBytesWritten != spill {
+		t.Errorf("spill written = %d, want %d", res.Traffic.ScratchBytesWritten, spill)
 	}
-	if res.Traffic.ScratchBytesRead != bytes {
-		t.Errorf("spill read = %d, want %d", res.Traffic.ScratchBytesRead, bytes)
+	if res.Traffic.ScratchBytesRead != spill {
+		t.Errorf("spill read = %d, want %d", res.Traffic.ScratchBytesRead, spill)
 	}
 	if res.Traffic.NetBytesToCompute != bytes {
 		t.Errorf("net = %d, want %d", res.Traffic.NetBytesToCompute, bytes)
@@ -335,7 +339,7 @@ func TestSmallCacheStillCorrect(t *testing.T) {
 func TestGHBucketTuning(t *testing.T) {
 	_, cl := genCluster(t, partition.D(8, 8, 4), partition.D(4, 4, 4), partition.D(4, 4, 4), 2, 2)
 	for _, buckets := range []int{1, 2, 7, 32} {
-		e := &gh.Engine{Buckets: buckets, BatchRows: 100, FlushRows: 64}
+		e := &gh.Engine{Buckets: buckets}
 		res, err := engine.RunRequest(context.Background(), e, cl, fullJoinReq(false))
 		if err != nil {
 			t.Fatalf("buckets=%d: %v", buckets, err)
@@ -449,8 +453,11 @@ func TestProjectionPushdownReducesTraffic(t *testing.T) {
 			t.Errorf("%s: projected traffic %d, full %d (want exactly half)",
 				e.Name(), resProj.Traffic.NetBytesToCompute, resFull.Traffic.NetBytesToCompute)
 		}
-		if e.Name() == "gh" && resProj.Traffic.ScratchBytesWritten*2 != resFull.Traffic.ScratchBytesWritten {
-			t.Errorf("gh: projected spill %d, full %d (want exactly half)",
+		// The spilled rows halve too; both runs write one block header per
+		// (storage slot, joiner, bucket, side), 2·2·4·2 of them.
+		hdr := int64(2 * 2 * 4 * 2 * scratch.BlockHeader)
+		if e.Name() == "gh" && (resProj.Traffic.ScratchBytesWritten-hdr)*2 != resFull.Traffic.ScratchBytesWritten-hdr {
+			t.Errorf("gh: projected spill %d, full %d (want exactly half the rows)",
 				resProj.Traffic.ScratchBytesWritten, resFull.Traffic.ScratchBytesWritten)
 		}
 	}

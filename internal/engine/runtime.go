@@ -211,19 +211,6 @@ const (
 	spillMaxDepth = 3
 )
 
-// spillHash is the salted partition hash for recursive build-side splits:
-// the splitmix64 finalizer over the key xor a per-depth salt, so every
-// depth is decorrelated from the one above it and from GH's bucket hash.
-func spillHash(key, salt uint64) uint64 {
-	key ^= (salt + 1) * 0x9E3779B97F4A7C15
-	key ^= key >> 30
-	key *= 0xBF58476D1CE4E5B9
-	key ^= key >> 27
-	key *= 0x94D049BB133111EB
-	key ^= key >> 31
-	return key
-}
-
 func (j *Joiner) newOut() *tuple.SubTable {
 	return tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(j.Part)}, j.OutSchema, 0)
 }
@@ -276,7 +263,9 @@ func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTab
 // JoinPair joins one (left, right) pair into the part's output. A build
 // side that fits the cap joins in memory. One that does not goes through
 // hashjoin.JoinPairSpill: the build side is recursively repartitioned
-// with spillHash, each partition round-tripped through sp exactly as a
+// by tuple.Mix under each depth's tuple.SaltSplit, so every depth is
+// decorrelated from the one above it and from GH's bucket hash, and each
+// partition is round-tripped through sp exactly as a
 // memory-constrained node would, so the modeled I/O is paid; past
 // spillMaxDepth (duplicate keys no hash can split) the residue builds
 // oversized. Output is byte-identical to the in-memory join at any cap.
@@ -291,7 +280,8 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
 	_, _, err := j.hj.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
 		j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
-		spillHash, hooks, j.out, &j.local)
+		func(key, depth uint64) uint64 { return tuple.Mix(key, tuple.SaltSplit(depth)) },
+		hooks, j.out, &j.local)
 	return err
 }
 

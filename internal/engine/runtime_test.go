@@ -35,16 +35,17 @@ func (s *partSink) Discard(int) {}
 // TestRuntimeParity runs one join through the shared QES runtime in every
 // shape it has — both engines, in memory and with every pair spilling,
 // streamed to a sink, collected and count-only — and pins what the runtime
-// promises regardless of shape: the same rows, IJ output byte-identical at
-// any budget, every charged build and probe both fed to the calibration
-// layer and traced exactly once, and no scratch left behind.
+// promises regardless of shape: the same rows, each engine's output
+// byte-identical at any budget, every charged build and probe both fed to
+// the calibration layer and traced exactly once, and no scratch left
+// behind.
 func TestRuntimeParity(t *testing.T) {
 	grid := partition.D(16, 16, 4)
 	_, cl := genCluster(t, grid, partition.D(8, 8, 4), partition.D(4, 4, 4), 2, 2)
 
-	var wantRows []string          // sorted row multiset, from the first run that has rows
-	ijBytes := map[string][]byte{} // output mode → IJ's per-part output bytes, unbudgeted
-	inMem := map[string]int64{}    // engine/mode → scratch bytes the unbudgeted run wrote
+	var wantRows []string           // sorted row multiset, from the first run that has rows
+	outBytes := map[string][]byte{} // engine/mode → per-part output bytes, unbudgeted
+	inMem := map[string]int64{}     // engine/mode → scratch bytes the unbudgeted run wrote
 	for _, e := range engines() {
 		for _, budget := range []int64{0, 256} { // 256 B / (2·2 joiners) = 64 B a build side: every pair spills
 			for _, mode := range []string{"sink", "collect", "count"} {
@@ -136,12 +137,10 @@ func TestRuntimeParity(t *testing.T) {
 				if fmt.Sprint(rows) != fmt.Sprint(wantRows) {
 					t.Errorf("%s: row multiset differs from the first run's", name)
 				}
-				if e.Name() == "ij" {
-					if budget == 0 {
-						ijBytes[mode] = enc.Bytes()
-					} else if !bytes.Equal(enc.Bytes(), ijBytes[mode]) {
-						t.Errorf("%s: output differs from the unbudgeted run's", name)
-					}
+				if key := e.Name() + mode; budget == 0 {
+					outBytes[key] = enc.Bytes()
+				} else if !bytes.Equal(enc.Bytes(), outBytes[key]) {
+					t.Errorf("%s: output differs from the unbudgeted run's", name)
 				}
 			}
 		}

@@ -5,27 +5,41 @@ import (
 	"context"
 	"testing"
 
+	"sciview/internal/cluster"
 	"sciview/internal/engine"
+	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/tuple"
 )
 
-// TestParallelByteIdentical pins the parallel-kernel contract for Grace
-// Hash: with a single storage node the scan order is deterministic, so the
-// collected joiner outputs must be byte-for-byte identical whatever the
-// hash-join worker count. (With several storage nodes the *scanners*
-// interleave nondeterministically — that is inherent to GH and unrelated
-// to kernel parallelism, so the fixture uses one.)
-func TestParallelByteIdentical(t *testing.T) {
-	grid := partition.D(16, 16, 8)
-	q := partition.D(4, 4, 4)
-
-	run := func(parallelism int) []byte {
-		cl := makeCluster(t, grid, q, q, 1, 3)
+// TestGHDeterministic pins Grace Hash's defined output order: with three
+// storage nodes scanning concurrently, the collected output is byte-for-
+// byte the same on every run, at every hash-join worker count and on
+// either wire format. Bucket blocks are tagged with the scanning storage
+// slot and read back in slot order, so scanner interleaving never reaches
+// the rows. Two buckets over 16 Ki rows give every (group, bucket, slot)
+// buffer more than one block, so blocks are written while the scanners
+// still race, not only by the final flush.
+func TestGHDeterministic(t *testing.T) {
+	const ns, nj = 3, 2
+	ds, err := oilres.Generate(oilres.Config{
+		Grid: partition.D(32, 32, 16), LeftPart: partition.D(8, 8, 8), RightPart: partition.D(8, 8, 4),
+		StorageNodes: ns, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(parallelism int, wire string) []byte {
+		cl, err := cluster.New(cluster.Config{
+			StorageNodes: ns, ComputeNodes: nj, CacheBytes: 32 << 20, Wire: wire,
+		}, ds.Catalog, ds.Stores)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := req()
 		r.Collect = true
 		r.Parallelism = parallelism
-		res, err := engine.RunRequest(context.Background(), New(), cl, r)
+		res, err := engine.RunRequest(context.Background(), &Engine{Buckets: 2}, cl, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,10 +53,18 @@ func TestParallelByteIdentical(t *testing.T) {
 		return buf
 	}
 
-	serial := run(1)
-	for _, workers := range []int{2, 4, 0} {
-		if !bytes.Equal(run(workers), serial) {
-			t.Errorf("parallelism=%d: collected output differs from serial run", workers)
+	want := run(1, "")
+	legs := []struct {
+		parallelism int
+		wire        string
+	}{{2, ""}, {0, ""}, {1, "colenc"}, {0, "colenc"}}
+	for range 20 {
+		legs = append(legs, legs[0])
+	}
+	for i, leg := range legs {
+		if !bytes.Equal(run(leg.parallelism, leg.wire), want) {
+			t.Fatalf("run %d (parallelism=%d wire=%q): output differs from the first run",
+				i, leg.parallelism, leg.wire)
 		}
 	}
 }

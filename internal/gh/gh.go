@@ -10,6 +10,12 @@
 // repeated for the right table. Phase 2 (bucket join): each compute node
 // reads its bucket pairs back and joins them in memory.
 //
+// The output order is defined: every bucket block is tagged with the
+// storage slot whose scanner shipped it, each slot scans its chunks in
+// catalog order, and a bucket reads back grouped by ascending slot — so a
+// bucket's rows, and the whole result, are a function of the inputs, not
+// of how the concurrent scanners interleaved.
+//
 // GH is insensitive to how the dataset is partitioned (the connectivity
 // graph never enters), but pays the extra write+read I/O of bucket spills —
 // exactly the trade the cost models capture.
@@ -39,19 +45,13 @@ type Engine struct {
 	// (h2's range). 0 selects a default that keeps expected bucket size
 	// around DefaultBucketBytes.
 	Buckets int
-	// BatchRows is the number of records accumulated per storage→joiner
-	// shipment (0 = default).
-	BatchRows int
-	// FlushRows is the bucket buffer size before spilling to scratch disk
-	// (0 = default).
-	FlushRows int
 }
 
-// Defaults for the tunables.
 const (
+	// DefaultBucketBytes is the bucket size the default bucket count aims at.
 	DefaultBucketBytes = 1 << 20
-	defaultBatchRows   = 4096
-	defaultFlushRows   = 4096
+	// shipRows is the number of records per storage→joiner shipment.
+	shipRows = 4096
 )
 
 // New returns a Grace Hash engine with default tuning.
@@ -62,24 +62,10 @@ func (e *Engine) Name() string { return "gh" }
 
 var _ engine.Engine = (*Engine)(nil)
 
-// h1 routes a join key to a joiner node; h2 places it in a bucket. The two
-// use unrelated finalizer constants so bucket occupancy is uniform within a
-// joiner (a correlated h2 would put each joiner's records in few buckets).
-func h1(key uint64) uint64 {
-	key ^= key >> 33
-	key *= 0xFF51AFD7ED558CCD
-	key ^= key >> 33
-	return key
-}
-
-func h2(key uint64) uint64 {
-	key ^= key >> 30
-	key *= 0xBF58476D1CE4E5B9
-	key ^= key >> 27
-	key *= 0x94D049BB133111EB
-	key ^= key >> 31
-	return key
-}
+// h1 routes a join key to a joiner group: tuple.Mix under tuple.SaltRoute.
+// h2, the bucket, is tuple.Mix under tuple.SaltBucket (the partitioner's
+// salt). Distinct salts keep bucket occupancy uniform within a joiner.
+func route(key uint64, nj int) int { return int(tuple.Mix(key, tuple.SaltRoute) % uint64(nj)) }
 
 // runSeq distinguishes the scratch-disk namespaces of concurrent shared
 // runs: two queries spilling on the same joiner must not append to the
@@ -87,12 +73,12 @@ func h2(key uint64) uint64 {
 var runSeq atomic.Int64
 
 // ghRun is one execution: the shared runtime state plus what only Grace
-// Hash needs — its tunables, its scratch namespace and the scratch
+// Hash needs — its bucket count, its scratch namespace and the scratch
 // managers to reap.
 type ghRun struct {
 	*engine.Run
-	seq                           int64
-	buckets, batchRows, flushRows int
+	seq     int64
+	buckets int
 
 	// Every scratch manager the run mounts (including rebuild remounts) is
 	// reaped on exit, so a cancelled or failed run leaves no orphans.
@@ -115,19 +101,13 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 		return nil, err
 	}
 	defer run.Close()
-	gr := &ghRun{Run: run, seq: runSeq.Add(1), buckets: e.Buckets, batchRows: e.BatchRows, flushRows: e.FlushRows}
+	gr := &ghRun{Run: run, seq: runSeq.Add(1), buckets: e.Buckets}
 	if gr.buckets <= 0 {
 		gr.buckets = e.defaultBuckets(cl, run.LeftDef, run.RightDef)
 	}
-	if gr.batchRows <= 0 {
-		gr.batchRows = defaultBatchRows
-	}
-	if gr.flushRows <= 0 {
-		gr.flushRows = defaultFlushRows
-	}
 	defer gr.reap()
 
-	// One partition group per h1 class: all records with h1(key)%nj == g
+	// One partition group per h1 class: all records with route(key) == g
 	// belong to group g, held by one (reassignable) executor node. The
 	// group — not the node — is the recovery unit: losing a node loses
 	// exactly its groups' partitions, which are rebuilt from replicas.
@@ -173,7 +153,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	// it past Total; an undisturbed full run ends with Joined == Total.
 	for _, grp := range groups {
 		for k := 0; k < gr.buckets; k++ {
-			if grp.lp.rows[k] > 0 && grp.rp.rows[k] > 0 {
+			if grp.lp.Rows(k) > 0 && grp.rp.Rows(k) > 0 {
 				run.Req.Progress.Total.Add(1)
 			}
 		}
@@ -198,7 +178,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 		return grp.exec, nil
 	}
 	err = run.JoinParts(ctx, place, func(j *engine.Joiner) error {
-		return joinBuckets(ctx, j, groups[j.Part])
+		return joinBuckets(ctx, j, groups[j.Part], gr.buckets)
 	})
 	if err != nil {
 		return nil, err
@@ -233,7 +213,7 @@ func (e *Engine) defaultBuckets(cl *cluster.Cluster, leftDef, rightDef *metadata
 }
 
 // group is one h1 partition class and the engine's recovery unit: every
-// record with h1(key)%nj == g funnels into group g's partitioner pair on
+// record with route(key) == g funnels into group g's partitioner pair on
 // its executor node. When the executor dies, only this group's partitions
 // are lost; a survivor takes the group over and rebuilds them from
 // replicas under a fresh attempt-numbered scratch prefix.
@@ -243,7 +223,7 @@ type group struct {
 	attempt int    // increments per rebuild; namespaces scratch objects
 	node    string // the executor's trace label
 	mgr     *scratch.Manager
-	lp, rp  *partitioner
+	lp, rp  *scratch.Partitioner
 	// lost marks the group's partitions as gone (executor died while they
 	// were being written or read). Scanners stop shipping to a lost group;
 	// phase 2 rebuilds it before joining.
@@ -259,8 +239,15 @@ func (grp *group) mount(gr *ghRun) {
 	gr.mgrMu.Lock()
 	gr.mgrs = append(gr.mgrs, grp.mgr)
 	gr.mgrMu.Unlock()
-	grp.lp = newPartitioner(grp.mgr, "L", gr.LeftSchema, gr.buckets, gr.flushRows)
-	grp.rp = newPartitioner(grp.mgr, "R", gr.RightSchema, gr.buckets, gr.flushRows)
+	grp.lp = gr.partitioner(grp.mgr, "L/b", gr.LeftSchema)
+	grp.rp = gr.partitioner(grp.mgr, "R/b", gr.RightSchema)
+}
+
+// partitioner is one side's h2: the side's rows hashed on the join key
+// into the run's buckets.
+func (gr *ghRun) partitioner(mgr *scratch.Manager, label string, schema tuple.Schema) *scratch.Partitioner {
+	keyIdxs, _ := schema.Indexes(gr.Req.JoinAttrs) // resolved by engine.Begin
+	return scratch.NewPartitioner(mgr, label, schema, keyIdxs, gr.buckets, tuple.SaltBucket)
 }
 
 // flush spills the group's residual buffers, downgrading an executor
@@ -269,9 +256,9 @@ func (grp *group) flush() error {
 	if grp.lost.Load() {
 		return nil
 	}
-	err := grp.lp.flushAll()
+	err := grp.lp.Flush()
 	if err == nil {
-		err = grp.rp.flushAll()
+		err = grp.rp.Flush()
 	}
 	if err != nil {
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
@@ -291,7 +278,7 @@ const (
 	sideRight
 )
 
-func (grp *group) part(sd side) *partitioner {
+func (grp *group) part(sd side) *scratch.Partitioner {
 	if sd == sideLeft {
 		return grp.lp
 	}
@@ -302,8 +289,9 @@ func (grp *group) part(sd side) *partitioner {
 // scan the side's resolved sub-tables (each chunk served by its primary node
 // or, when that node is unreachable, a replica), split records by h1 into
 // per-group batches, ship each batch and hand it to the group's
-// partitioner. With only >= 0, records of every other group are skipped —
-// the rebuild path re-materializing one lost group.
+// partitioner under the scanning slot's tag. With only >= 0, records of
+// every other group are skipped — the rebuild path re-materializing one
+// lost group.
 func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only int) error {
 	cl := gr.Cluster
 	all, filter := gr.LeftDescs, gr.LeftFilter
@@ -326,15 +314,18 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 		wg.Add(1)
 		go func(s int, descs []*chunk.Desc) {
 			defer wg.Done()
-			// Per-group outgoing batches, reused across shipments: add()
-			// copies every row out synchronously, so a shipped batch can
-			// be Reset and refilled instead of reallocated.
-			var schema tuple.Schema
+			// Per-group outgoing batches, reused across shipments: the
+			// partitioner copies every row out synchronously, so a shipped
+			// batch can be Reset and refilled instead of reallocated.
 			batches := make([]*tuple.SubTable, nj)
 			var keyIdxs []int
 			var keys []uint64
 			rows := make([][]int32, nj) // the chunk's rows per group
 			src := s                    // node that served the latest chunk (ship attribution)
+			ship := func(g int) error {
+				defer batches[g].Reset()
+				return gr.shipBatch(src, s, groups[g], sd, batches[g])
+			}
 			for _, d := range descs {
 				if err := ctx.Err(); err != nil {
 					errs[s] = err
@@ -357,9 +348,7 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 						int64(st.Bytes()), int64(st.NumRows()))
 				}
 				if keyIdxs == nil {
-					schema = st.Schema
-					keyIdxs, err = schema.Indexes(gr.Req.JoinAttrs)
-					if err != nil {
+					if keyIdxs, err = st.Schema.Indexes(gr.Req.JoinAttrs); err != nil {
 						errs[s] = err
 						return
 					}
@@ -369,31 +358,30 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 					rows[g] = rows[g][:0]
 				}
 				for r, k := range keys {
-					if g := int(h1(k) % uint64(nj)); only < 0 || g == only {
+					if g := route(k, nj); only < 0 || g == only {
 						rows[g] = append(rows[g], int32(r))
 					}
 				}
 				for g, idx := range rows {
-					if len(idx) == 0 {
-						continue
-					}
-					if batches[g] == nil {
-						batches[g] = tuple.NewSubTable(tuple.ID{Table: st.ID.Table, Chunk: -1}, schema, gr.batchRows)
-					}
-					b := batches[g]
-					err := fill(b, st, idx, gr.batchRows, func() error {
-						defer b.Reset()
-						return gr.shipBatch(src, groups[g], sd, b, keyIdxs)
-					})
-					if err != nil {
-						errs[s] = err
-						return
+					for len(idx) > 0 {
+						if batches[g] == nil {
+							batches[g] = tuple.NewSubTable(tuple.ID{Table: st.ID.Table, Chunk: -1}, st.Schema, shipRows)
+						}
+						n := min(len(idx), shipRows-batches[g].NumRows())
+						batches[g].AppendGather(st, idx[:n])
+						idx = idx[n:]
+						if batches[g].NumRows() == shipRows {
+							if err := ship(g); err != nil {
+								errs[s] = err
+								return
+							}
+						}
 					}
 				}
 			}
 			for g, b := range batches {
 				if b != nil && b.NumRows() > 0 {
-					if err := gr.shipBatch(src, groups[g], sd, b, keyIdxs); err != nil {
+					if err := ship(g); err != nil {
 						errs[s] = err
 						return
 					}
@@ -412,11 +400,13 @@ func (gr *ghRun) scanTable(ctx context.Context, sd side, groups []*group, only i
 
 // shipBatch models the network transfer of a record batch from storage
 // node src to the group's executor and delivers it to the group's
-// partitioner. A batch for a lost group is dropped — its records will be
-// re-materialized wholesale when the group rebuilds, so partial delivery
-// now would double-count. An executor death during delivery marks the
-// group lost instead of failing the scan.
-func (gr *ghRun) shipBatch(src int, grp *group, sd side, batch *tuple.SubTable, keyIdxs []int) error {
+// partitioner, tagged with the storage slot that scanned it (not src, the
+// replica that served it, so a failover does not move rows). A batch for a
+// lost group is dropped — its records will be re-materialized wholesale
+// when the group rebuilds, so partial delivery now would double-count. An
+// executor death during delivery marks the group lost instead of failing
+// the scan.
+func (gr *ghRun) shipBatch(src, slot int, grp *group, sd side, batch *tuple.SubTable) error {
 	if grp.lost.Load() {
 		return nil
 	}
@@ -436,7 +426,7 @@ func (gr *ghRun) shipBatch(src int, grp *group, sd side, batch *tuple.SubTable, 
 		gr.Req.Trace.Span(fault.StorageNode(src), trace.KindShip, grp.node, start,
 			size, int64(batch.NumRows()))
 	}
-	if err := grp.part(sd).add(batch, keyIdxs); err != nil {
+	if err := grp.part(sd).Add(uint32(slot), batch); err != nil {
 		if node, down := fault.IsNodeDown(err); down && node == fault.ComputeNode(grp.exec) {
 			grp.lost.Store(true)
 			return nil
@@ -480,148 +470,29 @@ func (gr *ghRun) rebuildGroup(ctx context.Context, grp *group) error {
 	return nil
 }
 
-// partitioner is the compute-node side of phase 1 for one table: it
-// applies h2 and spills bucket buffers through the group's scratch
-// manager, which owns billing, tracing, and end-of-run cleanup.
-type partitioner struct {
-	mu        sync.Mutex
-	mgr       *scratch.Manager
-	side      string // "L" or "R" — the bucket-name namespace
-	schema    tuple.Schema
-	buckets   []*tuple.SubTable
-	rows      []int64 // total rows spilled per bucket (for sizing checks)
-	flushRows int
-	// add's scratch: the batch's packed keys and its rows per bucket.
-	keys     []uint64
-	byBucket [][]int32
-}
-
-func newPartitioner(mgr *scratch.Manager, side string, schema tuple.Schema, buckets, flushRows int) *partitioner {
-	p := &partitioner{
-		mgr:       mgr,
-		side:      side,
-		schema:    schema,
-		buckets:   make([]*tuple.SubTable, buckets),
-		rows:      make([]int64, buckets),
-		flushRows: flushRows,
-		byBucket:  make([][]int32, buckets),
-	}
-	for k := range p.buckets {
-		p.buckets[k] = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(k)}, schema, flushRows)
-	}
-	return p
-}
-
-func (p *partitioner) object(k int) string { return fmt.Sprintf("%s/b%d", p.side, k) }
-
-// fill appends records idx of src to dst, calling full — which must empty
-// dst — each time dst reaches limit rows: the boundaries a row-at-a-time
-// append would hit, reached a column run at a time.
-func fill(dst, src *tuple.SubTable, idx []int32, limit int, full func() error) error {
-	for len(idx) > 0 {
-		n := min(len(idx), limit-dst.NumRows())
-		dst.AppendGather(src, idx[:n])
-		idx = idx[n:]
-		if dst.NumRows() >= limit {
-			if err := full(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// add partitions a batch into buckets, spilling full buffers.
-func (p *partitioner) add(batch *tuple.SubTable, keyIdxs []int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	nb := uint64(len(p.buckets))
-	p.keys = batch.Keys(p.keys, keyIdxs)
-	for k := range p.byBucket {
-		p.byBucket[k] = p.byBucket[k][:0]
-	}
-	for r, key := range p.keys {
-		k := h2(key) % nb
-		p.byBucket[k] = append(p.byBucket[k], int32(r))
-	}
-	for k, idx := range p.byBucket {
-		if err := fill(p.buckets[k], batch, idx, p.flushRows, func() error { return p.spill(k) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// spill writes bucket k's buffer to scratch disk (raw row-major records)
-// and resets the buffer. Caller holds the lock.
-func (p *partitioner) spill(k int) error {
-	b := p.buckets[k]
-	if b.NumRows() == 0 {
-		return nil
-	}
-	data := scratch.EncodeRows(b)
-	err := p.mgr.File(p.object(k)).AppendRows(data, int64(b.NumRows()))
-	tuple.PutBuf(data) // the store copied; recycle the encode buffer
-	if err != nil {
-		return err
-	}
-	p.rows[k] += int64(b.NumRows())
-	b.Reset()
-	return nil
-}
-
-// flushAll spills every non-empty buffer.
-func (p *partitioner) flushAll() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k := range p.buckets {
-		if err := p.spill(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readBucket loads bucket k back from scratch disk. The read is
-// size-verified by the manager: a bucket the store holds short (a
-// crashed or short write slipped through) fails loudly here.
-func (p *partitioner) readBucket(k int) (*tuple.SubTable, error) {
-	if p.rows[k] == 0 {
-		return tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(k)}, p.schema, 0), nil
-	}
-	data, err := p.mgr.File(p.object(k)).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return scratch.DecodeRows(p.schema, data, tuple.ID{Table: -1, Chunk: int32(k)})
-}
-
-// deleteBucket removes bucket k's object (post-join cleanup).
-func (p *partitioner) deleteBucket(k int) error {
-	p.mgr.Release(p.mgr.File(p.object(k)))
-	return nil
-}
-
 // joinBuckets is phase 2 for one group: join its bucket pairs
 // independently on the group's current executor. A pair whose build side
 // overflows the run's memory cap (key skew past what the bucket count
 // absorbs) is repartitioned through the group's scratch disk by the
 // shared runtime.
-func joinBuckets(ctx context.Context, j *engine.Joiner, grp *group) error {
+func joinBuckets(ctx context.Context, j *engine.Joiner, grp *group, buckets int) error {
 	lp, rp := grp.lp, grp.rp
-	for k := range lp.rows {
+	for k := range buckets {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if lp.rows[k] == 0 || rp.rows[k] == 0 {
+		if lp.Rows(k) == 0 || rp.Rows(k) == 0 {
 			// An empty side produces nothing; skip reading the other.
 			continue
 		}
-		left, err := lp.readBucket(k)
+		// Each side reads back grouped by ascending scanning slot. The
+		// read is size-verified: a bucket the store holds short (a crashed
+		// or short write slipped through) fails loudly here.
+		left, err := lp.Table(k)
 		if err != nil {
 			return err
 		}
-		right, err := rp.readBucket(k)
+		right, err := rp.Table(k)
 		if err != nil {
 			return err
 		}
@@ -631,12 +502,8 @@ func joinBuckets(ctx context.Context, j *engine.Joiner, grp *group) error {
 		if err := j.Emit(); err != nil {
 			return err
 		}
-		if err := lp.deleteBucket(k); err != nil {
-			return err
-		}
-		if err := rp.deleteBucket(k); err != nil {
-			return err
-		}
+		lp.Release(k)
+		rp.Release(k)
 	}
 	return nil
 }

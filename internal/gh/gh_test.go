@@ -10,7 +10,6 @@ import (
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/scratch"
-	"sciview/internal/simio"
 	"sciview/internal/tuple"
 )
 
@@ -43,107 +42,58 @@ func TestName(t *testing.T) {
 	}
 }
 
+// TestHashFunctionsIndependent: every hash partitioning applied to one
+// set of keys must spread the keys one decision kept together over the
+// next decision's whole range — route (h1) × bucket (h2), and bucket ×
+// each depth of the overflow split that repartitions a bucket's build
+// side. A correlated pair would put a joiner's records in few buckets, or
+// a bucket's records in few split partitions, breaking the fits-in-memory
+// goal.
 func TestHashFunctionsIndependent(t *testing.T) {
-	// Records landing on ONE joiner via h1 must still spread across
-	// buckets via h2 — a correlated pair would put each joiner's records
-	// into a single bucket, breaking the fits-in-memory goal.
-	const nj, nb = 4, 8
-	perBucket := make(map[int]map[int]int) // joiner -> bucket -> count
-	n := 0
+	const nj, nb, fanout = 4, 8, 8
+	var keys []uint64
 	for x := 0; x < 64; x++ {
 		for y := 0; y < 64; y++ {
-			key := uint64(math.Float32bits(float32(x)))<<32 | uint64(math.Float32bits(float32(y)))
-			j := int(h1(key) % nj)
-			k := int(h2(key) % nb)
-			if perBucket[j] == nil {
-				perBucket[j] = make(map[int]int)
+			keys = append(keys, uint64(math.Float32bits(float32(x)))<<32|uint64(math.Float32bits(float32(y))))
+		}
+	}
+	bucket := func(k uint64) int { return int(tuple.Mix(k, tuple.SaltBucket) % nb) }
+	split := func(d uint64) func(uint64) int {
+		return func(k uint64) int { return int(tuple.Mix(k, tuple.SaltSplit(d)) % fanout) }
+	}
+	pairs := []struct {
+		name         string
+		outer, inner func(uint64) int
+		nOuter, nIn  int
+	}{
+		{"route×bucket", func(k uint64) int { return route(k, nj) }, bucket, nj, nb},
+		{"bucket×split0", bucket, split(0), nb, fanout},
+		{"split0×split1", split(0), split(1), fanout, fanout},
+		{"split1×split2", split(1), split(2), fanout, fanout},
+	}
+	for _, pr := range pairs {
+		occ := make(map[int]map[int]int) // outer class -> inner class -> count
+		for _, k := range keys {
+			o := pr.outer(k)
+			if occ[o] == nil {
+				occ[o] = make(map[int]int)
 			}
-			perBucket[j][k]++
-			n++
+			occ[o][pr.inner(k)]++
 		}
-	}
-	for j, buckets := range perBucket {
-		if len(buckets) < nb {
-			t.Errorf("joiner %d uses only %d of %d buckets", j, len(buckets), nb)
+		if len(occ) != pr.nOuter {
+			t.Errorf("%s: keys reach %d of %d outer classes", pr.name, len(occ), pr.nOuter)
 		}
-		expect := float64(n) / nj / nb
-		for k, c := range buckets {
-			if float64(c) < expect*0.5 || float64(c) > expect*1.5 {
-				t.Errorf("joiner %d bucket %d: %d records, expected ≈%.0f", j, k, c, expect)
+		expect := float64(len(keys)) / float64(pr.nOuter*pr.nIn)
+		for o, in := range occ {
+			if len(in) < pr.nIn {
+				t.Errorf("%s: outer class %d uses only %d of %d inner classes", pr.name, o, len(in), pr.nIn)
 			}
-		}
-	}
-}
-
-func TestPartitionerRoundTrip(t *testing.T) {
-	schema := tuple.NewSchema(
-		tuple.Attr{Name: "x", Kind: tuple.Coord},
-		tuple.Attr{Name: "y", Kind: tuple.Coord},
-		tuple.Attr{Name: "v", Kind: tuple.Measure},
-	)
-	disk := simio.NewDisk(simio.NewMemStore(), 0, 0)
-	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil, nil), "L", schema, 4, 8) // tiny flush threshold
-	batch := tuple.NewSubTable(tuple.ID{}, schema, 0)
-	for i := 0; i < 100; i++ {
-		batch.AppendRow(float32(i), float32(i*3), float32(i)/10)
-	}
-	keyIdxs, _ := schema.Indexes([]string{"x", "y"})
-	if err := p.add(batch, keyIdxs); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.flushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// All rows must come back, each exactly once, in the right bucket.
-	seen := make(map[float32]bool)
-	var total int64
-	for k := 0; k < 4; k++ {
-		st, err := p.readBucket(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(st.NumRows()) != p.rows[k] {
-			t.Errorf("bucket %d: read %d rows, accounted %d", k, st.NumRows(), p.rows[k])
-		}
-		total += int64(st.NumRows())
-		for r := 0; r < st.NumRows(); r++ {
-			x := st.Value(r, 0)
-			if seen[x] {
-				t.Fatalf("row x=%v appeared twice", x)
-			}
-			seen[x] = true
-			key := st.Key(r, keyIdxs)
-			if int(h2(key)%4) != k {
-				t.Errorf("row x=%v in wrong bucket %d", x, k)
+			for i, c := range in {
+				if float64(c) < expect*0.5 || float64(c) > expect*1.5 {
+					t.Errorf("%s: class %d/%d holds %d keys, expected ≈%.0f", pr.name, o, i, c, expect)
+				}
 			}
 		}
-		if err := p.deleteBucket(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if total != 100 {
-		t.Errorf("round trip lost rows: %d", total)
-	}
-}
-
-func TestEmptyBucketRead(t *testing.T) {
-	schema := tuple.NewSchema(tuple.Attr{Name: "x", Kind: tuple.Coord})
-	disk := simio.NewDisk(simio.NewMemStore(), 0, 0)
-	p := newPartitioner(scratch.NewManager(disk, "t", "test", nil, nil), "L", schema, 2, 8)
-	st, err := p.readBucket(1)
-	if err != nil || st.NumRows() != 0 {
-		t.Errorf("empty bucket: %v rows=%d", err, st.NumRows())
-	}
-}
-
-func TestDecodeRowsErrors(t *testing.T) {
-	schema := tuple.NewSchema(tuple.Attr{Name: "x", Kind: tuple.Coord}, tuple.Attr{Name: "y", Kind: tuple.Coord})
-	if _, err := scratch.DecodeRows(schema, make([]byte, 7), tuple.ID{Table: -1}); err == nil {
-		t.Error("misaligned bucket bytes accepted")
-	}
-	st, err := scratch.DecodeRows(schema, make([]byte, 16), tuple.ID{Table: -1, Chunk: 3})
-	if err != nil || st.NumRows() != 2 || st.ID.Chunk != 3 {
-		t.Errorf("decode: %v rows=%d id=%v", err, st.NumRows(), st.ID)
 	}
 }
 
@@ -273,8 +223,10 @@ func TestOverflowDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exactly one spill+read of the full volume: no recursion traffic.
-	want := int64(8 * 8 * 4 * 32)
+	// Exactly one spill of the full volume: no recursion traffic. One
+	// storage slot and one joiner leave one block per non-empty bucket
+	// and side; the default 4 buckets all fill at this size.
+	want := int64(8*8*4*32 + 2*4*scratch.BlockHeader)
 	if res.Traffic.ScratchBytesWritten != want {
 		t.Errorf("spill = %d, want %d", res.Traffic.ScratchBytesWritten, want)
 	}

@@ -47,9 +47,10 @@ type ViewConfig struct {
 // same version (RefreshFull), which the differential tests assert.
 //
 // Rows are kept in canonical order (lexicographic over all columns):
-// engine arrival order depends on scheduling and is not stable across
-// maintenance strategies, so the canonical sort is what makes
-// "byte-identical" well-defined.
+// each engine's output order is defined but not shared across
+// maintenance strategies (three delta terms vs one full join, either
+// engine), so the canonical sort is what makes "byte-identical"
+// well-defined.
 type MaterializedView struct {
 	cfg ViewConfig
 

@@ -2,11 +2,9 @@ package plan
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"time"
 
 	"sciview/internal/dds"
@@ -15,14 +13,13 @@ import (
 )
 
 // Spillable aggregation constants: partitions per split, recursion
-// depth cap (a partition of one giant group cannot shrink), flush
-// threshold for the pass-1 partition buffers, and the per-group state
-// charge (accumulators + map overhead on top of the output record).
+// depth cap (a partition of one giant group cannot shrink), and the
+// per-group state charge (accumulators + map overhead on top of the
+// output record).
 const (
-	aggFanout     = 8
-	aggMaxDepth   = 3
-	aggFlushBytes = 16 << 10
-	aggGroupOver  = 64
+	aggFanout    = 8
+	aggMaxDepth  = 3
+	aggGroupOver = 64
 )
 
 // aggregateOp is the blocking aggregation operator. To keep float
@@ -36,16 +33,17 @@ const (
 // materialized single-input fold.
 //
 // When the estimated group state exceeds the stamped spill budget, the
-// operator runs out-of-core instead: pass 1 hashes each row's group key
-// and partitions the raw rows to scratch, tagging every block with its
-// input-part ordinal; pass 2 replays one partition at a time, folding
+// operator runs out-of-core instead: pass 1 hash-partitions the raw rows
+// by group key to scratch (scratch.Partitioner), tagging every block with
+// its input-part ordinal; pass 2 replays one partition at a time, folding
 // per-ordinal partials and merging them in ascending ordinal into the
 // global base. Because a group's rows land wholly in one partition (the
-// hash is a function of the group key), each group's accumulator sees
-// exactly the same fold-then-merge sequence as the in-memory path, so
-// the finalized output is byte-identical at any budget. A partition
-// whose group state still exceeds the budget is re-partitioned with the
-// next salt (skew recursion) before any of it reaches the base.
+// packed key folds -0 and NaN as the group does), each group's
+// accumulator sees exactly the same fold-then-merge sequence as the
+// in-memory path, so the finalized output is byte-identical at any
+// budget. A partition whose group state still exceeds the budget is
+// re-partitioned one split depth down (skew recursion) before any of it
+// reaches the base.
 type aggregateOp struct {
 	opstat
 	node    *AggregateNode
@@ -128,12 +126,16 @@ func (o *aggregateOp) Close() error {
 	return o.child.Close()
 }
 
-// aggPart is one scratch partition awaiting replay.
+// aggPart is one scratch partition awaiting replay: partition k of a
+// split at the given depth.
 type aggPart struct {
-	f     *scratch.File
-	salt  uint64
-	depth int
+	p        *scratch.Partitioner
+	k, depth int
 }
+
+// errAggOverflow stops a partition's fold once its group state passes the
+// budget.
+var errAggOverflow = errors.New("plan: aggregate partition over budget")
 
 // nextExternal is the out-of-core aggregation path.
 func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
@@ -148,35 +150,35 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		n.SpillOwner, n.SpillTrace, nil)
 	groupBytes := int64(n.schema.RecordSize() + aggGroupOver)
 
-	// Pass 1: partition raw rows by group-key hash, preserving the input
-	// part ordinal on every block.
-	w := newAggWriter(o.mgr, inSchema, groupIdxs, 0, "p")
-	ordinal := uint32(0)
-	started := false
-	var curID tuple.ID
-	for {
-		st, err := o.child.Next()
-		if err == io.EOF {
-			break
+	// Pass 1: partition raw rows by group key, tagging every block with the
+	// input part's ordinal.
+	parts, err := o.split(inSchema, groupIdxs, 0, func(add func(uint32, *tuple.SubTable) error) error {
+		var ordinal uint32
+		started := false
+		var curID tuple.ID
+		for {
+			st, err := o.child.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if st.NumRows() == 0 {
+				continue
+			}
+			if !started {
+				curID = st.ID
+				started = true
+			} else if n.Partitioned && st.ID != curID {
+				ordinal++
+				curID = st.ID
+			}
+			if err := add(ordinal, st); err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		if st.NumRows() == 0 {
-			continue
-		}
-		if !started {
-			curID = st.ID
-			started = true
-		} else if n.Partitioned && st.ID != curID {
-			ordinal++
-			curID = st.ID
-		}
-		if err := w.add(st, ordinal); err != nil {
-			return nil, err
-		}
-	}
-	parts, err := w.finish()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -190,45 +192,36 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	for len(parts) > 0 {
 		pt := parts[0]
 		parts = parts[1:]
-		partials, ordinals, overflow, err := o.foldPartition(pt, inSchema, groupBytes)
-		if err != nil {
-			return nil, err
-		}
-		if overflow {
+		partials, err := o.foldPartition(pt, inSchema, groupBytes)
+		if err == errAggOverflow {
 			// Skewed: too many groups for the budget. Nothing from this
 			// partition has touched the base yet, so abandon the partials
-			// and re-partition the raw rows with the next salt.
-			sub := newAggWriter(o.mgr, inSchema, groupIdxs, pt.salt+1,
-				fmt.Sprintf("s%d", pt.salt+1))
-			if err := o.repartition(pt, inSchema, sub); err != nil {
-				return nil, err
-			}
-			subParts, err := sub.finish()
+			// and re-partition the raw rows one depth down.
+			sub, err := o.split(inSchema, groupIdxs, pt.depth+1, func(add func(uint32, *tuple.SubTable) error) error {
+				return pt.p.Read(pt.k, add)
+			})
 			if err != nil {
 				return nil, err
 			}
-			for i := range subParts {
-				subParts[i].depth = pt.depth + 1
-			}
-			parts = append(parts, subParts...)
-			o.mgr.Release(pt.f)
+			parts = append(parts, sub...)
+			pt.p.Release(pt.k)
 			continue
 		}
+		if err != nil {
+			return nil, err
+		}
 		var state int64
-		for _, ord := range ordinals {
-			state += int64(partials[ord].Groups()) * groupBytes
+		for _, p := range partials {
+			state += int64(p.Groups()) * groupBytes
 		}
-		if state > peakPart {
-			peakPart = state
-		}
+		peakPart = max(peakPart, state)
 		// Ascending ordinal: the same merge order the in-memory path uses.
-		sort.Slice(ordinals, func(i, j int) bool { return ordinals[i] < ordinals[j] })
-		for _, ord := range ordinals {
-			if err := base.Merge(partials[ord]); err != nil {
+		for _, p := range partials {
+			if err := base.Merge(p); err != nil {
 				return nil, err
 			}
 		}
-		o.mgr.Release(pt.f)
+		pt.p.Release(pt.k)
 	}
 	out, err := base.Finalize(n.Having)
 	if err != nil {
@@ -239,194 +232,68 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	return out, nil
 }
 
-// foldPartition streams one partition's blocks into per-ordinal
-// partials. It stops early (overflow=true) as soon as the accumulated
-// group state exceeds the budget and the partition may still recurse.
-func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (map[uint32]*dds.Partial, []uint32, bool, error) {
-	n := o.node
-	rd, err := pt.f.Open()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	partials := make(map[uint32]*dds.Partial)
-	var ordinals []uint32
-	var state int64
-	for {
-		ord, st, err := readAggBlock(rd, inSchema)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, false, err
-		}
-		p, ok := partials[ord]
-		if !ok {
-			p, err = dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			partials[ord] = p
-			ordinals = append(ordinals, ord)
-		}
-		before := p.Groups()
-		if err := p.Fold(st); err != nil {
-			return nil, nil, false, err
-		}
-		state += int64(p.Groups()-before) * groupBytes
-		if state > n.SpillBudget && pt.depth < aggMaxDepth {
-			return nil, nil, true, nil
-		}
-	}
-	return partials, ordinals, false, nil
-}
-
-// repartition re-streams a skewed partition into the sub-writer with
-// the next salt, preserving block ordinals (and hence fold order).
-func (o *aggregateOp) repartition(pt aggPart, inSchema tuple.Schema, sub *aggWriter) error {
-	rd, err := pt.f.Open()
-	if err != nil {
-		return err
-	}
-	for {
-		ord, st, err := readAggBlock(rd, inSchema)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := sub.add(st, ord); err != nil {
-			return err
-		}
-	}
-}
-
-// aggWriter partitions rows by salted group-key hash into per-partition
-// scratch files, framing them as [ordinal u32][nrows u32][raw rows]
-// blocks. Blocks are flushed on ordinal change or when the buffer
-// passes aggFlushBytes, so block ordinals are nondecreasing in file
-// order and rows keep arrival order within each ordinal.
-type aggWriter struct {
-	mgr       *scratch.Manager
-	schema    tuple.Schema
-	groupIdxs []int
-	salt      uint64
-
-	files []*scratch.File
-	bufs  []*tuple.SubTable
-	ords  []uint32
-	label string
-}
-
-func newAggWriter(mgr *scratch.Manager, schema tuple.Schema, groupIdxs []int, salt uint64, label string) *aggWriter {
-	return &aggWriter{
-		mgr: mgr, schema: schema, groupIdxs: groupIdxs, salt: salt,
-		files: make([]*scratch.File, aggFanout),
-		bufs:  make([]*tuple.SubTable, aggFanout),
-		ords:  make([]uint32, aggFanout),
-		label: label,
-	}
-}
-
-// add routes st's rows to their partitions under the given ordinal.
-func (w *aggWriter) add(st *tuple.SubTable, ordinal uint32) error {
-	row := tuple.GetRow(w.schema.NumAttrs())
-	defer tuple.PutRow(row)
-	for r := 0; r < st.NumRows(); r++ {
-		i := int(groupHash(st, r, w.groupIdxs, w.salt) % aggFanout)
-		if w.bufs[i] == nil {
-			w.bufs[i] = tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(i)}, w.schema, 0)
-			w.ords[i] = ordinal
-		} else if w.ords[i] != ordinal || w.bufs[i].Bytes() >= aggFlushBytes {
-			if err := w.flush(i); err != nil {
+// split hash-partitions the rows feed adds — in ascending tags — by group
+// key under depth's salt, and returns the non-empty partitions. Each tag is
+// sealed when the next begins, so every partition file is in tag order and
+// streams back.
+func (o *aggregateOp) split(schema tuple.Schema, groupIdxs []int, depth int,
+	feed func(add func(uint32, *tuple.SubTable) error) error) ([]aggPart, error) {
+	p := scratch.NewPartitioner(o.mgr, fmt.Sprintf("agg-d%d.", depth), schema, groupIdxs,
+		aggFanout, tuple.SaltSplit(uint64(depth)))
+	var cur uint32
+	started := false
+	err := feed(func(tag uint32, st *tuple.SubTable) error {
+		if started && tag != cur {
+			if err := p.Seal(cur); err != nil {
 				return err
 			}
-			w.ords[i] = ordinal
 		}
-		w.bufs[i].AppendRow(st.Row(r, row)...)
+		cur, started = tag, true
+		return p.Add(tag, st)
+	})
+	if err == nil {
+		err = p.Flush()
 	}
-	return nil
-}
-
-// flush writes partition i's buffered rows as one block.
-func (w *aggWriter) flush(i int) error {
-	st := w.bufs[i]
-	if st == nil || st.NumRows() == 0 {
-		return nil
-	}
-	if w.files[i] == nil {
-		w.files[i] = w.mgr.Create(fmt.Sprintf("agg-%s%d", w.label, i))
-	}
-	na := w.schema.NumAttrs()
-	size := 8 + st.NumRows()*na*4
-	buf := tuple.GetBuf(size)[:size]
-	binary.LittleEndian.PutUint32(buf[0:], w.ords[i])
-	binary.LittleEndian.PutUint32(buf[4:], uint32(st.NumRows()))
-	off := 8
-	for r := 0; r < st.NumRows(); r++ {
-		for c := 0; c < na; c++ {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(st.Value(r, c)))
-			off += 4
-		}
-	}
-	err := w.files[i].AppendRows(buf, int64(st.NumRows()))
-	tuple.PutBuf(buf)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w.bufs[i] = tuple.NewSubTable(st.ID, w.schema, 0)
-	return nil
-}
-
-// finish flushes every buffer and returns the non-empty partitions.
-func (w *aggWriter) finish() ([]aggPart, error) {
 	var parts []aggPart
-	for i := range w.bufs {
-		if err := w.flush(i); err != nil {
-			return nil, err
-		}
-		if w.files[i] != nil && w.files[i].Size() > 0 {
-			parts = append(parts, aggPart{f: w.files[i], salt: w.salt})
+	for k := range aggFanout {
+		if p.Rows(k) > 0 {
+			parts = append(parts, aggPart{p: p, k: k, depth: depth})
 		}
 	}
 	return parts, nil
 }
 
-// readAggBlock parses one [ordinal][nrows][rows] block from the reader.
-func readAggBlock(rd *scratch.Reader, schema tuple.Schema) (uint32, *tuple.SubTable, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
+// foldPartition streams one partition's blocks into per-ordinal partials,
+// in ascending ordinal. It stops with errAggOverflow as soon as the
+// accumulated group state exceeds the budget and the partition may still
+// recurse.
+func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) ([]*dds.Partial, error) {
+	n := o.node
+	var partials []*dds.Partial
+	var cur uint32
+	var state int64
+	err := pt.p.Read(pt.k, func(tag uint32, st *tuple.SubTable) error {
+		if len(partials) == 0 || tag != cur {
+			p, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+			if err != nil {
+				return err
+			}
+			partials = append(partials, p)
+			cur = tag
 		}
-		return 0, nil, fmt.Errorf("plan: aggregate block header: %w", err)
-	}
-	ord := binary.LittleEndian.Uint32(hdr[0:])
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	size := rows * schema.NumAttrs() * 4
-	buf := tuple.GetBuf(size)[:size]
-	defer tuple.PutBuf(buf)
-	if _, err := io.ReadFull(rd, buf); err != nil {
-		return 0, nil, fmt.Errorf("plan: aggregate block body: %w", err)
-	}
-	st, err := scratch.DecodeRows(schema, buf, tuple.ID{Table: -1, Chunk: -1})
-	if err != nil {
-		return 0, nil, err
-	}
-	return ord, st, nil
-}
-
-// groupHash hashes a row's group-key bits with a salt (splitmix-style
-// avalanche): rows of one group always share a partition, and the next
-// salt re-spreads a skewed partition's groups.
-func groupHash(st *tuple.SubTable, r int, idxs []int, salt uint64) uint64 {
-	h := (salt + 1) * 0x9E3779B97F4A7C15
-	for _, gi := range idxs {
-		h ^= uint64(math.Float32bits(st.Value(r, gi)))
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+		p := partials[len(partials)-1]
+		before := p.Groups()
+		if err := p.Fold(st); err != nil {
+			return err
+		}
+		state += int64(p.Groups()-before) * groupBytes
+		if state > n.SpillBudget && pt.depth < aggMaxDepth {
+			return errAggOverflow
+		}
+		return nil
+	})
+	return partials, err
 }

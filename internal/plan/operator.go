@@ -18,8 +18,7 @@ import (
 // Batch ownership: the sub-table returned by Next remains valid only
 // until the next Next or Close call on the same operator; a consumer that
 // retains rows must copy them out (AppendAll copies). Operators therefore
-// recycle buffers freely — row staging goes through tuple.GetRow/PutRow —
-// and never share a batch with two consumers.
+// recycle buffers freely and never share a batch with two consumers.
 type Operator interface {
 	Open(ctx context.Context) error
 	Next() (*tuple.SubTable, error)

@@ -64,25 +64,6 @@ func newSortOrder(schema tuple.Schema, keys []query.OrderKey) *sortOrder {
 	return o
 }
 
-// keyWord maps a float32 to a uint32 whose unsigned order is the value
-// order: sign-fixed IEEE bits, with -0 folded onto +0 and every NaN (any
-// payload, either sign) mapped to one word above +Inf. Without that rule
-// the float comparison is not a strict weak order once a key is NaN, and
-// the stable sort and the run merge may disagree.
-func keyWord(v float32) uint32 {
-	switch {
-	case v != v:
-		return ^uint32(0)
-	case v == 0:
-		return 1 << 31
-	}
-	b := math.Float32bits(v)
-	if b>>31 != 0 {
-		return ^b
-	}
-	return b | 1<<31
-}
-
 // extra is the number of over-arena words per slot.
 func (o *sortOrder) extra() int { return max(len(o.idxs)-sortInline, 0) }
 
@@ -95,7 +76,7 @@ func (o *sortOrder) reserve(n int) {
 
 // put stores key i's word for value v into k (or k's over-arena slot).
 func (o *sortOrder) put(k *sortKey, i int, v float32) {
-	w := keyWord(v) ^ o.flip[i]
+	w := tuple.KeyWord(v) ^ o.flip[i]
 	if i < sortInline {
 		k.w[i] = w
 		return
@@ -227,7 +208,7 @@ func (t *topK) absorb(st *tuple.SubTable) error {
 		root := &t.heap[0]
 		// Nearly every row loses on its first key alone; only the others
 		// are worth copying out and encoding in full.
-		if lead != nil && keyWord(lead[r])^flip > root.w[0] {
+		if lead != nil && tuple.KeyWord(lead[r])^flip > root.w[0] {
 			continue
 		}
 		// Slot bound, one past the kept rows', stages the candidate.

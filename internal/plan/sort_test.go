@@ -181,16 +181,16 @@ func TestKeyWord(t *testing.T) {
 	ascending := []float32{-inf, -math.MaxFloat32, -1, -math.SmallestNonzeroFloat32, 0,
 		math.SmallestNonzeroFloat32, 1, math.MaxFloat32, inf, sortSpecials[0]}
 	for i := 1; i < len(ascending); i++ {
-		if a, b := keyWord(ascending[i-1]), keyWord(ascending[i]); a >= b {
-			t.Errorf("keyWord(%v) = %#x, not below keyWord(%v) = %#x", ascending[i-1], a, ascending[i], b)
+		if a, b := tuple.KeyWord(ascending[i-1]), tuple.KeyWord(ascending[i]); a >= b {
+			t.Errorf("KeyWord(%v) = %#x, not below KeyWord(%v) = %#x", ascending[i-1], a, ascending[i], b)
 		}
 	}
-	if keyWord(sortSpecials[3]) != keyWord(0) {
+	if tuple.KeyWord(sortSpecials[3]) != tuple.KeyWord(0) {
 		t.Error("-0 and +0 encode differently")
 	}
 	for _, nan := range sortSpecials[:3] {
-		if keyWord(nan) != ^uint32(0) {
-			t.Errorf("NaN %#x encodes as %#x", math.Float32bits(nan), keyWord(nan))
+		if tuple.KeyWord(nan) != ^uint32(0) {
+			t.Errorf("NaN %#x encodes as %#x", math.Float32bits(nan), tuple.KeyWord(nan))
 		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 // The budget-sweep differential harness: out-of-core execution must be an
 // implementation detail. Every query's output at every budget — from
 // everything-fits down to a few batches of scratch — must equal the
-// unbudgeted output byte for byte (modulo the engine's declared comparison
-// mode), and the spill machinery it exercised must be visible in the
-// operator stats, never in the rows.
+// unbudgeted output byte for byte, and the spill machinery it exercised
+// must be visible in the operator stats, never in the rows.
 
 // sweepBudgets spans the degradation range over the golden dataset (~256
 // join rows): 1 GiB fits everything (budget stamped, mode in-mem), 16 KiB
@@ -21,11 +20,10 @@ import (
 var sweepBudgets = []int64{1 << 30, 16 << 10, 1 << 10}
 
 // sweepCorpus is the golden corpus plus seeded-random queries: filtered
-// scans under a total order, grouped order-insensitive aggregates, and
-// measure sorts with unique tie-breaks — shapes that stay byte-comparable
-// under either engine.
-func sweepCorpus() []goldenQuery {
-	qs := append([]goldenQuery(nil), goldenCorpus...)
+// scans under a total order, grouped aggregates, and measure sorts with
+// unique tie-breaks.
+func sweepCorpus() []string {
+	qs := append([]string(nil), goldenCorpus...)
 	rng := rand.New(rand.NewSource(0x5eed))
 	dims := []string{"x", "y", "z"}
 	for i := 0; i < 6; i++ {
@@ -36,30 +34,27 @@ func sweepCorpus() []goldenQuery {
 			sql := fmt.Sprintf(
 				"SELECT * FROM V1 WHERE %s BETWEEN %d AND %d ORDER BY x, y, z LIMIT %d",
 				d, lo, lo+rng.Intn(4), 1+rng.Intn(40))
-			qs = append(qs, goldenQuery{sql, ghExact})
+			qs = append(qs, sql)
 		case 1:
 			g := dims[rng.Intn(len(dims))]
 			sql := fmt.Sprintf(
-				"SELECT %s, COUNT(*), MIN(wp), MAX(oilp) FROM V1 GROUP BY %s ORDER BY %s",
+				"SELECT %s, COUNT(*), MIN(wp), MAX(oilp), AVG(oilp) FROM V1 GROUP BY %s ORDER BY %s",
 				g, g, g)
-			qs = append(qs, goldenQuery{sql, ghExact})
+			qs = append(qs, sql)
 		default:
-			// (x, y, z) is a join key, so the tie-break is total: exact
-			// under any engine.
+			// (x, y, z) is a join key, so the tie-break is total.
 			sql := fmt.Sprintf(
 				"SELECT x, y, z, wp FROM V1 ORDER BY wp DESC, x, y, z LIMIT %d",
 				1+rng.Intn(30))
-			qs = append(qs, goldenQuery{sql, ghExact})
+			qs = append(qs, sql)
 		}
 	}
 	return qs
 }
 
 // TestDifferentialBudgetSweep runs the sweep corpus at every budget against
-// the same executor's unbudgeted output. IJ output is byte-deterministic,
-// so the IJ leg compares every query exactly; the GH leg compares under
-// each query's declared mode (GH row arrival order is scheduling-dependent
-// with or without a budget).
+// the same executor's unbudgeted output, byte for byte under either
+// engine.
 func TestDifferentialBudgetSweep(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -73,20 +68,20 @@ func TestDifferentialBudgetSweep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := goldenExecutor(t, tc.nj, tc.force)
-			for _, q := range corpus {
+			for _, sql := range corpus {
 				ex.MemBudget = 0
-				want, wantErr := ex.Exec(q.sql)
+				want, wantErr := ex.Exec(sql)
 				for _, budget := range sweepBudgets {
 					ex.MemBudget = budget
-					got, gotErr := ex.Exec(q.sql)
+					got, gotErr := ex.Exec(sql)
 					if (wantErr != nil) != (gotErr != nil) {
 						t.Fatalf("%s @ budget %d: err = %v, unbudgeted err = %v",
-							q.sql, budget, gotErr, wantErr)
+							sql, budget, gotErr, wantErr)
 					}
 					if wantErr != nil {
 						continue
 					}
-					compareGolden(t, q, want, got)
+					compareGolden(t, sql, want, got)
 				}
 			}
 		})
@@ -111,7 +106,7 @@ func TestBudgetSweepSpillsAllOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, goldenQuery{sql, ghExact}, want, got)
+	compareGolden(t, sql, want, got)
 
 	if got.Result == nil {
 		t.Fatal("budgeted run carried no engine result")

@@ -3,7 +3,6 @@ package planner
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,54 +16,39 @@ import (
 	"sciview/internal/tuple"
 )
 
-// GH comparison modes: the GH engine's row arrival order depends on
-// scanner interleaving even without faults (the materialized path was just
-// as nondeterministic), so per-query we declare what CAN be compared when
-// the join ran under GH. IJ output is byte-deterministic, so under IJ
-// every query is compared exactly.
-const (
-	ghExact  = "exact"  // a total ORDER BY or order-insensitive aggregate pins the bytes
-	ghSorted = "sorted" // row multiset is exact; compare canonically sorted
-	ghSkip   = "skip"   // SUM/AVG float accumulation order varies run-to-run
-)
-
-type goldenQuery struct {
-	sql string
-	gh  string
-}
-
 // goldenCorpus is the full SQL surface the streaming path must reproduce:
 // every ORDER BY + LIMIT + HAVING combination, projections, pushdowns,
-// derived views, table scans, and the validation errors.
-var goldenCorpus = []goldenQuery{
-	{"SELECT * FROM V1", ghSorted},
-	{"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0", ghSorted},
-	{"SELECT * FROM V1 WHERE wp >= 0", ghSorted},
-	{"SELECT wp, oilp FROM V1 WHERE z = 1", ghSorted},
-	{"SELECT * FROM V1 ORDER BY x, y, z", ghExact},
-	{"SELECT * FROM V1 ORDER BY x DESC, y, z LIMIT 5", ghExact},
-	{"SELECT wp, oilp FROM V1 ORDER BY wp DESC, oilp LIMIT 7", ghSkip},
-	{"SELECT * FROM V1 LIMIT 3", ghSkip},
-	{"SELECT * FROM V1 LIMIT 0", ghExact},
-	{"SELECT * FROM V1 LIMIT 100000", ghSorted},
-	{"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
-	{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghSkip},
-	{"SELECT z, SUM(oilp), COUNT(*) FROM V1 GROUP BY z HAVING COUNT(*) > 10 ORDER BY z DESC LIMIT 2", ghSkip},
-	{"SELECT MIN(wp), MAX(wp) FROM V1", ghExact},
-	{"SELECT COUNT(*) FROM V1 WHERE y < 2", ghExact},
-	{"SELECT * FROM V2", ghSorted},
-	{"SELECT oilp FROM V2 ORDER BY oilp LIMIT 4", ghSkip},
-	// Table scans never touch a join engine: exact under any force.
-	{"SELECT * FROM T1 WHERE x = 0 AND y = 0", ghExact},
-	{"SELECT oilp FROM T1 ORDER BY oilp DESC LIMIT 6", ghExact},
-	{"SELECT x, AVG(oilp) FROM T1 GROUP BY x ORDER BY x LIMIT 3", ghExact},
-	{"SELECT x, COUNT(*) FROM T1 GROUP BY x HAVING COUNT(*) >= 16 ORDER BY x", ghExact},
-	{"SELECT COUNT(*) FROM T2", ghExact},
+// derived views, table scans, and the validation errors. Both engines'
+// output orders are defined, so every query compares byte for byte under
+// either.
+var goldenCorpus = []string{
+	"SELECT * FROM V1",
+	"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0",
+	"SELECT * FROM V1 WHERE wp >= 0",
+	"SELECT wp, oilp FROM V1 WHERE z = 1",
+	"SELECT * FROM V1 ORDER BY x, y, z",
+	"SELECT * FROM V1 ORDER BY x DESC, y, z LIMIT 5",
+	"SELECT wp, oilp FROM V1 ORDER BY wp DESC, oilp LIMIT 7",
+	"SELECT * FROM V1 LIMIT 3",
+	"SELECT * FROM V1 LIMIT 0",
+	"SELECT * FROM V1 LIMIT 100000",
+	"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x",
+	"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
+	"SELECT z, SUM(oilp), COUNT(*) FROM V1 GROUP BY z HAVING COUNT(*) > 10 ORDER BY z DESC LIMIT 2",
+	"SELECT MIN(wp), MAX(wp) FROM V1",
+	"SELECT COUNT(*) FROM V1 WHERE y < 2",
+	"SELECT * FROM V2",
+	"SELECT oilp FROM V2 ORDER BY oilp LIMIT 4",
+	"SELECT * FROM T1 WHERE x = 0 AND y = 0",
+	"SELECT oilp FROM T1 ORDER BY oilp DESC LIMIT 6",
+	"SELECT x, AVG(oilp) FROM T1 GROUP BY x ORDER BY x LIMIT 3",
+	"SELECT x, COUNT(*) FROM T1 GROUP BY x HAVING COUNT(*) >= 16 ORDER BY x",
+	"SELECT COUNT(*) FROM T2",
 	// Validation failures must surface on both paths.
-	{"SELECT nosuch FROM V1", ghExact},
-	{"SELECT * FROM V1 ORDER BY nosuch", ghExact},
-	{"SELECT wp FROM V1 ORDER BY x", ghExact},
-	{"SELECT wp FROM V1 GROUP BY wp", ghExact},
+	"SELECT nosuch FROM V1",
+	"SELECT * FROM V1 ORDER BY nosuch",
+	"SELECT wp FROM V1 ORDER BY x",
+	"SELECT wp FROM V1 GROUP BY wp",
 }
 
 func goldenExecutor(t *testing.T, nj int, force string) *Executor {
@@ -108,72 +92,63 @@ func goldenRows(st *tuple.SubTable) []string {
 }
 
 // compareGolden asserts the streaming output equals the materialized one
-// under the query's comparison mode for the engine that actually ran.
-func compareGolden(t *testing.T, q goldenQuery, want, got *Output) {
+// byte for byte. Both sides must have run the same engine: IJ's and GH's
+// orders are each defined, but they differ.
+func compareGolden(t *testing.T, sql string, want, got *Output) {
 	t.Helper()
-	// Under the adaptive planner the two runs may legitimately choose
-	// different engines (the first run's observed costs recalibrate the
-	// model before the second), so the mode must relax whenever EITHER
-	// side ran GH: IJ order is deterministic but differs from GH's.
-	mode := ghExact
-	if (want.Decision != nil && want.Decision.Chosen == "gh") ||
-		(got.Decision != nil && got.Decision.Chosen == "gh") {
-		mode = q.gh
-	}
-	if mode == ghSkip {
-		// Row multiset size is still pinned.
-		if want.Rows.NumRows() != got.Rows.NumRows() {
-			t.Fatalf("%s: %d rows, want %d", q.sql, got.Rows.NumRows(), want.Rows.NumRows())
-		}
-		return
+	if (want.Decision == nil) != (got.Decision == nil) ||
+		(want.Decision != nil && want.Decision.Chosen != got.Decision.Chosen) {
+		t.Fatalf("%s: the two runs chose different engines (%v vs %v)", sql, want.Decision, got.Decision)
 	}
 	wn, gn := want.Rows.Schema.Names(), got.Rows.Schema.Names()
 	if fmt.Sprint(wn) != fmt.Sprint(gn) {
-		t.Fatalf("%s: schema %v, want %v", q.sql, gn, wn)
+		t.Fatalf("%s: schema %v, want %v", sql, gn, wn)
 	}
 	if want.Rows.ID != got.Rows.ID {
-		t.Fatalf("%s: result ID %v, want %v", q.sql, got.Rows.ID, want.Rows.ID)
+		t.Fatalf("%s: result ID %v, want %v", sql, got.Rows.ID, want.Rows.ID)
 	}
 	wr, gr := goldenRows(want.Rows), goldenRows(got.Rows)
-	if mode == ghSorted {
-		sort.Strings(wr)
-		sort.Strings(gr)
-	}
 	if len(wr) != len(gr) {
-		t.Fatalf("%s: %d rows, want %d", q.sql, len(gr), len(wr))
+		t.Fatalf("%s: %d rows, want %d", sql, len(gr), len(wr))
 	}
 	for i := range wr {
 		if wr[i] != gr[i] {
-			t.Fatalf("%s: row %d = %s, want %s", q.sql, i, gr[i], wr[i])
+			t.Fatalf("%s: row %d = %s, want %s", sql, i, gr[i], wr[i])
 		}
 	}
 }
 
 // runGoldenQuery executes one corpus query both ways; mutate (optional)
-// adjusts the streaming plan's engine request before execution.
-func runGoldenQuery(t *testing.T, ex *Executor, q goldenQuery, mutate func(*Lowered)) {
+// adjusts the streaming plan's engine request before execution. Under the
+// adaptive planner the first run's observed costs recalibrate the model,
+// so the streaming run is pinned to the engine the materialized run chose.
+func runGoldenQuery(t *testing.T, ex *Executor, sql string, mutate func(*Lowered)) {
 	t.Helper()
 	ex.Materialize = true
-	want, wantErr := ex.Exec(q.sql)
+	want, wantErr := ex.Exec(sql)
 	ex.Materialize = false
+	if force := ex.Planner.Force; force == "" && want != nil && want.Decision != nil {
+		ex.Planner.Force = want.Decision.Chosen
+		defer func() { ex.Planner.Force = force }()
+	}
 	var got *Output
 	var gotErr error
 	if mutate == nil {
-		got, gotErr = ex.Exec(q.sql)
+		got, gotErr = ex.Exec(sql)
 	} else {
 		var l *Lowered
-		if l, gotErr = ex.Lower(q.sql); gotErr == nil {
+		if l, gotErr = ex.Lower(sql); gotErr == nil {
 			mutate(l)
 			got, gotErr = ex.ExecLowered(context.Background(), l)
 		}
 	}
 	if (wantErr != nil) != (gotErr != nil) {
-		t.Fatalf("%s: streaming err = %v, materialized err = %v", q.sql, gotErr, wantErr)
+		t.Fatalf("%s: streaming err = %v, materialized err = %v", sql, gotErr, wantErr)
 	}
 	if wantErr != nil {
 		return
 	}
-	compareGolden(t, q, want, got)
+	compareGolden(t, sql, want, got)
 }
 
 // TestGoldenStreamingMatchesMaterialized is the tentpole's acceptance
@@ -194,8 +169,8 @@ func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := goldenExecutor(t, tc.nj, tc.force)
-			for _, q := range goldenCorpus {
-				runGoldenQuery(t, ex, q, nil)
+			for _, sql := range goldenCorpus {
+				runGoldenQuery(t, ex, sql, nil)
 			}
 		})
 	}
@@ -215,15 +190,15 @@ func TestGoldenPrefetchAndParallelism(t *testing.T) {
 		{"parallel2", 0, 2},
 		{"prefetch2-parallel2", 2, 2},
 	}
-	corpus := []goldenQuery{
-		{"SELECT * FROM V1", ghExact},
-		{"SELECT * FROM V1 ORDER BY x, y, z LIMIT 9", ghExact},
-		{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+	corpus := []string{
+		"SELECT * FROM V1",
+		"SELECT * FROM V1 ORDER BY x, y, z LIMIT 9",
+		"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
 	}
 	for _, k := range knobs {
 		t.Run(k.name, func(t *testing.T) {
-			for _, q := range corpus {
-				runGoldenQuery(t, ex, q, func(l *Lowered) {
+			for _, sql := range corpus {
+				runGoldenQuery(t, ex, sql, func(l *Lowered) {
 					if l.Join != nil {
 						l.Join.In.Req.Prefetch = k.prefetch
 						l.Join.In.Req.Parallelism = k.parallelism
@@ -277,41 +252,43 @@ func TestGoldenUnderChaos(t *testing.T) {
 		name   string
 		force  string
 		faults string
-		corpus []goldenQuery
+		corpus []string
 	}{
 		{
 			name: "ij", force: "ij",
 			faults: "crash:storage-1:fetch:5,crash:compute-0:edge:3",
-			corpus: []goldenQuery{
-				{"SELECT * FROM V1", ghExact},
-				{"SELECT * FROM V1 ORDER BY x, y, z LIMIT 20", ghExact},
-				{"SELECT * FROM V1 LIMIT 10", ghExact},
-				{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+			corpus: []string{
+				"SELECT * FROM V1",
+				"SELECT * FROM V1 ORDER BY x, y, z LIMIT 20",
+				"SELECT * FROM V1 LIMIT 10",
+				"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
 			},
 		},
 		{
 			name: "gh", force: "gh",
 			faults: "crash:storage-1:fetch:5,crash:compute-0:write:3",
-			corpus: []goldenQuery{
-				{"SELECT * FROM V1", ghSorted},
-				{"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x", ghExact},
+			corpus: []string{
+				"SELECT * FROM V1",
+				"SELECT * FROM V1 LIMIT 10",
+				"SELECT x, COUNT(*), MIN(wp), MAX(wp) FROM V1 GROUP BY x ORDER BY x",
+				"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, q := range tc.corpus {
+			for _, sql := range tc.corpus {
 				// Fresh clusters per run: the injector schedule is op-counted,
 				// so materialized and streaming runs see identical faults.
 				mat := newEx(t, tc.force, tc.faults)
 				mat.Materialize = true
-				want, wantErr := mat.Exec(q.sql)
+				want, wantErr := mat.Exec(sql)
 				str := newEx(t, tc.force, tc.faults)
-				got, gotErr := str.Exec(q.sql)
+				got, gotErr := str.Exec(sql)
 				if wantErr != nil || gotErr != nil {
-					t.Fatalf("%s: materialized err = %v, streaming err = %v", q.sql, wantErr, gotErr)
+					t.Fatalf("%s: materialized err = %v, streaming err = %v", sql, wantErr, gotErr)
 				}
-				compareGolden(t, q, want, got)
+				compareGolden(t, sql, want, got)
 			}
 		})
 	}

@@ -45,10 +45,8 @@ func wireExecutor(t *testing.T, ds *oilres.Dataset, storage, nj int, force, wire
 }
 
 // TestGoldenCorpusWireInvariant runs the whole golden SQL corpus with the
-// wire codec on and off, over both chunk formats. Under IJ the comparison
-// is byte-exact for every query; under GH the per-query comparison mode
-// applies (the engine's arrival order is nondeterministic independent of
-// the codec).
+// wire codec on and off, over both chunk formats and both engines: the
+// comparison is byte-exact for every query.
 func TestGoldenCorpusWireInvariant(t *testing.T) {
 	for _, format := range []string{"rowmajor", "rle"} {
 		for _, force := range []string{"ij", "gh"} {
@@ -62,26 +60,16 @@ func TestGoldenCorpusWireInvariant(t *testing.T) {
 				}
 				plain := wireExecutor(t, ds, 2, 2, force, "")
 				enc := wireExecutor(t, ds, 2, 2, force, "colenc")
-				for _, q := range goldenCorpus {
-					a, errA := plain.Exec(q.sql)
-					b, errB := enc.Exec(q.sql)
+				for _, sql := range goldenCorpus {
+					a, errA := plain.Exec(sql)
+					b, errB := enc.Exec(sql)
 					if (errA != nil) != (errB != nil) {
-						t.Fatalf("%s: rowmajor err=%v, colenc err=%v", q.sql, errA, errB)
+						t.Fatalf("%s: rowmajor err=%v, colenc err=%v", sql, errA, errB)
 					}
 					if errA != nil {
 						continue
 					}
-					mode := q.gh
-					if force == "ij" || a.Decision == nil || a.Decision.Chosen != "gh" {
-						mode = ghExact
-					}
-					if mode == ghSkip {
-						if a.Rows.NumRows() != b.Rows.NumRows() {
-							t.Fatalf("%s: %d rows vs %d", q.sql, a.Rows.NumRows(), b.Rows.NumRows())
-						}
-						continue
-					}
-					diffCompare(t, q.sql, "rowmajor vs colenc", a, b, mode == ghExact)
+					diffCompare(t, sql, "rowmajor vs colenc", a, b, true)
 				}
 			})
 		}

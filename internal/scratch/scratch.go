@@ -1,14 +1,15 @@
 // Package scratch is the shared spill-file manager for out-of-core
-// operators: external sort runs, aggregation partitions, and hash-join
-// build partitions all go through one Manager per (operator, compute
-// node) pair. The manager owns naming, lifecycle (every file it creates
-// is deleted by Release/ReleaseAll, so a plan's Close reaps everything
-// even after faults or early exit), telemetry (spill bytes/durations
-// into the engine observation collector and trace spans), and — the
-// safety property the fault-injection suite leans on — size-verified
-// reads: a file whose store size disagrees with the bytes successfully
-// appended fails the read loudly instead of silently truncating the
-// query result.
+// operators: external sort runs, Grace Hash buckets, aggregation
+// partitions, and hash-join build partitions all go through one Manager
+// per (operator, compute node) pair; buckets and aggregation partitions
+// are written by its one hash Partitioner. The manager owns naming,
+// lifecycle (every file it creates is deleted by Release/ReleaseAll, so a
+// plan's Close reaps everything even after faults or early exit),
+// telemetry (spill bytes/durations into the engine observation collector
+// and trace spans), and — the safety property the fault-injection suite
+// leans on — size-verified reads: a file whose store size disagrees with
+// the bytes successfully appended fails the read loudly instead of
+// silently truncating the query result.
 package scratch
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,22 +71,6 @@ func (m *Manager) Create(label string) *File {
 	f := &File{m: m, name: name}
 	m.files[name] = f
 	m.created.Add(1)
-	return f
-}
-
-// File returns the scratch file with exactly the given label under the
-// manager's prefix, creating its handle on first use — the
-// deterministic-name variant the GH bucket partitioner uses.
-func (m *Manager) File(label string) *File {
-	name := m.prefix + "/" + label
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[name]
-	if !ok {
-		f = &File{m: m, name: name}
-		m.files[name] = f
-		m.created.Add(1)
-	}
 	return f
 }
 
@@ -315,48 +301,62 @@ func (r *Reader) Remaining() int64 {
 // Row codec
 
 // Spilled rows are raw row-major float32 records: the schema is known to
-// both the writing and reading phase, so no framing is needed, and the
-// on-disk byte count equals rows × record size — the quantity the cost
-// model charges for.
+// both the writing and reading phase, so a body needs no framing, and its
+// byte count is rows × record size — the quantity the cost model charges
+// for. A Partitioner block adds one 8-byte header per BlockBytes of rows.
 
 // EncodeRows writes st's rows into a pooled buffer (tuple.GetBuf): both
 // simio stores copy on Append, so spill callers release the buffer with
 // tuple.PutBuf right after the write and steady-state spilling
 // allocates nothing.
 func EncodeRows(st *tuple.SubTable) []byte {
-	na := st.Schema.NumAttrs()
-	size := st.NumRows() * na * 4
-	out := tuple.GetBuf(size)[:size]
-	off := 0
-	for r := 0; r < st.NumRows(); r++ {
-		for c := 0; c < na; c++ {
-			binary.LittleEndian.PutUint32(out[off:], math.Float32bits(st.Value(r, c)))
-			off += 4
+	return appendRows(tuple.GetBuf(st.Bytes()), st)
+}
+
+// appendRows appends st's rows to dst in EncodeRows' layout, a column at a
+// time.
+func appendRows(dst []byte, st *tuple.SubTable) []byte {
+	base, rec := len(dst), st.Schema.RecordSize()
+	dst = slices.Grow(dst, st.Bytes())[:base+st.Bytes()]
+	for c := range st.Schema.NumAttrs() {
+		out := dst[base+c*4:]
+		for r, v := range st.Col(c)[:st.NumRows()] {
+			binary.LittleEndian.PutUint32(out[r*rec:], math.Float32bits(v))
 		}
 	}
-	return out
+	return dst
 }
 
 // DecodeRows reconstructs a sub-table from EncodeRows output. id labels
 // the decoded batch.
 func DecodeRows(schema tuple.Schema, data []byte, id tuple.ID) (*tuple.SubTable, error) {
-	rec := schema.RecordSize()
-	if rec == 0 || len(data)%rec != 0 {
+	if rec := schema.RecordSize(); rec == 0 || len(data)%rec != 0 {
 		return nil, fmt.Errorf("scratch: %d bytes is not a multiple of record size %d", len(data), rec)
 	}
-	rows := len(data) / rec
-	na := schema.NumAttrs()
+	return decodeRows(schema, id, data)
+}
+
+// decodeRows decodes the concatenation of bodies, each a whole number of
+// records, into one sub-table.
+func decodeRows(schema tuple.Schema, id tuple.ID, bodies ...[]byte) (*tuple.SubTable, error) {
+	rec, na := schema.RecordSize(), schema.NumAttrs()
+	rows := 0
+	for _, b := range bodies {
+		rows += len(b) / rec
+	}
 	// One backing array for all columns keeps decode at two allocations.
 	backing := make([]float32, na*rows)
 	cols := make([][]float32, na)
 	for c := range cols {
 		cols[c] = backing[c*rows : (c+1)*rows : (c+1)*rows]
 	}
-	off := 0
-	for r := 0; r < rows; r++ {
-		for c := 0; c < na; c++ {
-			cols[c][r] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
+	r := 0
+	for _, b := range bodies {
+		for off := 0; off+rec <= len(b); off += rec {
+			for c := range cols {
+				cols[c][r] = math.Float32frombits(binary.LittleEndian.Uint32(b[off+c*4:]))
+			}
+			r++
 		}
 	}
 	return tuple.FromColumns(id, schema, cols)

@@ -27,16 +27,8 @@ func TestCreateAndFileNaming(t *testing.T) {
 	if !strings.HasPrefix(a.Name(), "t/") {
 		t.Errorf("name %q lacks the manager prefix", a.Name())
 	}
-	// File is the deterministic get-or-create variant.
-	c := m.File("bucket")
-	if c != m.File("bucket") {
-		t.Error("File returned distinct handles for the same label")
-	}
-	if c.Name() != "t/bucket" {
-		t.Errorf("File name = %q, want t/bucket", c.Name())
-	}
-	if m.Files() != 3 {
-		t.Errorf("Files() = %d, want 3", m.Files())
+	if m.Files() != 2 {
+		t.Errorf("Files() = %d, want 2", m.Files())
 	}
 }
 

@@ -53,7 +53,8 @@ func TestKeysEqualsKeyRowByRow(t *testing.T) {
 
 // TestKeyPackingPinned pins the exact one- and two-attribute packings
 // (float32 bit patterns in disjoint halves — unchanged since the seed) and
-// the join-key equality rule: -0 packs as +0, NaN packs to its own bits.
+// the key-class rule: -0 packs as +0, every NaN (any payload, either sign)
+// packs as the one NaN 0x7FC00000, yet a NaN join key never matches.
 func TestKeyPackingPinned(t *testing.T) {
 	negZero := math.Float32frombits(1 << 31)
 	nan := float32(math.NaN())
@@ -61,6 +62,7 @@ func TestKeyPackingPinned(t *testing.T) {
 	st.AppendRow(3, 1, 2)
 	st.AppendRow(-1.5, negZero, 0)
 	st.AppendRow(nan, 0, negZero)
+	st.AppendRow(math.Float32frombits(0x7FC00001), math.Float32frombits(0xFFC00000), 1)
 	for _, tc := range []struct {
 		row     int
 		keyIdxs []int
@@ -69,11 +71,13 @@ func TestKeyPackingPinned(t *testing.T) {
 		{0, []int{0}, 0x40400000},
 		{1, []int{0}, 0xbfc00000},
 		{0, []int{1, 2}, 0x3f800000_40000000},
-		{1, []int{1}, 0},                   // -0 → +0
-		{1, []int{1, 2}, 0},                // (-0, +0) → (+0, +0)
-		{1, []int{0, 1}, 0xbfc00000 << 32}, // (-1.5, -0)
-		{2, []int{0}, 0x7fc00000},          // NaN keeps its bits
-		{2, []int{1, 2}, 0},                // (+0, -0)
+		{1, []int{1}, 0},                      // -0 → +0
+		{1, []int{1, 2}, 0},                   // (-0, +0) → (+0, +0)
+		{1, []int{0, 1}, 0xbfc00000 << 32},    // (-1.5, -0)
+		{2, []int{0}, 0x7fc00000},             // the canonical NaN
+		{2, []int{1, 2}, 0},                   // (+0, -0)
+		{3, []int{0, 1}, 0x7fc00000_7fc00000}, // other payloads, either sign
+		{3, []int{1}, 0x7fc00000},
 	} {
 		if got := st.Key(tc.row, tc.keyIdxs); got != tc.want {
 			t.Errorf("Key(row %d, %v) = %#x, want %#x", tc.row, tc.keyIdxs, got, tc.want)
@@ -96,6 +100,11 @@ func TestKeyPackingPinned(t *testing.T) {
 	}
 	if st.KeysEqual(2, []int{0}, st, 2, []int{0}) {
 		t.Error("a NaN key must not equal itself")
+	}
+	z.AppendRow(nan, 1, 2)
+	z.AppendRow(math.Float32frombits(0xFFC00001), 1, 2)
+	if z.Key(3, k) != z.Key(4, k) {
+		t.Error("3-attribute keys differing only in a NaN's payload must pack equal")
 	}
 }
 

@@ -2,23 +2,20 @@ package tuple
 
 import "sync"
 
-// Buffer pools for the hot paths. Steady-state query traffic encodes a
-// sub-table per fetch, and a spilling aggregate stages a row per routed
-// batch; without reuse that is one short-lived allocation per operation,
-// all garbage by the time the response is written. The pools here recycle
-// those buffers. (The join itself stages no rows: it gathers columns.)
+// The buffer pool for the hot paths. Steady-state query traffic encodes a
+// sub-table per fetch and a spill block per flushed partition buffer;
+// without reuse that is one short-lived allocation per operation, all
+// garbage by the time the response or block is written. (The join and the
+// partitioners stage no rows: they gather columns.)
 //
-// Ownership rule: a buffer passed to PutBuf/PutRow must not be referenced
-// anywhere afterwards. Callers therefore only release buffers whose
-// contents have been copied onward (simio stores copy on Append, transport
-// frames are written synchronously) or fully consumed (decoded).
+// Ownership rule: a buffer passed to PutBuf must not be referenced anywhere
+// afterwards. Callers therefore only release buffers whose contents have
+// been copied onward (simio stores copy on Append, transport frames are
+// written synchronously) or fully consumed (decoded).
 
 // maxPooledBuf caps what PutBuf retains, so a one-off giant encode does not
 // pin tens of megabytes in the pool forever.
 const maxPooledBuf = 16 << 20
-
-// maxPooledRow caps PutRow retention (rows are schema-width, tiny).
-const maxPooledRow = 1 << 12
 
 var bufPool = sync.Pool{
 	New: func() any {
@@ -48,31 +45,4 @@ func PutBuf(b []byte) {
 	}
 	b = b[:0]
 	bufPool.Put(&b)
-}
-
-var rowPool = sync.Pool{
-	New: func() any {
-		r := make([]float32, 0, 64)
-		return &r
-	},
-}
-
-// GetRow returns a length-n float32 scratch slice (contents undefined) for
-// row materialization. Release with PutRow.
-func GetRow(n int) []float32 {
-	rp := rowPool.Get().(*[]float32)
-	if cap(*rp) >= n {
-		return (*rp)[:n]
-	}
-	rowPool.Put(rp)
-	return make([]float32, n)
-}
-
-// PutRow recycles a row scratch slice obtained from GetRow.
-func PutRow(r []float32) {
-	if cap(r) == 0 || cap(r) > maxPooledRow {
-		return
-	}
-	r = r[:0]
-	rowPool.Put(&r)
 }

@@ -244,10 +244,10 @@ func (st *SubTable) AppendAll(o *SubTable) error {
 	return nil
 }
 
-// The join key. One definition — Key for a single row, Keys for a whole
-// sub-table a column at a time — serves every consumer: hash-join build and
-// probe, the out-of-core split, and Grace Hash's h1 routing and h2
-// bucketing.
+// The key. One definition — Key for a single row, Keys for a whole sub-table
+// a column at a time — serves every consumer: hash-join build and probe, the
+// out-of-core splits, Grace Hash's routing and bucketing, and the spilling
+// GROUP BY's partitioning.
 //
 // For one or two key attributes the packing is exact (the float32 bit
 // patterns occupy disjoint 32-bit halves), so distinct keys never collide —
@@ -256,23 +256,78 @@ func (st *SubTable) AppendAll(o *SubTable) error {
 // attribute); the hash-join verifies real attribute equality on probe, so
 // collisions cost time, never correctness.
 //
-// Equality is float equality, as KeysEqual and ORDER BY define it: -0 packs
-// as +0 so the two are one key (values in the output keep their own bits),
-// and a NaN key packs to its bits but KeysEqual never matches it.
+// A value packs as its KeyValue: -0 as +0 and every NaN as one NaN, so the
+// rows of one GROUP BY group share a key (values in a join's output keep
+// their own bits). A join never matches a NaN key, because KeysEqual
+// compares with float equality.
 
 const (
 	keyOffset64 = 14695981039346656037
 	keyPrime64  = 1099511628211
+	canonNaN    = 0x7FC00000
 )
 
-// keyBits is the bit pattern v contributes to a packed key: -0 folds onto +0.
-func keyBits(v float32) uint64 {
-	b := math.Float32bits(v)
-	if b == 1<<31 {
-		b = 0
+// KeyValue returns the one value of v's key class: +0 for either zero, the
+// quiet NaN 0x7FC00000 for every NaN, v itself otherwise. GROUP BY emits it
+// as the group's key.
+func KeyValue(v float32) float32 {
+	switch {
+	case v != v:
+		return math.Float32frombits(canonNaN)
+	case v == 0:
+		return 0
 	}
-	return uint64(b)
+	return v
 }
+
+// KeyWord maps v to a uint32 whose unsigned order is the value order:
+// sign-fixed IEEE bits, with -0 folded onto +0 and every NaN (any payload,
+// either sign) mapped to one word above +Inf. Equal words are one key class.
+// ORDER BY sorts by it and GROUP BY groups and orders by it; without the
+// rule the float comparison is not a strict weak order once a key is NaN.
+func KeyWord(v float32) uint32 {
+	switch {
+	case v != v:
+		return ^uint32(0)
+	case v == 0:
+		return 1 << 31
+	}
+	b := math.Float32bits(v)
+	if b>>31 != 0 {
+		return ^b
+	}
+	return b | 1<<31
+}
+
+// keyBits is the bit pattern v contributes to a packed key.
+func keyBits(v float32) uint64 { return uint64(math.Float32bits(KeyValue(v))) }
+
+// Mix hashes a packed key under a salt (the splitmix64 finalizer over
+// key ^ salt). Every hash partitioning of keys goes through it, each with
+// its own salt, so no two decisions over the same keys are correlated: a
+// joiner's rows still spread over all of its buckets, and a bucket's rows
+// over all of an overflow split's partitions.
+func Mix(key, salt uint64) uint64 {
+	key ^= salt
+	key ^= key >> 30
+	key *= 0xBF58476D1CE4E5B9
+	key ^= key >> 27
+	key *= 0x94D049BB133111EB
+	key ^= key >> 31
+	return key
+}
+
+// The salts Mix is used with.
+const (
+	// SaltRoute routes a Grace Hash record to its joiner group (h1).
+	SaltRoute uint64 = 0xD6E8FEB86659FD93
+	// SaltBucket places a Grace Hash record in a spill bucket (h2).
+	SaltBucket uint64 = 0xA0761D6478BD642F
+)
+
+// SaltSplit is the salt of an out-of-core split at recursion depth d: an
+// over-budget join pair's build side, a spilling GROUP BY's partitions.
+func SaltSplit(d uint64) uint64 { return (d + 1) * 0x9E3779B97F4A7C15 }
 
 // Key packs the values of the key attributes of record `row` into a uint64.
 func (st *SubTable) Key(row int, keyIdxs []int) uint64 {
