@@ -27,7 +27,6 @@ func TestFlagSetGolden(t *testing.T) {
 		"net-bw=0",
 		"no-calibrate=false",
 		"on=x,y,z",
-		"parallelism=0",
 		"prefetch=2",
 		"priority=0",
 		"query=false",

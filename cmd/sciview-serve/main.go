@@ -60,7 +60,6 @@ var (
 	noCalibrate = flag.Bool("no-calibrate", false, "pin the planner to the static configuration layer instead of folding observed run costs into the cost-model constants")
 	faults      = flag.String("faults", "", "chaos schedule, e.g. crash:storage-1:fetch:20,delay:compute-0:write:2:5ms")
 	prefetch    = flag.Int("prefetch", engine.DefaultPrefetch, "default IJ joiner lookahead depth for queries that leave it unset (0 = disabled)")
-	parallelism = flag.Int("parallelism", 0, "default hash-join kernel workers for queries that leave it unset (0 = all CPUs, 1 = serial)")
 	metricsAddr = flag.String("metrics-addr", "", "serve live metrics (Prometheus text on /metrics, pprof on /debug/pprof/) at this address (serve mode; empty disables instrumentation)")
 	replaySteps = flag.Duration("replay-steps", 0, "replay the dataset's withheld time-step batches (<data>/steps/, from sciview-gen -timesteps) at this interval while serving; queries in flight stay pinned to their admission version (0 disables)")
 	repairEvery = flag.Duration("repair-interval", 0, "run the self-healing repair tier: catch up storage nodes revived by restart fault rules and re-replicate under-replicated chunks at this period (0 disables)")
@@ -115,7 +114,6 @@ func main() {
 		Force:        *force,
 		NoCalibrate:  *noCalibrate,
 		Prefetch:     *prefetch,
-		Parallelism:  *parallelism,
 		Metrics:      reg,
 	})
 	if *repairEvery > 0 {

@@ -70,9 +70,14 @@ func indexPackage(t *testing.T, dir string) *pkgNames {
 
 var (
 	docSpan   = regexp.MustCompile("`[^`\n]+`")
+	docFlag   = regexp.MustCompile("^`-([a-z][a-z0-9-]*)")
 	docSymbol = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z][A-Za-z0-9_]*)+)`)
 	docPath   = regexp.MustCompile(`\b(?:cmd/)?internal/[a-z0-9]+(?:/[A-Za-z0-9_]+\.go)?`)
 )
+
+// docFiles are the documents the doc tests scan. CHANGES.md, which may
+// name what is gone, is not among them.
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "CONTRIBUTING.md"}
 
 // TestDocsNameLiveSymbols keeps the prose honest: every backticked
 // `pkg.Ident[.Member]` whose pkg is a directory under internal/, and every
@@ -82,7 +87,7 @@ var (
 // in CHANGES.md, which is not scanned.
 func TestDocsNameLiveSymbols(t *testing.T) {
 	pkgs := map[string]*pkgNames{}
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "CONTRIBUTING.md"} {
+	for _, doc := range docFiles {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -110,6 +115,88 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 						t.Errorf("%s:%d: `%s%s`: internal/%s declares no %s", doc, ln+1, m[1], m[2], m[1], id)
 						break
 					}
+				}
+			}
+		}
+	}
+}
+
+// goTestFlags are the go test flags the documents may name.
+var goTestFlags = []string{"race", "short", "run", "bench", "count", "fuzz", "fuzztime", "timeout", "v"}
+
+// declaredFlags collects the names of the flags the programs declare: the
+// string-literal name argument of every flag.X / flag.XVar call (on the
+// package or on a FlagSet) in cmd/** and bench/*.go.
+func declaredFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir("cmd", func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := filepath.Glob("bench/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, bench...)
+	// nameArg maps each flag-declaring method to its name argument's index.
+	nameArg := map[string]int{"Func": 0, "BoolFunc": 0, "Var": 1, "TextVar": 1}
+	for _, k := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration"} {
+		nameArg[k], nameArg[k+"Var"] = 0, 1 // flag.String("name", ...), flag.StringVar(&p, "name", ...)
+	}
+	flags := map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", f, err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg, ok := nameArg[sel.Sel.Name]
+			if !ok || len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				flags[strings.Trim(lit.Value, "`\"")] = true
+			}
+			return true
+		})
+	}
+	return flags
+}
+
+// TestDocsNameLiveFlags keeps the prose's flags honest: every backticked
+// span that starts with a single-dash -name must name a flag some program
+// (a cmd/ binary or bench) declares, or a go test flag.
+func TestDocsNameLiveFlags(t *testing.T) {
+	flags := declaredFlags(t)
+	for _, f := range goTestFlags {
+		flags[f] = true
+	}
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ln, line := range strings.Split(string(text), "\n") {
+			for _, span := range docSpan.FindAllString(line, -1) {
+				if m := docFlag.FindStringSubmatch(span); m != nil && !flags[m[1]] {
+					t.Errorf("%s:%d: %s: no program declares -%s", doc, ln+1, span, m[1])
 				}
 			}
 		}

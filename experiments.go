@@ -41,23 +41,11 @@ func (s ExperimentSpec) config() harness.Config {
 
 // ExperimentRow is one sweep point: measured and model-predicted execution
 // times (seconds) for both join engines.
-type ExperimentRow struct {
-	Label      string
-	X          float64
-	IJMeasured float64
-	GHMeasured float64
-	IJModel    float64
-	GHModel    float64
-}
+type ExperimentRow = harness.Row
 
-// Experiment is one regenerated figure.
-type Experiment struct {
-	ID    string
-	Title string
-	XName string
-	Rows  []ExperimentRow
-	Notes []string
-}
+// Experiment is one regenerated figure; Print renders it as an aligned
+// text table and CSV as a CSV table (label + measured and model columns).
+type Experiment = harness.Experiment
 
 // Figures lists the reproducible experiment ids, in paper order.
 func Figures() []string {
@@ -67,38 +55,21 @@ func Figures() []string {
 // RunExperiment regenerates one figure of the paper's evaluation.
 func RunExperiment(id string, spec ExperimentSpec) (*Experiment, error) {
 	cfg := spec.config()
-	var (
-		e   *harness.Experiment
-		err error
-	)
 	switch id {
 	case "fig4":
-		e, err = harness.Fig4(cfg)
+		return harness.Fig4(cfg)
 	case "fig5":
-		e, err = harness.Fig5(cfg)
+		return harness.Fig5(cfg)
 	case "fig6":
-		e, err = harness.Fig6(cfg)
+		return harness.Fig6(cfg)
 	case "fig7":
-		e, err = harness.Fig7(cfg)
+		return harness.Fig7(cfg)
 	case "fig8":
-		e, err = harness.Fig8(cfg)
+		return harness.Fig8(cfg)
 	case "fig9":
-		e, err = harness.Fig9(cfg)
-	default:
-		return nil, fmt.Errorf("sciview: unknown experiment %q (want one of %v)", id, Figures())
+		return harness.Fig9(cfg)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := &Experiment{ID: e.ID, Title: e.Title, XName: e.XName, Notes: e.Notes}
-	for _, r := range e.Rows {
-		out.Rows = append(out.Rows, ExperimentRow{
-			Label: r.Label, X: r.X,
-			IJMeasured: r.IJMeasured, GHMeasured: r.GHMeasured,
-			IJModel: r.IJModel, GHModel: r.GHModel,
-		})
-	}
-	return out, nil
+	return nil, fmt.Errorf("sciview: unknown experiment %q (want one of %v)", id, Figures())
 }
 
 // RunAllExperiments regenerates every figure, printing each table to w as
@@ -107,9 +78,8 @@ func RunAllExperiments(spec ExperimentSpec, w io.Writer) error {
 	return harness.RunAndPrint(spec.config(), w)
 }
 
-// RunAblations runs the design-choice ablations (cache size vs the memory
-// assumption, IJ scheduling strategies, chunk placement), printing each
-// table to w.
+// RunAblations runs the design-choice ablation (cache size vs the memory
+// assumption), printing its table to w.
 func RunAblations(spec ExperimentSpec, w io.Writer) error {
 	return harness.RunAblations(spec.config(), w)
 }
@@ -118,29 +88,4 @@ func RunAblations(spec ExperimentSpec, w io.Writer) error {
 // paper's 2-billion-tuple endpoint at 2006 testbed parameters.
 func RunPaperScale(w io.Writer) {
 	harness.Fig6PaperScale().Print(w)
-}
-
-// CSV writes the experiment as a CSV table (label + measured and model
-// columns), for plotting.
-func (e *Experiment) CSV(w io.Writer) error {
-	h := e.internal()
-	return h.CSV(w)
-}
-
-func (e *Experiment) internal() harness.Experiment {
-	h := harness.Experiment{ID: e.ID, Title: e.Title, XName: e.XName, Notes: e.Notes}
-	for _, r := range e.Rows {
-		h.Rows = append(h.Rows, harness.Row{
-			Label: r.Label, X: r.X,
-			IJMeasured: r.IJMeasured, GHMeasured: r.GHMeasured,
-			IJModel: r.IJModel, GHModel: r.GHModel,
-		})
-	}
-	return h
-}
-
-// Print renders the experiment as an aligned text table.
-func (e *Experiment) Print(w io.Writer) {
-	h := e.internal()
-	h.Print(w)
 }

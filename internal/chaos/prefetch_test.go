@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"sciview/internal/engine"
@@ -15,7 +16,7 @@ import (
 // through the same singleflight and failover path as demand fetches, and a
 // re-assigned slot cancels and reaps its in-flight prefetches before the
 // survivor replays the schedule), so the output stays identical to the
-// fault-free, prefetch-free baseline.
+// fault-free, prefetch-free baseline at every kernel width (GOMAXPROCS).
 func TestPrefetchUnderCrashSchedule(t *testing.T) {
 	ds := replicatedDataset(t)
 	e := ij.New()
@@ -28,11 +29,13 @@ func TestPrefetchUnderCrashSchedule(t *testing.T) {
 	want := rowsExact(base.Collected)
 
 	spec := "crash:storage-1:fetch:5,crash:compute-0:edge:3"
-	for run := 0; run < 2; run++ {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for run, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
 		cl, inj := chaosCluster(t, ds, spec)
 		r := chaosReq()
 		r.Prefetch = 2
-		r.Parallelism = 4
 		res, err := engine.RunRequest(context.Background(), e, cl, r)
 		if err != nil {
 			t.Fatalf("faulted prefetch run %d: %v", run, err)

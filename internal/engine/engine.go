@@ -58,10 +58,6 @@ type Request struct {
 	// Prefetching changes overlap only — results, cost-model counters and
 	// per-fetch miss accounting are identical either way.
 	Prefetch int
-	// Parallelism bounds the hash-join kernel workers per build/probe:
-	// 0 = all CPUs, 1 = serial, n = at most n goroutines. Small sub-tables
-	// run serially regardless. Output is byte-identical for every setting.
-	Parallelism int
 	// Sink, when non-nil, streams result batches out of the join as they
 	// are produced instead of materializing them: IJ emits after each edge
 	// probe, GH after each bucket-pair join. Batches are grouped by "part"

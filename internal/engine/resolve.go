@@ -20,7 +20,7 @@ import (
 type Inputs struct {
 	// Req is the one copy of the request the statement carries. Callers may
 	// stamp its run-policy fields after Resolve (Shared, Prefetch,
-	// Parallelism, MemoryBudget, Sink, Progress, Collect); the fields
+	// MemoryBudget, Sink, Progress, Collect); the fields
 	// resolution read (tables, JoinAttrs, Filter, Project, AsOf, *Versions)
 	// are fixed. AsOf is never 0 here: an unpinned request is pinned to the
 	// catalog version current at Resolve.

@@ -211,6 +211,11 @@ const (
 	spillMaxDepth = 3
 )
 
+// kernelWorkers is the worker count every build and probe asks for:
+// hashjoin.Workers resolves 0 to GOMAXPROCS, the process's one width
+// setting. Output is byte-identical at every width.
+const kernelWorkers = 0
+
 func (j *Joiner) newOut() *tuple.SubTable {
 	return tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(j.Part)}, j.OutSchema, 0)
 }
@@ -242,7 +247,7 @@ func (j *Joiner) Fits(leftBytes int) bool {
 // table, which must no longer be probed.
 func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
 	start := time.Now()
-	ht, err := j.hj.Build(left, j.Req.JoinAttrs, j.Req.Parallelism, &j.local)
+	ht, err := j.hj.Build(left, j.Req.JoinAttrs, kernelWorkers, &j.local)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +258,7 @@ func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable,
 // Probe probes ht with right into the part's output.
 func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTable) error {
 	start := time.Now()
-	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, 1, j.Req.Parallelism, j.out, &j.local); err != nil {
+	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, 1, kernelWorkers, j.out, &j.local); err != nil {
 		return err
 	}
 	j.probed(label, right, start)
@@ -279,7 +284,7 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 	}
 	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
 	_, _, err := j.hj.JoinPairSpill(left, right, j.Req.JoinAttrs, label,
-		j.Req.Parallelism, j.memCap, spillFanout, spillMaxDepth,
+		kernelWorkers, j.memCap, spillFanout, spillMaxDepth,
 		func(key, depth uint64) uint64 { return tuple.Mix(key, tuple.SaltSplit(depth)) },
 		hooks, j.out, &j.local)
 	return err

@@ -3,6 +3,7 @@ package gh
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"sciview/internal/cluster"
@@ -14,7 +15,7 @@ import (
 
 // TestGHDeterministic pins Grace Hash's defined output order: with three
 // storage nodes scanning concurrently, the collected output is byte-for-
-// byte the same on every run, at every hash-join worker count and on
+// byte the same on every run, at every kernel width (GOMAXPROCS) and on
 // either wire format. Bucket blocks are tagged with the scanning storage
 // slot and read back in slot order, so scanner interleaving never reaches
 // the rows. Two buckets over 16 Ki rows give every (group, bucket, slot)
@@ -29,7 +30,10 @@ func TestGHDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallelism int, wire string) []byte {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	run := func(procs int, wire string) []byte {
+		runtime.GOMAXPROCS(procs)
 		cl, err := cluster.New(cluster.Config{
 			StorageNodes: ns, ComputeNodes: nj, CacheBytes: 32 << 20, Wire: wire,
 		}, ds.Catalog, ds.Stores)
@@ -38,7 +42,6 @@ func TestGHDeterministic(t *testing.T) {
 		}
 		r := req()
 		r.Collect = true
-		r.Parallelism = parallelism
 		res, err := engine.RunRequest(context.Background(), &Engine{Buckets: 2}, cl, r)
 		if err != nil {
 			t.Fatal(err)
@@ -55,16 +58,16 @@ func TestGHDeterministic(t *testing.T) {
 
 	want := run(1, "")
 	legs := []struct {
-		parallelism int
-		wire        string
-	}{{2, ""}, {0, ""}, {1, "colenc"}, {0, "colenc"}}
+		procs int
+		wire  string
+	}{{2, ""}, {4, ""}, {1, "colenc"}, {4, "colenc"}}
 	for range 20 {
 		legs = append(legs, legs[0])
 	}
 	for i, leg := range legs {
-		if !bytes.Equal(run(leg.parallelism, leg.wire), want) {
-			t.Fatalf("run %d (parallelism=%d wire=%q): output differs from the first run",
-				i, leg.parallelism, leg.wire)
+		if !bytes.Equal(run(leg.procs, leg.wire), want) {
+			t.Fatalf("run %d (GOMAXPROCS=%d wire=%q): output differs from the first run",
+				i, leg.procs, leg.wire)
 		}
 	}
 }

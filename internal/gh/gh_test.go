@@ -44,13 +44,14 @@ func TestName(t *testing.T) {
 
 // TestHashFunctionsIndependent: every hash partitioning applied to one
 // set of keys must spread the keys one decision kept together over the
-// next decision's whole range — route (h1) × bucket (h2), and bucket ×
-// each depth of the overflow split that repartitions a bucket's build
-// side. A correlated pair would put a joiner's records in few buckets, or
-// a bucket's records in few split partitions, breaking the fits-in-memory
-// goal.
+// next decision's whole range — route (h1) × bucket (h2), bucket × each
+// depth of the overflow split that repartitions a bucket's build side, and
+// bucket or split × the partitions of the hash table built over it. A
+// correlated pair would put a joiner's records in few buckets, a bucket's
+// records in few split partitions, or a bucket's build in few table
+// partitions, breaking the fits-in-memory goal or the parallel build.
 func TestHashFunctionsIndependent(t *testing.T) {
-	const nj, nb, fanout = 4, 8, 8
+	const nj, nb, fanout, nparts = 4, 8, 8, 8
 	var keys []uint64
 	for x := 0; x < 64; x++ {
 		for y := 0; y < 64; y++ {
@@ -61,6 +62,9 @@ func TestHashFunctionsIndependent(t *testing.T) {
 	split := func(d uint64) func(uint64) int {
 		return func(k uint64) int { return int(tuple.Mix(k, tuple.SaltSplit(d)) % fanout) }
 	}
+	// The hash table's partition is the low bits of its hash (nparts is a
+	// power of two, as hashjoin's numParts makes it).
+	tablePart := func(k uint64) int { return int(tuple.Mix(k, tuple.SaltTable) & (nparts - 1)) }
 	pairs := []struct {
 		name         string
 		outer, inner func(uint64) int
@@ -70,6 +74,8 @@ func TestHashFunctionsIndependent(t *testing.T) {
 		{"bucket×split0", bucket, split(0), nb, fanout},
 		{"split0×split1", split(0), split(1), fanout, fanout},
 		{"split1×split2", split(1), split(2), fanout, fanout},
+		{"bucket×table-partition", bucket, tablePart, nb, nparts},
+		{"split0×table-partition", split(0), tablePart, fanout, nparts},
 	}
 	for _, pr := range pairs {
 		occ := make(map[int]map[int]int) // outer class -> inner class -> count

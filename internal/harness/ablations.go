@@ -11,10 +11,8 @@ import (
 	"sciview/internal/oilres"
 )
 
-// Ablations probe the design choices the paper argues for but does not
-// sweep directly: the IJ memory assumption (Section 6.2's OPAS
-// discussion), the two-stage scheduling strategy, and the block-cyclic
-// chunk placement of the experimental setup.
+// Ablations probe a design choice the paper argues for but does not sweep
+// directly: the IJ memory assumption (Section 6.2's OPAS discussion).
 
 // AblationRow is one point of an ablation sweep: IJ execution time plus
 // the re-transfer behaviour that explains it.
@@ -55,10 +53,9 @@ func (a *Ablation) Print(w io.Writer) {
 // ablationDataset builds a dataset with genuinely overlapping (not
 // nested) partitions: the left table is split in x and y, the right table
 // in z, so each component couples a = 4 left with b = 2 right sub-tables
-// and every pair overlaps (E_C = 8). Locality-destroying schedules and
-// sub-bound caches then cause real re-fetches. It returns the dataset, the
-// total sub-table count, and the paper's per-joiner memory bound
-// 2·c_R·RS_R + b·c_S·RS_S in bytes.
+// and every pair overlaps (E_C = 8). Sub-bound caches then cause real
+// re-fetches. It returns the dataset, the total sub-table count, and the
+// paper's per-joiner memory bound 2·c_R·RS_R + b·c_S·RS_S in bytes.
 func (c *Config) ablationDataset() (*oilres.Dataset, int64, int64, error) {
 	base := c.basePart()
 	p := splitPart(splitPart(base, 1), 1) // halve x then y
@@ -73,9 +70,9 @@ func (c *Config) ablationDataset() (*oilres.Dataset, int64, int64, error) {
 	return ds, subTables, need, nil
 }
 
-// runIJ runs the IJ engine variant on a cluster with the given per-joiner
-// cache size and extracts the re-transfer counters.
-func (c *Config) runIJ(e *ij.Engine, ds *oilres.Dataset, subTables, cacheBytes int64) (AblationRow, error) {
+// runIJ runs the IJ engine on a cluster with the given per-joiner cache
+// size and extracts the re-transfer counters.
+func (c *Config) runIJ(ds *oilres.Dataset, subTables, cacheBytes int64) (AblationRow, error) {
 	cl, err := cluster.New(cluster.Config{
 		StorageNodes: c.StorageNodes,
 		ComputeNodes: c.ComputeNodes,
@@ -88,7 +85,7 @@ func (c *Config) runIJ(e *ij.Engine, ds *oilres.Dataset, subTables, cacheBytes i
 	if err != nil {
 		return AblationRow{}, err
 	}
-	res, err := engine.RunRequest(context.Background(), e, cl, c.request())
+	res, err := engine.RunRequest(context.Background(), ij.New(), cl, c.request())
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -133,7 +130,7 @@ func AblationCache(cfg Config) (*Ablation, error) {
 		XName: "cache size",
 	}
 	for _, s := range sweeps {
-		row, err := cfg.runIJ(ij.New(), ds, subTables, s.bytes)
+		row, err := cfg.runIJ(ds, subTables, s.bytes)
 		if err != nil {
 			return nil, err
 		}
@@ -145,78 +142,12 @@ func AblationCache(cfg Config) (*Ablation, error) {
 	return a, nil
 }
 
-// AblationSchedule compares the paper's two-stage scheduling strategy with
-// degraded variants under a cache sized exactly to the memory assumption:
-// only component-local processing keeps the no-refetch guarantee.
-func AblationSchedule(cfg Config) (*Ablation, error) {
-	cfg.setDefaults()
-	ds, subTables, need, err := cfg.ablationDataset()
-	if err != nil {
-		return nil, err
-	}
-	a := &Ablation{
-		ID:    "ablation-schedule",
-		Title: "IJ scheduling strategies at the exact memory bound",
-		XName: "schedule",
-	}
-	for _, sched := range []ij.Schedule{ij.ScheduleComponent, ij.ScheduleOPAS, ij.ScheduleGlobalLex, ij.ScheduleRandom} {
-		e := &ij.Engine{Schedule: sched}
-		row, err := cfg.runIJ(e, ds, subTables, need)
-		if err != nil {
-			return nil, err
-		}
-		row.Label = sched.String()
-		a.Rows = append(a.Rows, row)
-	}
-	a.Notes = append(a.Notes,
-		"expected shape: the component schedule fetches each sub-table once; random re-fetches heavily",
-		"global-lex matches component here because round-robin dealing keeps each joiner's components disjoint in id space — the guarantee, however, only holds by construction for the component schedule")
-	return a, nil
-}
-
-// AblationPlacement compares block-cyclic chunk placement (the paper's
-// setup) against contiguous placement: contiguous placement concentrates
-// each component's chunks on one storage node, serializing IJ's transfers
-// on a single disk.
-func AblationPlacement(cfg Config) (*Ablation, error) {
-	cfg.setDefaults()
-	a := &Ablation{
-		ID:    "ablation-placement",
-		Title: "Chunk placement policy vs IJ transfer parallelism",
-		XName: "placement",
-	}
-	q := cfg.basePart()
-	for _, placement := range []string{"blockcyclic", "contiguous"} {
-		ds, err := oilres.Generate(oilres.Config{
-			Grid: cfg.Grid, LeftPart: q, RightPart: q,
-			StorageNodes: cfg.StorageNodes,
-			Placement:    placement,
-			Seed:         cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		subTables := 2 * (cfg.Grid.Cells() / q.Cells())
-		row, err := cfg.runIJ(ij.New(), ds, subTables, 64<<20)
-		if err != nil {
-			return nil, err
-		}
-		row.Label = placement
-		a.Rows = append(a.Rows, row)
-	}
-	a.Notes = append(a.Notes,
-		"expected shape: same bytes moved, but contiguous placement is slower (per-component transfers hit one disk)")
-	return a, nil
-}
-
-// RunAblations runs every ablation, printing each as it completes.
+// RunAblations runs the ablation — the cache-size sweep — and prints it.
 func RunAblations(cfg Config, w io.Writer) error {
-	for _, f := range []func(Config) (*Ablation, error){AblationCache, AblationSchedule, AblationPlacement} {
-		a, err := f(cfg)
-		if err != nil {
-			return err
-		}
-		a.Print(w)
+	a, err := AblationCache(cfg)
+	if err != nil {
+		return err
 	}
+	a.Print(w)
 	return nil
 }

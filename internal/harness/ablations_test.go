@@ -28,50 +28,6 @@ func TestAblationCacheShape(t *testing.T) {
 	}
 }
 
-func TestAblationScheduleShape(t *testing.T) {
-	a, err := AblationSchedule(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]AblationRow{}
-	for _, r := range a.Rows {
-		byLabel[r.Label] = r
-	}
-	comp, ok := byLabel["component"]
-	if !ok {
-		t.Fatalf("rows = %+v", a.Rows)
-	}
-	if comp.Refetches != 0 {
-		t.Errorf("component schedule refetched %d times", comp.Refetches)
-	}
-	rnd := byLabel["random"]
-	if rnd.Refetches <= 0 {
-		t.Error("random schedule should refetch")
-	}
-	if rnd.Seconds <= comp.Seconds {
-		t.Errorf("random (%.3fs) not slower than component (%.3fs)", rnd.Seconds, comp.Seconds)
-	}
-}
-
-func TestAblationPlacementShape(t *testing.T) {
-	a, err := AblationPlacement(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rows) != 2 {
-		t.Fatalf("rows = %d", len(a.Rows))
-	}
-	bc, cont := a.Rows[0], a.Rows[1]
-	// Identical transfer volume…
-	if bc.NetBytes != cont.NetBytes {
-		t.Errorf("net bytes differ: %d vs %d", bc.NetBytes, cont.NetBytes)
-	}
-	// …but contiguous placement serializes on fewer disks: slower.
-	if cont.Seconds <= bc.Seconds*1.1 {
-		t.Errorf("contiguous (%.3fs) not slower than block-cyclic (%.3fs)", cont.Seconds, bc.Seconds)
-	}
-}
-
 func TestFig6PaperScaleLinear(t *testing.T) {
 	p := Fig6PaperScale()
 	if len(p.Rows) < 4 {

@@ -86,24 +86,14 @@ func (s *Stats) Add(src *Stats) {
 	s.Matches.Add(src.Matches.Load())
 }
 
-// mix is the splitmix64 finalizer: it spreads the packed key bits so both
-// the partition index (low bits) and the slot index (high bits) are well
-// distributed even for the dense float32 bit patterns real keys have.
-func mix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 // HashTable is a flat open-addressing hash table over a left sub-table,
 // keyed on join attributes, mapping packed keys to chains of row indices.
 //
 // Layout: the slot array is divided into nparts contiguous partitions
-// (partition = low bits of the mixed hash). Each partition is an
-// independent power-of-two open-addressing region at most half full.
+// (partition = low bits of tuple.Mix under tuple.SaltTable, slot = its
+// high bits, so keys one GH bucket or overflow split kept together still
+// spread over every partition). Each partition is an independent
+// power-of-two open-addressing region at most half full.
 // A slot is empty iff heads[slot] < 0; an occupied slot holds the packed
 // key and the first left row of the chain, with next[row] linking the
 // remaining rows in ascending order.
@@ -227,7 +217,7 @@ func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers
 		pstart[1] = int32(n)
 	} else {
 		for _, k := range rowKeys {
-			pstart[(mix(k)&pmask)+1]++
+			pstart[(tuple.Mix(k, tuple.SaltTable)&pmask)+1]++
 		}
 		for p := 0; p < nparts; p++ {
 			pstart[p+1] += pstart[p]
@@ -255,7 +245,7 @@ func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers
 		rorder = b.rorder
 		pos := slices.Clone(pstart[:nparts])
 		for r, k := range rowKeys {
-			p := mix(k) & pmask
+			p := tuple.Mix(k, tuple.SaltTable) & pmask
 			rorder[pos[p]] = int32(r)
 			pos[p]++
 		}
@@ -276,7 +266,7 @@ func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers
 					r = rorder[i]
 				}
 				k := rowKeys[r]
-				slot := base + int32(uint32(mix(k)>>32))&m
+				slot := base + int32(uint32(tuple.Mix(k, tuple.SaltTable)>>32))&m
 				for heads[slot] >= 0 && slotKeys[slot] != k {
 					slot = base + (slot-base+1)&m
 				}
@@ -326,7 +316,7 @@ func (ht *HashTable) Left() *tuple.SubTable { return ht.left }
 
 // lookup returns the first left row whose packed key equals k, or -1.
 func (ht *HashTable) lookup(k uint64) int32 {
-	h := mix(k)
+	h := tuple.Mix(k, tuple.SaltTable)
 	p := h & uint64(ht.nparts-1)
 	base := ht.offs[p]
 	m := int32(ht.mask[p])

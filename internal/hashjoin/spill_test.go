@@ -23,10 +23,10 @@ func sameRows(a, b *tuple.SubTable) bool {
 	return true
 }
 
-// spillPart is the test PartFunc: the same salted splitmix the GH
-// engine uses for recursive overflow splits.
+// spillPart is the test PartFunc: the split hash the QES runtime uses for
+// recursive overflow splits.
 func spillPart(key, salt uint64) uint64 {
-	return mix(key ^ (salt+1)*0x9E3779B97F4A7C15)
+	return tuple.Mix(key, tuple.SaltSplit(salt))
 }
 
 // makeDupPair builds a pair where keys repeat on both sides, so probe

@@ -3,6 +3,7 @@ package ij
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"sciview/internal/engine"
@@ -21,18 +22,21 @@ func encodeCollected(sts []*tuple.SubTable) []byte {
 }
 
 // TestPipelinedByteIdentical pins the tentpole contract: turning on
-// prefetch and kernel parallelism changes overlap and wall clock only —
-// the collected outputs are byte-for-byte those of the sequential run.
+// prefetch and widening the kernels (GOMAXPROCS) changes overlap and wall
+// clock only — the collected outputs are byte-for-byte those of the
+// sequential run.
 func TestPipelinedByteIdentical(t *testing.T) {
 	grid := partition.D(16, 16, 8)
 	q := partition.D(4, 4, 4)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
-	run := func(prefetch, parallelism int) []byte {
+	run := func(prefetch, procs int) []byte {
+		runtime.GOMAXPROCS(procs)
 		cl := makeCluster(t, grid, q, q, 2, 3, 32<<20)
 		r := req()
 		r.Collect = true
 		r.Prefetch = prefetch
-		r.Parallelism = parallelism
 		res, err := engine.RunRequest(context.Background(), New(), cl, r)
 		if err != nil {
 			t.Fatal(err)
@@ -41,15 +45,15 @@ func TestPipelinedByteIdentical(t *testing.T) {
 	}
 
 	sequential := run(0, 1)
-	for _, tc := range []struct{ prefetch, parallelism int }{
+	for _, tc := range []struct{ prefetch, procs int }{
 		{2, 1}, // prefetch only
-		{0, 4}, // parallel kernels only
+		{0, 4}, // wide kernels only
 		{2, 4}, // both
-		{8, 0}, // deep lookahead, all CPUs
+		{8, 2}, // deep lookahead
 	} {
-		if got := run(tc.prefetch, tc.parallelism); !bytes.Equal(got, sequential) {
-			t.Errorf("prefetch=%d parallelism=%d: collected output differs from sequential run",
-				tc.prefetch, tc.parallelism)
+		if got := run(tc.prefetch, tc.procs); !bytes.Equal(got, sequential) {
+			t.Errorf("prefetch=%d GOMAXPROCS=%d: collected output differs from sequential run",
+				tc.prefetch, tc.procs)
 		}
 	}
 }

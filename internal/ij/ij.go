@@ -13,7 +13,6 @@ package ij
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,51 +30,8 @@ import (
 	"sciview/internal/tuple"
 )
 
-// Schedule selects the edge-scheduling strategy. The paper's two-stage
-// strategy is the default; the alternatives exist as ablations of its
-// design choices (see the harness's schedule ablation).
-type Schedule int
-
-const (
-	// ScheduleComponent is the paper's strategy: components dealt
-	// round-robin to joiners, edges sorted lexicographically within each
-	// component and components processed one after another.
-	ScheduleComponent Schedule = iota
-	// ScheduleGlobalLex deals components round-robin but sorts each
-	// joiner's full edge list lexicographically, interleaving components
-	// and breaking the working-set guarantee.
-	ScheduleGlobalLex
-	// ScheduleRandom ignores components entirely: edges are dealt
-	// round-robin in a deterministic shuffled order, so sub-tables are
-	// fetched by several joiners and locality is destroyed.
-	ScheduleRandom
-	// ScheduleOPAS applies an Optimal-Page-Access-Sequence-style greedy
-	// heuristic (the related work's approach) to each joiner's edges,
-	// simulating the node cache to pick the cheapest next edge.
-	ScheduleOPAS
-)
-
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleComponent:
-		return "component"
-	case ScheduleGlobalLex:
-		return "global-lex"
-	case ScheduleRandom:
-		return "random"
-	case ScheduleOPAS:
-		return "opas"
-	default:
-		return fmt.Sprintf("Schedule(%d)", int(s))
-	}
-}
-
-// Engine is the Indexed Join QES. The zero value is ready to use and uses
-// the paper's scheduling strategy.
-type Engine struct {
-	// Schedule overrides the edge-scheduling strategy (ablations only).
-	Schedule Schedule
-}
+// Engine is the Indexed Join QES. The zero value is ready to use.
+type Engine struct{}
 
 // New returns an Indexed Join engine.
 func New() *Engine { return &Engine{} }
@@ -105,7 +61,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	defer run.Close()
 
 	nj := len(cl.Compute)
-	schedules := e.buildSchedules(graph.Components(), in.LeftDescs, in.RightDescs, nj, cl.Config.CacheBytes)
+	schedules := buildSchedules(graph.Components(), in.LeftDescs, in.RightDescs, nj)
 
 	// Publish the schedule size so streaming consumers can report the
 	// fraction of edges an early-terminated query actually joined. Joined
@@ -157,64 +113,29 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	return res, nil
 }
 
-// buildSchedules assigns edges to joiner nodes per the engine's strategy.
-//
-// The default (ScheduleComponent) is the paper's two-stage strategy.
-// Stage 1 deals connected components round-robin to joiner nodes, so every
-// QES instance gets the same amount of work. Stage 2 sorts the id pairs of
-// each component lexicographically by ((i1,j1),(i2,j2)) and processes
-// components one after another. Component-local order is what gives the
-// paper's no-eviction guarantee under the memory assumption
+// buildSchedules assigns edges to joiner nodes by the paper's two-stage
+// strategy. Stage 1 deals connected components round-robin to joiner
+// nodes, so every QES instance gets the same amount of work. Stage 2 sorts
+// the id pairs of each component lexicographically by ((i1,j1),(i2,j2))
+// and processes components one after another. Component-local order is
+// what gives the paper's no-eviction guarantee under the memory assumption
 // (cache ≥ 2·c_R + b·c_S): a component's right sub-tables stay cached
 // while its left sub-tables stream through once each.
-func (e *Engine) buildSchedules(comps []congraph.Component, leftDescs, rightDescs []*chunk.Desc, nj int, cacheBytes int64) [][]edge {
-	if e.Schedule == ScheduleOPAS {
-		return opasSchedules(comps, leftDescs, rightDescs, nj, cacheBytes)
-	}
+func buildSchedules(comps []congraph.Component, leftDescs, rightDescs []*chunk.Desc, nj int) [][]edge {
 	schedules := make([][]edge, nj)
-	mk := func(ce congraph.Edge) edge {
-		return edge{left: leftDescs[ce.Left].ID(), right: rightDescs[ce.Right].ID()}
-	}
-	lexSort := func(sched []edge) {
+	for k, comp := range comps {
+		j := k % nj
+		start := len(schedules[j])
+		for _, ce := range comp.Edges {
+			schedules[j] = append(schedules[j], edge{left: leftDescs[ce.Left].ID(), right: rightDescs[ce.Right].ID()})
+		}
+		sched := schedules[j][start:]
 		sort.Slice(sched, func(a, b int) bool {
 			if sched[a].left != sched[b].left {
 				return sched[a].left.Less(sched[b].left)
 			}
 			return sched[a].right.Less(sched[b].right)
 		})
-	}
-	switch e.Schedule {
-	case ScheduleGlobalLex:
-		for k, comp := range comps {
-			j := k % nj
-			for _, ce := range comp.Edges {
-				schedules[j] = append(schedules[j], mk(ce))
-			}
-		}
-		for _, sched := range schedules {
-			lexSort(sched)
-		}
-	case ScheduleRandom:
-		var all []edge
-		for _, comp := range comps {
-			for _, ce := range comp.Edges {
-				all = append(all, mk(ce))
-			}
-		}
-		rng := rand.New(rand.NewSource(1))
-		rng.Shuffle(len(all), func(a, b int) { all[a], all[b] = all[b], all[a] })
-		for i, ed := range all {
-			schedules[i%nj] = append(schedules[i%nj], ed)
-		}
-	default: // ScheduleComponent
-		for k, comp := range comps {
-			j := k % nj
-			start := len(schedules[j])
-			for _, ce := range comp.Edges {
-				schedules[j] = append(schedules[j], mk(ce))
-			}
-			lexSort(schedules[j][start:])
-		}
 	}
 	return schedules
 }

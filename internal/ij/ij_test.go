@@ -187,70 +187,3 @@ func TestModeledCPUChargedPerJoiner(t *testing.T) {
 }
 
 var _ = tuple.ID{} // keep import for potential extension
-
-func TestOPASMatchesComponentAtBound(t *testing.T) {
-	// With the memory assumption satisfied, the component schedule is
-	// fetch-optimal; OPAS must match it (one fetch per sub-table).
-	grid := partition.D(16, 16, 8)
-	p := partition.D(4, 4, 8)
-	q := partition.D(8, 8, 8)
-	b := partition.RightPerComponent(p, q)
-	cacheBytes := CacheBytesFor(p.Cells(), 16, b, q.Cells(), 16)
-	cl := makeCluster(t, grid, p, q, 2, 2, cacheBytes)
-	e := &Engine{Schedule: ScheduleOPAS}
-	res, err := engine.RunRequest(context.Background(), e, cl, req())
-	if err != nil {
-		t.Fatal(err)
-	}
-	subTables := grid.Cells()/p.Cells() + grid.Cells()/q.Cells()
-	if res.Cache.Misses != subTables {
-		t.Errorf("OPAS misses = %d, want %d", res.Cache.Misses, subTables)
-	}
-	if res.Tuples != grid.Cells() {
-		t.Errorf("tuples = %d", res.Tuples)
-	}
-}
-
-func TestOPASBeatsComponentBelowBound(t *testing.T) {
-	// Overlapping partitions (a=4 lefts, b=2 rights per component) with a
-	// cache at half the memory bound: the component-lex order re-fetches,
-	// OPAS reorders to reduce re-transfer volume.
-	grid := partition.D(16, 16, 8)
-	p := partition.D(2, 2, 4) // split in x, y
-	q := partition.D(4, 4, 2) // split in z: overlaps, never nests
-	need := CacheBytesFor(p.Cells(), 16, 2, q.Cells(), 16)
-	cl := makeCluster(t, grid, p, q, 2, 2, need/2)
-
-	runBytes := func(e *Engine) int64 {
-		res, err := engine.RunRequest(context.Background(), e, cl, req())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Tuples != grid.Cells() {
-			t.Fatalf("tuples = %d", res.Tuples)
-		}
-		return res.Traffic.NetBytesToCompute
-	}
-	component := runBytes(New())
-	opas := runBytes(&Engine{Schedule: ScheduleOPAS})
-	if opas > component {
-		t.Errorf("OPAS moved %d bytes, component schedule %d — OPAS should not be worse", opas, component)
-	}
-	minBytes := grid.Cells() * 32
-	t.Logf("minimum %d, OPAS %d, component %d", minBytes, opas, component)
-}
-
-func TestScheduleStrings(t *testing.T) {
-	cases := map[Schedule]string{
-		ScheduleComponent: "component",
-		ScheduleGlobalLex: "global-lex",
-		ScheduleRandom:    "random",
-		ScheduleOPAS:      "opas",
-		Schedule(99):      "Schedule(99)",
-	}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
-	}
-}

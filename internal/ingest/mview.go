@@ -1,9 +1,11 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"sciview/internal/bbox"
@@ -331,10 +333,12 @@ func (m *MaterializedView) markStale() {
 }
 
 // Canonicalize returns the rows of st in canonical order: lexicographic
-// over all columns, left to right. Equal rows are interchangeable, so any
-// two sub-tables holding the same multiset of rows canonicalize to
-// byte-identical encodings — the well-definedness behind "delta
-// maintenance is byte-identical to recompute".
+// over all columns, left to right, each column compared by tuple.KeyWord
+// (value order, NaN last) and then by raw bits (+0 before -0, NaN payloads
+// apart). The order is total over bit patterns, so rows that compare equal
+// are identical and any two sub-tables holding the same multiset of rows
+// canonicalize to byte-identical encodings — the well-definedness behind
+// "delta maintenance is byte-identical to recompute".
 func Canonicalize(st *tuple.SubTable) *tuple.SubTable {
 	n := st.NumRows()
 	cols := st.Schema.NumAttrs()
@@ -342,15 +346,17 @@ func Canonicalize(st *tuple.SubTable) *tuple.SubTable {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
+	slices.SortFunc(idx, func(a, b int) int {
 		for c := 0; c < cols; c++ {
 			av, bv := st.Value(a, c), st.Value(b, c)
-			if av != bv {
-				return av < bv
+			if d := cmp.Compare(tuple.KeyWord(av), tuple.KeyWord(bv)); d != 0 {
+				return d
+			}
+			if d := cmp.Compare(math.Float32bits(av), math.Float32bits(bv)); d != 0 {
+				return d
 			}
 		}
-		return false
+		return 0
 	})
 	out := tuple.NewSubTable(st.ID, st.Schema, n)
 	row := make([]float32, cols)

@@ -42,11 +42,6 @@ type Config struct {
 	StorageNodes int
 	// Format is the chunk layout (default "rowmajor").
 	Format string
-	// Placement distributes chunks over storage nodes: "blockcyclic"
-	// (default, the paper's experimental setup) or "contiguous" (each node
-	// gets a consecutive run of chunk ids — i.e. a spatial slab, the
-	// layout a non-parallel writer would produce).
-	Placement string
 	// Replicas is the total number of placements per chunk (primary
 	// included), clamped to StorageNodes. Values < 2 mean no replication.
 	Replicas int
@@ -70,9 +65,6 @@ func (c *Config) setDefaults() {
 	if c.Format == "" {
 		c.Format = "rowmajor"
 	}
-	if c.Placement == "" {
-		c.Placement = "blockcyclic"
-	}
 	if c.StorageNodes == 0 {
 		c.StorageNodes = 1
 	}
@@ -92,21 +84,7 @@ func (c Config) Validate() error {
 	if _, err := chunk.Lookup(c.Format); err != nil {
 		return err
 	}
-	switch c.Placement {
-	case "", "blockcyclic", "contiguous":
-	default:
-		return fmt.Errorf("oilres: unknown placement %q", c.Placement)
-	}
 	return nil
-}
-
-// placeNode maps a chunk id to its storage node per the placement policy.
-func (c Config) placeNode(chunkID, numChunks int) int {
-	if c.Placement == "contiguous" {
-		per := (numChunks + c.StorageNodes - 1) / c.StorageNodes
-		return chunkID / per
-	}
-	return partition.BlockCyclicNode(chunkID, c.StorageNodes)
 }
 
 // Dataset is a generated dataset: a populated catalog plus one object
@@ -204,7 +182,7 @@ func genTable(ds *Dataset, name string, measures []string, part partition.Dims, 
 		if err != nil {
 			return nil, err
 		}
-		node := cfg.placeNode(id, n)
+		node := partition.BlockCyclicNode(id, cfg.StorageNodes)
 		if err := ds.Stores[node].Append(object(node), data); err != nil {
 			return nil, err
 		}

@@ -109,7 +109,6 @@ func genSlabChunks(cfg Config, name string, measures []string, part partition.Di
 	}
 	spec := partition.Spec{Grid: cfg.Grid, Part: part} // full grid: global ids
 	blocks := spec.Blocks()
-	numChunks := int(spec.NumChunks())
 
 	var out []StepChunk
 	vals := make([]float32, schema.NumAttrs())
@@ -142,7 +141,7 @@ func genSlabChunks(cfg Config, name string, measures []string, part partition.Di
 					Data:   data,
 					Rows:   st.NumRows(),
 					Bounds: bbox.New(b.Lo, b.Hi),
-					Node:   cfg.placeNode(id, numChunks),
+					Node:   partition.BlockCyclicNode(id, cfg.StorageNodes),
 				})
 			}
 		}

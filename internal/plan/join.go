@@ -16,7 +16,7 @@ import (
 // bucket pairs complete, and the reorder sink releases them downstream in
 // part order — the exact order the materialized path concatenated
 // Collected in — so the streamed row sequence is byte-identical to the
-// materialized one at any worker, prefetch or parallelism setting.
+// materialized one at any worker count, prefetch depth or GOMAXPROCS.
 //
 // Close before EOF is the early-exit path: it cancels the engine context
 // (stopping slots through the existing cancel/prefetch-reap machinery),

@@ -75,8 +75,8 @@ type Plan struct {
 const maxBufferedBatches = 8
 
 // Join returns the plan's join node, or nil for join-free plans. Callers
-// use it to adjust the engine request (shared mode, prefetch,
-// parallelism) before running.
+// use it to adjust the engine request (shared mode, prefetch) before
+// running.
 func (p *Plan) Join() *JoinNode {
 	var find func(n Node) *JoinNode
 	find = func(n Node) *JoinNode {
@@ -260,8 +260,7 @@ type JoinNode struct {
 	// View is the queried view's name (display).
 	View string
 	// In is what the engine will join. Its Req's run-policy fields may be
-	// stamped until the plan runs (shared mode, prefetch, parallelism,
-	// memory budget).
+	// stamped until the plan runs (shared mode, prefetch, memory budget).
 	In *engine.Inputs
 	// Cost is the planner's decision record (nil when unavailable).
 	Cost *costmodel.Decision

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ import (
 // along several legs that must agree —
 //
 //   - streaming vs materialized, per engine (the golden oracle relation);
-//   - streaming with random prefetch/parallelism knobs vs the default;
+//   - streaming with a random prefetch depth and GOMAXPROCS vs the default;
 //   - IJ vs GH cross-engine (the row multiset: the two engines' output
 //     orders are each defined, but differ);
 //   - a fault-injected leg (TestDifferentialUnderFaults) where fresh
@@ -147,10 +148,14 @@ func diffCompare(t *testing.T, sql, legs string, a, b *Output, exact bool) {
 	}
 }
 
-// runDiffLeg executes sql on ex, materialized or streaming, with optional
-// engine-request knobs on the streaming leg.
-func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefetch, parallelism int) *Output {
+// runDiffLeg executes sql on ex, materialized or streaming, with an
+// optional prefetch depth on the streaming leg and, for procs > 0, the
+// kernels at GOMAXPROCS = procs for the leg.
+func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefetch, procs int) *Output {
 	t.Helper()
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 	if materialize {
 		ex.Materialize = true
 		defer func() { ex.Materialize = false }()
@@ -166,7 +171,6 @@ func runDiffLeg(t *testing.T, ex *Executor, sql string, materialize bool, prefet
 	}
 	if l.Join != nil {
 		l.Join.In.Req.Prefetch = prefetch
-		l.Join.In.Req.Parallelism = parallelism
 	}
 	out, err := ex.ExecLowered(context.Background(), l)
 	if err != nil {
@@ -199,11 +203,11 @@ func TestDifferentialRandomQueries(t *testing.T) {
 				diffCompare(t, sql, "ij stream vs mat", matIJ, strIJ, true)
 				diffCompare(t, sql, "gh stream vs mat", matGH, strGH, true)
 
-				// Scheduling knobs change timing, never bytes.
-				pf, par := r.Intn(3), r.Intn(3)
-				label := fmt.Sprintf("%s [prefetch=%d parallel=%d]", sql, pf, par)
-				diffCompare(t, label, "ij knobs vs mat", matIJ, runDiffLeg(t, exIJ, sql, false, pf, par), true)
-				diffCompare(t, label, "gh knobs vs mat", matGH, runDiffLeg(t, exGH, sql, false, pf, par), true)
+				// Prefetch depth and kernel width change timing, never bytes.
+				pf, procs := r.Intn(3), 1<<r.Intn(3)
+				label := fmt.Sprintf("%s [prefetch=%d GOMAXPROCS=%d]", sql, pf, procs)
+				diffCompare(t, label, "ij knobs vs mat", matIJ, runDiffLeg(t, exIJ, sql, false, pf, procs), true)
+				diffCompare(t, label, "gh knobs vs mat", matGH, runDiffLeg(t, exGH, sql, false, pf, procs), true)
 
 				// Cross-engine: the two QES implementations agree on the
 				// row multiset.

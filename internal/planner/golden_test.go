@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -176,19 +177,22 @@ func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestGoldenPrefetchAndParallelism: prefetch and intra-slot parallelism
-// change scheduling, never bytes — streaming output with the knobs set
-// must equal the default materialized output.
+// TestGoldenPrefetchAndParallelism: prefetch and the kernel width
+// (GOMAXPROCS) change scheduling, never bytes — streaming output with
+// either set must equal the default materialized output.
 func TestGoldenPrefetchAndParallelism(t *testing.T) {
 	ex := goldenExecutor(t, 3, "ij")
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	knobs := []struct {
-		name        string
-		prefetch    int
-		parallelism int
+		name     string
+		prefetch int
+		procs    int
 	}{
-		{"prefetch2", 2, 0},
+		{"prefetch2", 2, 1},
 		{"parallel2", 0, 2},
 		{"prefetch2-parallel2", 2, 2},
+		{"parallel4", 0, 4},
 	}
 	corpus := []string{
 		"SELECT * FROM V1",
@@ -197,11 +201,11 @@ func TestGoldenPrefetchAndParallelism(t *testing.T) {
 	}
 	for _, k := range knobs {
 		t.Run(k.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(k.procs)
 			for _, sql := range corpus {
 				runGoldenQuery(t, ex, sql, func(l *Lowered) {
 					if l.Join != nil {
 						l.Join.In.Req.Prefetch = k.prefetch
-						l.Join.In.Req.Parallelism = k.parallelism
 					}
 				})
 			}

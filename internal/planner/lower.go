@@ -26,8 +26,7 @@ type Lowered struct {
 	// table scans).
 	Decision *Decision
 	// Join is the plan's join node, if any; the run-policy fields of its
-	// In.Req may be adjusted (shared mode, prefetch, parallelism) before
-	// Exec.
+	// In.Req may be adjusted (shared mode, prefetch) before Exec.
 	Join *plan.JoinNode
 }
 

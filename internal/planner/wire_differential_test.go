@@ -77,9 +77,9 @@ func TestGoldenCorpusWireInvariant(t *testing.T) {
 }
 
 // TestDifferentialWireRandom is the property-harness leg: random datasets
-// (format randomized too), random queries, random prefetch/parallelism on
-// the compressed side — the decoded bytes must match the row-major run
-// exactly.
+// (format randomized too), random queries, a random prefetch depth and
+// GOMAXPROCS on the compressed side — the decoded bytes must match the
+// row-major run exactly.
 func TestDifferentialWireRandom(t *testing.T) {
 	const queriesPerSeed = 5
 	for seed := int64(1); seed <= 2; seed++ {
@@ -102,9 +102,9 @@ func TestDifferentialWireRandom(t *testing.T) {
 			for q := 0; q < queriesPerSeed; q++ {
 				sql, _ := genDiffQuery(r, dims)
 				base := runDiffLeg(t, plain, sql, false, 0, 0)
-				pf, par := r.Intn(3), r.Intn(3)
-				got := runDiffLeg(t, enc, sql, false, pf, par)
-				diffCompare(t, fmt.Sprintf("%s [prefetch=%d parallel=%d]", sql, pf, par),
+				pf, procs := r.Intn(3), 1<<r.Intn(3)
+				got := runDiffLeg(t, enc, sql, false, pf, procs)
+				diffCompare(t, fmt.Sprintf("%s [prefetch=%d GOMAXPROCS=%d]", sql, pf, procs),
 					"rowmajor vs colenc", base, got, true)
 			}
 		})

@@ -83,11 +83,10 @@ type Config struct {
 	// observed run costs are not folded back and decisions always use the
 	// configured simio rates. Default false (adaptive planning on).
 	NoCalibrate bool
-	// Prefetch and Parallelism are server-side defaults for the matching
-	// engine.Request knobs, applied to submitted queries that leave them
-	// zero (a query may still set its own values).
-	Prefetch    int
-	Parallelism int
+	// Prefetch is the server-side default for engine.Request.Prefetch,
+	// applied to submitted queries that leave it zero (a query may still
+	// set its own depth).
+	Prefetch int
 	// Metrics, when set, registers the service's live observability
 	// surface: admission outcome counters, queue-depth / in-flight /
 	// memory-budget gauges, and queue-wait plus end-to-end query latency
@@ -297,7 +296,7 @@ func (s *Service) Executor() *planner.Executor {
 // memory budget is charged with the plan's own resident-set bound — which
 // covers scans, blocking sorts and aggregation, not just the join working
 // set the cost model prices. Join-backed plans run in shared mode with the
-// service's prefetch/parallelism defaults, exactly like Submit.
+// service's prefetch default, exactly like Submit.
 //
 // ex must come from Executor (or otherwise share a planner whose CPU
 // constants are already set): a planner that self-calibrates on first use
@@ -334,14 +333,11 @@ func (s *Service) SubmitSQL(ctx context.Context, ex *planner.Executor, q SQL) (*
 }
 
 // stampDefaults puts a join request in shared mode and applies the
-// server-side prefetch/parallelism defaults where the query left them zero.
+// server-side prefetch default where the query left it zero.
 func (s *Service) stampDefaults(req *engine.Request) {
 	req.Shared = true
 	if req.Prefetch == 0 {
 		req.Prefetch = s.cfg.Prefetch
-	}
-	if req.Parallelism == 0 {
-		req.Parallelism = s.cfg.Parallelism
 	}
 }
 

@@ -306,7 +306,7 @@ func keyBits(v float32) uint64 { return uint64(math.Float32bits(KeyValue(v))) }
 // key ^ salt). Every hash partitioning of keys goes through it, each with
 // its own salt, so no two decisions over the same keys are correlated: a
 // joiner's rows still spread over all of its buckets, and a bucket's rows
-// over all of an overflow split's partitions.
+// over all of an overflow split's partitions and of a hash table's.
 func Mix(key, salt uint64) uint64 {
 	key ^= salt
 	key ^= key >> 30
@@ -323,6 +323,9 @@ const (
 	SaltRoute uint64 = 0xD6E8FEB86659FD93
 	// SaltBucket places a Grace Hash record in a spill bucket (h2).
 	SaltBucket uint64 = 0xA0761D6478BD642F
+	// SaltTable places a key in an in-memory hash table: its partition (low
+	// bits) and its slot within the partition (high bits).
+	SaltTable uint64 = 0xE7037ED1A0B428DB
 )
 
 // SaltSplit is the salt of an out-of-core split at recursion depth d: an
