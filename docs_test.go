@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -114,6 +115,57 @@ func TestDocsNameLiveSymbols(t *testing.T) {
 						}
 						t.Errorf("%s:%d: `%s%s`: internal/%s declares no %s", doc, ln+1, m[1], m[2], m[1], id)
 						break
+					}
+				}
+			}
+		}
+	}
+}
+
+var docMetric = regexp.MustCompile(`\bsciview_[a-z_]+`)
+
+// TestDocsNameLiveMetrics keeps the prose's metric names honest: every
+// backticked sciview_* name must appear as a string literal in some
+// non-test .go file, which is where metrics are registered.
+func TestDocsNameLiveMetrics(t *testing.T) {
+	literals := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					literals[s] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docFiles {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ln, line := range strings.Split(string(text), "\n") {
+			for _, span := range docSpan.FindAllString(line, -1) {
+				for _, name := range docMetric.FindAllString(span, -1) {
+					if !literals[name] {
+						t.Errorf("%s:%d: %s: no program registers %s", doc, ln+1, span, name)
 					}
 				}
 			}

@@ -63,17 +63,9 @@ func (s *Service) SubTableProjected(id tuple.ID, filter *metadata.Range, project
 	if err != nil {
 		return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
 	}
-	// Serve from whichever copy this node holds: the primary placement, a
-	// replica written during dataset loading, or one the repair tier laid
-	// down. Read through the catalog lock — repair commits placements
-	// concurrently with serving.
-	object, offset, ok := s.catalog.LocateOn(id.Table, id.Chunk, s.node)
-	if !ok {
-		return nil, fmt.Errorf("bds: chunk %v has no copy on node %d (primary is node %d)", id, s.node, desc.Node)
-	}
-	data, err := s.disk.ReadRange(object, offset, desc.Size)
+	data, err := s.read(desc)
 	if err != nil {
-		return nil, fmt.Errorf("bds: node %d reading chunk %v: %w", s.node, id, err)
+		return nil, err
 	}
 	st, err := chunk.Extract(desc, data)
 	if err != nil {
@@ -101,8 +93,8 @@ func (s *Service) SubTableProjected(id tuple.ID, filter *metadata.Range, project
 // at all. Chunks already stored run-length encoded take a pass-through
 // path — their run sections are sliced straight out of the chunk bytes,
 // filtered run-wise in the compressed domain, and shipped without a single
-// row being materialized. Other formats extract as usual, filter, project,
-// and then encode only the surviving rows of the surviving columns.
+// row being materialized. Other formats are served by SubTableProjected
+// and encode only the surviving rows of the surviving columns.
 //
 // Row semantics match SubTableProjected exactly: same filter rules
 // (absent attributes filter nothing, bounds inclusive), same schema-order
@@ -113,13 +105,16 @@ func (s *Service) SubTableEncoded(id tuple.ID, filter *metadata.Range, project [
 	if err != nil {
 		return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
 	}
-	object, offset, ok := s.catalog.LocateOn(id.Table, id.Chunk, s.node)
-	if !ok {
-		return nil, fmt.Errorf("bds: chunk %v has no copy on node %d (primary is node %d)", id, s.node, desc.Node)
+	if desc.Format != "rle" {
+		st, err := s.SubTableProjected(id, filter, project)
+		if err != nil {
+			return nil, err
+		}
+		return colenc.FromSubTable(st), nil
 	}
-	data, err := s.disk.ReadRange(object, offset, desc.Size)
+	data, err := s.read(desc)
 	if err != nil {
-		return nil, fmt.Errorf("bds: node %d reading chunk %v: %w", s.node, id, err)
+		return nil, err
 	}
 	var names []string
 	var lo, hi []float64
@@ -129,43 +124,41 @@ func (s *Service) SubTableEncoded(id tuple.ID, filter *metadata.Range, project [
 		}
 		names, lo, hi = filter.Attrs, filter.Lo, filter.Hi
 	}
-	var t *colenc.Table
-	if desc.Format == "rle" {
-		t, err = colenc.ParseRLEChunk(desc, data)
-		if err != nil {
-			return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
-		}
-		t, err = t.FilterProject(names, lo, hi, project)
-		if err != nil {
-			return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-		}
-		// On-disk rle stores every column as runs, even high-entropy ones
-		// where per-row runs cost 2× raw; re-encode those before shipping.
-		t, err = t.Compact()
-		if err != nil {
-			return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-		}
-	} else {
-		st, err := chunk.Extract(desc, data)
-		if err != nil {
-			return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
-		}
-		st, err = applyFilter(st, filter)
-		if err != nil {
-			return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-		}
-		if project != nil {
-			keep := projectionFor(st.Schema, project)
-			st, err = st.Project(keep)
-			if err != nil {
-				return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-			}
-		}
-		t = colenc.FromSubTable(st)
+	t, err := colenc.ParseRLEChunk(desc, data)
+	if err != nil {
+		return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
+	}
+	t, err = t.FilterProject(names, lo, hi, project)
+	if err != nil {
+		return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
+	}
+	// On-disk rle stores every column as runs, even high-entropy ones
+	// where per-row runs cost 2× raw; re-encode those before shipping.
+	t, err = t.Compact()
+	if err != nil {
+		return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
 	}
 	s.Stats.SubTablesServed.Add(1)
 	s.Stats.RecordsServed.Add(int64(t.NumRows()))
 	return t, nil
+}
+
+// read returns the bytes of the copy of desc's chunk this node holds: the
+// primary placement, a replica written during dataset loading, or one the
+// repair tier laid down. It reads through the catalog lock — repair
+// commits placements concurrently with serving — and pays the disk's
+// modeled read bandwidth.
+func (s *Service) read(desc *chunk.Desc) ([]byte, error) {
+	id := desc.ID()
+	object, offset, ok := s.catalog.LocateOn(id.Table, id.Chunk, s.node)
+	if !ok {
+		return nil, fmt.Errorf("bds: chunk %v has no copy on node %d (primary is node %d)", id, s.node, desc.Node)
+	}
+	data, err := s.disk.ReadRange(object, offset, desc.Size)
+	if err != nil {
+		return nil, fmt.Errorf("bds: node %d reading chunk %v: %w", s.node, id, err)
+	}
+	return data, nil
 }
 
 // projectionFor returns the projection list restricted to attributes the

@@ -9,6 +9,7 @@ package dds
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sciview/internal/cluster"
@@ -70,7 +71,7 @@ func (v *JoinView) Schema(cat *metadata.Catalog) (tuple.Schema, error) {
 // Request assembles the engine request for a query against the view,
 // merging the view's base predicates with the query's.
 func (v *JoinView) Request(extra []query.Pred, collect bool) (engine.Request, error) {
-	merged, err := mergePredSets(v.Where, extra)
+	merged, err := query.MergePreds(slices.Concat(v.Where, extra))
 	if err != nil {
 		return engine.Request{}, err
 	}
@@ -81,36 +82,6 @@ func (v *JoinView) Request(extra []query.Pred, collect bool) (engine.Request, er
 		Filter:     query.ToRange(merged),
 		Collect:    collect,
 	}, nil
-}
-
-// MergePreds conjoins two predicate lists, intersecting intervals on
-// shared attributes (view layering uses it to stack restrictions).
-func MergePreds(a, b []query.Pred) ([]query.Pred, error) {
-	return mergePredSets(a, b)
-}
-
-// mergePredSets conjoins two predicate lists, intersecting intervals on
-// shared attributes.
-func mergePredSets(a, b []query.Pred) ([]query.Pred, error) {
-	idx := make(map[string]int)
-	var out []query.Pred
-	for _, p := range append(append([]query.Pred(nil), a...), b...) {
-		if i, ok := idx[p.Attr]; ok {
-			if p.Lo > out[i].Lo {
-				out[i].Lo = p.Lo
-			}
-			if p.Hi < out[i].Hi {
-				out[i].Hi = p.Hi
-			}
-			if out[i].Lo > out[i].Hi {
-				return nil, fmt.Errorf("dds: contradictory constraints on %q", p.Attr)
-			}
-		} else {
-			idx[p.Attr] = len(out)
-			out = append(out, p)
-		}
-	}
-	return out, nil
 }
 
 // ScanTable is the simple selection/projection DDS over one BDS table: it

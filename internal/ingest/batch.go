@@ -8,13 +8,12 @@
 // mid-query is entirely invisible to it — so ingest never perturbs an
 // in-flight result.
 //
-// On top of the write path sit the freshness mechanisms: a Watcher that,
-// on each committed version, notifies only the dependents whose bounding
-// boxes intersect the new chunks (an R-tree query, not a full flush); and
-// delta-join incremental maintenance for materialized equi-join views
-// (MaterializedView), which folds in new-left×old-right, old-left×new-right
-// and new-left×new-right instead of recomputing — byte-identical to a
-// recompute from scratch.
+// On top of the write path sits delta-join incremental maintenance for
+// materialized equi-join views (MaterializedView), which folds in
+// new-left×old-right, old-left×new-right and new-left×new-right instead of
+// recomputing — byte-identical to a recompute from scratch. A view's
+// staleness is one catalog query over the versions committed since it was
+// last refreshed.
 package ingest
 
 import (

@@ -15,7 +15,7 @@ import (
 // not an error and stays byte-identical to a full recompute.
 func TestDeltaRefreshOverEmptySides(t *testing.T) {
 	for _, force := range []string{"ij", "gh"} {
-		cl, in, batches, _, _ := liveCluster(t, 4)
+		cl, in, batches, _ := liveCluster(t, 4)
 		pl := planner.New()
 		pl.Force = force
 		v := testView(query.Pred{Attr: "z", Lo: 2, Hi: 13})

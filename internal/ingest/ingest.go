@@ -21,10 +21,6 @@ type Config struct {
 	// (primary included), clamped to the node count; < 2 disables
 	// replication. Matches oilres.Config.Replicas.
 	Replicas int
-	// Watcher, when set, is notified after each committed version with the
-	// batch's descriptors, driving targeted invalidation and view
-	// refreshes.
-	Watcher *Watcher
 	// Metrics, when set, registers the ingest counters
 	// (sciview_ingest_appends_total, sciview_ingest_chunks_total) and the
 	// sciview_ingest_version gauge. Nil keeps the hot path on no-ops.
@@ -79,7 +75,7 @@ func object(table string, node int) string {
 
 // Append writes one batch: chunk bytes to their storage nodes, then one
 // atomic catalog commit (the new dataset version), then replication of the
-// new chunks and watcher notification. It returns the committed version.
+// new chunks. It returns the committed version.
 //
 // Ordering is the isolation argument: bytes are durable in the stores
 // before the commit, so the instant a reader can resolve a new chunk it
@@ -139,13 +135,7 @@ func (in *Ingestor) Append(b *Batch) (int64, error) {
 	// Replication is post-commit: replicas are failover copies, and the
 	// primary placement is already fetchable. Down nodes get no copies —
 	// anti-entropy lays them later.
-	if err := oilres.ReplicateDescsAvoid(in.cfg.Catalog, in.cfg.Stores, descs, in.cfg.Replicas, in.cfg.Avoid); err != nil {
-		return version, err
-	}
-	if in.cfg.Watcher != nil {
-		in.cfg.Watcher.Commit(version, descs)
-	}
-	return version, nil
+	return version, oilres.ReplicateDescsAvoid(in.cfg.Catalog, in.cfg.Stores, descs, in.cfg.Replicas, in.cfg.Avoid)
 }
 
 // placement resolves a batch chunk's requested primary node against the
@@ -163,6 +153,3 @@ func (in *Ingestor) placement(want int) (int, error) {
 	}
 	return 0, fmt.Errorf("ingest: every storage node is down or rejoining")
 }
-
-// Version returns the catalog's current dataset version.
-func (in *Ingestor) Version() int64 { return in.cfg.Catalog.Version() }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"sciview/internal/bbox"
 	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/dds"
@@ -35,7 +34,7 @@ func stepCfg() oilres.Config {
 
 // liveCluster generates a base dataset withholding `steps` time-step slabs
 // and assembles the query stack plus ingest path over it.
-func liveCluster(t testing.TB, steps int) (*cluster.Cluster, *Ingestor, []*Batch, *Watcher, *metrics.Registry) {
+func liveCluster(t testing.TB, steps int) (*cluster.Cluster, *Ingestor, []*Batch, *metrics.Registry) {
 	t.Helper()
 	ds, stepChunks, err := oilres.GenerateSteps(stepCfg(), steps)
 	if err != nil {
@@ -48,10 +47,8 @@ func liveCluster(t testing.TB, steps int) (*cluster.Cluster, *Ingestor, []*Batch
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	w := NewWatcher(ds.Catalog, reg)
 	in, err := New(Config{
-		Catalog: ds.Catalog, Stores: ds.Stores, Replicas: 2,
-		Watcher: w, Metrics: reg,
+		Catalog: ds.Catalog, Stores: ds.Stores, Replicas: 2, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +57,7 @@ func liveCluster(t testing.TB, steps int) (*cluster.Cluster, *Ingestor, []*Batch
 	for i, sc := range stepChunks {
 		batches[i] = FromStepChunks(i, sc)
 	}
-	return cl, in, batches, w, reg
+	return cl, in, batches, reg
 }
 
 func testView(where ...query.Pred) *dds.JoinView {
@@ -103,7 +100,7 @@ func joinAt(t testing.TB, cl *cluster.Cluster, v *dds.JoinView, asOf int64) *tup
 // chunks carry their commit version, and version windows slice the chunk
 // history exactly.
 func TestAppendVersioning(t *testing.T) {
-	cl, in, batches, _, reg := liveCluster(t, 3)
+	cl, in, batches, reg := liveCluster(t, 3)
 	cat := cl.Catalog
 	if v := cat.Version(); v != 1 {
 		t.Fatalf("seed version = %d, want 1", v)
@@ -164,7 +161,7 @@ func TestAppendVersioning(t *testing.T) {
 // time-step batch answers queries identically to a one-shot generation of
 // the full grid — appending is not a second-class way to build a dataset.
 func TestAppendEqualsFullGeneration(t *testing.T) {
-	cl, in, batches, _, _ := liveCluster(t, 3)
+	cl, in, batches, _ := liveCluster(t, 3)
 	for _, b := range batches {
 		if _, err := in.Append(b); err != nil {
 			t.Fatal(err)
@@ -216,7 +213,7 @@ func TestAppendEqualsFullGeneration(t *testing.T) {
 // is byte-identical before and after any number of appends; an unpinned
 // reader sees the appended rows.
 func TestSnapshotIsolation(t *testing.T) {
-	cl, in, batches, _, _ := liveCluster(t, 2)
+	cl, in, batches, _ := liveCluster(t, 2)
 	v := testView(query.Pred{Attr: "x", Lo: 0, Hi: 6})
 	pin := cl.Catalog.Version()
 	before := encodeRows(t, joinAt(t, cl, v, pin))
@@ -260,40 +257,80 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestWatcherTargeting: a commit notifies exactly the dependents whose
-// regions intersect the new chunks. The appended slabs live at high z, so a
-// dependent watching the base slab must never fire.
-func TestWatcherTargeting(t *testing.T) {
-	cl, in, batches, w, reg := liveCluster(t, 2)
-	def, err := cl.Catalog.Table("T1")
-	if err != nil {
-		t.Fatal(err)
+// TestStaleness: a view is stale exactly when the catalog resolves a chunk
+// inside its filter committed after its version. Every view here is built
+// from a bare ViewConfig — nothing registers it anywhere — and the appended
+// slabs live at high z, so a view on the base slab must never go stale.
+func TestStaleness(t *testing.T) {
+	const steps = 4
+	cl, in, batches, _ := liveCluster(t, steps)
+	pl := planner.New()
+	materialize := func(where ...query.Pred) *MaterializedView {
+		t.Helper()
+		m, err := NewMaterializedView(ViewConfig{Cluster: cl, Planner: pl, View: testView(where...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	baseZ := float64(stepCfg().Grid.Z - 2*4) // grid minus 2 slabs of stepZ=4
-	var coldHits, hotHits int
-	w.Register(&Dependent{
-		Name:    "cold",
-		Regions: map[string]bbox.Box{"T1": RegionFor(def.Schema, metadata.Range{Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{baseZ - 1}})},
-		Notify:  func(int64, []*chunk.Desc) { coldHits++ },
-	})
-	w.Register(&Dependent{
-		Name:    "hot",
-		Regions: map[string]bbox.Box{"T1": RegionFor(def.Schema, metadata.Range{Attrs: []string{"z"}, Lo: []float64{baseZ}, Hi: []float64{1e9}})},
-		Notify:  func(int64, []*chunk.Desc) { hotHits++ },
-	})
-	for _, b := range batches {
+	baseZ := float64(stepCfg().Grid.Z - steps*4) // grid minus the withheld slabs of stepZ=4
+	cold := materialize(query.Pred{Attr: "z", Lo: 0, Hi: baseZ - 1})
+	hot := materialize(query.Pred{Attr: "z", Lo: baseZ - 1, Hi: 1e9}) // the last base layer onward
+	whole := materialize()
+	for i, b := range batches[:2] {
+		if hot.Stale() || whole.Stale() {
+			t.Fatalf("before batch %d: a freshly refreshed view reports stale", i)
+		}
 		if _, err := in.Append(b); err != nil {
 			t.Fatal(err)
 		}
+		if cold.Stale() {
+			t.Fatalf("batch %d: base-slab view stale; the append was outside its region", i)
+		}
+		if !hot.Stale() || !whole.Stale() {
+			t.Fatalf("batch %d: view over the appended slab not stale", i)
+		}
+		for _, m := range []*MaterializedView{hot, whole} {
+			if _, err := m.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if coldHits != 0 {
-		t.Fatalf("cold dependent notified %d times; appends were outside its region", coldHits)
+
+	// The rest land while Stale and Refresh run: once the appends are done,
+	// one more Refresh leaves the view current, whatever the interleaving.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range batches[2:] {
+			if _, err := in.Append(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		if !hot.Stale() {
+			continue
+		}
+		if _, err := hot.Refresh(); err != nil {
+			t.Error(err)
+			break
+		}
 	}
-	if hotHits != len(batches) {
-		t.Fatalf("hot dependent notified %d times, want %d", hotHits, len(batches))
+	wg.Wait()
+	if _, err := hot.Refresh(); err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter("sciview_ingest_invalidations_total", "").Value(); got != int64(len(batches)) {
-		t.Fatalf("invalidations counter = %d, want %d", got, len(batches))
+	if hot.Stale() {
+		t.Fatal("view stale after refreshing past every append")
+	}
+	if cold.Stale() {
+		t.Fatal("base-slab view stale after the concurrent appends")
+	}
+	if late := materialize(query.Pred{Attr: "z", Lo: baseZ, Hi: 1e9}); late.Stale() {
+		t.Fatal("a view materialized after the appends reports stale")
 	}
 }
 
@@ -310,15 +347,14 @@ func TestDeltaRefreshMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for vi, v := range views {
 		t.Run(fmt.Sprintf("view%d", vi), func(t *testing.T) {
-			cl, in, batches, w, reg := liveCluster(t, 4)
+			cl, in, batches, reg := liveCluster(t, 4)
 			pl := planner.New()
 			m, err := NewMaterializedView(ViewConfig{
-				Cluster: cl, Planner: pl, View: v, Watcher: w, Metrics: reg,
+				Cluster: cl, Planner: pl, View: v, Metrics: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
 			// Randomize the append rhythm: sometimes several batches land
 			// between refreshes, so a single Refresh folds a multi-version
 			// delta window.
@@ -365,7 +401,7 @@ func TestDeltaRefreshMatchesFull(t *testing.T) {
 // -race: an ingest goroutine commits batches while pinned readers assert
 // their snapshot never changes and fresh readers make progress.
 func TestIngestWhileQuerying(t *testing.T) {
-	cl, in, batches, _, _ := liveCluster(t, 4)
+	cl, in, batches, _ := liveCluster(t, 4)
 	v := testView()
 	pin := cl.Catalog.Version()
 	want := encodeRows(t, joinAt(t, cl, v, pin))
@@ -403,9 +439,9 @@ func BenchmarkViewMaintenance(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				cl, in, batches, w, _ := liveCluster(b, 1)
+				cl, in, batches, _ := liveCluster(b, 1)
 				m, err := NewMaterializedView(ViewConfig{
-					Cluster: cl, Planner: planner.New(), View: testView(), Watcher: w,
+					Cluster: cl, Planner: planner.New(), View: testView(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -423,7 +459,6 @@ func BenchmarkViewMaintenance(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				m.Close()
 			}
 		})
 	}
@@ -434,13 +469,12 @@ func BenchmarkViewMaintenance(b *testing.B) {
 // statement's — the initial materialization and a delta refresh both move
 // the estimator's sample counts.
 func TestRefreshFeedsThePlanner(t *testing.T) {
-	cl, in, batches, w, _ := liveCluster(t, 1)
+	cl, in, batches, _ := liveCluster(t, 1)
 	pl := planner.New()
-	m, err := NewMaterializedView(ViewConfig{Cluster: cl, Planner: pl, View: testView(), Watcher: w})
+	m, err := NewMaterializedView(ViewConfig{Cluster: cl, Planner: pl, View: testView()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	full := pl.Est.Snapshot().AlphaSamples
 	if full == 0 {
 		t.Fatal("the initial full materialization fed the estimator nothing")

@@ -8,8 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"sciview/internal/bbox"
-	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/dds"
 	"sciview/internal/engine"
@@ -27,10 +25,6 @@ type ViewConfig struct {
 	Planner *planner.Planner
 	// View is the equi-join view to materialize.
 	View *dds.JoinView
-	// Watcher, when set, registers the view's filter region so commits
-	// that intersect it mark the view stale (and commits that don't,
-	// don't).
-	Watcher *Watcher
 	// Metrics, when set, registers sciview_ingest_refreshes_total with a
 	// mode label ("delta" or "full").
 	Metrics *metrics.Registry
@@ -59,8 +53,6 @@ type MaterializedView struct {
 	mu      sync.Mutex
 	rows    *tuple.SubTable
 	version int64
-	stale   bool
-	handle  int
 
 	refreshDelta *metrics.Counter
 	refreshFull  *metrics.Counter
@@ -72,38 +64,14 @@ func NewMaterializedView(cfg ViewConfig) (*MaterializedView, error) {
 	if cfg.Cluster == nil || cfg.Planner == nil || cfg.View == nil {
 		return nil, fmt.Errorf("ingest: view config needs Cluster, Planner and View")
 	}
-	m := &MaterializedView{cfg: cfg, handle: -1}
+	m := &MaterializedView{cfg: cfg}
 	reg := cfg.Metrics
 	m.refreshDelta = reg.Counter("sciview_ingest_refreshes_total", "Materialized view refreshes by mode.", "mode", "delta")
 	m.refreshFull = reg.Counter("sciview_ingest_refreshes_total", "Materialized view refreshes by mode.", "mode", "full")
 	if _, err := m.RefreshFull(); err != nil {
 		return nil, err
 	}
-	if cfg.Watcher != nil {
-		filter := query.ToRange(cfg.View.Where)
-		regions := make(map[string]bbox.Box, 2)
-		for _, table := range []string{cfg.View.Left, cfg.View.Right} {
-			def, err := cfg.Cluster.Catalog.Table(table)
-			if err != nil {
-				return nil, err
-			}
-			regions[table] = RegionFor(def.Schema, filter)
-		}
-		m.handle = cfg.Watcher.Register(&Dependent{
-			Name:    "mview:" + cfg.View.Name,
-			Regions: regions,
-			Notify:  func(int64, []*chunk.Desc) { m.markStale() },
-		})
-	}
 	return m, nil
-}
-
-// Close unregisters the view from its watcher.
-func (m *MaterializedView) Close() {
-	if m.cfg.Watcher != nil && m.handle >= 0 {
-		m.cfg.Watcher.Unregister(m.handle)
-		m.handle = -1
-	}
 }
 
 // Rows returns the materialized result (canonical order) and the version
@@ -115,11 +83,27 @@ func (m *MaterializedView) Rows() (*tuple.SubTable, int64) {
 }
 
 // Stale reports whether a commit intersecting the view landed after its
-// last refresh.
+// last refresh: whether the catalog resolves, on either side, a chunk
+// inside the view's filter committed after the view's version — exactly
+// when Refresh finds a delta. It asks the catalog, so it holds whoever
+// appended. A resolution error reports stale; Refresh surfaces it.
 func (m *MaterializedView) Stale() bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stale
+	since := m.version
+	m.mu.Unlock()
+	cat := m.cfg.Cluster.Catalog
+	filter := query.ToRange(m.cfg.View.Where)
+	for _, table := range []string{m.cfg.View.Left, m.cfg.View.Right} {
+		def, err := cat.Table(table)
+		if err != nil {
+			return true
+		}
+		descs, err := cat.ChunksInRange(table, filter.Restrict(def.Schema, metadata.VersionWindow{Since: since}))
+		if err != nil || len(descs) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Refresh brings the view to the catalog's current version by delta-join
@@ -168,7 +152,6 @@ func (m *MaterializedView) Refresh() (int64, error) {
 		m.rows = Canonicalize(merged)
 	}
 	m.version = target
-	m.stale = false
 	m.refreshDelta.Inc()
 	return target, nil
 }
@@ -189,7 +172,6 @@ func (m *MaterializedView) RefreshFull() (int64, error) {
 	}
 	m.rows = Canonicalize(rows)
 	m.version = target
-	m.stale = false
 	m.refreshFull.Inc()
 	return target, nil
 }
@@ -323,13 +305,6 @@ func intersectRanges(a, b metadata.Range) (out metadata.Range, ok bool) {
 		}
 	}
 	return out, true
-}
-
-// markStale is the watcher callback target.
-func (m *MaterializedView) markStale() {
-	m.mu.Lock()
-	m.stale = true
-	m.mu.Unlock()
 }
 
 // Canonicalize returns the rows of st in canonical order: lexicographic

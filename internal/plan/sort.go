@@ -84,13 +84,13 @@ func (o *sortOrder) put(k *sortKey, i int, v float32) {
 	o.over[int(k.slot)*o.extra()+i-sortInline] = w
 }
 
-// keysOf encodes every row of st: row r gets slot r and arrival base+r.
+// keysOf encodes every row of st: row r gets slot r and arrival r.
 // Encoding runs column by column over the key columns only.
-func (o *sortOrder) keysOf(st *tuple.SubTable, base int64) []sortKey {
+func (o *sortOrder) keysOf(st *tuple.SubTable) []sortKey {
 	keys := make([]sortKey, st.NumRows())
 	o.reserve(len(keys))
 	for r := range keys {
-		keys[r].arr, keys[r].slot = base+int64(r), int32(r)
+		keys[r].arr, keys[r].slot = int64(r), int32(r)
 	}
 	for i, idx := range o.idxs {
 		for r, v := range st.Col(idx) {
@@ -193,7 +193,7 @@ func (t *topK) absorb(st *tuple.SubTable) error {
 			return err
 		}
 		if t.rows.NumRows() == t.bound {
-			t.heap = t.ord.keysOf(t.rows, 0)
+			t.heap = t.ord.keysOf(t.rows)
 			for i := len(t.heap)/2 - 1; i >= 0; i-- {
 				t.ord.siftDown(t.heap, i)
 			}
@@ -246,8 +246,9 @@ func (t *topK) absorb(st *tuple.SubTable) error {
 //
 // With a spill budget stamped (SortNode.SpillBudget > 0), absorption is
 // bounded: whenever the buffer exceeds the budget it is sorted and
-// written to the scratch disk as one sorted run, each record carrying its
-// arrival index, and a loser tree merges the runs. The order is total, so
+// written to the scratch disk as one sorted run and a loser tree merges
+// the runs, breaking key ties by run index: runs are cut in arrival order,
+// so an earlier run's rows arrived first. The order is total, so
 // the output is byte-identical to the in-memory path wherever the run
 // boundaries fell; only the batch boundaries differ (bounded emission
 // instead of one monolithic batch). A bounded sort whose k rows fit the
@@ -318,8 +319,7 @@ func (o *sortOp) absorb() error {
 
 	acc := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, schema, 0)
 	top := topK{ord: ord, bound: bound, rows: acc, row: make([]float32, schema.NumAttrs())}
-	var runs []sortRun
-	var arrivals int64 // global arrival index of acc's first row
+	var runs []*scratch.File
 	first := true
 	for {
 		st, err := o.child.Next()
@@ -350,21 +350,20 @@ func (o *sortOp) absorb() error {
 					fmt.Sprintf("plan/sort/r%d", spillSeq.Add(1)),
 					node.SpillOwner, node.SpillTrace, nil)
 			}
-			keys := ord.keysOf(acc, 0)
+			keys := ord.keysOf(acc)
 			ord.sort(keys)
-			run, err := spillSortedRun(o.mgr, acc, keys[:min(len(keys), bound)], arrivals, len(runs))
+			run, err := spillSortedRun(o.mgr, acc, keys[:min(len(keys), bound)], len(runs))
 			if err != nil {
 				return err
 			}
 			runs = append(runs, run)
-			arrivals += int64(acc.NumRows())
 			acc = tuple.NewSubTable(acc.ID, schema, 0)
 		}
 	}
 
 	keys := top.heap
 	if keys == nil {
-		keys = ord.keysOf(acc, 0)
+		keys = ord.keysOf(acc)
 	}
 	ord.sort(keys)
 	keys = keys[:min(len(keys), bound)]
@@ -377,22 +376,23 @@ func (o *sortOp) absorb() error {
 		o.s.PeakBytes = int64(acc.Bytes()) + int64(out.Bytes())
 		return nil
 	}
-	// External merge: the spilled runs plus the in-memory tail.
+	// External merge: the spilled runs in arrival order, then the
+	// in-memory tail.
 	m := &runMerge{schema: schema, id: acc.ID, ord: newSortOrder(schema, node.Keys), left: bound}
 	for _, run := range runs {
-		rd, err := run.f.Open()
+		rd, err := run.Open()
 		if err != nil {
 			return err
 		}
 		m.curs = append(m.curs, &runCursor{
-			rd: rd, base: run.base,
-			buf: make([]byte, schema.NumAttrs()*4+4),
+			rd:  rd,
+			buf: make([]byte, schema.RecordSize()),
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
 	if len(keys) > 0 {
 		m.curs = append(m.curs, &runCursor{
-			acc: acc, keys: keys, base: arrivals,
+			acc: acc, keys: keys,
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
@@ -413,36 +413,25 @@ func (o *sortOp) Close() error {
 // ---------------------------------------------------------------------
 // External merge
 
-// sortRun is one spilled sorted run. Records are the row's float32
-// columns followed by a uint32 within-run arrival offset; base + offset
-// is the row's global arrival index.
-type sortRun struct {
-	f    *scratch.File
-	base int64
-}
-
-// spillSortedRun writes acc's rows in keys order as run n.
-func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []sortKey, base int64, n int) (sortRun, error) {
-	na := acc.Schema.NumAttrs()
-	recSize := na*4 + 4
-	size := len(keys) * recSize
+// spillSortedRun writes acc's rows in keys order as run n, each record in
+// scratch.EncodeRows' row layout.
+func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []sortKey, n int) (*scratch.File, error) {
+	rec := acc.Schema.RecordSize()
+	size := len(keys) * rec
 	buf := tuple.GetBuf(size)[:size]
-	for c := 0; c < na; c++ {
+	for c := range acc.Schema.NumAttrs() {
 		col := acc.Col(c)
 		for i := range keys {
-			binary.LittleEndian.PutUint32(buf[i*recSize+c*4:], math.Float32bits(col[keys[i].slot]))
+			binary.LittleEndian.PutUint32(buf[i*rec+c*4:], math.Float32bits(col[keys[i].slot]))
 		}
-	}
-	for i := range keys {
-		binary.LittleEndian.PutUint32(buf[i*recSize+na*4:], uint32(keys[i].slot))
 	}
 	f := mgr.Create(fmt.Sprintf("run%d", n))
 	err := f.AppendRows(buf, int64(len(keys)))
 	tuple.PutBuf(buf)
 	if err != nil {
-		return sortRun{}, err
+		return nil, err
 	}
-	return sortRun{f: f, base: base}, nil
+	return f, nil
 }
 
 // runCursor walks one sorted run: a scratch file (rd != nil) or the
@@ -456,25 +445,24 @@ type runCursor struct {
 	keys []sortKey
 	pos  int
 
-	base int64
-	row  []float32
-	key  sortKey
-	ok   bool
+	row []float32
+	key sortKey
+	ok  bool
 }
 
 // advance loads the cursor's next record and encodes its key into the
-// merge's slot space; ok=false at run end.
+// merge's slot space, the cursor index standing in for the arrival index:
+// rows of one run are already in (keys, arrival) order, and every row of
+// an earlier cursor arrived before every row of a later one. ok=false at
+// run end.
 func (c *runCursor) advance(ord *sortOrder, slot int) error {
-	var off int64
 	if c.acc != nil {
 		if c.pos >= len(c.keys) {
 			c.ok = false
 			return nil
 		}
-		r := int(c.keys[c.pos].slot)
+		c.acc.Row(int(c.keys[c.pos].slot), c.row)
 		c.pos++
-		c.acc.Row(r, c.row)
-		off = int64(r)
 	} else {
 		if _, err := io.ReadFull(c.rd, c.buf); err != nil {
 			if err == io.EOF {
@@ -486,9 +474,8 @@ func (c *runCursor) advance(ord *sortOrder, slot int) error {
 		for i := range c.row {
 			c.row[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.buf[i*4:]))
 		}
-		off = int64(binary.LittleEndian.Uint32(c.buf[len(c.row)*4:]))
 	}
-	c.key = ord.keyOf(c.row, slot, c.base+off)
+	c.key = ord.keyOf(c.row, slot, int64(slot))
 	c.ok = true
 	return nil
 }

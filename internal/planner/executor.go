@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -108,7 +109,7 @@ func (ex *Executor) ExecContext(ctx context.Context, sql string) (*Output, error
 			if !ok {
 				return nil, fmt.Errorf("planner: view %q derives from unknown view %q", s.Name, s.Left)
 			}
-			merged, err := dds.MergePreds(base.Where, s.Where)
+			merged, err := query.MergePreds(slices.Concat(base.Where, s.Where))
 			if err != nil {
 				return nil, err
 			}

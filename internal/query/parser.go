@@ -443,7 +443,7 @@ func (p *parser) parsePreds() ([]Pred, error) {
 			break
 		}
 	}
-	return mergePreds(preds)
+	return MergePreds(preds)
 }
 
 func (p *parser) parsePred() (Pred, error) {
@@ -548,9 +548,11 @@ func predFromCmp(attr, op string, v float64) (Pred, error) {
 	return Pred{}, fmt.Errorf("query: unsupported operator %q", op)
 }
 
-// mergePreds intersects multiple constraints on the same attribute and
-// rejects empty intervals.
-func mergePreds(preds []Pred) ([]Pred, error) {
+// MergePreds conjoins predicates: it intersects multiple constraints on the
+// same attribute and rejects empty intervals. The parser merges a WHERE
+// clause with it; view layering and view queries merge a view's base
+// predicates with the query's.
+func MergePreds(preds []Pred) ([]Pred, error) {
 	byAttr := make(map[string]int)
 	var out []Pred
 	for _, pr := range preds {

@@ -57,7 +57,6 @@ func TestLivingDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lv.Close()
 	base, baseVer := lv.Rows()
 	if baseVer != 1 {
 		t.Fatalf("view materialized at version %d, want 1", baseVer)

@@ -9,7 +9,6 @@ import (
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/fault"
-	"sciview/internal/ingest"
 	"sciview/internal/metrics"
 	"sciview/internal/planner"
 	"sciview/internal/repair"
@@ -80,7 +79,6 @@ type System struct {
 	metrics  *metrics.Registry
 
 	liveMu   sync.Mutex
-	watcher  *ingest.Watcher
 	ingestor *Ingestor
 }
 
