@@ -101,7 +101,7 @@ type OilReservoirSpec struct {
 	LeftMeasures  []string // default ["oilp"]
 	RightMeasures []string // default ["wp"]
 	StorageNodes  int      // default 1
-	Format        string   // chunk layout: "rowmajor" (default), "colmajor", "csv"
+	Format        string   // chunk layout: "rowmajor" (default), "colmajor", "csv", "rle"
 	Seed          int64
 	// Replicas is the total number of placements per chunk (primary
 	// included), clamped to StorageNodes; < 2 means no replication. With

@@ -4,9 +4,8 @@
 // execute on storage nodes and compute-node QES instances request
 // sub-tables remotely.
 //
-// The example also exercises two operational knobs: the Caching Service's
-// replacement policy and the OPAS-style fallback the planner's engines
-// offer for memory-constrained compute nodes.
+// The dataset is stored in the run-length encoded "rle" chunk format, so
+// every fetch pays the extractor's real decode work.
 package main
 
 import (

@@ -88,59 +88,17 @@ func (s *Service) SubTableProjected(id tuple.ID, filter *metadata.Range, project
 }
 
 // SubTableEncoded is SubTableProjected producing the compressed columnar
-// wire representation instead of a decoded sub-table: per-column encoded
-// vectors with the filter applied and projected-out columns never encoded
-// at all. Chunks already stored run-length encoded take a pass-through
-// path — their run sections are sliced straight out of the chunk bytes,
-// filtered run-wise in the compressed domain, and shipped without a single
-// row being materialized. Other formats are served by SubTableProjected
-// and encode only the surviving rows of the surviving columns.
-//
-// Row semantics match SubTableProjected exactly: same filter rules
-// (absent attributes filter nothing, bounds inclusive), same schema-order
-// projection, so decoding the result reproduces the row-major fetch bit
-// for bit.
+// wire representation instead of a decoded sub-table: the chunk's
+// extractor yields the rows, the filter and projection shape them, and
+// only the surviving rows of the surviving columns are encoded. The frame
+// therefore depends on the rows alone, never on the chunk's on-disk
+// format, and decodes to the row-major fetch bit for bit.
 func (s *Service) SubTableEncoded(id tuple.ID, filter *metadata.Range, project []string) (*colenc.Table, error) {
-	desc, err := s.catalog.Chunk(id.Table, id.Chunk)
-	if err != nil {
-		return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
-	}
-	if desc.Format != "rle" {
-		st, err := s.SubTableProjected(id, filter, project)
-		if err != nil {
-			return nil, err
-		}
-		return colenc.FromSubTable(st), nil
-	}
-	data, err := s.read(desc)
+	st, err := s.SubTableProjected(id, filter, project)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	var lo, hi []float64
-	if filter != nil && !filter.Empty() {
-		if err := filter.Validate(); err != nil {
-			return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-		}
-		names, lo, hi = filter.Attrs, filter.Lo, filter.Hi
-	}
-	t, err := colenc.ParseRLEChunk(desc, data)
-	if err != nil {
-		return nil, fmt.Errorf("bds: node %d: %w", s.node, err)
-	}
-	t, err = t.FilterProject(names, lo, hi, project)
-	if err != nil {
-		return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-	}
-	// On-disk rle stores every column as runs, even high-entropy ones
-	// where per-row runs cost 2× raw; re-encode those before shipping.
-	t, err = t.Compact()
-	if err != nil {
-		return nil, fmt.Errorf("bds: node %d chunk %v: %w", s.node, id, err)
-	}
-	s.Stats.SubTablesServed.Add(1)
-	s.Stats.RecordsServed.Add(int64(t.NumRows()))
-	return t, nil
+	return colenc.FromSubTable(st), nil
 }
 
 // read returns the bytes of the copy of desc's chunk this node holds: the

@@ -1,6 +1,7 @@
 package bds
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -210,6 +211,30 @@ func testRPC(t *testing.T, tr transport.Transport) {
 	// Remote error propagation.
 	if _, err := client.SubTable(tuple.ID{Table: 0, Chunk: 2}, nil); err == nil {
 		t.Error("wrong-node fetch over RPC should fail")
+	}
+}
+
+// TestClientEncodedRejectsRowMajor serves a handler that answers every
+// request with a row-major SVT1 frame: an encoded fetch must fail rather
+// than accept a format it did not ask for.
+func TestClientEncodedRejectsRowMajor(t *testing.T) {
+	tr := transport.NewInProc()
+	st := tuple.NewSubTable(tuple.ID{}, schemaXY(), 1)
+	st.AppendRow(1, 2, 3)
+	closer, err := tr.Serve(ServiceName(0), func(string, []byte) ([]byte, error) {
+		return tuple.Encode(nil, st), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	client, err := DialNode(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if enc, err := client.SubTableEncoded(context.Background(), tuple.ID{}, nil, nil); err == nil {
+		t.Fatalf("SVT1 reply to an encoded request accepted (%d rows)", enc.NumRows())
 	}
 }
 

@@ -22,13 +22,8 @@ func ServiceName(node int) string { return fmt.Sprintf("bds-%d", node) }
 
 // subTableReq is the wire request for the "subtable" method.
 //
-// Wire is the fetch-codec negotiation: 0 (or absent — gob omits zero
-// fields and ignores unknown ones, so old and new peers interoperate in
-// both directions) requests the row-major SVT1 response; WireEncoded
-// advertises that the client can decode the compressed columnar SVT2
-// format. A server that understands the field answers with the best
-// format the client accepts; the client dispatches on the response magic,
-// so an old server's SVT1 reply to a new client still decodes fine.
+// Wire selects the response format: 0 requests the row-major SVT1
+// response, WireEncoded the compressed columnar SVT2 one.
 type subTableReq struct {
 	Table   int32
 	Chunk   int32
@@ -123,30 +118,23 @@ func (c *Client) SubTableProjected(ctx context.Context, id tuple.ID, filter *met
 	return st, err
 }
 
-// SubTableEncoded fetches with the compressed columnar wire format
-// negotiated: the request advertises SVT2 support, and the response is
-// dispatched on its magic. A new server answers SVT2 (enc non-nil); an
-// old server that ignores the Wire field answers row-major SVT1 (st
-// non-nil) — exactly one of the two results is set.
-func (c *Client) SubTableEncoded(ctx context.Context, id tuple.ID, filter *metadata.Range, project []string) (enc *colenc.Table, st *tuple.SubTable, err error) {
+// SubTableEncoded fetches in the compressed columnar wire format: the
+// request asks for SVT2, and any other reply is an error.
+func (c *Client) SubTableEncoded(ctx context.Context, id tuple.ID, filter *metadata.Range, project []string) (*colenc.Table, error) {
 	var buf bytes.Buffer
 	req := subTableReq{Table: id.Table, Chunk: id.Chunk, Filter: filter, Project: project, Wire: WireEncoded}
 	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return nil, nil, fmt.Errorf("bds: encoding request: %w", err)
+		return nil, fmt.Errorf("bds: encoding request: %w", err)
 	}
 	resp, err := c.conn.CallContext(ctx, "subtable", buf.Bytes())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Both decoders copy everything out of resp, so it goes straight back
-	// to the pool.
-	if colenc.IsEncoded(resp) {
-		enc, _, err = colenc.Decode(resp)
-	} else {
-		st, _, err = tuple.Decode(resp)
-	}
+	t, _, err := colenc.Decode(resp)
+	// Decode copies everything out of resp, so it goes straight back to
+	// the pool.
 	tuple.PutBuf(resp)
-	return enc, st, err
+	return t, err
 }
 
 // Close releases the connection.

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,8 +56,16 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestRoundTripAllFormats encodes and extracts a table whose measure column
+// ends in +0, -0 and two NaN payloads. The binary formats must reproduce
+// every bit pattern; csv carries text, so it is compared by value (NaN
+// matching NaN) and must keep the sign of -0.
 func TestRoundTripAllFormats(t *testing.T) {
 	st := testTable(57, 42)
+	negZero := math.Float32frombits(0x80000000)
+	for _, v := range []float32{0, negZero, math.Float32frombits(0x7FC00000), math.Float32frombits(0x7FC00001)} {
+		st.AppendRow(1, 2, v)
+	}
 	for _, format := range []string{"rowmajor", "colmajor", "csv", "rle"} {
 		t.Run(format, func(t *testing.T) {
 			e, err := Lookup(format)
@@ -81,10 +90,19 @@ func TestRoundTripAllFormats(t *testing.T) {
 			}
 			for r := 0; r < st.NumRows(); r++ {
 				for c := 0; c < st.Schema.NumAttrs(); c++ {
-					if got.Value(r, c) != st.Value(r, c) {
-						t.Fatalf("(%d,%d) = %v, want %v", r, c, got.Value(r, c), st.Value(r, c))
+					g, w := got.Value(r, c), st.Value(r, c)
+					same := math.Float32bits(g) == math.Float32bits(w)
+					if format == "csv" {
+						same = g == w || (g != g && w != w)
+					}
+					if !same {
+						t.Fatalf("(%d,%d) = %v (bits %08x), want %v (bits %08x)",
+							r, c, g, math.Float32bits(g), w, math.Float32bits(w))
 					}
 				}
+			}
+			if neg := got.Value(st.NumRows()-3, 2); !math.Signbit(float64(neg)) {
+				t.Errorf("-0 extracted as %v: sign lost", neg)
 			}
 		})
 	}

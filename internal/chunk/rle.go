@@ -27,6 +27,17 @@ type RLE struct{}
 // Name implements Extractor.
 func (RLE) Name() string { return "rle" }
 
+// runEnd returns the end of the run starting at col[i]. Runs compare bit
+// patterns, not float values, so -0 never joins a +0 run.
+func runEnd(col []float32, i int) int {
+	bits := math.Float32bits(col[i])
+	j := i + 1
+	for j < len(col) && math.Float32bits(col[j]) == bits {
+		j++
+	}
+	return j
+}
+
 // Encode implements Extractor.
 func (RLE) Encode(st *tuple.SubTable) ([]byte, error) {
 	var out []byte
@@ -35,21 +46,13 @@ func (RLE) Encode(st *tuple.SubTable) ([]byte, error) {
 		col := st.Col(c)
 		// First pass: count runs.
 		runs := 0
-		for i := 0; i < len(col); {
-			j := i + 1
-			for j < len(col) && col[j] == col[i] {
-				j++
-			}
+		for i := 0; i < len(col); i = runEnd(col, i) {
 			runs++
-			i = j
 		}
 		binary.LittleEndian.PutUint32(buf[:], uint32(runs))
 		out = append(out, buf[:]...)
 		for i := 0; i < len(col); {
-			j := i + 1
-			for j < len(col) && col[j] == col[i] {
-				j++
-			}
+			j := runEnd(col, i)
 			binary.LittleEndian.PutUint32(buf[:], uint32(j-i))
 			out = append(out, buf[:]...)
 			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(col[i]))

@@ -69,11 +69,10 @@ type Config struct {
 	CPUSecPerOp float64
 	// Wire selects the fetch codec between storage and compute: "" or
 	// "rowmajor" ships decoded row-major sub-tables (SVT1, the historical
-	// format); "colenc" negotiates the compressed columnar format (SVT2)
-	// — per-column RLE/dictionary/delta vectors with selection and
-	// projection already applied in the compressed domain, decoded only
-	// when a joiner consumes the rows. The choice is per-request, so
-	// peers that do not understand it fall back to row-major.
+	// format); "colenc" requests the compressed columnar format (SVT2)
+	// — per-column RLE/dictionary/delta vectors of the rows that survive
+	// selection and projection on the storage node, decoded only when a
+	// joiner consumes the rows.
 	Wire string
 	// UseTCP serves every BDS instance over real TCP loopback sockets and
 	// routes compute-node sub-table fetches through them (wire encoding
@@ -481,14 +480,11 @@ func (cl *Cluster) Fetch(ctx context.Context, computeID int, id tuple.ID, filter
 	f, node, err := cl.replicaFailover(ctx, desc, func(node int) (*Fetched, error) {
 		if cl.clients != nil {
 			if encoded {
-				enc, st, err := cl.clients[computeID][node].SubTableEncoded(ctx, id, filter, project)
+				enc, err := cl.clients[computeID][node].SubTableEncoded(ctx, id, filter, project)
 				if err != nil {
 					return nil, err
 				}
-				if enc != nil {
-					return FetchedEncoded(enc), nil
-				}
-				return FetchedSubTable(st), nil
+				return FetchedEncoded(enc), nil
 			}
 			st, err := cl.clients[computeID][node].SubTableProjected(ctx, id, filter, project)
 			if err != nil {

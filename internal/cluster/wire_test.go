@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
 	"time"
 
+	"sciview/internal/colenc"
 	"sciview/internal/fault"
 	"sciview/internal/metadata"
 	"sciview/internal/metrics"
@@ -16,7 +18,7 @@ import (
 )
 
 // rleDataset generates a dataset whose chunks are stored run-length
-// encoded, exercising the colenc pass-through path end to end.
+// encoded, so the colenc wire is exercised over the rle extractor.
 func rleDataset(t *testing.T, nodes, replicas int) *oilres.Dataset {
 	t.Helper()
 	ds, err := oilres.Generate(oilres.Config{
@@ -109,6 +111,56 @@ func TestWireEncodedByteIdentical(t *testing.T) {
 			t.Logf("%s: wire bytes %d → %d (%.0f%%)", format, plainBytes, encBytes,
 				100*float64(encBytes)/float64(plainBytes))
 		})
+	}
+}
+
+// TestWireIndependentOfStorageFormat generates one grid twice, stored
+// row-major and run-length encoded, and fetches every chunk of both tables
+// over the colenc wire plain, filtered and projected: each fetch must ship
+// the same SVT2 frame whichever way its chunk is stored.
+func TestWireIndependentOfStorageFormat(t *testing.T) {
+	mk := func(format string) (*Cluster, *oilres.Dataset) {
+		ds, err := oilres.Generate(oilres.Config{
+			Grid:     partition.D(8, 8, 8),
+			LeftPart: partition.D(4, 4, 4), RightPart: partition.D(4, 4, 4),
+			StorageNodes: 2, Format: format, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return build(t, Config{StorageNodes: 2, ComputeNodes: 1, Wire: "colenc"}, ds), ds
+	}
+	rowmajor, ds := mk("rowmajor")
+	rle, _ := mk("rle")
+	shapes := []struct {
+		name    string
+		filter  *metadata.Range
+		project []string
+	}{
+		{"plain", nil, nil},
+		{"filtered", &metadata.Range{Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{2}}, nil},
+		{"projected", &metadata.Range{Attrs: []string{"y"}, Lo: []float64{1}, Hi: []float64{5}}, []string{"x", "oilp", "wp"}},
+	}
+	for _, table := range []int32{ds.Left.ID, ds.Right.ID} {
+		for chunkID := int32(0); chunkID < 8; chunkID++ {
+			id := tuple.ID{Table: table, Chunk: chunkID}
+			for _, s := range shapes {
+				a, err := rowmajor.Fetch(context.Background(), 0, id, s.filter, s.project)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := rle.Fetch(context.Background(), 0, id, s.filter, s.project)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.WireBytes() != b.WireBytes() {
+					t.Errorf("%v %s: %d wire bytes stored row-major, %d stored rle", id, s.name, a.WireBytes(), b.WireBytes())
+				}
+				if !bytes.Equal(colenc.Encode(nil, a.enc), colenc.Encode(nil, b.enc)) {
+					t.Errorf("%v %s: SVT2 frames differ between storage formats", id, s.name)
+				}
+			}
+		}
 	}
 }
 

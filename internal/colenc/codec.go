@@ -18,11 +18,9 @@ import (
 //	rows      uint32
 //	per col:  enc uint8, payloadLen uint32, payload bytes
 //
-// The header is identical to SVT1 through the attribute list, so both
-// formats stay self-describing and a receiver dispatches on the magic
-// alone — the negotiation mechanism that lets old and new peers
-// interoperate (see bds: a server answers SVT2 only to a request that
-// advertised it).
+// The header is identical to SVT1 through the attribute list; the magic
+// tells the two apart, and each decoder rejects the other's frames. A BDS
+// server answers SVT2 only to a request that asked for it (see bds).
 
 // Magic identifies an SVT2 frame ("SVT2").
 const Magic = 0x53565432
@@ -152,11 +150,4 @@ func Decode(src []byte) (*Table, int, error) {
 	}
 	t := &Table{ID: id, Schema: tuple.Schema{Attrs: attrs}, Rows: rows, Cols: cols}
 	return t, off, nil
-}
-
-// IsEncoded reports whether a wire frame carries the SVT2 format (as
-// opposed to row-major SVT1) — the receiver-side half of the codec
-// negotiation.
-func IsEncoded(frame []byte) bool {
-	return len(frame) >= 4 && binary.LittleEndian.Uint32(frame) == Magic
 }

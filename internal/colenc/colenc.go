@@ -1,9 +1,8 @@
 // Package colenc implements the compressed columnar transfer representation
 // for sub-tables: each column is carried as an independently encoded byte
-// vector — raw float32s, run-length runs (byte-compatible with the on-disk
-// "rle" chunk format, so RLE chunks pass through without materialization),
-// a small dictionary with one-byte indices, or zigzag-varint deltas for
-// integral grid coordinates — chosen per column as whichever is smallest.
+// vector — raw float32s, run-length runs, a small dictionary with one-byte
+// indices, or zigzag-varint deltas for integral grid coordinates — chosen
+// per column as whichever is smallest.
 //
 // The representation is exact: decode(encode(col)) reproduces the original
 // float32 bit patterns. The encoders therefore compare *bit patterns*, not
@@ -12,11 +11,8 @@
 // integral with magnitude ≤ 2^24 — the range where float32↔int64 conversion
 // is lossless — and never applied to -0 or NaN.
 //
-// Selection can be evaluated against the encoded vectors without
-// materializing rows (FilterRange): RLE runs are tested once per run,
-// dictionary entries once per entry, delta vectors in a single accumulator
-// walk. The surviving rows are re-encoded; for RLE columns the runs are
-// split in place rather than decoded.
+// A table is encoded from decoded rows only (FromSubTable): the frame is a
+// function of a sub-table's rows, not of how its chunk is stored on disk.
 package colenc
 
 import (
@@ -31,9 +27,8 @@ import (
 const (
 	// EncRaw is rows × float32, little endian.
 	EncRaw byte = 0
-	// EncRLE is u32 numRuns followed by numRuns × (u32 length, f32 value) —
-	// byte-identical to one column of the on-disk "rle" chunk layout, so
-	// RLE chunks transfer without a decode/re-encode round trip.
+	// EncRLE is u32 numRuns followed by numRuns × (u32 length, f32 value),
+	// runs split wherever the bit pattern changes.
 	EncRLE byte = 1
 	// EncDict is u16 n, n × f32 dictionary values (first-appearance order),
 	// then rows × u8 index. Chosen only when a column has ≤ 256 distinct
@@ -413,57 +408,4 @@ func (t *Table) SubTable() (*tuple.SubTable, error) {
 		cols[c] = col
 	}
 	return tuple.FromColumns(t.ID, t.Schema, cols)
-}
-
-// Compact re-encodes any column whose current payload is no smaller than
-// its raw encoding. Pass-through RLE payloads are kept verbatim while
-// run-length coding is actually winning, but a high-entropy column stored
-// as per-row runs (an on-disk rle chunk stores every column that way)
-// would ship at 2× raw — those columns are decoded once and re-encoded
-// with the best-of-four choice. The receiver is returned unchanged when
-// no column improves.
-func (t *Table) Compact() (*Table, error) {
-	if t.Rows <= 0 {
-		return t, nil
-	}
-	var out *Table
-	var scratch []float32
-	for i, c := range t.Cols {
-		if c.Enc == EncRaw || len(c.Data) < 4*t.Rows {
-			continue
-		}
-		if scratch == nil {
-			scratch = make([]float32, t.Rows)
-		}
-		if err := decodeColumn(c, t.Rows, scratch); err != nil {
-			return nil, fmt.Errorf("colenc: compact column %d (%s): %w", i, t.Schema.Attrs[i].Name, err)
-		}
-		nc := encodeColumn(scratch)
-		if len(nc.Data) >= len(c.Data) {
-			continue
-		}
-		if out == nil {
-			out = &Table{ID: t.ID, Schema: t.Schema, Rows: t.Rows, Cols: append([]Col(nil), t.Cols...)}
-		}
-		out.Cols[i] = nc
-	}
-	if out == nil {
-		return t, nil
-	}
-	return out, nil
-}
-
-// Project returns a table holding only the named attributes, in schema
-// order. Column payloads are shared, not copied — projected-out columns
-// are simply never encoded or shipped.
-func (t *Table) Project(names []string) (*Table, error) {
-	sub, idxs, err := t.Schema.Project(names)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{ID: t.ID, Schema: sub, Rows: t.Rows, Cols: make([]Col, len(idxs))}
-	for i, idx := range idxs {
-		out.Cols[i] = t.Cols[idx]
-	}
-	return out, nil
 }

@@ -1,13 +1,10 @@
 package colenc
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"sciview/internal/chunk"
 	"sciview/internal/tuple"
 )
 
@@ -85,9 +82,6 @@ func TestWireRoundTrip(t *testing.T) {
 	frame := Encode(nil, enc)
 	if len(frame) != EncodedSize(enc) {
 		t.Fatalf("frame is %d bytes, EncodedSize says %d", len(frame), EncodedSize(enc))
-	}
-	if !IsEncoded(frame) {
-		t.Fatal("IsEncoded = false on an SVT2 frame")
 	}
 	dec, n, err := Decode(frame)
 	if err != nil {
@@ -199,135 +193,6 @@ func TestEachEncodingRoundTrips(t *testing.T) {
 	}
 }
 
-func TestFilterRangeMatchesRowMajor(t *testing.T) {
-	st := gridTable(t, 8, 8, 8, "oilp")
-	enc := FromSubTable(st)
-	names := []string{"x", "y", "oilp"}
-	lo := []float64{2, 1, 0}
-	hi := []float64{6, 5, 0.7}
-	want, err := st.FilterRange(names, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.FilterRange(names, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := got.SubTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, back, want)
-
-	// All-pass returns the receiver unchanged.
-	same, err := enc.FilterRange([]string{"x"}, []float64{math.Inf(-1)}, []float64{math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != enc {
-		t.Error("all-pass filter did not return the receiver")
-	}
-
-	// All-reject yields an empty table.
-	none, err := enc.FilterRange([]string{"x"}, []float64{100}, []float64{200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.Rows != 0 {
-		t.Errorf("all-reject kept %d rows", none.Rows)
-	}
-}
-
-func TestProject(t *testing.T) {
-	st := gridTable(t, 4, 4, 4, "oilp", "wp")
-	enc := FromSubTable(st)
-	proj, err := enc.Project([]string{"x", "wp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSt, err := st.Project([]string{"x", "wp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := proj.SubTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, back, wantSt)
-}
-
-func TestFilterProjectMirrorsBDS(t *testing.T) {
-	st := gridTable(t, 6, 6, 6, "oilp")
-	enc := FromSubTable(st)
-	// "wp" is absent from this schema: its constraint must filter nothing;
-	// the projection keeps schema order regardless of request order.
-	names := []string{"z", "wp"}
-	lo := []float64{1, 5}
-	hi := []float64{4, 6}
-	project := []string{"oilp", "x"}
-
-	want, err := st.FilterRange([]string{"z"}, []float64{1}, []float64{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = want.Project([]string{"x", "oilp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := enc.FilterProject(names, lo, hi, project)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := got.SubTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, back, want)
-}
-
-func TestParseRLEChunkPassThrough(t *testing.T) {
-	st := gridTable(t, 8, 8, 8, "oilp")
-	data, err := (chunk.RLE{}).Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc := &chunk.Desc{Table: st.ID.Table, Chunk: st.ID.Chunk, Format: "rle",
-		Attrs: st.Schema.Attrs, Rows: st.NumRows()}
-	enc, err := ParseRLEChunk(desc, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc.Rows != st.NumRows() {
-		t.Fatalf("pass-through sees %d rows, want %d", enc.Rows, st.NumRows())
-	}
-	for c, col := range enc.Cols {
-		if col.Enc != EncRLE {
-			t.Fatalf("column %d encoding %d, want RLE", c, col.Enc)
-		}
-	}
-	back, err := enc.SubTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, back, st)
-	// The column payloads must be verbatim slices of the chunk layout.
-	var rebuilt []byte
-	for _, col := range enc.Cols {
-		rebuilt = append(rebuilt, col.Data...)
-	}
-	if !bytes.Equal(rebuilt, data) {
-		t.Error("pass-through payloads are not byte-identical to the chunk layout")
-	}
-
-	// Truncated and trailing-garbage chunks are rejected.
-	if _, err := ParseRLEChunk(desc, data[:len(data)-3]); err == nil {
-		t.Error("truncated chunk accepted")
-	}
-	if _, err := ParseRLEChunk(desc, append(append([]byte{}, data...), 1, 2, 3)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestWireSizeMatchesEncode(t *testing.T) {
 	st := gridTable(t, 8, 8, 4, "oilp", "wp")
 	if got, want := WireSize(st), EncodedSize(FromSubTable(st)); got != want {
@@ -351,31 +216,5 @@ func TestDecodeHostile(t *testing.T) {
 		if tab, _, err := Decode(mut); err == nil {
 			tab.SubTable() // must not panic either
 		}
-	}
-}
-
-func TestSelectRLEMergesRuns(t *testing.T) {
-	// Selecting around a gap that separates two runs of the same value
-	// must merge them back into one run.
-	col := []float32{5, 5, 7, 5, 5}
-	enc := encodeColumn(col)
-	if enc.Enc != EncRLE {
-		t.Skipf("chooser picked encoding %d", enc.Enc)
-	}
-	tab := &Table{ID: tuple.ID{}, Schema: tuple.Schema{Attrs: []tuple.Attr{{Name: "v"}}},
-		Rows: 5, Cols: []Col{enc}}
-	sel, err := tab.Select([]bool{true, true, false, true, true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float32, 4)
-	if err := decodeColumn(sel.Cols[0], 4, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst, []float32{5, 5, 5, 5}) {
-		t.Fatalf("selected column = %v", dst)
-	}
-	if got := len(sel.Cols[0].Data); got != 4+8 {
-		t.Errorf("selected RLE payload is %d bytes (runs not merged?)", got)
 	}
 }

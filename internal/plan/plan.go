@@ -117,7 +117,7 @@ type ScanNode struct {
 	// resolved chunk set (after projection) and the size estimated to cross
 	// the storage→compute NIC under the cluster's wire codec. Equal when the
 	// wire is row-major; under colenc the rle chunks' on-disk size stands in
-	// for their pass-through encoded size.
+	// for their encoded size.
 	estDecBytes  int64
 	estWireBytes int64
 }
@@ -187,8 +187,8 @@ func (n *ScanNode) resolveEstimates(descs []*chunk.Desc, fullAttrs int) {
 		n.estDecBytes += dec
 		wire := dec
 		if encoded && d.Format == "rle" && fullAttrs > 0 {
-			// Pass-through: the wire carries the chunk's on-disk runs,
-			// narrowed to the projected columns. The codec never ships more
+			// The chunk's on-disk runs, narrowed to the projected columns,
+			// stand in for its encoded size. The codec never ships more
 			// than raw, so the estimate is capped at the decoded size.
 			if w := d.Size * attrs / int64(fullAttrs); w < dec {
 				wire = w

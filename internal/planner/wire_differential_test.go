@@ -16,9 +16,9 @@ import (
 // Wire-compression differential: every leg in this file runs the same
 // query twice — once over the row-major fetch codec, once over the
 // compressed columnar one — and requires the results to agree. The codec
-// must be bit-invisible: encode → filter/project in the compressed domain
-// → decode reproduces the row-major fetch byte for byte, under every
-// format, engine, scheduling knob, and fault schedule.
+// must be bit-invisible: extract → filter/project → encode → decode
+// reproduces the row-major fetch byte for byte, under every format,
+// engine, scheduling knob, and fault schedule.
 
 // wireExecutor builds an executor over ds with the given fetch codec.
 func wireExecutor(t *testing.T, ds *oilres.Dataset, storage, nj int, force, wire string) *Executor {
