@@ -62,10 +62,10 @@ type Request struct {
 	// are produced instead of materializing them: IJ emits after each edge
 	// probe, GH after each bucket-pair join. Batches are grouped by "part"
 	// (the IJ slot or GH group index) so a consumer can re-establish the
-	// deterministic slot/group order. When a sink is set, Collect is
-	// ignored and Result.Collected stays nil. Emitted sub-tables are owned
-	// by the sink; the engine allocates a fresh output table after each
-	// emit.
+	// deterministic release order (see Sink). When a sink is set, Collect
+	// is ignored and Result.Collected stays nil. Emitted sub-tables are
+	// owned by the sink; the engine allocates a fresh output table after
+	// each emit.
 	Sink Sink
 	// Progress, when non-nil, is updated with schedule-unit counts (IJ
 	// edges / GH bucket pairs) as the run proceeds. The counters survive
@@ -112,14 +112,27 @@ func effectiveWindow(w metadata.VersionWindow, asOf int64) metadata.VersionWindo
 }
 
 // Sink consumes streamed join output. Engines call Emit from the
-// goroutine that owns the part (one goroutine per part at any time), Done
-// exactly once when a part's final attempt has produced all its batches,
-// and Discard when a failed attempt's output must be thrown away before a
-// replay (fault-tolerant re-execution). Emit may block to bound buffered
-// memory; it returns an error once the consumer has gone away, which the
-// engine surfaces as a failed run.
+// goroutine that owns the part (one goroutine per part at any time) with
+// each batch of the part's output in order, Done exactly once when a
+// part's final attempt has produced all its batches, and Discard when a
+// failed attempt's output must be thrown away before a replay
+// (fault-tolerant re-execution). Emit may block to bound buffered memory;
+// it returns an error once the consumer has gone away, which the engine
+// surfaces as a failed run.
+//
+// A part's output is a sequence of schedule units — IJ's connected
+// components, the unit stage 1 deals round-robin to compute nodes; GH's
+// bucket pairs — and last marks a unit's final batch, which is nil when
+// there are no rows left to hand over. A run's output order is its
+// release order: unit 0 of every part in part order, then unit 1 of every
+// part, and so on, a part leaving the rotation once its units run out. A
+// consumer that releases in this order takes one unit from each part in
+// turn, so no part waits for another to finish, and IJ's output is its
+// one-node schedule order at any compute-node count: component k is unit
+// k/nj of part k%nj. Result.Released puts a collected run in the same
+// order.
 type Sink interface {
-	Emit(part int, batch *tuple.SubTable) error
+	Emit(part int, batch *tuple.SubTable, last bool) error
 	Done(part int)
 	Discard(part int)
 }
@@ -281,6 +294,9 @@ type Result struct {
 	Health cluster.HealthStats
 	// Collected holds per-joiner result sub-tables when Request.Collect.
 	Collected []*tuple.SubTable
+	// unitEnds[p] is the end row in Collected[p] of each of part p's
+	// schedule units (see Sink).
+	unitEnds [][]int
 	// Phases records coarse phase durations (engine-specific keys, e.g.
 	// "partition" and "bucketjoin" for GH).
 	Phases map[string]time.Duration
@@ -295,6 +311,28 @@ type Result struct {
 	Operators []OpStat
 	// Observed is the run's measured resource costs.
 	Observed Observed
+}
+
+// Released returns a collected run's rows as one table, in the order a
+// Sink releases the same run: schedule unit by schedule unit, round-robin
+// over the parts. Nil when nothing was collected.
+func (r *Result) Released() *tuple.SubTable {
+	if len(r.Collected) == 0 {
+		return nil
+	}
+	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, r.Collected[0].Schema, int(r.Tuples))
+	from := make([]int, len(r.Collected))
+	for u, more := 0, true; more; u++ {
+		more = false
+		for p, ends := range r.unitEnds {
+			if u < len(ends) {
+				// Every part's table has the run's output schema.
+				_ = out.AppendAll(r.Collected[p].Slice(from[p], ends[u]))
+				from[p], more = ends[u], true
+			}
+		}
+	}
+	return out
 }
 
 // EffectiveProject returns the pushdown list the engines apply to each

@@ -37,11 +37,12 @@ type Run struct {
 	// memCap is one pair's build-side share of Req.MemoryBudget: each
 	// joiner may hold a build and a probe sub-table at once, hence the
 	// 2·nj divisor. 0 = unbounded.
-	memCap  int64
-	stats   hashjoin.Stats
-	outs    []*tuple.SubTable
-	start   time.Time
-	release func()
+	memCap   int64
+	stats    hashjoin.Stats
+	outs     []*tuple.SubTable
+	unitEnds [][]int
+	start    time.Time
+	release  func()
 }
 
 // Begin takes the cluster (shared, or exclusively with a state reset) and
@@ -99,13 +100,14 @@ func (r *Run) NextAlive(from int) (int, bool) {
 func (r *Run) JoinParts(ctx context.Context, place func(part int, died bool) (int, error), attempt func(j *Joiner) error) error {
 	n := len(r.Cluster.Compute)
 	r.outs = make([]*tuple.SubTable, n)
+	r.unitEnds = make([][]int, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for part := 0; part < n; part++ {
 		wg.Add(1)
 		go func(part int) {
 			defer wg.Done()
-			r.outs[part], errs[part] = r.joinPart(ctx, part, place, attempt)
+			errs[part] = r.joinPart(ctx, part, place, attempt)
 		}(part)
 	}
 	wg.Wait()
@@ -117,14 +119,14 @@ func (r *Run) JoinParts(ctx context.Context, place func(part int, died bool) (in
 	return nil
 }
 
-func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int, error), attempt func(*Joiner) error) (*tuple.SubTable, error) {
+func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int, error), attempt func(*Joiner) error) error {
 	for died := false; ; died = true {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		exec, err := place(part, died)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		j := &Joiner{
 			Run: r, Part: part, Exec: exec,
@@ -138,10 +140,11 @@ func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int
 			if r.Req.Sink != nil {
 				r.Req.Sink.Done(part)
 			}
-			return j.out, nil
+			r.outs[part], r.unitEnds[part] = j.out, j.unitEnds
+			return nil
 		}
 		if node, down := fault.IsNodeDown(err); !down || node != fault.ComputeNode(exec) {
-			return nil, err
+			return err
 		}
 		if r.Req.Sink != nil {
 			r.Req.Sink.Discard(part)
@@ -174,7 +177,7 @@ func (r *Run) Finish(name string) *Result {
 	res.Tuples = res.Join.Matches
 	r.PricedBy.Observe(res.Observed)
 	if r.Req.Collect && r.Req.Sink == nil {
-		res.Collected = r.outs
+		res.Collected, res.unitEnds = r.outs, r.unitEnds
 	}
 	return res
 }
@@ -189,9 +192,11 @@ type Joiner struct {
 	Part, Exec int
 	Node       string
 
-	cn    *cluster.ComputeNode
-	out   *tuple.SubTable
-	local hashjoin.Stats
+	cn  *cluster.ComputeNode
+	out *tuple.SubTable
+	// unitEnds is, in a collecting run, the end row in out of each unit.
+	unitEnds []int
+	local    hashjoin.Stats
 	// hj owns the arrays of the attempt's one live hash table — IJ's
 	// per-left table, GH's per-pair table, one spill leaf at a time — and
 	// reuses them from one build to the next.
@@ -290,20 +295,28 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 	return err
 }
 
-// Emit closes one schedule unit (IJ edge, GH bucket pair): it counts the
-// unit and hands the output on. A sink takes ownership of a non-empty
-// batch, so the next unit starts a fresh table; a count-only run resets
-// the table; a collecting run keeps appending.
-func (j *Joiner) Emit() error {
+// Emit closes one join step (IJ edge, GH bucket pair): it counts the step
+// and hands its output on; last marks the end of a schedule unit (see
+// Sink). A sink takes ownership of a non-empty batch, so the next step
+// starts a fresh table, and gets a nil one only to close a unit; a
+// collecting run keeps appending and marks where each unit ends; a
+// count-only run resets the table.
+func (j *Joiner) Emit(last bool) error {
 	j.Req.Progress.Joined.Add(1)
-	if j.Req.Sink != nil {
+	switch {
+	case j.Req.Sink != nil:
+		var batch *tuple.SubTable
 		if j.out.NumRows() > 0 {
-			if err := j.Req.Sink.Emit(j.Part, j.out); err != nil {
-				return err
-			}
-			j.out = j.newOut()
+			batch, j.out = j.out, j.newOut()
+		} else if !last {
+			return nil
 		}
-	} else if !j.Req.Collect {
+		return j.Req.Sink.Emit(j.Part, batch, last)
+	case j.Req.Collect:
+		if last {
+			j.unitEnds = append(j.unitEnds, j.out.NumRows())
+		}
+	default:
 		j.out.Reset()
 	}
 	return nil

@@ -17,13 +17,17 @@ import (
 	"sciview/internal/tuple"
 )
 
-// partSink keeps each part's batches in emission order.
+// partSink keeps each part's batches in emission order, skipping units
+// without rows.
 type partSink struct {
 	mu    sync.Mutex
 	parts map[int][]*tuple.SubTable
 }
 
-func (s *partSink) Emit(part int, st *tuple.SubTable) error {
+func (s *partSink) Emit(part int, st *tuple.SubTable, _ bool) error {
+	if st == nil {
+		return nil
+	}
 	s.mu.Lock()
 	s.parts[part] = append(s.parts[part], st)
 	s.mu.Unlock()

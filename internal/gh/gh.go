@@ -499,7 +499,7 @@ func joinBuckets(ctx context.Context, j *engine.Joiner, grp *group, buckets int)
 		if err := j.JoinPair(grp.mgr, fmt.Sprintf("b%d", k), left, right); err != nil {
 			return err
 		}
-		if err := j.Emit(); err != nil {
+		if err := j.Emit(true); err != nil {
 			return err
 		}
 		lp.Release(k)

@@ -39,10 +39,12 @@ func New() *Engine { return &Engine{} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "ij" }
 
-// edge is a scheduled sub-table pair with resolved ids.
+// edge is a scheduled sub-table pair with resolved ids; last marks the
+// final edge of its connected component.
 type edge struct {
 	left  tuple.ID
 	right tuple.ID
+	last  bool
 }
 
 // Run implements engine.Engine. Cancellation is observed between scheduled
@@ -117,7 +119,8 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 // strategy. Stage 1 deals connected components round-robin to joiner
 // nodes, so every QES instance gets the same amount of work. Stage 2 sorts
 // the id pairs of each component lexicographically by ((i1,j1),(i2,j2))
-// and processes components one after another. Component-local order is
+// and processes components one after another, each one schedule unit of
+// the joiner's output (engine.Sink). Component-local order is
 // what gives the paper's no-eviction guarantee under the memory assumption
 // (cache ≥ 2·c_R + b·c_S): a component's right sub-tables stay cached
 // while its left sub-tables stream through once each.
@@ -136,6 +139,7 @@ func buildSchedules(comps []congraph.Component, leftDescs, rightDescs []*chunk.D
 			}
 			return sched[a].right.Less(sched[b].right)
 		})
+		sched[len(sched)-1].last = true
 	}
 	return schedules
 }
@@ -281,7 +285,7 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		if err != nil {
 			return err
 		}
-		if err := j.Emit(); err != nil {
+		if err := j.Emit(ed.last); err != nil {
 			return err
 		}
 	}

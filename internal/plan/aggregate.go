@@ -25,25 +25,24 @@ const (
 // aggregateOp is the blocking aggregation operator. To keep float
 // accumulation byte-identical to the materialized distributed aggregation
 // — which folded each joiner's output into its own dds.Partial and merged
-// the partials in joiner order — it starts a new partial whenever the
-// incoming batch ID changes (the reorder sink delivers each part's
-// batches contiguously and in part order) and merges the partials in that
-// same order at the end. For single-partition sources (table scans,
-// Partitioned=false) every batch folds into one partial, matching the
-// materialized single-input fold.
+// the partials in joiner order — it folds every batch into the partial of
+// its input part (a join batch's ID names its part; the reorder sink
+// delivers each part's batches in emission order, interleaved with the
+// other parts') and merges the partials in part order at the end. For
+// single-partition sources (table scans, Partitioned=false) every batch
+// folds into one partial, matching the materialized single-input fold.
 //
 // When the estimated group state exceeds the stamped spill budget, the
 // operator runs out-of-core instead: pass 1 hash-partitions the raw rows
 // by group key to scratch (scratch.Partitioner), tagging every block with
-// its input-part ordinal; pass 2 replays one partition at a time, folding
-// per-ordinal partials and merging them in ascending ordinal into the
-// global base. Because a group's rows land wholly in one partition (the
-// packed key folds -0 and NaN as the group does), each group's
-// accumulator sees exactly the same fold-then-merge sequence as the
-// in-memory path, so the finalized output is byte-identical at any
-// budget. A partition whose group state still exceeds the budget is
-// re-partitioned one split depth down (skew recursion) before any of it
-// reaches the base.
+// its input part; pass 2 replays one partition at a time, folding
+// per-part partials and merging them in ascending part into the global
+// base. Because a group's rows land wholly in one partition (the packed
+// key folds -0 and NaN as the group does), each group's accumulator sees
+// exactly the same fold-then-merge sequence as the in-memory path, so the
+// finalized output is byte-identical at any budget. A partition whose
+// group state still exceeds the budget is re-partitioned one split depth
+// down (skew recursion) before any of it reaches the base.
 type aggregateOp struct {
 	opstat
 	node    *AggregateNode
@@ -71,11 +70,7 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 	}
 
 	inSchema := o.child.Schema()
-	var (
-		parts []*dds.Partial
-		cur   *dds.Partial
-		curID tuple.ID
-	)
+	partials := &partials{node: n, schema: inSchema}
 	for {
 		st, err := o.child.Next()
 		if err == io.EOF {
@@ -84,15 +79,11 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cur == nil || (n.Partitioned && st.ID != curID) {
-			cur, err = dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, cur)
-			curID = st.ID
+		p, err := partials.of(n.partOf(st))
+		if err != nil {
+			return nil, err
 		}
-		if err := cur.Fold(st); err != nil {
+		if err := p.Fold(st); err != nil {
 			return nil, err
 		}
 	}
@@ -102,10 +93,8 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range parts {
-		if err := base.Merge(p); err != nil {
-			return nil, err
-		}
+	if err := partials.mergeInto(base); err != nil {
+		return nil, err
 	}
 	out, err := base.Finalize(n.Having)
 	if err != nil {
@@ -150,12 +139,9 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		n.SpillOwner, n.SpillTrace, nil)
 	groupBytes := int64(n.schema.RecordSize() + aggGroupOver)
 
-	// Pass 1: partition raw rows by group key, tagging every block with the
-	// input part's ordinal.
+	// Pass 1: partition raw rows by group key, tagging every block with its
+	// input part.
 	parts, err := o.split(inSchema, groupIdxs, 0, func(add func(uint32, *tuple.SubTable) error) error {
-		var ordinal uint32
-		started := false
-		var curID tuple.ID
 		for {
 			st, err := o.child.Next()
 			if err == io.EOF {
@@ -164,17 +150,7 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 			if err != nil {
 				return err
 			}
-			if st.NumRows() == 0 {
-				continue
-			}
-			if !started {
-				curID = st.ID
-				started = true
-			} else if n.Partitioned && st.ID != curID {
-				ordinal++
-				curID = st.ID
-			}
-			if err := add(ordinal, st); err != nil {
+			if err := add(uint32(n.partOf(st)), st); err != nil {
 				return err
 			}
 		}
@@ -192,7 +168,7 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	for len(parts) > 0 {
 		pt := parts[0]
 		parts = parts[1:]
-		partials, err := o.foldPartition(pt, inSchema, groupBytes)
+		partials, state, err := o.foldPartition(pt, inSchema, groupBytes)
 		if err == errAggOverflow {
 			// Skewed: too many groups for the budget. Nothing from this
 			// partition has touched the base yet, so abandon the partials
@@ -210,16 +186,10 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		var state int64
-		for _, p := range partials {
-			state += int64(p.Groups()) * groupBytes
-		}
 		peakPart = max(peakPart, state)
-		// Ascending ordinal: the same merge order the in-memory path uses.
-		for _, p := range partials {
-			if err := base.Merge(p); err != nil {
-				return nil, err
-			}
+		// Ascending part: the same merge order the in-memory path uses.
+		if err := partials.mergeInto(base); err != nil {
+			return nil, err
 		}
 		pt.p.Release(pt.k)
 	}
@@ -232,25 +202,15 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 	return out, nil
 }
 
-// split hash-partitions the rows feed adds — in ascending tags — by group
-// key under depth's salt, and returns the non-empty partitions. Each tag is
-// sealed when the next begins, so every partition file is in tag order and
-// streams back.
+// split hash-partitions the rows feed adds by group key under depth's
+// salt, and returns the non-empty partitions. Tags may interleave: each
+// tag's rows reach every partition file in the order they were added,
+// which is all a replay needs.
 func (o *aggregateOp) split(schema tuple.Schema, groupIdxs []int, depth int,
 	feed func(add func(uint32, *tuple.SubTable) error) error) ([]aggPart, error) {
 	p := scratch.NewPartitioner(o.mgr, fmt.Sprintf("agg-d%d.", depth), schema, groupIdxs,
 		aggFanout, tuple.SaltSplit(uint64(depth)))
-	var cur uint32
-	started := false
-	err := feed(func(tag uint32, st *tuple.SubTable) error {
-		if started && tag != cur {
-			if err := p.Seal(cur); err != nil {
-				return err
-			}
-		}
-		cur, started = tag, true
-		return p.Add(tag, st)
-	})
+	err := feed(p.Add)
 	if err == nil {
 		err = p.Flush()
 	}
@@ -266,25 +226,19 @@ func (o *aggregateOp) split(schema tuple.Schema, groupIdxs []int, depth int,
 	return parts, nil
 }
 
-// foldPartition streams one partition's blocks into per-ordinal partials,
-// in ascending ordinal. It stops with errAggOverflow as soon as the
-// accumulated group state exceeds the budget and the partition may still
-// recurse.
-func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) ([]*dds.Partial, error) {
+// foldPartition streams one partition's blocks into per-part partials and
+// returns them with their group state in bytes. It stops with
+// errAggOverflow as soon as that state exceeds the budget and the
+// partition may still recurse.
+func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (*partials, int64, error) {
 	n := o.node
-	var partials []*dds.Partial
-	var cur uint32
+	ps := &partials{node: n, schema: inSchema}
 	var state int64
 	err := pt.p.Read(pt.k, func(tag uint32, st *tuple.SubTable) error {
-		if len(partials) == 0 || tag != cur {
-			p, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-			if err != nil {
-				return err
-			}
-			partials = append(partials, p)
-			cur = tag
+		p, err := ps.of(int(tag))
+		if err != nil {
+			return err
 		}
-		p := partials[len(partials)-1]
 		before := p.Groups()
 		if err := p.Fold(st); err != nil {
 			return err
@@ -295,5 +249,49 @@ func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupByte
 		}
 		return nil
 	})
-	return partials, err
+	return ps, state, err
+}
+
+// partials is one dds.Partial per input part, each made on first use.
+type partials struct {
+	node   *AggregateNode
+	schema tuple.Schema
+	byPart []*dds.Partial
+}
+
+// of returns part's partial.
+func (ps *partials) of(part int) (*dds.Partial, error) {
+	if part >= len(ps.byPart) {
+		ps.byPart = append(ps.byPart, make([]*dds.Partial, part+1-len(ps.byPart))...)
+	}
+	if ps.byPart[part] == nil {
+		p, err := dds.NewPartial(ps.schema, ps.node.Items, ps.node.GroupBy, ps.node.Having)
+		if err != nil {
+			return nil, err
+		}
+		ps.byPart[part] = p
+	}
+	return ps.byPart[part], nil
+}
+
+// mergeInto merges the partials into base in ascending part.
+func (ps *partials) mergeInto(base *dds.Partial) error {
+	for _, p := range ps.byPart {
+		if p == nil {
+			continue
+		}
+		if err := base.Merge(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// partOf is the input part a batch belongs to: the join part its ID names
+// when the aggregate is partitioned, else the one part 0.
+func (n *AggregateNode) partOf(st *tuple.SubTable) int {
+	if n.Partitioned {
+		return int(st.ID.Chunk)
+	}
+	return 0
 }

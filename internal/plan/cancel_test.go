@@ -66,7 +66,7 @@ func TestCancelMidJoin(t *testing.T) {
 	stalled := func(n int) partFunc {
 		return func(ctx context.Context, part int, sink engine.Sink) error {
 			for i := 0; i < n; i++ {
-				if err := sink.Emit(part, testBatch(int32(part), float32(i))); err != nil {
+				if err := sink.Emit(part, testBatch(int32(part), float32(i)), true); err != nil {
 					return err
 				}
 			}
@@ -84,7 +84,7 @@ func TestCancelMidJoin(t *testing.T) {
 				if i == n {
 					ready <- struct{}{}
 				}
-				if err := sink.Emit(part, testBatch(int32(part), float32(i))); err != nil {
+				if err := sink.Emit(part, testBatch(int32(part), float32(i)), true); err != nil {
 					return err
 				}
 			}
@@ -93,7 +93,7 @@ func TestCancelMidJoin(t *testing.T) {
 	completed := func(n int) partFunc {
 		return func(_ context.Context, part int, sink engine.Sink) error {
 			for i := 0; i < n; i++ {
-				if err := sink.Emit(part, testBatch(int32(part), float32(i))); err != nil {
+				if err := sink.Emit(part, testBatch(int32(part), float32(i)), true); err != nil {
 					return err
 				}
 			}

@@ -12,11 +12,12 @@ import (
 )
 
 // joinOp runs the chosen engine with a streaming sink: the engine's
-// per-slot (IJ) or per-group (GH) goroutines emit batches as edges or
-// bucket pairs complete, and the reorder sink releases them downstream in
-// part order — the exact order the materialized path concatenated
-// Collected in — so the streamed row sequence is byte-identical to the
-// materialized one at any worker count, prefetch depth or GOMAXPROCS.
+// per-slot (IJ) or per-group (GH) goroutines emit one batch per edge or
+// bucket pair, and the reorder sink releases them downstream one schedule
+// unit at a time, round-robin over the parts — the order
+// engine.Result.Released gives a collected run — so the streamed row
+// sequence is byte-identical to the materialized one at any worker count,
+// prefetch depth or GOMAXPROCS.
 //
 // Close before EOF is the early-exit path: it cancels the engine context
 // (stopping slots through the existing cancel/prefetch-reap machinery),
@@ -47,8 +48,8 @@ func (o *joinOp) Open(ctx context.Context) error {
 	// Under fault injection the engines may discard and replay a part's
 	// output; commit-on-Done buffering keeps replays invisible downstream
 	// at the price of an unbounded per-part buffer. Without fault
-	// injection parts are never discarded, so the head part streams
-	// through and the others throttle on a bounded buffer.
+	// injection parts are never discarded, so every part streams through a
+	// bounded buffer.
 	o.sink = newReorder(o.node.Parts, o.node.Cluster.Config.Faults != nil)
 	o.progress = &engine.Progress{}
 	// This execution's copy of the inputs: the sink and progress counters
@@ -133,15 +134,19 @@ var errSinkClosed = errors.New("plan: result consumer closed")
 
 // reorder is the engine.Sink that restores deterministic output order:
 // batches arrive concurrently from per-part producer goroutines and are
-// released to the single consumer in part order — every batch of part 0
-// (in emission order), then part 1, and so on.
+// released to the single consumer in the engine.Sink release order — the
+// batches of unit 0 of every part in part order, then unit 1 of every
+// part, and so on, a part dropping out of the rotation once it is done and
+// drained. Because the consumer takes one unit from each part in turn,
+// every part advances while it drains, so all joiners run side by side.
 //
 // Two modes:
 //
 //   - streaming (committed=false): a part's batches are consumable as
-//     soon as they arrive; producers of not-yet-drained parts block after
-//     maxBufferedBatches, bounding resident memory. Used when no fault
-//     injection is configured, so parts are never discarded.
+//     soon as they arrive; a producer blocks once maxBufferedBatches of
+//     its batches wait unreleased, bounding resident memory and keeping
+//     every part within that many batches of the consumer's rotation. Used
+//     when no fault injection is configured, so parts are never discarded.
 //
 //   - commit-on-Done (committed=true): a part's batches are held back
 //     until the part's final attempt succeeds (Done), and a failed
@@ -150,9 +155,9 @@ var errSinkClosed = errors.New("plan: result consumer closed")
 type reorder struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	pending   [][]*tuple.SubTable
+	pending   [][]unitBatch // each part's unreleased batches, in emission order
 	done      []bool
-	head      int
+	head      int // the part whose turn it is
 	committed bool
 	closed    bool
 	finished  bool
@@ -161,9 +166,16 @@ type reorder struct {
 	peakBytes int64
 }
 
+// unitBatch is one emitted batch (nil: no rows) and whether it ends its
+// schedule unit.
+type unitBatch struct {
+	st   *tuple.SubTable
+	last bool
+}
+
 func newReorder(parts int, committed bool) *reorder {
 	r := &reorder{
-		pending:   make([][]*tuple.SubTable, parts),
+		pending:   make([][]unitBatch, parts),
 		done:      make([]bool, parts),
 		committed: committed,
 	}
@@ -172,7 +184,7 @@ func newReorder(parts int, committed bool) *reorder {
 }
 
 // Emit implements engine.Sink.
-func (r *reorder) Emit(part int, st *tuple.SubTable) error {
+func (r *reorder) Emit(part int, st *tuple.SubTable, last bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.committed {
@@ -183,10 +195,10 @@ func (r *reorder) Emit(part int, st *tuple.SubTable) error {
 	if r.closed {
 		return errSinkClosed
 	}
-	r.pending[part] = append(r.pending[part], st)
-	r.curBytes += int64(st.Bytes())
-	if r.curBytes > r.peakBytes {
-		r.peakBytes = r.curBytes
+	r.pending[part] = append(r.pending[part], unitBatch{st, last})
+	if st != nil {
+		r.curBytes += int64(st.Bytes())
+		r.peakBytes = max(r.peakBytes, r.curBytes)
 	}
 	r.cond.Broadcast()
 	return nil
@@ -204,8 +216,10 @@ func (r *reorder) Done(part int) {
 // before the part replays.
 func (r *reorder) Discard(part int) {
 	r.mu.Lock()
-	for _, st := range r.pending[part] {
-		r.curBytes -= int64(st.Bytes())
+	for _, b := range r.pending[part] {
+		if b.st != nil {
+			r.curBytes -= int64(b.st.Bytes())
+		}
 	}
 	r.pending[part] = nil
 	r.done[part] = false
@@ -251,8 +265,8 @@ func (r *reorder) peak() int64 {
 	return r.peakBytes
 }
 
-// next blocks until the next in-order batch is available, the stream ends
-// (io.EOF) or the run fails.
+// next blocks until the next batch in release order that has rows is
+// available, the stream ends (io.EOF) or the run fails.
 func (r *reorder) next() (*tuple.SubTable, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -260,24 +274,43 @@ func (r *reorder) next() (*tuple.SubTable, error) {
 		if r.runErr != nil {
 			return nil, r.runErr
 		}
-		if r.head >= len(r.pending) {
+		p, ok := r.turn()
+		if !ok {
 			if r.finished {
 				return nil, io.EOF
 			}
 			r.cond.Wait()
 			continue
 		}
-		if len(r.pending[r.head]) > 0 && (!r.committed || r.done[r.head]) {
-			st := r.pending[r.head][0]
-			r.pending[r.head] = r.pending[r.head][1:]
-			r.curBytes -= int64(st.Bytes())
-			r.cond.Broadcast()
-			return st, nil
-		}
-		if r.done[r.head] && len(r.pending[r.head]) == 0 {
-			r.head++
+		q := r.pending[p]
+		if len(q) == 0 || (r.committed && !r.done[p]) {
+			r.cond.Wait()
 			continue
 		}
-		r.cond.Wait()
+		b := q[0]
+		q[0] = unitBatch{}
+		r.pending[p] = q[1:]
+		if b.last {
+			r.head = (p + 1) % len(r.pending)
+		}
+		r.cond.Broadcast()
+		if b.st != nil {
+			r.curBytes -= int64(b.st.Bytes())
+			return b.st, nil
+		}
 	}
+}
+
+// turn returns the part whose batch is released next: head while its unit
+// is open, else the first part from head on that still has batches to
+// come. ok is false once every part is done and drained.
+func (r *reorder) turn() (part int, ok bool) {
+	n := len(r.pending)
+	for d := range n {
+		p := (r.head + d) % n
+		if !r.done[p] || len(r.pending[p]) > 0 {
+			return p, true
+		}
+	}
+	return 0, false
 }

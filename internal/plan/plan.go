@@ -69,9 +69,9 @@ type Plan struct {
 }
 
 // maxBufferedBatches bounds the reorder sink's per-part buffer: a join
-// part that runs ahead of the part currently being drained blocks after
-// this many undelivered batches, throttling producers instead of
-// materializing the join.
+// part that runs ahead of the consumer's rotation blocks after this many
+// undelivered batches, throttling producers instead of materializing the
+// join.
 const maxBufferedBatches = 8
 
 // Join returns the plan's join node, or nil for join-free plans. Callers
@@ -372,10 +372,11 @@ type AggregateNode struct {
 	Items   []query.SelectItem
 	GroupBy []string
 	Having  *query.Having
-	// Partitioned keeps one dds.Partial per input part (batches sharing
-	// an ID), merged in arrival order — the float-summation grouping of
-	// the materialized per-joiner aggregation. False folds every batch
-	// into a single partial (a table scan's rows are one partition).
+	// Partitioned keeps one dds.Partial per input part (the join part a
+	// batch's ID names), merged in part order — the float-summation
+	// grouping of the materialized per-joiner aggregation. False folds
+	// every batch into a single partial (a table scan's rows are one
+	// partition).
 	Partitioned bool
 	// SpillBudget/SpillDisk/SpillOwner/SpillTrace are stamped by
 	// Plan.SetBudget: when the estimated group state exceeds the budget,

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sciview/internal/cluster"
+	"sciview/internal/engine"
 	"sciview/internal/tuple"
 )
 
@@ -50,8 +53,9 @@ func wantValues(t *testing.T, got, want []float32) {
 	}
 }
 
-// TestReorderStreamingOrder: batches emitted out of part order are
-// released strictly in part order, in emission order within a part.
+// TestReorderStreamingOrder: batches emitted out of order are released
+// one unit per part in turn — unit 0 of parts 0, 1, 2, then unit 1 of
+// parts 0 and 1 — in emission order within a part.
 func TestReorderStreamingOrder(t *testing.T) {
 	r := newReorder(3, false)
 	must := func(err error) {
@@ -59,23 +63,89 @@ func TestReorderStreamingOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(r.Emit(1, testBatch(1, 3)))
-	must(r.Emit(0, testBatch(0, 1)))
-	must(r.Emit(2, testBatch(2, 5)))
-	must(r.Emit(0, testBatch(0, 2)))
-	must(r.Emit(1, testBatch(1, 4)))
+	must(r.Emit(1, testBatch(1, 3), true))
+	must(r.Emit(0, testBatch(0, 1), true))
+	must(r.Emit(2, testBatch(2, 5), true))
+	must(r.Emit(0, testBatch(0, 2), true))
+	must(r.Emit(1, testBatch(1, 4), true))
 	for p := 0; p < 3; p++ {
 		r.Done(p)
 	}
 	r.finish(nil)
-	wantValues(t, drainReorder(t, r), []float32{1, 2, 3, 4, 5})
+	wantValues(t, drainReorder(t, r), []float32{1, 3, 5, 2, 4})
+}
+
+// TestReorderRoundRobin: a part's turn lasts until the batch that ends
+// its unit; a unit's closing nil batch holds the turn without releasing
+// anything; a part that is done and drained leaves the rotation while the
+// others keep taking turns. Values name the release position.
+func TestReorderRoundRobin(t *testing.T) {
+	r := newReorder(3, false)
+	type batch struct {
+		st   *tuple.SubTable
+		last bool
+	}
+	emits := [][]batch{
+		{{testBatch(0, 1), false}, {testBatch(0, 2), true}, {nil, true}, {testBatch(0, 6), true}},
+		{{testBatch(1, 3), true}, {testBatch(1, 4), false}, {testBatch(1, 5), true}, {testBatch(1, 7), true}, {testBatch(1, 8), true}},
+		{{nil, true}},
+	}
+	for p := len(emits) - 1; p >= 0; p-- {
+		for _, b := range emits[p] {
+			if err := r.Emit(p, b.st, b.last); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Done(p)
+	}
+	r.finish(nil)
+	wantValues(t, drainReorder(t, r), []float32{1, 2, 3, 4, 5, 6, 7, 8})
+}
+
+// TestJoinersRunSideBySide drains a two-part join through the plan and
+// records, at every unit a part emits, how far it has run ahead of the
+// other part. Releasing one unit per part in turn keeps every producer
+// within its buffer bound of the others, so both advance together; a sink
+// that drained part 0 before releasing anything of part 1 would park part
+// 1 at the bound until part 0 had finished.
+func TestJoinersRunSideBySide(t *testing.T) {
+	const units = 8 * maxBufferedBatches
+	var emitted [2]atomic.Int64
+	var lead [2]int64 // each written by its own part only
+	part := func(_ context.Context, p int, sink engine.Sink) error {
+		for i := range units {
+			if err := sink.Emit(p, testBatch(int32(p), float32(i)), true); err != nil {
+				return err
+			}
+			lead[p] = max(lead[p], emitted[p].Add(1)-emitted[1-p].Load())
+		}
+		return nil
+	}
+	root := &JoinNode{
+		Eng: &stubEngine{parts: []partFunc{part, part}}, Cluster: &cluster.Cluster{},
+		Parts: 2, In: &engine.Inputs{OutSchema: testSchema},
+	}
+	out, _, err := Run(context.Background(), &Plan{Root: root, OutID: tuple.ID{Table: -1, Chunk: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 2*units {
+		t.Fatalf("%d rows, want %d", out.NumRows(), 2*units)
+	}
+	// The bound plus the unit the consumer holds, plus one for the other
+	// part's counter trailing its own Emit.
+	for p, l := range lead {
+		if l > maxBufferedBatches+2 {
+			t.Errorf("part %d ran %d units ahead of the other; the bound is %d", p, l, maxBufferedBatches)
+		}
+	}
 }
 
 // TestReorderStreamsHeadBeforeDone: in streaming mode the head part's
 // batches are consumable immediately, before the part completes.
 func TestReorderStreamsHeadBeforeDone(t *testing.T) {
 	r := newReorder(2, false)
-	if err := r.Emit(0, testBatch(0, 7)); err != nil {
+	if err := r.Emit(0, testBatch(0, 7), true); err != nil {
 		t.Fatal(err)
 	}
 	st, err := r.next()
@@ -92,12 +162,12 @@ func TestReorderStreamsHeadBeforeDone(t *testing.T) {
 func TestReorderBoundedBuffer(t *testing.T) {
 	r := newReorder(2, false)
 	for i := 0; i < maxBufferedBatches; i++ {
-		if err := r.Emit(1, testBatch(1, float32(i))); err != nil {
+		if err := r.Emit(1, testBatch(1, float32(i)), true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	emitted := make(chan error, 1)
-	go func() { emitted <- r.Emit(1, testBatch(1, 99)) }()
+	go func() { emitted <- r.Emit(1, testBatch(1, 99), true) }()
 	select {
 	case err := <-emitted:
 		t.Fatalf("overfull Emit returned early (%v), want blocked", err)
@@ -119,12 +189,12 @@ func TestReorderCommittedReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(r.Emit(0, testBatch(0, 8)))
-	must(r.Emit(0, testBatch(0, 9)))
+	must(r.Emit(0, testBatch(0, 8), true))
+	must(r.Emit(0, testBatch(0, 9), true))
 	r.Discard(0) // the attempt failed; its output must vanish
-	must(r.Emit(1, testBatch(1, 2)))
+	must(r.Emit(1, testBatch(1, 2), true))
 	r.Done(1)
-	must(r.Emit(0, testBatch(0, 1)))
+	must(r.Emit(0, testBatch(0, 1), true))
 	r.Done(0)
 	r.finish(nil)
 	wantValues(t, drainReorder(t, r), []float32{1, 2})
@@ -137,7 +207,7 @@ func TestReorderCommittedReplay(t *testing.T) {
 // consumer sees the error, like the materialized path did.
 func TestReorderRunError(t *testing.T) {
 	r := newReorder(1, false)
-	if err := r.Emit(0, testBatch(0, 1)); err != nil {
+	if err := r.Emit(0, testBatch(0, 1), true); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")

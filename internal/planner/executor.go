@@ -196,8 +196,10 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 	out := &Output{}
 	needed := neededAttrs(star, plain, aggs, s)
 
-	// Obtain the base rows: from a view (join) or a table (scan).
+	// Obtain the base rows: from a view (join) or a table (scan). rows has
+	// one table per input part; flat is every row in output order.
 	var rows []*tuple.SubTable
+	var flat *tuple.SubTable
 	if v, ok := ex.View(s.From); ok {
 		req, err := v.Request(s.Where, true)
 		if err != nil {
@@ -211,12 +213,16 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 		}
 		out.Result, out.Decision = res, dec
 		rows = res.Collected
+		if len(aggs) == 0 {
+			flat = res.Released()
+		}
 	} else {
 		st, err := dds.ScanTable(ex.Cluster, s.From, s.Where, needed)
 		if err != nil {
 			return nil, err
 		}
-		rows = []*tuple.SubTable{st}
+		st.ID = tuple.ID{Table: -1, Chunk: -1}
+		rows, flat = []*tuple.SubTable{st}, st
 	}
 
 	// Post-process per the select list. Aggregation folds each joiner's
@@ -233,10 +239,6 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 		return out, err
 	}
 
-	flat, err := concat(rows)
-	if err != nil {
-		return nil, err
-	}
 	if !star {
 		flat, err = flat.Project(plain)
 		if err != nil {
@@ -350,30 +352,6 @@ func orderAndLimit(st *tuple.SubTable, keys []query.OrderKey, limit int) (*tuple
 	row := make([]float32, st.Schema.NumAttrs())
 	for i := 0; i < n; i++ {
 		out.AppendRow(st.Row(order[i], row)...)
-	}
-	return out, nil
-}
-
-// concat merges per-joiner outputs into one sub-table.
-func concat(parts []*tuple.SubTable) (*tuple.SubTable, error) {
-	var first *tuple.SubTable
-	for _, p := range parts {
-		if p != nil {
-			first = p
-			break
-		}
-	}
-	if first == nil {
-		return nil, fmt.Errorf("planner: no result rows")
-	}
-	out := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, first.Schema, 0)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := out.AppendAll(p); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -177,6 +177,35 @@ func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestIJOrderIndependentOfNodeCount: IJ's output releases one connected
+// component per compute node in turn — the order stage 1 dealt them in —
+// so a row query returns the same rows in the same order on one compute
+// node as on three, and a LIMIT without ORDER BY returns the head of the
+// one-node schedule whatever the cluster size.
+func TestIJOrderIndependentOfNodeCount(t *testing.T) {
+	one, three := goldenExecutor(t, 1, "ij"), goldenExecutor(t, 3, "ij")
+	for _, sql := range []string{
+		"SELECT * FROM V1",
+		"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0",
+		"SELECT wp, oilp FROM V1 WHERE z = 1",
+		"SELECT * FROM V1 LIMIT 40",
+		"SELECT * FROM V2",
+	} {
+		for _, materialize := range []bool{false, true} {
+			one.Materialize, three.Materialize = materialize, materialize
+			want, err := one.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := three.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, sql, want, got)
+		}
+	}
+}
+
 // TestGoldenPrefetchAndParallelism: prefetch and the kernel width
 // (GOMAXPROCS) change scheduling, never bytes — streaming output with
 // either set must equal the default materialized output.

@@ -23,12 +23,12 @@ import (
 //
 //	[tag u32][nrows u32][EncodeRows body: nrows × record size bytes]
 //
-// little-endian, and reading it back yields its rows grouped by ascending
-// tag, in arrival order within each tag: Table reads a partition whole and
-// orders its blocks, Read streams one written in tag order. A caller that
-// tags rows by a deterministic source (Grace Hash: the scanning storage
-// slot; GROUP BY: the input-part ordinal) so gets a partition whose
-// contents are a function of its inputs.
+// little-endian, and reading it back yields every tag's rows in arrival
+// order: Table reads a partition whole and groups its blocks by ascending
+// tag, Read streams them in write order. A caller that tags rows by a
+// deterministic source (Grace Hash: the scanning storage slot; GROUP BY:
+// the input part) so gets a partition whose contents are a function of its
+// inputs.
 
 const (
 	// BlockBytes is the size at which a (partition, tag) buffer is written:
@@ -56,11 +56,9 @@ type Partitioner struct {
 
 // partition is one scratch file and what has been written to it.
 type partition struct {
-	mu          sync.Mutex
-	f           *File
-	rows        int64
-	lastTag     uint32
-	interleaved bool // some block's tag is below the one written before it
+	mu   sync.Mutex
+	f    *File
+	rows int64
 }
 
 // tagBufs is one tag's pending rows per partition, and Add's routing
@@ -128,10 +126,8 @@ func (p *Partitioner) Add(tag uint32, batch *tuple.SubTable) error {
 	return nil
 }
 
-// Seal writes tag's partly filled buffers and forgets the tag. A caller
-// whose tags ascend seals each before starting the next, keeping one tag's
-// buffers resident and every file in tag order.
-func (p *Partitioner) Seal(tag uint32) error {
+// seal writes tag's partly filled buffers and forgets the tag.
+func (p *Partitioner) seal(tag uint32) error {
 	p.mu.Lock()
 	tb := p.tags[tag]
 	delete(p.tags, tag)
@@ -159,7 +155,7 @@ func (p *Partitioner) Flush() error {
 	p.mu.Unlock()
 	slices.Sort(tags)
 	for _, tag := range tags {
-		if err := p.Seal(tag); err != nil {
+		if err := p.seal(tag); err != nil {
 			return err
 		}
 	}
@@ -183,11 +179,7 @@ func (p *Partitioner) write(k int, tag uint32, buf *tuple.SubTable) error {
 	if err != nil {
 		return err
 	}
-	if pt.rows > 0 && tag < pt.lastTag {
-		pt.interleaved = true
-	}
 	pt.rows += int64(buf.NumRows())
-	pt.lastTag = tag
 	buf.Reset()
 	return nil
 }
@@ -218,17 +210,14 @@ func (p *Partitioner) Table(k int) (*tuple.SubTable, error) {
 	return decodeRows(p.schema, id, bodies...)
 }
 
-// Read streams partition k block by block, calling fn with each block's
-// tag and rows, for a partition whose tags ascend in write order (each
-// tag sealed before the next began) — so the stream is already grouped by
-// ascending tag. Reads are size-verified and framing-checked as Table's.
+// Read streams partition k block by block in write order, calling fn with
+// each block's tag and rows: every tag's rows arrive in the order they
+// were added, the tags interleaved as their blocks were written. Reads are
+// size-verified and framing-checked as Table's.
 func (p *Partitioner) Read(k int, fn func(tag uint32, st *tuple.SubTable) error) error {
 	pt := &p.parts[k]
 	if pt.f == nil {
 		return nil
-	}
-	if pt.interleaved {
-		return fmt.Errorf("scratch: %s: tags interleave; read it whole with Table", pt.f.name)
 	}
 	rd, err := pt.f.Open()
 	if err != nil {

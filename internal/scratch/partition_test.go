@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,29 +32,39 @@ func partRows(from, to int, tag uint32) *tuple.SubTable {
 	return st
 }
 
-// readPartition reads partition k whole with Table and, when its tags
-// ascend in write order, streams it with Read too and requires the two to
-// agree row for row and tag for tag (the test rows carry their tag as v).
+// readPartition reads partition k whole with Table, streams it with Read
+// too, and requires the stream — each tag's blocks in write order, grouped
+// by ascending tag — to agree with Table row for row and tag for tag (the
+// test rows carry their tag as v).
 func readPartition(t *testing.T, p *Partitioner, k int) *tuple.SubTable {
 	t.Helper()
 	whole, err := p.Table(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.parts[k].interleaved {
-		return whole
-	}
-	streamed := tuple.NewSubTable(whole.ID, p.schema, 0)
+	byTag := map[uint32]*tuple.SubTable{}
+	var tags []uint32
 	err = p.Read(k, func(tag uint32, st *tuple.SubTable) error {
 		for r := range st.NumRows() {
 			if uint32(st.Value(r, 2)) != tag {
 				t.Fatalf("partition %d: a row written under tag %v streamed under tag %d", k, st.Value(r, 2), tag)
 			}
 		}
-		return streamed.AppendAll(st)
+		if byTag[tag] == nil {
+			byTag[tag] = tuple.NewSubTable(whole.ID, p.schema, 0)
+			tags = append(tags, tag)
+		}
+		return byTag[tag].AppendAll(st)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	slices.Sort(tags)
+	streamed := tuple.NewSubTable(whole.ID, p.schema, 0)
+	for _, tag := range tags {
+		if err := streamed.AppendAll(byTag[tag]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(tuple.Encode(nil, streamed), tuple.Encode(nil, whole)) {
 		t.Fatalf("partition %d: Read and Table disagree", k)
@@ -264,9 +275,11 @@ func TestPartitionerShortFileFails(t *testing.T) {
 	}
 }
 
-// TestReadWantsTagOrder: streaming a partition whose tags interleave would
-// break the tag grouping, so Read refuses it; Table reads it.
-func TestReadWantsTagOrder(t *testing.T) {
+// TestReadStreamsWriteOrder: Read streams a partition whose tags
+// interleave block by block as written — tag 1's full block, then each
+// tag's remainder in ascending tag — and Table groups the same rows by
+// ascending tag.
+func TestReadStreamsWriteOrder(t *testing.T) {
 	m, _ := testManager()
 	p := NewPartitioner(m, "b", partSchema(), []int{0}, 1, 0)
 	for _, tag := range []uint32{1, 0} {
@@ -277,8 +290,15 @@ func TestReadWantsTagOrder(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Read(0, func(uint32, *tuple.SubTable) error { return nil }); err == nil {
-		t.Error("Read streamed a partition whose tags interleave")
+	var got []uint32
+	if err := p.Read(0, func(tag uint32, _ *tuple.SubTable) error {
+		got = append(got, tag)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{1, 0, 0, 1}; !slices.Equal(got, want) {
+		t.Errorf("Read streamed block tags %v, want %v", got, want)
 	}
 	if st := readPartition(t, p, 0); st.NumRows() != 4000 || st.Value(0, 2) != 0 || st.Value(3999, 2) != 1 {
 		t.Errorf("Table: %d rows, first tag %v, last tag %v", st.NumRows(), st.Value(0, 2), st.Value(3999, 2))

@@ -19,7 +19,7 @@ type gateSink struct {
 	open chan struct{}
 }
 
-func (g gateSink) Emit(int, *tuple.SubTable) error {
+func (g gateSink) Emit(int, *tuple.SubTable, bool) error {
 	select {
 	case <-g.open:
 		return nil

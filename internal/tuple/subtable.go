@@ -219,17 +219,17 @@ rows:
 // exceeds the row count). Column data is shared, not copied — the caller
 // must treat both tables as immutable, like Project.
 func (st *SubTable) Head(n int) *SubTable {
-	if n > st.rows {
-		n = st.rows
-	}
-	if n < 0 {
-		n = 0
-	}
+	return st.Slice(0, max(min(n, st.rows), 0))
+}
+
+// Slice returns a sub-table holding rows [lo, hi), sharing column data
+// like Head.
+func (st *SubTable) Slice(lo, hi int) *SubTable {
 	cols := make([][]float32, len(st.cols))
 	for i := range cols {
-		cols[i] = st.cols[i][:n]
+		cols[i] = st.cols[i][lo:hi]
 	}
-	return &SubTable{ID: st.ID, Schema: st.Schema, cols: cols, rows: n}
+	return &SubTable{ID: st.ID, Schema: st.Schema, cols: cols, rows: hi - lo}
 }
 
 // AppendAll appends every row of o, which must share st's schema.

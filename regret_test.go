@@ -62,9 +62,12 @@ func regretScenarios(quick bool) []regretScenario {
 		{"spill-bound", ClusterSpec{
 			ComputeNodes: 2, DiskReadBw: 4 << 20, DiskWriteBw: 2 << 20,
 		}},
-		// Era CPU with free I/O: the per-edge lookup volume decides it.
+		// Era CPU with free I/O: the per-edge lookup volume decides it. At
+		// 20 µs/op the modeled lookups dwarf GH's partition pass; at a
+		// tenth of that, IJ's extra lookups and GH's partitioning cost
+		// about the same and the regime sits on the crossover.
 		{"cpu-bound", ClusterSpec{
-			ComputeNodes: 2, CPUSecPerOp: 2e-6,
+			ComputeNodes: 2, CPUSecPerOp: 2e-5,
 		}},
 		// Both throttles at once: neither term vanishes from the models.
 		{"mixed", ClusterSpec{
