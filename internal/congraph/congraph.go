@@ -35,8 +35,10 @@ type Graph struct {
 // join everything, which is almost certainly a mis-specified join, so it is
 // rejected instead.
 //
-// Candidate pairs are found with an R-tree over the right set, so the cost
-// is O((L+R) log R + n_e) rather than O(L·R).
+// Candidate pairs are found with an R-tree bulk-loaded over the right set
+// (rtree.BulkLoad, O(R log R)) and searched once per left box, so the cost
+// is O(R log R + L log R + n_e) rather than O(L·R). Edges come out sorted
+// by (left, right).
 func Build(left, right []*chunk.Desc, joinAttrs []string) (*Graph, error) {
 	if len(joinAttrs) == 0 {
 		return nil, fmt.Errorf("congraph: no join attributes")
@@ -51,10 +53,12 @@ func Build(left, right []*chunk.Desc, joinAttrs []string) (*Graph, error) {
 	}
 
 	g := &Graph{Left: left, Right: right}
-	tree := rtree.New(len(joinAttrs), 0)
+	boxes := make([]bbox.Box, len(right))
+	ids := make([]int64, len(right))
 	for i, d := range right {
-		tree.Insert(joinBox(d, rightIdx[i]), int64(i))
+		boxes[i], ids[i] = joinBox(d, rightIdx[i]), int64(i)
 	}
+	tree := rtree.BulkLoad(len(joinAttrs), 0, boxes, ids)
 	var hits []int64
 	for li, d := range left {
 		hits = tree.Search(joinBox(d, leftIdx[li]), hits[:0])

@@ -2,6 +2,7 @@ package congraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,69 @@ func TestPropComponentsPartitionEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildMatchesBruteForce checks Build against an O(L·R) scan of every
+// pair on random boxes that are unaligned, touch at a shared bound or have
+// zero width, joined on one to three attributes in any order: the edge
+// lists must be equal, in (left, right) order.
+func TestBuildMatchesBruteForce(t *testing.T) {
+	schema := schemaXYZ("m")
+	rng := rand.New(rand.NewSource(5))
+	bound := func() (lo, hi float64) {
+		// Integer bounds make touching boxes common; a quarter of the
+		// boxes are points along the axis, a quarter unaligned.
+		lo = float64(rng.Intn(20))
+		switch rng.Intn(4) {
+		case 0:
+			return lo, lo
+		case 1:
+			lo += rng.Float64()
+			return lo, lo + rng.Float64()*6
+		}
+		return lo, lo + float64(1+rng.Intn(5))
+	}
+	descs := func(table int32, n int) []*chunk.Desc {
+		out := make([]*chunk.Desc, n)
+		for i := range out {
+			lo, hi := make([]float64, 4), make([]float64, 4)
+			for a := range lo {
+				lo[a], hi[a] = bound()
+			}
+			out[i] = &chunk.Desc{Table: table, Chunk: int32(i), Attrs: schema.Attrs, Rows: 1, Bounds: bbox.New(lo, hi)}
+		}
+		return out
+	}
+	for trial := range 60 {
+		attrs := []string{"x", "y", "z"}
+		rng.Shuffle(len(attrs), func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
+		attrs = attrs[:1+trial%3]
+		left, right := descs(0, rng.Intn(80)), descs(1, rng.Intn(300))
+		gr, err := Build(left, right, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, _ := schema.Indexes(attrs)
+		var want []Edge
+		for li, l := range left {
+			for ri, r := range right {
+				overlap := true
+				for _, a := range idx {
+					if l.Bounds.Lo[a] > r.Bounds.Hi[a] || r.Bounds.Lo[a] > l.Bounds.Hi[a] {
+						overlap = false
+					}
+				}
+				if overlap {
+					want = append(want, Edge{Left: li, Right: ri})
+				}
+			}
+		}
+		if !slices.Equal(gr.Edges, want) {
+			t.Fatalf("trial %d (join on %v, %d×%d boxes): %d edges, want %d (first 10: %v vs %v)",
+				trial, attrs, len(left), len(right), len(gr.Edges), len(want),
+				gr.Edges[:min(10, len(gr.Edges))], want[:min(10, len(want))])
+		}
 	}
 }
 

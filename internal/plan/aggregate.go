@@ -14,8 +14,10 @@ import (
 
 // Spillable aggregation constants: partitions per split, recursion
 // depth cap (a partition of one giant group cannot shrink), and the
-// per-group state charge (accumulators + map overhead on top of the
-// output record).
+// per-group state charge on top of the output record. The charge is a
+// fixed 64 bytes, not the group table's real footprint, on purpose: it
+// decides when a spilled partition is split again, so holding it still
+// keeps every spill decision, and every scratch count, where it was.
 const (
 	aggFanout    = 8
 	aggMaxDepth  = 3

@@ -17,6 +17,6 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/query
 go test -run '^$' -fuzz FuzzExtractors -fuzztime 10s ./internal/chunk
 go test -run '^$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/colenc
 go test -run '^$' -fuzz FuzzScratchBlocks -fuzztime 10s ./internal/scratch
-go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner
+go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph
 go test -C bench -short ./...
 echo OK
