@@ -226,19 +226,20 @@ func (j *Joiner) newOut() *tuple.SubTable {
 }
 
 // built and probed are the only places that charge a hash build or probe
-// pass over st: the modeled CPU, the calibration feed and the trace span.
-func (j *Joiner) built(label string, st *tuple.SubTable, start time.Time) {
-	ops := int64(st.NumRows())
+// pass over rows rows of bytes decoded bytes: the modeled CPU, the
+// calibration feed and the trace span.
+func (j *Joiner) built(label string, rows, bytes int, start time.Time) {
+	ops := int64(rows)
 	j.cn.SpendCPU(ops)
 	j.Obs.Build(ops, time.Since(start))
-	j.Req.Trace.Span(j.Node, trace.KindBuild, label, start, int64(st.Bytes()), int64(st.NumRows()))
+	j.Req.Trace.Span(j.Node, trace.KindBuild, label, start, int64(bytes), ops)
 }
 
-func (j *Joiner) probed(label string, st *tuple.SubTable, start time.Time) {
-	ops := int64(st.NumRows())
+func (j *Joiner) probed(label string, rows, bytes int, start time.Time) {
+	ops := int64(rows)
 	j.cn.SpendCPU(ops)
 	j.Obs.Probe(ops, time.Since(start))
-	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(st.Bytes()), int64(st.NumRows()))
+	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(bytes), ops)
 }
 
 // Fits reports whether a build side of leftBytes decoded bytes
@@ -256,7 +257,7 @@ func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable,
 	if err != nil {
 		return nil, err
 	}
-	j.built(label, left, start)
+	j.built(label, left.NumRows(), left.Bytes(), start)
 	return ht, nil
 }
 
@@ -266,7 +267,7 @@ func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTab
 	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, 1, kernelWorkers, j.out, &j.local); err != nil {
 		return err
 	}
-	j.probed(label, right, start)
+	j.probed(label, right.NumRows(), right.Bytes(), start)
 	return nil
 }
 
@@ -278,7 +279,12 @@ func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTab
 // partition is round-tripped through sp exactly as a
 // memory-constrained node would, so the modeled I/O is paid; past
 // spillMaxDepth (duplicate keys no hash can split) the residue builds
-// oversized. Output is byte-identical to the in-memory join at any cap.
+// oversized. The resident right side is split by the same hash, so each
+// leaf probes only its own right rows and every right row is probed once,
+// as in memory. A leaf with no right rows builds nothing, so under a cap
+// the built count (and the build CPU charged) covers only the leaves that
+// have right rows, at most the left row count. Output is byte-identical
+// to the in-memory join at any cap.
 func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable) error {
 	if j.Fits(left.Bytes()) {
 		ht, err := j.Build(label, left)

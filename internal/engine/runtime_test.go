@@ -47,9 +47,11 @@ func TestRuntimeParity(t *testing.T) {
 	grid := partition.D(16, 16, 4)
 	_, cl := genCluster(t, grid, partition.D(8, 8, 4), partition.D(4, 4, 4), 2, 2)
 
-	var wantRows []string           // sorted row multiset, from the first run that has rows
-	outBytes := map[string][]byte{} // engine/mode → per-part output bytes, unbudgeted
-	inMem := map[string]int64{}     // engine/mode → scratch bytes the unbudgeted run wrote
+	var wantRows []string             // sorted row multiset, from the first run that has rows
+	outBytes := map[string][]byte{}   // engine/mode → per-part output bytes, unbudgeted
+	inMem := map[string]int64{}       // engine/mode → scratch bytes the unbudgeted run wrote
+	probedInMem := map[string]int64{} // engine/mode → lookups the unbudgeted run made
+	builtInMem := map[string]int64{}  // engine/mode → inserts the unbudgeted run made
 	for _, e := range engines() {
 		for _, budget := range []int64{0, 256} { // 256 B / (2·2 joiners) = 64 B a build side: every pair spills
 			for _, mode := range []string{"sink", "collect", "count"} {
@@ -73,9 +75,24 @@ func TestRuntimeParity(t *testing.T) {
 				}
 				if key := e.Name() + mode; budget == 0 {
 					inMem[key] = res.Observed.SpillWriteBytes
-				} else if res.Observed.SpillWriteBytes <= inMem[key] {
-					t.Errorf("%s: spilled %d bytes, the unbudgeted run %d: the budget forced nothing out of core",
-						name, res.Observed.SpillWriteBytes, inMem[key])
+					probedInMem[key] = res.Join.TuplesProbed
+					builtInMem[key] = res.Join.TuplesBuilt
+				} else {
+					if res.Observed.SpillWriteBytes <= inMem[key] {
+						t.Errorf("%s: spilled %d bytes, the unbudgeted run %d: the budget forced nothing out of core",
+							name, res.Observed.SpillWriteBytes, inMem[key])
+					}
+					// A spilled pair probes each right row in one leaf only.
+					if res.Join.TuplesProbed != probedInMem[key] {
+						t.Errorf("%s: probed %d tuples, the unbudgeted run %d", name, res.Join.TuplesProbed, probedInMem[key])
+					}
+					// GH joins each bucket pair once at any budget and a
+					// spilled leaf with no right rows builds nothing, so a
+					// budget can lower GH's build count, never raise it.
+					// (IJ rebuilds a spilled pair's left chunk per edge.)
+					if e.Name() == "gh" && res.Join.TuplesBuilt > builtInMem[key] {
+						t.Errorf("%s: built %d tuples, the unbudgeted run %d", name, res.Join.TuplesBuilt, builtInMem[key])
+					}
 				}
 
 				// Every charge is observed and traced once (a span's item

@@ -2,6 +2,7 @@ package hashjoin
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sciview/internal/tuple"
@@ -200,4 +201,39 @@ func BenchmarkJoinPair(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
 	}
+}
+
+// BenchmarkJoinPairSpill is one overflowing GH bucket pair as gh_spill
+// runs it: 16 384 rows a side on (x,y,z), every right row partnered, the
+// right side shuffled, a build-side cap of a sixth of the left bytes and
+// fanout 8 — one split into eight leaves — through a reused Builder with an
+// identity round trip, so only the join is priced. ns/row is per row of
+// either side; probed/op counts the lookups.
+func BenchmarkJoinPairSpill(b *testing.B) {
+	const n = 1 << 14 // a 32×32×16 block
+	coord := func(n string) tuple.Attr { return tuple.Attr{Name: n, Kind: tuple.Coord} }
+	meas := func(n string) tuple.Attr { return tuple.Attr{Name: n, Kind: tuple.Measure} }
+	left := tuple.NewSubTable(tuple.ID{Table: 0}, tuple.NewSchema(coord("x"), coord("y"), coord("z"), meas("oilp"), meas("soil")), n)
+	right := tuple.NewSubTable(tuple.ID{Table: 1}, tuple.NewSchema(coord("x"), coord("y"), coord("z"), meas("wp"), meas("swat")), n)
+	for i := 0; i < n; i++ {
+		left.AppendRow(float32(i%32), float32(i/32%32), float32(i/1024), float32(i), float32(i)/2)
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		right.AppendRow(float32(i%32), float32(i/32%32), float32(i/1024), float32(i)+0.25, float32(i)+0.5)
+	}
+	outSchema := left.Schema.JoinResult(right.Schema, edgeKeys, "r_")
+	hooks := SpillHooks{RoundTrip: func(_ string, st *tuple.SubTable) (*tuple.SubTable, error) { return st, nil }}
+	var hb Builder
+	var stats Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := tuple.NewSubTable(tuple.ID{Table: -1}, outSchema, 0)
+		_, m, err := hb.JoinPairSpill(left, right, edgeKeys, "b", 1, int64(left.Bytes()/6), 8, 3, spillPart, hooks, out, &stats)
+		if err != nil || m != n {
+			b.Fatalf("spill join: %d matches, %v", m, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*n), "ns/row")
+	b.ReportMetric(float64(stats.TuplesProbed.Load())/float64(b.N), "probed/op")
 }

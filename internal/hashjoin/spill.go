@@ -11,15 +11,20 @@ import (
 // left (build) relation is split into partitions by a salted hash of
 // the packed join key, each partition is round-tripped through scratch
 // (paying the spill I/O degraded mode models), and each resulting leaf
-// builds a bounded hash table and probes the full streamed right side.
+// builds a bounded hash table. The right (probe) side is split beside it
+// by the same hash — it is already resident, so its partitions are
+// row-index lists, never copies — and each leaf probes only its own
+// right partition: every right row is looked up once, in the one leaf
+// that can hold its matches, as the in-memory join looks it up.
 //
 // The output is byte-identical to the in-memory join at any budget: a
 // leaf's probe is the in-memory probe, whose right-row match vector tags
-// its output, and the per-leaf outputs are merged by ascending right-row
-// index. All left rows that can match a given right row share its packed
-// key, hence hash to the same leaf at every salt — so the per-right-row
-// match runs are whole within one leaf and arrive in the same ascending
-// left-row chain order the in-memory probe emits.
+// its output with original right-row indices, and the per-leaf outputs
+// are merged by ascending right-row index. All left rows that can match
+// a given right row share its packed key, hence hash to the same leaf at
+// every salt — so the per-right-row match runs are whole within one leaf
+// and arrive in the same ascending left-row chain order the in-memory
+// probe emits.
 
 // PartFunc maps a packed join key and a recursion salt to a partition
 // hash. Callers supply their engine's salted hash so recursive splits
@@ -33,19 +38,21 @@ type SpillHooks struct {
 	// manager bills spill bytes; an error aborts the join.
 	RoundTrip func(label string, st *tuple.SubTable) (*tuple.SubTable, error)
 	// Built and Probed, when non-nil, are called after each leaf build /
-	// probe with the sub-table processed and the phase start time, so
-	// the engine can charge modeled CPU and record spans.
-	Built  func(label string, st *tuple.SubTable, start time.Time)
-	Probed func(label string, st *tuple.SubTable, start time.Time)
+	// probe with the rows and decoded bytes processed and the phase start
+	// time, so the engine can charge modeled CPU and record spans.
+	Built  func(label string, rows, bytes int, start time.Time)
+	Probed func(label string, rows, bytes int, start time.Time)
 }
 
 // JoinPairSpill joins left and right into out with the build side
 // bounded by memBytes: left partitions larger than memBytes are split
 // (fanout ways, salted by depth) and round-tripped through scratch
 // until they fit or maxDepth is reached (a partition of duplicate keys
-// cannot shrink — it falls back to an oversized build). workFactor is
-// always 1 in product (see the package comment). Returns the number of
-// leaf partitions built and the match count.
+// cannot shrink — it falls back to an oversized build). Each leaf
+// probes only the right rows that hash with it, so every right row is
+// looked up once; a leaf with no right rows builds nothing.
+// workFactor is always 1 in product (see the package comment). Returns
+// the number of leaf partitions built and the match count.
 func JoinPairSpill(left, right *tuple.SubTable, keys []string, label string,
 	workFactor, workers int, memBytes int64, fanout, maxDepth int,
 	part PartFunc, hooks SpillHooks, out *tuple.SubTable, stats *Stats) (leaves, matches int, err error) {
@@ -81,14 +88,22 @@ func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, labe
 		return 0, 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 
+	// The right keys are packed once; the leaves probe them by row index.
+	s := &b.probe
+	s.keys = right.Keys(s.keys, s.rKeyIdxs)
+	b.rsel = resize(b.rsel, right.NumRows())
+	for r := range b.rsel {
+		b.rsel[r] = int32(r)
+	}
+
 	// The leaves' outputs, concatenated in leaf order, and each row's
 	// originating right-row index: ascending within a leaf, runs of equal
 	// indices being the per-right-row chains, already in left-row order.
 	cat := tuple.NewSubTable(out.ID, out.Schema, 0)
 	var tags []int32
 	var splitKeys []uint64 // consumed into row lists before process recurses
-	var process func(pt *tuple.SubTable, salt uint64, depth int, plabel string) error
-	process = func(pt *tuple.SubTable, salt uint64, depth int, plabel string) error {
+	var process func(pt *tuple.SubTable, rsel []int32, salt uint64, depth int, plabel string) error
+	process = func(pt *tuple.SubTable, rsel []int32, salt uint64, depth int, plabel string) error {
 		if pt.NumRows() == 0 {
 			return nil
 		}
@@ -98,6 +113,11 @@ func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, labe
 			for r, k := range splitKeys {
 				i := part(k, salt) % uint64(fanout)
 				rows[i] = append(rows[i], int32(r))
+			}
+			rrows := make([][]int32, fanout)
+			for _, r := range rsel {
+				i := part(s.keys[r], salt) % uint64(fanout)
+				rrows[i] = append(rrows[i], r)
 			}
 			for i, idx := range rows {
 				if len(idx) == 0 {
@@ -110,39 +130,41 @@ func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, labe
 				if err != nil {
 					return err
 				}
-				if err := process(rt, salt+1, depth+1, sl); err != nil {
+				if err := process(rt, rrows[i], salt+1, depth+1, sl); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		// Leaf: bounded build, then the full right side probed into cat.
+		// Leaf: a bounded build probed by its own right partition. One
+		// whose partition is empty has paid its round trip, if any, and
+		// joins nothing.
+		if len(rsel) == 0 {
+			return nil
+		}
 		start := time.Now()
 		ht, err := b.build(pt, keys, workFactor, workers, stats)
 		if err != nil {
 			return err
 		}
 		if hooks.Built != nil {
-			hooks.Built(plabel, pt, start)
+			hooks.Built(plabel, pt.NumRows(), pt.Bytes(), start)
 		}
 		start = time.Now()
-		m, err := ht.probe(&b.probe, right, keys, 1, cat)
-		if err != nil {
-			return err
-		}
-		tags = append(tags, b.probe.vecs[0].right...)
+		m := ht.probeRows(s, right, rsel, 1, cat)
+		tags = append(tags, s.vecs[0].right...)
 		if stats != nil {
-			stats.TuplesProbed.Add(int64(right.NumRows() * workFactor))
+			stats.TuplesProbed.Add(int64(len(rsel) * workFactor))
 			stats.Matches.Add(int64(m))
 		}
 		if hooks.Probed != nil {
-			hooks.Probed(plabel, right, start)
+			hooks.Probed(plabel, len(rsel), len(rsel)*right.Schema.RecordSize(), start)
 		}
 		matches += m
 		leaves++
 		return nil
 	}
-	if err := process(left, 0, 0, label); err != nil {
+	if err := process(left, b.rsel, 0, 0, label); err != nil {
 		return leaves, matches, err
 	}
 

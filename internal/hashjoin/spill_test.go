@@ -120,3 +120,82 @@ func TestJoinPairSpillDuplicateKeyFloor(t *testing.T) {
 		t.Fatalf("matches=%d leaves=%d, output equal=%v", matches, leaves, sameRows(out, base))
 	}
 }
+
+// TestJoinPairSpillProbesEachRightRowOnce pins the partitioned probe: at
+// every cap, each leaf looks up only the right rows that hash with it, so
+// a spilled join probes each right row at most once — exactly once when
+// every right key has a left partner, as Section 5's one lookup per tuple
+// charges — and its output stays byte-identical to the in-memory join.
+func TestJoinPairSpillProbesEachRightRowOnce(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	unique := func() (*tuple.SubTable, *tuple.SubTable) { return makePair(600, 3) }
+	dup := func() (*tuple.SubTable, *tuple.SubTable) { return makeDupPair(600, 4, 11) }
+	// -0 on the left meets +0 on the right (and the reverse); NaN keys on
+	// both sides match nothing; a third of the right rows have no partner.
+	specials := func() (*tuple.SubTable, *tuple.SubTable) {
+		left := tuple.NewSubTable(tuple.ID{Table: 0, Chunk: 0}, leftSchema(), 0)
+		right := tuple.NewSubTable(tuple.ID{Table: 1, Chunk: 0}, rightSchema(), 0)
+		for i := 0; i < 200; i++ {
+			y := float32(i % 50)
+			switch i % 4 {
+			case 0:
+				left.AppendRow(negZero, y, float32(i))
+				right.AppendRow(0, y, float32(i)+0.5)
+			case 1:
+				left.AppendRow(y, 0, float32(i))
+				right.AppendRow(y, negZero, float32(i)+0.5)
+			case 2:
+				left.AppendRow(nan, y, float32(i))
+				right.AppendRow(nan, y, float32(i)+0.5)
+			default:
+				left.AppendRow(y, float32(i), float32(i))
+				right.AppendRow(y+1000, float32(i), float32(i)+0.5)
+			}
+		}
+		return left, right
+	}
+	keys := []string{"x", "y"}
+	for _, tc := range []struct {
+		name         string
+		pair         func() (*tuple.SubTable, *tuple.SubTable)
+		allPartnered bool
+	}{
+		{"unique", unique, true},
+		{"dup4", dup, true},
+		{"zeros-nan-unmatched", specials, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			left, right := tc.pair()
+			base, err := Join(left, right, keys, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cap := range []int64{0, 1 << 20, 4096, 1024, 128} {
+				hooks := SpillHooks{RoundTrip: func(_ string, st *tuple.SubTable) (*tuple.SubTable, error) { return st, nil }}
+				var stats Stats
+				out := tuple.NewSubTable(base.ID, base.Schema, 0)
+				leaves, _, err := JoinPairSpill(left, right, keys, "t", 1, 1, cap, 8, 3, spillPart, hooks, out, &stats)
+				if err != nil {
+					t.Fatalf("cap %d: %v", cap, err)
+				}
+				if !sameRows(out, base) {
+					t.Fatalf("cap %d: output differs from in-memory join (leaves=%d)", cap, leaves)
+				}
+				probed, rows := stats.TuplesProbed.Load(), int64(right.NumRows())
+				if probed > rows || (tc.allPartnered && probed != rows) {
+					t.Fatalf("cap %d: probed %d right rows over %d leaves, right side has %d (all partnered: %v)",
+						cap, probed, leaves, rows, tc.allPartnered)
+				}
+				// A leaf without right rows builds nothing, so each left
+				// row is built at most once, and exactly once when every
+				// left row has a partner to share its leaf with.
+				built, lrows := stats.TuplesBuilt.Load(), int64(left.NumRows())
+				if built > lrows || (tc.allPartnered && built != lrows) {
+					t.Fatalf("cap %d: built %d left rows over %d leaves, left side has %d (all partnered: %v)",
+						cap, built, leaves, lrows, tc.allPartnered)
+				}
+			}
+		})
+	}
+}

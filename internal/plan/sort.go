@@ -44,13 +44,21 @@ type sortKey struct {
 // sortOrder is the ordering kernel: it encodes rows into sortKeys and is
 // the one place two rows are compared. The in-memory sort, sorted-run
 // generation, the top-k heap and the run merge all go through it, so
-// they cannot disagree on the order.
+// they cannot disagree on the order: the first two radix-sort on the
+// very words compare reads (order).
 type sortOrder struct {
 	idxs []int    // key columns, in ORDER BY order
 	flip []uint32 // per key: ^0 for DESC (inverts the word), 0 for ASC
 	// over holds the words of keys past the inline ones, len(idxs)-sortInline
 	// per slot; nil for the common case of at most sortInline keys.
 	over []uint32
+
+	// keys backs keysOf's result; perm backs the row order that order
+	// and sorted return, plus order's second permutation; cols holds
+	// order's two word columns. All are reused run after run.
+	keys []sortKey
+	perm []int32
+	cols []uint32
 }
 
 func newSortOrder(schema tuple.Schema, keys []query.OrderKey) *sortOrder {
@@ -85,9 +93,13 @@ func (o *sortOrder) put(k *sortKey, i int, v float32) {
 }
 
 // keysOf encodes every row of st: row r gets slot r and arrival r.
-// Encoding runs column by column over the key columns only.
+// Encoding runs column by column over the key columns only. The keys live
+// in the kernel's buffer until its next keysOf.
 func (o *sortOrder) keysOf(st *tuple.SubTable) []sortKey {
-	keys := make([]sortKey, st.NumRows())
+	if cap(o.keys) < st.NumRows() {
+		o.keys = make([]sortKey, st.NumRows())
+	}
+	keys := o.keys[:st.NumRows()]
 	o.reserve(len(keys))
 	for r := range keys {
 		keys[r].arr, keys[r].slot = int64(r), int32(r)
@@ -136,10 +148,102 @@ func (o *sortOrder) compare(a, b *sortKey) int {
 	return cmp.Compare(a.arr, b.arr)
 }
 
-// sort orders keys in place. The order is total, so the unstable
-// pattern-defeating quicksort yields the stable sort's permutation.
-func (o *sortOrder) sort(keys []sortKey) {
+// order returns the rows of st in (keys..., arrival) order, arrival
+// being row order, as row indices in a buffer the kernel reuses on its
+// next order or sorted. Input already in order (a GROUP BY's output
+// under its own keys) is found by one scan and returned as it stands.
+// Otherwise order is an LSD radix sort over a permutation of st's rows.
+// Key by key, last first, it loads each row's word — the one keysOf
+// encodes — in the permutation's current order into a column, counts all
+// four 8-bit digits in one pass over it (a histogram does not depend on
+// the order), and makes one stable counting pass per digit that is not
+// the same in every row, moving each row index together with its word.
+// The permutation starts in row order and every pass is stable, so ties
+// on every key stay in arrival order: exactly compare's order, with no
+// arrival digits.
+func (o *sortOrder) order(st *tuple.SubTable) []int32 {
+	n := st.NumRows()
+	done := o.inOrder(st)
+	size := 2 * n // the permutation and the passes' second one
+	if done {
+		size = n
+	}
+	o.perm = slices.Grow(o.perm[:0], size)[:size]
+	perm := o.perm[:n]
+	for k := range perm {
+		perm[k] = int32(k)
+	}
+	if done {
+		return perm
+	}
+	o.cols = slices.Grow(o.cols[:0], 2*n)[:2*n]
+	dperm := o.perm[n:]
+	col, dcol := o.cols[:n], o.cols[n:]
+	for i := len(o.idxs) - 1; i >= 0; i-- {
+		src, flip := st.Col(o.idxs[i]), o.flip[i]
+		for k, r := range perm {
+			col[k] = tuple.KeyWord(src[r]) ^ flip
+		}
+		var at [4][256]int
+		for _, w := range col {
+			at[0][uint8(w)]++
+			at[1][uint8(w>>8)]++
+			at[2][uint8(w>>16)]++
+			at[3][uint8(w>>24)]++
+		}
+		for b := range at {
+			if at[b][uint8(col[0]>>(8*b))] == n {
+				continue // one value in every row
+			}
+			pos := 0
+			for d, c := range at[b] {
+				at[b][d], pos = pos, pos+c
+			}
+			shift := 8 * b
+			for k, w := range col {
+				p := &at[b][uint8(w>>shift)]
+				dperm[*p], dcol[*p] = perm[k], w
+				*p++
+			}
+			perm, dperm, col, dcol = dperm, perm, dcol, col
+		}
+	}
+	return perm
+}
+
+// sorted sorts the top-k heap's keys through compare and returns their
+// slots in order, in the kernel's buffer. The heap's keys are not in
+// arrival order, so order's stable passes would not break their ties;
+// compare does, on the arrival index. The order is total, so the
+// unstable pattern-defeating quicksort yields the stable sort's
+// permutation.
+func (o *sortOrder) sorted(keys []sortKey) []int32 {
 	slices.SortFunc(keys, func(a, b sortKey) int { return o.compare(&a, &b) })
+	o.perm = slices.Grow(o.perm[:0], len(keys))[:len(keys)]
+	for i := range keys {
+		o.perm[i] = keys[i].slot
+	}
+	return o.perm
+}
+
+// inOrder reports whether st's rows are already in (keys..., arrival)
+// order, as a GROUP BY's output ordered by its own keys arrives. It
+// stops at the first row out of order, so on other input it costs about
+// nothing.
+func (o *sortOrder) inOrder(st *tuple.SubTable) bool {
+	for r := 1; r < st.NumRows(); r++ {
+		for i, idx := range o.idxs {
+			col := st.Col(idx)
+			a, b := tuple.KeyWord(col[r-1])^o.flip[i], tuple.KeyWord(col[r])^o.flip[i]
+			if a > b {
+				return false
+			}
+			if a < b {
+				break
+			}
+		}
+	}
+	return true
 }
 
 // siftDown restores the max-heap property of h below position i.
@@ -159,14 +263,14 @@ func (o *sortOrder) siftDown(h []sortKey, i int) {
 	}
 }
 
-// gather builds the sub-table holding acc's rows in keys order, one
-// column at a time.
-func gather(acc *tuple.SubTable, keys []sortKey) (*tuple.SubTable, error) {
+// gather builds the sub-table holding acc's rows in the given order,
+// one column at a time.
+func gather(acc *tuple.SubTable, rows []int32) (*tuple.SubTable, error) {
 	cols := make([][]float32, acc.Schema.NumAttrs())
 	for c := range cols {
-		src, dst := acc.Col(c), make([]float32, len(keys))
-		for i := range keys {
-			dst[i] = src[keys[i].slot]
+		src, dst := acc.Col(c), make([]float32, len(rows))
+		for i, r := range rows {
+			dst[i] = src[r]
 		}
 		cols[c] = dst
 	}
@@ -350,9 +454,8 @@ func (o *sortOp) absorb() error {
 					fmt.Sprintf("plan/sort/r%d", spillSeq.Add(1)),
 					node.SpillOwner, node.SpillTrace, nil)
 			}
-			keys := ord.keysOf(acc)
-			ord.sort(keys)
-			run, err := spillSortedRun(o.mgr, acc, keys[:min(len(keys), bound)], len(runs))
+			rows := ord.order(acc)
+			run, err := spillSortedRun(o.mgr, acc, rows[:min(len(rows), bound)], len(runs))
 			if err != nil {
 				return err
 			}
@@ -361,14 +464,15 @@ func (o *sortOp) absorb() error {
 		}
 	}
 
-	keys := top.heap
-	if keys == nil {
-		keys = ord.keysOf(acc)
+	var rows []int32
+	if top.heap != nil {
+		rows = ord.sorted(top.heap)
+	} else {
+		rows = ord.order(acc)
 	}
-	ord.sort(keys)
-	keys = keys[:min(len(keys), bound)]
+	rows = rows[:min(len(rows), bound)]
 	if len(runs) == 0 {
-		out, err := gather(acc, keys)
+		out, err := gather(acc, rows)
 		if err != nil {
 			return err
 		}
@@ -390,9 +494,9 @@ func (o *sortOp) absorb() error {
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
-	if len(keys) > 0 {
+	if len(rows) > 0 {
 		m.curs = append(m.curs, &runCursor{
-			acc: acc, keys: keys,
+			acc: acc, rows: rows,
 			row: make([]float32, schema.NumAttrs()),
 		})
 	}
@@ -413,20 +517,20 @@ func (o *sortOp) Close() error {
 // ---------------------------------------------------------------------
 // External merge
 
-// spillSortedRun writes acc's rows in keys order as run n, each record in
-// scratch.EncodeRows' row layout.
-func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, keys []sortKey, n int) (*scratch.File, error) {
+// spillSortedRun writes acc's rows in the given order as run n, each
+// record in scratch.EncodeRows' row layout.
+func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, rows []int32, n int) (*scratch.File, error) {
 	rec := acc.Schema.RecordSize()
-	size := len(keys) * rec
+	size := len(rows) * rec
 	buf := tuple.GetBuf(size)[:size]
 	for c := range acc.Schema.NumAttrs() {
 		col := acc.Col(c)
-		for i := range keys {
-			binary.LittleEndian.PutUint32(buf[i*rec+c*4:], math.Float32bits(col[keys[i].slot]))
+		for i, r := range rows {
+			binary.LittleEndian.PutUint32(buf[i*rec+c*4:], math.Float32bits(col[r]))
 		}
 	}
 	f := mgr.Create(fmt.Sprintf("run%d", n))
-	err := f.AppendRows(buf, int64(len(keys)))
+	err := f.AppendRows(buf, int64(len(rows)))
 	tuple.PutBuf(buf)
 	if err != nil {
 		return nil, err
@@ -440,9 +544,9 @@ type runCursor struct {
 	// Disk run.
 	rd  *scratch.Reader
 	buf []byte
-	// In-memory tail.
+	// In-memory tail: acc's rows, in sorted order.
 	acc  *tuple.SubTable
-	keys []sortKey
+	rows []int32
 	pos  int
 
 	row []float32
@@ -457,11 +561,11 @@ type runCursor struct {
 // run end.
 func (c *runCursor) advance(ord *sortOrder, slot int) error {
 	if c.acc != nil {
-		if c.pos >= len(c.keys) {
+		if c.pos >= len(c.rows) {
 			c.ok = false
 			return nil
 		}
-		c.acc.Row(int(c.keys[c.pos].slot), c.row)
+		c.acc.Row(int(c.rows[c.pos]), c.row)
 		c.pos++
 	} else {
 		if _, err := io.ReadFull(c.rd, c.buf); err != nil {

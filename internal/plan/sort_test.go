@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -55,11 +56,11 @@ func sortInput(seed int64, n, batch int, specials bool) []*tuple.SubTable {
 
 // rowBits flattens batches to one bit pattern per row, so comparisons
 // see NaN payloads and the sign of zero.
-func rowBits(batches []*tuple.SubTable) [][6]uint32 {
-	var out [][6]uint32
+func rowBits(batches []*tuple.SubTable) [][]uint32 {
+	var out [][]uint32
 	for _, st := range batches {
 		for r := 0; r < st.NumRows(); r++ {
-			var b [6]uint32
+			b := make([]uint32, st.Schema.NumAttrs())
 			for c := range b {
 				b[c] = math.Float32bits(st.Value(r, c))
 			}
@@ -72,11 +73,11 @@ func rowBits(batches []*tuple.SubTable) [][6]uint32 {
 // sortReference is the independent oracle: a stable sort on float
 // comparisons under the documented rule (NaN above every number and equal
 // to every NaN, -0 equal to +0), then the head.
-func sortReference(batches []*tuple.SubTable, keys []query.OrderKey, limit int) [][6]uint32 {
+func sortReference(batches []*tuple.SubTable, keys []query.OrderKey, limit int) [][]uint32 {
 	rows := rowBits(batches)
 	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range keys {
-			c := sortSchema.Index(k.Attr)
+			c := batches[0].Schema.Index(k.Attr)
 			va, vb := math.Float32frombits(rows[i][c]), math.Float32frombits(rows[j][c])
 			aNaN, bNaN := va != va, vb != vb
 			if va == vb || (aNaN && bNaN) {
@@ -95,9 +96,9 @@ func sortReference(batches []*tuple.SubTable, keys []query.OrderKey, limit int) 
 // runSort drives Sort (under Limit when limit >= 0) over the batches at
 // the given spill budget (0 = none) and returns the emitted rows, the
 // Sort's stats and the scratch files alive after Close.
-func runSort(tb testing.TB, batches []*tuple.SubTable, keys []query.OrderKey, limit int, budget int64) ([][6]uint32, engine.OpStat, []string) {
+func runSort(tb testing.TB, batches []*tuple.SubTable, keys []query.OrderKey, limit int, budget int64) ([][]uint32, engine.OpStat, []string) {
 	tb.Helper()
-	var got [][6]uint32
+	var got [][]uint32
 	stat, live := driveSort(tb, batches, keys, limit, budget, func(st *tuple.SubTable) {
 		got = append(got, rowBits([]*tuple.SubTable{st})...)
 	})
@@ -155,14 +156,14 @@ func orderKeys(spec ...string) []query.OrderKey {
 	return keys
 }
 
-func sameRows(tb testing.TB, what string, got, want [][6]uint32) {
+func sameRows(tb testing.TB, what string, got, want [][]uint32) {
 	tb.Helper()
 	if len(got) != len(want) {
 		tb.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 	}
 	diff, first := 0, -1
 	for i := range got {
-		if got[i] != want[i] {
+		if !slices.Equal(got[i], want[i]) {
 			if diff++; first < 0 {
 				first = i
 			}
@@ -256,6 +257,109 @@ func TestSortBoundProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kernelSchema is seven key columns plus a unique payload: keys past the
+// fourth live in the ordering kernel's over arena when compared.
+var kernelSchema = tuple.NewSchema(
+	tuple.Attr{Name: "k0", Kind: tuple.Measure}, tuple.Attr{Name: "k1", Kind: tuple.Measure},
+	tuple.Attr{Name: "k2", Kind: tuple.Measure}, tuple.Attr{Name: "k3", Kind: tuple.Measure},
+	tuple.Attr{Name: "k4", Kind: tuple.Measure}, tuple.Attr{Name: "k5", Kind: tuple.Measure},
+	tuple.Attr{Name: "k6", Kind: tuple.Measure}, tuple.Attr{Name: "id", Kind: tuple.Measure},
+)
+
+// kernelInput returns n rows in 97-row batches. Each key column draws
+// from five finite values that differ from the first in one 8-bit digit
+// each — so every digit of every key word decides the order of some pair
+// of rows — and, one time in eight, from sortSpecials. Five values per
+// column keep ties on every key common enough to expose an unstable pass.
+func kernelInput(seed int64, n int) []*tuple.SubTable {
+	rng := rand.New(rand.NewSource(seed))
+	pools := make([][]float32, 7)
+	for c := range pools {
+		base := rng.Uint32() &^ (1 << 30) // exponent below 128: every neighbour is finite
+		for _, d := range []uint32{0, 1, 1 << 8, 1 << 16, 1 << 24} {
+			pools[c] = append(pools[c], math.Float32frombits(base+d))
+		}
+	}
+	rows := make([][]uint32, n)
+	for r := range rows {
+		rows[r] = make([]uint32, kernelSchema.NumAttrs())
+		for c, pool := range pools {
+			v := pool[rng.Intn(len(pool))]
+			if rng.Intn(8) == 0 {
+				v = sortSpecials[rng.Intn(len(sortSpecials))]
+			}
+			rows[r][c] = math.Float32bits(v)
+		}
+		rows[r][7] = math.Float32bits(float32(r))
+	}
+	return kernelBatches(rows)
+}
+
+// TestSortKernelMatchesReference: the in-memory sort and run generation
+// radix-sort; the top-k heap's final sort compares. At sizes from two
+// rows up to 5 000, with one and four inline keys and five and seven
+// (over-arena) keys in mixed directions, every bound and budget must emit
+// exactly the reference order.
+func TestSortKernelMatchesReference(t *testing.T) {
+	rec := int64(kernelSchema.RecordSize())
+	keyLists := [][]query.OrderKey{
+		orderKeys("-k0"),
+		orderKeys("k0", "-k1", "k2", "-k3"),
+		orderKeys("-k0", "k1", "-k2", "k3", "k4"),
+		orderKeys("k0", "-k1", "k2", "k3", "-k4", "k5", "-k6"),
+	}
+	for _, n := range []int{2, 31, 127, 128, 129, 1000, 5000} {
+		random := kernelInput(int64(n), n)
+		for _, keys := range keyLists {
+			// The input shuffled; already in order (a GROUP BY's output
+			// under its own keys), which radix may return as it stands; and
+			// in order but for its last two rows.
+			sorted := sortReference(random, keys, -1)
+			almost := slices.Clone(sorted)
+			almost[n-2], almost[n-1] = almost[n-1], almost[n-2]
+			for _, in := range []struct {
+				name    string
+				batches []*tuple.SubTable
+			}{{"random", random}, {"sorted", kernelBatches(sorted)}, {"almost", kernelBatches(almost)}} {
+				want := sortReference(in.batches, keys, -1)
+				// Unbounded; two fixed bounds; half the input.
+				for _, limit := range []int{-1, 10, 131, n / 2} {
+					// No budget; a run per batch; runs of a third of the input.
+					for _, budget := range []int64{0, 1024, int64(n) * rec / 3} {
+						what := fmt.Sprintf("%s n=%d keys=%v limit=%d budget=%d", in.name, n, keys, limit, budget)
+						got, stat, _ := runSort(t, in.batches, keys, limit, budget)
+						head := want
+						if limit >= 0 {
+							head = want[:min(limit, n)]
+						}
+						sameRows(t, what, got, head)
+						if limit < 0 && budget > 0 && int64(n)*rec > budget && stat.SpillParts == 0 {
+							t.Fatalf("%s: nothing spilled", what)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// kernelBatches rebuilds rowBits rows into kernelInput's batches.
+func kernelBatches(rows [][]uint32) []*tuple.SubTable {
+	const batch = 97
+	var out []*tuple.SubTable
+	row := make([]float32, kernelSchema.NumAttrs())
+	for r, bits := range rows {
+		if r%batch == 0 {
+			out = append(out, tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(len(out))}, kernelSchema, batch))
+		}
+		for c, b := range bits {
+			row[c] = math.Float32frombits(b)
+		}
+		out[len(out)-1].AppendRow(row...)
+	}
+	return out
 }
 
 // TestEstimatesKnowTheBound: admission and EXPLAIN price a bounded Sort by

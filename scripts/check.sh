@@ -11,11 +11,12 @@ go build ./...
 go vet ./...
 go vet -C bench ./...
 go test -race -count=1 ./...
-# The parser, the chunk extractors, the wire codec and the scratch block
+# The parser, the chunk extractors, the wire codecs and the scratch block
 # reader must reject hostile bytes, never panic.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/query
 go test -run '^$' -fuzz FuzzExtractors -fuzztime 10s ./internal/chunk
 go test -run '^$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/colenc
+go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/tuple
 go test -run '^$' -fuzz FuzzScratchBlocks -fuzztime 10s ./internal/scratch
 go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph
 go test -C bench -short ./...
