@@ -112,7 +112,7 @@ func (s *Service) read(desc *chunk.Desc) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("bds: chunk %v has no copy on node %d (primary is node %d)", id, s.node, desc.Node)
 	}
-	data, err := s.disk.ReadRange(object, offset, desc.Size)
+	data, err := s.disk.ReadRange(object, offset, desc.Size, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bds: node %d reading chunk %v: %w", s.node, id, err)
 	}

@@ -40,7 +40,7 @@ func TestTruncatedChunkFailsBothEngines(t *testing.T) {
 	// Truncate node 1's data file: ranged reads past the end must fail.
 	names, _ := ds.Stores[1].List()
 	for _, name := range names {
-		data, err := ds.Stores[1].ReadRange(name, 0, -1)
+		data, err := ds.Stores[1].ReadRange(name, 0, -1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func TestGeneratedChunksExtractAndMatch(t *testing.T) {
 		seen := make(map[[3]int32]bool)
 		for _, d := range ds.Catalog.Chunks(def.ID) {
 			disk := simio.NewDisk(ds.Stores[d.Node], 0, 0)
-			data, err := disk.ReadRange(d.Object, d.Offset, d.Size)
+			data, err := disk.ReadRange(d.Object, d.Offset, d.Size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,8 +158,8 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal("object lists differ")
 		}
 		for i := range an {
-			da, _ := a.Stores[n].ReadRange(an[i], 0, -1)
-			db, _ := b.Stores[n].ReadRange(bn[i], 0, -1)
+			da, _ := a.Stores[n].ReadRange(an[i], 0, -1, nil)
+			db, _ := b.Stores[n].ReadRange(bn[i], 0, -1, nil)
 			if string(da) != string(db) {
 				t.Fatalf("object %s differs between runs", an[i])
 			}
@@ -173,8 +173,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	ca, _ := c.Stores[0].List()
-	da, _ := a.Stores[0].ReadRange(ca[0], 0, -1)
-	dc, _ := c.Stores[0].ReadRange(ca[0], 0, -1)
+	da, _ := a.Stores[0].ReadRange(ca[0], 0, -1, nil)
+	dc, _ := c.Stores[0].ReadRange(ca[0], 0, -1, nil)
 	if string(da) == string(dc) {
 		t.Error("different seeds should change measure bytes")
 	}
@@ -192,7 +192,7 @@ func TestCSVFormatDataset(t *testing.T) {
 	}
 	d := ds.Catalog.Chunks(ds.Left.ID)[0]
 	disk := simio.NewDisk(ds.Stores[d.Node], 0, 0)
-	data, err := disk.ReadRange(d.Object, d.Offset, d.Size)
+	data, err := disk.ReadRange(d.Object, d.Offset, d.Size, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func ReplicateDescsAvoid(cat *metadata.Catalog, stores []simio.Store, descs []*c
 				continue
 			}
 			if data == nil {
-				data, err = stores[d.Node].ReadRange(d.Object, d.Offset, d.Size)
+				data, err = stores[d.Node].ReadRange(d.Object, d.Offset, d.Size, nil)
 				if err != nil {
 					return fmt.Errorf("oilres: replicating chunk %v: %w", d.ID(), err)
 				}

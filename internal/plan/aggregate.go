@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"sciview/internal/dds"
+	"sciview/internal/query"
 	"sciview/internal/scratch"
 	"sciview/internal/tuple"
 )
@@ -38,19 +40,27 @@ const (
 // operator runs out-of-core instead: pass 1 hash-partitions the raw rows
 // by group key to scratch (scratch.Partitioner), tagging every block with
 // its input part; pass 2 replays one partition at a time, folding
-// per-part partials and merging them in ascending part into the global
-// base. Because a group's rows land wholly in one partition (the packed
-// key folds -0 and NaN as the group does), each group's accumulator sees
-// exactly the same fold-then-merge sequence as the in-memory path, so the
-// finalized output is byte-identical at any budget. A partition whose
-// group state still exceeds the budget is re-partitioned one split depth
-// down (skew recursion) before any of it reaches the base.
+// per-part partials, merging them in ascending part into a fresh partial
+// for the partition and finalizing it. Because a group's rows land wholly
+// in one partition (the packed key folds -0 and NaN as the group does),
+// each group's accumulator sees exactly the same fold-then-merge sequence
+// as the in-memory path. A partition whose group state still exceeds the
+// budget is re-partitioned one split depth down (skew recursion) before
+// any of it is finalized. Each finalized partition comes out in group-key
+// order and is written back as a sorted run; the runs, whose keys are
+// disjoint, are merged by group key with sort's loser tree, so the output
+// is byte-identical at any budget while only one partition's groups are
+// ever resident.
 type aggregateOp struct {
 	opstat
 	node    *AggregateNode
 	child   Operator
-	emitted bool
+	started bool
 	mgr     *scratch.Manager
+	// merge emits the external result in sortEmitRows batches; held is
+	// the bytes its read buffers hold.
+	merge *runMerge
+	held  int64
 }
 
 func (o *aggregateOp) Schema() tuple.Schema { return o.node.schema }
@@ -60,17 +70,35 @@ func (o *aggregateOp) Open(ctx context.Context) error { return o.child.Open(ctx)
 func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 	start := time.Now()
 	defer o.timed(start)
-	if o.emitted {
+	if !o.started {
+		o.started = true
+		n := o.node
+		if !(n.SpillBudget > 0 && n.SpillDisk != nil && len(n.GroupBy) > 0 &&
+			residentBytes(n) > n.SpillBudget) {
+			return o.inMemory()
+		}
+		if err := o.external(); err != nil {
+			return nil, err
+		}
+	}
+	if o.merge == nil {
 		return nil, io.EOF
 	}
-	o.emitted = true
-
-	n := o.node
-	if n.SpillBudget > 0 && n.SpillDisk != nil && len(n.GroupBy) > 0 &&
-		residentBytes(n) > n.SpillBudget {
-		return o.nextExternal()
+	st, err := o.merge.nextBatch(sortEmitRows)
+	if err != nil {
+		return nil, err
 	}
+	if st == nil {
+		return nil, io.EOF
+	}
+	o.s.PeakBytes = max(o.s.PeakBytes, o.held+int64(st.Bytes()))
+	o.observe(st)
+	return st, nil
+}
 
+// inMemory folds the whole input and emits the result as one batch.
+func (o *aggregateOp) inMemory() (*tuple.SubTable, error) {
+	n := o.node
 	inSchema := o.child.Schema()
 	partials := &partials{node: n, schema: inSchema}
 	for {
@@ -102,9 +130,17 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.s.PeakBytes = int64(out.Bytes())
+	// Resident at the end: every part's partial, the merged base and the
+	// output, as external charges each partition.
+	o.s.PeakBytes = int64(partials.groups()+base.Groups())*o.groupBytes() + int64(out.Bytes())
 	o.observe(out)
 	return out, nil
+}
+
+// groupBytes is the resident charge of one group: its output record plus
+// the fixed state overhead.
+func (o *aggregateOp) groupBytes() int64 {
+	return int64(o.node.schema.RecordSize() + aggGroupOver)
 }
 
 func (o *aggregateOp) Close() error {
@@ -128,18 +164,19 @@ type aggPart struct {
 // budget.
 var errAggOverflow = errors.New("plan: aggregate partition over budget")
 
-// nextExternal is the out-of-core aggregation path.
-func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
+// external is the out-of-core aggregation path: it partitions the input,
+// finalizes each partition to a sorted run and stages the runs' merge.
+func (o *aggregateOp) external() error {
 	n := o.node
 	inSchema := o.child.Schema()
 	groupIdxs, err := inSchema.Indexes(n.GroupBy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	o.mgr = scratch.NewManager(n.SpillDisk,
 		fmt.Sprintf("plan/agg/r%d", spillSeq.Add(1)),
 		n.SpillOwner, n.SpillTrace, nil)
-	groupBytes := int64(n.schema.RecordSize() + aggGroupOver)
+	groupBytes := o.groupBytes()
 
 	// Pass 1: partition raw rows by group key, tagging every block with its
 	// input part.
@@ -158,50 +195,83 @@ func (o *aggregateOp) nextExternal() (*tuple.SubTable, error) {
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	// Pass 2: replay partition by partition, splitting skewed ones.
-	base, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
-	if err != nil {
-		return nil, err
-	}
-	var peakPart int64
+	// Pass 2: replay partition by partition, splitting skewed ones, and
+	// write each finalized partition as a sorted run.
+	var runs []*scratch.File
 	for len(parts) > 0 {
 		pt := parts[0]
 		parts = parts[1:]
 		partials, state, err := o.foldPartition(pt, inSchema, groupBytes)
 		if err == errAggOverflow {
 			// Skewed: too many groups for the budget. Nothing from this
-			// partition has touched the base yet, so abandon the partials
+			// partition has been finalized yet, so abandon the partials
 			// and re-partition the raw rows one depth down.
 			sub, err := o.split(inSchema, groupIdxs, pt.depth+1, func(add func(uint32, *tuple.SubTable) error) error {
 				return pt.p.Read(pt.k, add)
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			parts = append(parts, sub...)
 			pt.p.Release(pt.k)
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		peakPart = max(peakPart, state)
 		// Ascending part: the same merge order the in-memory path uses.
-		if err := partials.mergeInto(base); err != nil {
-			return nil, err
+		merged, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+		if err != nil {
+			return err
 		}
+		if err := partials.mergeInto(merged); err != nil {
+			return err
+		}
+		out, err := merged.Finalize(n.Having)
+		if err != nil {
+			return err
+		}
+		o.s.PeakBytes = max(o.s.PeakBytes, state+int64(merged.Groups())*groupBytes+int64(out.Bytes()))
 		pt.p.Release(pt.k)
+		if out.NumRows() == 0 {
+			continue
+		}
+		run, err := spillSortedRun(o.mgr, out, identity(out.NumRows()), len(runs))
+		if err != nil {
+			return err
+		}
+		runs = append(runs, run)
 	}
-	out, err := base.Finalize(n.Having)
-	if err != nil {
-		return nil, err
+	if len(runs) == 0 {
+		return nil
 	}
-	o.s.PeakBytes = peakPart + int64(base.Groups())*groupBytes + int64(out.Bytes())
-	o.observe(out)
-	return out, nil
+
+	// Pass 3: merge the runs by group key, ascending.
+	keys := make([]query.OrderKey, len(n.GroupBy))
+	for i, g := range n.GroupBy {
+		keys[i] = query.OrderKey{Attr: g}
+	}
+	o.merge = &runMerge{schema: n.schema, id: aggOutID, ord: newSortOrder(n.schema, keys), left: math.MaxInt}
+	if o.held, err = o.merge.openRuns(runs, n.SpillBudget); err != nil {
+		return err
+	}
+	return o.merge.start()
+}
+
+// aggOutID labels the external result's batches as dds.Partial.Finalize
+// labels the in-memory one.
+var aggOutID = tuple.ID{Table: -3, Chunk: -1}
+
+// identity returns the row order 0..n-1.
+func identity(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }
 
 // split hash-partitions the rows feed adds by group key under depth's
@@ -274,6 +344,17 @@ func (ps *partials) of(part int) (*dds.Partial, error) {
 		ps.byPart[part] = p
 	}
 	return ps.byPart[part], nil
+}
+
+// groups is the number of groups across the partials.
+func (ps *partials) groups() int {
+	g := 0
+	for _, p := range ps.byPart {
+		if p != nil {
+			g += p.Groups()
+		}
+	}
+	return g
 }
 
 // mergeInto merges the partials into base in ascending part.

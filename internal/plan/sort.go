@@ -365,10 +365,12 @@ type sortOp struct {
 	child   Operator
 	started bool
 
-	out     *tuple.SubTable // in-memory result, emitted as one batch
-	mgr     *scratch.Manager
-	merge   *runMerge // external result, emitted in sortEmitRows batches
-	peakAcc int64
+	out   *tuple.SubTable // in-memory result, emitted as one batch
+	mgr   *scratch.Manager
+	merge *runMerge // external result, emitted in sortEmitRows batches
+	// held is what stays resident while the result is emitted: the
+	// absorbed rows, plus the merge's read buffers when runs spilled.
+	held int64
 }
 
 func (o *sortOp) Schema() tuple.Schema { return o.node.Schema() }
@@ -395,9 +397,7 @@ func (o *sortOp) Next() (*tuple.SubTable, error) {
 	if st == nil {
 		return nil, io.EOF
 	}
-	if b := o.peakAcc + int64(st.Bytes()); b > o.s.PeakBytes {
-		o.s.PeakBytes = b
-	}
+	o.s.PeakBytes = max(o.s.PeakBytes, o.held+int64(st.Bytes()))
 	o.observe(st)
 	return st, nil
 }
@@ -445,9 +445,7 @@ func (o *sortOp) absorb() error {
 		if err != nil {
 			return err
 		}
-		if b := int64(acc.Bytes()); b > o.peakAcc {
-			o.peakAcc = b
-		}
+		o.s.PeakBytes = max(o.s.PeakBytes, int64(acc.Bytes()))
 		if spilling && int64(acc.Bytes()) > node.SpillBudget && acc.NumRows() > 0 {
 			if o.mgr == nil {
 				o.mgr = scratch.NewManager(node.SpillDisk,
@@ -471,29 +469,23 @@ func (o *sortOp) absorb() error {
 		rows = ord.order(acc)
 	}
 	rows = rows[:min(len(rows), bound)]
+	o.held = int64(acc.Bytes())
 	if len(runs) == 0 {
 		out, err := gather(acc, rows)
 		if err != nil {
 			return err
 		}
 		o.out = out
-		o.s.PeakBytes = int64(acc.Bytes()) + int64(out.Bytes())
 		return nil
 	}
 	// External merge: the spilled runs in arrival order, then the
 	// in-memory tail.
 	m := &runMerge{schema: schema, id: acc.ID, ord: newSortOrder(schema, node.Keys), left: bound}
-	for _, run := range runs {
-		rd, err := run.Open()
-		if err != nil {
-			return err
-		}
-		m.curs = append(m.curs, &runCursor{
-			rd:  rd,
-			buf: make([]byte, schema.RecordSize()),
-			row: make([]float32, schema.NumAttrs()),
-		})
+	bufs, err := m.openRuns(runs, node.SpillBudget)
+	if err != nil {
+		return err
 	}
+	o.held += bufs
 	if len(rows) > 0 {
 		m.curs = append(m.curs, &runCursor{
 			acc: acc, rows: rows,
@@ -570,6 +562,7 @@ func (c *runCursor) advance(ord *sortOrder, slot int) error {
 	} else {
 		if _, err := io.ReadFull(c.rd, c.buf); err != nil {
 			if err == io.EOF {
+				c.rd.Close()
 				c.ok = false
 				return nil
 			}
@@ -582,6 +575,31 @@ func (c *runCursor) advance(ord *sortOrder, slot int) error {
 	c.key = ord.keyOf(c.row, slot, int64(slot))
 	c.ok = true
 	return nil
+}
+
+// mergeFloor is the smallest read chunk a merge gives one run.
+const mergeFloor = 4 << 10
+
+// openRuns adds a cursor over each spilled run, in order. The runs share
+// the operator's budget as read buffer, max(mergeFloor, budget/len(runs))
+// bytes each; openRuns returns the bytes those buffers hold, a run
+// shorter than its chunk holding only itself.
+func (m *runMerge) openRuns(runs []*scratch.File, budget int64) (int64, error) {
+	chunk := max(mergeFloor, budget/int64(len(runs)))
+	var held int64
+	for _, run := range runs {
+		rd, err := run.Open(chunk)
+		if err != nil {
+			return 0, err
+		}
+		held += min(chunk, run.Size())
+		m.curs = append(m.curs, &runCursor{
+			rd:  rd,
+			buf: make([]byte, m.schema.RecordSize()),
+			row: make([]float32, m.schema.NumAttrs()),
+		})
+	}
+	return held, nil
 }
 
 // runMerge merges sorted runs with a loser tree over the cursors'

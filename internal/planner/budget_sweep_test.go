@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"sciview/internal/plan"
+	"sciview/internal/scratch"
 )
 
 // The budget-sweep differential harness: out-of-core execution must be an
@@ -24,6 +27,12 @@ var sweepBudgets = []int64{1 << 30, 16 << 10, 1 << 10}
 // unique tie-breaks.
 func sweepCorpus() []string {
 	qs := append([]string(nil), goldenCorpus...)
+	// One group per join row: the spilling GROUP BY's output is as large
+	// as its input. Without ORDER BY, the rows keep the aggregate's own
+	// group-key order, which its run merge must reproduce.
+	qs = append(qs,
+		"SELECT x, y, z, MIN(wp) FROM V1 GROUP BY x, y, z ORDER BY x, y, z",
+		"SELECT y, x, z, MAX(wp) FROM V1 GROUP BY y, x, z")
 	rng := rand.New(rand.NewSource(0x5eed))
 	dims := []string{"x", "y", "z"}
 	for i := 0; i < 6; i++ {
@@ -54,7 +63,7 @@ func sweepCorpus() []string {
 
 // TestDifferentialBudgetSweep runs the sweep corpus at every budget against
 // the same executor's unbudgeted output, byte for byte under either
-// engine.
+// engine, and holds every Sort and Aggregate to its budget (checkPeaks).
 func TestDifferentialBudgetSweep(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -82,11 +91,69 @@ func TestDifferentialBudgetSweep(t *testing.T) {
 						continue
 					}
 					compareGolden(t, sql, want, got)
+					checkPeaks(t, ex, sql, budget, want, got)
 				}
 			}
 		})
 	}
 }
+
+// emitRows is the row count of an external Sort's or Aggregate's output
+// batch (plan.sortEmitRows).
+const emitRows = 4096
+
+// checkPeaks holds every Sort and Aggregate of a budgeted run to its
+// budget share: PeakBytes ≤ share + one emitted batch + fanout ×
+// BlockBytes (a partitioner's staging). A spilling operator must also
+// never peak above its unbudgeted run's operator.
+func checkPeaks(t *testing.T, ex *Executor, sql string, budget int64, want, got *Output) {
+	t.Helper()
+	if got.Result == nil || want.Result == nil {
+		return // no join: the executor reports no operator stats
+	}
+	l, err := ex.Lower(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var share int64
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		switch t := n.(type) {
+		case *plan.SortNode:
+			share = max(share, t.SpillBudget)
+		case *plan.AggregateNode:
+			share = max(share, t.SpillBudget)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(l.Plan.Root)
+	ops, ref := got.Result.Operators, want.Result.Operators
+	if len(ops) != len(ref) {
+		t.Fatalf("%s @ budget %d: %d operators, unbudgeted %d", sql, budget, len(ops), len(ref))
+	}
+	for i, st := range ops {
+		if !strings.HasPrefix(st.Op, "Sort") && !strings.HasPrefix(st.Op, "Aggregate") {
+			continue
+		}
+		batch := st.Bytes
+		if st.Rows > emitRows {
+			batch = emitRows * (st.Bytes / st.Rows)
+		}
+		if bound := share + batch + aggFanout*scratch.BlockBytes; st.PeakBytes > bound {
+			t.Errorf("%s @ budget %d: %s peaks at %d B, over its bound %d (share %d + batch %d + staging)",
+				sql, budget, st.Op, st.PeakBytes, bound, share, batch)
+		}
+		if st.SpillParts > 0 && st.PeakBytes > ref[i].PeakBytes {
+			t.Errorf("%s @ budget %d: spilling %s peaks at %d B, above its unbudgeted %d B",
+				sql, budget, st.Op, st.PeakBytes, ref[i].PeakBytes)
+		}
+	}
+}
+
+// aggFanout is the spilling GROUP BY's partitions per split.
+const aggFanout = 8
 
 // TestBudgetSweepSpillsAllOperators pins the degradation floor: at the
 // smallest sweep budget a sort + grouped-aggregate + join query must push

@@ -426,7 +426,7 @@ func (m *Manager) readFromPeer(d *chunk.Desc, not int) ([]byte, int, error) {
 			if !ok {
 				continue
 			}
-			data, err := m.cl.Storage[src].Disk.ReadRange(obj, off, d.Size)
+			data, err := m.cl.Storage[src].Disk.ReadRange(obj, off, d.Size, nil)
 			if err != nil {
 				lastErr = err
 				continue
@@ -630,7 +630,7 @@ func (m *Manager) Audit() error {
 				return fmt.Errorf("repair: audit: chunk %v on node %d: %q short (%d < %d): %v",
 					d.ID(), n, obj, size, off+d.Size, err)
 			}
-			data, err := store.ReadRange(obj, off, d.Size)
+			data, err := store.ReadRange(obj, off, d.Size, nil)
 			if err != nil {
 				return fmt.Errorf("repair: audit: chunk %v on node %d: %w", d.ID(), n, err)
 			}

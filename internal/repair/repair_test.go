@@ -222,7 +222,7 @@ func TestCatchUpAbsorbsMissedAppends(t *testing.T) {
 	// on node 0 only (ingest avoided the down node; replication skipped it
 	// too, leaving it under-replicated).
 	base := ds.Catalog.Chunks(ds.Left.ID)[0]
-	data, err := ds.Stores[base.Node].ReadRange(base.Object, base.Offset, base.Size)
+	data, err := ds.Stores[base.Node].ReadRange(base.Object, base.Offset, base.Size, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,6 +198,7 @@ func (p *Partitioner) Table(k int) (*tuple.SubTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tuple.PutBuf(data)
 	blocks, err := splitBlocks(data, p.schema.RecordSize())
 	if err != nil {
 		return nil, fmt.Errorf("scratch: %s: %w", f.name, err)
@@ -219,10 +220,11 @@ func (p *Partitioner) Read(k int, fn func(tag uint32, st *tuple.SubTable) error)
 	if pt.f == nil {
 		return nil
 	}
-	rd, err := pt.f.Open()
+	rd, err := pt.f.Open(readChunk)
 	if err != nil {
 		return err
 	}
+	defer rd.Close()
 	for {
 		tag, st, err := rd.block(p.schema)
 		if err == io.EOF {

@@ -246,7 +246,7 @@ func TestPartitionerShortFileFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	names, _ := store.List()
-	data, _ := store.ReadRange(names[0], 0, -1)
+	data, _ := store.ReadRange(names[0], 0, -1, nil)
 	if err := store.Put(names[0], data[:len(data)-BlockHeader]); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func blockFile(t testing.TB, data []byte) *Reader {
 	if err := f.Append(data); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := f.Open()
+	rd, err := f.Open(readChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func partitionBytes(t testing.TB, tags []uint32) []byte {
 		t.Fatal(err)
 	}
 	names, _ := store.List()
-	data, _ := store.ReadRange(names[0], 0, -1)
+	data, _ := store.ReadRange(names[0], 0, -1, nil)
 	return data
 }
 

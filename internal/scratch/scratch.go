@@ -28,10 +28,10 @@ import (
 	"sciview/internal/tuple"
 )
 
-// readChunk is the Reader's sequential fetch granularity: large enough
-// to amortize the modeled per-read throttle bookkeeping, small enough
-// that a k-way merge over many runs stays within a few hundred KiB of
-// buffer per run.
+// readChunk is the Partitioner's sequential fetch granularity when it
+// streams one partition back: large enough to amortize the modeled
+// per-read throttle bookkeeping. Merges over many runs pick their own,
+// smaller chunk (File.Open).
 const readChunk = 256 << 10
 
 // Manager pools scratch files on one compute node's spill disk under a
@@ -117,6 +117,7 @@ func (m *Manager) RoundTrip(label string, st *tuple.SubTable) (*tuple.SubTable, 
 	if err != nil {
 		return nil, err
 	}
+	defer tuple.PutBuf(back)
 	return DecodeRows(st.Schema, back, st.ID)
 }
 
@@ -217,8 +218,10 @@ func (f *File) verify() (int64, error) {
 	return size, nil
 }
 
-// ReadAll reads the whole file back, billing the spill read. The read
-// fails if the stored size disagrees with the appended size.
+// ReadAll reads the whole file back, billing the spill read, into a
+// pooled buffer (tuple.GetBuf) the caller may release with tuple.PutBuf
+// once it is decoded. The read fails if the stored size disagrees with
+// the appended size.
 func (f *File) ReadAll() ([]byte, error) {
 	size, err := f.verify()
 	if err != nil {
@@ -228,7 +231,7 @@ func (f *File) ReadAll() ([]byte, error) {
 		return nil, nil
 	}
 	start := time.Now()
-	data, err := f.m.disk.ReadRange(f.name, 0, -1)
+	data, err := f.m.disk.ReadRange(f.name, 0, -1, tuple.GetBuf(int(size)))
 	if err != nil {
 		return nil, fmt.Errorf("scratch: read %s: %w", f.name, err)
 	}
@@ -241,25 +244,28 @@ func (f *File) ReadAll() ([]byte, error) {
 	return data, nil
 }
 
-// Open returns a buffered sequential reader over the file, verifying
-// the stored size up front.
-func (f *File) Open() (*Reader, error) {
+// Open returns a sequential reader over the file that fetches it chunk
+// bytes at a time into one buffer, verifying the stored size up front.
+// The buffer holds min(chunk, Size()) bytes: a merge over many runs
+// bounds its resident read buffers by its choice of chunk.
+func (f *File) Open(chunk int64) (*Reader, error) {
 	size, err := f.verify()
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, end: size}, nil
+	return &Reader{f: f, end: size, chunk: chunk}, nil
 }
 
-// Reader streams a scratch file in readChunk pieces, billing each piece
-// as spill-read traffic. It implements io.Reader; use io.ReadFull for
-// record framing.
+// Reader streams a scratch file in chunk-byte pieces through one reused
+// buffer, billing each piece as spill-read traffic. It implements
+// io.Reader; use io.ReadFull for record framing.
 type Reader struct {
-	f   *File
-	off int64
-	end int64
-	buf []byte
-	pos int
+	f     *File
+	off   int64
+	end   int64
+	chunk int64
+	buf   []byte
+	pos   int
 }
 
 // Read implements io.Reader.
@@ -268,12 +274,12 @@ func (r *Reader) Read(p []byte) (int, error) {
 		if r.off >= r.end {
 			return 0, io.EOF
 		}
-		n := r.end - r.off
-		if n > readChunk {
-			n = readChunk
+		n := min(r.end-r.off, r.chunk)
+		if r.buf == nil {
+			r.buf = tuple.GetBuf(int(n))
 		}
 		start := time.Now()
-		data, err := r.f.m.disk.ReadRange(r.f.name, r.off, n)
+		data, err := r.f.m.disk.ReadRange(r.f.name, r.off, n, r.buf[:0])
 		if err != nil {
 			return 0, fmt.Errorf("scratch: read %s@%d: %w", r.f.name, r.off, err)
 		}
@@ -295,6 +301,12 @@ func (r *Reader) Read(p []byte) (int, error) {
 // Remaining returns the bytes left to stream (buffered + unread).
 func (r *Reader) Remaining() int64 {
 	return int64(len(r.buf)-r.pos) + (r.end - r.off)
+}
+
+// Close returns the reader's buffer to the pool; the reader is spent.
+func (r *Reader) Close() {
+	tuple.PutBuf(r.buf)
+	r.buf, r.pos, r.off = nil, 0, r.end
 }
 
 // ---------------------------------------------------------------------

@@ -66,7 +66,7 @@ func TestReaderChunks(t *testing.T) {
 	if err := f.Append(data); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := f.Open()
+	rd, err := f.Open(readChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTruncationDetected(t *testing.T) {
 	if _, err := f.ReadAll(); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("ReadAll on a truncated file: err = %v, want truncation error", err)
 	}
-	if _, err := f.Open(); err == nil {
+	if _, err := f.Open(readChunk); err == nil {
 		t.Error("Open on a truncated file succeeded")
 	}
 }

@@ -8,13 +8,16 @@
 // BDS transfer by the per-node singleflight groups.
 //
 // Admission is governed by two limits: a maximum number of in-flight
-// queries, and a memory budget charged per query with a cost-model-derived
-// working-set estimate (build side plus one streaming sub-table per
-// joiner). A query whose estimate exceeds the whole budget is clamped to
-// it, so oversized queries still run — alone. Cancellation is first-class:
-// a context cancelled while queued removes the entry immediately; one
-// cancelled while running propagates through the engine's fetch path and
-// frees the slot for the next waiter.
+// queries, and a memory budget charged per query with a working-set
+// estimate (the cost model's build side plus one streaming sub-table per
+// joiner, or a SQL plan's resident-set bound). A query whose estimate
+// exceeds the whole budget runs degraded: it gets one admission slot's
+// share of the budget (MemoryBudget / MaxInFlight), its spilling
+// operators stay within that share, and it is charged at most the share,
+// so MaxInFlight degraded queries run side by side. Cancellation is
+// first-class: a context cancelled while queued removes the entry
+// immediately; one cancelled while running propagates through the
+// engine's fetch path and frees the slot for the next waiter.
 package service
 
 import (
@@ -55,11 +58,14 @@ type Config struct {
 	MaxInFlight int
 	// MemoryBudget bounds the summed working-set estimates of in-flight
 	// queries, in bytes (0 = unlimited). A single query estimated above
-	// the budget is admitted in degraded mode: its plan is stamped with
-	// the budget so blocking operators (sort, aggregation, join builds)
-	// spill to scratch disks instead of holding their full working set,
-	// and the admission charge drops to the degraded (spilling) resident
-	// estimate. Results are byte-identical to in-memory execution.
+	// the budget is admitted in degraded mode with one slot's share of
+	// it, MemoryBudget / MaxInFlight: its plan is stamped with the share
+	// so blocking operators (sort, aggregation, join builds) spill to
+	// scratch disks instead of holding their full working set, and the
+	// admission charge drops to the degraded (spilling) resident
+	// estimate, capped at the share. MaxInFlight degraded queries so fit
+	// the budget together. Results are byte-identical to in-memory
+	// execution.
 	MemoryBudget int64
 	// Strict disables degraded admission: a query whose estimate exceeds
 	// MemoryBudget is rejected with ErrOverBudget instead of being run
@@ -261,14 +267,14 @@ func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
 	return s.execute(ctx, job{
 		pri: q.Priority, name: eng.Name(), rec: req.Trace,
 		weight: rawWeight(dec.Params),
-		// The engine bounds its build sides to the budget (spilling
+		// The engine bounds its build sides to the share (spilling
 		// oversized partitions through scratch), so the charge is the
-		// budget itself, not the unbounded working set.
-		degrade: func(budget int64) int64 {
-			if req.MemoryBudget == 0 || req.MemoryBudget > budget {
-				req.MemoryBudget = budget
+		// share, not the unbounded working set.
+		degrade: func(share int64) int64 {
+			if req.MemoryBudget == 0 || req.MemoryBudget > share {
+				req.MemoryBudget = share
 			}
-			return budget
+			return share
 		},
 		run: func(ctx context.Context) (*Response, int64, error) {
 			res, err := eng.Run(ctx, s.cl, in)
@@ -314,11 +320,12 @@ func (s *Service) SubmitSQL(ctx context.Context, ex *planner.Executor, q SQL) (*
 	return s.execute(ctx, job{
 		pri: q.Priority, name: name, rec: ex.Trace,
 		weight: l.Plan.MemoryEstimate(),
-		// Stamp the plan with the budget so its blocking operators run
-		// out-of-core, and charge the degraded (spilling) resident estimate
-		// instead of running the query alone at full width.
-		degrade: func(budget int64) int64 {
-			l.Plan.SetBudget(budget)
+		// Stamp the plan with the share so its blocking operators run
+		// out-of-core within it, and charge the degraded (spilling)
+		// resident estimate instead of running the query alone at full
+		// width.
+		degrade: func(share int64) int64 {
+			l.Plan.SetBudget(share)
 			return l.Plan.DegradedEstimate()
 		},
 		run: func(ctx context.Context) (*Response, int64, error) {
@@ -349,9 +356,10 @@ type job struct {
 	rec  *trace.Recorder // may be nil
 	// weight is the working-set estimate at full (in-memory) width.
 	weight int64
-	// degrade switches the job to out-of-core execution under budget and
-	// returns the resident estimate to charge instead of weight.
-	degrade func(budget int64) int64
+	// degrade switches the job to out-of-core execution within share, one
+	// admission slot's part of the budget, and returns the resident
+	// estimate to charge instead of weight (execute caps it at share).
+	degrade func(share int64) int64
 	// run executes the admitted job, returning the response (Result,
 	// Decision, Rows) and the number of rows the statement produced.
 	run func(ctx context.Context) (*Response, int64, error)
@@ -362,17 +370,9 @@ type job struct {
 // the outcome. Results of a degraded run are byte-identical to in-memory
 // execution.
 func (s *Service) execute(ctx context.Context, j job) (*Response, error) {
-	weight := max(j.weight, 1)
-	degraded := s.cfg.MemoryBudget > 0 && weight > s.cfg.MemoryBudget
-	if degraded {
-		if s.cfg.Strict {
-			s.mu.Lock()
-			s.rejectLocked()
-			s.mu.Unlock()
-			return nil, fmt.Errorf("service: estimate %d bytes over budget %d: %w",
-				weight, s.cfg.MemoryBudget, ErrOverBudget)
-		}
-		weight = min(max(j.degrade(s.cfg.MemoryBudget), 1), s.cfg.MemoryBudget)
+	weight, degraded, err := s.weigh(j)
+	if err != nil {
+		return nil, err
 	}
 	w := &waiter{pri: j.pri, weight: weight, degraded: degraded, ready: make(chan struct{})}
 	queueWait, err := s.admit(ctx, w)
@@ -392,6 +392,25 @@ func (s *Service) execute(ctx context.Context, j job) (*Response, error) {
 	j.rec.Span("service", trace.KindQuery, j.name, runStart, 0, rows)
 	resp.QueueWait, resp.Weight, resp.Degraded = queueWait, weight, degraded
 	return resp, nil
+}
+
+// weigh returns the charge j is admitted at. A job estimated above the
+// budget is degraded to one admission slot's share of it (or rejected
+// under Strict) and charged at most that share.
+func (s *Service) weigh(j job) (weight int64, degraded bool, err error) {
+	weight = max(j.weight, 1)
+	if s.cfg.MemoryBudget <= 0 || weight <= s.cfg.MemoryBudget {
+		return weight, false, nil
+	}
+	if s.cfg.Strict {
+		s.mu.Lock()
+		s.rejectLocked()
+		s.mu.Unlock()
+		return 0, false, fmt.Errorf("service: estimate %d bytes over budget %d: %w",
+			weight, s.cfg.MemoryBudget, ErrOverBudget)
+	}
+	share := max(s.cfg.MemoryBudget/int64(s.cfg.MaxInFlight), 1)
+	return min(max(j.degrade(share), 1), share), true, nil
 }
 
 // admit enqueues w and blocks until it is admitted, rejected, or ctx ends,

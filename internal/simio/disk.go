@@ -93,14 +93,15 @@ func (d *Disk) ReadThrottle() *Throttle { return d.read }
 // WriteThrottle returns the write-bandwidth throttle.
 func (d *Disk) WriteThrottle() *Throttle { return d.write }
 
-// ReadRange reads object bytes through the read throttle.
-func (d *Disk) ReadRange(name string, off, n int64) ([]byte, error) {
+// ReadRange reads object bytes through the read throttle into dst[:0]
+// (grown if short; nil allocates), as Store.ReadRange.
+func (d *Disk) ReadRange(name string, off, n int64, dst []byte) ([]byte, error) {
 	if d.Fault != nil {
 		if err := d.Fault("read"); err != nil {
 			return nil, err
 		}
 	}
-	data, err := d.store.ReadRange(name, off, n)
+	data, err := d.store.ReadRange(name, off, n, dst)
 	if err != nil {
 		return nil, err
 	}

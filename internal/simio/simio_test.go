@@ -82,11 +82,11 @@ func testStore(t *testing.T, s Store) {
 	if err := s.Put("a/b", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadRange("a/b", 6, 5)
+	got, err := s.ReadRange("a/b", 6, 5, nil)
 	if err != nil || string(got) != "world" {
 		t.Fatalf("ReadRange = %q, %v", got, err)
 	}
-	got, err = s.ReadRange("a/b", 6, -1)
+	got, err = s.ReadRange("a/b", 6, -1, nil)
 	if err != nil || string(got) != "world" {
 		t.Fatalf("ReadRange to end = %q, %v", got, err)
 	}
@@ -106,7 +106,7 @@ func testStore(t *testing.T, s Store) {
 	if err != nil || len(names) != 2 || names[0] != "a/b" || names[1] != "new" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	if _, err := s.ReadRange("missing", 0, 1); err == nil {
+	if _, err := s.ReadRange("missing", 0, 1, nil); err == nil {
 		t.Error("expected error for missing object")
 	}
 	if err := s.Delete("new"); err != nil {
@@ -145,13 +145,13 @@ func TestFileStoreRejectsEscapingNames(t *testing.T) {
 func TestMemStoreReadRangeBounds(t *testing.T) {
 	s := NewMemStore()
 	s.Put("o", []byte("abcdef"))
-	if _, err := s.ReadRange("o", -1, 2); err == nil {
+	if _, err := s.ReadRange("o", -1, 2, nil); err == nil {
 		t.Error("negative offset should fail")
 	}
-	if _, err := s.ReadRange("o", 4, 10); err == nil {
+	if _, err := s.ReadRange("o", 4, 10, nil); err == nil {
 		t.Error("overlong range should fail")
 	}
-	if got, err := s.ReadRange("o", 6, 0); err != nil || len(got) != 0 {
+	if got, err := s.ReadRange("o", 6, 0, nil); err != nil || len(got) != 0 {
 		t.Errorf("empty range at end = %q, %v", got, err)
 	}
 }
@@ -161,12 +161,12 @@ func TestMemStoreIsolation(t *testing.T) {
 	src := []byte("abc")
 	s.Put("o", src)
 	src[0] = 'Z'
-	got, _ := s.ReadRange("o", 0, -1)
+	got, _ := s.ReadRange("o", 0, -1, nil)
 	if string(got) != "abc" {
 		t.Error("Put must copy input")
 	}
 	got[0] = 'Q'
-	got2, _ := s.ReadRange("o", 0, -1)
+	got2, _ := s.ReadRange("o", 0, -1, nil)
 	if string(got2) != "abc" {
 		t.Error("ReadRange must return a copy")
 	}
@@ -179,7 +179,7 @@ func TestDiskCountsAndThrottles(t *testing.T) {
 	if err := d.Put("obj", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadRange("obj", 0, -1)
+	got, err := d.ReadRange("obj", 0, -1, nil)
 	if err != nil || len(got) != len(payload) {
 		t.Fatalf("ReadRange: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestSharedDiskContention(t *testing.T) {
 		wg.Add(1)
 		go func(d *Disk) {
 			defer wg.Done()
-			if _, err := d.ReadRange("o", 0, -1); err != nil {
+			if _, err := d.ReadRange("o", 0, -1, nil); err != nil {
 				t.Error(err)
 			}
 		}(d)

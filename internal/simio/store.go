@@ -18,8 +18,10 @@ type Store interface {
 	Put(name string, data []byte) error
 	// Append extends an object, creating it if absent.
 	Append(name string, data []byte) error
-	// ReadRange reads n bytes at offset off. n < 0 reads to the end.
-	ReadRange(name string, off, n int64) ([]byte, error)
+	// ReadRange reads n bytes at offset off into dst[:0], growing dst if
+	// it is too short, and returns the filled slice; dst may be nil.
+	// n < 0 reads to the end.
+	ReadRange(name string, off, n int64, dst []byte) ([]byte, error)
 	// Size returns the object's length in bytes.
 	Size(name string) (int64, error)
 	// Delete removes an object; deleting a missing object is not an error.
@@ -28,23 +30,67 @@ type Store interface {
 	List() ([]string, error)
 }
 
+// pageSize is MemStore's allocation unit: an object is a list of pages,
+// so appending fills the last page and never copies what is already
+// stored.
+const pageSize = 64 << 10
+
+type page = [pageSize]byte
+
+// pagePool recycles the pages of deleted and replaced objects: scratch
+// files are created and deleted statement after statement.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// memObject is one MemStore object: size bytes across its pages, every
+// page full but the last.
+type memObject struct {
+	pages []*page
+	size  int64
+}
+
+// write appends data, filling the last page before taking a new one.
+func (o *memObject) write(data []byte) {
+	for len(data) > 0 {
+		at := int(o.size % pageSize)
+		if at == 0 {
+			o.pages = append(o.pages, pagePool.Get().(*page))
+		}
+		n := copy(o.pages[len(o.pages)-1][at:], data)
+		data = data[n:]
+		o.size += int64(n)
+	}
+}
+
+// free returns the object's pages to the pool.
+func (o *memObject) free() {
+	for _, p := range o.pages {
+		pagePool.Put(p)
+	}
+	o.pages, o.size = nil, 0
+}
+
 // MemStore is an in-memory Store, the default substrate for tests and
 // benchmarks (chunk bytes are still real bytes; only the medium is RAM).
 type MemStore struct {
 	mu      sync.RWMutex
-	objects map[string][]byte
+	objects map[string]*memObject
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: make(map[string][]byte)}
+	return &MemStore{objects: make(map[string]*memObject)}
 }
 
 // Put implements Store.
 func (m *MemStore) Put(name string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.objects[name] = append([]byte(nil), data...)
+	if old := m.objects[name]; old != nil {
+		old.free()
+	}
+	obj := &memObject{}
+	obj.write(data)
+	m.objects[name] = obj
 	return nil
 }
 
@@ -52,31 +98,49 @@ func (m *MemStore) Put(name string, data []byte) error {
 func (m *MemStore) Append(name string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.objects[name] = append(m.objects[name], data...)
+	obj := m.objects[name]
+	if obj == nil {
+		obj = &memObject{}
+		m.objects[name] = obj
+	}
+	obj.write(data)
 	return nil
 }
 
 // ReadRange implements Store.
-func (m *MemStore) ReadRange(name string, off, n int64) ([]byte, error) {
+func (m *MemStore) ReadRange(name string, off, n int64, dst []byte) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	obj, ok := m.objects[name]
 	if !ok {
 		return nil, fmt.Errorf("simio: object %q not found", name)
 	}
-	if off < 0 || off > int64(len(obj)) {
-		return nil, fmt.Errorf("simio: offset %d out of range for %q (%d bytes)", off, name, len(obj))
+	if off < 0 || off > obj.size {
+		return nil, fmt.Errorf("simio: offset %d out of range for %q (%d bytes)", off, name, obj.size)
 	}
-	end := int64(len(obj))
+	end := obj.size
 	if n >= 0 {
 		end = off + n
-		if end > int64(len(obj)) {
-			return nil, fmt.Errorf("simio: range [%d,%d) exceeds %q (%d bytes)", off, end, name, len(obj))
+		if end > obj.size {
+			return nil, fmt.Errorf("simio: range [%d,%d) exceeds %q (%d bytes)", off, end, name, obj.size)
 		}
 	}
-	out := make([]byte, end-off)
-	copy(out, obj[off:end])
+	out := grow(dst, int(end-off))
+	for w := out; len(w) > 0; {
+		c := copy(w, obj.pages[off/pageSize][off%pageSize:])
+		w = w[c:]
+		off += int64(c)
+	}
 	return out, nil
+}
+
+// grow returns dst resized to n bytes, reallocated only if it is too
+// short.
+func grow(dst []byte, n int) []byte {
+	if cap(dst) < n {
+		return make([]byte, n)
+	}
+	return dst[:n]
 }
 
 // Size implements Store.
@@ -87,14 +151,17 @@ func (m *MemStore) Size(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("simio: object %q not found", name)
 	}
-	return int64(len(obj)), nil
+	return obj.size, nil
 }
 
 // Delete implements Store.
 func (m *MemStore) Delete(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.objects, name)
+	if obj := m.objects[name]; obj != nil {
+		obj.free()
+		delete(m.objects, name)
+	}
 	return nil
 }
 
@@ -167,7 +234,7 @@ func (f *FileStore) Append(name string, data []byte) error {
 }
 
 // ReadRange implements Store.
-func (f *FileStore) ReadRange(name string, off, n int64) ([]byte, error) {
+func (f *FileStore) ReadRange(name string, off, n int64, dst []byte) ([]byte, error) {
 	p, err := f.path(name)
 	if err != nil {
 		return nil, err
@@ -184,7 +251,7 @@ func (f *FileStore) ReadRange(name string, off, n int64) ([]byte, error) {
 		}
 		n = fi.Size() - off
 	}
-	buf := make([]byte, n)
+	buf := grow(dst, int(n))
 	if _, err := file.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("simio: reading %q [%d,%d): %w", name, off, off+n, err)
 	}

@@ -40,7 +40,7 @@ func SaveDataset(ds *Dataset, dir string) error {
 			return err
 		}
 		for _, name := range names {
-			data, err := store.ReadRange(name, 0, -1)
+			data, err := store.ReadRange(name, 0, -1, nil)
 			if err != nil {
 				return err
 			}
