@@ -26,6 +26,12 @@ const (
 	aggGroupOver = 64
 )
 
+// aggReadChunk is the read chunk a partition is replayed through. It is
+// fixed, not a share of the budget: a fold that overflows stops partway
+// through its partition after whole chunks, so a smaller chunk would read
+// fewer scratch bytes and move a count that must stay comparable.
+const aggReadChunk = 256 << 10
+
 // aggregateOp is the blocking aggregation operator. To keep float
 // accumulation byte-identical to the materialized distributed aggregation
 // — which folded each joiner's output into its own dds.Partial and merged
@@ -210,7 +216,7 @@ func (o *aggregateOp) external() error {
 			// partition has been finalized yet, so abandon the partials
 			// and re-partition the raw rows one depth down.
 			sub, err := o.split(inSchema, groupIdxs, pt.depth+1, func(add func(uint32, *tuple.SubTable) error) error {
-				return pt.p.Read(pt.k, add)
+				return pt.p.Read(pt.k, aggReadChunk, add)
 			})
 			if err != nil {
 				return err
@@ -239,7 +245,7 @@ func (o *aggregateOp) external() error {
 		if out.NumRows() == 0 {
 			continue
 		}
-		run, err := spillSortedRun(o.mgr, out, identity(out.NumRows()), len(runs))
+		run, err := spillSortedRun(o.mgr, scratch.EncodeRows(out), out.NumRows(), len(runs))
 		if err != nil {
 			return err
 		}
@@ -264,15 +270,6 @@ func (o *aggregateOp) external() error {
 // aggOutID labels the external result's batches as dds.Partial.Finalize
 // labels the in-memory one.
 var aggOutID = tuple.ID{Table: -3, Chunk: -1}
-
-// identity returns the row order 0..n-1.
-func identity(n int) []int32 {
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return rows
-}
 
 // split hash-partitions the rows feed adds by group key under depth's
 // salt, and returns the non-empty partitions. Tags may interleave: each
@@ -306,7 +303,7 @@ func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupByte
 	n := o.node
 	ps := &partials{node: n, schema: inSchema}
 	var state int64
-	err := pt.p.Read(pt.k, func(tag uint32, st *tuple.SubTable) error {
+	err := pt.p.Read(pt.k, aggReadChunk, func(tag uint32, st *tuple.SubTable) error {
 		p, err := ps.of(int(tag))
 		if err != nil {
 			return err

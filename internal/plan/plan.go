@@ -450,8 +450,9 @@ type SortNode struct {
 	Keys  []query.OrderKey
 	// Bound, when positive, says only the first Bound rows of the order
 	// are consumed: NewLimit stamps it on a Sort directly beneath it, and
-	// the operator then keeps a Bound-row heap instead of its whole input.
-	// The LimitNode above still does the truncating. 0 sorts everything.
+	// the operator then keeps the first Bound rows, cut back from a buffer
+	// of at most 2·Bound, instead of its whole input. The LimitNode above
+	// still does the truncating. 0 sorts everything.
 	Bound int
 	// SpillBudget/SpillDisk/SpillOwner/SpillTrace are stamped by
 	// Plan.SetBudget: when the accumulated input exceeds the budget, the
@@ -616,7 +617,7 @@ func residentBytes(n Node) int64 {
 		buffer := int64(t.Parts) * maxBufferedBatches * pm.CS * rec
 		return build + stream + buffer
 	case *SortNode:
-		// Absorbs its whole input, or the Bound rows its heap keeps.
+		// Absorbs its whole input, or the Bound rows its top-k cut keeps.
 		return estRows(t) * rec
 	case *AggregateNode:
 		// Per-group accumulators; bounded by the (deduplicated) group

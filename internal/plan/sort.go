@@ -1,9 +1,7 @@
 package plan
 
 import (
-	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -26,37 +24,20 @@ const sortEmitRows = 4096
 // ---------------------------------------------------------------------
 // Ordering kernel
 
-// sortInline is the number of key words a sortKey carries in place; the
-// words of any further keys live in the sortOrder's over arena.
-const sortInline = 4
-
-// sortKey is one row's position in ORDER BY's strict total order
-// (keys..., arrival index): one normalized word per sort key, then the
-// row's arrival index — the tiebreaker that makes any sort over sortKeys
-// reproduce a stable sort of the arrival-ordered input. slot says where
-// the row itself lives in its owner's storage (buffer row, merge cursor).
-type sortKey struct {
-	w    [sortInline]uint32
-	arr  int64
-	slot int32
-}
-
-// sortOrder is the ordering kernel: it encodes rows into sortKeys and is
-// the one place two rows are compared. The in-memory sort, sorted-run
-// generation, the top-k heap and the run merge all go through it, so
-// they cannot disagree on the order: the first two radix-sort on the
-// very words compare reads (order).
+// sortOrder is the ordering kernel. A row's place in ORDER BY's strict
+// total order is (keys..., arrival): its key words — one tuple.KeyWord per
+// sort key, inverted for DESC, so that unsigned order is the key order —
+// then its arrival index. order radix-sorts those words for the in-memory
+// sort, sorted-run generation and the top-k cut; the cut's filter
+// (before) and the run merge compare them word by word. Every path reads
+// the one definition of the words, so none can disagree on the order.
 type sortOrder struct {
 	idxs []int    // key columns, in ORDER BY order
 	flip []uint32 // per key: ^0 for DESC (inverts the word), 0 for ASC
-	// over holds the words of keys past the inline ones, len(idxs)-sortInline
-	// per slot; nil for the common case of at most sortInline keys.
-	over []uint32
 
-	// keys backs keysOf's result; perm backs the row order that order
-	// and sorted return, plus order's second permutation; cols holds
-	// order's two word columns. All are reused run after run.
-	keys []sortKey
+	// perm backs the row order that order returns, plus order's second
+	// permutation; cols holds order's two word columns. Both are reused
+	// run after run.
 	perm []int32
 	cols []uint32
 }
@@ -72,95 +53,37 @@ func newSortOrder(schema tuple.Schema, keys []query.OrderKey) *sortOrder {
 	return o
 }
 
-// extra is the number of over-arena words per slot.
-func (o *sortOrder) extra() int { return max(len(o.idxs)-sortInline, 0) }
-
-// reserve sizes the over arena for slots [0, n).
-func (o *sortOrder) reserve(n int) {
-	if need := n * o.extra(); need > len(o.over) {
-		o.over = append(o.over, make([]uint32, need-len(o.over))...)
-	}
-}
-
-// put stores key i's word for value v into k (or k's over-arena slot).
-func (o *sortOrder) put(k *sortKey, i int, v float32) {
-	w := tuple.KeyWord(v) ^ o.flip[i]
-	if i < sortInline {
-		k.w[i] = w
-		return
-	}
-	o.over[int(k.slot)*o.extra()+i-sortInline] = w
-}
-
-// keysOf encodes every row of st: row r gets slot r and arrival r.
-// Encoding runs column by column over the key columns only. The keys live
-// in the kernel's buffer until its next keysOf.
-func (o *sortOrder) keysOf(st *tuple.SubTable) []sortKey {
-	if cap(o.keys) < st.NumRows() {
-		o.keys = make([]sortKey, st.NumRows())
-	}
-	keys := o.keys[:st.NumRows()]
-	o.reserve(len(keys))
-	for r := range keys {
-		keys[r].arr, keys[r].slot = int64(r), int32(r)
-	}
+// words writes the key words of row, one record in schema order, to dst.
+func (o *sortOrder) words(dst []uint32, row []float32) {
 	for i, idx := range o.idxs {
-		for r, v := range st.Col(idx) {
-			o.put(&keys[r], i, v)
-		}
+		dst[i] = tuple.KeyWord(row[idx]) ^ o.flip[i]
 	}
-	return keys
 }
 
-// keyOf encodes one row-major record into the given slot.
-func (o *sortOrder) keyOf(row []float32, slot int, arr int64) sortKey {
-	k := sortKey{arr: arr, slot: int32(slot)}
-	o.reserve(slot + 1)
+// before reports whether row r of st orders before the row whose key
+// words are w, given that r arrived later: its words must be smaller.
+// Words are compared first to last and computed only as far as they tie.
+func (o *sortOrder) before(st *tuple.SubTable, r int, w []uint32) bool {
 	for i, idx := range o.idxs {
-		o.put(&k, i, row[idx])
-	}
-	return k
-}
-
-// moveSlot copies the over-arena words of slot src to slot dst.
-func (o *sortOrder) moveSlot(dst, src int) {
-	if n := o.extra(); n > 0 {
-		copy(o.over[dst*n:][:n], o.over[src*n:][:n])
-	}
-}
-
-// compare orders two keys of the same slot space by (keys..., arrival).
-// Unused inline words are zero on both sides and fall through.
-func (o *sortOrder) compare(a, b *sortKey) int {
-	for i := range a.w {
-		if c := cmp.Compare(a.w[i], b.w[i]); c != 0 {
-			return c
+		if v := tuple.KeyWord(st.Col(idx)[r]) ^ o.flip[i]; v != w[i] {
+			return v < w[i]
 		}
 	}
-	if n := o.extra(); n > 0 {
-		wa, wb := o.over[int(a.slot)*n:][:n], o.over[int(b.slot)*n:][:n]
-		for i := range wa {
-			if c := cmp.Compare(wa[i], wb[i]); c != 0 {
-				return c
-			}
-		}
-	}
-	return cmp.Compare(a.arr, b.arr)
+	return false
 }
 
 // order returns the rows of st in (keys..., arrival) order, arrival
 // being row order, as row indices in a buffer the kernel reuses on its
-// next order or sorted. Input already in order (a GROUP BY's output
-// under its own keys) is found by one scan and returned as it stands.
-// Otherwise order is an LSD radix sort over a permutation of st's rows.
-// Key by key, last first, it loads each row's word — the one keysOf
-// encodes — in the permutation's current order into a column, counts all
-// four 8-bit digits in one pass over it (a histogram does not depend on
-// the order), and makes one stable counting pass per digit that is not
-// the same in every row, moving each row index together with its word.
-// The permutation starts in row order and every pass is stable, so ties
-// on every key stay in arrival order: exactly compare's order, with no
-// arrival digits.
+// next order. Input already in order (a GROUP BY's output under its own
+// keys) is found by one scan and returned as it stands. Otherwise order
+// is an LSD radix sort over a permutation of st's rows. Key by key, last
+// first, it loads each row's word in the permutation's current order into
+// a column, counts all four 8-bit digits in one pass over it (a histogram
+// does not depend on the order), and makes one stable counting pass per
+// digit that is not the same in every row, moving each row index together
+// with its word. The permutation starts in row order and every pass is
+// stable, so ties on every key stay in arrival order without arrival
+// digits.
 func (o *sortOrder) order(st *tuple.SubTable) []int32 {
 	n := st.NumRows()
 	done := o.inOrder(st)
@@ -211,21 +134,6 @@ func (o *sortOrder) order(st *tuple.SubTable) []int32 {
 	return perm
 }
 
-// sorted sorts the top-k heap's keys through compare and returns their
-// slots in order, in the kernel's buffer. The heap's keys are not in
-// arrival order, so order's stable passes would not break their ties;
-// compare does, on the arrival index. The order is total, so the
-// unstable pattern-defeating quicksort yields the stable sort's
-// permutation.
-func (o *sortOrder) sorted(keys []sortKey) []int32 {
-	slices.SortFunc(keys, func(a, b sortKey) int { return o.compare(&a, &b) })
-	o.perm = slices.Grow(o.perm[:0], len(keys))[:len(keys)]
-	for i := range keys {
-		o.perm[i] = keys[i].slot
-	}
-	return o.perm
-}
-
 // inOrder reports whether st's rows are already in (keys..., arrival)
 // order, as a GROUP BY's output ordered by its own keys arrives. It
 // stops at the first row out of order, so on other input it costs about
@@ -246,23 +154,6 @@ func (o *sortOrder) inOrder(st *tuple.SubTable) bool {
 	return true
 }
 
-// siftDown restores the max-heap property of h below position i.
-func (o *sortOrder) siftDown(h []sortKey, i int) {
-	for {
-		big := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if o.compare(&h[c], &h[big]) > 0 {
-				big = c
-			}
-		}
-		if big == i {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
 // gather builds the sub-table holding acc's rows in the given order,
 // one column at a time.
 func gather(acc *tuple.SubTable, rows []int32) (*tuple.SubTable, error) {
@@ -277,57 +168,86 @@ func gather(acc *tuple.SubTable, rows []int32) (*tuple.SubTable, error) {
 	return tuple.FromColumns(acc.ID, acc.Schema, cols)
 }
 
-// topK keeps the first bound rows, in the kernel's order, of the rows
-// absorbed so far: rows holds them (in no particular order) and, once it
-// is full, heap arranges their keys as a max-heap whose root is the
-// current bound-th row — the one a better row evicts.
+// topK keeps the first bound rows of the order among the rows absorbed.
+// rows holds the kept rows in order, then newer candidates in arrival
+// order. Once it holds 2·bound rows, cut orders it and keeps its first
+// bound rows; from then on a candidate enters only if it orders before
+// last, the bound-th kept row's key words. Every kept row arrived before
+// every candidate and order is stable, so ordering the buffer by
+// (keys..., position) orders it by (keys..., arrival): the kept rows are
+// always the head of "sort everything absorbed".
 type topK struct {
 	ord   *sortOrder
 	bound int
+	full  int // 2·bound, saturated: the row count that triggers a cut
 	rows  *tuple.SubTable
-	heap  []sortKey
-	seen  int64     // rows absorbed: the next row's arrival index
-	row   []float32 // staging for one candidate row
+	last  []uint32  // the bound-th kept row's key words; nil before the first cut
+	pick  []int32   // one batch's candidates that passed the filter
+	tmp   []float32 // the column cut permutes through
+	peak  int64     // the most bytes rows held
 }
 
+func newTopK(ord *sortOrder, bound int, rows *tuple.SubTable) *topK {
+	full := math.MaxInt
+	if bound <= math.MaxInt/2 {
+		full = 2 * bound
+	}
+	return &topK{ord: ord, bound: bound, full: full, rows: rows}
+}
+
+// absorb adds st's rows that can still be among the first bound. The
+// filter runs row by row against the current cut, which tightens in the
+// middle of a batch whenever the buffer fills.
 func (t *topK) absorb(st *tuple.SubTable) error {
-	fill := min(st.NumRows(), t.bound-t.rows.NumRows())
-	if fill > 0 {
-		if err := t.rows.AppendAll(st.Head(fill)); err != nil {
-			return err
-		}
-		if t.rows.NumRows() == t.bound {
-			t.heap = t.ord.keysOf(t.rows)
-			for i := len(t.heap)/2 - 1; i >= 0; i-- {
-				t.ord.siftDown(t.heap, i)
+	for r := 0; r < st.NumRows(); {
+		room := t.full - t.rows.NumRows()
+		switch {
+		case t.last == nil: // before the first cut, every row enters
+			m := min(st.NumRows()-r, room)
+			if err := t.rows.AppendAll(st.Slice(r, r+m)); err != nil {
+				return err
 			}
+			r += m
+		case len(t.last) == 0:
+			return nil // no keys: the order is arrival, and the kept rows came first
+		default:
+			// Nearly every row loses on its first key word alone.
+			lead := st.Col(t.ord.idxs[0])[:st.NumRows()]
+			flip, cut := t.ord.flip[0], t.last[0]
+			t.pick = t.pick[:0]
+			for ; r < len(lead); r++ {
+				if w := tuple.KeyWord(lead[r]) ^ flip; w > cut || w == cut && !t.ord.before(st, r, t.last) {
+					continue
+				}
+				if t.pick = append(t.pick, int32(r)); len(t.pick) == room {
+					r++ // the buffer is full: cut before filtering on
+					break
+				}
+			}
+			t.rows.AppendGather(st, t.pick)
+		}
+		if t.rows.NumRows() == t.full {
+			t.cut()
 		}
 	}
-	var lead []float32 // the first key's column
-	var flip uint32
-	if len(t.ord.idxs) > 0 {
-		lead, flip = st.Col(t.ord.idxs[0]), t.ord.flip[0]
-	}
-	for r := fill; r < st.NumRows(); r++ {
-		root := &t.heap[0]
-		// Nearly every row loses on its first key alone; only the others
-		// are worth copying out and encoding in full.
-		if lead != nil && tuple.KeyWord(lead[r])^flip > root.w[0] {
-			continue
-		}
-		// Slot bound, one past the kept rows', stages the candidate.
-		cand := t.ord.keyOf(st.Row(r, t.row), t.bound, t.seen+int64(r))
-		if t.ord.compare(&cand, root) >= 0 {
-			continue
-		}
-		cand.slot = root.slot
-		t.rows.SetRow(int(cand.slot), t.row)
-		t.ord.moveSlot(int(cand.slot), t.bound)
-		*root = cand
-		t.ord.siftDown(t.heap, 0)
-	}
-	t.seen += int64(st.NumRows())
 	return nil
+}
+
+// cut orders the buffer and keeps its first bound rows in place, a
+// column at a time through tmp, and takes the last kept row's words as
+// the new filter.
+func (t *topK) cut() {
+	t.peak = max(t.peak, int64(t.rows.Bytes()))
+	rows := t.ord.order(t.rows)
+	rows = rows[:min(len(rows), t.bound)]
+	t.tmp = slices.Grow(t.tmp[:0], len(rows))[:len(rows)]
+	t.rows.Reorder(rows, t.tmp)
+	if len(rows) == t.bound {
+		if t.last == nil {
+			t.last = make([]uint32, len(t.ord.idxs))
+		}
+		t.ord.words(t.last, t.rows.Row(t.bound-1, nil))
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -343,10 +263,10 @@ func (t *topK) absorb(st *tuple.SubTable) error {
 // kernel and emitted as one batch.
 //
 // Bounded (SortNode.Bound = k, a LIMIT directly above), only the first k
-// rows of the order are ever needed: the buffer stops growing at k rows
-// and becomes a max-heap whose root is the current k-th row; a later row
-// enters only by evicting the root. Resident memory is k rows, not the
-// input.
+// rows of the order are ever needed (topK): the buffer is cut back to its
+// first k rows whenever it reaches 2k, and a later row enters only if it
+// orders before the k-th kept row. Resident memory is at most 2k rows,
+// not the input, and the last cut's buffer is the result.
 //
 // With a spill budget stamped (SortNode.SpillBudget > 0), absorption is
 // bounded: whenever the buffer exceeds the budget it is sorted and
@@ -356,7 +276,7 @@ func (t *topK) absorb(st *tuple.SubTable) error {
 // the output is byte-identical to the in-memory path wherever the run
 // boundaries fell; only the batch boundaries differ (bounded emission
 // instead of one monolithic batch). A bounded sort whose k rows fit the
-// budget share runs the heap and never touches scratch; one whose k rows
+// budget share runs topK and never touches scratch; one whose k rows
 // do not fit spills runs truncated to their first k rows and stops the
 // merge after k.
 type sortOp struct {
@@ -368,8 +288,9 @@ type sortOp struct {
 	out   *tuple.SubTable // in-memory result, emitted as one batch
 	mgr   *scratch.Manager
 	merge *runMerge // external result, emitted in sortEmitRows batches
-	// held is what stays resident while the result is emitted: the
-	// absorbed rows, plus the merge's read buffers when runs spilled.
+	// held is what stays resident beside the emitted batch: the absorbed
+	// rows a gathered result copies, plus the merge's read buffers when
+	// runs spilled. A top-k result is the absorbed rows themselves.
 	held int64
 }
 
@@ -414,15 +335,16 @@ func (o *sortOp) absorb() error {
 	if node.Bound > 0 {
 		bound = node.Bound
 	}
-	// The heap holds at most bound rows, so it may run whenever that many
+	acc := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, schema, 0)
+	// topK keeps bound rows between cuts, so it may run whenever that many
 	// fit the budget share (always, without a budget) — and then nothing
 	// can spill.
-	heapFits := node.Bound > 0 &&
-		(!budgeted || int64(bound) <= node.SpillBudget/int64(schema.RecordSize()))
-	spilling := budgeted && !heapFits
+	var top *topK
+	if node.Bound > 0 && (!budgeted || int64(bound) <= node.SpillBudget/int64(schema.RecordSize())) {
+		top = newTopK(ord, bound, acc)
+	}
+	spilling := budgeted && top == nil
 
-	acc := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: -1}, schema, 0)
-	top := topK{ord: ord, bound: bound, rows: acc, row: make([]float32, schema.NumAttrs())}
 	var runs []*scratch.File
 	first := true
 	for {
@@ -437,7 +359,7 @@ func (o *sortOp) absorb() error {
 			acc.ID = st.ID
 			first = false
 		}
-		if heapFits {
+		if top != nil {
 			err = top.absorb(st)
 		} else {
 			err = acc.AppendAll(st)
@@ -453,7 +375,8 @@ func (o *sortOp) absorb() error {
 					node.SpillOwner, node.SpillTrace, nil)
 			}
 			rows := ord.order(acc)
-			run, err := spillSortedRun(o.mgr, acc, rows[:min(len(rows), bound)], len(runs))
+			rows = rows[:min(len(rows), bound)]
+			run, err := spillSortedRun(o.mgr, scratch.EncodeRowsAt(acc, rows), len(rows), len(runs))
 			if err != nil {
 				return err
 			}
@@ -462,12 +385,14 @@ func (o *sortOp) absorb() error {
 		}
 	}
 
-	var rows []int32
-	if top.heap != nil {
-		rows = ord.sorted(top.heap)
-	} else {
-		rows = ord.order(acc)
+	if top != nil {
+		// The last cut leaves the result in the buffer itself.
+		top.cut()
+		o.s.PeakBytes = max(o.s.PeakBytes, top.peak)
+		o.out = acc
+		return nil
 	}
+	rows := ord.order(acc)
 	rows = rows[:min(len(rows), bound)]
 	o.held = int64(acc.Bytes())
 	if len(runs) == 0 {
@@ -480,17 +405,14 @@ func (o *sortOp) absorb() error {
 	}
 	// External merge: the spilled runs in arrival order, then the
 	// in-memory tail.
-	m := &runMerge{schema: schema, id: acc.ID, ord: newSortOrder(schema, node.Keys), left: bound}
+	m := &runMerge{schema: schema, id: acc.ID, ord: ord, left: bound}
 	bufs, err := m.openRuns(runs, node.SpillBudget)
 	if err != nil {
 		return err
 	}
 	o.held += bufs
 	if len(rows) > 0 {
-		m.curs = append(m.curs, &runCursor{
-			acc: acc, rows: rows,
-			row: make([]float32, schema.NumAttrs()),
-		})
+		m.curs = append(m.curs, m.cursor(&runCursor{acc: acc, rows: rows}))
 	}
 	o.merge = m
 	return m.start()
@@ -509,21 +431,12 @@ func (o *sortOp) Close() error {
 // ---------------------------------------------------------------------
 // External merge
 
-// spillSortedRun writes acc's rows in the given order as run n, each
-// record in scratch.EncodeRows' row layout.
-func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, rows []int32, n int) (*scratch.File, error) {
-	rec := acc.Schema.RecordSize()
-	size := len(rows) * rec
-	buf := tuple.GetBuf(size)[:size]
-	for c := range acc.Schema.NumAttrs() {
-		col := acc.Col(c)
-		for i, r := range rows {
-			binary.LittleEndian.PutUint32(buf[i*rec+c*4:], math.Float32bits(col[r]))
-		}
-	}
+// spillSortedRun writes data, rows records in scratch.EncodeRows' layout,
+// as run n, and releases data.
+func spillSortedRun(mgr *scratch.Manager, data []byte, rows, n int) (*scratch.File, error) {
 	f := mgr.Create(fmt.Sprintf("run%d", n))
-	err := f.AppendRows(buf, int64(len(rows)))
-	tuple.PutBuf(buf)
+	err := f.AppendRows(data, int64(rows))
+	tuple.PutBuf(data)
 	if err != nil {
 		return nil, err
 	}
@@ -531,27 +444,24 @@ func spillSortedRun(mgr *scratch.Manager, acc *tuple.SubTable, rows []int32, n i
 }
 
 // runCursor walks one sorted run: a scratch file (rd != nil) or the
-// in-memory tail buffer (acc != nil). row/key hold the current record.
+// in-memory tail buffer (acc != nil). row holds the current record and
+// key its key words.
 type runCursor struct {
 	// Disk run.
-	rd  *scratch.Reader
-	buf []byte
+	rd *scratch.Reader
 	// In-memory tail: acc's rows, in sorted order.
 	acc  *tuple.SubTable
 	rows []int32
 	pos  int
 
 	row []float32
-	key sortKey
+	key []uint32
 	ok  bool
 }
 
-// advance loads the cursor's next record and encodes its key into the
-// merge's slot space, the cursor index standing in for the arrival index:
-// rows of one run are already in (keys, arrival) order, and every row of
-// an earlier cursor arrived before every row of a later one. ok=false at
+// advance loads the cursor's next record and its key words; ok=false at
 // run end.
-func (c *runCursor) advance(ord *sortOrder, slot int) error {
+func (c *runCursor) advance(ord *sortOrder) error {
 	if c.acc != nil {
 		if c.pos >= len(c.rows) {
 			c.ok = false
@@ -559,20 +469,14 @@ func (c *runCursor) advance(ord *sortOrder, slot int) error {
 		}
 		c.acc.Row(int(c.rows[c.pos]), c.row)
 		c.pos++
-	} else {
-		if _, err := io.ReadFull(c.rd, c.buf); err != nil {
-			if err == io.EOF {
-				c.rd.Close()
-				c.ok = false
-				return nil
-			}
-			return fmt.Errorf("plan: sort run read: %w", err)
-		}
-		for i := range c.row {
-			c.row[i] = math.Float32frombits(binary.LittleEndian.Uint32(c.buf[i*4:]))
-		}
+	} else if err := c.rd.ReadRecord(c.row); err == io.EOF {
+		c.rd.Close()
+		c.ok = false
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("plan: sort run read: %w", err)
 	}
-	c.key = ord.keyOf(c.row, slot, int64(slot))
+	ord.words(c.key, c.row)
 	c.ok = true
 	return nil
 }
@@ -582,8 +486,8 @@ const mergeFloor = 4 << 10
 
 // openRuns adds a cursor over each spilled run, in order. The runs share
 // the operator's budget as read buffer, max(mergeFloor, budget/len(runs))
-// bytes each; openRuns returns the bytes those buffers hold, a run
-// shorter than its chunk holding only itself.
+// bytes each; openRuns returns the bytes those buffers hold, a run shorter
+// than its chunk holding only itself.
 func (m *runMerge) openRuns(runs []*scratch.File, budget int64) (int64, error) {
 	chunk := max(mergeFloor, budget/int64(len(runs)))
 	var held int64
@@ -593,18 +497,13 @@ func (m *runMerge) openRuns(runs []*scratch.File, budget int64) (int64, error) {
 			return 0, err
 		}
 		held += min(chunk, run.Size())
-		m.curs = append(m.curs, &runCursor{
-			rd:  rd,
-			buf: make([]byte, m.schema.RecordSize()),
-			row: make([]float32, m.schema.NumAttrs()),
-		})
+		m.curs = append(m.curs, m.cursor(&runCursor{rd: rd}))
 	}
 	return held, nil
 }
 
 // runMerge merges sorted runs with a loser tree over the cursors'
-// current keys. ord is the merge's own kernel instance: its slots are
-// cursor indexes.
+// current key words.
 type runMerge struct {
 	schema tuple.Schema
 	id     tuple.ID
@@ -614,10 +513,20 @@ type runMerge struct {
 	left   int // rows still to emit (a bounded sort stops after Bound)
 }
 
-// start primes every cursor and builds the loser tree.
+// cursor sizes c's record and key buffers for the merge.
+func (m *runMerge) cursor(c *runCursor) *runCursor {
+	c.row = make([]float32, m.schema.NumAttrs())
+	c.key = make([]uint32, len(m.ord.idxs))
+	return c
+}
+
+// start primes every cursor and builds the loser tree. A cursor's rows
+// are in (keys..., arrival) order, and every row of an earlier cursor
+// arrived before every row of a later one, so rows whose key words tie go
+// to the lower cursor index.
 func (m *runMerge) start() error {
-	for i, c := range m.curs {
-		if err := c.advance(m.ord, i); err != nil {
+	for _, c := range m.curs {
+		if err := c.advance(m.ord); err != nil {
 			return err
 		}
 	}
@@ -629,7 +538,10 @@ func (m *runMerge) start() error {
 		if !cb.ok {
 			return true
 		}
-		return m.ord.compare(&ca.key, &cb.key) < 0
+		if c := slices.Compare(ca.key, cb.key); c != 0 {
+			return c < 0
+		}
+		return a < b
 	})
 	return nil
 }
@@ -648,7 +560,7 @@ func (m *runMerge) nextBatch(n int) (*tuple.SubTable, error) {
 			break
 		}
 		out.AppendRow(m.curs[w].row...)
-		if err := m.curs[w].advance(m.ord, w); err != nil {
+		if err := m.curs[w].advance(m.ord); err != nil {
 			return nil, err
 		}
 		m.lt.fix()

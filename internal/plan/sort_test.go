@@ -259,8 +259,145 @@ func TestSortBoundProperty(t *testing.T) {
 	}
 }
 
-// kernelSchema is seven key columns plus a unique payload: keys past the
-// fourth live in the ordering kernel's over arena when compared.
+// TestSortBoundHuge: LIMIT 2^62, which the parser accepts, over a Sort
+// emits every row in order from memory. The top-k buffer's cut point is
+// 2·Bound, saturated; unsaturated it would wrap negative.
+func TestSortBoundHuge(t *testing.T) {
+	stmt, err := query.Parse("SELECT * FROM T ORDER BY a DESC, b LIMIT 4611686018427387904")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := stmt.(*query.Select)
+	if sel.Limit != 1<<62 {
+		t.Fatalf("parsed LIMIT %d, want 2^62", sel.Limit)
+	}
+	const n = 300
+	rec := int64(sortSchema.RecordSize())
+	for _, batch := range []int{1, 37, n} {
+		batches := sortInput(int64(batch), n, batch, true)
+		what := fmt.Sprintf("batch=%d", batch)
+		got, stat, _ := runSort(t, batches, sel.OrderBy, sel.Limit, 0)
+		sameRows(t, what, got, sortReference(batches, sel.OrderBy, -1))
+		if stat.SpillParts != 0 || stat.PeakBytes > n*rec {
+			t.Fatalf("%s: stats %+v, want no spill and at most the input resident", what, stat)
+		}
+	}
+}
+
+// TestSortBoundCutEdges drives the top-k cut where its first word decides
+// nothing: every first key is a NaN of some payload and sign or a zero of
+// either sign, so every row ties the cut row on its first word (a NaN, or
+// a -0 that equals +0) and the later keys and arrival decide. Batches of
+// one row, of a few rows, and the whole input (every cut inside one batch)
+// must each emit the reference head while holding at most 2·Bound rows.
+func TestSortBoundCutEdges(t *testing.T) {
+	const n = 400
+	rec := int64(sortSchema.RecordSize())
+	firsts := []float32{
+		sortSpecials[0], sortSpecials[1], sortSpecials[2], // NaNs
+		sortSpecials[3], 0, // -0, +0
+	}
+	for _, pool := range []struct {
+		name   string
+		values []float32
+	}{{"nan", firsts[:3]}, {"zero", firsts[3:]}, {"nan-or-zero", firsts}, {"constant", []float32{7}}} {
+		rng := rand.New(rand.NewSource(int64(len(pool.values))))
+		rows := make([][]uint32, n)
+		for r := range rows {
+			rows[r] = make([]uint32, sortSchema.NumAttrs())
+			rows[r][0] = math.Float32bits(pool.values[rng.Intn(len(pool.values))])
+			for c := 1; c < 5; c++ {
+				rows[r][c] = math.Float32bits(float32(rng.Intn(3)))
+			}
+			rows[r][5] = math.Float32bits(float32(r))
+		}
+		for _, batch := range []int{1, 13, n} {
+			batches := sortBatches(rows, batch)
+			for _, keys := range [][]query.OrderKey{orderKeys("a", "b"), orderKeys("-a", "-b", "c"), orderKeys("a")} {
+				want := sortReference(batches, keys, -1)
+				for _, k := range []int{1, 5, 17, n / 2} {
+					what := fmt.Sprintf("%s batch=%d keys=%v k=%d", pool.name, batch, keys, k)
+					got, stat, _ := runSort(t, batches, keys, k, 0)
+					sameRows(t, what, got, want[:k])
+					if stat.PeakBytes > 2*int64(k)*rec {
+						t.Fatalf("%s: peaks at %d B, over 2·Bound rows (%d B)", what, stat.PeakBytes, 2*int64(k)*rec)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sortBatches rebuilds rowBits rows into sortSchema batches of the given
+// size.
+func sortBatches(rows [][]uint32, batch int) []*tuple.SubTable {
+	var out []*tuple.SubTable
+	row := make([]float32, sortSchema.NumAttrs())
+	for r, bits := range rows {
+		if r%batch == 0 {
+			out = append(out, tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(len(out))}, sortSchema, batch))
+		}
+		for c, b := range bits {
+			row[c] = math.Float32frombits(b)
+		}
+		out[len(out)-1].AppendRow(row...)
+	}
+	return out
+}
+
+// FuzzSortKernel differentially checks Sort (under Limit when limited)
+// against sortReference: batches of 0 to 64 rows whose keys mix the
+// sortSpecials with a few numbers, one to three keys in either direction,
+// every limit from none to one past the input, and no budget, a tiny one
+// or one a byte either side of the bound's rows.
+func FuzzSortKernel(f *testing.F) {
+	f.Add(int64(1), uint16(100), uint8(0), int16(10), uint8(0))
+	f.Add(int64(2), uint16(300), uint8(0x2d), int16(-1), uint8(1))
+	f.Add(int64(3), uint16(64), uint8(0x1b), int16(7), uint8(2))
+	f.Add(int64(4), uint16(257), uint8(0x3e), int16(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, shape uint8, limit int16, budgetSel uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(size % 512)
+		values := append([]float32{-1, 0.5, 2}, sortSpecials...)
+		var batches []*tuple.SubTable
+		row := make([]float32, sortSchema.NumAttrs())
+		for r := 0; r < n || len(batches) == 0; {
+			st := tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(len(batches))}, sortSchema, 64)
+			for m := min(rng.Intn(65), n-r); m > 0; m-- {
+				for c := 0; c < 5; c++ {
+					row[c] = values[rng.Intn(len(values))]
+				}
+				row[5] = float32(r)
+				st.AppendRow(row...)
+				r++
+			}
+			batches = append(batches, st)
+		}
+		// shape: bits 0-1 the key count less one, bits 2-4 directions.
+		var keys []query.OrderKey
+		for i, c := range rng.Perm(5)[:1+int(shape&3)%3] {
+			keys = append(keys, query.OrderKey{Attr: sortSchema.Attrs[c].Name, Desc: shape&(4<<i) != 0})
+		}
+		k := int(limit)%(n+3) - 1 // -1 … n+1
+		if k < -1 {
+			k = -k - 2
+		}
+		rec := int64(sortSchema.RecordSize())
+		budget := []int64{0, 1 + int64(rng.Intn(256)), int64(max(k, 1))*rec - 1, int64(max(k, 1))*rec + 1}[budgetSel%4]
+		what := fmt.Sprintf("seed=%d n=%d keys=%v limit=%d budget=%d", seed, n, keys, k, budget)
+		got, stat, live := runSort(t, batches, keys, k, budget)
+		sameRows(t, what, got, sortReference(batches, keys, k))
+		if len(live) > 0 {
+			t.Fatalf("%s: scratch files left after Close: %v", what, live)
+		}
+		if k > 0 && (budget == 0 || int64(k)*rec <= budget) && (stat.SpillParts != 0 || stat.PeakBytes > 2*int64(k)*rec) {
+			t.Fatalf("%s: bound fits, yet stats %+v", what, stat)
+		}
+	})
+}
+
+// kernelSchema is seven key columns plus a unique payload: enough keys
+// that the filter and the merge compare words well past the first.
 var kernelSchema = tuple.NewSchema(
 	tuple.Attr{Name: "k0", Kind: tuple.Measure}, tuple.Attr{Name: "k1", Kind: tuple.Measure},
 	tuple.Attr{Name: "k2", Kind: tuple.Measure}, tuple.Attr{Name: "k3", Kind: tuple.Measure},
@@ -297,10 +434,10 @@ func kernelInput(seed int64, n int) []*tuple.SubTable {
 	return kernelBatches(rows)
 }
 
-// TestSortKernelMatchesReference: the in-memory sort and run generation
-// radix-sort; the top-k heap's final sort compares. At sizes from two
-// rows up to 5 000, with one and four inline keys and five and seven
-// (over-arena) keys in mixed directions, every bound and budget must emit
+// TestSortKernelMatchesReference: the in-memory sort, run generation and
+// the top-k cut radix-sort; the top-k filter and the run merge compare key
+// words. At sizes from two rows up to 5 000, with one, four, five and
+// seven keys in mixed directions, every bound and budget must emit
 // exactly the reference order.
 func TestSortKernelMatchesReference(t *testing.T) {
 	rec := int64(kernelSchema.RecordSize())
@@ -363,8 +500,8 @@ func kernelBatches(rows [][]uint32) []*tuple.SubTable {
 }
 
 // TestEstimatesKnowTheBound: admission and EXPLAIN price a bounded Sort by
-// the rows its heap keeps, with or without a budget, and a global
-// aggregate by the one row it emits.
+// the Bound rows its top-k cut keeps, with or without a budget, and a
+// global aggregate by the one row it emits.
 func TestEstimatesKnowTheBound(t *testing.T) {
 	rec := int64(sortSchema.RecordSize())
 	scan := &ScanNode{schema: sortSchema, estRows: 1000}

@@ -132,8 +132,8 @@ func TestDifferentialSortBound(t *testing.T) {
 }
 
 // TestBoundedSortCounts pins what the bound buys in counts that cannot be
-// noisy: whenever the k rows fit, the Sort holds at most 2·k·rec (heap and
-// output) and never touches scratch; when they do not, it spills, still
+// noisy: whenever the k rows fit, the Sort holds at most 2·k·rec (its
+// buffer when it cuts) and never touches scratch; when they do not, it spills, still
 // emits exactly k rows, and its scratch files are gone after Close.
 func TestBoundedSortCounts(t *testing.T) {
 	const sql = "SELECT * FROM V1 ORDER BY wp DESC, x, y, z LIMIT 100"

@@ -213,14 +213,15 @@ func (p *Partitioner) Table(k int) (*tuple.SubTable, error) {
 
 // Read streams partition k block by block in write order, calling fn with
 // each block's tag and rows: every tag's rows arrive in the order they
-// were added, the tags interleaved as their blocks were written. Reads are
-// size-verified and framing-checked as Table's.
-func (p *Partitioner) Read(k int, fn func(tag uint32, st *tuple.SubTable) error) error {
+// were added, the tags interleaved as their blocks were written. The file
+// is fetched chunk bytes at a time (File.Open), so the read buffers at most
+// that much. Reads are size-verified and framing-checked as Table's.
+func (p *Partitioner) Read(k int, chunk int64, fn func(tag uint32, st *tuple.SubTable) error) error {
 	pt := &p.parts[k]
 	if pt.f == nil {
 		return nil
 	}
-	rd, err := pt.f.Open(readChunk)
+	rd, err := pt.f.Open(chunk)
 	if err != nil {
 		return err
 	}

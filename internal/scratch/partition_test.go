@@ -44,7 +44,7 @@ func readPartition(t *testing.T, p *Partitioner, k int) *tuple.SubTable {
 	}
 	byTag := map[uint32]*tuple.SubTable{}
 	var tags []uint32
-	err = p.Read(k, func(tag uint32, st *tuple.SubTable) error {
+	err = p.Read(k, readChunk, func(tag uint32, st *tuple.SubTable) error {
 		for r := range st.NumRows() {
 			if uint32(st.Value(r, 2)) != tag {
 				t.Fatalf("partition %d: a row written under tag %v streamed under tag %d", k, st.Value(r, 2), tag)
@@ -251,7 +251,7 @@ func TestPartitionerShortFileFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, errTable := p.Table(0)
-	errRead := p.Read(0, func(uint32, *tuple.SubTable) error { return nil })
+	errRead := p.Read(0, readChunk, func(uint32, *tuple.SubTable) error { return nil })
 	for _, err := range []error{errTable, errRead} {
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("read of a short partition: err = %v, want a truncation error", err)
@@ -291,7 +291,7 @@ func TestReadStreamsWriteOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint32
-	if err := p.Read(0, func(tag uint32, _ *tuple.SubTable) error {
+	if err := p.Read(0, readChunk, func(tag uint32, _ *tuple.SubTable) error {
 		got = append(got, tag)
 		return nil
 	}); err != nil {

@@ -28,12 +28,6 @@ import (
 	"sciview/internal/tuple"
 )
 
-// readChunk is the Partitioner's sequential fetch granularity when it
-// streams one partition back: large enough to amortize the modeled
-// per-read throttle bookkeeping. Merges over many runs pick their own,
-// smaller chunk (File.Open).
-const readChunk = 256 << 10
-
 // Manager pools scratch files on one compute node's spill disk under a
 // common name prefix. All methods are safe for concurrent use.
 type Manager struct {
@@ -266,6 +260,7 @@ type Reader struct {
 	chunk int64
 	buf   []byte
 	pos   int
+	rec   []byte // ReadRecord's staging for a record split across chunks
 }
 
 // Read implements io.Reader.
@@ -296,6 +291,30 @@ func (r *Reader) Read(p []byte) (int, error) {
 	n := copy(p, r.buf[r.pos:])
 	r.pos += n
 	return n, nil
+}
+
+// ReadRecord decodes the next EncodeRows record, len(dst) values, into
+// dst: io.EOF at a clean end of file, io.ErrUnexpectedEOF on a partial
+// record. A record that lies in the buffered chunk is decoded in place.
+func (r *Reader) ReadRecord(dst []float32) error {
+	size := 4 * len(dst)
+	var rec []byte
+	if len(r.buf)-r.pos >= size {
+		rec = r.buf[r.pos : r.pos+size]
+		r.pos += size
+	} else {
+		if len(r.rec) < size {
+			r.rec = make([]byte, size)
+		}
+		rec = r.rec[:size]
+		if _, err := io.ReadFull(r, rec); err != nil {
+			return err
+		}
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(rec[4*i:]))
+	}
+	return nil
 }
 
 // Remaining returns the bytes left to stream (buffered + unread).
@@ -334,6 +353,20 @@ func appendRows(dst []byte, st *tuple.SubTable) []byte {
 		out := dst[base+c*4:]
 		for r, v := range st.Col(c)[:st.NumRows()] {
 			binary.LittleEndian.PutUint32(out[r*rec:], math.Float32bits(v))
+		}
+	}
+	return dst
+}
+
+// EncodeRowsAt is EncodeRows over st's rows rows[0], rows[1], …, in that
+// order: the form an external sort writes a sorted run in.
+func EncodeRowsAt(st *tuple.SubTable, rows []int32) []byte {
+	rec := st.Schema.RecordSize()
+	dst := tuple.GetBuf(len(rows) * rec)[:len(rows)*rec]
+	for c := range st.Schema.NumAttrs() {
+		out, col := dst[c*4:], st.Col(c)
+		for i, r := range rows {
+			binary.LittleEndian.PutUint32(out[i*rec:], math.Float32bits(col[r]))
 		}
 	}
 	return dst

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,10 @@ import (
 	"sciview/internal/simio"
 	"sciview/internal/tuple"
 )
+
+// readChunk is the read chunk the tests stream files through: a few
+// chunks' worth of data exercises the reader's refills.
+const readChunk = 256 << 10
 
 func testManager() (*Manager, *simio.MemStore) {
 	store := simio.NewMemStore()
@@ -192,6 +197,53 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	// A non-integral record count is corruption, not a short batch.
 	if _, err := DecodeRows(schema, data[:len(data)-3], tuple.ID{}); err == nil {
 		t.Error("DecodeRows accepted a partial record")
+	}
+}
+
+// TestRunRecords: a sorted run written with EncodeRowsAt reads back with
+// ReadRecord as the selected rows in the selected order, whether a record
+// lies inside one read chunk or straddles two, and a trailing partial
+// record is an error, not a short row.
+func TestRunRecords(t *testing.T) {
+	schema := tuple.NewSchema(
+		tuple.Attr{Name: "x", Kind: tuple.Coord},
+		tuple.Attr{Name: "y", Kind: tuple.Coord},
+		tuple.Attr{Name: "z", Kind: tuple.Coord},
+	)
+	st := tuple.NewSubTable(tuple.ID{Table: 1, Chunk: 2}, schema, 0)
+	for i := 0; i < 17; i++ {
+		st.AppendRow(float32(i), float32(i)*0.5, -float32(i))
+	}
+	all := make([]int32, st.NumRows())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	if !bytes.Equal(EncodeRowsAt(st, all), EncodeRows(st)) {
+		t.Fatal("EncodeRowsAt over every row differs from EncodeRows")
+	}
+	rows := []int32{16, 3, 3, 0, 9}
+	for _, chunk := range []int64{5, 12, 24, 1 << 10} {
+		m, _ := testManager()
+		f := m.Create("run")
+		if err := f.Append(append(EncodeRowsAt(st, rows), 1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := f.Open(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := make([]float32, schema.NumAttrs())
+		for _, r := range rows {
+			if err := rd.ReadRecord(rec); err != nil {
+				t.Fatalf("chunk %d: %v", chunk, err)
+			}
+			if want := st.Row(int(r), nil); !slices.Equal(rec, want) {
+				t.Fatalf("chunk %d: record %v, want row %d %v", chunk, rec, r, want)
+			}
+		}
+		if err := rd.ReadRecord(rec); err != io.ErrUnexpectedEOF {
+			t.Fatalf("chunk %d: partial record read as %v", chunk, err)
+		}
 	}
 }
 

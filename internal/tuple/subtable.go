@@ -140,6 +140,21 @@ func (st *SubTable) SetRow(row int, vals []float32) {
 	}
 }
 
+// Reorder keeps st's rows rows[0], rows[1], …, in that order, and drops
+// the rest, in place: a column at a time, gathered through tmp (at least
+// len(rows) values) and copied back. Only the table's owner may call it,
+// as SetRow.
+func (st *SubTable) Reorder(rows []int32, tmp []float32) {
+	tmp = tmp[:len(rows)]
+	for i, col := range st.cols {
+		for j, r := range rows {
+			tmp[j] = col[r]
+		}
+		st.cols[i] = append(col[:0], tmp...)
+	}
+	st.rows = len(rows)
+}
+
 // Value returns the value at (row, col).
 func (st *SubTable) Value(row, col int) float32 { return st.cols[col][row] }
 

@@ -18,6 +18,8 @@ go test -run '^$' -fuzz FuzzExtractors -fuzztime 10s ./internal/chunk
 go test -run '^$' -fuzz FuzzWireCodec -fuzztime 10s ./internal/colenc
 go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/tuple
 go test -run '^$' -fuzz FuzzScratchBlocks -fuzztime 10s ./internal/scratch
+# ORDER BY must emit the reference order at any limit and budget.
+go test -run '^$' -fuzz FuzzSortKernel -fuzztime 10s ./internal/plan
 go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph ./internal/scratch ./internal/simio
 go test -C bench -short ./...
 echo OK
