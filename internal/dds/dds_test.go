@@ -254,6 +254,12 @@ func TestAggregateErrors(t *testing.T) {
 		&query.Having{Agg: query.AggAvg, Attr: "zz", Op: ">", Val: 0}); err == nil {
 		t.Error("unknown HAVING attribute accepted")
 	}
+	other := tuple.NewSubTable(tuple.ID{}, tuple.NewSchema(tuple.Attr{Name: "q", Kind: tuple.Coord}), 0)
+	other.AppendRow(1)
+	if _, err := Aggregate([]*tuple.SubTable{in[0], other},
+		[]query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
+		t.Error("mixed schemas accepted")
+	}
 }
 
 func TestAggregateOverViewOutput(t *testing.T) {
@@ -288,119 +294,6 @@ func TestAggregateOverViewOutput(t *testing.T) {
 	}
 }
 
-func TestDistributedAggregationMatchesCentralized(t *testing.T) {
-	// Split the same rows across several partitions in different ways:
-	// the distributed evaluation must match the centralized one exactly.
-	full := aggInput()
-	half1 := tuple.NewSubTable(tuple.ID{}, full.Schema, 0)
-	half2 := tuple.NewSubTable(tuple.ID{}, full.Schema, 0)
-	for r := 0; r < full.NumRows(); r++ {
-		row := full.Row(r, nil)
-		if r%2 == 0 {
-			half1.AppendRow(row...)
-		} else {
-			half2.AppendRow(row...)
-		}
-	}
-	items := []query.SelectItem{
-		{Attr: "v", Agg: query.AggAvg},
-		{Attr: "v", Agg: query.AggSum},
-		{Attr: "v", Agg: query.AggMin},
-		{Attr: "v", Agg: query.AggMax},
-		{Attr: "*", Agg: query.AggCount},
-	}
-	want, err := Aggregate([]*tuple.SubTable{full}, items, []string{"g"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AggregateDistributed([]*tuple.SubTable{half1, nil, half2}, items, []string{"g"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("rows: %d vs %d", got.NumRows(), want.NumRows())
-	}
-	for r := 0; r < want.NumRows(); r++ {
-		for c := 0; c < want.Schema.NumAttrs(); c++ {
-			if got.Value(r, c) != want.Value(r, c) {
-				t.Errorf("(%d,%d): %v vs %v", r, c, got.Value(r, c), want.Value(r, c))
-			}
-		}
-	}
-}
-
-func TestDistributedAggregationHaving(t *testing.T) {
-	in := aggInput()
-	items := []query.SelectItem{{Attr: "v", Agg: query.AggAvg}}
-	having := &query.Having{Agg: query.AggAvg, Attr: "v", Op: ">", Val: 5}
-	got, err := AggregateDistributed([]*tuple.SubTable{in}, items, []string{"g"}, having)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != 1 || got.Value(0, 0) != 1 {
-		t.Fatalf("having kept %d groups", got.NumRows())
-	}
-}
-
-func TestDistributedAggregationErrors(t *testing.T) {
-	if _, err := AggregateDistributed(nil, []query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	in := aggInput()
-	if _, err := AggregateDistributed([]*tuple.SubTable{in}, nil, nil, nil); err == nil {
-		t.Error("no items accepted")
-	}
-	other := tuple.NewSubTable(tuple.ID{}, tuple.NewSchema(tuple.Attr{Name: "q", Kind: tuple.Coord}), 0)
-	other.AppendRow(1)
-	if _, err := AggregateDistributed([]*tuple.SubTable{in, other},
-		[]query.SelectItem{{Attr: "v", Agg: query.AggSum}}, nil, nil); err == nil {
-		t.Error("mixed schemas accepted")
-	}
-}
-
-func TestPartialMergeCommutes(t *testing.T) {
-	items := []query.SelectItem{
-		{Attr: "v", Agg: query.AggMin},
-		{Attr: "v", Agg: query.AggMax},
-		{Attr: "*", Agg: query.AggCount},
-	}
-	in := aggInput()
-	a1, _ := NewPartial(in.Schema, items, []string{"g"}, nil)
-	a2, _ := NewPartial(in.Schema, items, []string{"g"}, nil)
-	b1, _ := NewPartial(in.Schema, items, []string{"g"}, nil)
-	b2, _ := NewPartial(in.Schema, items, []string{"g"}, nil)
-	if err := a1.Fold(in); err != nil {
-		t.Fatal(err)
-	}
-	extra := tuple.NewSubTable(tuple.ID{}, in.Schema, 0)
-	extra.AppendRow(0, -5)
-	extra.AppendRow(1, 99)
-	if err := a2.Fold(extra); err != nil {
-		t.Fatal(err)
-	}
-	b1.Fold(extra)
-	b2.Fold(in)
-	if err := a1.Merge(a2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.Merge(b2); err != nil {
-		t.Fatal(err)
-	}
-	x, _ := a1.Finalize(nil)
-	y, _ := b1.Finalize(nil)
-	for r := 0; r < x.NumRows(); r++ {
-		for c := 0; c < x.Schema.NumAttrs(); c++ {
-			if x.Value(r, c) != y.Value(r, c) {
-				t.Fatalf("merge not commutative at (%d,%d): %v vs %v", r, c, x.Value(r, c), y.Value(r, c))
-			}
-		}
-	}
-	// Sanity on the merged values: min -5 in group 0, max 99 in group 1.
-	if x.Value(0, 1) != -5 || x.Value(1, 2) != 99 {
-		t.Errorf("merged extremes wrong: %v %v", x.Value(0, 1), x.Value(1, 2))
-	}
-}
-
 func benchAggInputs(parts, rowsPer int) []*tuple.SubTable {
 	schema := tuple.NewSchema(
 		tuple.Attr{Name: "g", Kind: tuple.Coord},
@@ -423,17 +316,6 @@ func BenchmarkAggregateCentralized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Aggregate(inputs, items, []string{"g"}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAggregateDistributed(b *testing.B) {
-	inputs := benchAggInputs(4, 1<<15)
-	items := []query.SelectItem{{Attr: "v", Agg: query.AggAvg}, {Attr: "*", Agg: query.AggCount}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AggregateDistributed(inputs, items, []string{"g"}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

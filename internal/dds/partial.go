@@ -5,21 +5,19 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"sciview/internal/query"
 	"sciview/internal/tuple"
 )
 
-// Distributed aggregation: each joiner folds its result sub-tables into a
-// Partial (per-group count/sum/min/max state), partials are merged, and
-// the merged state is finalized into the output table. This is the
-// decomposable-aggregate evaluation a distributed DDS needs — AVG, SUM,
-// MIN, MAX and COUNT all decompose — and it avoids centralizing raw join
-// output when only aggregates are requested.
+// Aggregation state: a query folds its rows, in the order its plan
+// releases them, into one Partial (per-group count/sum/min/max state) and
+// finalizes it into the output table. A spilling GROUP BY gives each
+// scratch partition a Partial of its own; a group's rows all reach one
+// partition, so they fold in the same order as in memory.
 
 // Partial is per-group aggregation state for a fixed (items, groupBy)
-// specification over one input partition.
+// specification.
 //
 // The groups live in a flat table. A row's group key is its packed key
 // (tuple.SubTable.Keys over the group columns: the key definition the
@@ -38,19 +36,7 @@ type Partial struct {
 	havingOn bool
 	havIdx   int // -1 for HAVING over "*"
 
-	groupTable
-
-	// Fold's scratch: the batch's packed keys and key words, the group
-	// number of each row (or, in Merge, of each merged group), and the
-	// zeros an aggregate over "*" folds.
-	inKeys  []uint64
-	inWords []uint32
-	gid     []int32
-	zeros   []float32
-}
-
-// groupTable is a Partial's groups.
-type groupTable struct {
+	// The groups.
 	n     int           // groups
 	shift uint          // 64 - log2(len(slots))
 	slots []int32       // g+1 per slot, 0 when empty; at most half full
@@ -58,6 +44,13 @@ type groupTable struct {
 	words []uint32      // key words of group g at [g*nk, (g+1)*nk)
 	accs  []accumulator // item i of group g at g*len(items)+i
 	hav   []accumulator // group g's HAVING state; nil without HAVING
+
+	// Fold's scratch: the batch's packed keys and key words, the group
+	// number of each row, and the zeros an aggregate over "*" folds.
+	inKeys  []uint64
+	inWords []uint32
+	gid     []int32
+	zeros   []float32
 }
 
 // NewPartial prepares empty state. having may be nil; when present its
@@ -185,9 +178,9 @@ func foldCol(accs []accumulator, stride int, gid []int32, col []float32) {
 }
 
 // lookup maps each packed key in inKeys, whose key words are inWords, to
-// its group number, adding the groups the table lacks, and returns the
+// its group number, adding the groups the table lacks, and leaves the
 // numbers in p.gid.
-func (p *Partial) lookup(inKeys []uint64, inWords []uint32) []int32 {
+func (p *Partial) lookup(inKeys []uint64, inWords []uint32) {
 	nk := len(p.groupIdx)
 	wide := nk > 2
 	gid := slices.Grow(p.gid[:0], len(inKeys))[:len(inKeys)]
@@ -209,7 +202,6 @@ func (p *Partial) lookup(inKeys []uint64, inWords []uint32) []int32 {
 	}
 	p.gid = gid
 	p.growState()
-	return gid
 }
 
 // add makes key k with words w group n in slot pos and returns its number.
@@ -270,39 +262,6 @@ func grown[T any](s []T, n int) []T {
 	t := make([]T, n, max(n, 2*cap(s)))
 	copy(t, s)
 	return t
-}
-
-// Merge folds another partial (same specification) into p. p may take
-// over o's state, so o must not be used afterwards.
-func (p *Partial) Merge(o *Partial) error {
-	if o == nil {
-		return nil
-	}
-	if len(o.items) != len(p.items) {
-		return fmt.Errorf("dds: merging partials with different item counts")
-	}
-	if o.n == 0 {
-		return nil
-	}
-	if p.n == 0 {
-		p.groupTable, o.groupTable = o.groupTable, groupTable{}
-		return nil
-	}
-	gid := []int32{0}
-	if len(p.groupIdx) > 0 {
-		p.rehash(p.n + o.n)
-		gid = p.lookup(o.keys[:o.n], o.words)
-	}
-	ni := len(p.items)
-	for og, g := range gid {
-		for i := range ni {
-			p.accs[int(g)*ni+i].merge(&o.accs[og*ni+i])
-		}
-		if p.havingOn {
-			p.hav[g].merge(&o.hav[og])
-		}
-	}
-	return nil
 }
 
 // Finalize produces the output table (group-by attrs then one column per
@@ -401,81 +360,4 @@ func keyValueOf(w uint32) float32 {
 		return math.Float32frombits(w &^ (1 << 31))
 	}
 	return math.Float32frombits(^w)
-}
-
-// AggregateDistributed evaluates the aggregation by folding each input
-// partition into its own partial concurrently (one worker per partition —
-// the per-joiner evaluation of a distributed aggregation DDS), merging,
-// and finalizing. It is semantically identical to Aggregate.
-func AggregateDistributed(inputs []*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) (*tuple.SubTable, error) {
-	var schema tuple.Schema
-	for _, in := range inputs {
-		if in != nil {
-			schema = in.Schema
-			break
-		}
-	}
-	if schema.NumAttrs() == 0 {
-		return nil, fmt.Errorf("dds: no input rows to aggregate")
-	}
-	partials := make([]*Partial, len(inputs))
-	errs := make([]error, len(inputs))
-	var wg sync.WaitGroup
-	for i, in := range inputs {
-		if in == nil {
-			continue
-		}
-		p, err := NewPartial(schema, items, groupBy, having)
-		if err != nil {
-			return nil, err
-		}
-		partials[i] = p
-		wg.Add(1)
-		go func(i int, in *tuple.SubTable) {
-			defer wg.Done()
-			errs[i] = partials[i].Fold(in)
-		}(i, in)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var merged *Partial
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		if err := merged.Merge(p); err != nil {
-			return nil, err
-		}
-	}
-	if merged == nil {
-		return nil, fmt.Errorf("dds: no input rows to aggregate")
-	}
-	return merged.Finalize(having)
-}
-
-// merge folds another accumulator's state into a.
-func (a *accumulator) merge(o *accumulator) {
-	if o.count == 0 {
-		return
-	}
-	if a.count == 0 {
-		*a = *o
-		return
-	}
-	if o.min < a.min {
-		a.min = o.min
-	}
-	if o.max > a.max {
-		a.max = o.max
-	}
-	a.count += o.count
-	a.sum += o.sum
 }

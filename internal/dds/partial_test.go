@@ -34,24 +34,6 @@ func (a *naiveAgg) add(v float64) {
 	a.sum += v
 }
 
-// merge combines another part's state: an empty side adopts the other.
-func (a *naiveAgg) merge(o naiveAgg) {
-	switch {
-	case o.n == 0:
-	case a.n == 0:
-		*a = o
-	default:
-		if o.min < a.min {
-			a.min = o.min
-		}
-		if o.max > a.max {
-			a.max = o.max
-		}
-		a.n += o.n
-		a.sum += o.sum
-	}
-}
-
 func (a naiveAgg) value(agg query.Agg) float64 {
 	switch agg {
 	case query.AggAvg:
@@ -71,11 +53,11 @@ type naiveGroup struct {
 	aggs []naiveAgg // one per item, then HAVING's
 }
 
-// naiveAggregate folds each part's rows in order into a map keyed by the
-// group's tuple.KeyWord tuple, merges the parts in part order, and emits
-// the groups in ascending word order.
+// naiveAggregate folds the rows of every part's batches, in order, into
+// a map keyed by the group's tuple.KeyWord tuple, and emits the groups in
+// ascending word order.
 func naiveAggregate(parts [][]*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) [][]float32 {
-	var total map[string]*naiveGroup
+	groups := map[string]*naiveGroup{}
 	words := func(g *naiveGroup) []uint32 {
 		w := make([]uint32, len(g.key))
 		for i, v := range g.key {
@@ -87,48 +69,31 @@ func naiveAggregate(parts [][]*tuple.SubTable, items []query.SelectItem, groupBy
 	if having != nil {
 		cols[len(items)] = query.SelectItem{Attr: having.Attr, Agg: having.Agg}
 	}
-	for _, part := range parts {
-		groups := map[string]*naiveGroup{}
-		for _, st := range part {
-			for r := range st.NumRows() {
-				key := make([]float32, len(groupBy))
-				id := ""
-				for i, a := range groupBy {
-					v := st.Value(r, st.Schema.Index(a))
-					key[i] = tuple.KeyValue(v)
-					id += fmt.Sprintf("%08x", tuple.KeyWord(v))
-				}
-				g := groups[id]
-				if g == nil {
-					g = &naiveGroup{key: key, aggs: make([]naiveAgg, len(cols))}
-					groups[id] = g
-				}
-				for i, it := range cols {
-					v := 0.0
-					if it.Attr != "*" {
-						v = float64(st.Value(r, st.Schema.Index(it.Attr)))
-					}
-					g.aggs[i].add(v)
-				}
+	for _, st := range slices.Concat(parts...) {
+		for r := range st.NumRows() {
+			key := make([]float32, len(groupBy))
+			id := ""
+			for i, a := range groupBy {
+				v := st.Value(r, st.Schema.Index(a))
+				key[i] = tuple.KeyValue(v)
+				id += fmt.Sprintf("%08x", tuple.KeyWord(v))
 			}
-		}
-		if total == nil {
-			total = groups
-			continue
-		}
-		for id, g := range groups {
-			t := total[id]
-			if t == nil {
-				total[id] = g
-				continue
+			g := groups[id]
+			if g == nil {
+				g = &naiveGroup{key: key, aggs: make([]naiveAgg, len(cols))}
+				groups[id] = g
 			}
-			for i := range t.aggs {
-				t.aggs[i].merge(g.aggs[i])
+			for i, it := range cols {
+				v := 0.0
+				if it.Attr != "*" {
+					v = float64(st.Value(r, st.Schema.Index(it.Attr)))
+				}
+				g.aggs[i].add(v)
 			}
 		}
 	}
 	var out []*naiveGroup
-	for _, g := range total {
+	for _, g := range groups {
 		if having != nil && !naiveHaving(having, g.aggs[len(items)].value(having.Agg)) {
 			continue
 		}
@@ -170,9 +135,9 @@ var specials = []float32{
 	float32(math.Inf(1)), float32(math.Inf(-1)),
 }
 
-// TestPartialMatchesNaive folds random batches part by part, merges the
-// parts in order and checks Finalize bit for bit against naiveAggregate,
-// over 0–3 group columns, every aggregate and HAVING.
+// TestPartialMatchesNaive folds random parts' batches in order into one
+// partial and checks Finalize bit for bit against naiveAggregate, over 0–3
+// group columns, every aggregate and HAVING.
 func TestPartialMatchesNaive(t *testing.T) {
 	schema := tuple.NewSchema(
 		tuple.Attr{Name: "a", Kind: tuple.Coord},
@@ -220,25 +185,18 @@ func TestPartialMatchesNaive(t *testing.T) {
 			}
 		}
 
-		base, err := NewPartial(schema, items, groupBy, having)
+		p, err := NewPartial(schema, items, groupBy, having)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, part := range parts {
-			p, err := NewPartial(schema, items, groupBy, having)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, st := range part {
 				if err := p.Fold(st); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := base.Merge(p); err != nil {
-				t.Fatal(err)
-			}
 		}
-		got, err := base.Finalize(having)
+		got, err := p.Finalize(having)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +242,8 @@ func TestPartialWideKeyCollision(t *testing.T) {
 	const packed = 0x5EED
 	for range 2 {
 		p.rehash(p.n + 3)
-		gid := p.lookup([]uint64{packed, packed, packed}, slices.Concat(w2, w1, w2))
+		p.lookup([]uint64{packed, packed, packed}, slices.Concat(w2, w1, w2))
+		gid := p.gid
 		if !slices.Equal(gid, []int32{0, 1, 0}) || p.Groups() != 2 {
 			t.Fatalf("group numbers %v over %d groups, want [0 1 0] over 2", gid, p.Groups())
 		}

@@ -32,31 +32,26 @@ const (
 // fewer scratch bytes and move a count that must stay comparable.
 const aggReadChunk = 256 << 10
 
-// aggregateOp is the blocking aggregation operator. To keep float
-// accumulation byte-identical to the materialized distributed aggregation
-// — which folded each joiner's output into its own dds.Partial and merged
-// the partials in joiner order — it folds every batch into the partial of
-// its input part (a join batch's ID names its part; the reorder sink
-// delivers each part's batches in emission order, interleaved with the
-// other parts') and merges the partials in part order at the end. For
-// single-partition sources (table scans, Partitioned=false) every batch
-// folds into one partial, matching the materialized single-input fold.
+// aggregateOp is the blocking aggregation operator. It folds every batch
+// into one dds.Partial in the order the child releases them. Below a join
+// that is the reorder sink's release order, the row sequence the
+// materialized path aggregates (engine.Result.Released), so every float
+// sum is the same bit for bit either way, and for IJ, whose release order
+// is its one-node schedule order, at any compute-node count.
 //
 // When the estimated group state exceeds the stamped spill budget, the
 // operator runs out-of-core instead: pass 1 hash-partitions the raw rows
-// by group key to scratch (scratch.Partitioner), tagging every block with
-// its input part; pass 2 replays one partition at a time, folding
-// per-part partials, merging them in ascending part into a fresh partial
-// for the partition and finalizing it. Because a group's rows land wholly
-// in one partition (the packed key folds -0 and NaN as the group does),
-// each group's accumulator sees exactly the same fold-then-merge sequence
-// as the in-memory path. A partition whose group state still exceeds the
-// budget is re-partitioned one split depth down (skew recursion) before
-// any of it is finalized. Each finalized partition comes out in group-key
-// order and is written back as a sorted run; the runs, whose keys are
-// disjoint, are merged by group key with sort's loser tree, so the output
-// is byte-identical at any budget while only one partition's groups are
-// ever resident.
+// by group key to scratch (scratch.Partitioner); pass 2 replays one
+// partition at a time in write order into a fresh partial and finalizes
+// it. Because a group's rows land wholly in one partition (the packed key
+// folds -0 and NaN as the group does) in arrival order, each group's
+// accumulator sees exactly the in-memory fold sequence. A partition whose
+// group state still exceeds the budget is re-partitioned one split depth
+// down (skew recursion) before any of it is finalized. Each finalized
+// partition comes out in group-key order and is written back as a sorted
+// run; the runs, whose keys are disjoint, are merged by group key with
+// sort's loser tree, so the output is byte-identical at any budget while
+// only one partition's groups are ever resident.
 type aggregateOp struct {
 	opstat
 	node    *AggregateNode
@@ -105,8 +100,10 @@ func (o *aggregateOp) Next() (*tuple.SubTable, error) {
 // inMemory folds the whole input and emits the result as one batch.
 func (o *aggregateOp) inMemory() (*tuple.SubTable, error) {
 	n := o.node
-	inSchema := o.child.Schema()
-	partials := &partials{node: n, schema: inSchema}
+	p, err := dds.NewPartial(o.child.Schema(), n.Items, n.GroupBy, n.Having)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		st, err := o.child.Next()
 		if err == io.EOF {
@@ -115,30 +112,17 @@ func (o *aggregateOp) inMemory() (*tuple.SubTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := partials.of(n.partOf(st))
-		if err != nil {
-			return nil, err
-		}
 		if err := p.Fold(st); err != nil {
 			return nil, err
 		}
 	}
-	// Merge in part order into an empty base: group state lands exactly as
-	// the materialized path's first-partial-accumulates merge produced it.
-	base, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+	out, err := p.Finalize(n.Having)
 	if err != nil {
 		return nil, err
 	}
-	if err := partials.mergeInto(base); err != nil {
-		return nil, err
-	}
-	out, err := base.Finalize(n.Having)
-	if err != nil {
-		return nil, err
-	}
-	// Resident at the end: every part's partial, the merged base and the
-	// output, as external charges each partition.
-	o.s.PeakBytes = int64(partials.groups()+base.Groups())*o.groupBytes() + int64(out.Bytes())
+	// Resident at the end: the group state and the output, as external
+	// charges each partition.
+	o.s.PeakBytes = int64(p.Groups())*o.groupBytes() + int64(out.Bytes())
 	o.observe(out)
 	return out, nil
 }
@@ -150,12 +134,7 @@ func (o *aggregateOp) groupBytes() int64 {
 }
 
 func (o *aggregateOp) Close() error {
-	if o.mgr != nil {
-		o.s.SpillBytes = o.mgr.BytesWritten()
-		o.s.SpillReadBytes = o.mgr.BytesRead()
-		o.s.SpillParts = o.mgr.Files()
-		o.mgr.ReleaseAll()
-	}
+	o.releaseScratch(o.mgr)
 	return o.child.Close()
 }
 
@@ -184,9 +163,8 @@ func (o *aggregateOp) external() error {
 		n.SpillOwner, n.SpillTrace, nil)
 	groupBytes := o.groupBytes()
 
-	// Pass 1: partition raw rows by group key, tagging every block with its
-	// input part.
-	parts, err := o.split(inSchema, groupIdxs, 0, func(add func(uint32, *tuple.SubTable) error) error {
+	// Pass 1: partition raw rows by group key.
+	parts, err := o.split(inSchema, groupIdxs, 0, func(add func(*tuple.SubTable) error) error {
 		for {
 			st, err := o.child.Next()
 			if err == io.EOF {
@@ -195,7 +173,7 @@ func (o *aggregateOp) external() error {
 			if err != nil {
 				return err
 			}
-			if err := add(uint32(n.partOf(st)), st); err != nil {
+			if err := add(st); err != nil {
 				return err
 			}
 		}
@@ -210,12 +188,12 @@ func (o *aggregateOp) external() error {
 	for len(parts) > 0 {
 		pt := parts[0]
 		parts = parts[1:]
-		partials, state, err := o.foldPartition(pt, inSchema, groupBytes)
+		p, err := o.foldPartition(pt, inSchema, groupBytes)
 		if err == errAggOverflow {
 			// Skewed: too many groups for the budget. Nothing from this
-			// partition has been finalized yet, so abandon the partials
-			// and re-partition the raw rows one depth down.
-			sub, err := o.split(inSchema, groupIdxs, pt.depth+1, func(add func(uint32, *tuple.SubTable) error) error {
+			// partition has been finalized yet, so abandon the partial and
+			// re-partition the raw rows one depth down.
+			sub, err := o.split(inSchema, groupIdxs, pt.depth+1, func(add func(*tuple.SubTable) error) error {
 				return pt.p.Read(pt.k, aggReadChunk, add)
 			})
 			if err != nil {
@@ -228,19 +206,11 @@ func (o *aggregateOp) external() error {
 		if err != nil {
 			return err
 		}
-		// Ascending part: the same merge order the in-memory path uses.
-		merged, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+		out, err := p.Finalize(n.Having)
 		if err != nil {
 			return err
 		}
-		if err := partials.mergeInto(merged); err != nil {
-			return err
-		}
-		out, err := merged.Finalize(n.Having)
-		if err != nil {
-			return err
-		}
-		o.s.PeakBytes = max(o.s.PeakBytes, state+int64(merged.Groups())*groupBytes+int64(out.Bytes()))
+		o.s.PeakBytes = max(o.s.PeakBytes, int64(p.Groups())*groupBytes+int64(out.Bytes()))
 		pt.p.Release(pt.k)
 		if out.NumRows() == 0 {
 			continue
@@ -272,14 +242,13 @@ func (o *aggregateOp) external() error {
 var aggOutID = tuple.ID{Table: -3, Chunk: -1}
 
 // split hash-partitions the rows feed adds by group key under depth's
-// salt, and returns the non-empty partitions. Tags may interleave: each
-// tag's rows reach every partition file in the order they were added,
-// which is all a replay needs.
+// salt, and returns the non-empty partitions. Every block carries tag 0,
+// so a partition file replays its rows in the order they were added.
 func (o *aggregateOp) split(schema tuple.Schema, groupIdxs []int, depth int,
-	feed func(add func(uint32, *tuple.SubTable) error) error) ([]aggPart, error) {
+	feed func(add func(*tuple.SubTable) error) error) ([]aggPart, error) {
 	p := scratch.NewPartitioner(o.mgr, fmt.Sprintf("agg-d%d.", depth), schema, groupIdxs,
 		aggFanout, tuple.SaltSplit(uint64(depth)))
-	err := feed(p.Add)
+	err := feed(func(st *tuple.SubTable) error { return p.Add(0, st) })
 	if err == nil {
 		err = p.Flush()
 	}
@@ -295,83 +264,23 @@ func (o *aggregateOp) split(schema tuple.Schema, groupIdxs []int, depth int,
 	return parts, nil
 }
 
-// foldPartition streams one partition's blocks into per-part partials and
-// returns them with their group state in bytes. It stops with
-// errAggOverflow as soon as that state exceeds the budget and the
-// partition may still recurse.
-func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (*partials, int64, error) {
+// foldPartition streams one partition's blocks into a fresh partial. It
+// stops with errAggOverflow as soon as the partial's group state exceeds
+// the budget and the partition may still recurse.
+func (o *aggregateOp) foldPartition(pt aggPart, inSchema tuple.Schema, groupBytes int64) (*dds.Partial, error) {
 	n := o.node
-	ps := &partials{node: n, schema: inSchema}
-	var state int64
-	err := pt.p.Read(pt.k, aggReadChunk, func(tag uint32, st *tuple.SubTable) error {
-		p, err := ps.of(int(tag))
-		if err != nil {
-			return err
-		}
-		before := p.Groups()
+	p, err := dds.NewPartial(inSchema, n.Items, n.GroupBy, n.Having)
+	if err != nil {
+		return nil, err
+	}
+	err = pt.p.Read(pt.k, aggReadChunk, func(st *tuple.SubTable) error {
 		if err := p.Fold(st); err != nil {
 			return err
 		}
-		state += int64(p.Groups()-before) * groupBytes
-		if state > n.SpillBudget && pt.depth < aggMaxDepth {
+		if int64(p.Groups())*groupBytes > n.SpillBudget && pt.depth < aggMaxDepth {
 			return errAggOverflow
 		}
 		return nil
 	})
-	return ps, state, err
-}
-
-// partials is one dds.Partial per input part, each made on first use.
-type partials struct {
-	node   *AggregateNode
-	schema tuple.Schema
-	byPart []*dds.Partial
-}
-
-// of returns part's partial.
-func (ps *partials) of(part int) (*dds.Partial, error) {
-	if part >= len(ps.byPart) {
-		ps.byPart = append(ps.byPart, make([]*dds.Partial, part+1-len(ps.byPart))...)
-	}
-	if ps.byPart[part] == nil {
-		p, err := dds.NewPartial(ps.schema, ps.node.Items, ps.node.GroupBy, ps.node.Having)
-		if err != nil {
-			return nil, err
-		}
-		ps.byPart[part] = p
-	}
-	return ps.byPart[part], nil
-}
-
-// groups is the number of groups across the partials.
-func (ps *partials) groups() int {
-	g := 0
-	for _, p := range ps.byPart {
-		if p != nil {
-			g += p.Groups()
-		}
-	}
-	return g
-}
-
-// mergeInto merges the partials into base in ascending part.
-func (ps *partials) mergeInto(base *dds.Partial) error {
-	for _, p := range ps.byPart {
-		if p == nil {
-			continue
-		}
-		if err := base.Merge(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// partOf is the input part a batch belongs to: the join part its ID names
-// when the aggregate is partitioned, else the one part 0.
-func (n *AggregateNode) partOf(st *tuple.SubTable) int {
-	if n.Partitioned {
-		return int(st.ID.Chunk)
-	}
-	return 0
+	return p, err
 }

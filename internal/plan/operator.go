@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sciview/internal/engine"
+	"sciview/internal/scratch"
 	"sciview/internal/tuple"
 )
 
@@ -42,6 +43,18 @@ func (o *opstat) observe(st *tuple.SubTable) {
 	o.s.Rows += int64(st.NumRows())
 	o.s.Batches++
 	o.s.Bytes += int64(st.Bytes())
+}
+
+// releaseScratch records a spilling operator's scratch traffic from mgr
+// and deletes its files. A nil mgr (the operator never spilled) is a no-op.
+func (o *opstat) releaseScratch(mgr *scratch.Manager) {
+	if mgr == nil {
+		return
+	}
+	o.s.SpillBytes = mgr.BytesWritten()
+	o.s.SpillReadBytes = mgr.BytesRead()
+	o.s.SpillParts = mgr.Files()
+	mgr.ReleaseAll()
 }
 
 // timed adds the elapsed time since start to the operator's busy clock;

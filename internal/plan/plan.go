@@ -13,9 +13,9 @@
 // executes only the fraction of the edge/bucket schedule it needed.
 //
 // Results are byte-identical to the fully-materialized execution path:
-// batches are released in slot/group order (the order the materialized
-// concat used), aggregation keeps one partial per part and merges in part
-// order (float sums group identically), and Sort replicates the
+// batches are released in the order engine.Result.Released concatenates
+// the materialized rows, aggregation folds them in that order into one
+// partial (float sums associate identically), and Sort replicates the
 // materialized order-and-limit on the identically-ordered accumulated
 // rows.
 package plan
@@ -66,6 +66,9 @@ type Plan struct {
 	// operator runs fully in memory, exactly as before out-of-core
 	// execution existed.
 	Budget int64
+	// share is the budget share SetBudget stamped on each spill-capable
+	// operator.
+	share int64
 }
 
 // maxBufferedBatches bounds the reorder sink's per-part buffer: a join
@@ -372,12 +375,6 @@ type AggregateNode struct {
 	Items   []query.SelectItem
 	GroupBy []string
 	Having  *query.Having
-	// Partitioned keeps one dds.Partial per input part (the join part a
-	// batch's ID names), merged in part order — the float-summation
-	// grouping of the materialized per-joiner aggregation. False folds
-	// every batch into a single partial (a table scan's rows are one
-	// partition).
-	Partitioned bool
 	// SpillBudget/SpillDisk/SpillOwner/SpillTrace are stamped by
 	// Plan.SetBudget: when the estimated group state exceeds the budget,
 	// the operator partitions raw rows to the scratch disk and replays
@@ -390,7 +387,7 @@ type AggregateNode struct {
 }
 
 // NewAggregate validates the specification against the child schema.
-func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having *query.Having, partitioned bool) (*AggregateNode, error) {
+func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having *query.Having) (*AggregateNode, error) {
 	schema, err := dds.AggSchema(child.Schema(), items, groupBy)
 	if err != nil {
 		return nil, err
@@ -399,8 +396,7 @@ func NewAggregate(child Node, items []query.SelectItem, groupBy []string, having
 		return nil, fmt.Errorf("dds: HAVING references unknown attribute %q", having.Attr)
 	}
 	return &AggregateNode{
-		Child: child, Items: items, GroupBy: groupBy, Having: having,
-		Partitioned: partitioned, schema: schema,
+		Child: child, Items: items, GroupBy: groupBy, Having: having, schema: schema,
 	}, nil
 }
 
@@ -694,10 +690,8 @@ func (p *Plan) SetBudget(budget int64) {
 	if len(spills) == 0 {
 		return
 	}
-	share := budget / int64(len(spills))
-	if share < 1 {
-		share = 1
-	}
+	share := max(budget/int64(len(spills)), 1)
+	p.share = share
 	for i, n := range spills {
 		var disk *simio.Disk
 		var owner string
@@ -726,27 +720,12 @@ func (p *Plan) DegradedEstimate() int64 {
 	if p.Budget <= 0 {
 		return p.MemoryEstimate()
 	}
-	var nSpill int64
-	var count func(n Node)
-	count = func(n Node) {
-		if spillable(n) {
-			nSpill++
-		}
-		for _, c := range n.Children() {
-			count(c)
-		}
-	}
-	count(p.Root)
-	share := p.Budget
-	if nSpill > 0 {
-		share = p.Budget / nSpill
-	}
 	var total int64
 	var walk func(n Node)
 	walk = func(n Node) {
 		r := residentBytes(n)
 		if spillable(n) {
-			if cap := share + degradedFloor; r > cap {
+			if cap := p.share + degradedFloor; r > cap {
 				r = cap
 			}
 		}

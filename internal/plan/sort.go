@@ -419,12 +419,7 @@ func (o *sortOp) absorb() error {
 }
 
 func (o *sortOp) Close() error {
-	if o.mgr != nil {
-		o.s.SpillBytes = o.mgr.BytesWritten()
-		o.s.SpillReadBytes = o.mgr.BytesRead()
-		o.s.SpillParts = o.mgr.Files()
-		o.mgr.ReleaseAll()
-	}
+	o.releaseScratch(o.mgr)
 	return o.child.Close()
 }
 

@@ -196,9 +196,9 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 	out := &Output{}
 	needed := neededAttrs(star, plain, aggs, s)
 
-	// Obtain the base rows: from a view (join) or a table (scan). rows has
-	// one table per input part; flat is every row in output order.
-	var rows []*tuple.SubTable
+	// Obtain the base rows in output order: a view's join rows in release
+	// order (the order the streaming plan's reorder sink delivers them),
+	// or a table scan's rows.
 	var flat *tuple.SubTable
 	if v, ok := ex.View(s.From); ok {
 		req, err := v.Request(s.Where, true)
@@ -212,24 +212,20 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 			return nil, err
 		}
 		out.Result, out.Decision = res, dec
-		rows = res.Collected
-		if len(aggs) == 0 {
-			flat = res.Released()
-		}
+		flat = res.Released()
 	} else {
 		st, err := dds.ScanTable(ex.Cluster, s.From, s.Where, needed)
 		if err != nil {
 			return nil, err
 		}
 		st.ID = tuple.ID{Table: -1, Chunk: -1}
-		rows, flat = []*tuple.SubTable{st}, st
+		flat = st
 	}
 
-	// Post-process per the select list. Aggregation folds each joiner's
-	// output into a partial concurrently and merges (the distributed
-	// aggregation DDS), so raw join output is never concatenated.
+	// Post-process per the select list. Aggregation folds the rows in
+	// that order, as the streaming Aggregate operator does.
 	if len(aggs) > 0 {
-		agg, err := dds.AggregateDistributed(rows, aggs, s.GroupBy, s.Having)
+		agg, err := dds.Aggregate([]*tuple.SubTable{flat}, aggs, s.GroupBy, s.Having)
 		if err != nil {
 			return nil, err
 		}

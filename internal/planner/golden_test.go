@@ -11,9 +11,11 @@ import (
 
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
+	"sciview/internal/metadata"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/retry"
+	"sciview/internal/simio"
 	"sciview/internal/tuple"
 )
 
@@ -61,9 +63,17 @@ func goldenExecutor(t *testing.T, nj int, force string) *Executor {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return viewExecutor(t, ds.Catalog, ds.Stores, nj, force)
+}
+
+// viewExecutor serves a catalog of T1 and T2 on two storage nodes and nj
+// compute nodes, with V1 (their join on x, y, z) and V2 (V1's x ≤ 4
+// slice) defined, under the given forced engine ("" = the cost model).
+func viewExecutor(t *testing.T, cat *metadata.Catalog, stores []simio.Store, nj int, force string) *Executor {
+	t.Helper()
 	cl, err := cluster.New(cluster.Config{
 		StorageNodes: 2, ComputeNodes: nj, CacheBytes: 16 << 20,
-	}, ds.Catalog, ds.Stores)
+	}, cat, stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,31 +187,77 @@ func TestGoldenStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// assocTables stores T1(x, y, z, oilp) and T2(x, y, z, wp) over an 8×8×4
+// grid in 4×4×2 chunks on both sides, so every chunk pair is an IJ
+// component of its own and a GROUP BY x, y group spans two components:
+// z 0–1 and z 2–3. Both measures are small fractions, except that every
+// (0, y) group holds 1, 2^60 and -2^60, the two big values in one
+// component and 1 in the other (which one alternates with y). A float64
+// sum of them depends on the order it folds them in: (2^60+1)-2^60 is 0,
+// (2^60-2^60)+1 is 1.
+func assocTables(t *testing.T) (*metadata.Catalog, []simio.Store) {
+	const big = 1 << 60
+	return handJoinTables(t, [2]string{"oilp", "wp"},
+		func(c int) (lo, hi [3]int) {
+			lo = [3]int{4 * (c % 2), 4 * (c / 2 % 2), 2 * (c / 4)}
+			return lo, [3]int{lo[0] + 4, lo[1] + 4, lo[2] + 2}
+		},
+		func(_, x, y, z int) float32 {
+			if x == 0 {
+				if y%2 == 1 {
+					z ^= 2 // the big values first, in z 0–1
+				}
+				return []float32{1, 0, big, -big}[z]
+			}
+			return float32((x*7+y*3+z*5)%16) / 16
+		})
+}
+
 // TestIJOrderIndependentOfNodeCount: IJ's output releases one connected
 // component per compute node in turn — the order stage 1 dealt them in —
 // so a row query returns the same rows in the same order on one compute
 // node as on three, and a LIMIT without ORDER BY returns the head of the
-// one-node schedule whatever the cluster size.
+// one-node schedule whatever the cluster size. GROUP BY folds its rows in
+// that release order, so aggregates are the same bits too, also on
+// assocTables, where a sum shows the order its rows fold in.
 func TestIJOrderIndependentOfNodeCount(t *testing.T) {
-	one, three := goldenExecutor(t, 1, "ij"), goldenExecutor(t, 3, "ij")
-	for _, sql := range []string{
-		"SELECT * FROM V1",
-		"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0",
-		"SELECT wp, oilp FROM V1 WHERE z = 1",
-		"SELECT * FROM V1 LIMIT 40",
-		"SELECT * FROM V2",
+	aggs := []string{
+		"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x",
+		"SELECT x, y, COUNT(*), SUM(oilp) FROM V1 GROUP BY x, y ORDER BY x, y",
+		"SELECT x, y, SUM(wp) FROM V1 GROUP BY x, y HAVING SUM(wp) > 0.5 ORDER BY x, y",
+	}
+	assoc := func(t *testing.T, nj int) *Executor {
+		cat, stores := assocTables(t)
+		return viewExecutor(t, cat, stores, nj, "ij")
+	}
+	for _, ds := range []struct {
+		name  string
+		newEx func(t *testing.T, nj int) *Executor
+		sqls  []string
+	}{
+		{"oilres", func(t *testing.T, nj int) *Executor { return goldenExecutor(t, nj, "ij") }, append([]string{
+			"SELECT * FROM V1",
+			"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3 AND z = 0",
+			"SELECT wp, oilp FROM V1 WHERE z = 1",
+			"SELECT * FROM V1 LIMIT 40",
+			"SELECT * FROM V2",
+		}, aggs...)},
+		{"assoc", assoc, aggs},
 	} {
-		for _, materialize := range []bool{false, true} {
-			one.Materialize, three.Materialize = materialize, materialize
-			want, err := one.Exec(sql)
-			if err != nil {
-				t.Fatal(err)
+		one, three := ds.newEx(t, 1), ds.newEx(t, 3)
+		for _, sql := range ds.sqls {
+			for _, materialize := range []bool{false, true} {
+				one.Materialize, three.Materialize = materialize, materialize
+				want, err := one.Exec(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := three.Exec(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareGolden(t, fmt.Sprintf("%s: %s (materialize=%v)", ds.name, sql, materialize), want, got)
 			}
-			got, err := three.Exec(sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, sql, want, got)
 		}
 	}
 }

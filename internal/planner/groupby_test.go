@@ -24,10 +24,12 @@ var groupSpecials = []float32{
 	1,
 }
 
-// handJoinTables stores T1(x, y, z, g) and T2(x, y, z, v) over a 64×64×1
-// grid in eight x-slab chunks each, alternating two storage nodes. T1's g
-// cycles through groupSpecials; T2's v is 1.
-func handJoinTables(t *testing.T) (*metadata.Catalog, []simio.Store) {
+// handJoinTables stores T1(x, y, z, measures[0]) and T2(x, y, z,
+// measures[1]) as eight row-major chunks each, alternating two storage
+// nodes: chunk c holds the cells of the box [lo, hi) that box(c) returns,
+// and value(i, x, y, z) is table i's measure of a cell.
+func handJoinTables(t *testing.T, measures [2]string, box func(c int) (lo, hi [3]int),
+	value func(i, x, y, z int) float32) (*metadata.Catalog, []simio.Store) {
 	t.Helper()
 	cat := metadata.NewCatalog()
 	stores := []simio.Store{simio.NewMemStore(), simio.NewMemStore()}
@@ -35,25 +37,22 @@ func handJoinTables(t *testing.T) (*metadata.Catalog, []simio.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range []struct {
-		name, measure string
-		value         func(x, y int) float32
-	}{
-		{"T1", "g", func(x, y int) float32 { return groupSpecials[(x+y)%len(groupSpecials)] }},
-		{"T2", "v", func(int, int) float32 { return 1 }},
-	} {
+	for i, name := range []string{"T1", "T2"} {
 		schema := tuple.NewSchema(
 			tuple.Attr{Name: "x", Kind: tuple.Coord}, tuple.Attr{Name: "y", Kind: tuple.Coord},
-			tuple.Attr{Name: "z", Kind: tuple.Coord}, tuple.Attr{Name: tbl.measure, Kind: tuple.Measure})
-		def, err := cat.CreateTable(tbl.name, schema)
+			tuple.Attr{Name: "z", Kind: tuple.Coord}, tuple.Attr{Name: measures[i], Kind: tuple.Measure})
+		def, err := cat.CreateTable(name, schema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c := 0; c < 8; c++ {
-			st := tuple.NewSubTable(tuple.ID{Table: def.ID, Chunk: int32(c)}, schema, 512)
-			for x := 8 * c; x < 8*c+8; x++ {
-				for y := 0; y < 64; y++ {
-					st.AppendRow(float32(x), float32(y), 0, tbl.value(x, y))
+			lo, hi := box(c)
+			st := tuple.NewSubTable(tuple.ID{Table: def.ID, Chunk: int32(c)}, schema, 0)
+			for z := lo[2]; z < hi[2]; z++ {
+				for y := lo[1]; y < hi[1]; y++ {
+					for x := lo[0]; x < hi[0]; x++ {
+						st.AppendRow(float32(x), float32(y), float32(z), value(i, x, y, z))
+					}
 				}
 			}
 			data, err := ex.Encode(st)
@@ -61,7 +60,7 @@ func handJoinTables(t *testing.T) (*metadata.Catalog, []simio.Store) {
 				t.Fatal(err)
 			}
 			node := c % len(stores)
-			object := fmt.Sprintf("%s/node%d.dat", tbl.name, node)
+			object := fmt.Sprintf("%s/node%d.dat", name, node)
 			offset, _ := stores[node].Size(object)
 			if err := stores[node].Append(object, data); err != nil {
 				t.Fatal(err)
@@ -139,7 +138,16 @@ func TestGroupByNegZeroNaN(t *testing.T) {
 	}
 
 	const sql = "SELECT g, COUNT(*), SUM(v) FROM V GROUP BY g"
-	cat, stores := handJoinTables(t)
+	// T1(x, y, z, g) and T2(x, y, z, v) over a 64×64×1 grid in eight
+	// x-slab chunks; g cycles through groupSpecials, v is 1.
+	cat, stores := handJoinTables(t, [2]string{"g", "v"},
+		func(c int) (lo, hi [3]int) { return [3]int{8 * c, 0, 0}, [3]int{8*c + 8, 64, 1} },
+		func(i, x, y, _ int) float32 {
+			if i == 1 {
+				return 1
+			}
+			return groupSpecials[(x+y)%len(groupSpecials)]
+		})
 	for _, force := range []string{"ij", "gh"} {
 		cl, err := cluster.New(cluster.Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 16 << 20}, cat, stores)
 		if err != nil {

@@ -88,10 +88,7 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 
 	outID := tuple.ID{Table: -1, Chunk: -1}
 	if len(aggs) > 0 {
-		// Partitioned aggregation (one partial per join part, merged in
-		// part order) replicates the materialized per-joiner fold; a
-		// scan's rows were a single input there.
-		an, err := plan.NewAggregate(node, aggs, s.GroupBy, s.Having, l.Join != nil)
+		an, err := plan.NewAggregate(node, aggs, s.GroupBy, s.Having)
 		if err != nil {
 			return nil, err
 		}

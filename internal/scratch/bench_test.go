@@ -32,7 +32,7 @@ func BenchmarkScratchRoundTrip(b *testing.B) {
 		}
 		got := 0
 		for k := range parts {
-			if err := p.Read(k, readChunk, func(_ uint32, st *tuple.SubTable) error {
+			if err := p.Read(k, readChunk, func(st *tuple.SubTable) error {
 				got += st.NumRows()
 				return nil
 			}); err != nil {

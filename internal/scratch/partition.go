@@ -26,9 +26,10 @@ import (
 // little-endian, and reading it back yields every tag's rows in arrival
 // order: Table reads a partition whole and groups its blocks by ascending
 // tag, Read streams them in write order. A caller that tags rows by a
-// deterministic source (Grace Hash: the scanning storage slot; GROUP BY:
-// the input part) so gets a partition whose contents are a function of its
-// inputs.
+// deterministic source (Grace Hash: the scanning storage slot) so gets a
+// partition whose contents are a function of its inputs; one that adds
+// under a single tag (GROUP BY) reads its rows back in the order it added
+// them.
 
 const (
 	// BlockBytes is the size at which a (partition, tag) buffer is written:
@@ -212,11 +213,11 @@ func (p *Partitioner) Table(k int) (*tuple.SubTable, error) {
 }
 
 // Read streams partition k block by block in write order, calling fn with
-// each block's tag and rows: every tag's rows arrive in the order they
-// were added, the tags interleaved as their blocks were written. The file
-// is fetched chunk bytes at a time (File.Open), so the read buffers at most
-// that much. Reads are size-verified and framing-checked as Table's.
-func (p *Partitioner) Read(k int, chunk int64, fn func(tag uint32, st *tuple.SubTable) error) error {
+// each block's rows: every tag's rows arrive in the order they were added,
+// the tags interleaved as their blocks were written. The file is fetched
+// chunk bytes at a time (File.Open), so the read buffers at most that
+// much. Reads are size-verified and framing-checked as Table's.
+func (p *Partitioner) Read(k int, chunk int64, fn func(st *tuple.SubTable) error) error {
 	pt := &p.parts[k]
 	if pt.f == nil {
 		return nil
@@ -227,14 +228,14 @@ func (p *Partitioner) Read(k int, chunk int64, fn func(tag uint32, st *tuple.Sub
 	}
 	defer rd.Close()
 	for {
-		tag, st, err := rd.block(p.schema)
+		_, st, err := rd.block(p.schema)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := fn(tag, st); err != nil {
+		if err := fn(st); err != nil {
 			return err
 		}
 	}

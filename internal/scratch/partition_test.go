@@ -35,7 +35,7 @@ func partRows(from, to int, tag uint32) *tuple.SubTable {
 // readPartition reads partition k whole with Table, streams it with Read
 // too, and requires the stream — each tag's blocks in write order, grouped
 // by ascending tag — to agree with Table row for row and tag for tag (the
-// test rows carry their tag as v).
+// test rows carry their tag as v, so every streamed block is one tag's).
 func readPartition(t *testing.T, p *Partitioner, k int) *tuple.SubTable {
 	t.Helper()
 	whole, err := p.Table(k)
@@ -44,10 +44,11 @@ func readPartition(t *testing.T, p *Partitioner, k int) *tuple.SubTable {
 	}
 	byTag := map[uint32]*tuple.SubTable{}
 	var tags []uint32
-	err = p.Read(k, readChunk, func(tag uint32, st *tuple.SubTable) error {
+	err = p.Read(k, readChunk, func(st *tuple.SubTable) error {
+		tag := uint32(st.Value(0, 2))
 		for r := range st.NumRows() {
 			if uint32(st.Value(r, 2)) != tag {
-				t.Fatalf("partition %d: a row written under tag %v streamed under tag %d", k, st.Value(r, 2), tag)
+				t.Fatalf("partition %d: a row written under tag %v streamed in a block of tag %d", k, st.Value(r, 2), tag)
 			}
 		}
 		if byTag[tag] == nil {
@@ -251,7 +252,7 @@ func TestPartitionerShortFileFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, errTable := p.Table(0)
-	errRead := p.Read(0, readChunk, func(uint32, *tuple.SubTable) error { return nil })
+	errRead := p.Read(0, readChunk, func(*tuple.SubTable) error { return nil })
 	for _, err := range []error{errTable, errRead} {
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("read of a short partition: err = %v, want a truncation error", err)
@@ -291,8 +292,8 @@ func TestReadStreamsWriteOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint32
-	if err := p.Read(0, readChunk, func(tag uint32, _ *tuple.SubTable) error {
-		got = append(got, tag)
+	if err := p.Read(0, readChunk, func(st *tuple.SubTable) error {
+		got = append(got, uint32(st.Value(0, 2)))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -406,10 +407,10 @@ func partitionBytes(t testing.TB, tags []uint32) []byte {
 // FuzzScratchBlocks feeds hostile bytes to both block readers and to
 // DecodeRows: none may panic, and whatever they accept must account for
 // every byte. Seeds are a Grace-Hash-shaped partition (scanner slots
-// interleaved) and a GROUP-BY-shaped one (ascending part ordinals).
+// interleaved) and a GROUP-BY-shaped one (every block under tag 0).
 func FuzzScratchBlocks(f *testing.F) {
 	f.Add(partitionBytes(f, []uint32{2, 0, 1, 0, 2, 1}))
-	f.Add(partitionBytes(f, []uint32{0, 0, 1, 2, 2}))
+	f.Add(partitionBytes(f, []uint32{0, 0, 0, 0, 0}))
 	f.Add(header(0, 1))
 	schema := partSchema()
 	rec := schema.RecordSize()

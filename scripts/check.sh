@@ -20,6 +20,9 @@ go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/tuple
 go test -run '^$' -fuzz FuzzScratchBlocks -fuzztime 10s ./internal/scratch
 # ORDER BY must emit the reference order at any limit and budget.
 go test -run '^$' -fuzz FuzzSortKernel -fuzztime 10s ./internal/plan
+# GROUP BY must fold to dds.Aggregate's bits at any budget, whatever part
+# labels its batches carry.
+go test -run '^$' -fuzz FuzzAggregateKernel -fuzztime 10s ./internal/plan
 go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph ./internal/scratch ./internal/simio
 go test -C bench -short ./...
 echo OK
