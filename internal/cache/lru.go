@@ -7,6 +7,13 @@
 // commonly used"); under the IJ scheduler's memory assumption no sub-table
 // is evicted while still needed, and the hit/miss statistics let tests and
 // the harness verify that.
+//
+// Besides the values it is asked to keep (Put), the cache can hold values
+// that merely use its free room (Admit): IJ keeps built hash tables this
+// way beside the sub-tables they were built from. Such an entry never
+// displaces a Put entry — every Put that needs room drops admitted entries
+// first — so the Put entries, their hits, misses and evictions are exactly
+// those of a cache that never admitted anything.
 package cache
 
 import (
@@ -31,8 +38,8 @@ type LRU[K comparable, V any] struct {
 	capacity int64
 	used     int64
 	entries  map[K]*node[K, V]
-	head     *node[K, V] // most recently used
-	tail     *node[K, V] // least recently used
+	kept     list[K, V] // Put entries
+	admitted list[K, V] // Admit entries, dropped first when a Put needs room
 
 	hits      int64
 	misses    int64
@@ -44,7 +51,13 @@ type node[K comparable, V any] struct {
 	key        K
 	val        V
 	size       int64
+	admitted   bool
 	prev, next *node[K, V]
+}
+
+// list is a recency list: head most recently used, tail least.
+type list[K comparable, V any] struct {
+	head, tail *node[K, V]
 }
 
 // NewLRU returns a cache that holds at most capacity bytes of values
@@ -74,7 +87,22 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	}
 	c.hits++
 	c.met.Hits.Inc()
-	c.moveToFront(n)
+	c.listOf(n).moveToFront(n)
+	return n.val, true
+}
+
+// Touch returns the cached value for key and marks it most recently used,
+// as Get does, but leaves the hit/miss counters alone: they count the
+// demand for Put entries only.
+func (c *LRU[K, V]) Touch(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.listOf(n).moveToFront(n)
 	return n.val, true
 }
 
@@ -91,27 +119,58 @@ func (c *LRU[K, V]) Peek(key K) (V, bool) {
 	return n.val, true
 }
 
-// Put inserts or replaces the value for key, recording its size in bytes,
-// and evicts least-recently-used entries until the capacity constraint
-// holds. Values larger than the whole capacity are not cached at all.
+// Put inserts or replaces the value for key, recording its size in bytes.
+// To make room it first drops admitted entries, least recently used first,
+// then evicts least-recently-used Put entries until the capacity
+// constraint holds. Values larger than the whole capacity are not cached
+// at all.
 func (c *LRU[K, V]) Put(key K, val V, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[key]; ok {
-		c.used -= old.size
-		c.unlink(old)
-		delete(c.entries, key)
+		c.remove(old)
 	}
 	if size > c.capacity {
 		return
 	}
-	for c.used+size > c.capacity && c.tail != nil {
-		c.evictLocked(c.tail)
+	for c.used+size > c.capacity && c.admitted.tail != nil {
+		c.remove(c.admitted.tail)
 	}
-	n := &node[K, V]{key: key, val: val, size: size}
-	c.entries[key] = n
-	c.used += size
-	c.pushFront(n)
+	for c.used+size > c.capacity && c.kept.tail != nil {
+		c.remove(c.kept.tail)
+		c.evictions++
+		c.met.Evictions.Inc()
+	}
+	c.insert(&node[K, V]{key: key, val: val, size: size})
+}
+
+// Admits reports whether Admit would store a value of size bytes under
+// key now: key is absent and size fits the free room. A caller whose value
+// is costly to make asks first; the answer can change before it calls
+// Admit, which checks again.
+func (c *LRU[K, V]) Admits(key K, size int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.admits(key, size)
+}
+
+func (c *LRU[K, V]) admits(key K, size int64) bool {
+	_, ok := c.entries[key]
+	return !ok && c.used+size <= c.capacity
+}
+
+// Admit stores val under key only if key is absent and size bytes fit the
+// free room: it evicts nothing. An admitted entry is found by Get, Touch
+// and Peek like any other, but any Put that needs its room drops it, and
+// that drop is not an eviction. Admit reports whether val was admitted.
+func (c *LRU[K, V]) Admit(key K, val V, size int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.admits(key, size) {
+		return false
+	}
+	c.insert(&node[K, V]{key: key, val: val, size: size, admitted: true})
+	return true
 }
 
 // Clear empties the cache; the dropped entries do not count as evictions.
@@ -119,7 +178,7 @@ func (c *LRU[K, V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[K]*node[K, V])
-	c.head, c.tail = nil, nil
+	c.kept, c.admitted = list[K, V]{}, list[K, V]{}
 	c.used = 0
 }
 
@@ -158,44 +217,55 @@ func (c *LRU[K, V]) ResetStats() {
 	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
-func (c *LRU[K, V]) evictLocked(n *node[K, V]) {
+func (c *LRU[K, V]) listOf(n *node[K, V]) *list[K, V] {
+	if n.admitted {
+		return &c.admitted
+	}
+	return &c.kept
+}
+
+func (c *LRU[K, V]) insert(n *node[K, V]) {
+	c.entries[n.key] = n
+	c.used += n.size
+	c.listOf(n).pushFront(n)
+}
+
+func (c *LRU[K, V]) remove(n *node[K, V]) {
 	c.used -= n.size
-	c.unlink(n)
+	c.listOf(n).unlink(n)
 	delete(c.entries, n.key)
-	c.evictions++
-	c.met.Evictions.Inc()
 }
 
-func (c *LRU[K, V]) pushFront(n *node[K, V]) {
+func (l *list[K, V]) pushFront(n *node[K, V]) {
 	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+	n.next = l.head
+	if l.head != nil {
+		l.head.prev = n
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	l.head = n
+	if l.tail == nil {
+		l.tail = n
 	}
 }
 
-func (c *LRU[K, V]) unlink(n *node[K, V]) {
+func (l *list[K, V]) unlink(n *node[K, V]) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		c.head = n.next
+		l.head = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	} else {
-		c.tail = n.prev
+		l.tail = n.prev
 	}
 	n.prev, n.next = nil, nil
 }
 
-func (c *LRU[K, V]) moveToFront(n *node[K, V]) {
-	if c.head == n {
+func (l *list[K, V]) moveToFront(n *node[K, V]) {
+	if l.head == n {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	l.unlink(n)
+	l.pushFront(n)
 }

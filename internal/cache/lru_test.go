@@ -303,6 +303,112 @@ func TestPropLRUOrderMatchesModel(t *testing.T) {
 	}
 }
 
+func TestAdmitEvictsNothing(t *testing.T) {
+	c := NewLRU[string, int](100)
+	c.Put("a", 1, 60)
+	if !c.Admits("t", 30) || !c.Admit("t", 7, 30) {
+		t.Fatal("free room refused")
+	}
+	if v, ok := c.Peek("t"); !ok || v != 7 || c.Bytes() != 90 || c.Len() != 2 {
+		t.Fatalf("admitted entry: %v,%v, bytes=%d len=%d", v, ok, c.Bytes(), c.Len())
+	}
+	if c.Admits("u", 20) || c.Admit("u", 8, 20) {
+		t.Error("admitted past the capacity")
+	}
+	for _, k := range []string{"t", "a"} {
+		if c.Admits(k, 1) || c.Admit(k, 9, 1) {
+			t.Errorf("admitted present key %s", k)
+		}
+	}
+	if v, _ := c.Peek("a"); v != 1 || c.Stats() != (Stats{}) {
+		t.Errorf("Admit touched the Put entries or the counters: a=%d %+v", v, c.Stats())
+	}
+}
+
+// TestPutDropsAdmittedFirst: a Put that needs room drops admitted entries,
+// least recently used first, before it evicts a Put entry; the drops are
+// not evictions.
+func TestPutDropsAdmittedFirst(t *testing.T) {
+	c := NewLRU[string, int](100)
+	c.Put("a", 1, 30)
+	c.Admit("t1", 0, 30)
+	c.Admit("t2", 0, 30)
+	c.Touch("t1") // t2 is now the older admitted entry
+	c.Put("b", 2, 30)
+	if has(c, "t2") || !has(c, "t1") || !has(c, "a") || !has(c, "b") {
+		t.Errorf("first Put should drop only t2: a=%v b=%v t1=%v t2=%v", has(c, "a"), has(c, "b"), has(c, "t1"), has(c, "t2"))
+	}
+	c.Put("d", 3, 60)
+	if has(c, "t1") || has(c, "a") || !has(c, "b") || !has(c, "d") {
+		t.Errorf("second Put should drop t1 and evict a: a=%v b=%v t1=%v", has(c, "a"), has(c, "b"), has(c, "t1"))
+	}
+	if s := c.Stats(); s.Evictions != 1 || c.Bytes() != 90 {
+		t.Errorf("evictions = %d, bytes = %d; want 1 (a, not the tables) and 90", s.Evictions, c.Bytes())
+	}
+}
+
+// TestTouchLeavesStats: Touch makes an entry most recently used, as Get
+// does, without counting a hit or a miss.
+func TestTouchLeavesStats(t *testing.T) {
+	c := NewLRU[string, int](30)
+	c.Put("a", 1, 10)
+	c.Put("b", 2, 10)
+	c.Put("c", 3, 10)
+	if v, ok := c.Touch("a"); !ok || v != 1 {
+		t.Fatalf("Touch(a) = %v,%v", v, ok)
+	}
+	if _, ok := c.Touch("zzz"); ok {
+		t.Error("phantom Touch")
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Errorf("Touch counted: %+v", s)
+	}
+	c.Put("d", 4, 10)
+	if !has(c, "a") || has(c, "b") {
+		t.Error("Touch did not make a most recently used: b should have been evicted")
+	}
+}
+
+// TestPropAdmittedInvisibleToPutEntries is the contract IJ's table cache
+// rests on: interleaving admissions (and Touches of admitted keys) into a
+// Put/Get sequence changes no Get result and no counter against a twin
+// that never admits, and never breaks the byte bound.
+func TestPropAdmittedInvisibleToPutEntries(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		capacity := int64(1 + r.Intn(300))
+		c, twin := NewLRU[int, int](capacity), NewLRU[int, int](capacity)
+		for step := 0; step < 400; step++ {
+			k := r.Intn(30)
+			switch r.Intn(4) {
+			case 0:
+				size := int64(1 + r.Intn(80))
+				c.Put(k, step, size)
+				twin.Put(k, step, size)
+			case 1:
+				c.Admit(100+k, step, int64(1+r.Intn(80)))
+			case 2:
+				c.Touch(100 + k)
+			default:
+				v, ok := c.Get(k)
+				tv, tok := twin.Get(k)
+				if v != tv || ok != tok {
+					t.Logf("step %d: Get(%d) = %v,%v; twin %v,%v", step, k, v, ok, tv, tok)
+					return false
+				}
+			}
+			if c.Stats() != twin.Stats() || c.Bytes() > capacity {
+				t.Logf("step %d: stats %+v, twin %+v; bytes %d of %d", step, c.Stats(), twin.Stats(), c.Bytes(), capacity)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
 func BenchmarkLRU(b *testing.B) {
 	c := NewLRU[int, int](4096)
 	r := rand.New(rand.NewSource(1))

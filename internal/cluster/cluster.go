@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,10 +160,21 @@ type StorageNode struct {
 // between runs; under the concurrent query service, queries with different
 // predicates or projections share the node caches, and the signature keeps
 // their entries from aliasing.
+//
+// Join is empty for a fetched sub-table. A hash table IJ built over that
+// sub-table is cached under the same ID and Sig with Join naming the join
+// attributes (JoinSig). No catalog version is needed: chunk ids are never
+// reused and a chunk's bytes never change, so both entries stay valid
+// across appends.
 type FetchKey struct {
-	ID  tuple.ID
-	Sig uint64
+	ID   tuple.ID
+	Sig  uint64
+	Join string
 }
+
+// JoinSig is FetchKey.Join for a hash table keyed on attrs: "(x,y,z)",
+// never empty.
+func JoinSig(attrs []string) string { return "(" + strings.Join(attrs, ",") + ")" }
 
 // Signature hashes a fetch's shaping parameters (range filter and
 // projection list) into a FetchKey signature.
@@ -199,7 +211,9 @@ type ComputeNode struct {
 	// Cache is the node's Caching Service instance for sub-tables. Values
 	// are Fetched — compressed when the wire codec is "colenc" — and are
 	// charged at StoredBytes, so resident accounting reflects the bytes
-	// actually held rather than the decoded record size.
+	// actually held rather than the decoded record size. IJ's built hash
+	// tables (FetchedTable) share it, admitted only into free room (see
+	// cache.LRU.Admit), so they never displace a sub-table.
 	Cache *cache.LRU[FetchKey, *Fetched]
 	// Flight deduplicates concurrent fetches of one sub-table across the
 	// queries sharing this node, so N simultaneous cache misses on a key

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sciview/internal/colenc"
+	"sciview/internal/hashjoin"
 	"sciview/internal/tuple"
 )
 
@@ -10,17 +11,45 @@ import (
 // columnar form (SVT2). Caches, the singleflight groups and replica
 // failover all move Fetched values, so the encoded representation travels
 // end to end — and a cached sub-table stays resident at its compressed
-// size, decoded only when a joiner actually consumes its rows: IJ decodes a
-// left carrier once per hash table built from it (edges that reuse the
-// table take the carrier from the cache but never decode it) and a right
-// carrier once per probe.
+// size, decoded only when a joiner actually consumes its rows.
+//
+// A node cache also holds IJ's built hash tables as Fetched values
+// (FetchedTable), beside the sub-tables they were built from. What is
+// decoded per use follows: a right carrier once per probe; a left carrier
+// once per hash table built from it — edges that reuse the table, and
+// later statements that find it cached, take the carrier from the cache
+// but never decode it.
 type Fetched struct {
 	st  *tuple.SubTable
 	enc *colenc.Table
+	// ht and htBytes are a cached hash table and its resident size; st is
+	// then the table's left sub-table.
+	ht      *hashjoin.HashTable
+	htBytes int
 }
 
 // FetchedSubTable wraps a decoded sub-table.
 func FetchedSubTable(st *tuple.SubTable) *Fetched { return &Fetched{st: st} }
+
+// TableBytes is the resident size of a hash table built over frame's
+// rows: its arrays plus, when frame is encoded, the decoded rows it
+// references. A row-major frame's rows are the frame's own, charged
+// already, and stay resident while the table is: the cache drops every
+// table before it evicts a frame.
+func TableBytes(ht *hashjoin.HashTable, frame *Fetched) int {
+	if frame.Encoded() {
+		return ht.Bytes() + ht.Left().Bytes()
+	}
+	return ht.Bytes()
+}
+
+// FetchedTable wraps a hash table resident at bytes (TableBytes).
+func FetchedTable(ht *hashjoin.HashTable, bytes int) *Fetched {
+	return &Fetched{st: ht.Left(), ht: ht, htBytes: bytes}
+}
+
+// Table returns the hash table of a FetchedTable value, else nil.
+func (f *Fetched) Table() *hashjoin.HashTable { return f.ht }
 
 // FetchedEncoded wraps a compressed columnar table.
 func FetchedEncoded(t *colenc.Table) *Fetched { return &Fetched{enc: t} }
@@ -60,7 +89,10 @@ func (f *Fetched) DecodedBytes() int {
 // size for encoded values, the row-major size otherwise. Caches charge
 // this, so the resident-bytes gauge reflects what is actually held.
 func (f *Fetched) StoredBytes() int {
-	if f.enc != nil {
+	switch {
+	case f.ht != nil:
+		return f.htBytes
+	case f.enc != nil:
 		return f.enc.StoredBytes()
 	}
 	return f.st.Bytes()

@@ -199,7 +199,9 @@ type Joiner struct {
 	local    hashjoin.Stats
 	// hj owns the arrays of the attempt's one live hash table — IJ's
 	// per-left table, GH's per-pair table, one spill leaf at a time — and
-	// reuses them from one build to the next.
+	// reuses them from one build to the next, unless Keep hands them to
+	// the node cache. Its probe scratch serves every probe, of its own
+	// table or of a cached one.
 	hj hashjoin.Builder
 }
 
@@ -249,8 +251,9 @@ func (j *Joiner) Fits(leftBytes int) bool {
 	return j.memCap == 0 || int64(leftBytes) <= j.memCap
 }
 
-// Build builds the hash table over left. It replaces the joiner's previous
-// table, which must no longer be probed.
+// Build builds the hash table over left in the joiner's arena and charges
+// the build. It replaces the joiner's previous arena table, which must no
+// longer be probed; a table Keep gave to the cache is not affected.
 func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
 	start := time.Now()
 	ht, err := j.hj.Build(left, j.Req.JoinAttrs, kernelWorkers, &j.local)
@@ -261,10 +264,33 @@ func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable,
 	return ht, nil
 }
 
-// Probe probes ht with right into the part's output.
+// Keep offers ht, the table the joiner's last Build returned over frame's
+// rows, to its compute node's cache under key, charged at
+// cluster.TableBytes. The cache admits it only into free room and only if
+// key is absent. An admitted table leaves the joiner's arena — the next
+// Build allocates afresh — and Keep returns it: the caller probes that,
+// never ht again. A refused table stays in the arena, costs no allocation,
+// and Keep returns ht. Should another joiner take the room between the
+// cache's answer and the admission, the detached table is only this
+// joiner's: the race costs the arena one allocation, never a wrong row.
+// An exclusive run offers nothing: the next run resets the caches, so no
+// statement could probe what it kept.
+func (j *Joiner) Keep(key cluster.FetchKey, frame *cluster.Fetched, ht *hashjoin.HashTable) *hashjoin.HashTable {
+	size := cluster.TableBytes(ht, frame)
+	if !j.Req.Shared || !j.cn.Cache.Admits(key, int64(size)) {
+		return ht
+	}
+	ht = j.hj.Detach()
+	j.cn.Cache.Admit(key, cluster.FetchedTable(ht, size), int64(size))
+	return ht
+}
+
+// Probe probes ht — the joiner's arena table or one from the node cache,
+// which other joiners may be probing at the same time — with right into
+// the part's output, using the joiner's own probe scratch.
 func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTable) error {
 	start := time.Now()
-	if _, err := ht.ProbeParallel(right, j.Req.JoinAttrs, 1, kernelWorkers, j.out, &j.local); err != nil {
+	if _, err := j.hj.Probe(ht, right, j.Req.JoinAttrs, kernelWorkers, j.out, &j.local); err != nil {
 		return err
 	}
 	j.probed(label, right.NumRows(), right.Bytes(), start)

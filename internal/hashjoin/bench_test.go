@@ -192,7 +192,7 @@ func BenchmarkJoinPair(b *testing.B) {
 				}
 				for _, r := range rs {
 					out := tuple.NewSubTable(tuple.ID{Table: -1}, outSchema, 0)
-					if m, err := ht.ProbeParallel(r, edgeKeys, 1, 1, out, nil); err != nil || m != r.NumRows() {
+					if m, err := hb.Probe(ht, r, edgeKeys, 1, out, nil); err != nil || m != r.NumRows() {
 						b.Fatalf("probe: %d matches, %v", m, err)
 					}
 				}

@@ -24,8 +24,14 @@
 // A Builder owns the arrays all of this needs — the table's own and the
 // transient build and probe scratch — and reuses them for its next table,
 // so a joiner working through a schedule allocates per edge little more
-// than its output columns. A Builder has one live table at a time. The
-// package-level BuildParallel returns an independent table instead.
+// than its output columns. It has one live table in its arena at a time.
+// Detach gives that table's arrays away and makes it independent, like
+// BuildParallel's tables; the next Build then allocates afresh. An
+// independent table is read-only, so any number of goroutines may probe it
+// at once, each with its own probe scratch: a Builder's (Builder.Probe) or
+// a fresh one (ProbeParallel). IJ keeps detached tables in its compute
+// nodes' caches, so a warm statement probes a table that another statement
+// built.
 //
 // As in the paper's cost model, the build stores only row references (not
 // record copies), so build and probe cost per tuple is independent of
@@ -107,10 +113,6 @@ type HashTable struct {
 	keys   []uint64 // packed key per occupied slot
 	heads  []int32  // slot → first left row, -1 when empty
 	next   []int32  // left row → next left row with equal key, -1 at end
-
-	// scratch is the owning Builder's probe scratch; nil for an independent
-	// table, whose probes bring their own.
-	scratch *probeScratch
 }
 
 // Builder builds hash tables out of one arena: the table arrays and the
@@ -171,19 +173,33 @@ func nextPow2(x int) int {
 // because bench/probes.go calls them (rename with a benchmark PR).
 func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
 	var b Builder
-	ht, err := b.build(left, keys, workFactor, workers, stats)
-	if err != nil {
+	if _, err := b.build(left, keys, workFactor, workers, stats); err != nil {
 		return nil, err
 	}
-	own := *ht // detached from the throwaway builder and its scratch
-	own.scratch = nil
-	return &own, nil
+	return b.Detach(), nil
 }
 
 // Build constructs the builder's table over left, as BuildParallel does,
-// reusing the arena. The table it returned before is dead.
+// reusing the arena. The table it returned before is dead, unless it was
+// detached.
 func (b *Builder) Build(left *tuple.SubTable, keys []string, workers int, stats *Stats) (*HashTable, error) {
 	return b.build(left, keys, 1, workers, stats)
+}
+
+// Detach returns the table the last Build returned as an independent
+// table, as BuildParallel's are: its arrays leave the arena, so the
+// builder's next Build allocates its own, and the table Build returned is
+// dead — probe the one Detach returns.
+func (b *Builder) Detach() *HashTable {
+	own := b.ht
+	b.ht = HashTable{}
+	return &own
+}
+
+// Bytes returns the memory the table's own arrays hold, by capacity. The
+// left sub-table it references is not counted.
+func (ht *HashTable) Bytes() int {
+	return 8*cap(ht.keys) + 4*(cap(ht.heads)+cap(ht.next)+cap(ht.offs)+cap(ht.mask)) + 8*cap(ht.keyIdxs)
 }
 
 func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
@@ -197,7 +213,7 @@ func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers
 	n := left.NumRows()
 	nparts := numParts(n)
 	ht := &b.ht
-	ht.left, ht.keyIdxs, ht.nparts, ht.scratch = left, keyIdxs, nparts, &b.probe
+	ht.left, ht.keyIdxs, ht.nparts = left, keyIdxs, nparts
 	ht.next = resize(ht.next, n)
 	workers = Workers(n, workers)
 	if workers > nparts {
@@ -394,28 +410,22 @@ func rightLayout(schema tuple.Schema, keys []string) (rKeyIdxs, rValIdxs []int, 
 // (1 = serial, <= 0 = all CPUs; small inputs stay serial) each scan a
 // contiguous right-row range and gather their matches into out at the
 // range's offset, so the result is byte-identical at every worker count.
+// Each call allocates its own probe scratch; Builder.Probe reuses one.
 func (ht *HashTable) ProbeParallel(right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
-	if workFactor < 1 {
-		workFactor = 1
-	}
-	s := ht.scratch
-	if s == nil {
-		s = new(probeScratch)
-	}
-	matches, err := ht.probe(s, right, keys, workers, out)
-	if err != nil {
-		return 0, err
-	}
-	if stats != nil {
-		stats.TuplesProbed.Add(int64(right.NumRows() * workFactor))
-		stats.Matches.Add(int64(matches))
-	}
-	return matches, nil
+	return ht.probe(new(probeScratch), right, keys, workFactor, workers, out, stats)
+}
+
+// Probe probes ht, as ProbeParallel does, with the builder's probe
+// scratch, kept from one probe to the next: ht may be the builder's own
+// table or an independent one that other goroutines probe at the same
+// time.
+func (b *Builder) Probe(ht *HashTable, right *tuple.SubTable, keys []string, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
+	return ht.probe(&b.probe, right, keys, 1, workers, out, stats)
 }
 
 // probe is the one probe: it lines right up against the keys, packs its
-// keys and probes every row.
-func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string, workers int, out *tuple.SubTable) (int, error) {
+// keys, probes every row and counts the work.
+func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
 	if err := s.resolve(right.Schema, keys); err != nil {
 		return 0, fmt.Errorf("hashjoin: probe: %w", err)
 	}
@@ -423,7 +433,12 @@ func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string
 		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 	s.keys = right.Keys(s.keys, s.rKeyIdxs)
-	return ht.probeRows(s, right, nil, workers, out), nil
+	matches := ht.probeRows(s, right, nil, workers, out)
+	if stats != nil {
+		stats.TuplesProbed.Add(int64(right.NumRows() * max(workFactor, 1)))
+		stats.Matches.Add(int64(matches))
+	}
+	return matches, nil
 }
 
 // probeRows looks up the right rows sel (every row when nil), whose keys

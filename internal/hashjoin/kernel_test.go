@@ -124,7 +124,7 @@ func TestKernelMatchesNestedLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			var stats Stats
-			m, err := ht.ProbeParallel(right, keys, 1, 1, out, &stats)
+			m, err := b.Probe(ht, right, keys, 1, out, &stats)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,9 +184,10 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 
 // TestBuilderArenaReuse: a builder's second table is built out of the
 // first one's arrays — larger, smaller, different keys — and must equal a
-// fresh independent build each time; independent tables must not share
-// anything, so probing many of them at once (what bench/probes.go does)
-// is safe. Run under -race.
+// fresh independent build each time; independent tables, built so or
+// detached from a builder, must not share anything, so probing many of
+// them at once (what bench/probes.go and IJ's cached tables do) is safe.
+// Run under -race.
 func TestBuilderArenaReuse(t *testing.T) {
 	ls, rs := wideSchemas()
 	r := rand.New(rand.NewSource(9))
@@ -219,19 +220,26 @@ func TestBuilderArenaReuse(t *testing.T) {
 		want := fresh(p)
 		for pass := 0; pass < 2; pass++ {
 			out := tuple.NewSubTable(want.ID, want.Schema, 0)
-			if _, err := ht.ProbeParallel(p.right, p.keys, 1, 1, out, nil); err != nil {
+			if _, err := b.Probe(ht, p.right, p.keys, 1, out, nil); err != nil {
 				t.Fatal(err)
 			}
 			sameRowsOrdered(t, fmt.Sprintf("pair %d pass %d on the reused builder", i, pass), out, want)
 		}
 	}
 
-	// Independent tables: all alive at once, probed concurrently, each
-	// twice from two goroutines.
+	// Independent tables — BuildParallel's, and tables detached from the
+	// reused builder, which builds on — all alive at once, each probed from
+	// two goroutines at once: one with ProbeParallel's fresh scratch, one
+	// with its own Builder's, as joiners probe a cached table.
 	tables := make([]*HashTable, len(pairs))
 	for i, p := range pairs {
 		var err error
-		if tables[i], err = BuildParallel(p.left, p.keys, 1, 1, nil); err != nil {
+		if i%2 == 0 {
+			tables[i], err = BuildParallel(p.left, p.keys, 1, 1, nil)
+		} else if _, err = b.Build(p.left, p.keys, 1, nil); err == nil {
+			tables[i] = b.Detach()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +251,14 @@ func TestBuilderArenaReuse(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				out := tuple.NewSubTable(want.ID, want.Schema, 0)
-				if _, err := tables[i].ProbeParallel(p.right, p.keys, 1, 1, out, nil); err != nil {
+				var err error
+				if g == 0 {
+					_, err = tables[i].ProbeParallel(p.right, p.keys, 1, 1, out, nil)
+				} else {
+					var own Builder
+					_, err = own.Probe(tables[i], p.right, p.keys, 1, out, nil)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -304,7 +319,7 @@ func TestJoinPairSteadyStateAllocs(t *testing.T) {
 		}
 		for _, right := range rights {
 			out := tuple.NewSubTable(tuple.ID{Table: -1}, outSchema, 0)
-			if _, err := ht.ProbeParallel(right, edgeKeys, 1, 1, out, nil); err != nil {
+			if _, err := b.Probe(ht, right, edgeKeys, 1, out, nil); err != nil {
 				t.Fatal(err)
 			}
 			rows = out.NumRows()

@@ -98,3 +98,43 @@ func BenchmarkIJMetricsOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarmRepeat re-runs one IJ statement on an unthrottled, warm,
+// shared cluster — warm_join's regime: every frame and every left hash
+// table is already in the node caches, so a statement fetches from the
+// cache, decodes its right carriers and probes. built/op counts the tuples
+// the statement still built (0 once the caches are warm).
+func BenchmarkWarmRepeat(b *testing.B) {
+	grid := partition.D(32, 32, 16)
+	ds, err := oilres.Generate(oilres.Config{
+		Grid: grid, LeftPart: partition.D(8, 8, 8), RightPart: partition.D(8, 8, 4), StorageNodes: 2, Seed: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		StorageNodes: 2, ComputeNodes: 2, CacheBytes: 64 << 20, Wire: "colenc",
+	}, ds.Catalog, ds.Stores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := req()
+	r.Shared = true
+	if _, err := engine.RunRequest(context.Background(), New(), cl, r); err != nil { // warm the caches
+		b.Fatal(err)
+	}
+	var built int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := engine.RunRequest(context.Background(), New(), cl, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Tuples != grid.Cells() {
+			b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
+		}
+		built += res.Join.TuplesBuilt
+	}
+	b.ReportMetric(float64(built)/float64(b.N), "built/op")
+}

@@ -8,6 +8,13 @@
 // fetched from BDS instances through the per-node LRU Caching Service; the
 // lexicographic order makes all edges of one left sub-table consecutive, so
 // a hash table is built only once per left sub-table.
+//
+// In shared mode the built tables outlive the statement: a joiner offers
+// each to its node's cache, beside the left sub-table it was built from,
+// under that sub-table's key plus the join attributes. A later statement
+// on the same node with the same filter, projection and join attributes
+// probes the cached table and neither decodes the left carrier nor builds.
+// A right carrier is still decoded once per probe.
 package ij
 
 import (
@@ -153,6 +160,12 @@ type side struct {
 
 // runJoiner executes one slot's schedule on the joiner's compute node.
 //
+// Every edge demands both carriers from the cache, so the cache's hit and
+// miss counts are those of the strict fetch→build→probe loop. A left
+// sub-table's hash table is reused across its consecutive edges; on the
+// first of them it is looked up in the node cache (leftTable) and built
+// only if no statement has left it there.
+//
 // With Request.Prefetch > 0 the joiner overlaps I/O with compute: before
 // working edge i it issues background fetches for this edge's right
 // sub-table and both sub-tables of edges i+1..i+Prefetch. Stage-2's
@@ -216,11 +229,12 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 
 	// The hash table of the latest left sub-table that fit the memory cap:
 	// stage 2's order makes all edges of one left sub-table consecutive, so
-	// it is built once per left sub-table.
+	// it is looked up or built once per left sub-table.
 	var (
 		ht     *hashjoin.HashTable
 		htLeft tuple.ID
 	)
+	join := cluster.JoinSig(j.Req.JoinAttrs)
 	execNode := fault.ComputeNode(j.Exec)
 	for i, ed := range sched {
 		if err := ctx.Err(); err != nil {
@@ -240,7 +254,8 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		}
 		// The carrier is fetched on every edge — the cache sees exactly the
 		// strict loop's demand sequence — but decoded only where its rows
-		// are needed: when the hash table is built, not when it is reused.
+		// are needed: when the hash table is built, not when it is reused
+		// or found in the cache.
 		lf, err := cachedFetch(ctx, j, ed.left, ls)
 		if err != nil {
 			return err
@@ -249,17 +264,14 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		if j.Req.Trace.Enabled() {
 			leftLabel, rightLabel = ed.left.String(), ed.right.String()
 		}
-		// A build side over its admission share joins out-of-core; the
-		// cached hash table is neither built nor reused for it.
+		// A build side over its admission share joins out-of-core; no hash
+		// table is built, reused or looked up for it.
 		fits := j.Fits(lf.DecodedBytes())
 		if !fits {
 			ht = nil
 		} else if ht == nil || htLeft != ed.left {
-			left, err := decode(ed.left, lf)
-			if err != nil {
-				return err
-			}
-			if ht, err = j.Build(leftLabel, left); err != nil {
+			key := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
+			if ht, err = leftTable(j, key, lf, leftLabel); err != nil {
 				return err
 			}
 			htLeft = ed.left
@@ -290,6 +302,25 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		}
 	}
 	return nil
+}
+
+// leftTable returns the hash table over the left carrier lf on the join
+// attributes, cached under key: the node cache's, if a statement left it
+// there — a lookup that leaves the cache's hit/miss counters alone — else
+// decoded and built in the joiner's arena, and offered to the cache.
+func leftTable(j *engine.Joiner, key cluster.FetchKey, lf *cluster.Fetched, label string) (*hashjoin.HashTable, error) {
+	if f, ok := j.Cluster.Compute[j.Exec].Cache.Touch(key); ok {
+		return f.Table(), nil
+	}
+	left, err := decode(key.ID, lf)
+	if err != nil {
+		return nil, err
+	}
+	ht, err := j.Build(label, left)
+	if err != nil {
+		return nil, err
+	}
+	return j.Keep(key, lf, ht), nil
 }
 
 // spillSeq namespaces the scratch files of concurrent joiners.
