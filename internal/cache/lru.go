@@ -9,8 +9,9 @@
 // the harness verify that.
 //
 // Besides the values it is asked to keep (Put), the cache can hold values
-// that merely use its free room (Admit): IJ keeps built hash tables this
-// way beside the sub-tables they were built from. Such an entry never
+// that merely use its free room (Admit): IJ keeps built hash tables and
+// its edges' match pairs this way beside the sub-tables they were derived
+// from. Such an entry never
 // displaces a Put entry — every Put that needs room drops admitted entries
 // first — so the Put entries, their hits, misses and evictions are exactly
 // those of a cache that never admitted anything.

@@ -163,13 +163,27 @@ type StorageNode struct {
 //
 // Join is empty for a fetched sub-table. A hash table IJ built over that
 // sub-table is cached under the same ID and Sig with Join naming the join
-// attributes (JoinSig). No catalog version is needed: chunk ids are never
-// reused and a chunk's bytes never change, so both entries stay valid
-// across appends.
+// attributes (JoinSig). The match pairs of one IJ edge — that table probed
+// with one right sub-table — are cached under the table's key with Pairs
+// set and RightID and RightSig naming the right sub-table's own key
+// (PairKey): every field is compared, none is folded into a hash. No
+// catalog version is needed: chunk ids are never reused and a chunk's
+// bytes never change, so all three kinds of entry stay valid across
+// appends.
 type FetchKey struct {
-	ID   tuple.ID
-	Sig  uint64
-	Join string
+	ID       tuple.ID
+	Sig      uint64
+	Join     string
+	RightID  tuple.ID
+	RightSig uint64
+	Pairs    bool
+}
+
+// PairKey is the key of the match pairs of the table cached under k (its
+// Join set) probed with the sub-table cached under right.
+func (k FetchKey) PairKey(right FetchKey) FetchKey {
+	k.RightID, k.RightSig, k.Pairs = right.ID, right.Sig, true
+	return k
 }
 
 // JoinSig is FetchKey.Join for a hash table keyed on attrs: "(x,y,z)",

@@ -13,12 +13,15 @@ import (
 // end to end — and a cached sub-table stays resident at its compressed
 // size, decoded only when a joiner actually consumes its rows.
 //
-// A node cache also holds IJ's built hash tables as Fetched values
-// (FetchedTable), beside the sub-tables they were built from. What is
-// decoded per use follows: a right carrier once per probe; a left carrier
-// once per hash table built from it — edges that reuse the table, and
-// later statements that find it cached, take the carrier from the cache
-// but never decode it.
+// A node cache also holds two things IJ derived from sub-tables as Fetched
+// values, beside them: built hash tables (FetchedTable) and the match
+// pairs of edges (FetchedPairs). What is decoded per use follows. A left
+// carrier is decoded once per hash table built from it; edges that reuse
+// the table, and later statements that find it cached, take the carrier
+// from the cache but never decode it. A right carrier is decoded whole,
+// into its joiner's buffer (SubTableIn), once per probe; an edge that
+// finds its pairs cached decodes only the right payload columns
+// (Columns), and a row-major carrier not at all.
 type Fetched struct {
 	st  *tuple.SubTable
 	enc *colenc.Table
@@ -26,6 +29,8 @@ type Fetched struct {
 	// then the table's left sub-table.
 	ht      *hashjoin.HashTable
 	htBytes int
+	// pairs are a cached edge's match pairs; st and enc are then nil.
+	pairs *hashjoin.Pairs
 }
 
 // FetchedSubTable wraps a decoded sub-table.
@@ -35,7 +40,9 @@ func FetchedSubTable(st *tuple.SubTable) *Fetched { return &Fetched{st: st} }
 // rows: its arrays plus, when frame is encoded, the decoded rows it
 // references. A row-major frame's rows are the frame's own, charged
 // already, and stay resident while the table is: the cache drops every
-// table before it evicts a frame.
+// table before it evicts a frame. Match pairs reference no rows: a
+// gather reads the left rows of the table, or of the frame decoded again,
+// and are charged only their vectors (hashjoin.PairsBytes).
 func TableBytes(ht *hashjoin.HashTable, frame *Fetched) int {
 	if frame.Encoded() {
 		return ht.Bytes() + ht.Left().Bytes()
@@ -50,6 +57,13 @@ func FetchedTable(ht *hashjoin.HashTable, bytes int) *Fetched {
 
 // Table returns the hash table of a FetchedTable value, else nil.
 func (f *Fetched) Table() *hashjoin.HashTable { return f.ht }
+
+// FetchedPairs wraps one edge's match pairs, resident at p.Bytes(). Such
+// a value answers Pairs and StoredBytes only.
+func FetchedPairs(p *hashjoin.Pairs) *Fetched { return &Fetched{pairs: p} }
+
+// Pairs returns the match pairs of a FetchedPairs value, else nil.
+func (f *Fetched) Pairs() *hashjoin.Pairs { return f.pairs }
 
 // FetchedEncoded wraps a compressed columnar table.
 func FetchedEncoded(t *colenc.Table) *Fetched { return &Fetched{enc: t} }
@@ -66,6 +80,73 @@ func (f *Fetched) SubTable() (*tuple.SubTable, error) {
 		return f.st, nil
 	}
 	return f.enc.SubTable()
+}
+
+// DecodeBuf is one consumer's reusable decode storage: a column slice per
+// attribute, grown to the largest frame decoded into it and overwritten
+// by the next decode. The zero value is ready. A buffer and the rows
+// decoded into it belong to one goroutine at a time.
+type DecodeBuf struct {
+	cols [][]float32
+	view [][]float32
+}
+
+// fit returns b.cols and b.view at n entries each.
+func (b *DecodeBuf) fit(n int) (cols, view [][]float32) {
+	for len(b.cols) < n {
+		b.cols = append(b.cols, nil)
+	}
+	if cap(b.view) < n {
+		b.view = make([][]float32, n)
+	}
+	b.view = b.view[:n]
+	return b.cols[:n], b.view
+}
+
+// SubTableIn returns f's rows for a caller that is done with them before
+// it next uses buf: a row-major value's own rows, read as is, or an
+// encoded value decoded whole into buf.
+func (f *Fetched) SubTableIn(buf *DecodeBuf) (*tuple.SubTable, error) {
+	if f.st != nil {
+		return f.st, nil
+	}
+	cols, _ := buf.fit(f.enc.Schema.NumAttrs())
+	if err := f.enc.DecodeColumns(cols, nil); err != nil {
+		return nil, err
+	}
+	return tuple.FromColumns(f.enc.ID, f.enc.Schema, cols)
+}
+
+// Columns returns the columns cols (schema positions) of f's rows, indexed
+// by schema position, for a caller that is done with them before it next
+// uses buf: a row-major value's own columns, read as is, or an encoded
+// value's columns cols decoded alone into buf. An entry outside cols may
+// be nil.
+func (f *Fetched) Columns(buf *DecodeBuf, cols []int) ([][]float32, error) {
+	if f.st != nil {
+		_, view := buf.fit(f.st.Schema.NumAttrs())
+		for c := range view {
+			view[c] = f.st.Col(c)
+		}
+		return view, nil
+	}
+	dec, view := buf.fit(f.enc.Schema.NumAttrs())
+	if err := f.enc.DecodeColumns(dec, cols); err != nil {
+		return nil, err
+	}
+	clear(view)
+	for _, c := range cols {
+		view[c] = dec[c]
+	}
+	return view, nil
+}
+
+// Schema returns the rows' schema without decoding.
+func (f *Fetched) Schema() tuple.Schema {
+	if f.st != nil {
+		return f.st.Schema
+	}
+	return f.enc.Schema
 }
 
 // NumRows returns the record count without decoding.
@@ -92,6 +173,8 @@ func (f *Fetched) StoredBytes() int {
 	switch {
 	case f.ht != nil:
 		return f.htBytes
+	case f.pairs != nil:
+		return f.pairs.Bytes()
 	case f.enc != nil:
 		return f.enc.StoredBytes()
 	}

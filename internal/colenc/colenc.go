@@ -388,24 +388,77 @@ func decodeRLE(data []byte, rows int, dst []float32) (int, error) {
 	return n, nil
 }
 
-// SubTable decodes the table back into row-major form. The decode is
-// exact: every float32 bit pattern is reproduced.
-func (t *Table) SubTable() (*tuple.SubTable, error) {
+// check validates the table's shape before anything is allocated for it
+// and returns its attribute count.
+func (t *Table) check() (int, error) {
 	na := t.Schema.NumAttrs()
 	if len(t.Cols) != na {
-		return nil, fmt.Errorf("colenc: %d columns for %d attributes", len(t.Cols), na)
+		return 0, fmt.Errorf("colenc: %d columns for %d attributes", len(t.Cols), na)
 	}
 	if t.Rows < 0 || (na > 0 && t.Rows > maxDecodeRows/na) {
-		return nil, fmt.Errorf("colenc: %d rows × %d attributes exceeds decode limit", t.Rows, na)
+		return 0, fmt.Errorf("colenc: %d rows × %d attributes exceeds decode limit", t.Rows, na)
+	}
+	return na, nil
+}
+
+// DecodeColumns is the one decode: it decodes the columns cols (schema
+// positions; nil means every column) into dst, which holds one slice per
+// attribute. Each decoded column is written to dst[c] resized to the row
+// count, in dst[c]'s own storage when its capacity allows, so a caller
+// that decodes frame after frame into one dst allocates only while it
+// grows. The other entries of dst are left as they are. The decode is
+// exact: every float32 bit pattern is reproduced.
+func (t *Table) DecodeColumns(dst [][]float32, cols []int) error {
+	na, err := t.check()
+	if err != nil {
+		return err
+	}
+	if len(dst) != na {
+		return fmt.Errorf("colenc: %d destination columns for %d attributes", len(dst), na)
+	}
+	one := func(c int) error {
+		if c < 0 || c >= na {
+			return fmt.Errorf("colenc: column %d of %d", c, na)
+		}
+		col := dst[c]
+		if cap(col) < t.Rows {
+			col = make([]float32, t.Rows)
+		}
+		dst[c] = col[:t.Rows]
+		if err := decodeColumn(t.Cols[c], t.Rows, dst[c]); err != nil {
+			return fmt.Errorf("colenc: column %d (%s): %w", c, t.Schema.Attrs[c].Name, err)
+		}
+		return nil
+	}
+	if cols == nil {
+		for c := 0; c < na; c++ {
+			if err := one(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, c := range cols {
+		if err := one(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SubTable decodes the whole table into a fresh row-major sub-table.
+func (t *Table) SubTable() (*tuple.SubTable, error) {
+	na, err := t.check()
+	if err != nil {
+		return nil, err
 	}
 	backing := make([]float32, na*t.Rows)
 	cols := make([][]float32, na)
-	for c := 0; c < na; c++ {
-		col := backing[c*t.Rows : (c+1)*t.Rows : (c+1)*t.Rows]
-		if err := decodeColumn(t.Cols[c], t.Rows, col); err != nil {
-			return nil, fmt.Errorf("colenc: column %d (%s): %w", c, t.Schema.Attrs[c].Name, err)
-		}
-		cols[c] = col
+	for c := range cols {
+		cols[c] = backing[c*t.Rows : c*t.Rows : (c+1)*t.Rows]
+	}
+	if err := t.DecodeColumns(cols, nil); err != nil {
+		return nil, err
 	}
 	return tuple.FromColumns(t.ID, t.Schema, cols)
 }

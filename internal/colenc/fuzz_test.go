@@ -8,9 +8,12 @@ import (
 )
 
 // FuzzWireCodec drives the SVT2 codec with arbitrary bytes. Properties:
-// hostile input never panics; any frame that decodes must re-encode and
-// decode again to an identical sub-table (encode∘decode is the identity on
-// the codec's image).
+// hostile input never panics, through the whole-table decode or a
+// column-subset one; wherever the whole-table decode succeeds, the subset
+// decode, into storage left over from other frames, reproduces its
+// columns; and any frame that decodes must re-encode and decode again to
+// an identical sub-table (encode∘decode is the identity on the codec's
+// image).
 func FuzzWireCodec(f *testing.F) {
 	seed := func(st *tuple.SubTable) {
 		f.Add(Encode(nil, FromSubTable(st)))
@@ -56,9 +59,38 @@ func FuzzWireCodec(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
 		}
+		// A column subset and stale destination storage, both picked from
+		// the input.
+		na := tab.Schema.NumAttrs()
+		var sub []int
+		dst := make([][]float32, na)
+		for c := 0; c < na; c++ {
+			if len(data)>>(c%8)&1 == 1 {
+				sub = append(sub, c)
+			}
+			dst[c] = make([]float32, c%3, c%3+len(data)%7)
+		}
+		subErr := tab.DecodeColumns(dst, sub)
+		if tab.DecodeColumns(dst, []int{na}) == nil {
+			t.Fatalf("column %d of %d accepted", na, na)
+		}
 		st, err := tab.SubTable()
 		if err != nil {
 			return // internally inconsistent but safely rejected
+		}
+		if subErr != nil {
+			t.Fatalf("subset %v rejected where the whole table decodes: %v", sub, subErr)
+		}
+		for _, c := range sub {
+			want := st.Col(c)
+			if len(dst[c]) != len(want) {
+				t.Fatalf("subset col %d: %d rows, want %d", c, len(dst[c]), len(want))
+			}
+			for r := range want {
+				if math.Float32bits(dst[c][r]) != math.Float32bits(want[r]) {
+					t.Fatalf("subset col %d row %d: %x, want %x", c, r, math.Float32bits(dst[c][r]), math.Float32bits(want[r]))
+				}
+			}
 		}
 		// Round trip: re-encode the decoded rows, decode again, compare
 		// bit patterns.

@@ -203,6 +203,10 @@ type Joiner struct {
 	// the node cache. Its probe scratch serves every probe, of its own
 	// table or of a cached one.
 	hj hashjoin.Builder
+	// rbuf holds the right carrier of the edge being joined, decoded into
+	// it by Decode or Gather and overwritten by the next: the output holds
+	// gathered copies, and nothing keeps a right side past its edge.
+	rbuf cluster.DecodeBuf
 }
 
 // Spiller round-trips one build partition of an over-budget pair through
@@ -283,6 +287,53 @@ func (j *Joiner) Keep(key cluster.FetchKey, frame *cluster.Fetched, ht *hashjoin
 	ht = j.hj.Detach()
 	j.cn.Cache.Admit(key, cluster.FetchedTable(ht, size), int64(size))
 	return ht
+}
+
+// Decode returns the rows of frame, a right carrier: a row-major frame's
+// own, or an encoded frame decoded into the joiner's buffer. They are
+// valid until the joiner's next Decode or Gather.
+func (j *Joiner) Decode(frame *cluster.Fetched) (*tuple.SubTable, error) {
+	return frame.SubTableIn(&j.rbuf)
+}
+
+// KeepPairs offers the match pairs of the joiner's last Probe to its
+// compute node's cache under key (cluster.FetchKey.PairKey), as Keep
+// offers a table: into free room only, if key is absent, and never in an
+// exclusive run. The vectors are copied out of the probe scratch only
+// once the cache has room for them. The caller offers a whole in-memory
+// probe only; after a JoinPairSpill there is nothing to offer.
+func (j *Joiner) KeepPairs(key cluster.FetchKey) {
+	size := j.hj.PairsBytes()
+	if !j.Req.Shared || size == 0 || !j.cn.Cache.Admits(key, int64(size)) {
+		return
+	}
+	j.cn.Cache.Admit(key, cluster.FetchedPairs(j.hj.Pairs()), int64(size))
+}
+
+// Gather joins an edge whose match pairs p a probe recorded into the
+// part's output, without building or probing: left's columns by p.Left,
+// and right's payload columns by p.Right — decoded alone into the
+// joiner's buffer, the join keys not at all, or read as is from a
+// row-major frame. It charges no CPU and feeds no calibration sample,
+// since it looks nothing up; it counts the matches. Its trace span is a
+// probe span over the right payload bytes with 0 operations, so the join
+// keeps its wall-clock time in the trace.
+func (j *Joiner) Gather(left *tuple.SubTable, p *hashjoin.Pairs, label string, right *cluster.Fetched) error {
+	start := time.Now()
+	schema := right.Schema()
+	payload, err := j.hj.Payload(schema, j.Req.JoinAttrs)
+	if err != nil {
+		return err
+	}
+	cols, err := right.Columns(&j.rbuf, payload)
+	if err != nil {
+		return err
+	}
+	if _, err := j.hj.Gather(left, p, schema, cols, j.Req.JoinAttrs, kernelWorkers, j.out, &j.local); err != nil {
+		return err
+	}
+	j.Req.Trace.Span(j.Node, trace.KindProbe, label, start, int64(right.NumRows()*len(payload)*tuple.AttrSize), 0)
+	return nil
 }
 
 // Probe probes ht — the joiner's arena table or one from the node cache,

@@ -13,7 +13,10 @@
 // gathered once per column — left columns by the left vector, the right
 // side's non-key columns by the right vector. The out-of-core pair join
 // (JoinPairSpill) runs the same loop per leaf over that leaf's right rows
-// and keeps the right-row vector as its merge tag.
+// and keeps the right-row vector as its merge tag. A whole in-memory
+// probe's vectors can be copied out (Builder.Pairs) and gathered again
+// later (Builder.Gather) with the same per-column gather: the output
+// without a lookup, and without reading the right side's key columns.
 //
 // The table is split into hash partitions so Build can insert partitions
 // concurrently and Probe can scan disjoint right-row ranges concurrently;
@@ -31,7 +34,7 @@
 // at once, each with its own probe scratch: a Builder's (Builder.Probe) or
 // a fresh one (ProbeParallel). IJ keeps detached tables in its compute
 // nodes' caches, so a warm statement probes a table that another statement
-// built.
+// built, or, holding that edge's match pairs too, only gathers.
 //
 // As in the paper's cost model, the build stores only row references (not
 // record copies), so build and probe cost per tuple is independent of
@@ -364,6 +367,13 @@ type probeScratch struct {
 
 	keys []uint64
 	vecs []matchVec // one per probe worker
+	// payload is the right payload columns of the gather under way.
+	payload [][]float32
+	// leftRows and rightRows are the sides of the last whole probe, whose
+	// matches vecs holds; whole is false once a JoinPairSpill leaf's probe
+	// has overwritten them.
+	leftRows, rightRows int
+	whole               bool
 }
 
 // matchVec is the matches of one contiguous right-row range: pairs
@@ -426,6 +436,7 @@ func (b *Builder) Probe(ht *HashTable, right *tuple.SubTable, keys []string, wor
 // probe is the one probe: it lines right up against the keys, packs its
 // keys, probes every row and counts the work.
 func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
+	s.whole = false
 	if err := s.resolve(right.Schema, keys); err != nil {
 		return 0, fmt.Errorf("hashjoin: probe: %w", err)
 	}
@@ -434,6 +445,7 @@ func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string
 	}
 	s.keys = right.Keys(s.keys, s.rKeyIdxs)
 	matches := ht.probeRows(s, right, nil, workers, out)
+	s.leftRows, s.rightRows, s.whole = ht.left.NumRows(), right.NumRows(), true
 	if stats != nil {
 		stats.TuplesProbed.Add(int64(right.NumRows() * max(workFactor, 1)))
 		stats.Matches.Add(int64(matches))
@@ -444,7 +456,8 @@ func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string
 // probeRows looks up the right rows sel (every row when nil), whose keys
 // s holds packed, and appends their matches to out. It leaves the match
 // vectors in s.vecs (one per worker used), right rows as indices into
-// right, for JoinPairSpill's leaves to tag their output with.
+// right, for JoinPairSpill's leaves to tag their output with and for
+// Pairs to copy.
 func (ht *HashTable) probeRows(s *probeScratch, right *tuple.SubTable, sel []int32, workers int, out *tuple.SubTable) int {
 	n := right.NumRows()
 	if sel != nil {
@@ -485,23 +498,143 @@ func (ht *HashTable) probeRows(s *probeScratch, right *tuple.SubTable, sel []int
 	})
 
 	// Gather: one pass per output column per range, at the range's offset.
-	lAttrs := ht.left.Schema.NumAttrs()
 	matches := 0
 	for w := range s.vecs {
 		s.vecs[w].at = matches
 		matches += len(s.vecs[w].left)
 	}
 	base := out.Extend(matches)
+	s.payload = s.payload[:0]
+	for _, rc := range s.rValIdxs {
+		s.payload = append(s.payload, right.Col(rc))
+	}
 	runRanges(workers, workers, func(w, _, _ int) {
 		v := &s.vecs[w]
-		for c := 0; c < lAttrs; c++ {
-			out.GatherCol(c, base+v.at, ht.left.Col(c), v.left)
-		}
-		for i, rc := range s.rValIdxs {
-			out.GatherCol(lAttrs+i, base+v.at, right.Col(rc), v.right)
-		}
+		gather(out, base+v.at, ht.left, v.left, s.payload, v.right)
 	})
 	return matches
+}
+
+// gather fills out's rows at.. with one run of matches: left's columns by
+// l, then the right payload columns by r.
+func gather(out *tuple.SubTable, at int, left *tuple.SubTable, l []int32, payload [][]float32, r []int32) {
+	lAttrs := left.Schema.NumAttrs()
+	for c := 0; c < lAttrs; c++ {
+		out.GatherCol(c, at, left.Col(c), l)
+	}
+	for i, col := range payload {
+		out.GatherCol(lAttrs+i, at, col, r)
+	}
+}
+
+// Pairs is what one in-memory probe matched: the (left row, right row)
+// pairs in the order the probe recorded them, and the row counts of the
+// two sides they index. Gather reproduces the probe's output from them
+// without looking a key up. A Pairs is read-only once made, so any number
+// of goroutines may gather from it at once.
+type Pairs struct {
+	Left, Right         []int32
+	LeftRows, RightRows int
+}
+
+// pairsHeader is the resident size of a Pairs value itself.
+const pairsHeader = 64
+
+// PairsBytes is the resident size of n match pairs: 8 B per match plus
+// the header.
+func PairsBytes(n int) int { return pairsHeader + 8*n }
+
+// Bytes returns p's resident size (PairsBytes).
+func (p *Pairs) Bytes() int { return PairsBytes(len(p.Left)) }
+
+// Indexes reports whether p was recorded over sides of these row counts,
+// so that its row indices address them.
+func (p *Pairs) Indexes(leftRows, rightRows int) bool {
+	return p.LeftRows == leftRows && p.RightRows == rightRows
+}
+
+// matched returns the number of pairs the match vectors hold.
+func (s *probeScratch) matched() int {
+	n := 0
+	for _, v := range s.vecs {
+		n += len(v.left)
+	}
+	return n
+}
+
+// PairsBytes returns the resident size of what Pairs would return, without
+// copying anything: 0 when it would return nil.
+func (b *Builder) PairsBytes() int {
+	if !b.probe.whole {
+		return 0
+	}
+	return PairsBytes(b.probe.matched())
+}
+
+// Pairs returns a copy of the match pairs of the builder's last Probe, or
+// nil when a JoinPairSpill has run since: its leaves' vectors are not a
+// whole probe's.
+func (b *Builder) Pairs() *Pairs {
+	s := &b.probe
+	if !s.whole {
+		return nil
+	}
+	n := s.matched()
+	p := &Pairs{Left: make([]int32, 0, n), Right: make([]int32, 0, n), LeftRows: s.leftRows, RightRows: s.rightRows}
+	for _, v := range s.vecs {
+		p.Left, p.Right = append(p.Left, v.left...), append(p.Right, v.right...)
+	}
+	return p
+}
+
+// Payload returns the columns of the right schema that a probe or a
+// gather reads besides the join keys — the non-key ones, in schema order —
+// resolving the layout into the builder's probe scratch. Callers must not
+// modify the slice.
+func (b *Builder) Payload(right tuple.Schema, keys []string) ([]int, error) {
+	if err := b.probe.resolve(right, keys); err != nil {
+		return nil, fmt.Errorf("hashjoin: gather: %w", err)
+	}
+	return b.probe.rValIdxs, nil
+}
+
+// Gather appends to out the output of the probe that recorded p, looking
+// nothing up: left's columns by p.Left, then the right side's payload
+// columns (Payload) by p.Right. right holds the right side's columns by
+// schema position, and only the payload ones are read. The output is
+// byte-identical to the probe's at any worker count. Gather counts the
+// matches into stats, neither a build nor a probe.
+func (b *Builder) Gather(left *tuple.SubTable, p *Pairs, rightSchema tuple.Schema, right [][]float32, keys []string, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
+	payload, err := b.Payload(rightSchema, keys)
+	if err != nil {
+		return 0, err
+	}
+	if want := left.Schema.NumAttrs() + len(payload); out.Schema.NumAttrs() != want {
+		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
+	}
+	if len(right) != rightSchema.NumAttrs() {
+		return 0, fmt.Errorf("hashjoin: gather: %d right columns for %d attributes", len(right), rightSchema.NumAttrs())
+	}
+	s := &b.probe
+	s.payload = s.payload[:0]
+	for _, rc := range payload {
+		if len(right[rc]) != p.RightRows {
+			return 0, fmt.Errorf("hashjoin: gather: right column %d has %d rows, pairs index %d", rc, len(right[rc]), p.RightRows)
+		}
+		s.payload = append(s.payload, right[rc])
+	}
+	if left.NumRows() != p.LeftRows {
+		return 0, fmt.Errorf("hashjoin: gather: left has %d rows, pairs index %d", left.NumRows(), p.LeftRows)
+	}
+	n := len(p.Left)
+	base := out.Extend(n)
+	runRanges(n, Workers(n, workers), func(_, lo, hi int) {
+		gather(out, base+lo, left, p.Left[lo:hi], s.payload, p.Right[lo:hi])
+	})
+	if stats != nil {
+		stats.Matches.Add(int64(n))
+	}
+	return n, nil
 }
 
 // NestedLoop is the O(n·m) reference join used to validate the hash join

@@ -132,6 +132,8 @@ func TestKernelMatchesNestedLoop(t *testing.T) {
 				t.Fatalf("%s: matches %d (stats %d, probed %d), want %d", what, m, stats.Matches.Load(), stats.TuplesProbed.Load(), want.NumRows())
 			}
 			sameRowsOrdered(t, what+" (reused builder, pre-filled out)", out, wantPre)
+			gathered := gatherPairs(t, what, left, right, keys, b.Pairs(), 1, pre)
+			sameRowsOrdered(t, what+" (gathered from the pairs, pre-filled out)", gathered, wantPre)
 
 			spilled := tuple.NewSubTable(want.ID, want.Schema, 0)
 			if err := spilled.AppendAll(pre); err != nil {
@@ -141,7 +143,74 @@ func TestKernelMatchesNestedLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRowsOrdered(t, what+" (spilled, pre-filled out)", spilled, wantPre)
+			if b.Pairs() != nil || b.PairsBytes() != 0 {
+				t.Fatalf("%s: a spilled pair join left pairs to keep", what)
+			}
 		}
+	}
+}
+
+// gatherPairs gathers p, recorded probing left with right on keys, into a
+// copy of pre with workers workers and a fresh builder, from right's
+// payload columns alone: its key columns are withheld. It checks that p
+// indexes the two sides and that only the matches are counted.
+func gatherPairs(t *testing.T, what string, left, right *tuple.SubTable, keys []string, p *Pairs, workers int, pre *tuple.SubTable) *tuple.SubTable {
+	t.Helper()
+	if p == nil || !p.Indexes(left.NumRows(), right.NumRows()) || p.Bytes() != PairsBytes(len(p.Left)) {
+		t.Fatalf("%s: pairs %+v do not index %d×%d rows", what, p, left.NumRows(), right.NumRows())
+	}
+	var g Builder
+	payload, err := g.Payload(right.Schema, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([][]float32, right.Schema.NumAttrs())
+	for _, c := range payload {
+		cols[c] = right.Col(c)
+	}
+	out := tuple.NewSubTable(pre.ID, pre.Schema, 0)
+	if err := out.AppendAll(pre); err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	m, err := g.Gather(left, p, right.Schema, cols, keys, workers, out, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != len(p.Left) || stats.Matches.Load() != int64(m) || stats.TuplesProbed.Load() != 0 || stats.TuplesBuilt.Load() != 0 {
+		t.Fatalf("%s: gathered %d of %d pairs (stats %d matches, %d probed, %d built)", what, m, len(p.Left),
+			stats.Matches.Load(), stats.TuplesProbed.Load(), stats.TuplesBuilt.Load())
+	}
+	return out
+}
+
+// TestGatherRejectsForeignPairs: pairs gathered against sides whose row
+// counts they do not index are refused, never read out of range.
+func TestGatherRejectsForeignPairs(t *testing.T) {
+	ls, rs := wideSchemas()
+	r := rand.New(rand.NewSource(5))
+	left, right := kernelTable(ls, 40, 4, r, 1000), kernelTable(rs, 30, 4, r, 5000)
+	keys := []string{"k0"}
+	var b Builder
+	ht, err := b.Build(left, keys, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tuple.NewSubTable(tuple.ID{}, left.Schema.JoinResult(right.Schema, keys, "r_"), 0)
+	if _, err := b.Probe(ht, right, keys, 1, out, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := b.Pairs()
+	cols := make([][]float32, right.Schema.NumAttrs())
+	for c := range cols {
+		cols[c] = right.Col(c)
+	}
+	if _, err := b.Gather(left.Head(20), p, right.Schema, cols, keys, 1, out, nil); err == nil {
+		t.Error("pairs gathered against a left of another row count")
+	}
+	cols[0] = cols[0][:10] // rm0, a payload column
+	if _, err := b.Gather(left, p, right.Schema, cols, keys, 1, out, nil); err == nil {
+		t.Error("pairs gathered against a right of another row count")
 	}
 }
 
@@ -179,6 +248,29 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 			continue
 		}
 		sameRowsOrdered(t, fmt.Sprintf("%d workers", workers), out, ref)
+	}
+	// The pairs of a ranged probe gather the same bytes at any width.
+	var b Builder
+	ht, err := b.Build(left, keys, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
+	pre.AppendRow(make([]float32, outSchema.NumAttrs())...)
+	probed := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
+	if _, err := b.Probe(ht, right, keys, 4, probed, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
+	if err := want.AppendAll(pre); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.AppendAll(probed); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		what := fmt.Sprintf("gathered, %d workers", workers)
+		sameRowsOrdered(t, what, gatherPairs(t, what, left, right, keys, b.Pairs(), workers, pre), want)
 	}
 }
 

@@ -90,6 +90,7 @@ func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, labe
 
 	// The right keys are packed once; the leaves probe them by row index.
 	s := &b.probe
+	s.whole = false
 	s.keys = right.Keys(s.keys, s.rKeyIdxs)
 	b.rsel = resize(b.rsel, right.NumRows())
 	for r := range b.rsel {

@@ -100,10 +100,11 @@ func BenchmarkIJMetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkWarmRepeat re-runs one IJ statement on an unthrottled, warm,
-// shared cluster — warm_join's regime: every frame and every left hash
-// table is already in the node caches, so a statement fetches from the
-// cache, decodes its right carriers and probes. built/op counts the tuples
-// the statement still built (0 once the caches are warm).
+// shared cluster — warm_join's regime: every frame, every left hash table
+// and every edge's match pairs are already in the node caches, so a
+// statement fetches from the cache, decodes its right carriers' payload
+// columns and gathers. built/op and probed/op count the tuples the
+// statement still built and probed (both 0 once the caches are warm).
 func BenchmarkWarmRepeat(b *testing.B) {
 	grid := partition.D(32, 32, 16)
 	ds, err := oilres.Generate(oilres.Config{
@@ -123,7 +124,7 @@ func BenchmarkWarmRepeat(b *testing.B) {
 	if _, err := engine.RunRequest(context.Background(), New(), cl, r); err != nil { // warm the caches
 		b.Fatal(err)
 	}
-	var built int64
+	var built, probed int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,6 +136,8 @@ func BenchmarkWarmRepeat(b *testing.B) {
 			b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
 		}
 		built += res.Join.TuplesBuilt
+		probed += res.Join.TuplesProbed
 	}
 	b.ReportMetric(float64(built)/float64(b.N), "built/op")
+	b.ReportMetric(float64(probed)/float64(b.N), "probed/op")
 }

@@ -9,12 +9,18 @@
 // lexicographic order makes all edges of one left sub-table consecutive, so
 // a hash table is built only once per left sub-table.
 //
-// In shared mode the built tables outlive the statement: a joiner offers
-// each to its node's cache, beside the left sub-table it was built from,
-// under that sub-table's key plus the join attributes. A later statement
-// on the same node with the same filter, projection and join attributes
-// probes the cached table and neither decodes the left carrier nor builds.
-// A right carrier is still decoded once per probe.
+// In shared mode what a joiner derives from the sub-tables outlives the
+// statement, beside them in its node's cache. A built table is offered
+// under its left sub-table's key plus the join attributes; after a whole
+// in-memory probe, the edge's match pairs — (left row, right row), in
+// probe order — under the table's key plus the right sub-table's. A later
+// statement on the same node with the same filter, projection and join
+// attributes finds an edge's pairs and only gathers: the left columns from
+// the cached table's rows, the right payload columns from the right
+// carrier, which it decodes without its join keys. It packs no key, looks
+// nothing up and builds nothing; an edge without pairs probes the cached
+// table, or builds one. A right carrier that is probed is decoded whole,
+// into the joiner's one reused buffer.
 package ij
 
 import (
@@ -161,10 +167,15 @@ type side struct {
 // runJoiner executes one slot's schedule on the joiner's compute node.
 //
 // Every edge demands both carriers from the cache, so the cache's hit and
-// miss counts are those of the strict fetch→build→probe loop. A left
-// sub-table's hash table is reused across its consecutive edges; on the
-// first of them it is looked up in the node cache (leftTable) and built
-// only if no statement has left it there.
+// miss counts are those of the strict fetch→build→probe loop. In a shared
+// run an edge first looks for its match pairs and, when the
+// node holds them and they index both carriers' rows, gathers. Otherwise
+// it probes the left sub-table's hash table, reused across the left's
+// consecutive edges: on the first edge that needs it, it is looked up in
+// the node cache (leftTable) and built only if no statement has left it
+// there; then it offers the edge's pairs. A gather needs the left rows
+// only: with no table cached it decodes the left carrier, and builds
+// nothing.
 //
 // With Request.Prefetch > 0 the joiner overlaps I/O with compute: before
 // working edge i it issues background fetches for this edge's right
@@ -227,13 +238,15 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		}()
 	}
 
-	// The hash table of the latest left sub-table that fit the memory cap:
-	// stage 2's order makes all edges of one left sub-table consecutive, so
-	// it is looked up or built once per left sub-table.
-	var (
-		ht     *hashjoin.HashTable
-		htLeft tuple.ID
-	)
+	// The current left sub-table — stage 2's order makes all edges of one
+	// left consecutive — and what the joiner has of it: its hash table,
+	// looked up or built at most once, and its decoded rows.
+	var cur struct {
+		id   tuple.ID
+		set  bool
+		ht   *hashjoin.HashTable
+		rows *tuple.SubTable
+	}
 	join := cluster.JoinSig(j.Req.JoinAttrs)
 	execNode := fault.ComputeNode(j.Exec)
 	for i, ed := range sched {
@@ -254,45 +267,86 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 		}
 		// The carrier is fetched on every edge — the cache sees exactly the
 		// strict loop's demand sequence — but decoded only where its rows
-		// are needed: when the hash table is built, not when it is reused
-		// or found in the cache.
+		// are needed and no cached table holds them.
 		lf, err := cachedFetch(ctx, j, ed.left, ls)
 		if err != nil {
 			return err
+		}
+		if !cur.set || cur.id != ed.left {
+			cur.id, cur.set, cur.ht, cur.rows = ed.left, true, nil, nil
 		}
 		var leftLabel, rightLabel string
 		if j.Req.Trace.Enabled() {
 			leftLabel, rightLabel = ed.left.String(), ed.right.String()
 		}
-		// A build side over its admission share joins out-of-core; no hash
-		// table is built, reused or looked up for it.
-		fits := j.Fits(lf.DecodedBytes())
-		if !fits {
-			ht = nil
-		} else if ht == nil || htLeft != ed.left {
-			key := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
-			if ht, err = leftTable(j, key, lf, leftLabel); err != nil {
-				return err
+		tkey := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
+		pkey := tkey.PairKey(cluster.FetchKey{ID: ed.right, Sig: rs.sig})
+		table := func() (err error) {
+			if cur.ht == nil {
+				cur.ht, err = leftTable(j, tkey, lf, cur.rows, leftLabel)
 			}
-			htLeft = ed.left
+			return err
+		}
+		rows := func() (err error) {
+			switch {
+			case cur.rows != nil:
+			case cur.ht != nil:
+				cur.rows = cur.ht.Left()
+			default:
+				cur.rows, err = decode(ed.left, lf)
+			}
+			return err
+		}
+		// A build side over its admission share joins out-of-core; no hash
+		// table is built, reused or looked up for it, and no pairs.
+		fits := j.Fits(lf.DecodedBytes())
+		var pairs *hashjoin.Pairs
+		if fits && j.Req.Shared {
+			if f, ok := cn.Cache.Touch(pkey); ok {
+				pairs = f.Pairs()
+			}
+		}
+		switch {
+		case pairs != nil:
+			// A gather reads the left rows: the cached table's, when there
+			// is one, else the carrier's, decoded once for all the left's
+			// edges. A build waits for an edge that misses its pairs.
+			if cur.ht == nil && cur.rows == nil {
+				if f, ok := cn.Cache.Touch(tkey); ok {
+					cur.ht = f.Table()
+				}
+			}
+			err = rows()
+		case fits:
+			err = table()
+		}
+		if err != nil {
+			return err
 		}
 		rf, err := cachedFetch(ctx, j, ed.right, rs)
 		if err != nil {
 			return err
 		}
-		right, err := decode(ed.right, rf)
-		if err != nil {
-			return err
-		}
-		if fits {
-			err = j.Probe(ht, rightLabel, right)
+		if pairs != nil && pairs.Indexes(cur.rows.NumRows(), rf.NumRows()) {
+			err = j.Gather(cur.rows, pairs, rightLabel, rf)
 		} else {
-			var left *tuple.SubTable
-			if left, err = decode(ed.left, lf); err != nil {
+			var right *tuple.SubTable
+			if right, err = decodeRight(j, ed.right, rf); err != nil {
 				return err
 			}
-			// The pair's label also names its scratch files, traced or not.
-			err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), left, right)
+			if fits {
+				// Pairs that do not index these carriers cannot arise
+				// while chunk ids are never reused; such an edge probes.
+				if err = table(); err == nil {
+					if err = j.Probe(cur.ht, rightLabel, right); err == nil {
+						j.KeepPairs(pkey)
+					}
+				}
+			} else if err = rows(); err == nil {
+				// The pair's label also names its scratch files, traced or
+				// not.
+				err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), cur.rows, right)
+			}
 		}
 		if err != nil {
 			return err
@@ -307,16 +361,19 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 // leftTable returns the hash table over the left carrier lf on the join
 // attributes, cached under key: the node cache's, if a statement left it
 // there — a lookup that leaves the cache's hit/miss counters alone — else
-// decoded and built in the joiner's arena, and offered to the cache.
-func leftTable(j *engine.Joiner, key cluster.FetchKey, lf *cluster.Fetched, label string) (*hashjoin.HashTable, error) {
+// built in the joiner's arena from rows (lf decoded, when rows is nil),
+// and offered to the cache.
+func leftTable(j *engine.Joiner, key cluster.FetchKey, lf *cluster.Fetched, rows *tuple.SubTable, label string) (*hashjoin.HashTable, error) {
 	if f, ok := j.Cluster.Compute[j.Exec].Cache.Touch(key); ok {
 		return f.Table(), nil
 	}
-	left, err := decode(key.ID, lf)
-	if err != nil {
-		return nil, err
+	if rows == nil {
+		var err error
+		if rows, err = decode(key.ID, lf); err != nil {
+			return nil, err
+		}
 	}
-	ht, err := j.Build(label, left)
+	ht, err := j.Build(label, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -342,13 +399,23 @@ func cachedFetch(ctx context.Context, j *engine.Joiner, id tuple.ID, sd side) (*
 	return flightFetch(ctx, j, key, sd.filter)
 }
 
-// decode is the one place a joiner turns a carrier back into rows — under
-// the colenc codec, a full decode of the cached frame per call.
+// decode and decodeRight are the places a joiner turns a whole carrier
+// back into rows — under the colenc codec, a full decode of the cached
+// frame per call. A left carrier's rows may outlive the edge in a cached
+// table, so they are decoded afresh; a right carrier's are decoded into
+// the joiner's buffer (engine.Joiner.Decode).
 func decode(id tuple.ID, f *cluster.Fetched) (*tuple.SubTable, error) {
 	if testDecoded != nil {
 		testDecoded(id)
 	}
 	return f.SubTable()
+}
+
+func decodeRight(j *engine.Joiner, id tuple.ID, f *cluster.Fetched) (*tuple.SubTable, error) {
+	if testDecoded != nil {
+		testDecoded(id)
+	}
+	return j.Decode(f)
 }
 
 // testDecoded, set only by tests, sees every decode.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/trace"
+	"sciview/internal/tuple"
 )
 
 // The tests here append through internal/ingest, which imports the planner
@@ -56,10 +58,18 @@ func cacheTotals(cl *cluster.Cluster) (cache.Stats, int64) {
 	return s, cpu
 }
 
-// sharedRun runs r on cl in shared mode, collecting and tracing, and
-// returns the result with what this run added to the cache's demand
-// counters and the modeled CPU, and its build spans.
-func sharedRun(t *testing.T, cl *cluster.Cluster, r engine.Request) (res *engine.Result, demand, cpu int64, builds int) {
+// run is what one statement did: its result and what it added to the
+// cache's demand counters and the modeled CPU, with its trace spans
+// counted — builds, probes that looked rows up, and gathers (probe spans
+// of 0 operations).
+type run struct {
+	res                     *engine.Result
+	demand, cpu             int64
+	builds, probes, gathers int
+}
+
+// sharedRun runs r on cl in shared mode, collecting and tracing.
+func sharedRun(t *testing.T, cl *cluster.Cluster, r engine.Request) run {
 	t.Helper()
 	r.Shared, r.Collect = true, true
 	rec := trace.New()
@@ -70,22 +80,43 @@ func sharedRun(t *testing.T, cl *cluster.Cluster, r engine.Request) (res *engine
 		t.Fatal(err)
 	}
 	s1, cpu1 := cacheTotals(cl)
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindBuild {
-			builds++
-		}
-	}
-	return res, s1.Hits + s1.Misses - s0.Hits - s0.Misses, cpu1 - cpu0, builds
+	out := run{res: res, demand: s1.Hits + s1.Misses - s0.Hits - s0.Misses, cpu: cpu1 - cpu0}
+	out.builds, out.probes, out.gathers = spans(rec)
+	return out
 }
 
-// TestWarmStatementProbesCachedTables: a shared statement re-run on a warm
-// cluster finds every left hash table in its node cache, so it builds
-// nothing — no build counted, charged to the modeled CPU, fed to the
-// calibration or traced — and returns byte-identical rows. Its frame demand
-// is the first run's: two cache lookups per edge. After a step slab is
-// appended, only the new left chunks are built, and the rows equal an
-// exclusive run's, which builds every table afresh and keeps none.
-func TestWarmStatementProbesCachedTables(t *testing.T) {
+// spans counts a trace's build spans, its probe spans that looked rows up
+// and its gather spans.
+func spans(rec *trace.Recorder) (builds, probes, gathers int) {
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == trace.KindBuild:
+			builds++
+		case e.Kind == trace.KindProbe && e.Items > 0:
+			probes++
+		case e.Kind == trace.KindProbe:
+			gathers++
+		}
+	}
+	return builds, probes, gathers
+}
+
+// exclusiveRows runs r exclusively on cl — the caches reset, nothing kept
+// — and returns its rows.
+func exclusiveRows(t *testing.T, cl *cluster.Cluster, r engine.Request) []byte {
+	t.Helper()
+	r.Collect = true
+	res, err := engine.RunRequest(context.Background(), ij.New(), cl, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rowBytes(t, res)
+}
+
+// stepCluster is a two-node colenc cluster over a dataset with one
+// withheld step slab, and the slab.
+func stepCluster(t *testing.T) (*cluster.Cluster, *oilres.Dataset, oilres.Config, []oilres.StepChunk) {
+	t.Helper()
 	cfg := oilres.Config{
 		Grid:     partition.D(16, 16, 12),
 		LeftPart: partition.D(8, 8, 2), RightPart: partition.D(4, 4, 4),
@@ -101,33 +132,58 @@ func TestWarmStatementProbesCachedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cl, ds, cfg, steps[0]
+}
+
+// TestWarmStatementProbesCachedTables: a shared statement re-run on a warm
+// cluster finds every edge's match pairs in its node cache, so it neither
+// builds nor probes — nothing counted, charged to the modeled CPU, fed to
+// the calibration or traced as work; each edge leaves one 0-operation
+// probe span — and gathers byte-identical rows with the cold run's match
+// count. Its frame demand is the first run's: two cache lookups per edge.
+// After a step slab is appended, only the new edges probe and only the new
+// left chunks are built, and the rows equal an exclusive run's, which
+// builds and probes every edge afresh and keeps nothing.
+func TestWarmStatementProbesCachedTables(t *testing.T) {
+	cl, ds, cfg, step := stepCluster(t)
 	base := ds.Config.Grid.Cells()
 
-	cold, coldDemand, coldCPU, coldBuilds := sharedRun(t, cl, req())
-	warm, warmDemand, warmCPU, warmBuilds := sharedRun(t, cl, req())
-	if cold.Tuples != base || warm.Tuples != base {
-		t.Fatalf("tuples %d then %d, want %d", cold.Tuples, warm.Tuples, base)
+	cold := sharedRun(t, cl, req())
+	warm := sharedRun(t, cl, req())
+	if cold.res.Tuples != base || warm.res.Tuples != base {
+		t.Fatalf("tuples %d then %d, want %d", cold.res.Tuples, warm.res.Tuples, base)
 	}
-	if cold.Join.TuplesBuilt != base || coldBuilds == 0 || cold.Observed.BuildTuples != base {
-		t.Errorf("cold run: built %d (observed %d, %d spans), want %d", cold.Join.TuplesBuilt, cold.Observed.BuildTuples, coldBuilds, base)
+	edges := int(cold.res.UnitsJoined)
+	if cold.res.Join.TuplesBuilt != base || cold.builds == 0 || cold.res.Observed.BuildTuples != base {
+		t.Errorf("cold run: built %d (observed %d, %d spans), want %d", cold.res.Join.TuplesBuilt, cold.res.Observed.BuildTuples, cold.builds, base)
 	}
-	if warm.Join.TuplesBuilt != 0 || warmBuilds != 0 || warm.Observed.BuildTuples != 0 || warm.Observed.BuildSeconds != 0 {
-		t.Errorf("warm run: built %d (observed %d in %gs, %d spans), want nothing", warm.Join.TuplesBuilt, warm.Observed.BuildTuples, warm.Observed.BuildSeconds, warmBuilds)
+	if cold.probes != edges || cold.gathers != 0 {
+		t.Errorf("cold run: %d probes and %d gathers over %d edges, want a probe per edge", cold.probes, cold.gathers, edges)
 	}
-	for _, run := range []struct {
-		name   string
-		res    *engine.Result
-		demand int64
-		cpu    int64
-	}{{"cold", cold, coldDemand, coldCPU}, {"warm", warm, warmDemand, warmCPU}} {
-		if run.demand != 2*run.res.UnitsJoined {
-			t.Errorf("%s run: %d cache lookups for %d edges, want two per edge", run.name, run.demand, run.res.UnitsJoined)
+	if warm.res.Join.TuplesBuilt != 0 || warm.builds != 0 || warm.res.Observed.BuildTuples != 0 || warm.res.Observed.BuildSeconds != 0 {
+		t.Errorf("warm run: built %d (observed %d in %gs, %d spans), want nothing", warm.res.Join.TuplesBuilt, warm.res.Observed.BuildTuples, warm.res.Observed.BuildSeconds, warm.builds)
+	}
+	if warm.res.Join.TuplesProbed != 0 || warm.probes != 0 || warm.res.Observed.ProbeTuples != 0 || warm.res.Observed.ProbeSeconds != 0 {
+		t.Errorf("warm run: probed %d (observed %d in %gs, %d spans), want nothing", warm.res.Join.TuplesProbed, warm.res.Observed.ProbeTuples, warm.res.Observed.ProbeSeconds, warm.probes)
+	}
+	if warm.gathers != edges {
+		t.Errorf("warm run: %d gather spans, want one per edge (%d)", warm.gathers, edges)
+	}
+	if warm.res.Join.Matches != cold.res.Join.Matches {
+		t.Errorf("warm run: %d matches, cold run %d", warm.res.Join.Matches, cold.res.Join.Matches)
+	}
+	for _, r := range []struct {
+		name string
+		run
+	}{{"cold", cold}, {"warm", warm}} {
+		if r.demand != 2*r.res.UnitsJoined {
+			t.Errorf("%s run: %d cache lookups for %d edges, want two per edge", r.name, r.demand, r.res.UnitsJoined)
 		}
-		if want := run.res.Join.TuplesBuilt + run.res.Join.TuplesProbed; run.cpu != want {
-			t.Errorf("%s run: %d modeled CPU ops, want built + probed = %d", run.name, run.cpu, want)
+		if want := r.res.Join.TuplesBuilt + r.res.Join.TuplesProbed; r.cpu != want {
+			t.Errorf("%s run: %d modeled CPU ops, want built + probed = %d", r.name, r.cpu, want)
 		}
 	}
-	if !bytes.Equal(rowBytes(t, cold), rowBytes(t, warm)) {
+	if !bytes.Equal(rowBytes(t, cold.res), rowBytes(t, warm.res)) {
 		t.Error("warm run's rows differ from the cold run's")
 	}
 	for _, cn := range cl.Compute {
@@ -135,42 +191,198 @@ func TestWarmStatementProbesCachedTables(t *testing.T) {
 			t.Errorf("compute-%d holds %d bytes, over its %d", cn.ID, b, cl.Config.CacheBytes)
 		}
 	}
+	if !bytes.Equal(rowBytes(t, warm.res), exclusiveRows(t, cl, req())) {
+		t.Error("warm run's rows differ from an exclusive run's")
+	}
+	warm = sharedRun(t, cl, req()) // warm again after the exclusive run's reset
 
 	ing, err := ingest.New(ingest.Config{Catalog: ds.Catalog, Stores: ds.Stores, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ing.Append(ingest.FromStepChunks(0, steps[0])); err != nil {
+	if _, err := ing.Append(ingest.FromStepChunks(0, step)); err != nil {
 		t.Fatal(err)
 	}
-	grown, _, _, _ := sharedRun(t, cl, req())
-	if want := cfg.Grid.Cells(); grown.Tuples != want {
-		t.Fatalf("after the append: %d tuples, want %d", grown.Tuples, want)
+	grown := sharedRun(t, cl, req())
+	if want := cfg.Grid.Cells(); grown.res.Tuples != want {
+		t.Fatalf("after the append: %d tuples, want %d", grown.res.Tuples, want)
 	}
-	if want := cfg.Grid.Cells() - base; grown.Join.TuplesBuilt != want {
-		t.Errorf("after the append: built %d tuples, want the new left chunks' %d", grown.Join.TuplesBuilt, want)
+	if want := cfg.Grid.Cells() - base; grown.res.Join.TuplesBuilt != want {
+		t.Errorf("after the append: built %d tuples, want the new left chunks' %d", grown.res.Join.TuplesBuilt, want)
 	}
-	r := req()
-	r.Collect = true
-	fresh, err := engine.RunRequest(context.Background(), ij.New(), cl, r) // exclusive: caches reset
-	if err != nil {
-		t.Fatal(err)
+	if added := int(grown.res.UnitsJoined) - edges; grown.probes != added || grown.gathers != edges {
+		t.Errorf("after the append: %d probes and %d gathers, want the %d new edges probed and the %d old ones gathered", grown.probes, grown.gathers, added, edges)
 	}
-	if fresh.Join.TuplesBuilt != cfg.Grid.Cells() {
-		t.Errorf("exclusive run built %d, want every table: %d", fresh.Join.TuplesBuilt, cfg.Grid.Cells())
-	}
-	if !bytes.Equal(rowBytes(t, grown), rowBytes(t, fresh)) {
+	fresh := exclusiveRows(t, cl, req())
+	if !bytes.Equal(rowBytes(t, grown.res), fresh) {
 		t.Error("rows after the append differ from a run that builds every table")
 	}
 	// The exclusive run reset the caches and kept nothing for later.
-	if after, _, _, _ := sharedRun(t, cl, req()); after.Join.TuplesBuilt != cfg.Grid.Cells() {
-		t.Errorf("shared run after an exclusive one built %d, want every table (%d): an exclusive run keeps none", after.Join.TuplesBuilt, cfg.Grid.Cells())
+	if after := sharedRun(t, cl, req()); after.res.Join.TuplesBuilt != cfg.Grid.Cells() || after.gathers != 0 {
+		t.Errorf("shared run after an exclusive one built %d and gathered %d edges, want every table (%d) and no gather: an exclusive run keeps none", after.res.Join.TuplesBuilt, after.gathers, cfg.Grid.Cells())
+	}
+}
+
+// stopSink streams a run and fails every emit after the first n
+// batches, as a LIMIT that has its rows cuts a streaming join short.
+type stopSink struct {
+	mu   sync.Mutex
+	n    int
+	seen int
+}
+
+var errStop = errors.New("limit reached")
+
+func (s *stopSink) Emit(part int, batch *tuple.SubTable, last bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen++; s.seen > s.n {
+		return errStop
+	}
+	return nil
+}
+func (s *stopSink) Done(int)    {}
+func (s *stopSink) Discard(int) {}
+
+// TestLimitCutRunLeavesUnjoinedEdges: a first statement cut short keeps
+// the pairs of the edges it probed, and only those. Its re-run gathers
+// them and probes the rest, and its rows are an exclusive run's.
+func TestLimitCutRunLeavesUnjoinedEdges(t *testing.T) {
+	cl, _, _, _ := stepCluster(t)
+	r := req()
+	r.Shared, r.Sink, r.Progress = true, &stopSink{n: 3}, &engine.Progress{}
+	if _, err := engine.RunRequest(context.Background(), ij.New(), cl, r); !errors.Is(err, errStop) {
+		t.Fatalf("cut run: %v, want %v", err, errStop)
+	}
+	cut, total := int(r.Progress.Joined.Load()), int(r.Progress.Total.Load())
+	if cut == 0 || cut >= total {
+		t.Fatalf("cut run joined %d of %d edges: the test does not cut", cut, total)
+	}
+	rest := sharedRun(t, cl, req())
+	if rest.gathers != cut || rest.probes != total-cut {
+		t.Errorf("re-run: %d gathers and %d probes, want the cut run's %d edges gathered and the other %d probed", rest.gathers, rest.probes, cut, total-cut)
+	}
+	if !bytes.Equal(rowBytes(t, rest.res), exclusiveRows(t, cl, req())) {
+		t.Error("re-run's rows differ from an exclusive run's")
+	}
+}
+
+// entries returns, per compute node, the cache keys of a statement r on
+// cl that are resident there: its left tables, its right frames and its
+// edges' match pairs.
+func entries(t *testing.T, cl *cluster.Cluster, r engine.Request) (tables, rights, pairs [][]cluster.FetchKey) {
+	t.Helper()
+	in, err := engine.Resolve(cl.Catalog, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsig := cluster.Signature(&in.LeftFilter, in.Project)
+	rsig := cluster.Signature(&in.RightFilter, in.Project)
+	join := cluster.JoinSig(r.JoinAttrs)
+	n := len(cl.Compute)
+	tables, rights, pairs = make([][]cluster.FetchKey, n), make([][]cluster.FetchKey, n), make([][]cluster.FetchKey, n)
+	for i, cn := range cl.Compute {
+		has := func(k cluster.FetchKey) bool { _, ok := cn.Cache.Peek(k); return ok }
+		for _, rd := range in.RightDescs {
+			if k := (cluster.FetchKey{ID: rd.ID(), Sig: rsig}); has(k) {
+				rights[i] = append(rights[i], k)
+			}
+		}
+		for _, ld := range in.LeftDescs {
+			tk := cluster.FetchKey{ID: ld.ID(), Sig: lsig, Join: join}
+			if has(tk) {
+				tables[i] = append(tables[i], tk)
+			}
+			for _, rd := range in.RightDescs {
+				if pk := tk.PairKey(cluster.FetchKey{ID: rd.ID(), Sig: rsig}); has(pk) {
+					pairs[i] = append(pairs[i], pk)
+				}
+			}
+		}
+	}
+	return tables, rights, pairs
+}
+
+// drop removes key from cn's cache: a value larger than the whole cache
+// replaces the entry and is itself not kept.
+func drop(cl *cluster.Cluster, node int, key cluster.FetchKey) {
+	cl.Compute[node].Cache.Put(key, nil, cl.Config.CacheBytes+1)
+}
+
+// TestPairsOutliveTheirTables: an edge whose pairs are cached gathers
+// byte-identical rows when its left table has been dropped — the left
+// carrier is decoded, nothing is built — and when its right frame has
+// been evicted and fetched again.
+func TestPairsOutliveTheirTables(t *testing.T) {
+	cl, _, _, _ := stepCluster(t)
+	cold := sharedRun(t, cl, req())
+	tables, rights, pairs := entries(t, cl, req())
+	kept := 0
+	for i := range cl.Compute {
+		kept += len(pairs[i])
+		for _, k := range tables[i] {
+			drop(cl, i, k)
+		}
+		for j, k := range rights[i] {
+			if j%2 == 0 {
+				drop(cl, i, k)
+			}
+		}
+	}
+	if kept != int(cold.res.UnitsJoined) {
+		t.Fatalf("%d pair entries kept for %d edges", kept, cold.res.UnitsJoined)
+	}
+	warm := sharedRun(t, cl, req())
+	if warm.res.Join.TuplesBuilt != 0 || warm.res.Join.TuplesProbed != 0 || warm.gathers != int(cold.res.UnitsJoined) {
+		t.Errorf("built %d, probed %d, gathered %d edges; want every edge gathered (%d) and nothing built or probed",
+			warm.res.Join.TuplesBuilt, warm.res.Join.TuplesProbed, warm.gathers, cold.res.UnitsJoined)
+	}
+	if warm.res.Cache.Misses == cold.res.Cache.Misses {
+		t.Error("no dropped frame was fetched again: the test does not exercise a refetch")
+	}
+	if !bytes.Equal(rowBytes(t, cold.res), rowBytes(t, warm.res)) {
+		t.Error("rows gathered without the tables differ from the cold run's")
+	}
+}
+
+// TestPairsCountMismatchProbes: cached pairs that do not index the
+// carriers' row counts — forged here; chunk ids are never reused, so it
+// cannot otherwise happen — send their edge down the probe path, and the
+// rows stay exact.
+func TestPairsCountMismatchProbes(t *testing.T) {
+	cl, _, _, _ := stepCluster(t)
+	cold := sharedRun(t, cl, req())
+	_, _, pairs := entries(t, cl, req())
+	forged := 0
+	for i, cn := range cl.Compute {
+		for j, k := range pairs[i] {
+			if j%3 != 0 {
+				continue
+			}
+			f, _ := cn.Cache.Peek(k)
+			if j%2 == 0 {
+				f.Pairs().RightRows++
+			} else {
+				f.Pairs().LeftRows--
+			}
+			forged++
+		}
+	}
+	warm := sharedRun(t, cl, req())
+	if warm.probes != forged || warm.gathers != int(cold.res.UnitsJoined)-forged {
+		t.Errorf("%d probes and %d gathers, want the %d forged edges probed and the other %d gathered",
+			warm.probes, warm.gathers, forged, int(cold.res.UnitsJoined)-forged)
+	}
+	if !bytes.Equal(rowBytes(t, cold.res), rowBytes(t, warm.res)) {
+		t.Error("rows differ from the cold run's")
 	}
 }
 
 // TestConcurrentStatementsShareCachedTables: two shared statements run at
-// once on a warm cluster probe the same cached tables, each with its own
-// probe scratch (run it under -race), and both return the warm-up's rows.
+// once on a warm cluster gather from the same cached pairs and tables,
+// each with its own scratch and decode buffer (run it under -race), and
+// both return the warm-up's rows. The frames are row-major, so the
+// gathers read the cached frames' own columns.
 func TestConcurrentStatementsShareCachedTables(t *testing.T) {
 	ds, err := oilres.Generate(oilres.Config{
 		Grid: partition.D(32, 32, 8), LeftPart: partition.D(8, 8, 8), RightPart: partition.D(4, 4, 4),
@@ -183,8 +395,7 @@ func TestConcurrentStatementsShareCachedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmup, _, _, _ := sharedRun(t, cl, req())
-	want := rowBytes(t, warmup)
+	want := rowBytes(t, sharedRun(t, cl, req()).res)
 	var wg sync.WaitGroup
 	results := make([]*engine.Result, 2)
 	for i := range results {
@@ -206,8 +417,8 @@ func TestConcurrentStatementsShareCachedTables(t *testing.T) {
 		if res == nil {
 			continue
 		}
-		if res.Join.TuplesBuilt != 0 {
-			t.Errorf("statement %d built %d tuples, want every table from the cache", i, res.Join.TuplesBuilt)
+		if res.Join.TuplesBuilt != 0 || res.Join.TuplesProbed != 0 {
+			t.Errorf("statement %d built %d and probed %d tuples, want every edge's pairs from the cache", i, res.Join.TuplesBuilt, res.Join.TuplesProbed)
 		}
 		if !bytes.Equal(rowBytes(t, res), want) {
 			t.Errorf("statement %d: rows differ from the warm-up's", i)
