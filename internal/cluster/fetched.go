@@ -20,8 +20,8 @@ import (
 // the table, and later statements that find it cached, take the carrier
 // from the cache but never decode it. A right carrier is decoded whole,
 // into its joiner's buffer (SubTableIn), once per probe; an edge that
-// finds its pairs cached decodes only the right payload columns
-// (Columns), and a row-major carrier not at all.
+// finds its pairs cached decodes only the right payload columns its
+// output holds (Columns), and a row-major carrier not at all.
 type Fetched struct {
 	st  *tuple.SubTable
 	enc *colenc.Table
@@ -89,6 +89,7 @@ func (f *Fetched) SubTable() (*tuple.SubTable, error) {
 type DecodeBuf struct {
 	cols [][]float32
 	view [][]float32
+	all  []int // every column of the last whole-frame decode
 }
 
 // fit returns b.cols and b.view at n entries each.
@@ -110,8 +111,12 @@ func (f *Fetched) SubTableIn(buf *DecodeBuf) (*tuple.SubTable, error) {
 	if f.st != nil {
 		return f.st, nil
 	}
-	cols, _ := buf.fit(f.enc.Schema.NumAttrs())
-	if err := f.enc.DecodeColumns(cols, nil); err != nil {
+	n := f.enc.Schema.NumAttrs()
+	cols, _ := buf.fit(n)
+	if len(buf.all) != n {
+		buf.all = colenc.AllColumns(n)
+	}
+	if err := f.enc.DecodeColumns(cols, buf.all); err != nil {
 		return nil, err
 	}
 	return tuple.FromColumns(f.enc.ID, f.enc.Schema, cols)
@@ -120,8 +125,8 @@ func (f *Fetched) SubTableIn(buf *DecodeBuf) (*tuple.SubTable, error) {
 // Columns returns the columns cols (schema positions) of f's rows, indexed
 // by schema position, for a caller that is done with them before it next
 // uses buf: a row-major value's own columns, read as is, or an encoded
-// value's columns cols decoded alone into buf. An entry outside cols may
-// be nil.
+// value's columns cols decoded alone into buf — none when cols is nil or
+// empty. An entry outside cols may be nil.
 func (f *Fetched) Columns(buf *DecodeBuf, cols []int) ([][]float32, error) {
 	if f.st != nil {
 		_, view := buf.fit(f.st.Schema.NumAttrs())

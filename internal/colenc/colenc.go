@@ -402,12 +402,12 @@ func (t *Table) check() (int, error) {
 }
 
 // DecodeColumns is the one decode: it decodes the columns cols (schema
-// positions; nil means every column) into dst, which holds one slice per
-// attribute. Each decoded column is written to dst[c] resized to the row
-// count, in dst[c]'s own storage when its capacity allows, so a caller
-// that decodes frame after frame into one dst allocates only while it
-// grows. The other entries of dst are left as they are. The decode is
-// exact: every float32 bit pattern is reproduced.
+// positions; AllColumns lists every one, and nil or empty none) into dst,
+// which holds one slice per attribute. Each decoded column is written to
+// dst[c] resized to the row count, in dst[c]'s own storage when its
+// capacity allows, so a caller that decodes frame after frame into one
+// dst allocates only while it grows. The other entries of dst are left as
+// they are. The decode is exact: every float32 bit pattern is reproduced.
 func (t *Table) DecodeColumns(dst [][]float32, cols []int) error {
 	na, err := t.check()
 	if err != nil {
@@ -430,14 +430,6 @@ func (t *Table) DecodeColumns(dst [][]float32, cols []int) error {
 		}
 		return nil
 	}
-	if cols == nil {
-		for c := 0; c < na; c++ {
-			if err := one(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, c := range cols {
 		if err := one(c); err != nil {
 			return err
@@ -457,8 +449,18 @@ func (t *Table) SubTable() (*tuple.SubTable, error) {
 	for c := range cols {
 		cols[c] = backing[c*t.Rows : c*t.Rows : (c+1)*t.Rows]
 	}
-	if err := t.DecodeColumns(cols, nil); err != nil {
+	if err := t.DecodeColumns(cols, AllColumns(na)); err != nil {
 		return nil, err
 	}
 	return tuple.FromColumns(t.ID, t.Schema, cols)
+}
+
+// AllColumns returns the column list 0, 1, …, n-1: every column of an
+// n-attribute table.
+func AllColumns(n int) []int {
+	cols := make([]int, n)
+	for c := range cols {
+		cols[c] = c
+	}
+	return cols
 }

@@ -3,6 +3,7 @@ package colenc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sciview/internal/tuple"
@@ -73,6 +74,24 @@ func TestRoundTrip(t *testing.T) {
 	mustEqual(t, back, st)
 	if enc.StoredBytes() >= st.Bytes() {
 		t.Errorf("grid table did not compress: stored %d, decoded %d", enc.StoredBytes(), st.Bytes())
+	}
+	// A nil or empty column list decodes nothing and leaves dst as it was;
+	// a subset decodes exactly its columns.
+	for _, cols := range [][]int{nil, {}, {3, 1}} {
+		stale := []float32{7}
+		dst := [][]float32{stale, stale, stale, stale}
+		if err := enc.DecodeColumns(dst, cols); err != nil {
+			t.Fatal(err)
+		}
+		for c, col := range dst {
+			decoded := len(cols) == 2 && (c == 3 || c == 1)
+			switch {
+			case decoded && !slices.Equal(col, st.Col(c)):
+				t.Errorf("cols %v: column %d not decoded", cols, c)
+			case !decoded && (len(col) != 1 || col[0] != 7):
+				t.Errorf("cols %v: column %d written: %d rows", cols, c, len(col))
+			}
+		}
 	}
 }
 

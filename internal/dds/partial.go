@@ -45,12 +45,11 @@ type Partial struct {
 	accs  []accumulator // item i of group g at g*len(items)+i
 	hav   []accumulator // group g's HAVING state; nil without HAVING
 
-	// Fold's scratch: the batch's packed keys and key words, the group
-	// number of each row, and the zeros an aggregate over "*" folds.
+	// Fold's scratch: the batch's packed keys and key words, and the group
+	// number of each row.
 	inKeys  []uint64
 	inWords []uint32
 	gid     []int32
-	zeros   []float32
 }
 
 // NewPartial prepares empty state. having may be nil; when present its
@@ -149,30 +148,25 @@ func (p *Partial) fold(st *tuple.SubTable) {
 	}
 	ni := len(p.items)
 	for i, c := range p.itemIdx {
-		foldCol(p.accs[i:], ni, p.gid, p.column(st, c))
+		p.foldItem(p.accs[i:], ni, st, c)
 	}
 	if p.havingOn {
-		foldCol(p.hav, 1, p.gid, p.column(st, p.havIdx))
+		p.foldItem(p.hav, 1, st, p.havIdx)
 	}
 }
 
-// column is st's column c, or for "*" (c < 0) a column of zeros: an
-// aggregate over "*" folds 0 per row.
-func (p *Partial) column(st *tuple.SubTable, c int) []float32 {
-	rows := st.NumRows()
-	if c >= 0 {
-		return st.Col(c)[:rows]
+// foldItem adds st's column c, row r, to accs[gid[r]*stride] for every
+// row r. An aggregate over "*" (c < 0; the parser allows only COUNT(*))
+// reads no column: each row adds to its group's count only.
+func (p *Partial) foldItem(accs []accumulator, stride int, st *tuple.SubTable, c int) {
+	if c < 0 {
+		for _, g := range p.gid {
+			accs[int(g)*stride].count++
+		}
+		return
 	}
-	if len(p.zeros) < rows {
-		p.zeros = make([]float32, rows)
-	}
-	return p.zeros[:rows]
-}
-
-// foldCol adds col[r] to accs[gid[r]*stride] for every row r.
-func foldCol(accs []accumulator, stride int, gid []int32, col []float32) {
-	col = col[:len(gid)]
-	for r, g := range gid {
+	col := st.Col(c)[:len(p.gid)]
+	for r, g := range p.gid {
 		accs[int(g)*stride].add(float64(col[r]))
 	}
 }

@@ -33,9 +33,13 @@ type Request struct {
 	JoinAttrs []string
 	// Filter is an optional range selection applied to the view.
 	Filter metadata.Range
-	// Project lists the view output attributes the caller needs (nil =
-	// all). Engines push the projection down to the BDS — join attributes
-	// are always retained — so unneeded columns never travel.
+	// Project is the caller's demand: the view output attributes it reads.
+	// Nil means every column, an empty list no column (a COUNT(*) reads
+	// none), a list those columns. The join's output holds exactly the
+	// demand, in join-result order (Inputs.OutSchema). What the engines
+	// fetch is the demand plus the join attributes, pushed down to the BDS
+	// so unneeded columns never travel — or every column, for a nil or
+	// empty demand (EffectiveProject).
 	Project []string
 	// Collect retains the produced result sub-tables (for correctness
 	// checks). Experiments leave it false and only count tuples, since the
@@ -336,10 +340,11 @@ func (r *Result) Released() *tuple.SubTable {
 }
 
 // EffectiveProject returns the pushdown list the engines apply to each
-// base table: the requested attributes plus the join keys (which the
-// engines need for hashing). Nil when the request selects everything.
+// base table: the demanded attributes plus the join keys (which the
+// engines need for hashing). Nil — fetch everything — when the demand is
+// nil or empty.
 func (r Request) EffectiveProject() []string {
-	if r.Project == nil {
+	if len(r.Project) == 0 {
 		return nil
 	}
 	seen := make(map[string]bool, len(r.Project)+len(r.JoinAttrs))
@@ -356,7 +361,8 @@ func (r Request) EffectiveProject() []string {
 }
 
 // ProjectedSchema returns schema restricted to the projected attributes
-// (in schema order); project == nil keeps everything.
+// (in schema order); project == nil keeps everything, an empty list
+// nothing.
 func ProjectedSchema(schema tuple.Schema, project []string) tuple.Schema {
 	if project == nil {
 		return schema

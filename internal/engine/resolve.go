@@ -29,10 +29,14 @@ type Inputs struct {
 	// LeftFilter and RightFilter are the request's constraints restricted
 	// to each side's attributes, over that side's version window.
 	LeftFilter, RightFilter metadata.Range
-	// Project is the pushdown list (Request.EffectiveProject); the schemas
-	// below are the projected ones.
-	Project                            []string
-	LeftSchema, RightSchema, OutSchema tuple.Schema
+	// Project is the pushdown list (Request.EffectiveProject): what is
+	// fetched. LeftSchema and RightSchema are each side's fetched columns.
+	Project                 []string
+	LeftSchema, RightSchema tuple.Schema
+	// OutSchema is the join's output: the join result of the fetched sides
+	// restricted to Req.Project, the demand — every column for a nil
+	// demand, none for an empty one — in join-result order.
+	OutSchema tuple.Schema
 	// LeftDescs and RightDescs are the chunks in range, in catalog order.
 	// Either may be empty: the join of nothing is nothing, not an error.
 	LeftDescs, RightDescs []*chunk.Desc
@@ -80,7 +84,7 @@ func Resolve(cat *metadata.Catalog, req Request) (*Inputs, error) {
 		RightSchema: ProjectedSchema(rightDef.Schema, project),
 		graph:       &graphMemo{},
 	}
-	in.OutSchema = in.LeftSchema.JoinResult(in.RightSchema, req.JoinAttrs, "r_")
+	in.OutSchema = ProjectedSchema(in.LeftSchema.JoinResult(in.RightSchema, req.JoinAttrs, "r_"), req.Project)
 	if in.LeftDescs, err = cat.ChunksInRange(req.LeftTable, in.LeftFilter); err != nil {
 		return nil, err
 	}

@@ -35,7 +35,8 @@ func TestResolve(t *testing.T) {
 		if got, want := in.RightSchema.Names(), []string{"x", "y", "z", "wp"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("right schema = %v, want %v", got, want)
 		}
-		if got, want := in.OutSchema.Names(), []string{"x", "y", "z", "wp"}; !reflect.DeepEqual(got, want) {
+		// The fetch keeps the join keys; the output is the demand alone.
+		if got, want := in.OutSchema.Names(), []string{"wp"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("output schema = %v, want %v", got, want)
 		}
 		if len(in.LeftDescs) != len(cat.Chunks(ds.Left.ID)) || len(in.RightDescs) != len(cat.Chunks(ds.Right.ID)) {

@@ -311,17 +311,18 @@ func (j *Joiner) KeepPairs(key cluster.FetchKey) {
 }
 
 // Gather joins an edge whose match pairs p a probe recorded into the
-// part's output, without building or probing: left's columns by p.Left,
-// and right's payload columns by p.Right — decoded alone into the
-// joiner's buffer, the join keys not at all, or read as is from a
-// row-major frame. It charges no CPU and feeds no calibration sample,
-// since it looks nothing up; it counts the matches. Its trace span is a
-// probe span over the right payload bytes with 0 operations, so the join
-// keeps its wall-clock time in the trace.
+// part's output, without building or probing: the output's left columns
+// by p.Left, and its right payload columns by p.Right — decoded alone into
+// the joiner's buffer, the join keys and the columns the output does not
+// hold not at all, or read as is from a row-major frame. It charges no
+// CPU and feeds no calibration sample, since it looks nothing up; it
+// counts the matches. Its trace span is a probe span over the right
+// payload bytes it read with 0 operations, so the join keeps its
+// wall-clock time in the trace.
 func (j *Joiner) Gather(left *tuple.SubTable, p *hashjoin.Pairs, label string, right *cluster.Fetched) error {
 	start := time.Now()
 	schema := right.Schema()
-	payload, err := j.hj.Payload(schema, j.Req.JoinAttrs)
+	payload, err := j.hj.Payload(left.Schema, schema, j.OutSchema, j.Req.JoinAttrs)
 	if err != nil {
 		return err
 	}

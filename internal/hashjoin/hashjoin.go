@@ -11,7 +11,10 @@
 // looks each right key up, verifies real equality, and records the match as
 // a (left row, right row) pair in two index vectors; the output is then
 // gathered once per column — left columns by the left vector, the right
-// side's non-key columns by the right vector. The out-of-core pair join
+// side's non-key columns by the right vector. The output holds only the
+// columns its schema names, an ordered subset of the join result, so a
+// consumer that reads few columns gathers few, and one that only counts
+// (an output with no columns) gathers none. The out-of-core pair join
 // (JoinPairSpill) runs the same loop per leaf over that leaf's right rows
 // and keeps the right-row vector as its merge tag. A whole in-memory
 // probe's vectors can be copied out (Builder.Pairs) and gathered again
@@ -353,17 +356,19 @@ func (ht *HashTable) lookup(k uint64) int32 {
 	}
 }
 
-// probeScratch is what a probe needs besides the table: how the right
-// schema lines up against the join keys — resolved once and kept while the
-// same schema keeps arriving, which on a joiner's schedule is every edge —
-// and the packed right keys and match vectors.
+// probeScratch is what a probe needs besides the table: how the left,
+// right and output schemas line up against the join keys — resolved once
+// and kept while the same schemas keep arriving, which on a joiner's
+// schedule is every edge — and the packed right keys and match vectors.
 type probeScratch struct {
-	schema   tuple.Schema
-	keyNames []string
-	rKeyIdxs []int
-	// rValIdxs are the non-key right columns, in right schema order: they
-	// follow the left attributes in the result schema.
-	rValIdxs []int
+	left, right, out tuple.Schema
+	keyNames         []string
+	rKeyIdxs         []int
+	// lCols are the left columns that fill out's first columns, rCols the
+	// right payload columns (right schema positions) that fill the rest,
+	// both in output order: out is an ordered subset of the join result,
+	// which is the left attributes followed by the non-key right ones.
+	lCols, rCols []int
 
 	keys []uint64
 	vecs []matchVec // one per probe worker
@@ -384,16 +389,22 @@ type matchVec struct {
 	at          int
 }
 
-// resolve lines schema up against the key names.
-func (s *probeScratch) resolve(schema tuple.Schema, keys []string) error {
-	if s.rKeyIdxs != nil && slices.Equal(keys, s.keyNames) && schema.Equal(s.schema) {
+// resolve lines the schemas up against the key names.
+func (s *probeScratch) resolve(left, right, out tuple.Schema, keys []string) error {
+	if s.rKeyIdxs != nil && slices.Equal(keys, s.keyNames) &&
+		right.Equal(s.right) && left.Equal(s.left) && out.Equal(s.out) {
 		return nil
 	}
-	rKeyIdxs, rValIdxs, err := rightLayout(schema, keys)
+	rKeyIdxs, rValIdxs, err := rightLayout(right, keys)
 	if err != nil {
 		return err
 	}
-	s.schema, s.keyNames, s.rKeyIdxs, s.rValIdxs = schema, slices.Clone(keys), rKeyIdxs, rValIdxs
+	lCols, rCols, err := outLayout(left, right, keys, rValIdxs, out)
+	if err != nil {
+		return err
+	}
+	s.left, s.right, s.out, s.keyNames = left, right, out, slices.Clone(keys)
+	s.rKeyIdxs, s.lCols, s.rCols = rKeyIdxs, lCols, rCols
 	return nil
 }
 
@@ -412,10 +423,35 @@ func rightLayout(schema tuple.Schema, keys []string) (rKeyIdxs, rValIdxs []int, 
 	return rKeyIdxs, rValIdxs, nil
 }
 
+// outLayout finds out's columns in the join result of left and right on
+// keys (tuple.Schema.JoinResult, whose right part is the columns rValIdxs),
+// which out must list an ordered subset of: the left columns and the right
+// payload columns that fill it, in output order.
+func outLayout(left, right tuple.Schema, keys []string, rValIdxs []int, out tuple.Schema) (lCols, rCols []int, err error) {
+	full := left.JoinResult(right, keys, "r_")
+	k := 0
+	for i, a := range full.Attrs {
+		if k == out.NumAttrs() || out.Attrs[k] != a {
+			continue
+		}
+		if i < left.NumAttrs() {
+			lCols = append(lCols, i)
+		} else {
+			rCols = append(rCols, rValIdxs[i-left.NumAttrs()])
+		}
+		k++
+	}
+	if k < out.NumAttrs() {
+		return nil, nil, fmt.Errorf("hashjoin: output schema %v is not an ordered subset of the join result %v", out, full)
+	}
+	return lCols, rCols, nil
+}
+
 // ProbeParallel scans right, looks each record up in the hash table
 // (counted workFactor times; always 1 in product), and appends matching
-// joined records to out, whose schema must be
-// left.Schema.JoinResult(right.Schema, keys, ...). It
+// joined records to out, whose schema must be an ordered subset of
+// left.Schema.JoinResult(right.Schema, keys, "r_"): only its columns are
+// gathered, and an output with no columns still counts its rows. It
 // returns the number of result tuples appended. Up to `workers` goroutines
 // (1 = serial, <= 0 = all CPUs; small inputs stay serial) each scan a
 // contiguous right-row range and gather their matches into out at the
@@ -437,11 +473,8 @@ func (b *Builder) Probe(ht *HashTable, right *tuple.SubTable, keys []string, wor
 // keys, probes every row and counts the work.
 func (ht *HashTable) probe(s *probeScratch, right *tuple.SubTable, keys []string, workFactor, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
 	s.whole = false
-	if err := s.resolve(right.Schema, keys); err != nil {
+	if err := s.resolve(ht.left.Schema, right.Schema, out.Schema, keys); err != nil {
 		return 0, fmt.Errorf("hashjoin: probe: %w", err)
-	}
-	if want := ht.left.Schema.NumAttrs() + len(s.rValIdxs); out.Schema.NumAttrs() != want {
-		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 	s.keys = right.Keys(s.keys, s.rKeyIdxs)
 	matches := ht.probeRows(s, right, nil, workers, out)
@@ -498,6 +531,7 @@ func (ht *HashTable) probeRows(s *probeScratch, right *tuple.SubTable, sel []int
 	})
 
 	// Gather: one pass per output column per range, at the range's offset.
+	// An output with no columns only grows by the match count.
 	matches := 0
 	for w := range s.vecs {
 		s.vecs[w].at = matches
@@ -505,25 +539,24 @@ func (ht *HashTable) probeRows(s *probeScratch, right *tuple.SubTable, sel []int
 	}
 	base := out.Extend(matches)
 	s.payload = s.payload[:0]
-	for _, rc := range s.rValIdxs {
+	for _, rc := range s.rCols {
 		s.payload = append(s.payload, right.Col(rc))
 	}
 	runRanges(workers, workers, func(w, _, _ int) {
 		v := &s.vecs[w]
-		gather(out, base+v.at, ht.left, v.left, s.payload, v.right)
+		s.gather(out, base+v.at, ht.left, v.left, v.right)
 	})
 	return matches
 }
 
-// gather fills out's rows at.. with one run of matches: left's columns by
-// l, then the right payload columns by r.
-func gather(out *tuple.SubTable, at int, left *tuple.SubTable, l []int32, payload [][]float32, r []int32) {
-	lAttrs := left.Schema.NumAttrs()
-	for c := 0; c < lAttrs; c++ {
-		out.GatherCol(c, at, left.Col(c), l)
+// gather fills out's rows at.. with one run of matches: the output's left
+// columns by l, then its right payload columns (s.payload) by r.
+func (s *probeScratch) gather(out *tuple.SubTable, at int, left *tuple.SubTable, l, r []int32) {
+	for i, c := range s.lCols {
+		out.GatherCol(i, at, left.Col(c), l)
 	}
-	for i, col := range payload {
-		out.GatherCol(lAttrs+i, at, col, r)
+	for i, col := range s.payload {
+		out.GatherCol(len(s.lCols)+i, at, col, r)
 	}
 }
 
@@ -587,30 +620,28 @@ func (b *Builder) Pairs() *Pairs {
 	return p
 }
 
-// Payload returns the columns of the right schema that a probe or a
-// gather reads besides the join keys — the non-key ones, in schema order —
-// resolving the layout into the builder's probe scratch. Callers must not
-// modify the slice.
-func (b *Builder) Payload(right tuple.Schema, keys []string) ([]int, error) {
-	if err := b.probe.resolve(right, keys); err != nil {
+// Payload returns the columns of the right schema that a gather of left
+// and right into an output of schema out reads: the non-key columns out
+// holds, as right schema positions in output order, none when out holds
+// no right column. It resolves the layout into the builder's probe
+// scratch. Callers must not modify the slice.
+func (b *Builder) Payload(left, right, out tuple.Schema, keys []string) ([]int, error) {
+	if err := b.probe.resolve(left, right, out, keys); err != nil {
 		return nil, fmt.Errorf("hashjoin: gather: %w", err)
 	}
-	return b.probe.rValIdxs, nil
+	return b.probe.rCols, nil
 }
 
 // Gather appends to out the output of the probe that recorded p, looking
-// nothing up: left's columns by p.Left, then the right side's payload
-// columns (Payload) by p.Right. right holds the right side's columns by
-// schema position, and only the payload ones are read. The output is
+// nothing up: out's left columns by p.Left, then its right payload columns
+// (Payload) by p.Right. right holds the right side's columns by schema
+// position, and only the payload ones are read. The output is
 // byte-identical to the probe's at any worker count. Gather counts the
 // matches into stats, neither a build nor a probe.
 func (b *Builder) Gather(left *tuple.SubTable, p *Pairs, rightSchema tuple.Schema, right [][]float32, keys []string, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
-	payload, err := b.Payload(rightSchema, keys)
+	payload, err := b.Payload(left.Schema, rightSchema, out.Schema, keys)
 	if err != nil {
 		return 0, err
-	}
-	if want := left.Schema.NumAttrs() + len(payload); out.Schema.NumAttrs() != want {
-		return 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 	if len(right) != rightSchema.NumAttrs() {
 		return 0, fmt.Errorf("hashjoin: gather: %d right columns for %d attributes", len(right), rightSchema.NumAttrs())
@@ -629,7 +660,7 @@ func (b *Builder) Gather(left *tuple.SubTable, p *Pairs, rightSchema tuple.Schem
 	n := len(p.Left)
 	base := out.Extend(n)
 	runRanges(n, Workers(n, workers), func(_, lo, hi int) {
-		gather(out, base+lo, left, p.Left[lo:hi], s.payload, p.Right[lo:hi])
+		s.gather(out, base+lo, left, p.Left[lo:hi], p.Right[lo:hi])
 	})
 	if stats != nil {
 		stats.Matches.Add(int64(n))

@@ -146,7 +146,8 @@ func TestBuildErrors(t *testing.T) {
 	if ht.Left() != left {
 		t.Error("Left() accessor wrong")
 	}
-	out := tuple.NewSubTable(tuple.ID{}, leftSchema(), 0) // wrong arity (3 vs 4)
+	// The result is x, y, oilp, wp: these two are in it, but out of order.
+	out := tuple.NewSubTable(tuple.ID{}, tuple.NewSchema(rightSchema().Attrs[2], leftSchema().Attrs[2]), 0)
 	if _, err := ht.ProbeParallel(right, []string{"x", "y"}, 1, 1, out, nil); err == nil {
 		t.Error("wrong output schema should fail")
 	}

@@ -115,39 +115,70 @@ func TestKernelMatchesNestedLoop(t *testing.T) {
 			}
 			sameRowsOrdered(t, what+" (independent table)", got, want)
 
-			ht, err := b.Build(left, keys, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := tuple.NewSubTable(want.ID, want.Schema, 0)
-			if err := out.AppendAll(pre); err != nil {
-				t.Fatal(err)
-			}
-			var stats Stats
-			m, err := b.Probe(ht, right, keys, 1, out, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m != want.NumRows() || stats.Matches.Load() != int64(m) || stats.TuplesProbed.Load() != int64(nr) {
-				t.Fatalf("%s: matches %d (stats %d, probed %d), want %d", what, m, stats.Matches.Load(), stats.TuplesProbed.Load(), want.NumRows())
-			}
-			sameRowsOrdered(t, what+" (reused builder, pre-filled out)", out, wantPre)
-			gathered := gatherPairs(t, what, left, right, keys, b.Pairs(), 1, pre)
-			sameRowsOrdered(t, what+" (gathered from the pairs, pre-filled out)", gathered, wantPre)
+			// The builder's probe, a gather of its pairs and the spilled
+			// pair join write each demand shape, at 1 and 4 workers: the
+			// full output projected onto the shape.
+			for _, shape := range demandShapes(want.Schema, keys) {
+				spre, swant := project(t, pre, shape), project(t, wantPre, shape)
+				for _, workers := range []int{1, 4} {
+					what := fmt.Sprintf("%s, out %v, %d workers", what, shape, workers)
+					ht, err := b.Build(left, keys, workers, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := project(t, spre, shape)
+					var stats Stats
+					m, err := b.Probe(ht, right, keys, workers, out, &stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m != want.NumRows() || stats.Matches.Load() != int64(m) || stats.TuplesProbed.Load() != int64(nr) {
+						t.Fatalf("%s: matches %d (stats %d, probed %d), want %d", what, m, stats.Matches.Load(), stats.TuplesProbed.Load(), want.NumRows())
+					}
+					sameRowsOrdered(t, what+" (reused builder, pre-filled out)", out, swant)
+					gathered := gatherPairs(t, what, left, right, keys, b.Pairs(), workers, spre)
+					sameRowsOrdered(t, what+" (gathered from the pairs, pre-filled out)", gathered, swant)
 
-			spilled := tuple.NewSubTable(want.ID, want.Schema, 0)
-			if err := spilled.AppendAll(pre); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := b.JoinPairSpill(left, right, keys, "t", 1, 256, 4, 3, spillPart, hooks, spilled, nil); err != nil {
-				t.Fatal(err)
-			}
-			sameRowsOrdered(t, what+" (spilled, pre-filled out)", spilled, wantPre)
-			if b.Pairs() != nil || b.PairsBytes() != 0 {
-				t.Fatalf("%s: a spilled pair join left pairs to keep", what)
+					spilled := project(t, spre, shape)
+					if _, _, err := b.JoinPairSpill(left, right, keys, "t", workers, 256, 4, 3, spillPart, hooks, spilled, nil); err != nil {
+						t.Fatal(err)
+					}
+					sameRowsOrdered(t, what+" (spilled, pre-filled out)", spilled, swant)
+					if b.Pairs() != nil || b.PairsBytes() != 0 {
+						t.Fatalf("%s: a spilled pair join left pairs to keep", what)
+					}
+				}
 			}
 		}
 	}
+}
+
+// demandShapes returns the output shapes a consumer may ask of a join
+// whose full result schema is full, on keys: no column, the join keys
+// only, the right payload only, a left measure beside an "r_"-renamed
+// right column (when a non-key right column collides), and every column.
+// Each lists full's names in full's order.
+func demandShapes(full tuple.Schema, keys []string) [][]string {
+	shapes := [][]string{{}, keys, {"rm0", "rm1"}}
+	if full.Index("r_k4") >= 0 {
+		shapes = append(shapes, []string{"lm1", "r_k4"})
+	}
+	return append(shapes, full.Names())
+}
+
+// project returns a copy of st's columns names, in that order, with st's
+// row count: a table of the projected shape that a join may append to.
+func project(t *testing.T, st *tuple.SubTable, names []string) *tuple.SubTable {
+	t.Helper()
+	view, err := st.Project(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tuple.NewSubTable(st.ID, view.Schema, 0)
+	if err := out.AppendAll(view); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // gatherPairs gathers p, recorded probing left with right on keys, into a
@@ -160,7 +191,7 @@ func gatherPairs(t *testing.T, what string, left, right *tuple.SubTable, keys []
 		t.Fatalf("%s: pairs %+v do not index %d×%d rows", what, p, left.NumRows(), right.NumRows())
 	}
 	var g Builder
-	payload, err := g.Payload(right.Schema, keys)
+	payload, err := g.Payload(left.Schema, right.Schema, pre.Schema, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +302,27 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		what := fmt.Sprintf("gathered, %d workers", workers)
 		sameRowsOrdered(t, what, gatherPairs(t, what, left, right, keys, b.Pairs(), workers, pre), want)
+	}
+	// Every demand shape, probed, gathered and spilled at 1 and 4 workers,
+	// is the full output projected onto it.
+	hooks := SpillHooks{RoundTrip: func(_ string, st *tuple.SubTable) (*tuple.SubTable, error) { return st, nil }}
+	for _, shape := range demandShapes(outSchema, keys) {
+		spre, swant := project(t, pre, shape), project(t, want, shape)
+		for _, workers := range []int{1, 4} {
+			what := fmt.Sprintf("out %v, %d workers", shape, workers)
+			out := project(t, spre, shape)
+			if _, err := b.Probe(ht, right, keys, workers, out, nil); err != nil {
+				t.Fatal(err)
+			}
+			sameRowsOrdered(t, what+" (probed)", out, swant)
+			sameRowsOrdered(t, what+" (gathered)", gatherPairs(t, what, left, right, keys, b.Pairs(), workers, spre), swant)
+			var sb Builder
+			spilled := project(t, spre, shape)
+			if _, _, err := sb.JoinPairSpill(left, right, keys, "t", workers, int64(left.Bytes()/4), 8, 3, spillPart, hooks, spilled, nil); err != nil {
+				t.Fatal(err)
+			}
+			sameRowsOrdered(t, what+" (spilled)", spilled, swant)
+		}
 	}
 }
 

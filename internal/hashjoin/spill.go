@@ -44,8 +44,9 @@ type SpillHooks struct {
 	Probed func(label string, rows, bytes int, start time.Time)
 }
 
-// JoinPairSpill joins left and right into out with the build side
-// bounded by memBytes: left partitions larger than memBytes are split
+// JoinPairSpill joins left and right into out, whose schema is an
+// ordered subset of the join result (as for ProbeParallel), with the
+// build side bounded by memBytes: left partitions larger than memBytes are split
 // (fanout ways, salted by depth) and round-tripped through scratch
 // until they fit or maxDepth is reached (a partition of duplicate keys
 // cannot shrink — it falls back to an oversized build). Each leaf
@@ -81,11 +82,8 @@ func (b *Builder) joinPairSpill(left, right *tuple.SubTable, keys []string, labe
 	if err != nil {
 		return 0, 0, fmt.Errorf("hashjoin: spill join: %w", err)
 	}
-	if err := b.probe.resolve(right.Schema, keys); err != nil {
+	if err := b.probe.resolve(left.Schema, right.Schema, out.Schema, keys); err != nil {
 		return 0, 0, fmt.Errorf("hashjoin: spill join: %w", err)
-	}
-	if want := left.Schema.NumAttrs() + len(b.probe.rValIdxs); out.Schema.NumAttrs() != want {
-		return 0, 0, fmt.Errorf("hashjoin: output schema has %d attrs, want %d", out.Schema.NumAttrs(), want)
 	}
 
 	// The right keys are packed once; the leaves probe them by row index.

@@ -103,8 +103,10 @@ func BenchmarkIJMetricsOverhead(b *testing.B) {
 // shared cluster — warm_join's regime: every frame, every left hash table
 // and every edge's match pairs are already in the node caches, so a
 // statement fetches from the cache, decodes its right carriers' payload
-// columns and gathers. built/op and probed/op count the tuples the
-// statement still built and probed (both 0 once the caches are warm).
+// columns and gathers. "full" demands every column; "count" demands none,
+// as COUNT(*) does, so it decodes and gathers nothing and only counts.
+// built/op and probed/op count the tuples the statement still built and
+// probed (both 0 once the caches are warm).
 func BenchmarkWarmRepeat(b *testing.B) {
 	grid := partition.D(32, 32, 16)
 	ds, err := oilres.Generate(oilres.Config{
@@ -119,25 +121,32 @@ func BenchmarkWarmRepeat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := req()
-	r.Shared = true
-	if _, err := engine.RunRequest(context.Background(), New(), cl, r); err != nil { // warm the caches
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		project []string
+	}{{"full", nil}, {"count", []string{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := req()
+			r.Shared, r.Project = true, bc.project
+			if _, err := engine.RunRequest(context.Background(), New(), cl, r); err != nil { // warm the caches
+				b.Fatal(err)
+			}
+			var built, probed int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := engine.RunRequest(context.Background(), New(), cl, r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Tuples != grid.Cells() {
+					b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
+				}
+				built += res.Join.TuplesBuilt
+				probed += res.Join.TuplesProbed
+			}
+			b.ReportMetric(float64(built)/float64(b.N), "built/op")
+			b.ReportMetric(float64(probed)/float64(b.N), "probed/op")
+		})
 	}
-	var built, probed int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := engine.RunRequest(context.Background(), New(), cl, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Tuples != grid.Cells() {
-			b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
-		}
-		built += res.Join.TuplesBuilt
-		probed += res.Join.TuplesProbed
-	}
-	b.ReportMetric(float64(built)/float64(b.N), "built/op")
-	b.ReportMetric(float64(probed)/float64(b.N), "probed/op")
 }

@@ -15,9 +15,10 @@
 // in-memory probe, the edge's match pairs — (left row, right row), in
 // probe order — under the table's key plus the right sub-table's. A later
 // statement on the same node with the same filter, projection and join
-// attributes finds an edge's pairs and only gathers: the left columns from
-// the cached table's rows, the right payload columns from the right
-// carrier, which it decodes without its join keys. It packs no key, looks
+// attributes finds an edge's pairs and only gathers the columns its
+// statement demands: the left ones from the cached table's rows, the right
+// payload ones from the right carrier, which it decodes without its join
+// keys or any column the statement does not read. It packs no key, looks
 // nothing up and builds nothing; an edge without pairs probes the cached
 // table, or builds one. A right carrier that is probed is decoded whole,
 // into the joiner's one reused buffer.

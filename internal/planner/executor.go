@@ -205,7 +205,11 @@ func (ex *Executor) execSelect(ctx context.Context, s *query.Select) (*Output, e
 		if err != nil {
 			return nil, err
 		}
+		// The reference keeps the full width of what it fetches: the
+		// demand widened by the join keys, so the join outputs every
+		// fetched column.
 		req.Project = ex.pushdownFor(v, needed)
+		req.Project = req.EffectiveProject()
 		req.Trace = ex.Trace
 		res, dec, err := Run(ctx, ex.Planner, ex.Cluster, req)
 		if err != nil {

@@ -1,6 +1,10 @@
 package planner
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"sciview/internal/cluster"
@@ -308,5 +312,79 @@ func TestNeededAttrs(t *testing.T) {
 	got = neededAttrs(star, plain, aggs, s)
 	if len(got) != 1 || got[0] != "wp" {
 		t.Errorf("needed = %v", got)
+	}
+}
+
+// TestJoinOutputsTheDemand pins what a lowered join outputs to what its
+// statement reads, on the benchmark's warm_join and ingest_mix statement
+// shapes over its seven-column view (colenc and row-major wire), for both
+// engines: no column for COUNT(*), the named columns in join-result order
+// for a narrow SELECT, every column for SELECT *. The fetch is unchanged:
+// the demand plus the join keys, or every column. Each plan, run twice
+// in shared mode (the second run gathers IJ's cached pairs), returns the
+// materialized reference's rows, which join at full fetched width.
+func TestJoinOutputsTheDemand(t *testing.T) {
+	all := []string{"x", "y", "z", "oilp", "soil", "wp", "swat"}
+	cases := []struct {
+		sql        string
+		out, fetch []string // fetch nil: every column
+	}{
+		{"SELECT COUNT(*) FROM V1", []string{}, nil},
+		{"SELECT x, AVG(wp) FROM V1 GROUP BY x ORDER BY x", []string{"x", "wp"}, []string{"x", "wp", "y", "z"}},
+		{"SELECT x, AVG(wp) FROM V1 WHERE x < 4 GROUP BY x ORDER BY x", []string{"x", "wp"}, []string{"x", "wp", "y", "z"}},
+		{"SELECT wp, oilp FROM V1 WHERE z = 1", []string{"oilp", "wp"}, []string{"wp", "oilp", "x", "y", "z"}},
+		{"SELECT x, y, COUNT(*), SUM(oilp) FROM V1 GROUP BY x, y ORDER BY x, y", []string{"x", "y", "oilp"}, []string{"x", "y", "oilp", "z"}},
+		{"SELECT * FROM V1 WHERE x BETWEEN 0 AND 3", all, nil},
+		{"SELECT * FROM V1 ORDER BY wp DESC, x, y, z LIMIT 100", all, nil},
+	}
+	ds, err := oilres.Generate(oilres.Config{
+		Grid: partition.D(8, 8, 4), LeftPart: partition.D(4, 4, 4), RightPart: partition.D(4, 4, 2),
+		StorageNodes: 2, Seed: 9,
+		LeftMeasures: []string{"oilp", "soil"}, RightMeasures: []string{"wp", "swat"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range []string{"colenc", "rowmajor"} {
+		for _, force := range []string{"ij", "gh"} {
+			cl, err := cluster.New(cluster.Config{
+				StorageNodes: 2, ComputeNodes: 2, CacheBytes: 16 << 20, Wire: wire,
+			}, ds.Catalog, ds.Stores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutor(cl)
+			ex.Planner.AlphaBuild, ex.Planner.AlphaLookup, ex.Planner.Force = 80e-9, 40e-9, force
+			if _, err := ex.Exec("CREATE VIEW V1 AS SELECT * FROM T1 JOIN T2 ON (x, y, z)"); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				what := fmt.Sprintf("%s [%s, %s]", c.sql, wire, force)
+				// The reference runs first: an exclusive run empties the
+				// caches the second shared run gathers from.
+				ref := runDiffLeg(t, ex, c.sql, true, 0, 0)
+				for run := 0; run < 2; run++ {
+					l, err := ex.Lower(c.sql)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if got := l.Join.Schema().Names(); !slices.Equal(got, c.out) {
+						t.Fatalf("%s: join outputs %v, want %v", what, got, c.out)
+					}
+					if got := l.Join.In.Project; !slices.Equal(got, c.fetch) || (got == nil) != (c.fetch == nil) {
+						t.Fatalf("%s: join fetches %v, want %v", what, got, c.fetch)
+					}
+					l.Join.In.Req.Shared = true
+					got, err := ex.ExecLowered(context.Background(), l)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					diffCompare(t, c.sql, fmt.Sprintf("%s, run %d vs materialized", what, run), got, ref, true)
+					if j := got.Result.Join; force == "ij" && run == 1 && !strings.Contains(c.sql, "LIMIT") && j.TuplesBuilt+j.TuplesProbed != 0 {
+						t.Fatalf("%s: the warm run built %d and probed %d, want a gather of every edge", what, j.TuplesBuilt, j.TuplesProbed)
+					}
+				}
+			}
+		}
 	}
 }

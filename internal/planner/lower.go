@@ -66,6 +66,11 @@ func (ex *Executor) lowerSelect(s *query.Select) (*Lowered, error) {
 			return nil, err
 		}
 		req.AsOf = asOf
+		if !star && needed == nil {
+			// The statement names no column (COUNT(*)): the join outputs
+			// none and only counts its rows.
+			needed = []string{}
+		}
 		req.Project = ex.pushdownFor(v, needed)
 		req.Trace = ex.Trace
 		in, err := engine.Resolve(ex.Cluster.Catalog, req)
