@@ -9,7 +9,7 @@
 // the harness verify that.
 //
 // Besides the values it is asked to keep (Put), the cache can hold values
-// that merely use its free room (Admit): IJ keeps built hash tables and
+// that merely use its free room (Admit): IJ keeps decoded left rows and
 // its edges' match pairs this way beside the sub-tables they were derived
 // from. Such an entry never
 // displaces a Put entry — every Put that needs room drops admitted entries

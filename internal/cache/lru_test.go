@@ -369,8 +369,8 @@ func TestTouchLeavesStats(t *testing.T) {
 	}
 }
 
-// TestPropAdmittedInvisibleToPutEntries is the contract IJ's table cache
-// rests on: interleaving admissions (and Touches of admitted keys) into a
+// TestPropAdmittedInvisibleToPutEntries is the contract IJ's kept rows
+// and pairs rest on: interleaving admissions (and Touches of admitted keys) into a
 // Put/Get sequence changes no Get result and no counter against a twin
 // that never admits, and never breaks the byte bound.
 func TestPropAdmittedInvisibleToPutEntries(t *testing.T) {

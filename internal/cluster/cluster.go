@@ -161,15 +161,15 @@ type StorageNode struct {
 // predicates or projections share the node caches, and the signature keeps
 // their entries from aliasing.
 //
-// Join is empty for a fetched sub-table. A hash table IJ built over that
-// sub-table is cached under the same ID and Sig with Join naming the join
-// attributes (JoinSig). The match pairs of one IJ edge — that table probed
-// with one right sub-table — are cached under the table's key with Pairs
-// set and RightID and RightSig naming the right sub-table's own key
-// (PairKey): every field is compared, none is folded into a hash. No
-// catalog version is needed: chunk ids are never reused and a chunk's
-// bytes never change, so all three kinds of entry stay valid across
-// appends.
+// Join is empty for a fetched sub-table. The rows IJ decoded from that
+// sub-table, as the left side of a join, are kept under the same ID and
+// Sig with Join naming the join attributes (JoinSig). The match pairs of
+// one IJ edge — those rows joined with one right sub-table — are cached
+// under the rows' key with Pairs set and RightID and RightSig naming the
+// right sub-table's own key (PairKey): every field is compared, none is
+// folded into a hash. No catalog version is needed: chunk ids are never
+// reused and a chunk's bytes never change, so all three kinds of entry
+// stay valid across appends.
 type FetchKey struct {
 	ID       tuple.ID
 	Sig      uint64
@@ -179,14 +179,14 @@ type FetchKey struct {
 	Pairs    bool
 }
 
-// PairKey is the key of the match pairs of the table cached under k (its
-// Join set) probed with the sub-table cached under right.
+// PairKey is the key of the match pairs of the left rows kept under k
+// (its Join set) joined with the sub-table cached under right.
 func (k FetchKey) PairKey(right FetchKey) FetchKey {
 	k.RightID, k.RightSig, k.Pairs = right.ID, right.Sig, true
 	return k
 }
 
-// JoinSig is FetchKey.Join for a hash table keyed on attrs: "(x,y,z)",
+// JoinSig is FetchKey.Join for a left side joined on attrs: "(x,y,z)",
 // never empty.
 func JoinSig(attrs []string) string { return "(" + strings.Join(attrs, ",") + ")" }
 
@@ -225,8 +225,8 @@ type ComputeNode struct {
 	// Cache is the node's Caching Service instance for sub-tables. Values
 	// are Fetched — compressed when the wire codec is "colenc" — and are
 	// charged at StoredBytes, so resident accounting reflects the bytes
-	// actually held rather than the decoded record size. IJ's built hash
-	// tables (FetchedTable) share it, admitted only into free room (see
+	// actually held rather than the decoded record size. IJ's kept left
+	// rows and match pairs share it, admitted only into free room (see
 	// cache.LRU.Admit), so they never displace a sub-table.
 	Cache *cache.LRU[FetchKey, *Fetched]
 	// Flight deduplicates concurrent fetches of one sub-table across the

@@ -14,49 +14,25 @@ import (
 // size, decoded only when a joiner actually consumes its rows.
 //
 // A node cache also holds two things IJ derived from sub-tables as Fetched
-// values, beside them: built hash tables (FetchedTable) and the match
-// pairs of edges (FetchedPairs). What is decoded per use follows. A left
-// carrier is decoded once per hash table built from it; edges that reuse
-// the table, and later statements that find it cached, take the carrier
-// from the cache but never decode it. A right carrier is decoded whole,
-// into its joiner's buffer (SubTableIn), once per probe; an edge that
-// finds its pairs cached decodes only the right payload columns its
-// output holds (Columns), and a row-major carrier not at all.
+// values, beside them: a left sub-table's decoded rows (FetchedSubTable,
+// kept only when its frame is encoded) and the match pairs of edges
+// (FetchedPairs). So a Fetched is rows, an encoded frame, or pairs. What is
+// decoded per use follows. A left carrier is decoded once for all its
+// consecutive edges; a later statement that finds its rows kept does not
+// decode it, and a row-major carrier is its own rows. A right carrier is
+// decoded whole, into its joiner's buffer (SubTableIn), once per probe; an
+// edge that finds its pairs cached decodes only the right payload columns
+// its output holds (Columns), and a row-major carrier not at all.
 type Fetched struct {
 	st  *tuple.SubTable
 	enc *colenc.Table
-	// ht and htBytes are a cached hash table and its resident size; st is
-	// then the table's left sub-table.
-	ht      *hashjoin.HashTable
-	htBytes int
 	// pairs are a cached edge's match pairs; st and enc are then nil.
 	pairs *hashjoin.Pairs
 }
 
-// FetchedSubTable wraps a decoded sub-table.
+// FetchedSubTable wraps decoded rows: a row-major frame, or a left
+// sub-table's rows decoded from an encoded one and kept beside it.
 func FetchedSubTable(st *tuple.SubTable) *Fetched { return &Fetched{st: st} }
-
-// TableBytes is the resident size of a hash table built over frame's
-// rows: its arrays plus, when frame is encoded, the decoded rows it
-// references. A row-major frame's rows are the frame's own, charged
-// already, and stay resident while the table is: the cache drops every
-// table before it evicts a frame. Match pairs reference no rows: a
-// gather reads the left rows of the table, or of the frame decoded again,
-// and are charged only their vectors (hashjoin.PairsBytes).
-func TableBytes(ht *hashjoin.HashTable, frame *Fetched) int {
-	if frame.Encoded() {
-		return ht.Bytes() + ht.Left().Bytes()
-	}
-	return ht.Bytes()
-}
-
-// FetchedTable wraps a hash table resident at bytes (TableBytes).
-func FetchedTable(ht *hashjoin.HashTable, bytes int) *Fetched {
-	return &Fetched{st: ht.Left(), ht: ht, htBytes: bytes}
-}
-
-// Table returns the hash table of a FetchedTable value, else nil.
-func (f *Fetched) Table() *hashjoin.HashTable { return f.ht }
 
 // FetchedPairs wraps one edge's match pairs, resident at p.Bytes(). Such
 // a value answers Pairs and StoredBytes only.
@@ -73,8 +49,9 @@ func (f *Fetched) Encoded() bool { return f.enc != nil }
 
 // SubTable returns the decoded rows. For an encoded value this decodes on
 // every call — deliberately: memoizing the decoded form would re-inflate
-// the cache's resident bytes and cancel the point of caching compressed.
-// The decode is exact, so repeated calls are byte-identical.
+// the frame's resident bytes and cancel the point of caching compressed.
+// (IJ keeps a left's decoded rows as an entry of their own, only in free
+// room.) The decode is exact, so repeated calls are byte-identical.
 func (f *Fetched) SubTable() (*tuple.SubTable, error) {
 	if f.st != nil {
 		return f.st, nil
@@ -176,8 +153,6 @@ func (f *Fetched) DecodedBytes() int {
 // this, so the resident-bytes gauge reflects what is actually held.
 func (f *Fetched) StoredBytes() int {
 	switch {
-	case f.ht != nil:
-		return f.htBytes
 	case f.pairs != nil:
 		return f.pairs.Bytes()
 	case f.enc != nil:

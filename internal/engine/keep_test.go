@@ -42,78 +42,67 @@ func keepJoiner(t *testing.T, capacity int64) (*Joiner, *cluster.Fetched, *tuple
 	return j, frame, left
 }
 
-// TestKeepRefusedBuildAllocatesNoTable: a build the node cache refuses —
-// here a cache filled by one frame, the cold_fetch shape — stays in the
-// joiner's arena, so the next build reuses its arrays and a steady stream
-// of refused builds allocates only the build's small constant (the
-// key-index list and the insert closure), never table arrays.
-func TestKeepRefusedBuildAllocatesNoTable(t *testing.T) {
+// TestBuildStreamReusesArena: a stream of builds — every left of a
+// schedule that misses its pairs — reuses the arena's arrays, so each
+// build allocates only its small constant (the key-index list and the
+// insert closure), never table arrays.
+func TestBuildStreamReusesArena(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const capacity = 1 << 20
-	j, frame, left := keepJoiner(t, capacity)
-	j.cn.Cache.Put(cluster.FetchKey{ID: left.ID}, frame, capacity) // full
-	key := cluster.FetchKey{ID: left.ID, Join: cluster.JoinSig(j.Req.JoinAttrs)}
+	j, _, left := keepJoiner(t, 1<<20)
 	build := func() {
-		ht, err := j.Build("", left)
-		if err != nil {
+		if err := j.Build("", left); err != nil {
 			t.Fatal(err)
-		}
-		if j.Keep(key, frame, ht) != ht {
-			t.Fatal("a full cache admitted a table")
 		}
 	}
 	build() // warm the arena
 	const perBuild = 2
 	if got := testing.AllocsPerRun(20, build); got > perBuild {
-		t.Errorf("refused build: %.0f allocs, want ≤ %d: a refused table must stay in the arena", got, perBuild)
-	}
-	if _, ok := j.cn.Cache.Peek(key); ok {
-		t.Error("refused table is resident")
+		t.Errorf("build: %.0f allocs, want ≤ %d: a build must reuse the arena's arrays", got, perBuild)
 	}
 }
 
-// TestKeepAdmitsIntoFreeRoom: with room to spare a shared run's table is
-// admitted at cluster.TableBytes and leaves the arena — Keep returns the
-// detached table, which answers probes as the arena table did — and the
-// next build does not disturb it. An exclusive run keeps nothing.
+// TestKeepAdmitsIntoFreeRoom: with room to spare a shared run's decoded
+// left rows are admitted as they are, charged at their decoded size, and
+// a later Keep under the same key leaves them in place. A full cache — one
+// frame fills it, the cold_fetch shape — admits nothing, and an exclusive
+// run keeps nothing.
 func TestKeepAdmitsIntoFreeRoom(t *testing.T) {
 	j, frame, left := keepJoiner(t, 64<<20)
 	key := cluster.FetchKey{ID: left.ID, Join: cluster.JoinSig(j.Req.JoinAttrs)}
-	ht, err := j.Build("", left)
+	j.Keep(key, left)
+	f, ok := j.cn.Cache.Peek(key)
+	if !ok {
+		t.Fatal("an empty cache refused the rows")
+	}
+	if rows, err := f.SubTable(); err != nil || rows != left {
+		t.Fatalf("cached rows are not the kept ones (%v)", err)
+	}
+	if got := j.cn.Cache.Bytes(); got != int64(left.Bytes()) || f.StoredBytes() != left.Bytes() {
+		t.Errorf("cache charged %d (entry %d), want the decoded rows' %d", got, f.StoredBytes(), left.Bytes())
+	}
+	other, err := frame.SubTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := cluster.TableBytes(ht, frame)
-	kept := j.Keep(key, frame, ht)
-	if kept == ht {
-		t.Fatal("an empty cache refused the table")
+	j.Keep(key, other)
+	if f, _ = j.cn.Cache.Peek(key); f == nil {
+		t.Fatal("a present key's entry was dropped")
 	}
-	f, ok := j.cn.Cache.Peek(key)
-	if !ok || f.Table() != kept {
-		t.Fatal("admitted table is not the cached one")
+	if rows, _ := f.SubTable(); rows != left || j.cn.Cache.Bytes() != int64(left.Bytes()) {
+		t.Error("a present key admitted a second copy of the rows")
 	}
-	if got := j.cn.Cache.Bytes(); got != int64(size) || f.StoredBytes() != size {
-		t.Errorf("cache charged %d (entry %d), want TableBytes %d", got, f.StoredBytes(), size)
-	}
-	if size <= left.Bytes() {
-		t.Errorf("TableBytes %d does not cover the decoded rows (%d) of an encoded frame plus arrays", size, left.Bytes())
-	}
-	// The arena builds afresh; the kept table still probes to every row.
-	if _, err := j.Build("", left); err != nil {
-		t.Fatal(err)
-	}
-	out := tuple.NewSubTable(tuple.ID{Table: -1}, left.Schema.JoinResult(left.Schema, j.Req.JoinAttrs, "r_"), 0)
-	if m, err := kept.ProbeParallel(left, j.Req.JoinAttrs, 1, 1, out, nil); err != nil || m != left.NumRows() {
-		t.Errorf("kept table self-join: %d matches, %v; want %d", m, err, left.NumRows())
-	}
-	if j.Keep(key, frame, ht) != ht {
-		t.Error("a present key admitted a second table")
+
+	j.cn.Cache.Clear()
+	j.cn.Cache.Put(cluster.FetchKey{ID: left.ID}, frame, j.Cluster.Config.CacheBytes)
+	j.Keep(key, left)
+	if _, ok := j.cn.Cache.Peek(key); ok {
+		t.Error("a full cache admitted rows")
 	}
 	j.cn.Cache.Clear()
 	j.Req.Shared = false
-	if j.Keep(key, frame, ht) != ht || j.cn.Cache.Len() != 0 {
-		t.Error("an exclusive run kept a table that the next run's reset would drop unprobed")
+	if j.Keep(key, left); j.cn.Cache.Len() != 0 {
+		t.Error("an exclusive run kept rows that the next run's reset would drop unread")
 	}
 }

@@ -199,9 +199,8 @@ type Joiner struct {
 	local    hashjoin.Stats
 	// hj owns the arrays of the attempt's one live hash table — IJ's
 	// per-left table, GH's per-pair table, one spill leaf at a time — and
-	// reuses them from one build to the next, unless Keep hands them to
-	// the node cache. Its probe scratch serves every probe, of its own
-	// table or of a cached one.
+	// reuses them from one build to the next, with the probe scratch that
+	// serves every probe of it.
 	hj hashjoin.Builder
 	// rbuf holds the right carrier of the edge being joined, decoded into
 	// it by Decode or Gather and overwritten by the next: the output holds
@@ -256,37 +255,26 @@ func (j *Joiner) Fits(leftBytes int) bool {
 }
 
 // Build builds the hash table over left in the joiner's arena and charges
-// the build. It replaces the joiner's previous arena table, which must no
-// longer be probed; a table Keep gave to the cache is not affected.
-func (j *Joiner) Build(label string, left *tuple.SubTable) (*hashjoin.HashTable, error) {
+// the build. It replaces the joiner's previous table; Probe probes this
+// one.
+func (j *Joiner) Build(label string, left *tuple.SubTable) error {
 	start := time.Now()
-	ht, err := j.hj.Build(left, j.Req.JoinAttrs, kernelWorkers, &j.local)
-	if err != nil {
-		return nil, err
+	if _, err := j.hj.Build(left, j.Req.JoinAttrs, kernelWorkers, &j.local); err != nil {
+		return err
 	}
 	j.built(label, left.NumRows(), left.Bytes(), start)
-	return ht, nil
+	return nil
 }
 
-// Keep offers ht, the table the joiner's last Build returned over frame's
-// rows, to its compute node's cache under key, charged at
-// cluster.TableBytes. The cache admits it only into free room and only if
-// key is absent. An admitted table leaves the joiner's arena — the next
-// Build allocates afresh — and Keep returns it: the caller probes that,
-// never ht again. A refused table stays in the arena, costs no allocation,
-// and Keep returns ht. Should another joiner take the room between the
-// cache's answer and the admission, the detached table is only this
-// joiner's: the race costs the arena one allocation, never a wrong row.
-// An exclusive run offers nothing: the next run resets the caches, so no
-// statement could probe what it kept.
-func (j *Joiner) Keep(key cluster.FetchKey, frame *cluster.Fetched, ht *hashjoin.HashTable) *hashjoin.HashTable {
-	size := cluster.TableBytes(ht, frame)
-	if !j.Req.Shared || !j.cn.Cache.Admits(key, int64(size)) {
-		return ht
+// Keep offers rows — a left carrier's rows decoded from an encoded frame,
+// read-only from here on — to its compute node's cache under key, charged
+// at rows.Bytes(). The cache admits them only into free room and only if
+// key is absent. An exclusive run offers nothing: the next run resets the
+// caches, so no statement could read what it kept.
+func (j *Joiner) Keep(key cluster.FetchKey, rows *tuple.SubTable) {
+	if j.Req.Shared {
+		j.cn.Cache.Admit(key, cluster.FetchedSubTable(rows), int64(rows.Bytes()))
 	}
-	ht = j.hj.Detach()
-	j.cn.Cache.Admit(key, cluster.FetchedTable(ht, size), int64(size))
-	return ht
 }
 
 // Decode returns the rows of frame, a right carrier: a row-major frame's
@@ -298,7 +286,7 @@ func (j *Joiner) Decode(frame *cluster.Fetched) (*tuple.SubTable, error) {
 
 // KeepPairs offers the match pairs of the joiner's last Probe to its
 // compute node's cache under key (cluster.FetchKey.PairKey), as Keep
-// offers a table: into free room only, if key is absent, and never in an
+// offers rows: into free room only, if key is absent, and never in an
 // exclusive run. The vectors are copied out of the probe scratch only
 // once the cache has room for them. The caller offers a whole in-memory
 // probe only; after a JoinPairSpill there is nothing to offer.
@@ -337,12 +325,11 @@ func (j *Joiner) Gather(left *tuple.SubTable, p *hashjoin.Pairs, label string, r
 	return nil
 }
 
-// Probe probes ht — the joiner's arena table or one from the node cache,
-// which other joiners may be probing at the same time — with right into
-// the part's output, using the joiner's own probe scratch.
-func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTable) error {
+// Probe probes the table of the joiner's last Build with right into the
+// part's output.
+func (j *Joiner) Probe(label string, right *tuple.SubTable) error {
 	start := time.Now()
-	if _, err := j.hj.Probe(ht, right, j.Req.JoinAttrs, kernelWorkers, j.out, &j.local); err != nil {
+	if _, err := j.hj.Probe(right, j.Req.JoinAttrs, kernelWorkers, j.out, &j.local); err != nil {
 		return err
 	}
 	j.probed(label, right.NumRows(), right.Bytes(), start)
@@ -365,11 +352,10 @@ func (j *Joiner) Probe(ht *hashjoin.HashTable, label string, right *tuple.SubTab
 // to the in-memory join at any cap.
 func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable) error {
 	if j.Fits(left.Bytes()) {
-		ht, err := j.Build(label, left)
-		if err != nil {
+		if err := j.Build(label, left); err != nil {
 			return err
 		}
-		return j.Probe(ht, label, right)
+		return j.Probe(label, right)
 	}
 	hooks := hashjoin.SpillHooks{RoundTrip: sp.RoundTrip, Built: j.built, Probed: j.probed}
 	_, _, err := j.hj.JoinPairSpill(left, right, j.Req.JoinAttrs, label,

@@ -186,13 +186,12 @@ func BenchmarkJoinPair(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ht, err := hb.Build(l, edgeKeys, 1, nil)
-				if err != nil {
+				if _, err := hb.Build(l, edgeKeys, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 				for _, r := range rs {
 					out := tuple.NewSubTable(tuple.ID{Table: -1}, outSchema, 0)
-					if m, err := hb.Probe(ht, r, edgeKeys, 1, out, nil); err != nil || m != r.NumRows() {
+					if m, err := hb.Probe(r, edgeKeys, 1, out, nil); err != nil || m != r.NumRows() {
 						b.Fatalf("probe: %d matches, %v", m, err)
 					}
 				}

@@ -30,14 +30,10 @@
 // A Builder owns the arrays all of this needs — the table's own and the
 // transient build and probe scratch — and reuses them for its next table,
 // so a joiner working through a schedule allocates per edge little more
-// than its output columns. It has one live table in its arena at a time.
-// Detach gives that table's arrays away and makes it independent, like
-// BuildParallel's tables; the next Build then allocates afresh. An
-// independent table is read-only, so any number of goroutines may probe it
-// at once, each with its own probe scratch: a Builder's (Builder.Probe) or
-// a fresh one (ProbeParallel). IJ keeps detached tables in its compute
-// nodes' caches, so a warm statement probes a table that another statement
-// built, or, holding that edge's match pairs too, only gathers.
+// than its output columns. It has one live table in its arena at a time,
+// which its Probe probes. BuildParallel's tables are independent: each
+// owns its arrays, is read-only once built, and may be probed by any
+// number of goroutines at once, each with fresh scratch (ProbeParallel).
 //
 // As in the paper's cost model, the build stores only row references (not
 // record copies), so build and probe cost per tuple is independent of
@@ -182,30 +178,14 @@ func BuildParallel(left *tuple.SubTable, keys []string, workFactor, workers int,
 	if _, err := b.build(left, keys, workFactor, workers, stats); err != nil {
 		return nil, err
 	}
-	return b.Detach(), nil
+	ht := b.ht // the table's arrays only, not the build scratch
+	return &ht, nil
 }
 
 // Build constructs the builder's table over left, as BuildParallel does,
-// reusing the arena. The table it returned before is dead, unless it was
-// detached.
+// reusing the arena. The table it returned before is dead.
 func (b *Builder) Build(left *tuple.SubTable, keys []string, workers int, stats *Stats) (*HashTable, error) {
 	return b.build(left, keys, 1, workers, stats)
-}
-
-// Detach returns the table the last Build returned as an independent
-// table, as BuildParallel's are: its arrays leave the arena, so the
-// builder's next Build allocates its own, and the table Build returned is
-// dead — probe the one Detach returns.
-func (b *Builder) Detach() *HashTable {
-	own := b.ht
-	b.ht = HashTable{}
-	return &own
-}
-
-// Bytes returns the memory the table's own arrays hold, by capacity. The
-// left sub-table it references is not counted.
-func (ht *HashTable) Bytes() int {
-	return 8*cap(ht.keys) + 4*(cap(ht.heads)+cap(ht.next)+cap(ht.offs)+cap(ht.mask)) + 8*cap(ht.keyIdxs)
 }
 
 func (b *Builder) build(left *tuple.SubTable, keys []string, workFactor, workers int, stats *Stats) (*HashTable, error) {
@@ -334,9 +314,6 @@ func runRanges(n, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// Left returns the build-side sub-table.
-func (ht *HashTable) Left() *tuple.SubTable { return ht.left }
-
 // lookup returns the first left row whose packed key equals k, or -1.
 func (ht *HashTable) lookup(k uint64) int32 {
 	h := tuple.Mix(k, tuple.SaltTable)
@@ -461,12 +438,10 @@ func (ht *HashTable) ProbeParallel(right *tuple.SubTable, keys []string, workFac
 	return ht.probe(new(probeScratch), right, keys, workFactor, workers, out, stats)
 }
 
-// Probe probes ht, as ProbeParallel does, with the builder's probe
-// scratch, kept from one probe to the next: ht may be the builder's own
-// table or an independent one that other goroutines probe at the same
-// time.
-func (b *Builder) Probe(ht *HashTable, right *tuple.SubTable, keys []string, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
-	return ht.probe(&b.probe, right, keys, 1, workers, out, stats)
+// Probe probes the table of the builder's last Build, as ProbeParallel
+// does, with the builder's probe scratch, kept from one probe to the next.
+func (b *Builder) Probe(right *tuple.SubTable, keys []string, workers int, out *tuple.SubTable, stats *Stats) (int, error) {
+	return b.ht.probe(&b.probe, right, keys, 1, workers, out, stats)
 }
 
 // probe is the one probe: it lines right up against the keys, packs its

@@ -143,8 +143,8 @@ func TestBuildErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ht.Left() != left {
-		t.Error("Left() accessor wrong")
+	if ht.left != left {
+		t.Error("the table does not reference its build side")
 	}
 	// The result is x, y, oilp, wp: these two are in it, but out of order.
 	out := tuple.NewSubTable(tuple.ID{}, tuple.NewSchema(rightSchema().Attrs[2], leftSchema().Attrs[2]), 0)

@@ -122,13 +122,12 @@ func TestKernelMatchesNestedLoop(t *testing.T) {
 				spre, swant := project(t, pre, shape), project(t, wantPre, shape)
 				for _, workers := range []int{1, 4} {
 					what := fmt.Sprintf("%s, out %v, %d workers", what, shape, workers)
-					ht, err := b.Build(left, keys, workers, nil)
-					if err != nil {
+					if _, err := b.Build(left, keys, workers, nil); err != nil {
 						t.Fatal(err)
 					}
 					out := project(t, spre, shape)
 					var stats Stats
-					m, err := b.Probe(ht, right, keys, workers, out, &stats)
+					m, err := b.Probe(right, keys, workers, out, &stats)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -223,12 +222,11 @@ func TestGatherRejectsForeignPairs(t *testing.T) {
 	left, right := kernelTable(ls, 40, 4, r, 1000), kernelTable(rs, 30, 4, r, 5000)
 	keys := []string{"k0"}
 	var b Builder
-	ht, err := b.Build(left, keys, 1, nil)
-	if err != nil {
+	if _, err := b.Build(left, keys, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := tuple.NewSubTable(tuple.ID{}, left.Schema.JoinResult(right.Schema, keys, "r_"), 0)
-	if _, err := b.Probe(ht, right, keys, 1, out, nil); err != nil {
+	if _, err := b.Probe(right, keys, 1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := b.Pairs()
@@ -282,14 +280,13 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 	}
 	// The pairs of a ranged probe gather the same bytes at any width.
 	var b Builder
-	ht, err := b.Build(left, keys, 4, nil)
-	if err != nil {
+	if _, err := b.Build(left, keys, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	pre := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
 	pre.AppendRow(make([]float32, outSchema.NumAttrs())...)
 	probed := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
-	if _, err := b.Probe(ht, right, keys, 4, probed, nil); err != nil {
+	if _, err := b.Probe(right, keys, 4, probed, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := tuple.NewSubTable(tuple.ID{}, outSchema, 0)
@@ -311,7 +308,7 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			what := fmt.Sprintf("out %v, %d workers", shape, workers)
 			out := project(t, spre, shape)
-			if _, err := b.Probe(ht, right, keys, workers, out, nil); err != nil {
+			if _, err := b.Probe(right, keys, workers, out, nil); err != nil {
 				t.Fatal(err)
 			}
 			sameRowsOrdered(t, what+" (probed)", out, swant)
@@ -328,10 +325,9 @@ func TestKernelParallelByteIdentical(t *testing.T) {
 
 // TestBuilderArenaReuse: a builder's second table is built out of the
 // first one's arrays — larger, smaller, different keys — and must equal a
-// fresh independent build each time; independent tables, built so or
-// detached from a builder, must not share anything, so probing many of
-// them at once (what bench/probes.go and IJ's cached tables do) is safe.
-// Run under -race.
+// fresh independent build each time; independent tables must not share
+// anything, so probing many of them at once (what bench/probes.go does)
+// is safe. Run under -race.
 func TestBuilderArenaReuse(t *testing.T) {
 	ls, rs := wideSchemas()
 	r := rand.New(rand.NewSource(9))
@@ -358,32 +354,25 @@ func TestBuilderArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ht.Left() != p.left {
-			t.Fatalf("pair %d: Left() is not the table just built", i)
+		if ht.left != p.left {
+			t.Fatalf("pair %d: the table is not the one just built", i)
 		}
 		want := fresh(p)
 		for pass := 0; pass < 2; pass++ {
 			out := tuple.NewSubTable(want.ID, want.Schema, 0)
-			if _, err := b.Probe(ht, p.right, p.keys, 1, out, nil); err != nil {
+			if _, err := b.Probe(p.right, p.keys, 1, out, nil); err != nil {
 				t.Fatal(err)
 			}
 			sameRowsOrdered(t, fmt.Sprintf("pair %d pass %d on the reused builder", i, pass), out, want)
 		}
 	}
 
-	// Independent tables — BuildParallel's, and tables detached from the
-	// reused builder, which builds on — all alive at once, each probed from
-	// two goroutines at once: one with ProbeParallel's fresh scratch, one
-	// with its own Builder's, as joiners probe a cached table.
+	// Independent tables, all alive at once, each probed from two
+	// goroutines at once with ProbeParallel's fresh scratch.
 	tables := make([]*HashTable, len(pairs))
 	for i, p := range pairs {
 		var err error
-		if i%2 == 0 {
-			tables[i], err = BuildParallel(p.left, p.keys, 1, 1, nil)
-		} else if _, err = b.Build(p.left, p.keys, 1, nil); err == nil {
-			tables[i] = b.Detach()
-		}
-		if err != nil {
+		if tables[i], err = BuildParallel(p.left, p.keys, 1, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,14 +384,7 @@ func TestBuilderArenaReuse(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				out := tuple.NewSubTable(want.ID, want.Schema, 0)
-				var err error
-				if g == 0 {
-					_, err = tables[i].ProbeParallel(p.right, p.keys, 1, 1, out, nil)
-				} else {
-					var own Builder
-					_, err = own.Probe(tables[i], p.right, p.keys, 1, out, nil)
-				}
-				if err != nil {
+				if _, err := tables[i].ProbeParallel(p.right, p.keys, 1, 1, out, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -457,13 +439,12 @@ func TestJoinPairSteadyStateAllocs(t *testing.T) {
 	var b Builder
 	var rows int
 	edge := func() {
-		ht, err := b.Build(left, edgeKeys, 1, nil)
-		if err != nil {
+		if _, err := b.Build(left, edgeKeys, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, right := range rights {
 			out := tuple.NewSubTable(tuple.ID{Table: -1}, outSchema, 0)
-			if _, err := b.Probe(ht, right, edgeKeys, 1, out, nil); err != nil {
+			if _, err := b.Probe(right, edgeKeys, 1, out, nil); err != nil {
 				t.Fatal(err)
 			}
 			rows = out.NumRows()

@@ -100,8 +100,8 @@ func BenchmarkIJMetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkWarmRepeat re-runs one IJ statement on an unthrottled, warm,
-// shared cluster — warm_join's regime: every frame, every left hash table
-// and every edge's match pairs are already in the node caches, so a
+// shared cluster — warm_join's regime: every frame, every left's decoded
+// rows and every edge's match pairs are already in the node caches, so a
 // statement fetches from the cache, decodes its right carriers' payload
 // columns and gathers. "full" demands every column; "count" demands none,
 // as COUNT(*) does, so it decodes and gathers nothing and only counts.

@@ -10,18 +10,20 @@
 // a hash table is built only once per left sub-table.
 //
 // In shared mode what a joiner derives from the sub-tables outlives the
-// statement, beside them in its node's cache. A built table is offered
-// under its left sub-table's key plus the join attributes; after a whole
-// in-memory probe, the edge's match pairs — (left row, right row), in
-// probe order — under the table's key plus the right sub-table's. A later
-// statement on the same node with the same filter, projection and join
-// attributes finds an edge's pairs and only gathers the columns its
-// statement demands: the left ones from the cached table's rows, the right
-// payload ones from the right carrier, which it decodes without its join
-// keys or any column the statement does not read. It packs no key, looks
-// nothing up and builds nothing; an edge without pairs probes the cached
-// table, or builds one. A right carrier that is probed is decoded whole,
-// into the joiner's one reused buffer.
+// statement, beside them in its node's cache. A left sub-table's rows,
+// decoded from an encoded frame, are offered under its key plus the join
+// attributes; after a whole in-memory probe, the edge's match pairs —
+// (left row, right row), in probe order — under that key plus the right
+// sub-table's. A later statement on the same node with the same filter,
+// projection and join attributes finds an edge's pairs and only gathers
+// the columns its statement demands: the left ones from the kept rows,
+// the right payload ones from the right carrier, which it decodes without
+// its join keys or any column the statement does not read. It packs no
+// key, looks nothing up and builds nothing. An edge without pairs builds
+// the left's hash table over those rows, once per left, and probes it;
+// the table lives in the joiner's arena and dies with the left. A right
+// carrier that is probed is decoded whole, into the joiner's one reused
+// buffer.
 package ij
 
 import (
@@ -168,15 +170,15 @@ type side struct {
 // runJoiner executes one slot's schedule on the joiner's compute node.
 //
 // Every edge demands both carriers from the cache, so the cache's hit and
-// miss counts are those of the strict fetch→build→probe loop. In a shared
-// run an edge first looks for its match pairs and, when the
-// node holds them and they index both carriers' rows, gathers. Otherwise
-// it probes the left sub-table's hash table, reused across the left's
-// consecutive edges: on the first edge that needs it, it is looked up in
-// the node cache (leftTable) and built only if no statement has left it
-// there; then it offers the edge's pairs. A gather needs the left rows
-// only: with no table cached it decodes the left carrier, and builds
-// nothing.
+// miss counts are those of the strict fetch→build→probe loop. A left has
+// one source of rows, taken on its first edge and held for its
+// consecutive ones (leftRows): a row-major carrier's own, else rows a
+// statement kept in the node cache, else the carrier decoded and offered
+// to the cache. In a shared run an edge then looks for its match pairs
+// and, when the node holds them and they index both carriers' rows,
+// gathers. Otherwise it builds the left's hash table over its rows — on
+// the first of the left's edges that needs it — probes it, and offers the
+// edge's pairs.
 //
 // With Request.Prefetch > 0 the joiner overlaps I/O with compute: before
 // working edge i it issues background fetches for this edge's right
@@ -240,13 +242,12 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 	}
 
 	// The current left sub-table — stage 2's order makes all edges of one
-	// left consecutive — and what the joiner has of it: its hash table,
-	// looked up or built at most once, and its decoded rows.
+	// left consecutive — with its rows and whether its hash table is the
+	// one in the joiner's arena.
 	var cur struct {
-		id   tuple.ID
-		set  bool
-		ht   *hashjoin.HashTable
-		rows *tuple.SubTable
+		id    tuple.ID
+		rows  *tuple.SubTable
+		built bool
 	}
 	join := cluster.JoinSig(j.Req.JoinAttrs)
 	execNode := fault.ComputeNode(j.Exec)
@@ -267,39 +268,33 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 			}
 		}
 		// The carrier is fetched on every edge — the cache sees exactly the
-		// strict loop's demand sequence — but decoded only where its rows
-		// are needed and no cached table holds them.
+		// strict loop's demand sequence — but its rows are taken once per
+		// left.
 		lf, err := cachedFetch(ctx, j, ed.left, ls)
 		if err != nil {
 			return err
 		}
-		if !cur.set || cur.id != ed.left {
-			cur.id, cur.set, cur.ht, cur.rows = ed.left, true, nil, nil
+		lkey := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
+		if cur.rows == nil || cur.id != ed.left {
+			cur.id, cur.built = ed.left, false
+			if cur.rows, err = leftRows(j, lkey, lf); err != nil {
+				return err
+			}
 		}
 		var leftLabel, rightLabel string
 		if j.Req.Trace.Enabled() {
 			leftLabel, rightLabel = ed.left.String(), ed.right.String()
 		}
-		tkey := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
-		pkey := tkey.PairKey(cluster.FetchKey{ID: ed.right, Sig: rs.sig})
-		table := func() (err error) {
-			if cur.ht == nil {
-				cur.ht, err = leftTable(j, tkey, lf, cur.rows, leftLabel)
-			}
-			return err
-		}
-		rows := func() (err error) {
-			switch {
-			case cur.rows != nil:
-			case cur.ht != nil:
-				cur.rows = cur.ht.Left()
-			default:
-				cur.rows, err = decode(ed.left, lf)
+		pkey := lkey.PairKey(cluster.FetchKey{ID: ed.right, Sig: rs.sig})
+		build := func() (err error) {
+			if !cur.built {
+				err = j.Build(leftLabel, cur.rows)
+				cur.built = err == nil
 			}
 			return err
 		}
 		// A build side over its admission share joins out-of-core; no hash
-		// table is built, reused or looked up for it, and no pairs.
+		// table is built or reused for it, and no pairs are looked up.
 		fits := j.Fits(lf.DecodedBytes())
 		var pairs *hashjoin.Pairs
 		if fits && j.Req.Shared {
@@ -307,22 +302,12 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 				pairs = f.Pairs()
 			}
 		}
-		switch {
-		case pairs != nil:
-			// A gather reads the left rows: the cached table's, when there
-			// is one, else the carrier's, decoded once for all the left's
-			// edges. A build waits for an edge that misses its pairs.
-			if cur.ht == nil && cur.rows == nil {
-				if f, ok := cn.Cache.Touch(tkey); ok {
-					cur.ht = f.Table()
-				}
+		// An edge that will probe builds before its right fetch, which a
+		// prefetch may be overlapping.
+		if fits && pairs == nil {
+			if err := build(); err != nil {
+				return err
 			}
-			err = rows()
-		case fits:
-			err = table()
-		}
-		if err != nil {
-			return err
 		}
 		rf, err := cachedFetch(ctx, j, ed.right, rs)
 		if err != nil {
@@ -338,12 +323,12 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 			if fits {
 				// Pairs that do not index these carriers cannot arise
 				// while chunk ids are never reused; such an edge probes.
-				if err = table(); err == nil {
-					if err = j.Probe(cur.ht, rightLabel, right); err == nil {
+				if err = build(); err == nil {
+					if err = j.Probe(rightLabel, right); err == nil {
 						j.KeepPairs(pkey)
 					}
 				}
-			} else if err = rows(); err == nil {
+			} else {
 				// The pair's label also names its scratch files, traced or
 				// not.
 				err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), cur.rows, right)
@@ -359,26 +344,23 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 	return nil
 }
 
-// leftTable returns the hash table over the left carrier lf on the join
-// attributes, cached under key: the node cache's, if a statement left it
-// there — a lookup that leaves the cache's hit/miss counters alone — else
-// built in the joiner's arena from rows (lf decoded, when rows is nil),
-// and offered to the cache.
-func leftTable(j *engine.Joiner, key cluster.FetchKey, lf *cluster.Fetched, rows *tuple.SubTable, label string) (*hashjoin.HashTable, error) {
+// leftRows returns the rows of the left carrier lf: a row-major frame's
+// own; else the rows a statement kept under key in the node cache — a
+// lookup that leaves the cache's hit/miss counters alone — else lf
+// decoded, and offered to the cache.
+func leftRows(j *engine.Joiner, key cluster.FetchKey, lf *cluster.Fetched) (*tuple.SubTable, error) {
+	if !lf.Encoded() {
+		return lf.SubTable()
+	}
 	if f, ok := j.Cluster.Compute[j.Exec].Cache.Touch(key); ok {
-		return f.Table(), nil
+		return f.SubTable()
 	}
-	if rows == nil {
-		var err error
-		if rows, err = decode(key.ID, lf); err != nil {
-			return nil, err
-		}
-	}
-	ht, err := j.Build(label, rows)
+	rows, err := decode(key.ID, lf)
 	if err != nil {
 		return nil, err
 	}
-	return j.Keep(key, lf, ht), nil
+	j.Keep(key, rows)
+	return rows, nil
 }
 
 // spillSeq namespaces the scratch files of concurrent joiners.
@@ -402,8 +384,8 @@ func cachedFetch(ctx context.Context, j *engine.Joiner, id tuple.ID, sd side) (*
 
 // decode and decodeRight are the places a joiner turns a whole carrier
 // back into rows — under the colenc codec, a full decode of the cached
-// frame per call. A left carrier's rows may outlive the edge in a cached
-// table, so they are decoded afresh; a right carrier's are decoded into
+// frame per call. A left carrier's rows may outlive the edge in the node
+// cache, so they are decoded afresh; a right carrier's are decoded into
 // the joiner's buffer (engine.Joiner.Decode).
 func decode(id tuple.ID, f *cluster.Fetched) (*tuple.SubTable, error) {
 	if testDecoded != nil {

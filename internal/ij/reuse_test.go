@@ -135,7 +135,7 @@ func stepCluster(t *testing.T) (*cluster.Cluster, *oilres.Dataset, oilres.Config
 	return cl, ds, cfg, steps[0]
 }
 
-// TestWarmStatementProbesCachedTables: a shared statement re-run on a warm
+// TestWarmStatementGathersCachedPairs: a shared statement re-run on a warm
 // cluster finds every edge's match pairs in its node cache, so it neither
 // builds nor probes — nothing counted, charged to the modeled CPU, fed to
 // the calibration or traced as work; each edge leaves one 0-operation
@@ -144,7 +144,7 @@ func stepCluster(t *testing.T) (*cluster.Cluster, *oilres.Dataset, oilres.Config
 // After a step slab is appended, only the new edges probe and only the new
 // left chunks are built, and the rows equal an exclusive run's, which
 // builds and probes every edge afresh and keeps nothing.
-func TestWarmStatementProbesCachedTables(t *testing.T) {
+func TestWarmStatementGathersCachedPairs(t *testing.T) {
 	cl, ds, cfg, step := stepCluster(t)
 	base := ds.Config.Grid.Cells()
 
@@ -267,10 +267,15 @@ func TestLimitCutRunLeavesUnjoinedEdges(t *testing.T) {
 	}
 }
 
+// resident is what one compute node's cache holds of a statement: its
+// kept left rows, its left and right frames and its edges' match pairs.
+type resident struct {
+	rows, lefts, rights, pairs []cluster.FetchKey
+}
+
 // entries returns, per compute node, the cache keys of a statement r on
-// cl that are resident there: its left tables, its right frames and its
-// edges' match pairs.
-func entries(t *testing.T, cl *cluster.Cluster, r engine.Request) (tables, rights, pairs [][]cluster.FetchKey) {
+// cl that are resident there.
+func entries(t *testing.T, cl *cluster.Cluster, r engine.Request) []resident {
 	t.Helper()
 	in, err := engine.Resolve(cl.Catalog, r)
 	if err != nil {
@@ -279,28 +284,30 @@ func entries(t *testing.T, cl *cluster.Cluster, r engine.Request) (tables, right
 	lsig := cluster.Signature(&in.LeftFilter, in.Project)
 	rsig := cluster.Signature(&in.RightFilter, in.Project)
 	join := cluster.JoinSig(r.JoinAttrs)
-	n := len(cl.Compute)
-	tables, rights, pairs = make([][]cluster.FetchKey, n), make([][]cluster.FetchKey, n), make([][]cluster.FetchKey, n)
+	out := make([]resident, len(cl.Compute))
 	for i, cn := range cl.Compute {
 		has := func(k cluster.FetchKey) bool { _, ok := cn.Cache.Peek(k); return ok }
 		for _, rd := range in.RightDescs {
 			if k := (cluster.FetchKey{ID: rd.ID(), Sig: rsig}); has(k) {
-				rights[i] = append(rights[i], k)
+				out[i].rights = append(out[i].rights, k)
 			}
 		}
 		for _, ld := range in.LeftDescs {
-			tk := cluster.FetchKey{ID: ld.ID(), Sig: lsig, Join: join}
-			if has(tk) {
-				tables[i] = append(tables[i], tk)
+			if k := (cluster.FetchKey{ID: ld.ID(), Sig: lsig}); has(k) {
+				out[i].lefts = append(out[i].lefts, k)
+			}
+			rk := cluster.FetchKey{ID: ld.ID(), Sig: lsig, Join: join}
+			if has(rk) {
+				out[i].rows = append(out[i].rows, rk)
 			}
 			for _, rd := range in.RightDescs {
-				if pk := tk.PairKey(cluster.FetchKey{ID: rd.ID(), Sig: rsig}); has(pk) {
-					pairs[i] = append(pairs[i], pk)
+				if pk := rk.PairKey(cluster.FetchKey{ID: rd.ID(), Sig: rsig}); has(pk) {
+					out[i].pairs = append(out[i].pairs, pk)
 				}
 			}
 		}
 	}
-	return tables, rights, pairs
+	return out
 }
 
 // drop removes key from cn's cache: a value larger than the whole cache
@@ -309,28 +316,28 @@ func drop(cl *cluster.Cluster, node int, key cluster.FetchKey) {
 	cl.Compute[node].Cache.Put(key, nil, cl.Config.CacheBytes+1)
 }
 
-// TestPairsOutliveTheirTables: an edge whose pairs are cached gathers
-// byte-identical rows when its left table has been dropped — the left
-// carrier is decoded, nothing is built — and when its right frame has
+// TestPairsOutliveTheirLeftRows: an edge whose pairs are cached gathers
+// byte-identical rows when its left's kept rows have been dropped — the
+// left carrier is decoded, nothing is built — and when its right frame has
 // been evicted and fetched again.
-func TestPairsOutliveTheirTables(t *testing.T) {
+func TestPairsOutliveTheirLeftRows(t *testing.T) {
 	cl, _, _, _ := stepCluster(t)
 	cold := sharedRun(t, cl, req())
-	tables, rights, pairs := entries(t, cl, req())
-	kept := 0
-	for i := range cl.Compute {
-		kept += len(pairs[i])
-		for _, k := range tables[i] {
+	kept, dropped := 0, 0
+	for i, res := range entries(t, cl, req()) {
+		kept += len(res.pairs)
+		for _, k := range res.rows {
 			drop(cl, i, k)
+			dropped++
 		}
-		for j, k := range rights[i] {
+		for j, k := range res.rights {
 			if j%2 == 0 {
 				drop(cl, i, k)
 			}
 		}
 	}
-	if kept != int(cold.res.UnitsJoined) {
-		t.Fatalf("%d pair entries kept for %d edges", kept, cold.res.UnitsJoined)
+	if kept != int(cold.res.UnitsJoined) || dropped == 0 {
+		t.Fatalf("%d pair entries kept for %d edges, %d left rows dropped", kept, cold.res.UnitsJoined, dropped)
 	}
 	warm := sharedRun(t, cl, req())
 	if warm.res.Join.TuplesBuilt != 0 || warm.res.Join.TuplesProbed != 0 || warm.gathers != int(cold.res.UnitsJoined) {
@@ -341,7 +348,7 @@ func TestPairsOutliveTheirTables(t *testing.T) {
 		t.Error("no dropped frame was fetched again: the test does not exercise a refetch")
 	}
 	if !bytes.Equal(rowBytes(t, cold.res), rowBytes(t, warm.res)) {
-		t.Error("rows gathered without the tables differ from the cold run's")
+		t.Error("rows gathered without the kept left rows differ from the cold run's")
 	}
 }
 
@@ -352,10 +359,10 @@ func TestPairsOutliveTheirTables(t *testing.T) {
 func TestPairsCountMismatchProbes(t *testing.T) {
 	cl, _, _, _ := stepCluster(t)
 	cold := sharedRun(t, cl, req())
-	_, _, pairs := entries(t, cl, req())
+	res := entries(t, cl, req())
 	forged := 0
 	for i, cn := range cl.Compute {
-		for j, k := range pairs[i] {
+		for j, k := range res[i].pairs {
 			if j%3 != 0 {
 				continue
 			}
@@ -378,12 +385,9 @@ func TestPairsCountMismatchProbes(t *testing.T) {
 	}
 }
 
-// TestConcurrentStatementsShareCachedTables: two shared statements run at
-// once on a warm cluster gather from the same cached pairs and tables,
-// each with its own scratch and decode buffer (run it under -race), and
-// both return the warm-up's rows. The frames are row-major, so the
-// gathers read the cached frames' own columns.
-func TestConcurrentStatementsShareCachedTables(t *testing.T) {
+// rowMajorCluster is a two-node cluster on the row-major wire.
+func rowMajorCluster(t *testing.T) *cluster.Cluster {
+	t.Helper()
 	ds, err := oilres.Generate(oilres.Config{
 		Grid: partition.D(32, 32, 8), LeftPart: partition.D(8, 8, 8), RightPart: partition.D(4, 4, 4),
 		StorageNodes: 2, Seed: 4,
@@ -395,6 +399,42 @@ func TestConcurrentStatementsShareCachedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cl
+}
+
+// TestRowMajorKeepsNoRows: a row-major frame already is its rows, so a
+// warm shared statement on the row-major wire keeps none. Its node caches
+// hold its frames and its edges' pairs, and nothing else.
+func TestRowMajorKeepsNoRows(t *testing.T) {
+	cl := rowMajorCluster(t)
+	sharedRun(t, cl, req())
+	warm := sharedRun(t, cl, req())
+	edges := int(warm.res.UnitsJoined)
+	if warm.gathers != edges {
+		t.Fatalf("%d gathers over %d edges: the statement is not warm", warm.gathers, edges)
+	}
+	pairs := 0
+	for i, res := range entries(t, cl, req()) {
+		if len(res.rows) != 0 {
+			t.Errorf("compute-%d keeps %d lefts' rows, want none", i, len(res.rows))
+		}
+		if held, want := cl.Compute[i].Cache.Len(), len(res.lefts)+len(res.rights)+len(res.pairs); held != want {
+			t.Errorf("compute-%d holds %d entries, want its %d frames and pairs only", i, held, want)
+		}
+		pairs += len(res.pairs)
+	}
+	if pairs != edges {
+		t.Errorf("%d pair entries for %d edges", pairs, edges)
+	}
+}
+
+// TestConcurrentStatementsShareCachedPairs: two shared statements run at
+// once on a warm cluster gather from the same cached pairs, each with its
+// own scratch and decode buffer (run it under -race), and both return the
+// warm-up's rows. The frames are row-major, so the gathers read the cached
+// frames' own columns.
+func TestConcurrentStatementsShareCachedPairs(t *testing.T) {
+	cl := rowMajorCluster(t)
 	want := rowBytes(t, sharedRun(t, cl, req()).res)
 	var wg sync.WaitGroup
 	results := make([]*engine.Result, 2)

@@ -26,8 +26,8 @@ go test -run '^$' -fuzz FuzzAggregateKernel -fuzztime 10s ./internal/plan
 go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph ./internal/scratch ./internal/simio
 # A statement re-run on a warm cluster, demanding every column (full) or
 # none (count): ns/op and the tuples it still builds and probes
-# (built/op, probed/op; both 0) once its left hash tables and its edges'
-# match pairs are cached.
+# (built/op, probed/op; both 0) once its left rows and its edges' match
+# pairs are cached.
 go test -run '^$' -bench BenchmarkWarmRepeat -benchtime 100x ./internal/ij
 go test -C bench -short ./...
 echo OK
