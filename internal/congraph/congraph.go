@@ -6,8 +6,10 @@
 package congraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"sciview/internal/bbox"
 	"sciview/internal/chunk"
@@ -22,11 +24,17 @@ type Edge struct {
 	Right int
 }
 
-// Graph is a bipartite sub-table connectivity graph.
+// Graph is a bipartite sub-table connectivity graph. The catalog keeps
+// the graphs statements ask for (metadata.Catalog.JoinGraph) and shares
+// each with every statement over the same chunk sets, so no caller
+// modifies one.
 type Graph struct {
 	Left  []*chunk.Desc
 	Right []*chunk.Desc
 	Edges []Edge
+
+	mu        sync.Mutex
+	schedules map[int][][]Step // by joiner count
 }
 
 // Build constructs the connectivity graph between the given left and right
@@ -63,7 +71,7 @@ func Build(left, right []*chunk.Desc, joinAttrs []string) (*Graph, error) {
 	for li, d := range left {
 		hits = tree.Search(joinBox(d, leftIdx[li]), hits[:0])
 		// Sort for deterministic edge order.
-		sort.Slice(hits, func(a, b int) bool { return hits[a] < hits[b] })
+		slices.Sort(hits)
 		for _, ri := range hits {
 			g.Edges = append(g.Edges, Edge{Left: li, Right: int(ri)})
 		}
@@ -183,11 +191,57 @@ func (g *Graph) Components() []Component {
 				comp.Rights = append(comp.Rights, e.Right)
 			}
 		}
-		sort.Ints(comp.Lefts)
-		sort.Ints(comp.Rights)
+		slices.Sort(comp.Lefts)
+		slices.Sort(comp.Rights)
 		out = append(out, *comp)
 	}
 	return out
+}
+
+// Step is one edge of an IJ schedule: the ids of its left and right
+// sub-tables, and whether it is the last edge of its connected component.
+type Step struct {
+	Left, Right tuple.ID
+	Last        bool
+}
+
+// Schedules assigns the graph's edges to nj joiner nodes by the paper's
+// two-stage strategy. Stage 1 deals connected components round-robin to
+// joiner nodes, so every QES instance gets the same amount of work.
+// Stage 2 sorts the id pairs of each component lexicographically by
+// ((i1,j1),(i2,j2)) and processes components one after another, each one
+// schedule unit of the joiner's output (engine.Sink). Component-local
+// order is what gives the paper's no-eviction guarantee under the memory
+// assumption (cache ≥ 2·c_R + b·c_S): a component's right sub-tables stay
+// cached while its left sub-tables stream through once each.
+//
+// The schedules are computed once per nj and shared: callers must not
+// modify them.
+func (g *Graph) Schedules(nj int) [][]Step {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if s, ok := g.schedules[nj]; ok {
+		return s
+	}
+	schedules := make([][]Step, nj)
+	for k, comp := range g.Components() {
+		j := k % nj
+		start := len(schedules[j])
+		for _, e := range comp.Edges {
+			schedules[j] = append(schedules[j], Step{Left: g.Left[e.Left].ID(), Right: g.Right[e.Right].ID()})
+		}
+		sched := schedules[j][start:]
+		slices.SortFunc(sched, func(a, b Step) int {
+			return cmp.Or(cmp.Compare(a.Left.Table, b.Left.Table), cmp.Compare(a.Left.Chunk, b.Left.Chunk),
+				cmp.Compare(a.Right.Table, b.Right.Table), cmp.Compare(a.Right.Chunk, b.Right.Chunk))
+		})
+		sched[len(sched)-1].Last = true
+	}
+	if g.schedules == nil {
+		g.schedules = make(map[int][][]Step)
+	}
+	g.schedules[nj] = schedules
+	return schedules
 }
 
 // unionFind is a weighted quick-union with path halving.

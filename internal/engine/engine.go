@@ -135,10 +135,17 @@ func effectiveWindow(w metadata.VersionWindow, asOf int64) metadata.VersionWindo
 // one-node schedule order at any compute-node count: component k is unit
 // k/nj of part k%nj. Result.Released puts a collected run in the same
 // order.
+//
+// Free returns a batch the consumer is done with, one an earlier Emit of
+// the run handed over, or nil when none is free. The engine resets and
+// refills it as the next output of any part (a run's batches all carry
+// its output schema), so a run allocates only as many batches as it has
+// in flight at once. Free may be called from any part's goroutine.
 type Sink interface {
 	Emit(part int, batch *tuple.SubTable, last bool) error
 	Done(part int)
 	Discard(part int)
+	Free() *tuple.SubTable
 }
 
 // Progress counts join schedule units: edges for IJ, top-level bucket

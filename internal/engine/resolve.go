@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"sciview/internal/chunk"
 	"sciview/internal/cluster"
@@ -13,10 +12,11 @@ import (
 )
 
 // Inputs is a join request resolved against the catalog: what the paper's
-// MetaData Service (range → sub-table ids) and page-level join index
-// (candidate pairs) answer, asked once. The cost model prices it, the plan
-// describes it and the chosen engine executes it; none of them goes back
-// to the catalog, so a decision and its run always see the same chunks.
+// MetaData Service (range → sub-table ids) answers, asked once, and the
+// way to the page-level join index (candidate pairs), which the catalog
+// keeps. The cost model prices it, the plan describes it and the chosen
+// engine executes it; none of them resolves chunks again, so a decision
+// and its run always see the same chunks.
 type Inputs struct {
 	// Req is the one copy of the request the statement carries. Callers may
 	// stamp its run-policy fields after Resolve (Shared, Prefetch,
@@ -46,15 +46,9 @@ type Inputs struct {
 	// static constants — feeds nothing.
 	PricedBy *costmodel.Estimator
 
-	// graph is behind a pointer so copies of Inputs (a Run's, a plan
-	// operator's) share one build.
-	graph *graphMemo
-}
-
-type graphMemo struct {
-	once sync.Once
-	g    *congraph.Graph
-	err  error
+	// cat is the catalog the chunks were resolved from; it keeps the join
+	// index Graph reads.
+	cat *metadata.Catalog
 }
 
 // Resolve validates req and resolves it against the catalog.
@@ -82,7 +76,7 @@ func Resolve(cat *metadata.Catalog, req Request) (*Inputs, error) {
 		Project:     project,
 		LeftSchema:  ProjectedSchema(leftDef.Schema, project),
 		RightSchema: ProjectedSchema(rightDef.Schema, project),
-		graph:       &graphMemo{},
+		cat:         cat,
 	}
 	in.OutSchema = ProjectedSchema(in.LeftSchema.JoinResult(in.RightSchema, req.JoinAttrs, "r_"), req.Project)
 	if in.LeftDescs, err = cat.ChunksInRange(req.LeftTable, in.LeftFilter); err != nil {
@@ -94,12 +88,13 @@ func Resolve(cat *metadata.Catalog, req Request) (*Inputs, error) {
 	return in, nil
 }
 
-// Graph returns the connectivity graph of the resolved chunk sets, built
-// on first use: the cost model and IJ need it, a direct GH run never does.
+// Graph returns the connectivity graph of the resolved chunk sets, which
+// the catalog keeps (metadata.Catalog.JoinGraph): the cost model and IJ
+// ask for it, a direct GH run never does. The graph is shared and
+// read-only; a repeated statement gets the one its chunk sets got last,
+// schedules included.
 func (in *Inputs) Graph() (*congraph.Graph, error) {
-	m := in.graph
-	m.once.Do(func() { m.g, m.err = congraph.Build(in.LeftDescs, in.RightDescs, in.Req.JoinAttrs) })
-	return m.g, m.err
+	return in.cat.JoinGraph(in.Req.JoinAttrs, in.LeftDescs, in.RightDescs)
 }
 
 // RunRequest resolves req against the cluster's catalog and runs it on e —

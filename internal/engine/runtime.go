@@ -226,8 +226,18 @@ const (
 // setting. Output is byte-identical at every width.
 const kernelWorkers = 0
 
+// newOut returns an empty output table for the part: a batch the sink has
+// freed, reset, else a new one.
 func (j *Joiner) newOut() *tuple.SubTable {
-	return tuple.NewSubTable(tuple.ID{Table: -1, Chunk: int32(j.Part)}, j.OutSchema, 0)
+	id := tuple.ID{Table: -1, Chunk: int32(j.Part)}
+	if j.Req.Sink != nil {
+		if st := j.Req.Sink.Free(); st != nil {
+			st.Reset()
+			st.ID = id
+			return st
+		}
+	}
+	return tuple.NewSubTable(id, j.OutSchema, 0)
 }
 
 // built and probed are the only places that charge a hash build or probe
@@ -368,9 +378,9 @@ func (j *Joiner) JoinPair(sp Spiller, label string, left, right *tuple.SubTable)
 // Emit closes one join step (IJ edge, GH bucket pair): it counts the step
 // and hands its output on; last marks the end of a schedule unit (see
 // Sink). A sink takes ownership of a non-empty batch, so the next step
-// starts a fresh table, and gets a nil one only to close a unit; a
-// collecting run keeps appending and marks where each unit ends; a
-// count-only run resets the table.
+// writes into a batch the sink has freed, or a new one, and the sink gets
+// a nil batch only to close a unit; a collecting run keeps appending and
+// marks where each unit ends; a count-only run resets the table.
 func (j *Joiner) Emit(last bool) error {
 	j.Req.Progress.Joined.Add(1)
 	switch {

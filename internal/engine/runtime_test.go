@@ -33,8 +33,9 @@ func (s *partSink) Emit(part int, st *tuple.SubTable, _ bool) error {
 	s.mu.Unlock()
 	return nil
 }
-func (s *partSink) Done(int)    {}
-func (s *partSink) Discard(int) {}
+func (s *partSink) Done(int)              {}
+func (s *partSink) Discard(int)           {}
+func (s *partSink) Free() *tuple.SubTable { return nil }
 
 // TestRuntimeParity runs one join through the shared QES runtime in every
 // shape it has — both engines, in memory and with every pair spilling,

@@ -121,7 +121,7 @@ func TestFullCacheKeepsFrameDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := buildSchedules(graph.Components(), in.LeftDescs, in.RightDescs, 1)[0]
+	sched := graph.Schedules(1)[0]
 	ls := side{&in.LeftFilter, cluster.Signature(&in.LeftFilter, in.Project)}
 	rs := side{&in.RightFilter, cluster.Signature(&in.RightFilter, in.Project)}
 
@@ -134,7 +134,7 @@ func TestFullCacheKeepsFrameDemand(t *testing.T) {
 			id tuple.ID
 			sd side
 			n  *int
-		}{{ed.left, ls, &leftBytes}, {ed.right, rs, &rightBytes}} {
+		}{{ed.Left, ls, &leftBytes}, {ed.Right, rs, &rightBytes}} {
 			f, err := probe.Fetch(context.Background(), 0, d.id, d.sd.filter, in.Project)
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +145,7 @@ func TestFullCacheKeepsFrameDemand(t *testing.T) {
 	}
 	// Room for the first left's frame and decoded rows, so those rows are
 	// admitted, and well under the working set.
-	left, err := frames[cluster.FetchKey{ID: sched[0].left, Sig: ls.sig}].SubTable()
+	left, err := frames[cluster.FetchKey{ID: sched[0].Left, Sig: ls.sig}].SubTable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFullCacheKeepsFrameDemand(t *testing.T) {
 			t.Errorf("second run built %d tuples, want every table again (%d): none fits a full cache", res.Join.TuplesBuilt, grid.Cells())
 		}
 		for _, ed := range sched {
-			for _, k := range []cluster.FetchKey{{ID: ed.left, Sig: ls.sig}, {ID: ed.right, Sig: rs.sig}} {
+			for _, k := range []cluster.FetchKey{{ID: ed.Left, Sig: ls.sig}, {ID: ed.Right, Sig: rs.sig}} {
 				if _, ok := ref.Get(k); !ok {
 					ref.Put(k, 0, int64(frames[k].StoredBytes()))
 				}

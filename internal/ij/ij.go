@@ -1,8 +1,9 @@
 // Package ij implements the page-level Indexed Join QES.
 //
-// The sub-table connectivity graph (page-level join index) gives the
-// candidate sub-table pairs. Scheduling follows the paper's two-stage
-// strategy: connected components are dealt round-robin to compute-node QES
+// The sub-table connectivity graph (page-level join index, which the
+// catalog keeps) gives the candidate sub-table pairs. Scheduling follows
+// the paper's two-stage strategy (congraph.Graph.Schedules, kept with the
+// graph): connected components are dealt round-robin to compute-node QES
 // instances so each gets the same amount of work, then each instance sorts
 // its local id pairs lexicographically by ((i1,j1),(i2,j2)). Sub-tables are
 // fetched from BDS instances through the per-node LRU Caching Service; the
@@ -29,12 +30,10 @@ package ij
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/congraph"
 	"sciview/internal/engine"
@@ -55,31 +54,23 @@ func New() *Engine { return &Engine{} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "ij" }
 
-// edge is a scheduled sub-table pair with resolved ids; last marks the
-// final edge of its connected component.
-type edge struct {
-	left  tuple.ID
-	right tuple.ID
-	last  bool
-}
-
 // Run implements engine.Engine. Cancellation is observed between scheduled
-// edges and inside sub-table fetches. The page-level join index is
-// consulted before the run's clock starts: the paper treats it as
-// pre-computed, and a planned statement has already built it.
+// edges and inside sub-table fetches. The page-level join index and the
+// schedule are read before the run's clock starts: the paper treats the
+// index as pre-computed, and the catalog keeps both — a repeated
+// statement reads its chunk sets' graph and its two-stage schedule
+// (congraph.Graph.Schedules) as the last one left them.
 func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs) (*engine.Result, error) {
 	graph, err := in.Graph()
 	if err != nil {
 		return nil, err
 	}
+	schedules := graph.Schedules(len(cl.Compute))
 	run, err := engine.Begin(ctx, cl, in)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-
-	nj := len(cl.Compute)
-	schedules := buildSchedules(graph.Components(), in.LeftDescs, in.RightDescs, nj)
 
 	// Publish the schedule size so streaming consumers can report the
 	// fraction of edges an early-terminated query actually joined. Joined
@@ -95,7 +86,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	// in the same order and survivors' caches stay valid (warm, even, for
 	// sub-tables the slot shares with their own schedules), so the recovered
 	// output is byte-identical to an undisturbed run.
-	execs := make([]int, nj)
+	execs := make([]int, len(schedules))
 	for slot := range execs {
 		execs[slot] = slot
 	}
@@ -131,35 +122,6 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 	return res, nil
 }
 
-// buildSchedules assigns edges to joiner nodes by the paper's two-stage
-// strategy. Stage 1 deals connected components round-robin to joiner
-// nodes, so every QES instance gets the same amount of work. Stage 2 sorts
-// the id pairs of each component lexicographically by ((i1,j1),(i2,j2))
-// and processes components one after another, each one schedule unit of
-// the joiner's output (engine.Sink). Component-local order is
-// what gives the paper's no-eviction guarantee under the memory assumption
-// (cache ≥ 2·c_R + b·c_S): a component's right sub-tables stay cached
-// while its left sub-tables stream through once each.
-func buildSchedules(comps []congraph.Component, leftDescs, rightDescs []*chunk.Desc, nj int) [][]edge {
-	schedules := make([][]edge, nj)
-	for k, comp := range comps {
-		j := k % nj
-		start := len(schedules[j])
-		for _, ce := range comp.Edges {
-			schedules[j] = append(schedules[j], edge{left: leftDescs[ce.Left].ID(), right: rightDescs[ce.Right].ID()})
-		}
-		sched := schedules[j][start:]
-		sort.Slice(sched, func(a, b int) bool {
-			if sched[a].left != sched[b].left {
-				return sched[a].left.Less(sched[b].left)
-			}
-			return sched[a].right.Less(sched[b].right)
-		})
-		sched[len(sched)-1].last = true
-	}
-	return schedules
-}
-
 // side is one join side's fetch parameters: the pushed-down filter and the
 // cache signature it (with the projection) keys sub-tables under.
 type side struct {
@@ -190,7 +152,7 @@ type side struct {
 // foreground fetch retries and surfaces any real error, and on early exit
 // (error, cancellation, injected crash) the deferred cancel-and-wait below
 // reaps every in-flight prefetch before the slot is re-assigned.
-func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
+func runJoiner(ctx context.Context, j *engine.Joiner, sched []congraph.Step) error {
 	cn := j.Cluster.Compute[j.Exec]
 	// Scratch for build sides that overflow the memory cap; reaped when the
 	// attempt ends, however it ends.
@@ -261,31 +223,31 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 			return err
 		}
 		if depth > 0 {
-			prefetch(ed.right, rs) // overlaps this edge's build
+			prefetch(ed.Right, rs) // overlaps this edge's build
 			for d := 1; d <= depth && i+d < len(sched); d++ {
-				prefetch(sched[i+d].left, ls)
-				prefetch(sched[i+d].right, rs)
+				prefetch(sched[i+d].Left, ls)
+				prefetch(sched[i+d].Right, rs)
 			}
 		}
 		// The carrier is fetched on every edge — the cache sees exactly the
 		// strict loop's demand sequence — but its rows are taken once per
 		// left.
-		lf, err := cachedFetch(ctx, j, ed.left, ls)
+		lf, err := cachedFetch(ctx, j, ed.Left, ls)
 		if err != nil {
 			return err
 		}
-		lkey := cluster.FetchKey{ID: ed.left, Sig: ls.sig, Join: join}
-		if cur.rows == nil || cur.id != ed.left {
-			cur.id, cur.built = ed.left, false
+		lkey := cluster.FetchKey{ID: ed.Left, Sig: ls.sig, Join: join}
+		if cur.rows == nil || cur.id != ed.Left {
+			cur.id, cur.built = ed.Left, false
 			if cur.rows, err = leftRows(j, lkey, lf); err != nil {
 				return err
 			}
 		}
 		var leftLabel, rightLabel string
 		if j.Req.Trace.Enabled() {
-			leftLabel, rightLabel = ed.left.String(), ed.right.String()
+			leftLabel, rightLabel = ed.Left.String(), ed.Right.String()
 		}
-		pkey := lkey.PairKey(cluster.FetchKey{ID: ed.right, Sig: rs.sig})
+		pkey := lkey.PairKey(cluster.FetchKey{ID: ed.Right, Sig: rs.sig})
 		build := func() (err error) {
 			if !cur.built {
 				err = j.Build(leftLabel, cur.rows)
@@ -309,7 +271,7 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 				return err
 			}
 		}
-		rf, err := cachedFetch(ctx, j, ed.right, rs)
+		rf, err := cachedFetch(ctx, j, ed.Right, rs)
 		if err != nil {
 			return err
 		}
@@ -317,7 +279,7 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 			err = j.Gather(cur.rows, pairs, rightLabel, rf)
 		} else {
 			var right *tuple.SubTable
-			if right, err = decodeRight(j, ed.right, rf); err != nil {
+			if right, err = decodeRight(j, ed.Right, rf); err != nil {
 				return err
 			}
 			if fits {
@@ -331,13 +293,13 @@ func runJoiner(ctx context.Context, j *engine.Joiner, sched []edge) error {
 			} else {
 				// The pair's label also names its scratch files, traced or
 				// not.
-				err = j.JoinPair(mgr, ed.left.String()+"x"+ed.right.String(), cur.rows, right)
+				err = j.JoinPair(mgr, ed.Left.String()+"x"+ed.Right.String(), cur.rows, right)
 			}
 		}
 		if err != nil {
 			return err
 		}
-		if err := j.Emit(ed.last); err != nil {
+		if err := j.Emit(ed.Last); err != nil {
 			return err
 		}
 	}

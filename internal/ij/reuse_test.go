@@ -241,8 +241,9 @@ func (s *stopSink) Emit(part int, batch *tuple.SubTable, last bool) error {
 	}
 	return nil
 }
-func (s *stopSink) Done(int)    {}
-func (s *stopSink) Discard(int) {}
+func (s *stopSink) Done(int)              {}
+func (s *stopSink) Discard(int)           {}
+func (s *stopSink) Free() *tuple.SubTable { return nil }
 
 // TestLimitCutRunLeavesUnjoinedEdges: a first statement cut short keeps
 // the pairs of the edges it probed, and only those. Its re-run gathers

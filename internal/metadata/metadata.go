@@ -6,15 +6,18 @@
 package metadata
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"sciview/internal/bbox"
 	"sciview/internal/chunk"
+	"sciview/internal/congraph"
 	"sciview/internal/rtree"
 	"sciview/internal/tuple"
 )
@@ -40,6 +43,8 @@ type Catalog struct {
 	// committed append batch, so version 0 is free to mean "current" in
 	// query pins.
 	version int64
+	// joins keeps the join graphs statements asked for last (JoinGraph).
+	joins *joinMemo
 }
 
 // NewCatalog returns an empty catalog at version 1.
@@ -50,6 +55,7 @@ func NewCatalog() *Catalog {
 		chunks:  make(map[int32][]*chunk.Desc),
 		trees:   make(map[int32]*rtree.Tree),
 		version: 1,
+		joins:   &joinMemo{},
 	}
 }
 
@@ -451,11 +457,72 @@ candidates:
 }
 
 func sortDescs(ds []*chunk.Desc) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Chunk < ds[j-1].Chunk; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
+	slices.SortFunc(ds, func(a, b *chunk.Desc) int { return cmp.Compare(a.Chunk, b.Chunk) })
+}
+
+// JoinGraph answers the paper's page-level join index for a join of two
+// chunk sets on joinAttrs, left and right as ChunksInRange resolved them:
+// the graph congraph.Build(left, right, joinAttrs) builds. The catalog
+// keeps the graphs of the last joinMemoSize chunk-set pairs it answered,
+// with the schedules IJ derives from them, so a repeated statement reads
+// its graph instead of building it; Load drops them. The graph is shared
+// with every statement over the same chunk sets and must not be modified.
+func (c *Catalog) JoinGraph(joinAttrs []string, left, right []*chunk.Desc) (*congraph.Graph, error) {
+	c.mu.RLock()
+	m := c.joins
+	c.mu.RUnlock()
+	return m.graph(joinAttrs, left, right)
+}
+
+// joinMemoSize bounds the join graphs a catalog keeps. Replayed over the
+// chunk-set pairs each bench workload asked its catalogs for in a seed-1
+// window, an LRU of four already missed only on each pair's first
+// statement.
+const joinMemoSize = 8
+
+// joinMemo holds the join graphs of the last joinMemoSize distinct
+// (join attributes, left chunks, right chunks), replacing the least
+// recently used.
+type joinMemo struct {
+	mu      sync.Mutex
+	tick    uint64
+	entries [joinMemoSize]joinEntry
+}
+
+type joinEntry struct {
+	attrs []string
+	g     *congraph.Graph
+	used  uint64
+}
+
+// graph returns the memoized graph of exactly these chunk sets, in this
+// order, or builds and keeps it. A catalog hands out one descriptor per
+// chunk, and Load replaces them all, so comparing descriptor pointers
+// compares chunks. Concurrent statements that miss on the same sets wait
+// for one build.
+func (m *joinMemo) graph(joinAttrs []string, left, right []*chunk.Desc) (*congraph.Graph, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tick++
+	lru := &m.entries[0]
+	for i := range m.entries {
+		e := &m.entries[i]
+		if e.g != nil && slices.Equal(e.g.Left, left) && slices.Equal(e.g.Right, right) && slices.Equal(e.attrs, joinAttrs) {
+			e.used = m.tick
+			return e.g, nil
+		}
+		if e.used < lru.used {
+			lru = e
 		}
 	}
+	// Build keeps the sets it is given; the memo's must not change
+	// under it.
+	g, err := congraph.Build(slices.Clone(left), slices.Clone(right), joinAttrs)
+	if err != nil {
+		return nil, err
+	}
+	*lru = joinEntry{attrs: slices.Clone(joinAttrs), g: g, used: m.tick}
+	return g, nil
 }
 
 // snapshot is the gob-serializable catalog image.
@@ -478,7 +545,8 @@ func (c *Catalog) Save(w io.Writer) error {
 }
 
 // Load replaces the catalog contents with a previously saved image,
-// rebuilding the R-trees.
+// rebuilding the R-trees and dropping the kept join graphs, whose chunks
+// it replaces.
 func (c *Catalog) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -516,6 +584,7 @@ func (c *Catalog) Load(r io.Reader) error {
 		c.chunks = make(map[int32][]*chunk.Desc)
 	}
 	c.trees = make(map[int32]*rtree.Tree, len(snap.Tables))
+	c.joins = &joinMemo{}
 	c.nextTable = snap.NextTable
 	c.version = version
 	for i := range snap.Tables {

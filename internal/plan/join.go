@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -152,6 +153,14 @@ var errSinkClosed = errors.New("plan: result consumer closed")
 //     until the part's final attempt succeeds (Done), and a failed
 //     attempt's Discard drops them, keeping fault-tolerant replays
 //     byte-invisible. Emit never blocks in this mode.
+//
+// Batches are recycled (engine.Sink.Free): the batch next lent the
+// consumer becomes free on the following next, as the Operator contract
+// allows, and so do a discarded attempt's batches and those still pending
+// when the sink closes. The free list keeps at most as many batches as a
+// streaming run can have in flight at once (maxFree); a committed run,
+// which holds a part's whole output until Done, lets the rest go. Free
+// batches are not in curBytes or peakBytes.
 type reorder struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -164,6 +173,9 @@ type reorder struct {
 	runErr    error
 	curBytes  int64
 	peakBytes int64
+	lent      *tuple.SubTable   // the batch next returned last
+	free      []*tuple.SubTable // batches the engine may refill
+	maxFree   int
 }
 
 // unitBatch is one emitted batch (nil: no rows) and whether it ends its
@@ -178,6 +190,9 @@ func newReorder(parts int, committed bool) *reorder {
 		pending:   make([][]unitBatch, parts),
 		done:      make([]bool, parts),
 		committed: committed,
+		// Each part holds the batch it fills, one it is emitting and at
+		// most maxBufferedBatches pending; the consumer one more.
+		maxFree: parts*(maxBufferedBatches+2) + 1,
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -216,12 +231,7 @@ func (r *reorder) Done(part int) {
 // before the part replays.
 func (r *reorder) Discard(part int) {
 	r.mu.Lock()
-	for _, b := range r.pending[part] {
-		if b.st != nil {
-			r.curBytes -= int64(b.st.Bytes())
-		}
-	}
-	r.pending[part] = nil
+	r.drop(part)
 	r.done[part] = false
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -239,14 +249,64 @@ func (r *reorder) finish(err error) {
 	r.mu.Unlock()
 }
 
+// Free implements engine.Sink: it hands out a batch no one reads any
+// more, or nil.
+func (r *reorder) Free() *tuple.SubTable {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.free)
+	if n == 0 {
+		return nil
+	}
+	st := r.free[n-1]
+	r.free[n-1] = nil
+	r.free = r.free[:n-1]
+	return st
+}
+
+// drop frees part's pending batches.
+func (r *reorder) drop(part int) {
+	for _, b := range r.pending[part] {
+		if b.st != nil {
+			r.curBytes -= int64(b.st.Bytes())
+			r.recycle(b.st)
+		}
+	}
+	r.pending[part] = nil
+}
+
+// recycle makes st free, or leaves it to the garbage collector once the
+// free list is full. Under the race detector it first overwrites st's
+// rows with NaN, so an operator that reads a batch after its next Next
+// reads NaN and fails the goldens.
+func (r *reorder) recycle(st *tuple.SubTable) {
+	if poisonFreed {
+		nan := float32(math.NaN())
+		for c := range st.Schema.Attrs {
+			col := st.Col(c)
+			for i := range col {
+				col[i] = nan
+			}
+		}
+	}
+	if len(r.free) < r.maxFree {
+		r.free = append(r.free, st)
+	}
+}
+
 // close detaches the consumer: producers parked in, or arriving at, Emit
-// abort with errSinkClosed, so the engine run unwinds. A non-nil err (the
-// join context was cancelled from outside) also ends the stream for a
-// consumer still waiting in next.
+// abort with errSinkClosed, so the engine run unwinds, and the batches
+// they left pending become free. A non-nil err (the join context was
+// cancelled from outside) also ends the stream for a consumer still
+// waiting in next. The batch lent last stays lent: a consumer whose
+// context was cancelled may still be reading it.
 func (r *reorder) close(err error) {
 	r.mu.Lock()
 	if r.runErr == nil {
 		r.runErr = err
+	}
+	for p := range r.pending {
+		r.drop(p)
 	}
 	r.closed = true
 	r.cond.Broadcast()
@@ -270,6 +330,10 @@ func (r *reorder) peak() int64 {
 func (r *reorder) next() (*tuple.SubTable, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.lent != nil {
+		r.recycle(r.lent)
+		r.lent = nil
+	}
 	for {
 		if r.runErr != nil {
 			return nil, r.runErr
@@ -296,6 +360,7 @@ func (r *reorder) next() (*tuple.SubTable, error) {
 		r.cond.Broadcast()
 		if b.st != nil {
 			r.curBytes -= int64(b.st.Bytes())
+			r.lent = b.st
 			return b.st, nil
 		}
 	}

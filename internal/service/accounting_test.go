@@ -27,8 +27,9 @@ func (g gateSink) Emit(int, *tuple.SubTable, bool) error {
 		return g.ctx.Err()
 	}
 }
-func (gateSink) Done(int)    {}
-func (gateSink) Discard(int) {}
+func (gateSink) Done(int)              {}
+func (gateSink) Discard(int)           {}
+func (gateSink) Free() *tuple.SubTable { return nil }
 
 // submitAsync submits a raw query in the background. With hold set the
 // query parks mid-join until the returned release is called (or ctx ends).

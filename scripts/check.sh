@@ -29,5 +29,8 @@ go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple 
 # (built/op, probed/op; both 0) once its left rows and its edges' match
 # pairs are cached.
 go test -run '^$' -bench BenchmarkWarmRepeat -benchtime 100x ./internal/ij
+# The planner's -bench . above includes BenchmarkWarmStatement: warm SQL
+# statements through plan.Run, whose join recycles its output batches
+# (ns/op, B/op, allocs/op per statement).
 go test -C bench -short ./...
 echo OK
