@@ -114,10 +114,10 @@ func main() {
 	if *metricsAddr != "" {
 		reg := metrics.NewRegistry()
 		transport.WireMetrics(reg)
-		reg.GaugeFunc("sciview_bds_subtables_served", "Sub-tables this BDS has served.", func() float64 {
+		reg.CounterFunc("sciview_bds_subtables_served", "Sub-tables this BDS has served.", func() float64 {
 			return float64(svc.Stats.SubTablesServed.Load())
 		})
-		reg.GaugeFunc("sciview_bds_records_served", "Records this BDS has served.", func() float64 {
+		reg.CounterFunc("sciview_bds_records_served", "Records this BDS has served.", func() float64 {
 			return float64(svc.Stats.RecordsServed.Load())
 		})
 		if *repairEvery > 0 {

@@ -9,8 +9,6 @@ package breaker
 import (
 	"sync"
 	"time"
-
-	"sciview/internal/metrics"
 )
 
 // State of a breaker.
@@ -50,12 +48,6 @@ type Breaker struct {
 	openedAt  time.Time
 	trips     int64
 	now       func() time.Time // clock hook for tests
-
-	// metTrips counts opens into the live registry; metState mirrors the
-	// current State as an integer gauge (0 closed, 1 open, 2 half-open).
-	// Both are nil-safe no-ops when unset.
-	metTrips *metrics.Counter
-	metState *metrics.Gauge
 }
 
 // New returns a Closed breaker tripping after threshold consecutive
@@ -78,17 +70,6 @@ func (b *Breaker) SetClock(now func() time.Time) {
 	b.now = now
 }
 
-// SetMetrics wires live observability instruments: trips counts every
-// open, state mirrors the State enum (0 closed, 1 open, 2 half-open).
-// Call before the breaker is in use.
-func (b *Breaker) SetMetrics(trips *metrics.Counter, state *metrics.Gauge) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.metTrips = trips
-	b.metState = state
-	state.Set(int64(b.state))
-}
-
 // Allow reports whether a caller may use the node now. When the breaker
 // is Open and the cooldown has elapsed, the first caller to Allow claims
 // the single half-open probe (gets true); concurrent callers keep getting
@@ -102,7 +83,6 @@ func (b *Breaker) Allow() bool {
 	case Open:
 		if b.now().Sub(b.openedAt) >= b.cooldown {
 			b.state = HalfOpen
-			b.metState.Set(int64(HalfOpen))
 			return true // this caller is the probe
 		}
 		return false
@@ -135,7 +115,6 @@ func (b *Breaker) Success() {
 	defer b.mu.Unlock()
 	b.state = Closed
 	b.fails = 0
-	b.metState.Set(int64(Closed))
 }
 
 // Failure records a failed exchange. While Closed it counts toward the
@@ -163,8 +142,6 @@ func (b *Breaker) trip() {
 	b.openedAt = b.now()
 	b.fails = 0
 	b.trips++
-	b.metTrips.Inc()
-	b.metState.Set(int64(Open))
 }
 
 // State returns the current state (Open is reported even if the cooldown
@@ -175,7 +152,7 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// Trips returns how many times the breaker has opened.
+// Trips returns how many times the breaker has opened since it was made.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -6,7 +6,9 @@
 // policy to be LRU, since this is a reasonable policy in many cases and
 // commonly used"); under the IJ scheduler's memory assumption no sub-table
 // is evicted while still needed, and the hit/miss statistics let tests and
-// the harness verify that.
+// the harness verify that. The counters only count up: a run's share is
+// the difference of two Stats snapshots, and a metrics registry samples
+// the same counters at scrape time.
 //
 // Besides the values it is asked to keep (Put), the cache can hold values
 // that merely use its free room (Admit): IJ keeps decoded left rows and
@@ -17,20 +19,7 @@
 // those of a cache that never admitted anything.
 package cache
 
-import (
-	"sync"
-
-	"sciview/internal/metrics"
-)
-
-// Metrics carries the live observability counters a cache feeds in
-// addition to its own Stats snapshot. All fields may be nil (no-op): an
-// uninstrumented cache pays one predicted branch per event.
-type Metrics struct {
-	Hits      *metrics.Counter
-	Misses    *metrics.Counter
-	Evictions *metrics.Counter
-}
+import "sync"
 
 // LRU is a byte-capacity-bounded least-recently-used cache mapping keys of
 // type K to values of type V. All methods are safe for concurrent use.
@@ -45,7 +34,6 @@ type LRU[K comparable, V any] struct {
 	hits      int64
 	misses    int64
 	evictions int64
-	met       Metrics
 }
 
 type node[K comparable, V any] struct {
@@ -71,10 +59,6 @@ func NewLRU[K comparable, V any](capacity int64) *LRU[K, V] {
 	}
 }
 
-// SetMetrics wires live observability counters alongside the Stats
-// snapshot. Call before the cache is in use.
-func (c *LRU[K, V]) SetMetrics(m Metrics) { c.met = m }
-
 // Get returns the cached value for key and marks it most recently used.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
@@ -82,12 +66,10 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	n, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		c.met.Misses.Inc()
 		var zero V
 		return zero, false
 	}
 	c.hits++
-	c.met.Hits.Inc()
 	c.listOf(n).moveToFront(n)
 	return n.val, true
 }
@@ -140,7 +122,6 @@ func (c *LRU[K, V]) Put(key K, val V, size int64) {
 	for c.used+size > c.capacity && c.kept.tail != nil {
 		c.remove(c.kept.tail)
 		c.evictions++
-		c.met.Evictions.Inc()
 	}
 	c.insert(&node[K, V]{key: key, val: val, size: size})
 }
@@ -204,18 +185,12 @@ type Stats struct {
 	Evictions int64
 }
 
-// Stats returns a snapshot of the hit/miss/eviction counters.
+// Stats returns a snapshot of the hit/miss/eviction counters, counted
+// since the cache was made.
 func (c *LRU[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
-}
-
-// ResetStats zeroes the counters (between experiment runs).
-func (c *LRU[K, V]) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
 func (c *LRU[K, V]) listOf(n *node[K, V]) *list[K, V] {

@@ -38,10 +38,6 @@ func TestPolicyConformance(t *testing.T) {
 			if s.Hits != 1 || s.Misses != 1 {
 				t.Errorf("stats = %+v (Peek must not count)", s)
 			}
-			c.ResetStats()
-			if c.Stats() != (Stats{}) {
-				t.Error("reset failed")
-			}
 			// Replacement updates size.
 			c.Put("a", 3, 50)
 			if c.Bytes() != 70 || c.Len() != 2 {
@@ -55,6 +51,9 @@ func TestPolicyConformance(t *testing.T) {
 			c.Clear()
 			if c.Len() != 0 || c.Bytes() != 0 {
 				t.Error("clear failed")
+			}
+			if c.Stats() != s {
+				t.Errorf("stats after replace, oversize put and clear = %+v, want %+v", c.Stats(), s)
 			}
 		})
 	}
@@ -176,12 +175,19 @@ func TestZeroCapacityStoresNothing(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
+// TestStatsOnlyCountUp: emptying the cache drops entries, not counts, so
+// a caller's share of the counters is the difference of two snapshots.
+func TestStatsOnlyCountUp(t *testing.T) {
 	c := NewLRU[string, int](10)
 	c.Get("x")
-	c.ResetStats()
-	if s := c.Stats(); s != (Stats{}) {
-		t.Errorf("stats after reset = %+v", s)
+	c.Put("x", 1, 6)
+	c.Get("x")
+	c.Clear()
+	c.Get("x")
+	c.Put("x", 1, 6)
+	c.Put("y", 2, 6)
+	if s := c.Stats(); s != (Stats{Hits: 1, Misses: 2, Evictions: 1}) {
+		t.Errorf("stats = %+v, want 1 hit, 2 misses, 1 eviction", s)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"sciview/internal/metrics"
 )
 
 // Flight deduplicates concurrent loads of the same key: while one caller
@@ -32,11 +30,6 @@ type Flight[K comparable, V any] struct {
 
 	leads  int64 // loads actually executed
 	shared int64 // callers served by another caller's load
-
-	// metLeads/metShared mirror the counters into the live metrics
-	// registry when set (nil-safe no-ops otherwise).
-	metLeads  *metrics.Counter
-	metShared *metrics.Counter
 }
 
 type flightCall[V any] struct {
@@ -48,13 +41,6 @@ type flightCall[V any] struct {
 // NewFlight returns an empty deduplicator.
 func NewFlight[K comparable, V any]() *Flight[K, V] {
 	return &Flight[K, V]{calls: make(map[K]*flightCall[V])}
-}
-
-// SetMetrics wires live dedup counters (leads = loads executed, shared =
-// callers served by another caller's load). Call before the Flight is in
-// use.
-func (f *Flight[K, V]) SetMetrics(leads, shared *metrics.Counter) {
-	f.metLeads, f.metShared = leads, shared
 }
 
 // Do returns the result of load for key, collapsing concurrent calls with
@@ -85,14 +71,12 @@ func (f *Flight[K, V]) Do(ctx context.Context, key K, load func() (V, error)) (V
 			f.mu.Lock()
 			f.shared++
 			f.mu.Unlock()
-			f.metShared.Inc()
 			return c.val, true, c.err
 		}
 		c := &flightCall[V]{done: make(chan struct{})}
 		f.calls[key] = c
 		f.leads++
 		f.mu.Unlock()
-		f.metLeads.Inc()
 
 		c.val, c.err = load()
 		f.mu.Lock()
@@ -116,16 +100,10 @@ type FlightStats struct {
 	Shared int64
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, counted since the Flight was
+// made.
 func (f *Flight[K, V]) Stats() FlightStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return FlightStats{Leads: f.leads, Shared: f.shared}
-}
-
-// ResetStats zeroes the counters (between experiment runs).
-func (f *Flight[K, V]) ResetStats() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.leads, f.shared = 0, 0
 }

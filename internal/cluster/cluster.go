@@ -98,10 +98,10 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Metrics, when set, wires the cluster's live observability surface
-	// into the registry: cache hit/miss/eviction and singleflight dedup
-	// counters, per-storage-node breaker state, and fetch/retry/failover
-	// accounting. Nil leaves every hot path on the no-op (near-zero cost)
-	// instruments.
+	// into the registry: fetch counts and bytes are pushed as they happen;
+	// the cache, singleflight, breaker, retry and failover series sample
+	// the counters the cluster already keeps. Nil leaves every hot path
+	// on the no-op (near-zero cost) instruments.
 	Metrics *metrics.Registry
 }
 
@@ -252,7 +252,7 @@ type Cluster struct {
 	Compute []*ComputeNode
 
 	// runMu arbitrates query executions. Exclusive runs (the historical
-	// mode: engines reset caches, counters and throttles at start) take
+	// mode: engines reset caches and throttles at start) take
 	// the write side; shared runs — queries admitted by the concurrent
 	// query service, which leave cluster state intact so caches and
 	// fetch deduplication amortize across queries — take the read side.
@@ -278,19 +278,17 @@ type Cluster struct {
 	// Health accumulates fault-tolerance counters (retries, failovers,
 	// engine recoveries); see HealthStats.
 	Health Health
-	// met holds the live-metrics handles (all nil-safe no-ops when
-	// Config.Metrics is nil).
+	// met holds the live-metrics handles for what only the registry
+	// counts (all nil-safe no-ops when Config.Metrics is nil).
 	met clusterMetrics
 }
 
-// clusterMetrics is the cluster's slice of the live registry.
+// clusterMetrics is the cluster's push-style slice of the live registry.
 type clusterMetrics struct {
 	fetches       *metrics.Counter
 	fetchEncBytes *metrics.Counter
 	fetchDecBytes *metrics.Counter
 	fetchFailures *metrics.Counter
-	retries       *metrics.Counter
-	failovers     *metrics.Counter
 }
 
 // New assembles a cluster over the given catalog and per-storage-node
@@ -314,30 +312,8 @@ func New(cfg Config, catalog *metadata.Catalog, stores []simio.Store) (*Cluster,
 		fetchEncBytes: reg.Counter("sciview_fetch_encoded_bytes_total", "Bytes of sub-table fetches as they traveled the wire (compressed when the colenc codec is negotiated)."),
 		fetchDecBytes: reg.Counter("sciview_fetch_decoded_bytes_total", "Row-major payload bytes the same fetches decode to; the ratio to encoded bytes is the live wire compression factor."),
 		fetchFailures: reg.Counter("sciview_fetch_failures_total", "Fetches that failed after consulting every replica."),
-		retries:       reg.Counter("sciview_retry_total", "Backoff re-attempts against the same replica."),
-		failovers:     reg.Counter("sciview_failover_total", "Fetches redirected to a subsequent replica."),
 	}
-	cacheMet := cache.Metrics{
-		Hits:      reg.Counter("sciview_cache_hits_total", "Sub-table cache hits across compute nodes."),
-		Misses:    reg.Counter("sciview_cache_misses_total", "Sub-table cache misses across compute nodes."),
-		Evictions: reg.Counter("sciview_cache_evictions_total", "Sub-table cache evictions across compute nodes."),
-	}
-	flightLeads := reg.Counter("sciview_flight_leads_total", "Singleflight loads actually executed.")
-	flightShared := reg.Counter("sciview_flight_shared_total", "Singleflight callers served by another caller's load.")
-	reg.GaugeFunc("sciview_cache_bytes", "Bytes resident in the sub-table caches across compute nodes.", func() float64 {
-		var b int64
-		for _, cn := range cl.Compute {
-			b += cn.Cache.Bytes()
-		}
-		return float64(b)
-	})
-	reg.GaugeFunc("sciview_cache_entries", "Entries resident in the sub-table caches across compute nodes.", func() float64 {
-		var n int
-		for _, cn := range cl.Compute {
-			n += cn.Cache.Len()
-		}
-		return float64(n)
-	})
+	cl.registerSampled(reg)
 	if cfg.SharedFS {
 		cl.nfsRead = simio.NewThrottle(cfg.DiskReadBw)
 		cl.nfsWrite = simio.NewThrottle(cfg.DiskWriteBw)
@@ -366,13 +342,7 @@ func New(cfg Config, catalog *metadata.Catalog, stores []simio.Store) (*Cluster,
 			BDS:  bds.New(i, catalog, disk),
 		}
 		cl.Storage = append(cl.Storage, sn)
-		br := breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		node := strconv.Itoa(i)
-		br.SetMetrics(
-			reg.Counter("sciview_breaker_trips_total", "Circuit breaker opens per storage node.", "node", node),
-			reg.Gauge("sciview_breaker_state", "Breaker state per storage node (0 closed, 1 open, 2 half-open).", "node", node),
-		)
-		cl.breakers = append(cl.breakers, br)
+		cl.breakers = append(cl.breakers, breaker.New(cfg.BreakerThreshold, cfg.BreakerCooldown))
 	}
 	for j := 0; j < cfg.ComputeNodes; j++ {
 		var scratch *simio.Disk
@@ -394,18 +364,15 @@ func New(cfg Config, catalog *metadata.Catalog, stores []simio.Store) (*Cluster,
 		if cfg.CPUSecPerOp > 0 {
 			cpuRate = 1 / cfg.CPUSecPerOp // "ops per second"
 		}
-		nodeCache := cache.NewLRU[FetchKey, *Fetched](cfg.CacheBytes)
-		nodeCache.SetMetrics(cacheMet)
 		flight := cache.NewFlight[FetchKey, *Fetched]()
 		// A leader whose fetch hits a transient fault hands the key off:
 		// waiters retry (and fail over) rather than inherit the error.
 		flight.Retryable = transport.IsRetryable
-		flight.SetMetrics(flightLeads, flightShared)
 		cn := &ComputeNode{
 			ID:      j,
 			Scratch: scratch,
 			NIC:     simio.NewNIC(cfg.NetBw, nil),
-			Cache:   nodeCache,
+			Cache:   cache.NewLRU[FetchKey, *Fetched](cfg.CacheBytes),
 			Flight:  flight,
 			CPU:     simio.NewThrottle(cpuRate),
 		}
@@ -552,23 +519,24 @@ func (cl *Cluster) Ship(s, j int, size int64) {
 
 // AcquireRun takes the cluster exclusively for one query execution;
 // ReleaseRun frees it. Engines call these around non-shared runs, which
-// reset caches and accounting, so such runs cannot overlap with anything.
+// reset caches and throttle backlogs, so such runs cannot overlap with
+// anything.
 func (cl *Cluster) AcquireRun() { cl.runMu.Lock() }
 
 // ReleaseRun releases the run lock taken by AcquireRun.
 func (cl *Cluster) ReleaseRun() { cl.runMu.Unlock() }
 
 // AcquireShared joins the cluster as one of several concurrent queries
-// (engine.Request.Shared): caches are left warm, counters accumulate, and
-// any number of shared runs may overlap. An exclusive run blocks until all
-// shared runs finish, and vice versa.
+// (engine.Request.Shared): caches are left warm and any number of shared
+// runs may overlap. An exclusive run blocks until all shared runs finish,
+// and vice versa.
 func (cl *Cluster) AcquireShared() { cl.runMu.RLock() }
 
 // ReleaseShared releases the hold taken by AcquireShared.
 func (cl *Cluster) ReleaseShared() { cl.runMu.RUnlock() }
 
 // FlightStats aggregates the fetch-deduplication counters across compute
-// nodes since the last Reset.
+// nodes.
 func (cl *Cluster) FlightStats() cache.FlightStats {
 	var total cache.FlightStats
 	for _, cn := range cl.Compute {
@@ -579,25 +547,35 @@ func (cl *Cluster) FlightStats() cache.FlightStats {
 	return total
 }
 
-// Reset clears caches, counters and throttle backlogs between experiment
-// runs, without touching stored data.
+// CacheStats aggregates the sub-table cache counters across compute
+// nodes.
+func (cl *Cluster) CacheStats() cache.Stats {
+	var total cache.Stats
+	for _, cn := range cl.Compute {
+		s := cn.Cache.Stats()
+		total.Hits += s.Hits
+		total.Misses += s.Misses
+		total.Evictions += s.Evictions
+	}
+	return total
+}
+
+// Reset returns the cluster to a cold state between experiment runs:
+// it empties the caches and clears throttle backlogs and the modeled CPU
+// clocks, without touching stored data. It zeroes no counter: every
+// counter only counts up, and a run's accounting is a difference of two
+// Account snapshots.
 func (cl *Cluster) Reset() {
 	for _, sn := range cl.Storage {
-		sn.Disk.Counters.Reset()
 		sn.Disk.ReadThrottle().Reset()
 		sn.Disk.WriteThrottle().Reset()
-		sn.NIC.Counters.Reset()
 		sn.NIC.Throttle().Reset()
 	}
 	for _, cn := range cl.Compute {
-		cn.Scratch.Counters.Reset()
 		cn.Scratch.ReadThrottle().Reset()
 		cn.Scratch.WriteThrottle().Reset()
-		cn.NIC.Counters.Reset()
 		cn.NIC.Throttle().Reset()
 		cn.Cache.Clear()
-		cn.Cache.ResetStats()
-		cn.Flight.ResetStats()
 		cn.CPU.Reset()
 	}
 	if cl.nfsRead != nil {
@@ -606,10 +584,6 @@ func (cl *Cluster) Reset() {
 	if cl.nfsWrite != nil {
 		cl.nfsWrite.Reset()
 	}
-	cl.Health.Retries.Store(0)
-	cl.Health.Failovers.Store(0)
-	cl.Health.Recoveries.Store(0)
-	cl.Health.Rebuilds.Store(0)
 }
 
 // Traffic aggregates byte counters across the cluster.
@@ -620,7 +594,8 @@ type Traffic struct {
 	NetBytesToCompute   int64
 }
 
-// Traffic returns the aggregated counters since the last Reset.
+// Traffic returns the aggregated byte counters since the cluster was
+// built; a run's traffic is the difference of two Account snapshots.
 func (cl *Cluster) Traffic() Traffic {
 	var t Traffic
 	for _, sn := range cl.Storage {
@@ -632,4 +607,88 @@ func (cl *Cluster) Traffic() Traffic {
 		t.NetBytesToCompute += cn.NIC.Counters.BytesRecv.Load()
 	}
 	return t
+}
+
+// Account is a snapshot of the counters a run reports: bytes moved,
+// sub-table cache effectiveness and fault-tolerance activity. The
+// counters only count up, so what happened between two snapshots is
+// their difference (Sub).
+type Account struct {
+	Traffic Traffic
+	Cache   cache.Stats
+	Health  HealthStats
+}
+
+// Account snapshots the cluster's run counters.
+func (cl *Cluster) Account() Account {
+	return Account{Traffic: cl.Traffic(), Cache: cl.CacheStats(), Health: cl.HealthStats()}
+}
+
+// Sub returns what a counts beyond the earlier snapshot b.
+func (a Account) Sub(b Account) Account {
+	return Account{
+		Traffic: Traffic{
+			StorageBytesRead:    a.Traffic.StorageBytesRead - b.Traffic.StorageBytesRead,
+			ScratchBytesWritten: a.Traffic.ScratchBytesWritten - b.Traffic.ScratchBytesWritten,
+			ScratchBytesRead:    a.Traffic.ScratchBytesRead - b.Traffic.ScratchBytesRead,
+			NetBytesToCompute:   a.Traffic.NetBytesToCompute - b.Traffic.NetBytesToCompute,
+		},
+		Cache: cache.Stats{
+			Hits:      a.Cache.Hits - b.Cache.Hits,
+			Misses:    a.Cache.Misses - b.Cache.Misses,
+			Evictions: a.Cache.Evictions - b.Cache.Evictions,
+		},
+		Health: HealthStats{
+			Retries:      a.Health.Retries - b.Health.Retries,
+			Failovers:    a.Health.Failovers - b.Health.Failovers,
+			BreakerTrips: a.Health.BreakerTrips - b.Health.BreakerTrips,
+			Recoveries:   a.Health.Recoveries - b.Health.Recoveries,
+			Rebuilds:     a.Health.Rebuilds - b.Health.Rebuilds,
+		},
+	}
+}
+
+// registerSampled exposes the counts the cluster already keeps as series
+// sampled at scrape time. It runs before the nodes exist; the callbacks
+// read them when scraped.
+func (cl *Cluster) registerSampled(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	counter := func(name, help string, fn func() int64, labelPairs ...string) {
+		reg.CounterFunc(name, help, func() float64 { return float64(fn()) }, labelPairs...)
+	}
+	counter("sciview_cache_hits_total", "Sub-table cache hits across compute nodes.",
+		func() int64 { return cl.CacheStats().Hits })
+	counter("sciview_cache_misses_total", "Sub-table cache misses across compute nodes.",
+		func() int64 { return cl.CacheStats().Misses })
+	counter("sciview_cache_evictions_total", "Sub-table cache evictions across compute nodes.",
+		func() int64 { return cl.CacheStats().Evictions })
+	counter("sciview_flight_leads_total", "Singleflight loads actually executed.",
+		func() int64 { return cl.FlightStats().Leads })
+	counter("sciview_flight_shared_total", "Singleflight callers served by another caller's load.",
+		func() int64 { return cl.FlightStats().Shared })
+	counter("sciview_retry_total", "Backoff re-attempts against the same replica.", cl.Health.Retries.Load)
+	counter("sciview_failover_total", "Fetches redirected to a subsequent replica.", cl.Health.Failovers.Load)
+	reg.GaugeFunc("sciview_cache_bytes", "Bytes resident in the sub-table caches across compute nodes.", func() float64 {
+		var b int64
+		for _, cn := range cl.Compute {
+			b += cn.Cache.Bytes()
+		}
+		return float64(b)
+	})
+	reg.GaugeFunc("sciview_cache_entries", "Entries resident in the sub-table caches across compute nodes.", func() float64 {
+		var n int
+		for _, cn := range cl.Compute {
+			n += cn.Cache.Len()
+		}
+		return float64(n)
+	})
+	for i := 0; i < cl.Config.StorageNodes; i++ {
+		node := strconv.Itoa(i)
+		counter("sciview_breaker_trips_total", "Circuit breaker opens per storage node.",
+			func() int64 { return cl.breakers[i].Trips() }, "node", node)
+		reg.GaugeFunc("sciview_breaker_state", "Breaker state per storage node (0 closed, 1 open, 2 half-open).",
+			func() float64 { return float64(cl.breakers[i].State()) }, "node", node)
+	}
 }

@@ -62,6 +62,7 @@ func TestNewValidation(t *testing.T) {
 func TestFetch(t *testing.T) {
 	ds := testDataset(t, 2)
 	cl := build(t, Config{StorageNodes: 2, ComputeNodes: 2, CacheBytes: 1 << 20}, ds)
+	before := cl.Account()
 	st, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestFetch(t *testing.T) {
 		t.Errorf("rows = %d, want 64", st.NumRows())
 	}
 	// Counters: storage disk read + both NICs.
-	tr := cl.Traffic()
+	tr := cl.Account().Sub(before).Traffic
 	if tr.StorageBytesRead != int64(st.Bytes()) {
 		t.Errorf("storage read = %d, want %d", tr.StorageBytesRead, st.Bytes())
 	}
@@ -169,17 +170,20 @@ func TestLocalDisksIndependent(t *testing.T) {
 func TestShipAndReset(t *testing.T) {
 	ds := testDataset(t, 1)
 	cl := build(t, Config{StorageNodes: 1, ComputeNodes: 2, CacheBytes: 1 << 20}, ds)
+	recv := cl.Compute[1].NIC.Counters.BytesRecv.Load()
 	cl.Ship(0, 1, 4096)
-	if got := cl.Compute[1].NIC.Counters.BytesRecv.Load(); got != 4096 {
+	if got := cl.Compute[1].NIC.Counters.BytesRecv.Load() - recv; got != 4096 {
 		t.Errorf("ship recv = %d", got)
 	}
 	st, _ := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	f := FetchedSubTable(st)
 	cl.Compute[0].Cache.Put(FetchKey{ID: st.ID}, f, int64(f.StoredBytes()))
+	before := cl.Account()
 	cl.Reset()
-	tr := cl.Traffic()
-	if tr != (Traffic{}) {
-		t.Errorf("traffic after reset = %+v", tr)
+	// Reset empties the caches but zeroes no counter: counters only count
+	// up, and a run's accounting is a difference of two snapshots.
+	if after := cl.Account(); after != before {
+		t.Errorf("counters after reset = %+v, want them unchanged at %+v", after, before)
 	}
 	if cl.Compute[0].Cache.Len() != 0 {
 		t.Error("cache not cleared on reset")

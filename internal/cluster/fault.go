@@ -16,7 +16,8 @@ import (
 )
 
 // Health accumulates the cluster's fault-tolerance activity. Fields are
-// incremented atomically by the fetch path and the recovering engines.
+// incremented atomically by the fetch path and the recovering engines, and
+// only count up.
 type Health struct {
 	// Retries counts backoff re-attempts against the same replica.
 	Retries atomic.Int64
@@ -40,19 +41,11 @@ type HealthStats struct {
 	Rebuilds     int64
 }
 
-// Add accumulates other into h (merging stats across services).
-func (h *HealthStats) Add(other HealthStats) {
-	h.Retries += other.Retries
-	h.Failovers += other.Failovers
-	h.BreakerTrips += other.BreakerTrips
-	h.Recoveries += other.Recoveries
-	h.Rebuilds += other.Rebuilds
-}
-
 // Zero reports whether no fault-tolerance activity was recorded.
 func (h HealthStats) Zero() bool { return h == HealthStats{} }
 
-// HealthStats snapshots the cluster's fault-tolerance counters.
+// HealthStats snapshots the cluster's fault-tolerance counters, counted
+// since the cluster was built.
 func (cl *Cluster) HealthStats() HealthStats {
 	hs := HealthStats{
 		Retries:    cl.Health.Retries.Load(),
@@ -181,11 +174,9 @@ func (cl *Cluster) replicaFailover(ctx context.Context, desc *chunk.Desc, try fu
 		}
 		if i > 0 {
 			cl.Health.Failovers.Add(1)
-			cl.met.failovers.Inc()
 		}
 		br := cl.breakers[node]
 		p := cl.Config.Retry
-		p.Retries = cl.met.retries
 		// Decorrelate jitter across chunks and replicas while keeping the
 		// schedule deterministic for a given (policy seed, chunk, node).
 		p.Seed ^= uint64(id.Table)<<40 ^ uint64(uint32(id.Chunk))<<8 ^ uint64(node)

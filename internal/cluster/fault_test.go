@@ -33,6 +33,7 @@ func TestFetchFailsOverToReplica(t *testing.T) {
 	}
 	inj.Kill(fault.StorageNode(desc.Node))
 
+	before := cl.Account()
 	st, err := fetchRows(cl, 0, id, nil)
 	if err != nil {
 		t.Fatalf("fetch with primary down: %v", err)
@@ -40,7 +41,7 @@ func TestFetchFailsOverToReplica(t *testing.T) {
 	if st.NumRows() != 64 {
 		t.Errorf("rows = %d, want 64", st.NumRows())
 	}
-	hs := cl.HealthStats()
+	hs := cl.Account().Sub(before).Health
 	if hs.Failovers == 0 {
 		t.Error("no failover recorded despite primary being down")
 	}
@@ -81,12 +82,13 @@ func TestFetchRetriesTransientDrops(t *testing.T) {
 		StorageNodes: 1, ComputeNodes: 1, Faults: inj,
 		Retry: retry.Policy{Attempts: 3, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}, ds)
+	before := cl.Account()
 	for _, d := range cl.Catalog.Chunks(ds.Left.ID) {
 		if _, err := fetchRows(cl, 0, d.ID(), nil); err != nil {
 			t.Fatalf("chunk %v: %v", d.ID(), err)
 		}
 	}
-	hs := cl.HealthStats()
+	hs := cl.Account().Sub(before).Health
 	if hs.Retries == 0 {
 		t.Error("drops injected but no retries recorded")
 	}
@@ -115,6 +117,7 @@ func TestBreakerGatesDialsUntilProbe(t *testing.T) {
 	id := tuple.ID{Table: ds.Left.ID, Chunk: 0}
 
 	// Two consecutive failures trip the breaker.
+	before := cl.Account()
 	inj.Kill(fault.StorageNode(0))
 	for i := 0; i < 2; i++ {
 		if _, err := fetchRows(cl, 0, id, nil); err == nil {
@@ -124,7 +127,7 @@ func TestBreakerGatesDialsUntilProbe(t *testing.T) {
 	if st := cl.StorageBreaker(0).State(); st != breaker.Open {
 		t.Fatalf("breaker state after %d failures = %v, want Open", 2, st)
 	}
-	if hs := cl.HealthStats(); hs.BreakerTrips != 1 {
+	if hs := cl.Account().Sub(before).Health; hs.BreakerTrips != 1 {
 		t.Errorf("trips = %d, want 1", hs.BreakerTrips)
 	}
 

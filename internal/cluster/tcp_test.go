@@ -17,6 +17,7 @@ func TestTCPFetch(t *testing.T) {
 	}
 	defer cl.Close()
 
+	before := cl.Account()
 	st, err := fetchRows(cl, 0, tuple.ID{Table: ds.Left.ID, Chunk: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +37,7 @@ func TestTCPFetch(t *testing.T) {
 		t.Error("unknown chunk over TCP accepted")
 	}
 	// Accounting still applies (disk read happened inside the server).
-	if got := cl.Traffic().StorageBytesRead; got == 0 {
+	if got := cl.Account().Sub(before).Traffic.StorageBytesRead; got == 0 {
 		t.Error("no storage read accounted over TCP")
 	}
 }

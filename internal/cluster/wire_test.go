@@ -80,6 +80,7 @@ func TestWireEncodedByteIdentical(t *testing.T) {
 			}
 			plain, dsA := mk("")
 			enc, dsB := mk("colenc")
+			plain0, enc0 := plain.Account(), enc.Account()
 			filter := &metadata.Range{Attrs: []string{"z"}, Lo: []float64{0}, Hi: []float64{2}}
 			for chunkID := int32(0); chunkID < 8; chunkID++ {
 				id := tuple.ID{Table: dsA.Left.ID, Chunk: chunkID}
@@ -103,8 +104,8 @@ func TestWireEncodedByteIdentical(t *testing.T) {
 				}
 				mustSame(t, ap, bp)
 			}
-			plainBytes := plain.Traffic().NetBytesToCompute
-			encBytes := enc.Traffic().NetBytesToCompute
+			plainBytes := plain.Account().Sub(plain0).Traffic.NetBytesToCompute
+			encBytes := enc.Account().Sub(enc0).Traffic.NetBytesToCompute
 			if encBytes >= plainBytes {
 				t.Errorf("encoded wire moved %d bytes, row-major %d — no reduction", encBytes, plainBytes)
 			}
@@ -232,6 +233,7 @@ func TestWireEncodedFailover(t *testing.T) {
 		Retry: retry.Policy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond},
 	}, ds)
 	inj.Kill(fault.StorageNode(0))
+	before := enc.Account()
 	for chunkID := int32(0); chunkID < 8; chunkID++ {
 		id := tuple.ID{Table: ds.Left.ID, Chunk: chunkID}
 		a, err := fetchRows(plain, 0, id, nil)
@@ -244,7 +246,7 @@ func TestWireEncodedFailover(t *testing.T) {
 		}
 		mustSame(t, a, b)
 	}
-	if enc.Health.Failovers.Load() == 0 {
+	if enc.Account().Sub(before).Health.Failovers == 0 {
 		t.Error("expected failovers with storage node 0 down")
 	}
 }

@@ -51,8 +51,9 @@ type Request struct {
 	// Shared runs the query without exclusive ownership of the cluster:
 	// no state reset at start, shared sub-table caches, and concurrent
 	// execution alongside other shared queries. The concurrent query
-	// service sets this; Result.Traffic and Result.Cache then report
-	// cumulative cluster counters rather than this query's share.
+	// service sets this. Result.Traffic, Result.Cache and Result.Health
+	// then report what the cluster's counters moved during the run's
+	// window, which includes any statements that overlapped it.
 	Shared bool
 	// Prefetch is the IJ joiner's lookahead depth: while edge i builds and
 	// probes, the fetches for the sub-tables of edges i+1..i+Prefetch are
@@ -294,15 +295,15 @@ type Result struct {
 	Elapsed time.Duration
 	// Join aggregates hash build/probe counts across all QES instances.
 	Join JoinCounts
-	// Cache aggregates sub-table cache statistics across compute nodes
-	// (IJ only; zero for GH).
-	Cache cache.Stats
-	// Traffic is the cluster byte accounting for the run.
+	// Cache, Traffic and Health are what the cluster's counters moved
+	// between the run's start and its end (cluster.Account): sub-table
+	// cache statistics across compute nodes (GH uses no cache), byte
+	// accounting, and fault-tolerance activity (retries, failovers,
+	// breaker trips, recoveries, rebuilds). An exclusive run's window
+	// holds only itself; a shared run's also holds whatever overlapped it.
+	Cache   cache.Stats
 	Traffic cluster.Traffic
-	// Health is the cluster's fault-tolerance accounting (retries,
-	// failovers, breaker trips, recoveries). For shared runs the counters
-	// are cumulative across the queries sharing the cluster.
-	Health cluster.HealthStats
+	Health  cluster.HealthStats
 	// Collected holds per-joiner result sub-tables when Request.Collect.
 	Collected []*tuple.SubTable
 	// unitEnds[p] is the end row in Collected[p] of each of part p's
@@ -392,8 +393,10 @@ type Engine interface {
 	// Name returns the engine identifier ("ij" or "gh").
 	Name() string
 	// Run joins exactly the chunk sets the inputs carry — an engine never
-	// goes back to the catalog. Non-shared runs reset cluster accounting at
-	// start so Result.Traffic covers exactly this run. Engines check ctx
+	// goes back to the catalog. Non-shared runs start from a cold cluster
+	// (caches emptied, backlogs cleared). Every run reports the difference
+	// of the cluster's counters across it, so an exclusive run's
+	// Result.Traffic covers exactly that run. Engines check ctx
 	// between work items (edges, chunks, buckets) and propagate it into
 	// sub-table fetches, so a cancelled or deadline-expired query returns
 	// ctx.Err() mid-join instead of running to completion.

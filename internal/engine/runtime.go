@@ -42,12 +42,15 @@ type Run struct {
 	outs     []*tuple.SubTable
 	unitEnds [][]int
 	start    time.Time
-	release  func()
+	// before is the cluster's counters when the run started; Finish
+	// reports the difference.
+	before  cluster.Account
+	release func()
 }
 
-// Begin takes the cluster (shared, or exclusively with a state reset) and
-// starts the run's clock; everything the run joins was decided by Resolve.
-// The caller must Close the returned run.
+// Begin takes the cluster (shared, or exclusively with a state reset),
+// snapshots its counters and starts the run's clock; everything the run
+// joins was decided by Resolve. The caller must Close the returned run.
 func Begin(ctx context.Context, cl *cluster.Cluster, in *Inputs) (*Run, error) {
 	r := &Run{Inputs: *in, Cluster: cl, Obs: &ObsCollector{}}
 	if r.Req.Progress == nil {
@@ -68,6 +71,7 @@ func Begin(ctx context.Context, cl *cluster.Cluster, in *Inputs) (*Run, error) {
 		r.release()
 		return nil, err
 	}
+	r.before = cl.Account()
 	r.start = time.Now()
 	return r, nil
 }
@@ -156,9 +160,11 @@ func (r *Run) joinPart(ctx context.Context, part int, place func(int, bool) (int
 // Finish assembles the run's result and closes the decide→run→observe
 // loop: every successful engine run passes through here, so this is the
 // one place an estimator is fed — the one that priced the run, if any.
-// Engines add what only they know (IJ's cache statistics, GH's phase
+// The result's Traffic, Cache and Health are what the cluster's counters
+// moved since Begin. Engines add what only they know (GH's phase
 // durations).
 func (r *Run) Finish(name string) *Result {
+	acct := r.Cluster.Account().Sub(r.before)
 	res := &Result{
 		Engine:  name,
 		Elapsed: time.Since(r.start),
@@ -167,8 +173,9 @@ func (r *Run) Finish(name string) *Result {
 			TuplesProbed: r.stats.TuplesProbed.Load(),
 			Matches:      r.stats.Matches.Load(),
 		},
-		Traffic:     r.Cluster.Traffic(),
-		Health:      r.Cluster.HealthStats(),
+		Cache:       acct.Cache,
+		Traffic:     acct.Traffic,
+		Health:      acct.Health,
 		Phases:      map[string]time.Duration{},
 		UnitsJoined: r.Req.Progress.Joined.Load(),
 		UnitsTotal:  r.Req.Progress.Total.Load(),

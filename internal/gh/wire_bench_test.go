@@ -46,7 +46,7 @@ func BenchmarkGHWire(b *testing.B) {
 				if res.Tuples != grid.Cells() {
 					b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
 				}
-				fetchedMB = float64(cl.Traffic().NetBytesToCompute) / (1 << 20)
+				fetchedMB = float64(res.Traffic.NetBytesToCompute) / (1 << 20)
 				b.StartTimer()
 			}
 			b.StopTimer()

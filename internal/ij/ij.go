@@ -112,14 +112,7 @@ func (e *Engine) Run(ctx context.Context, cl *cluster.Cluster, in *engine.Inputs
 		return nil, err
 	}
 
-	res := run.Finish(e.Name())
-	for _, cn := range cl.Compute {
-		s := cn.Cache.Stats()
-		res.Cache.Hits += s.Hits
-		res.Cache.Misses += s.Misses
-		res.Cache.Evictions += s.Evictions
-	}
-	return res, nil
+	return run.Finish(e.Name()), nil
 }
 
 // side is one join side's fetch parameters: the pushed-down filter and the

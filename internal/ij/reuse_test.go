@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"sciview/internal/cache"
 	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/ij"
@@ -43,19 +42,13 @@ func rowBytes(t *testing.T, res *engine.Result) []byte {
 	return buf.Bytes()
 }
 
-// cacheTotals sums the compute nodes' cache counters and their modeled
-// CPU operations.
-func cacheTotals(cl *cluster.Cluster) (cache.Stats, int64) {
-	var s cache.Stats
+// cpuTaken sums the compute nodes' modeled CPU operations.
+func cpuTaken(cl *cluster.Cluster) int64 {
 	var cpu int64
 	for _, cn := range cl.Compute {
-		c := cn.Cache.Stats()
-		s.Hits += c.Hits
-		s.Misses += c.Misses
-		s.Evictions += c.Evictions
 		cpu += cn.CPU.Taken()
 	}
-	return s, cpu
+	return cpu
 }
 
 // run is what one statement did: its result and what it added to the
@@ -74,13 +67,12 @@ func sharedRun(t *testing.T, cl *cluster.Cluster, r engine.Request) run {
 	r.Shared, r.Collect = true, true
 	rec := trace.New()
 	r.Trace = rec
-	s0, cpu0 := cacheTotals(cl)
+	cpu0 := cpuTaken(cl)
 	res, err := engine.RunRequest(context.Background(), ij.New(), cl, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, cpu1 := cacheTotals(cl)
-	out := run{res: res, demand: s1.Hits + s1.Misses - s0.Hits - s0.Misses, cpu: cpu1 - cpu0}
+	out := run{res: res, demand: res.Cache.Hits + res.Cache.Misses, cpu: cpuTaken(cl) - cpu0}
 	out.builds, out.probes, out.gathers = spans(rec)
 	return out
 }

@@ -49,7 +49,7 @@ func BenchmarkIJWire(b *testing.B) {
 				if res.Tuples != grid.Cells() {
 					b.Fatalf("tuples = %d, want %d", res.Tuples, grid.Cells())
 				}
-				fetchedMB = float64(cl.Traffic().NetBytesToCompute) / (1 << 20)
+				fetchedMB = float64(res.Traffic.NetBytesToCompute) / (1 << 20)
 				b.StartTimer()
 			}
 			b.StopTimer()

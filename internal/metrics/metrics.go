@@ -11,9 +11,15 @@
 // Real instruments update via atomics — no locks on the observation path;
 // the registry mutex is touched only at registration and scrape time.
 //
+// A count a component already keeps is never kept twice: CounterFunc and
+// GaugeFunc sample it at scrape time. Push-style instruments are for
+// quantities nothing else counts.
+//
 //	reg := metrics.NewRegistry()
-//	hits := reg.Counter("sciview_cache_hits_total", "Sub-table cache hits.")
-//	hits.Inc()                      // atomic add
+//	fetches := reg.Counter("sciview_fetch_total", "Sub-table fetches.")
+//	fetches.Inc()                   // atomic add
+//	reg.CounterFunc("sciview_cache_hits_total", "Sub-table cache hits.",
+//		func() float64 { return float64(cache.Stats().Hits) })
 //	var off *metrics.Registry       // nil registry: everything below no-ops
 //	off.Counter("x", "").Inc()      // safe, free
 package metrics
@@ -154,15 +160,16 @@ func (g *Gauge) writeSeries(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labels, g.Value())
 }
 
-// gaugeFunc samples a callback at scrape time: the cheapest way to expose
-// state another component already tracks (queue depth, cache bytes,
-// breaker state) without adding anything to its hot path.
-type gaugeFunc struct {
+// sampled reads a callback at scrape time: the cheapest way to expose
+// state another component already tracks (queue depth, cache hits,
+// breaker state) without adding anything to its hot path. A GaugeFunc and
+// a CounterFunc differ only in the family type they are registered under.
+type sampled struct {
 	fn func() float64
 }
 
-func (g *gaugeFunc) writeSeries(w *bufio.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.fn()))
+func (s *sampled) writeSeries(w *bufio.Writer, name, labels string) {
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(s.fn()))
 }
 
 func (h *Histogram) writeSeries(w *bufio.Writer, name, labels string) {
@@ -266,21 +273,34 @@ func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 // must be safe for concurrent use. Re-registering the same name+labels
 // replaces the callback. No-op on a nil registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
+	r.sampledFunc(name, help, "gauge", fn, labelPairs)
+}
+
+// CounterFunc registers a counter sampled by calling fn at scrape time:
+// the counter twin of GaugeFunc, for a count another component already
+// keeps. fn must be safe for concurrent use and must never return less
+// than it did before. Re-registering the same name+labels replaces the
+// callback. No-op on a nil registry.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs ...string) {
+	r.sampledFunc(name, help, "counter", fn, labelPairs)
+}
+
+func (r *Registry) sampledFunc(name, help, typ string, fn func() float64, labelPairs []string) {
 	if r == nil {
 		return
 	}
 	labels := renderLabels(labelPairs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, m := r.get(name, help, "gauge", labels)
+	f, m := r.get(name, help, typ, labels)
 	if m != nil {
-		if gf, ok := m.(*gaugeFunc); ok {
-			gf.fn = fn
+		if s, ok := m.(*sampled); ok {
+			s.fn = fn
 			return
 		}
-		panic(fmt.Sprintf("metrics: %s%s registered as a plain gauge, requested as a func", name, labels))
+		panic(fmt.Sprintf("metrics: %s%s registered as a plain %s, requested as a func", name, labels, typ))
 	}
-	f.add(labels, &gaugeFunc{fn: fn})
+	f.add(labels, &sampled{fn: fn})
 }
 
 // Histogram registers (or returns the existing) histogram with the given
@@ -358,7 +378,7 @@ func (r *Registry) Snapshot() []Sample {
 				s.Value = float64(m.Value())
 			case *Gauge:
 				s.Value = float64(m.Value())
-			case *gaugeFunc:
+			case *sampled:
 				s.Value = m.fn()
 			case *Histogram:
 				s.Value = float64(m.Count())

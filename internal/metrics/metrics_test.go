@@ -213,3 +213,39 @@ func BenchmarkHistogramLive(b *testing.B) {
 		h.Observe(float64(i%100) * 1e-3)
 	}
 }
+
+// TestCounterFunc: a sampled counter is exposed under the counter type,
+// read at every scrape and snapshot, and re-registration swaps its
+// callback; it never shares a series with a push-style counter.
+func TestCounterFunc(t *testing.T) {
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", "", func() float64 { return 1 }) // no-op
+
+	r := NewRegistry()
+	var n float64 = 4
+	r.CounterFunc("hits_total", "Hits kept elsewhere.", func() float64 { return n }, "node", "0")
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP hits_total Hits kept elsewhere.\n# TYPE hits_total counter\nhits_total{node=\"0\"} 4\n"
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	n = 9
+	if s := r.Snapshot(); len(s) != 1 || s[0].Value != 9 {
+		t.Errorf("snapshot = %+v, want one sample reading 9", s)
+	}
+	r.CounterFunc("hits_total", "", func() float64 { return 11 }, "node", "0")
+	if s := r.Snapshot(); s[0].Value != 11 {
+		t.Errorf("re-registered callback not used: %+v", s)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a func over a plain counter's series must panic")
+		}
+	}()
+	r.Counter("plain_total", "").Inc()
+	r.CounterFunc("plain_total", "", func() float64 { return 0 })
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sciview/internal/cluster"
 	"sciview/internal/engine"
 	"sciview/internal/tuple"
 )
@@ -33,6 +34,7 @@ type joinOp struct {
 	resCh    chan engineOutcome
 	progress *engine.Progress
 	opened   time.Time
+	before   cluster.Account // the cluster's counters when the join opened
 	res      *engine.Result
 }
 
@@ -60,6 +62,7 @@ func (o *joinOp) Open(ctx context.Context) error {
 	in.Req.Sink = o.sink
 	in.Req.Progress = o.progress
 	o.resCh = make(chan engineOutcome, 1)
+	o.before = o.node.Cluster.Account()
 	o.opened = time.Now()
 	// A cancel from above must reach the sink itself, not only the engine:
 	// a joiner that sees ctx.Err() returns without Done, so the consumer
@@ -108,14 +111,16 @@ func (o *joinOp) Close() error {
 		}
 	case earlyExit:
 		// The consumer stopped first (LIMIT satisfied); the cancellation
-		// error is ours. Report what the truncated run did execute.
-		cl := o.node.Cluster
+		// error is ours. Report what the truncated run did execute: the
+		// counters' movement since the join opened.
+		acct := o.node.Cluster.Account().Sub(o.before)
 		o.res = &engine.Result{
 			Engine:      o.node.Eng.Name(),
 			Tuples:      o.s.Rows,
 			Elapsed:     time.Since(o.opened),
-			Traffic:     cl.Traffic(),
-			Health:      cl.HealthStats(),
+			Cache:       acct.Cache,
+			Traffic:     acct.Traffic,
+			Health:      acct.Health,
 			UnitsJoined: o.progress.Joined.Load(),
 			UnitsTotal:  o.progress.Total.Load(),
 			Phases:      map[string]time.Duration{},

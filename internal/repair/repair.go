@@ -50,7 +50,8 @@ type Config struct {
 	// disk and NIC throttles (0 = uncapped).
 	Bandwidth float64
 	// Metrics, when set, registers the sciview_repair_* counters, the
-	// under-replication gauge and the per-node state/lag gauges.
+	// under-replication gauge and the per-node state/lag gauges, all
+	// sampled from Stats at scrape time.
 	Metrics *metrics.Registry
 }
 
@@ -115,21 +116,6 @@ type Manager struct {
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-
-	met managerMetrics
-}
-
-type managerMetrics struct {
-	catchups      *metrics.Counter
-	chunks        *metrics.Counter
-	bytes         *metrics.Counter
-	rebuilds      *metrics.Counter
-	alreadyPlaced *metrics.Counter
-	errors        *metrics.Counter
-	sweeps        *metrics.Counter
-	underRep      *metrics.Gauge
-	nodeState     []*metrics.Gauge
-	nodeLag       []*metrics.Gauge
 }
 
 // New builds a Manager over the cluster. Nodes start converged: synced at
@@ -166,24 +152,7 @@ func New(cfg Config) (*Manager, error) {
 	for i := range m.synced {
 		m.synced[i] = head
 	}
-	reg := cfg.Metrics // nil-safe: nil registry hands out no-op instruments
-	m.met = managerMetrics{
-		catchups:      reg.Counter("sciview_repair_catchups_total", "Completed catch-up replays (node rejoins)."),
-		chunks:        reg.Counter("sciview_repair_chunks_total", "Chunk placements laid by repair."),
-		bytes:         reg.Counter("sciview_repair_bytes_total", "Payload bytes moved by repair."),
-		rebuilds:      reg.Counter("sciview_repair_rebuilds_total", "Node-local objects rebuilt from surviving replicas."),
-		alreadyPlaced: reg.Counter("sciview_repair_already_placed_total", "Placement commits that found the catalog already converged."),
-		errors:        reg.Counter("sciview_repair_errors_total", "Failed repair copy or rebuild attempts."),
-		sweeps:        reg.Counter("sciview_repair_sweeps_total", "Completed anti-entropy sweeps."),
-		underRep:      reg.Gauge("sciview_underreplicated_chunks", "Chunks below the replication factor on available nodes, as of the last sweep."),
-	}
-	for i := range cl.Storage {
-		node := strconv.Itoa(i)
-		m.met.nodeState = append(m.met.nodeState,
-			reg.Gauge("sciview_node_state", "Storage node lifecycle (0 up, 1 down, 2 rejoining).", "node", node))
-		m.met.nodeLag = append(m.met.nodeLag,
-			reg.Gauge("sciview_node_versions_behind", "Catalog versions a storage node has not absorbed.", "node", node))
-	}
+	m.registerSampled(cfg.Metrics)
 	// Restart notifications cut the polling lag between a node's revival
 	// and the start of its catch-up.
 	cl.Config.Faults.SetOnRestart(func(string) { m.Kick() })
@@ -269,7 +238,6 @@ func (m *Manager) tick() {
 		}
 	}
 	m.sweep()
-	m.publish()
 }
 
 // catchUp replays what storage node `node` missed: it verifies every
@@ -315,7 +283,6 @@ func (m *Manager) catchUp(node int) error {
 	m.synced[node] = head
 	m.stats.CatchUps++
 	m.mu.Unlock()
-	m.met.catchups.Inc()
 	return nil
 }
 
@@ -397,8 +364,6 @@ func (m *Manager) rebuildObject(node int, object string) error {
 	m.stats.ObjectsRebuilt++
 	m.stats.BytesRepaired += size
 	m.mu.Unlock()
-	m.met.rebuilds.Inc()
-	m.met.bytes.Add(size)
 	return nil
 }
 
@@ -466,7 +431,6 @@ func (m *Manager) copyChunk(d *chunk.Desc, dst int) error {
 			m.mu.Lock()
 			m.stats.AlreadyPlaced++
 			m.mu.Unlock()
-			m.met.alreadyPlaced.Inc()
 			return nil
 		}
 		return err
@@ -475,8 +439,6 @@ func (m *Manager) copyChunk(d *chunk.Desc, dst int) error {
 	m.stats.ChunksRepaired++
 	m.stats.BytesRepaired += d.Size
 	m.mu.Unlock()
-	m.met.chunks.Inc()
-	m.met.bytes.Add(d.Size)
 	return nil
 }
 
@@ -524,23 +486,43 @@ func (m *Manager) sweep() {
 	m.stats.Sweeps++
 	m.stats.UnderReplicated = under
 	m.mu.Unlock()
-	m.met.sweeps.Inc()
-	m.met.underRep.Set(under)
 }
 
-// publish refreshes the per-node gauges.
-func (m *Manager) publish() {
-	head := m.cl.Catalog.Version()
-	m.mu.Lock()
-	synced := append([]int64(nil), m.synced...)
-	m.mu.Unlock()
-	for i := range m.cl.Storage {
-		m.met.nodeState[i].Set(int64(m.cl.StorageState(i)))
-		lag := int64(0)
-		if m.cl.StorageState(i) != cluster.NodeUp && head > synced[i] {
-			lag = head - synced[i]
+// registerSampled exposes the manager's accounting as series sampled at
+// scrape time.
+func (m *Manager) registerSampled(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	locked := func(n *int64) func() float64 {
+		return func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return float64(*n)
 		}
-		m.met.nodeLag[i].Set(lag)
+	}
+	for _, c := range []struct {
+		name, help string
+		n          *int64
+	}{
+		{"sciview_repair_catchups_total", "Completed catch-up replays (node rejoins).", &m.stats.CatchUps},
+		{"sciview_repair_chunks_total", "Chunk placements laid by repair.", &m.stats.ChunksRepaired},
+		{"sciview_repair_bytes_total", "Payload bytes moved by repair.", &m.stats.BytesRepaired},
+		{"sciview_repair_rebuilds_total", "Node-local objects rebuilt from surviving replicas.", &m.stats.ObjectsRebuilt},
+		{"sciview_repair_already_placed_total", "Placement commits that found the catalog already converged.", &m.stats.AlreadyPlaced},
+		{"sciview_repair_errors_total", "Failed repair copy or rebuild attempts.", &m.stats.Errors},
+		{"sciview_repair_sweeps_total", "Completed anti-entropy sweeps.", &m.stats.Sweeps},
+	} {
+		reg.CounterFunc(c.name, c.help, locked(c.n))
+	}
+	reg.GaugeFunc("sciview_underreplicated_chunks", "Chunks below the replication factor on available nodes, as of the last sweep.",
+		locked(&m.stats.UnderReplicated))
+	for i := range m.cl.Storage {
+		node := strconv.Itoa(i)
+		reg.GaugeFunc("sciview_node_state", "Storage node lifecycle (0 up, 1 down, 2 rejoining).",
+			func() float64 { return float64(m.cl.StorageState(i)) }, "node", node)
+		reg.GaugeFunc("sciview_node_versions_behind", "Catalog versions a storage node has not absorbed.",
+			func() float64 { return float64(m.Stats().VersionsBehind[i]) }, "node", node)
 	}
 }
 
@@ -554,7 +536,6 @@ func (m *Manager) noteError() {
 	m.mu.Lock()
 	m.stats.Errors++
 	m.mu.Unlock()
-	m.met.errors.Inc()
 }
 
 // Stats snapshots repair activity, including per-node lifecycle states and

@@ -7,6 +7,7 @@ import (
 	"sciview/internal/chunk"
 	"sciview/internal/cluster"
 	"sciview/internal/fault"
+	"sciview/internal/metrics"
 	"sciview/internal/oilres"
 	"sciview/internal/partition"
 	"sciview/internal/retry"
@@ -108,6 +109,50 @@ func TestSweepRestoresReplicationFactor(t *testing.T) {
 	if s := m.Stats(); s.CatchUps != 1 {
 		t.Fatalf("CatchUps = %d, want 1", s.CatchUps)
 	}
+}
+
+// TestRegistrySamplesStats: the sciview_repair_* series read the
+// manager's own accounting at scrape time, through an outage and a rejoin.
+func TestRegistrySamplesStats(t *testing.T) {
+	_, inj, m, _ := testRig(t, 4, 2)
+	reg := metrics.NewRegistry()
+	m.registerSampled(reg)
+	check := func(when string, nodeState float64) {
+		t.Helper()
+		s := m.Stats()
+		want := map[string]float64{
+			"sciview_repair_catchups_total":          float64(s.CatchUps),
+			"sciview_repair_chunks_total":            float64(s.ChunksRepaired),
+			"sciview_repair_bytes_total":             float64(s.BytesRepaired),
+			"sciview_repair_rebuilds_total":          float64(s.ObjectsRebuilt),
+			"sciview_repair_already_placed_total":    float64(s.AlreadyPlaced),
+			"sciview_repair_errors_total":            float64(s.Errors),
+			"sciview_repair_sweeps_total":            float64(s.Sweeps),
+			"sciview_underreplicated_chunks":         float64(s.UnderReplicated),
+			`sciview_node_state{node="0"}`:           nodeState,
+			`sciview_node_versions_behind{node="0"}`: float64(s.VersionsBehind[0]),
+		}
+		for _, sample := range reg.Snapshot() {
+			if v, ok := want[sample.Name]; ok {
+				if sample.Value != v {
+					t.Errorf("%s: %s = %v, Stats says %v (%+v)", when, sample.Name, sample.Value, v, s)
+				}
+				delete(want, sample.Name)
+			}
+		}
+		if len(want) != 0 {
+			t.Errorf("%s: series not exposed: %v", when, want)
+		}
+	}
+	inj.Kill(fault.StorageNode(0))
+	m.tick()
+	if m.Stats().ChunksRepaired == 0 {
+		t.Fatal("the outage repaired nothing: the test samples only zeros")
+	}
+	check("node 0 down", float64(cluster.NodeDown))
+	inj.Revive(fault.StorageNode(0))
+	m.tick()
+	check("node 0 rejoined", float64(cluster.NodeUp))
 }
 
 func TestSweepCountsUnfixableExposure(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"time"
 
-	"sciview/internal/metrics"
 	"sciview/internal/transport"
 )
 
@@ -35,11 +34,6 @@ type Policy struct {
 	Seed uint64
 	// Retryable classifies errors; nil means transport.IsRetryable.
 	Retryable func(error) bool
-	// Retries, when set, counts every re-attempt (attempt > 0 actually
-	// executed) into the live metrics registry. Nil is a no-op; the
-	// counter never influences backoff or jitter, so instrumented and
-	// uninstrumented schedules are identical.
-	Retries *metrics.Counter
 }
 
 // Default returns the policy used by the cluster fetch path.
@@ -130,9 +124,6 @@ func Do(ctx context.Context, p Policy, op func(attempt int) error) error {
 				err = cerr
 			}
 			return err
-		}
-		if attempt > 0 {
-			p.Retries.Inc()
 		}
 		if err = op(attempt); err == nil {
 			return nil

@@ -184,16 +184,10 @@ type Service struct {
 	met      svcMetrics
 }
 
-// svcMetrics holds the service's live-registry handles (nil no-ops when
-// Config.Metrics is unset).
+// svcMetrics holds the service's live-registry histograms (nil no-ops
+// when Config.Metrics is unset). The outcome counters are sampled from
+// Stats at scrape time.
 type svcMetrics struct {
-	submitted  *metrics.Counter
-	admitted   *metrics.Counter
-	rejected   *metrics.Counter
-	cancelled  *metrics.Counter
-	completed  *metrics.Counter
-	failed     *metrics.Counter
-	degraded   *metrics.Counter
 	queueWait  *metrics.Histogram
 	runLatency *metrics.Histogram
 }
@@ -222,15 +216,26 @@ func New(cl *cluster.Cluster, cfg Config) *Service {
 	// Nil-safe: with cfg.Metrics == nil every handle is a no-op.
 	reg := cfg.Metrics
 	s.met = svcMetrics{
-		submitted:  reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "submitted"),
-		admitted:   reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "admitted"),
-		rejected:   reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "rejected"),
-		cancelled:  reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "cancelled"),
-		completed:  reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "completed"),
-		failed:     reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "failed"),
-		degraded:   reg.Counter("sciview_queries_total", "Query submissions by outcome.", "outcome", "degraded"),
 		queueWait:  reg.Histogram("sciview_queue_wait_seconds", "Admission queue wait of admitted queries.", nil),
 		runLatency: reg.Histogram("sciview_query_seconds", "End-to-end execution latency of admitted queries.", nil),
+	}
+	for _, o := range []struct {
+		outcome string
+		n       *int64
+	}{
+		{"submitted", &s.stats.Submitted},
+		{"admitted", &s.stats.Admitted},
+		{"rejected", &s.stats.Rejected},
+		{"cancelled", &s.stats.Cancelled},
+		{"completed", &s.stats.Completed},
+		{"failed", &s.stats.Failed},
+		{"degraded", &s.stats.Degraded},
+	} {
+		reg.CounterFunc("sciview_queries_total", "Query submissions by outcome.", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(*o.n)
+		}, "outcome", o.outcome)
 	}
 	reg.GaugeFunc("sciview_queue_depth", "Queries waiting for admission.", func() float64 {
 		return float64(s.QueueLen())
@@ -248,8 +253,9 @@ func New(cl *cluster.Cluster, cfg Config) *Service {
 
 // Submit plans, queues and executes one query, blocking until it
 // completes, fails, or ctx ends. It is safe for any number of concurrent
-// callers. The request is always run in shared mode; Result.Traffic and
-// Result.Cache therefore report cumulative cluster counters.
+// callers. The request is always run in shared mode, so Result.Traffic,
+// Result.Cache and Result.Health report what the cluster's counters moved
+// during the run, including the share of any query that overlapped it.
 func (s *Service) Submit(ctx context.Context, q Query) (*Response, error) {
 	// Resolving pins the query to the catalog version current at submission
 	// (unless the caller pinned one itself) and fixes its chunk sets, so an
@@ -436,7 +442,6 @@ func (s *Service) admit(ctx context.Context, w *waiter) (time.Duration, error) {
 	w.seq = s.seq
 	heap.Push(&s.queue, w)
 	s.stats.Submitted++
-	s.met.submitted.Inc()
 	if n := s.queue.Len(); n > s.stats.QueuePeak {
 		s.stats.QueuePeak = n
 	}
@@ -454,7 +459,6 @@ func (s *Service) admit(ctx context.Context, w *waiter) (time.Duration, error) {
 			heap.Remove(&s.queue, w.index)
 			s.stats.Cancelled++
 			s.mu.Unlock()
-			s.met.cancelled.Inc()
 			return 0, ctx.Err()
 		}
 		s.mu.Unlock()
@@ -486,7 +490,6 @@ func rawWeight(p costmodel.Params) int64 {
 // holds s.mu.
 func (s *Service) rejectLocked() {
 	s.stats.Rejected++
-	s.met.rejected.Inc()
 }
 
 // dispatchLocked admits queued queries while capacity allows. Caller
@@ -505,10 +508,8 @@ func (s *Service) dispatchLocked() {
 		s.inflight++
 		s.memUsed += w.weight
 		s.stats.Admitted++
-		s.met.admitted.Inc()
 		if w.degraded {
 			s.stats.Degraded++
-			s.met.degraded.Inc()
 		}
 		if s.inflight > s.stats.InFlightPeak {
 			s.stats.InFlightPeak = s.inflight
@@ -527,24 +528,19 @@ func (s *Service) finish(w *waiter, queueWait time.Duration, err error, recovere
 	if recovered {
 		s.stats.Recovered++
 	}
-	var outcome *metrics.Counter
 	switch {
 	case err == nil:
 		s.stats.Completed++
-		outcome = s.met.completed
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.stats.Cancelled++
-		outcome = s.met.cancelled
 	default:
 		s.stats.Failed++
-		outcome = s.met.failed
 	}
 	s.dispatchLocked()
 	if s.inflight == 0 {
 		s.drained.Broadcast()
 	}
 	s.mu.Unlock()
-	outcome.Inc()
 	s.met.queueWait.Observe(queueWait.Seconds())
 }
 

@@ -18,38 +18,13 @@ func (e *PartialWriteError) Error() string {
 }
 
 // Counters accumulates byte traffic for cost-model validation. All fields
-// are updated atomically and may be read while a run is in progress.
+// are updated atomically, only count up, and may be read while a run is in
+// progress: a run's traffic is the difference of two snapshots.
 type Counters struct {
 	BytesRead    atomic.Int64
 	BytesWritten atomic.Int64
 	BytesSent    atomic.Int64
 	BytesRecv    atomic.Int64
-}
-
-// Snapshot is a point-in-time copy of a Counters.
-type Snapshot struct {
-	BytesRead    int64
-	BytesWritten int64
-	BytesSent    int64
-	BytesRecv    int64
-}
-
-// Snapshot returns the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		BytesRead:    c.BytesRead.Load(),
-		BytesWritten: c.BytesWritten.Load(),
-		BytesSent:    c.BytesSent.Load(),
-		BytesRecv:    c.BytesRecv.Load(),
-	}
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.BytesRead.Store(0)
-	c.BytesWritten.Store(0)
-	c.BytesSent.Store(0)
-	c.BytesRecv.Store(0)
 }
 
 // Disk models one storage device: an object store plus read/write bandwidth

@@ -188,9 +188,8 @@ func TestDiskCountsAndThrottles(t *testing.T) {
 	if elapsed < 180*time.Millisecond {
 		t.Errorf("disk ops finished in %v, too fast", elapsed)
 	}
-	s := d.Counters.Snapshot()
-	if s.BytesWritten != int64(len(payload)) || s.BytesRead != int64(len(payload)) {
-		t.Errorf("counters = %+v", s)
+	if w, r := d.Counters.BytesWritten.Load(), d.Counters.BytesRead.Load(); w != int64(len(payload)) || r != int64(len(payload)) {
+		t.Errorf("counters: written %d, read %d", w, r)
 	}
 }
 
@@ -244,16 +243,6 @@ func TestTransferNilEndpoints(t *testing.T) {
 	Transfer(n, nil, 123)
 	if n.Counters.BytesSent.Load() != 123 {
 		t.Error("sent counter not updated")
-	}
-}
-
-func TestCountersReset(t *testing.T) {
-	var c Counters
-	c.BytesRead.Add(5)
-	c.BytesSent.Add(7)
-	c.Reset()
-	if s := c.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("after reset: %+v", s)
 	}
 }
 

@@ -212,8 +212,7 @@ func readRequest(r io.Reader) (string, []byte, error) {
 		tuple.PutBuf(payload)
 		return "", nil, err
 	}
-	metFramesRecv.Inc()
-	metBytesRecv.Add(int64(2 + int(mlen) + 4 + int(plen)))
+	countRecv(2 + int(mlen) + 4 + int(plen))
 	return string(mbuf), payload, nil
 }
 
@@ -225,8 +224,7 @@ func writeRequest(w io.Writer, method string, payload []byte) error {
 	buf = append(buf, payload...)
 	_, err := w.Write(buf)
 	if err == nil {
-		metFramesSent.Inc()
-		metBytesSent.Add(int64(len(buf)))
+		countSent(len(buf))
 	}
 	tuple.PutBuf(buf)
 	return err
@@ -262,8 +260,7 @@ func writeResponse(w io.Writer, resp []byte, herr error) error {
 	}
 	_, err := w.Write(buf)
 	if err == nil {
-		metFramesSent.Inc()
-		metBytesSent.Add(int64(len(buf)))
+		countSent(len(buf))
 	}
 	tuple.PutBuf(buf)
 	return err
@@ -286,8 +283,7 @@ func readResponse(r io.Reader) ([]byte, byte, error) {
 		tuple.PutBuf(body)
 		return nil, 0, err
 	}
-	metFramesRecv.Inc()
-	metBytesRecv.Add(int64(1 + 4 + int(n)))
+	countRecv(1 + 4 + int(n))
 	return body, status[0], nil
 }
 

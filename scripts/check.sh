@@ -1,13 +1,15 @@
 #!/bin/sh
 # The repository's one gate; CI and `make check` both run exactly this.
-# Build and vet both modules, the whole suite once under the race
-# detector, the fuzz and microbenchmark smokes, and the benchmark
-# harness's own tests. Measuring is bench/'s job: see
+# Build, format-check and vet both modules, the whole suite once under
+# the race detector, the fuzz and microbenchmark smokes, and the
+# benchmark harness's own tests. Measuring is bench/'s job: see
 # bench/README.md.
 set -eux
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Every Go file, bench/ included, must be gofmt-clean.
+test -z "$(gofmt -l .)"
 go vet ./...
 go vet -C bench ./...
 go test -race -count=1 ./...
