@@ -81,27 +81,13 @@ func aggColName(it query.SelectItem) string {
 	return name + "_" + it.Attr
 }
 
-// accumulator folds one column of one group.
+// accumulator is one aggregate's state for one group. Partial's foldItem
+// updates only the fields its kind reads.
 type accumulator struct {
 	count int64
 	sum   float64
 	min   float64
 	max   float64
-}
-
-func (a *accumulator) add(v float64) {
-	if a.count == 0 {
-		a.min, a.max = v, v
-	} else {
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-	}
-	a.count++
-	a.sum += v
 }
 
 func (a *accumulator) result(agg query.Agg) float64 {

@@ -21,35 +21,47 @@ import (
 //
 // The groups live in a flat table. A row's group key is its packed key
 // (tuple.SubTable.Keys over the group columns: the key definition the
-// join, GH routing and the spill partitioner share), and a power-of-two
-// open-addressed slot array probed by tuple.Mix(key, tuple.SaltTable)
-// maps it to a group number g. Flat slices hold g's key words, one
+// join, GH routing and the spill partitioner share). A power-of-two
+// open-addressed slot array, probed by tuple.Mix(key, tuple.SaltTable)
+// and at most a quarter full, holds each group's packed key beside its
+// number g, so a probe reads one slot. Flat slices hold g's key words, one
 // accumulator per item and, only under HAVING, the HAVING accumulator.
-// Keys of one or two columns pack exactly; wider ones are FNV-folded and
-// may collide, so a slot hit on them also compares the key words.
+// Keys of one or two columns pack exactly, so a slot hit on them compares
+// the packed key alone and their words are unpacked from it once, when the
+// group is added. Wider keys are FNV-folded and may collide, so their rows
+// carry key words and a slot hit on them also compares the words.
 type Partial struct {
 	schema   tuple.Schema
 	items    []query.SelectItem
 	groupBy  []string
 	groupIdx []int
-	itemIdx  []int // -1 for an item over "*"
+	itemIdx  []int       // -1 for an item over "*"
+	kinds    []query.Agg // the kind each item folds as: COUNT over "*"
 	havingOn bool
 	havIdx   int // -1 for HAVING over "*"
+	havKind  query.Agg
 
 	// The groups.
 	n     int           // groups
 	shift uint          // 64 - log2(len(slots))
-	slots []int32       // g+1 per slot, 0 when empty; at most half full
-	keys  []uint64      // packed key of group g
+	slots []slot        // at most a quarter full
 	words []uint32      // key words of group g at [g*nk, (g+1)*nk)
 	accs  []accumulator // item i of group g at g*len(items)+i
 	hav   []accumulator // group g's HAVING state; nil without HAVING
 
-	// Fold's scratch: the batch's packed keys and key words, and the group
-	// number of each row.
+	// Fold's scratch: the block's packed keys, their hashes, the key words
+	// of keys of three or more columns, and the group number of each row.
 	inKeys  []uint64
+	inHash  []uint64
 	inWords []uint32
 	gid     []int32
+}
+
+// slot is one entry of the group table: a group's packed key and its
+// number plus one, 0 in an empty slot.
+type slot struct {
+	key uint64
+	g   int32
 }
 
 // NewPartial prepares empty state. having may be nil; when present its
@@ -60,6 +72,7 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 		return nil, fmt.Errorf("dds: no aggregation items")
 	}
 	itemIdx := make([]int, len(items))
+	kinds := make([]query.Agg, len(items))
 	for i, it := range items {
 		if it.Star || it.Agg == query.AggNone {
 			return nil, fmt.Errorf("dds: aggregation requires aggregate items, got %+v", it)
@@ -68,6 +81,7 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 		if it.Attr != "*" && itemIdx[i] < 0 {
 			return nil, fmt.Errorf("dds: no attribute %q to aggregate", it.Attr)
 		}
+		kinds[i] = foldKind(it.Agg, itemIdx[i])
 	}
 	groupIdx, err := schema.Indexes(groupBy)
 	if err != nil {
@@ -79,6 +93,7 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 		groupBy:  groupBy,
 		groupIdx: groupIdx,
 		itemIdx:  itemIdx,
+		kinds:    kinds,
 	}
 	if having != nil {
 		p.havIdx = schema.Index(having.Attr)
@@ -86,8 +101,19 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 			return nil, fmt.Errorf("dds: HAVING references unknown attribute %q", having.Attr)
 		}
 		p.havingOn = true
+		p.havKind = foldKind(having.Agg, p.havIdx)
 	}
 	return p, nil
+}
+
+// foldKind is the kind an aggregate agg over column c folds as. An
+// aggregate over "*" (c < 0; the parser allows only COUNT(*)) reads no
+// column, so it folds as COUNT, leaving the group's sum, min and max 0.
+func foldKind(agg query.Agg, c int) query.Agg {
+	if c < 0 {
+		return query.AggCount
+	}
+	return agg
 }
 
 // Groups returns the number of distinct groups accumulated so far —
@@ -95,10 +121,10 @@ func NewPartial(schema tuple.Schema, items []query.SelectItem, groupBy []string,
 // charge to detect skewed partitions.
 func (p *Partial) Groups() int { return p.n }
 
-// Fold accumulates every row of st into the partial state: one pass maps
-// the rows to group numbers, then one pass per item column folds the
-// column into its accumulators. A group still sees its rows in row order,
-// so every float sum is what a row-at-a-time fold computes.
+// Fold accumulates every row of st into the partial state: under GROUP BY
+// a lookup maps the rows to group numbers, then one pass per item column
+// folds the column into its accumulators. A group still sees its rows in
+// row order, so every float sum is what a row-at-a-time fold computes.
 func (p *Partial) Fold(st *tuple.SubTable) error {
 	if st == nil || st.NumRows() == 0 {
 		return nil
@@ -119,78 +145,194 @@ func (p *Partial) Fold(st *tuple.SubTable) error {
 }
 
 // foldBlock is the most rows fold takes at once: its scratch (packed keys,
-// key words, group numbers) then stays within a few tens of KiB.
+// hashes, key words, group numbers) then stays within a few tens of KiB.
 const foldBlock = 2048
 
 // fold folds the rows of st, which has p's schema.
 func (p *Partial) fold(st *tuple.SubTable) {
-	rows := st.NumRows()
 	if len(p.groupIdx) == 0 {
 		if p.n == 0 {
 			p.n = 1
 			p.growState()
 		}
-		p.gid = slices.Grow(p.gid[:0], rows)[:rows]
-		clear(p.gid) // every row is group 0
-	} else {
-		p.inKeys = st.Keys(p.inKeys, p.groupIdx)
-		nk := len(p.groupIdx)
-		p.inWords = slices.Grow(p.inWords[:0], rows*nk)[:rows*nk]
-		for j, ci := range p.groupIdx {
-			for r, v := range st.Col(ci)[:rows] {
-				p.inWords[r*nk+j] = tuple.KeyWord(v)
-			}
+		rows := st.NumRows()
+		for i, c := range p.itemIdx {
+			foldOne(&p.accs[i], p.kinds[i], column(st, c), rows)
 		}
-		if p.slots == nil {
-			p.rehash(0)
-		}
-		p.lookup(p.inKeys, p.inWords)
-	}
-	ni := len(p.items)
-	for i, c := range p.itemIdx {
-		p.foldItem(p.accs[i:], ni, st, c)
-	}
-	if p.havingOn {
-		p.foldItem(p.hav, 1, st, p.havIdx)
-	}
-}
-
-// foldItem adds st's column c, row r, to accs[gid[r]*stride] for every
-// row r. An aggregate over "*" (c < 0; the parser allows only COUNT(*))
-// reads no column: each row adds to its group's count only.
-func (p *Partial) foldItem(accs []accumulator, stride int, st *tuple.SubTable, c int) {
-	if c < 0 {
-		for _, g := range p.gid {
-			accs[int(g)*stride].count++
+		if p.havingOn {
+			foldOne(&p.hav[0], p.havKind, column(st, p.havIdx), rows)
 		}
 		return
 	}
-	col := st.Col(c)[:len(p.gid)]
-	for r, g := range p.gid {
-		accs[int(g)*stride].add(float64(col[r]))
+	p.lookup(st)
+	ni := len(p.items)
+	for i, c := range p.itemIdx {
+		foldItem(p.accs[i:], ni, p.gid, p.kinds[i], column(st, c))
+	}
+	if p.havingOn {
+		foldItem(p.hav, 1, p.gid, p.havKind, column(st, p.havIdx))
 	}
 }
 
-// lookup maps each packed key in inKeys, whose key words are inWords, to
-// its group number, adding the groups the table lacks, and leaves the
-// numbers in p.gid.
-func (p *Partial) lookup(inKeys []uint64, inWords []uint32) {
-	nk := len(p.groupIdx)
-	wide := nk > 2
-	gid := slices.Grow(p.gid[:0], len(inKeys))[:len(inKeys)]
-	slots, keys, shift := p.slots, p.keys, p.shift
-	for r, k := range inKeys {
-		mask := len(slots) - 1
-		for pos := int(tuple.Mix(k, tuple.SaltTable) >> shift); ; pos = (pos + 1) & mask {
-			g := slots[pos] - 1
-			if g < 0 {
-				gid[r] = p.add(pos, k, inWords[r*nk:(r+1)*nk])
-				slots, keys, shift = p.slots, p.keys, p.shift
-				break
+// column is st's column c, or nil for "*" (c < 0).
+func column(st *tuple.SubTable, c int) []float32 {
+	if c < 0 {
+		return nil
+	}
+	return st.Col(c)
+}
+
+// foldItem folds row r of col into accs[gid[r]*stride] as an aggregate of
+// kind agg, for every row r, touching only the fields that kind reads: a
+// COUNT its count (col may be nil), a SUM its sum, an AVG both, a MIN or
+// MAX its value and the count that tells a group's first value, which
+// seeds the value whatever it is (NaN included).
+func foldItem(accs []accumulator, stride int, gid []int32, agg query.Agg, col []float32) {
+	switch agg {
+	case query.AggCount:
+		for _, g := range gid {
+			accs[int(g)*stride].count++
+		}
+	case query.AggSum:
+		col = col[:len(gid)]
+		for r, g := range gid {
+			accs[int(g)*stride].sum += float64(col[r])
+		}
+	case query.AggAvg:
+		col = col[:len(gid)]
+		for r, g := range gid {
+			a := &accs[int(g)*stride]
+			a.count++
+			a.sum += float64(col[r])
+		}
+	case query.AggMin:
+		col = col[:len(gid)]
+		for r, g := range gid {
+			a, v := &accs[int(g)*stride], float64(col[r])
+			if a.count == 0 || v < a.min {
+				a.min = v
 			}
-			if keys[g] == k && (!wide || slices.Equal(p.words[int(g)*nk:int(g+1)*nk], inWords[r*nk:(r+1)*nk])) {
-				gid[r] = g
-				break
+			a.count++
+		}
+	case query.AggMax:
+		col = col[:len(gid)]
+		for r, g := range gid {
+			a, v := &accs[int(g)*stride], float64(col[r])
+			if a.count == 0 || v > a.max {
+				a.max = v
+			}
+			a.count++
+		}
+	}
+}
+
+// foldOne folds the first rows values of col into a as foldItem does when
+// every row is in one group, in the same order and so to the same bits,
+// carrying the state in locals rather than through memory.
+func foldOne(a *accumulator, agg query.Agg, col []float32, rows int) {
+	switch agg {
+	case query.AggSum, query.AggAvg:
+		sum := a.sum
+		for _, v := range col[:rows] {
+			sum += float64(v)
+		}
+		a.sum = sum
+	case query.AggMin:
+		m := a.min
+		if a.count == 0 {
+			m = float64(col[0])
+		}
+		for _, v := range col[:rows] {
+			if v := float64(v); v < m {
+				m = v
+			}
+		}
+		a.min = m
+	case query.AggMax:
+		m := a.max
+		if a.count == 0 {
+			m = float64(col[0])
+		}
+		for _, v := range col[:rows] {
+			if v := float64(v); v > m {
+				m = v
+			}
+		}
+		a.max = m
+	}
+	if agg != query.AggSum {
+		a.count += int64(rows)
+	}
+}
+
+// lookup maps each row of st to its group number, adding the groups the
+// table lacks, and leaves the numbers in p.gid. It packs the block's keys,
+// hashes them in one branch-free pass and has probe map them; only keys of
+// three or more columns take a pass for their words.
+func (p *Partial) lookup(st *tuple.SubTable) {
+	rows := st.NumRows()
+	keys := st.Keys(p.inKeys, p.groupIdx)
+	hash := slices.Grow(p.inHash[:0], rows)[:rows]
+	for r, k := range keys {
+		hash[r] = tuple.Mix(k, tuple.SaltTable)
+	}
+	p.inKeys, p.inHash = keys, hash
+	var words []uint32
+	if nk := len(p.groupIdx); nk > 2 {
+		words = slices.Grow(p.inWords[:0], rows*nk)[:rows*nk]
+		for j, ci := range p.groupIdx {
+			for r, v := range st.Col(ci)[:rows] {
+				words[r*nk+j] = tuple.KeyWord(v)
+			}
+		}
+		p.inWords = words
+	}
+	p.probe(keys, hash, words)
+}
+
+// probe maps each packed key keys[r], whose hash is hash[r], to its group
+// number in p.gid, adding the groups the table lacks. words holds each
+// key's words when keys have three or more columns and is nil when they
+// pack exactly, so that a hit compares the packed key alone. In a table at
+// most a quarter full the first slot a key probes usually holds it. The
+// hashes are kept whole and shifted at each probe, so a rehash partway
+// through the block places the keys still waiting in the grown table.
+func (p *Partial) probe(keys, hash []uint64, words []uint32) {
+	if p.slots == nil {
+		p.rehash(0)
+	}
+	gid := slices.Grow(p.gid[:0], len(keys))[:len(keys)]
+	nk := len(p.groupIdx)
+	slots, shift := p.slots, p.shift
+	mask := uint64(len(slots) - 1)
+	// add fills the empty slot in place and may rehash, which replaces
+	// the array: the loops reload it after every add.
+	if words == nil {
+		for r, h := range hash {
+			k := keys[r]
+			for pos := h >> shift; ; pos = (pos + 1) & mask {
+				if s := slots[pos]; s.key == k && s.g != 0 {
+					gid[r] = s.g - 1
+					break
+				} else if s.g == 0 {
+					gid[r] = p.add(&slots[pos], k, nil)
+					slots, shift, mask = p.slots, p.shift, uint64(len(p.slots)-1)
+					break
+				}
+			}
+		}
+	} else {
+		for r, h := range hash {
+			k, w := keys[r], words[r*nk:(r+1)*nk]
+			for pos := h >> shift; ; pos = (pos + 1) & mask {
+				if s := slots[pos]; s.key == k && s.g != 0 && slices.Equal(p.words[int(s.g-1)*nk:int(s.g)*nk], w) {
+					gid[r] = s.g - 1
+					break
+				} else if s.g == 0 {
+					gid[r] = p.add(&slots[pos], k, w)
+					slots, shift, mask = p.slots, p.shift, uint64(len(p.slots)-1)
+					break
+				}
 			}
 		}
 	}
@@ -198,41 +340,52 @@ func (p *Partial) lookup(inKeys []uint64, inWords []uint32) {
 	p.growState()
 }
 
-// add makes key k with words w group n in slot pos and returns its number.
-// Its accumulators come with the next growState.
-func (p *Partial) add(pos int, k uint64, w []uint32) int32 {
+// add makes key k, with words w (nil: unpacked from k), group n in the
+// empty slot s and returns its number. Its accumulators come with the next
+// growState.
+func (p *Partial) add(s *slot, k uint64, w []uint32) int32 {
 	g := p.n
 	p.n++
-	p.slots[pos] = int32(g + 1)
-	p.keys = grown(p.keys, p.n)
-	p.keys[g] = k
-	p.words = grown(p.words, p.n*len(w))
-	copy(p.words[g*len(w):], w)
-	if 2*p.n > len(p.slots) {
+	*s = slot{key: k, g: int32(g + 1)}
+	nk := len(p.groupIdx)
+	p.words = grown(p.words, p.n*nk)
+	if w != nil {
+		copy(p.words[g*nk:], w)
+	} else {
+		// An exact key is its columns' KeyValue bits, first column highest.
+		for j := range nk {
+			p.words[g*nk+j] = tuple.KeyWord(math.Float32frombits(uint32(k >> (32 * (nk - 1 - j)))))
+		}
+	}
+	if 4*p.n > len(p.slots) {
 		p.rehash(p.n)
 	}
 	return int32(g)
 }
 
-// rehash sizes the slot array for n groups at most half full, never
+// rehash sizes the slot array for n groups at most a quarter full, never
 // shrinking it, and re-places every group.
 func (p *Partial) rehash(n int) {
-	size := 8
-	for size < 2*n {
+	size := 16
+	for size < 4*n {
 		size *= 2
 	}
 	if size <= len(p.slots) {
 		return
 	}
-	p.slots = make([]int32, size)
+	old := p.slots
+	p.slots = make([]slot, size)
 	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	mask := size - 1
-	for g, k := range p.keys[:p.n] {
-		pos := int(tuple.Mix(k, tuple.SaltTable) >> p.shift)
-		for p.slots[pos] != 0 {
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.g == 0 {
+			continue
+		}
+		pos := tuple.Mix(s.key, tuple.SaltTable) >> p.shift
+		for p.slots[pos].g != 0 {
 			pos = (pos + 1) & mask
 		}
-		p.slots[pos] = int32(g + 1)
+		p.slots[pos] = s
 	}
 }
 
@@ -262,6 +415,8 @@ func grown[T any](s []T, n int) []T {
 // item), filtered by having and ordered by ascending group key under
 // ORDER BY's rule (tuple.KeyWord: -0 and +0 are one group, all NaNs are
 // one group, last). Each group's key is emitted as its tuple.KeyValue.
+// having must be the one NewPartial was given: its state was folded as
+// that aggregate's kind.
 func (p *Partial) Finalize(having *query.Having) (*tuple.SubTable, error) {
 	attrs := make([]tuple.Attr, 0, len(p.groupIdx)+len(p.items))
 	for _, gi := range p.groupIdx {

@@ -139,13 +139,6 @@ var specials = []float32{
 // partial and checks Finalize bit for bit against naiveAggregate, over 0–3
 // group columns, every aggregate and HAVING.
 func TestPartialMatchesNaive(t *testing.T) {
-	schema := tuple.NewSchema(
-		tuple.Attr{Name: "a", Kind: tuple.Coord},
-		tuple.Attr{Name: "b", Kind: tuple.Coord},
-		tuple.Attr{Name: "c", Kind: tuple.Coord},
-		tuple.Attr{Name: "v", Kind: tuple.Measure},
-		tuple.Attr{Name: "w", Kind: tuple.Measure},
-	)
 	aggs := []query.Agg{query.AggAvg, query.AggSum, query.AggMin, query.AggMax, query.AggCount}
 	ops := []string{"=", "<", "<=", ">", ">="}
 	rng := rand.New(rand.NewSource(33))
@@ -177,50 +170,154 @@ func TestPartialMatchesNaive(t *testing.T) {
 		parts := make([][]*tuple.SubTable, 1+rng.Intn(4))
 		for pi := range parts {
 			for range rng.Intn(4) {
-				st := tuple.NewSubTable(tuple.ID{}, schema, 0)
+				st := tuple.NewSubTable(tuple.ID{}, partialSchema, 0)
 				for range rng.Intn(1200) {
 					st.AppendRow(val(domain), val(domain), val(domain), val(0), val(0))
 				}
 				parts[pi] = append(parts[pi], st)
 			}
 		}
+		p := foldAll(t, parts, items, groupBy, having)
+		checkNaive(t, fmt.Sprintf("trial %d", trial), p, parts, items, groupBy, having)
+	}
+}
 
-		p, err := NewPartial(schema, items, groupBy, having)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, part := range parts {
-			for _, st := range part {
-				if err := p.Fold(st); err != nil {
-					t.Fatal(err)
-				}
+// checkNaive finalizes p, which folded parts' batches in order, and checks
+// it bit for bit against naiveAggregate.
+func checkNaive(t *testing.T, name string, p *Partial, parts [][]*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) {
+	t.Helper()
+	got, err := p.Finalize(having)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naiveAggregate(parts, items, groupBy, having)
+	if got.NumRows() != len(want) {
+		t.Fatalf("%s (group by %v, having %+v): %d groups, want %d", name, groupBy, having, got.NumRows(), len(want))
+	}
+	for r, w := range want {
+		for c, wv := range w {
+			gv := got.Value(r, c)
+			// Which NaN a sum of two NaNs carries is the hardware's
+			// choice of operand, and the compiler may order them either
+			// way; every other value, NaN keys and extremes included,
+			// must match bit for bit.
+			summed := c >= len(groupBy) && (items[c-len(groupBy)].Agg == query.AggSum || items[c-len(groupBy)].Agg == query.AggAvg)
+			if summed && gv != gv && wv != wv {
+				continue
+			}
+			if math.Float32bits(gv) != math.Float32bits(wv) {
+				t.Fatalf("%s (group by %v, items %v, having %+v): row %d col %d = %v (%08x), want %v (%08x)",
+					name, groupBy, items, having, r, c, gv, math.Float32bits(gv), wv, math.Float32bits(wv))
 			}
 		}
-		got, err := p.Finalize(having)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := naiveAggregate(parts, items, groupBy, having)
-		if got.NumRows() != len(want) {
-			t.Fatalf("trial %d (group by %v, having %+v): %d groups, want %d", trial, groupBy, having, got.NumRows(), len(want))
-		}
-		for r, w := range want {
-			for c, wv := range w {
-				gv := got.Value(r, c)
-				// Which NaN a sum of two NaNs carries is the hardware's
-				// choice of operand, and the compiler may order them either
-				// way; every other value, NaN keys and extremes included,
-				// must match bit for bit.
-				summed := c >= len(groupBy) && (items[c-len(groupBy)].Agg == query.AggSum || items[c-len(groupBy)].Agg == query.AggAvg)
-				if summed && gv != gv && wv != wv {
-					continue
-				}
-				if math.Float32bits(gv) != math.Float32bits(wv) {
-					t.Fatalf("trial %d (group by %v, items %v, having %+v): row %d col %d = %v (%08x), want %v (%08x)",
-						trial, groupBy, items, having, r, c, gv, math.Float32bits(gv), wv, math.Float32bits(wv))
-				}
+	}
+}
+
+// partialSchema is the fold tests' input: three key columns and two
+// measures.
+var partialSchema = tuple.NewSchema(
+	tuple.Attr{Name: "a", Kind: tuple.Coord},
+	tuple.Attr{Name: "b", Kind: tuple.Coord},
+	tuple.Attr{Name: "c", Kind: tuple.Coord},
+	tuple.Attr{Name: "v", Kind: tuple.Measure},
+	tuple.Attr{Name: "w", Kind: tuple.Measure},
+)
+
+// foldAll folds parts' batches in order into a new Partial.
+func foldAll(t *testing.T, parts [][]*tuple.SubTable, items []query.SelectItem, groupBy []string, having *query.Having) *Partial {
+	t.Helper()
+	p, err := NewPartial(partialSchema, items, groupBy, having)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range parts {
+		for _, st := range part {
+			if err := p.Fold(st); err != nil {
+				t.Fatal(err)
 			}
 		}
+	}
+	return p
+}
+
+// FuzzPartialFold checks the fold kernel against naiveAggregate, a map
+// fold that shares none of its code. (plan's FuzzAggregateKernel compares
+// the operator with dds.Aggregate, which runs the same Partial, so it
+// proves the operator's spilling and replay, not the kernel.) Batches of
+// 0–5 000 rows cross foldBlock; keys of 0–3 columns come from small
+// domains and specials; the items are every kind, and HAVING any kind.
+func FuzzPartialFold(f *testing.F) {
+	f.Add(int64(1), uint16(100), uint8(0x01))
+	f.Add(int64(2), uint16(4999), uint8(0x06))
+	f.Add(int64(3), uint16(2049), uint8(0x3b))
+	f.Add(int64(4), uint16(300), uint8(0xcf))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		// shape: bits 0-1 the GROUP BY column count, bit 2 HAVING, bits
+		// 3-4 the key domain, bits 5-6 the batch count less one.
+		groupBy := []string{"a", "b", "c"}[:shape&3]
+		domain := []int{2, 7, 60, 5000}[shape>>3&3]
+		val := func(domain int) float32 {
+			if rng.Intn(8) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return float32(rng.Intn(domain) - domain/2)
+		}
+		aggs := []query.Agg{query.AggAvg, query.AggSum, query.AggMin, query.AggMax, query.AggCount}
+		items := []query.SelectItem{{Attr: "*", Agg: query.AggCount}}
+		for _, agg := range aggs {
+			items = append(items, query.SelectItem{Attr: []string{"v", "w", "c"}[rng.Intn(3)], Agg: agg})
+		}
+		var having *query.Having
+		if shape&4 != 0 {
+			having = &query.Having{Agg: aggs[rng.Intn(len(aggs))], Attr: []string{"v", "*"}[rng.Intn(2)],
+				Op: []string{"=", "<", "<=", ">", ">="}[rng.Intn(5)], Val: float64(rng.Intn(5) - 1)}
+		}
+		var batches []*tuple.SubTable
+		for range 1 + shape>>5&3 {
+			st := tuple.NewSubTable(tuple.ID{}, partialSchema, 0)
+			for range rng.Intn(int(size)%5001 + 1) {
+				st.AppendRow(val(domain), val(domain), val(domain), val(1<<20)/64, val(1<<20)/64)
+			}
+			batches = append(batches, st)
+		}
+		parts := [][]*tuple.SubTable{batches}
+		checkNaive(t, fmt.Sprintf("seed %d", seed), foldAll(t, parts, items, groupBy, having), parts, items, groupBy, having)
+	})
+}
+
+// TestPartialRehashInBlock grows the group table from empty within one
+// block: a 2 048-row batch of distinct 1- or 2-column keys rehashes the
+// table while most of its rows still wait to be probed. A second batch of
+// 5 000 rows, over twice as many keys, splits across foldBlock.
+func TestPartialRehashInBlock(t *testing.T) {
+	items := []query.SelectItem{{Attr: "*", Agg: query.AggCount}, {Attr: "v", Agg: query.AggSum},
+		{Attr: "v", Agg: query.AggMin}, {Attr: "w", Agg: query.AggMax}, {Attr: "w", Agg: query.AggAvg}}
+	having := &query.Having{Agg: query.AggSum, Attr: "w", Op: ">", Val: 0}
+	for _, groupBy := range [][]string{{"a"}, {"a", "b"}} {
+		rng := rand.New(rand.NewSource(int64(len(groupBy))))
+		// batch holds rows rows whose keys are a permutation of 0..rows-1
+		// taken mod keys: key k is a = k-100 alone, or (a, b) = (k/64, k%64).
+		batch := func(rows, keys int) *tuple.SubTable {
+			st := tuple.NewSubTable(tuple.ID{}, partialSchema, rows)
+			for _, k := range rng.Perm(rows) {
+				k %= keys
+				a, b := float32(k/64), float32(k%64)
+				if len(groupBy) == 1 {
+					a, b = float32(k-100), 0
+				}
+				st.AppendRow(a, b, 0, float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+			}
+			return st
+		}
+		first, second := batch(foldBlock, foldBlock), batch(5000, 2*foldBlock)
+		p := foldAll(t, [][]*tuple.SubTable{{first}}, items, groupBy, having)
+		if p.Groups() != foldBlock {
+			t.Fatalf("group by %v: %d groups after one block of distinct keys, want %d", groupBy, p.Groups(), foldBlock)
+		}
+		checkNaive(t, "one block", p, [][]*tuple.SubTable{{first}}, items, groupBy, having)
+		parts := [][]*tuple.SubTable{{first, second}}
+		checkNaive(t, "split batch", foldAll(t, parts, items, groupBy, having), parts, items, groupBy, having)
 	}
 }
 
@@ -240,15 +337,16 @@ func TestPartialWideKeyCollision(t *testing.T) {
 	w1 := []uint32{tuple.KeyWord(1), tuple.KeyWord(2), tuple.KeyWord(3)}
 	w2 := []uint32{tuple.KeyWord(1), tuple.KeyWord(2), tuple.KeyWord(4)}
 	const packed = 0x5EED
+	h := tuple.Mix(packed, tuple.SaltTable)
 	for range 2 {
 		p.rehash(p.n + 3)
-		p.lookup([]uint64{packed, packed, packed}, slices.Concat(w2, w1, w2))
+		p.probe([]uint64{packed, packed, packed}, []uint64{h, h, h}, slices.Concat(w2, w1, w2))
 		gid := p.gid
 		if !slices.Equal(gid, []int32{0, 1, 0}) || p.Groups() != 2 {
 			t.Fatalf("group numbers %v over %d groups, want [0 1 0] over 2", gid, p.Groups())
 		}
 		for r, g := range gid {
-			p.accs[g].add(float64(r + 1))
+			p.accs[g].sum += float64(r + 1)
 		}
 	}
 	out, err := p.Finalize(nil)
@@ -266,9 +364,12 @@ func TestPartialWideKeyCollision(t *testing.T) {
 	}
 }
 
-// BenchmarkPartialFold folds a 64×64×32 grid's 131 072 rows, shuffled, in
-// 2 048-row batches into one Partial and finalizes it, grouped by 0–3 of
-// the grid columns: 1, 64, 4 096 and 131 072 groups.
+// BenchmarkPartialFold folds a 64×64×32 grid's 131 072 rows in 2 048-row
+// batches into one Partial and finalizes it, grouped by 0–3 of the grid
+// columns: 1, 64, 4 096 and 131 072 groups. The groupby=k sub-benchmarks
+// fold the rows shuffled, with COUNT(*), SUM and MIN; the grid/groupby=k
+// ones fold them in the join's release order (x fastest within each
+// 8×8×8 right chunk, chunk after chunk) with one item of every kind.
 func BenchmarkPartialFold(b *testing.B) {
 	schema := tuple.NewSchema(
 		tuple.Attr{Name: "x", Kind: tuple.Coord},
@@ -277,34 +378,65 @@ func BenchmarkPartialFold(b *testing.B) {
 		tuple.Attr{Name: "v", Kind: tuple.Measure},
 	)
 	const rows, batch = 64 * 64 * 32, 2048
-	perm := rand.New(rand.NewSource(1)).Perm(rows)
-	var batches []*tuple.SubTable
-	for lo := 0; lo < rows; lo += batch {
-		st := tuple.NewSubTable(tuple.ID{}, schema, batch)
-		for _, c := range perm[lo : lo+batch] {
-			st.AppendRow(float32(c/2048), float32(c/32%64), float32(c%32), float32(c)/7)
+	// cell c is (x, y, z) = (c/2048, c/32%64, c%32).
+	batches := func(cells []int) []*tuple.SubTable {
+		var out []*tuple.SubTable
+		for lo := 0; lo < rows; lo += batch {
+			st := tuple.NewSubTable(tuple.ID{}, schema, batch)
+			for _, c := range cells[lo : lo+batch] {
+				st.AppendRow(float32(c/2048), float32(c/32%64), float32(c%32), float32(c)/7)
+			}
+			out = append(out, st)
 		}
-		batches = append(batches, st)
+		return out
 	}
-	items := []query.SelectItem{{Attr: "*", Agg: query.AggCount}, {Attr: "v", Agg: query.AggSum}, {Attr: "v", Agg: query.AggMin}}
-	for k := range 4 {
-		groupBy := []string{"x", "y", "z"}[:k]
-		b.Run(fmt.Sprintf("groupby=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for range b.N {
-				p, err := NewPartial(schema, items, groupBy, nil)
-				if err != nil {
-					b.Fatal(err)
+	grid := make([]int, 0, rows)
+	for cz := 0; cz < 32; cz += 8 {
+		for cy := 0; cy < 64; cy += 8 {
+			for cx := 0; cx < 64; cx += 8 {
+				for z := cz; z < cz+8; z++ {
+					for y := cy; y < cy+8; y++ {
+						for x := cx; x < cx+8; x++ {
+							grid = append(grid, x*2048+y*32+z)
+						}
+					}
 				}
-				for _, st := range batches {
-					if err := p.Fold(st); err != nil {
+			}
+		}
+	}
+	var every []query.SelectItem
+	for _, agg := range []query.Agg{query.AggCount, query.AggSum, query.AggAvg, query.AggMin, query.AggMax} {
+		every = append(every, query.SelectItem{Attr: "v", Agg: agg})
+	}
+	orders := []struct {
+		prefix  string
+		batches []*tuple.SubTable
+		items   []query.SelectItem
+	}{
+		{"", batches(rand.New(rand.NewSource(1)).Perm(rows)),
+			[]query.SelectItem{{Attr: "*", Agg: query.AggCount}, {Attr: "v", Agg: query.AggSum}, {Attr: "v", Agg: query.AggMin}}},
+		{"grid/", batches(grid), append([]query.SelectItem{{Attr: "*", Agg: query.AggCount}}, every...)},
+	}
+	for _, o := range orders {
+		for k := range 4 {
+			groupBy := []string{"x", "y", "z"}[:k]
+			b.Run(fmt.Sprintf("%sgroupby=%d", o.prefix, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					p, err := NewPartial(schema, o.items, groupBy, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, st := range o.batches {
+						if err := p.Fold(st); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := p.Finalize(nil); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := p.Finalize(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

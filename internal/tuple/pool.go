@@ -38,10 +38,17 @@ func GetBuf(n int) []byte {
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or any other slice the
-// caller owns outright). Oversized buffers are dropped to the GC.
+// caller owns outright). Oversized buffers are dropped to the GC. Under
+// the race detector the whole capacity is first overwritten with 0xFF.
 func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
+	}
+	if poisonPut {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xFF
+		}
 	}
 	b = b[:0]
 	bufPool.Put(&b)

@@ -23,8 +23,11 @@ go test -run '^$' -fuzz FuzzScratchBlocks -fuzztime 10s ./internal/scratch
 # ORDER BY must emit the reference order at any limit and budget.
 go test -run '^$' -fuzz FuzzSortKernel -fuzztime 10s ./internal/plan
 # GROUP BY must fold to dds.Aggregate's bits at any budget, whatever part
-# labels its batches carry.
+# labels its batches carry. That proves the operator's spilling and replay,
+# but both sides run the same dds.Partial; FuzzPartialFold checks that fold
+# kernel itself against a map fold that shares none of its code.
 go test -run '^$' -fuzz FuzzAggregateKernel -fuzztime 10s ./internal/plan
+go test -run '^$' -fuzz FuzzPartialFold -fuzztime 10s ./internal/dds
 go test -run '^$' -bench . -benchtime 100x ./internal/hashjoin ./internal/tuple ./internal/plan ./internal/planner ./internal/dds ./internal/congraph ./internal/scratch ./internal/simio
 # A statement re-run on a warm cluster, demanding every column (full) or
 # none (count): ns/op and the tuples it still builds and probes
